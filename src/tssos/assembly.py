@@ -133,6 +133,7 @@ class RelaxationResult:
             "iters": self.iterations,
             "residuals": self.residuals,
             "solve_seconds": self.solve_seconds,
+            "events": self.solution.events if self.solution is not None else [],
         }
 
 

@@ -15,6 +15,22 @@ degeneracy.
 All constraint data is sparse (block, row, col, value) with row <= col and
 symmetric semantics: an off-diagonal entry v stands for v at (row, col) and
 at (col, row).
+
+Blocks are grouped into size classes.  The blocks of one size s are held as
+stacked arrays, (nb, s, s) for C, X and S, and the constraint matrices
+touching them as one zero-padded stack (nb, k, s, s), k being the largest
+number of constraints touching one block of the class.  Each step of an
+iteration (Cholesky factors and inverses of S, Schur contributions, search
+directions, inner products, the maps A and A^T, the step-length test) is one
+batched numpy call per class, so the Python work per iteration grows with
+the number of distinct block sizes rather than with the number of blocks.
+For s = 1 the cone is the half-line: S^{-1} is 1/s and the step length is an
+elementwise ratio test.
+
+The Schur contributions keep the product form <A_j, X A_i S^{-1}>, whose
+temporaries have the size of the constraint stack.  The Kronecker form
+X (x) S^{-1} would need an s^2 x s^2 matrix per block, 3136 x 3136 for a
+56 x 56 block.
 """
 
 from __future__ import annotations
@@ -25,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 Entry = Tuple[int, int, int, float]  # (block, row, col, value), row <= col
 
@@ -82,6 +99,11 @@ class SolverSolution:
     dual_obj: float
     iterations: int
     residuals: Dict[str, float]
+    # what happened besides plain iterating: {"event": "stop", "rule": ...}
+    # for the rule that ended a run short of optimality, "best_iterate" when
+    # the returned point is the remembered best instead of the last one, and
+    # "schur_jitter" with the largest regularization the Schur solves needed
+    events: List[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -91,126 +113,196 @@ class SolverSolution:
                 "dual_obj": self.dual_obj,
                 "iters": self.iterations,
                 "residuals": self.residuals,
+                "events": self.events,
             },
             indent=2,
         )
 
 
-def _dense_sym(size: int, entries: Sequence[Tuple[int, int, float]]) -> np.ndarray:
-    m = np.zeros((size, size))
-    for r, c, v in entries:
-        m[r, c] += v
-        if r != c:
-            m[c, r] += v
-    return m
+def _entry_columns(entries: Sequence[Entry]):
+    """Block, row and column index arrays and the value array of entries."""
+    arr = np.array(entries, dtype=float).reshape(-1, 4)
+    blk, r, c = (arr[:, j].astype(np.intp) for j in range(3))
+    return blk, r, c, arr[:, 3]
 
 
-class _BlockData:
-    """Per-block dense stacks of the constraint matrices touching it."""
-
-    def __init__(self, size: int, c_mat: np.ndarray, gidx: np.ndarray, stack: np.ndarray):
-        self.size = size
-        self.c = c_mat
-        self.gidx = gidx  # global constraint indices, shape (k,)
-        self.stack = stack  # shape (k, size, size)
-        self.flat = stack.reshape(len(gidx), -1) if len(gidx) else np.zeros((0, size * size))
+def _add_sym(out: np.ndarray, index: Tuple[np.ndarray, ...], r, c, v):
+    """Add v at (r, c) and, off the diagonal, at (c, r) of out[index]."""
+    np.add.at(out, index + (r, c), v)
+    off = r != c
+    np.add.at(out, tuple(i[off] for i in index) + (c[off], r[off]), v[off])
 
 
-def _prepare_blocks(prob: CanonicalSdp) -> List[_BlockData]:
-    nb = len(prob.block_sizes)
-    per_block_c: List[List[Tuple[int, int, float]]] = [[] for _ in range(nb)]
-    for blk, r, c, v in prob.c_entries:
-        per_block_c[blk].append((r, c, v))
-    per_block_rows: List[Dict[int, List[Tuple[int, int, float]]]] = [dict() for _ in range(nb)]
-    for i, row in enumerate(prob.a_entries):
-        for blk, r, c, v in row:
-            per_block_rows[blk].setdefault(i, []).append((r, c, v))
-    out = []
-    for blk, size in enumerate(prob.block_sizes):
-        cmat = _dense_sym(size, per_block_c[blk])
-        items = sorted(per_block_rows[blk].items())
-        gidx = np.array([i for i, _ in items], dtype=int)
-        stack = np.zeros((len(items), size, size))
-        for pos, (_, ents) in enumerate(items):
-            stack[pos] = _dense_sym(size, ents)
-        out.append(_BlockData(size, cmat, gidx, stack))
-    return out
+def _sym(stack: np.ndarray) -> np.ndarray:
+    return 0.5 * (stack + stack.swapaxes(-1, -2))
 
 
-def _apply_a(blocks: List[_BlockData], xs: List[np.ndarray], m: int) -> np.ndarray:
-    out = np.zeros(m)
-    for bd, x in zip(blocks, xs):
-        if len(bd.gidx):
-            out[bd.gidx] += bd.flat @ x.reshape(-1)
-    return out
+class _SizeClass:
+    """The blocks of one size, stacked in block order.
+
+    c is (nb, s, s).  a is (nb, k, s, s): for each block the constraint
+    matrices touching it, in constraint order, zero-padded up to k, the
+    largest count in the class.  rows (nb, k) holds their constraint
+    indices, with m marking padding.
+    """
+
+    def __init__(self, blocks: np.ndarray, c: np.ndarray, a: np.ndarray, rows: np.ndarray):
+        self.blocks = blocks
+        self.size = c.shape[-1]
+        self.c = c
+        self.a = a
+        self.a_flat = a.reshape(a.shape[0], a.shape[1], self.size * self.size)
+        self.rows = rows
 
 
-def _apply_at(blocks: List[_BlockData], y: np.ndarray) -> List[np.ndarray]:
-    outs = []
-    for bd in blocks:
-        if len(bd.gidx):
-            outs.append(np.einsum("k,kij->ij", y[bd.gidx], bd.stack))
-        else:
-            outs.append(np.zeros((bd.size, bd.size)))
-    return outs
+class _Layout:
+    """Size classes of a problem plus the scatter indices into A(X) and M."""
+
+    def __init__(self, prob: CanonicalSdp):
+        sizes = np.array(prob.block_sizes, dtype=np.intp)
+        m = self.m = prob.n_constraints
+        self.n_blocks = len(sizes)
+        # each (block, constraint) pair gets a slot: its rank among the
+        # constraints touching that block
+        blk, r, c, v = _entry_columns([e for row in prob.a_entries for e in row])
+        con = np.repeat(np.arange(m), [len(row) for row in prob.a_entries])
+        pairs, pair_of_entry = np.unique(blk * m + con, return_inverse=True)
+        pair_blk, pair_con = np.divmod(pairs, max(m, 1))
+        pair_slot = np.arange(len(pairs)) - np.searchsorted(pair_blk, pair_blk)
+        slot = pair_slot[pair_of_entry]
+        touching = np.bincount(pair_blk, minlength=len(sizes))
+        cblk, cr, cc, cv = _entry_columns(prob.c_entries)
+
+        self.classes: List[_SizeClass] = []
+        pos = np.zeros(len(sizes), dtype=np.intp)  # position inside the class
+        for s in np.unique(sizes):
+            members = np.flatnonzero(sizes == s)
+            nb, k = len(members), int(touching[members].max())
+            pos[members] = np.arange(nb)
+            cstack = np.zeros((nb, s, s))
+            sel = sizes[cblk] == s
+            _add_sym(cstack, (pos[cblk[sel]],), cr[sel], cc[sel], cv[sel])
+            astack = np.zeros((nb, k, s, s))
+            sel = sizes[blk] == s
+            _add_sym(astack, (pos[blk[sel]], slot[sel]), r[sel], c[sel], v[sel])
+            rows = np.full((nb, k), m, dtype=np.intp)
+            sel = sizes[pair_blk] == s
+            rows[pos[pair_blk[sel]], pair_slot[sel]] = pair_con[sel]
+            self.classes.append(_SizeClass(members, cstack, astack, rows))
+        none = np.zeros(0, dtype=np.intp)  # for a problem without blocks
+        self.row_index = np.concatenate([none] + [cl.rows.ravel() for cl in self.classes])
+        self.pair_index = np.concatenate(
+            [none] + [(cl.rows[:, :, None] * (m + 1) + cl.rows[:, None, :]).ravel()
+                      for cl in self.classes]
+        )
+
+    def a_map(self, vs: List[np.ndarray]) -> np.ndarray:
+        """(<A_i, V>)_i for V given as one stack per class."""
+        vals = [np.matmul(cl.a_flat, v.reshape(len(v), cl.size * cl.size, 1)).ravel()
+                for cl, v in zip(self.classes, vs)]
+        return np.bincount(self.row_index, np.concatenate(vals), self.m + 1)[: self.m]
+
+    def at_map(self, y: np.ndarray) -> List[np.ndarray]:
+        """sum_i y_i A_i as one stack per class."""
+        ypad = np.append(y, 0.0)
+        return [np.matmul(ypad[cl.rows][:, None, :], cl.a_flat).reshape(cl.c.shape)
+                for cl in self.classes]
+
+    def schur(self, xs: List[np.ndarray], sinvs: List[np.ndarray]) -> np.ndarray:
+        """M[i,j] = sum_b <A_j, X A_i S^{-1}>, symmetrized."""
+        vals = []
+        for cl, x, sinv in zip(self.classes, xs, sinvs):
+            t = np.matmul(np.matmul(x[:, None], cl.a), sinv[:, None])
+            # A_j is symmetric, so tr(A_j T) is the plain entrywise product
+            vals.append(np.matmul(cl.a_flat, t.reshape(cl.a_flat.shape).swapaxes(1, 2)).ravel())
+        n = self.m + 1
+        full = np.bincount(self.pair_index, np.concatenate(vals), n * n).reshape(n, n)
+        schur = full[: self.m, : self.m]
+        return 0.5 * (schur + schur.T)
+
+    def unstack(self, stacks: List[np.ndarray]) -> List[np.ndarray]:
+        """Per-block matrices in the original block order."""
+        out: list = [None] * self.n_blocks
+        for cl, stack in zip(self.classes, stacks):
+            for p, blk in enumerate(cl.blocks):
+                out[blk] = stack[p]
+        return out
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx >= 0 (x assumed positive definite)."""
+def _inverse(s: np.ndarray) -> Optional[np.ndarray]:
+    """S^{-1} for a stack of positive definite S; None if one is not."""
+    if s.shape[-1] == 1:
+        return 1.0 / s if np.all(s > 0) else None
     try:
-        lo = np.linalg.cholesky(x)
+        lo = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        return 0.0
-    w = np.linalg.solve(lo, np.linalg.solve(lo, dx).T)
-    lam = np.linalg.eigvalsh(0.5 * (w + w.T)).min()
+        return None
+    eye = np.broadcast_to(np.eye(s.shape[-1]), s.shape)
+    return _sym(np.linalg.solve(lo.swapaxes(-1, -2), np.linalg.solve(lo, eye)))
+
+
+def _step_length(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with x_b + alpha*dx_b >= 0 for every block b of a stack.
+
+    The stack is assumed positive definite; when its Cholesky factorization
+    fails the step is 0.  For s = 1 this is the ratio test min dx/x.
+    """
+    if x.shape[-1] == 1:
+        if not np.all(x > 0):
+            return 0.0
+        lam = float((dx / x).min())
+    else:
+        try:
+            lo = np.linalg.cholesky(x)
+        except np.linalg.LinAlgError:
+            return 0.0
+        w = np.linalg.solve(lo, np.linalg.solve(lo, dx).swapaxes(-1, -2))
+        lam = float(np.linalg.eigvalsh(_sym(w)).min())
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
 
 
-def _chol_solve(m: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+def _chol_solve(m: np.ndarray, rhs: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
     """Solve m x = rhs with a Cholesky factor, jittering only on failure.
 
     One pass of iterative refinement keeps the solve accurate when m turns
     ill-conditioned near the central path's end, which otherwise leaves a
-    feasibility residual floor around sqrt(eps).
+    feasibility residual floor around sqrt(eps).  Returns the solution (None
+    when every jitter failed) and the jitter used.
     """
-    jitter = 0.0
     base = 1e-14 * (1.0 + np.abs(np.diag(m)).max())
     eye = np.eye(m.shape[0])
-    for _ in range(8):
+    for jitter in [0.0] + [base * 100.0 ** j for j in range(7)]:
         try:
             lo = np.linalg.cholesky(m + jitter * eye if jitter else m)
         except np.linalg.LinAlgError:
-            jitter = base if jitter == 0.0 else jitter * 100.0
             continue
-        x = np.linalg.solve(lo.T, np.linalg.solve(lo, rhs))
-        r = rhs - m @ x
-        x += np.linalg.solve(lo.T, np.linalg.solve(lo, r))
-        return x
-    return None
+        x = cho_solve((lo, True), rhs, check_finite=False)
+        x += cho_solve((lo, True), rhs - m @ x, check_finite=False)
+        return x, jitter
+    return None, jitter
 
 
 def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> SolverSolution:
     cfg = config or SolverConfig()
     prob.validate()
     m = prob.n_constraints
-    blocks = _prepare_blocks(prob)
-    sizes = prob.block_sizes
-    total_dim = sum(sizes)
+    lay = _Layout(prob)
+    classes = lay.classes
+    total_dim = sum(prob.block_sizes)
     b = np.array(prob.b, dtype=float)
 
     if m == 0:
         # min <C, X> over X >= 0: zero if C is PSD, otherwise unbounded below.
         lam_min = min(
-            (np.linalg.eigvalsh(bd.c).min() if bd.size else 0.0) for bd in blocks
-        ) if blocks else 0.0
+            (float(np.linalg.eigvalsh(cl.c).min()) for cl in classes if cl.size), default=0.0
+        )
         status = "optimal" if lam_min >= -1e-12 else "unbounded"
-        xs = [np.zeros((s, s)) for s in sizes]
         return SolverSolution(
             status=status,
-            x_blocks=xs,
-            s_blocks=[bd.c.copy() for bd in blocks],
+            x_blocks=[np.zeros((s, s)) for s in prob.block_sizes],
+            s_blocks=lay.unstack([cl.c.copy() for cl in classes]),
             y=np.zeros(0),
             primal_obj=0.0,
             dual_obj=0.0,
@@ -219,7 +311,7 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
         )
 
     norm_b = np.linalg.norm(b)
-    norm_c = math.sqrt(sum(float((bd.c ** 2).sum()) for bd in blocks))
+    norm_c = math.sqrt(sum(float(np.vdot(cl.c, cl.c)) for cl in classes))
     norm_a = []
     for row in prob.a_entries:
         sq = sum(v * v * (1.0 if r == c else 2.0) for _, r, c, v in row)
@@ -229,31 +321,35 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
     for i in range(m):
         eta_p = max(eta_p, (1.0 + abs(b[i])) / (1.0 + norm_a[i]))
 
-    xs = [eta_p * np.eye(s) for s in sizes]
-    ss = [eta_d * np.eye(s) for s in sizes]
+    xs = [eta_p * np.broadcast_to(np.eye(cl.size), cl.c.shape) for cl in classes]
+    ss = [eta_d * np.broadcast_to(np.eye(cl.size), cl.c.shape) for cl in classes]
     y = np.zeros(m)
 
     status = "max_iter"
+    events: List[dict] = []
     iters = 0
     residuals = {"gap": np.inf, "primal": np.inf, "dual": np.inf}
     pobj = dobj = 0.0
-    best = None  # (err, xs, ss, y, pobj, dobj, residuals)
+    best = None  # (err, iteration, xs, ss, y, pobj, dobj, residuals)
     stall = 0
+    max_jitter = 0.0
+
+    def stop(rule: str):
+        events.append({"event": "stop", "rule": rule, "iter": iters})
 
     for it in range(1, cfg.max_iters + 1):
         iters = it
-        pobj = sum(float(np.tensordot(bd.c, x)) for bd, x in zip(blocks, xs))
+        pobj = sum(float(np.vdot(cl.c, x)) for cl, x in zip(classes, xs))
         dobj = float(b @ y)
-        gap = sum(float(np.tensordot(x, s)) for x, s in zip(xs, ss))
+        gap = sum(float(np.vdot(x, s)) for x, s in zip(xs, ss))
         mu = gap / total_dim
 
-        aty = _apply_at(blocks, y)
-        rd = [bd.c - at - s for bd, at, s in zip(blocks, aty, ss)]
-        rp = b - _apply_a(blocks, xs, m)
+        rd = [cl.c - at - s for cl, at, s in zip(classes, lay.at_map(y), ss)]
+        rp = b - lay.a_map(xs)
 
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         rp_norm = np.linalg.norm(rp) / (1.0 + norm_b)
-        rd_norm = math.sqrt(sum(float((r ** 2).sum()) for r in rd)) / (1.0 + norm_c)
+        rd_norm = math.sqrt(sum(float(np.vdot(r, r)) for r in rd)) / (1.0 + norm_c)
         residuals = {"gap": float(rel_gap), "primal": float(rp_norm), "dual": float(rd_norm)}
 
         if cfg.verbose:
@@ -269,86 +365,72 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
         # once a long window brings no improvement
         err = max(rel_gap, rp_norm, rd_norm)
         if best is None or err < 0.9 * best[0]:
-            best = (err, [x.copy() for x in xs], [s.copy() for s in ss],
+            best = (err, it, [x.copy() for x in xs], [s.copy() for s in ss],
                     y.copy(), pobj, dobj, dict(residuals))
             stall = 0
         else:
             stall += 1
             if stall >= 15:
+                stop("stall")
                 status = "numerical"
                 break
 
         # divergence heuristics
-        xnorm = max(float(np.abs(x).max()) for x in xs)
+        xnorm = max(float(np.abs(x).max(initial=0.0)) for x in xs)
         ynorm = float(np.abs(y).max()) if m else 0.0
         if xnorm > 1e13:
+            stop("x_diverged")
             status = "unbounded" if rp_norm <= 1e-6 else "numerical"
             break
         if ynorm > 1e13:
+            stop("y_diverged")
             status = "infeasible" if rd_norm <= 1e-6 else "numerical"
             break
 
-        sinvs = []
-        ok = True
-        for s in ss:
-            try:
-                lo = np.linalg.cholesky(s)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            inv = np.linalg.solve(lo.T, np.linalg.solve(lo, np.eye(s.shape[0])))
-            sinvs.append(0.5 * (inv + inv.T))
-        if not ok:
+        sinvs = [_inverse(s) for s in ss]
+        if any(si is None for si in sinvs):
+            stop("s_not_pd")
             status = "numerical"
             break
 
-        # Schur complement
-        schur = np.zeros((m, m))
-        for bd, x, sinv in zip(blocks, xs, sinvs):
-            k = len(bd.gidx)
-            if not k:
-                continue
-            t = np.matmul(np.matmul(x[None], bd.stack), sinv[None])
-            tt = np.transpose(t, (0, 2, 1)).reshape(k, -1)
-            local = bd.flat @ tt.T
-            schur[np.ix_(bd.gidx, bd.gidx)] += local
-        schur = 0.5 * (schur + schur.T)
+        schur = lay.schur(xs, sinvs)
 
         def direction(sigma_mu: float, corr: Optional[List[np.ndarray]]):
-            rhs = b.copy()
+            nonlocal max_jitter
             aux = []
-            for bd, x, sinv, rdb in zip(blocks, xs, sinvs, rd):
+            for j, (x, sinv, rdb) in enumerate(zip(xs, sinvs, rd)):
                 u = x @ rdb @ sinv
                 if sigma_mu:
                     u = u - sigma_mu * sinv
                 if corr is not None:
-                    u = u + corr[len(aux)] @ sinv
+                    u = u + corr[j] @ sinv
                 aux.append(u)
-            rhs += _apply_a(blocks, aux, m)
-            dy = _chol_solve(schur, rhs)
+            dy, jitter = _chol_solve(schur, b + lay.a_map(aux))
+            max_jitter = max(max_jitter, jitter)
             if dy is None:
                 return None
-            dss = [rdb - at for rdb, at in zip(rd, _apply_at(blocks, dy))]
+            dss = [rdb - at for rdb, at in zip(rd, lay.at_map(dy))]
             dxs = []
-            for bd, x, sinv, dsb, u in zip(blocks, xs, sinvs, dss, aux):
+            for j, (x, sinv, dsb) in enumerate(zip(xs, sinvs, dss)):
                 raw = -x - x @ dsb @ sinv
                 if sigma_mu:
                     raw = raw + sigma_mu * sinv
                 if corr is not None:
-                    raw = raw - corr[len(dxs)] @ sinv
-                dxs.append(0.5 * (raw + raw.T))
+                    raw = raw - corr[j] @ sinv
+                dxs.append(_sym(raw))
             return dxs, dy, dss
 
         got = direction(0.0, None)
         if got is None:
+            stop("schur_failed")
             status = "numerical"
             break
         dx_aff, dy_aff, ds_aff = got
 
-        ap_aff = min(1.0, min((_max_step(x, dx) for x, dx in zip(xs, dx_aff)), default=1.0))
-        ad_aff = min(1.0, min((_max_step(s, ds) for s, ds in zip(ss, ds_aff)), default=1.0))
+        ap_aff = min(1.0, min((_step_length(x, dx) for x, dx in zip(xs, dx_aff)), default=1.0))
+        ad_aff = min(1.0, min((_step_length(s, ds) for s, ds in zip(ss, ds_aff)), default=1.0))
         gap_aff = sum(
-            float(np.tensordot(x + ap_aff * dx, s + ad_aff * ds))
+            float(np.vdot(x + ap_aff * dx, s + ad_aff * ds))
             for x, dx, s, ds in zip(xs, dx_aff, ss, ds_aff)
         )
         mu_aff = max(gap_aff, 0.0) / total_dim
@@ -362,32 +444,45 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
         corr = [dx @ ds for dx, ds in zip(dx_aff, ds_aff)]
         got = direction(sigma * mu, corr)
         if got is None:
+            stop("schur_failed")
             status = "numerical"
             break
         dxs, dy, dss = got
 
         tau = cfg.step_fraction
-        ap = min(1.0, tau * min((_max_step(x, dx) for x, dx in zip(xs, dxs)), default=np.inf))
-        ad = min(1.0, tau * min((_max_step(s, ds) for s, ds in zip(ss, dss)), default=np.inf))
+        ap = min(1.0, tau * min((_step_length(x, dx) for x, dx in zip(xs, dxs)), default=np.inf))
+        ad = min(1.0, tau * min((_step_length(s, ds) for s, ds in zip(ss, dss)), default=np.inf))
         if ap <= 1e-12 and ad <= 1e-12:
+            stop("tiny_steps")
             status = "numerical"
             break
-        xs = [0.5 * ((x + ap * dx) + (x + ap * dx).T) for x, dx in zip(xs, dxs)]
-        ss = [0.5 * ((s + ad * ds) + (s + ad * ds).T) for s, ds in zip(ss, dss)]
+        xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
+        ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
         y = y + ad * dy
+    else:
+        stop("max_iters")
 
     if status != "optimal" and best is not None:
         cur_err = max(residuals.values())
         if best[0] < cur_err:
-            _, xs, ss, y, pobj, dobj, residuals = best
+            events.append({"event": "best_iterate", "iter": best[1],
+                           "error": float(best[0]), "last_error": float(cur_err)})
+            _, _, xs, ss, y, pobj, dobj, residuals = best
+    if max_jitter:
+        events.append({"event": "schur_jitter", "max": float(max_jitter)})
+    if cfg.verbose:
+        for ev in events:
+            print(f"event  {ev['event']}  "
+                  + "  ".join(f"{k} {v}" for k, v in ev.items() if k != "event"))
 
     return SolverSolution(
         status=status,
-        x_blocks=xs,
-        s_blocks=ss,
+        x_blocks=lay.unstack(xs),
+        s_blocks=lay.unstack(ss),
         y=y,
         primal_obj=pobj,
         dual_obj=dobj,
         iterations=iters,
         residuals=residuals,
+        events=events,
     )

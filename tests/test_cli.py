@@ -222,3 +222,29 @@ def test_iteration_budget_exhaustion_returns_two(capsys):
     code, out, _ = run(capsys, "solve", EX1, "--json", "--max-iters", "2")
     assert code == 2
     assert json.loads(out)["status"] == "max_iter"
+
+
+def test_solver_events_name_the_stopping_rule(capsys, tmp_path):
+    # the README's randpoly1 example stops short of optimality
+    from tssos import bench
+
+    path = tmp_path / "randpoly1.pop"
+    path.write_text(f"vars 8\n{bench.randpoly1(8, deg=8, terms=30, prob=0.1, seed=3)}\n")
+    code, out, _ = run(capsys, "solve", str(path), "--basis", "reduced", "--json")
+    payload = json.loads(out)
+    assert code == 2 and payload["status"] == "numerical"
+    stops = [ev for ev in payload["events"] if ev["event"] == "stop"]
+    assert len(stops) == 1
+    assert stops[0]["rule"] in ("stall", "tiny_steps", "s_not_pd", "schur_failed")
+
+
+def test_optimal_solve_reports_no_stop_event(capsys):
+    code, out, _ = run(capsys, "solve", EX1, "--json")
+    assert code == 0
+    assert not [ev for ev in json.loads(out)["events"] if ev["event"] == "stop"]
+
+
+def test_verbose_prints_events(capsys):
+    code, out, _ = run(capsys, "solve", EX1, "--max-iters", "2", "--verbose")
+    assert code == 2
+    assert "event  stop  rule max_iters  iter 2" in out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tssos.solver import CanonicalSdp, SolverConfig, SolverSolution, solve_canonical
+from tssos.solver import CanonicalSdp, SolverConfig, SolverSolution, _step_length, solve_canonical
 
 
 def entries_from_matrix(blk, mat, tol=0.0):
@@ -275,3 +275,146 @@ def test_solution_json_fields():
     assert payload["status"] == "optimal"
     assert abs(payload["primal_obj"] - 1.0) < 1e-8
     assert set(payload["residuals"]) == {"gap", "primal", "dual"}
+
+
+def mixed_instance(seed, sizes, m, untouched, no_c):
+    """A strictly feasible pair over blocks of mixed, repeated sizes.
+
+    Each constraint touches a random subset of the blocks.  Block untouched
+    appears in no constraint; block no_c has no objective entries (its dual
+    slack is -sum_i y_i A_i, made positive definite by the choice of A_i).
+    """
+    rng = np.random.default_rng(seed)
+
+    def rand_psd(s):
+        q = rng.normal(size=(s, s))
+        return q @ q.T + 0.5 * np.eye(s)
+
+    nb = len(sizes)
+    y_star = rng.normal(size=m)
+    x_star = [rand_psd(s) for s in sizes]
+    rows = []
+    for i in range(m):
+        touched = [blk for blk in range(nb) if blk != untouched and rng.random() < 0.5]
+        if i % 2 == 0 and no_c not in touched:
+            touched.append(no_c)
+        row = {}
+        for blk in sorted(touched):
+            s = sizes[blk]
+            if blk == no_c:
+                row[blk] = -y_star[i] * rand_psd(s)
+            else:
+                w = rng.normal(size=(s, s))
+                row[blk] = 0.5 * (w + w.T)
+        rows.append(row)
+    s_star = [rand_psd(s) for s in sizes]
+    s_star[no_c] = -sum(y_star[i] * row[no_c] for i, row in enumerate(rows) if no_c in row)
+    c_mats = [s.copy() for s in s_star]
+    for yi, row in zip(y_star, rows):
+        for blk, w in row.items():
+            c_mats[blk] += yi * w
+    b = tuple(float(sum(np.tensordot(w, x_star[blk]) for blk, w in row.items())) for row in rows)
+    return CanonicalSdp(
+        block_sizes=tuple(sizes),
+        c_entries=tuple(e for blk, cm in enumerate(c_mats) if blk != no_c
+                        for e in entries_from_matrix(blk, cm)),
+        a_entries=tuple(tuple(e for blk, w in row.items() for e in entries_from_matrix(blk, w))
+                        for row in rows),
+        b=b,
+    )
+
+
+# (seed, sizes, m, untouched block, block without C entries) and the
+# outcome recorded with the per-block solver that preceded size classes:
+# primal objective, dual objective, iterations
+MIXED_GOLDEN = [
+    ((11, (3, 1, 2, 1, 3, 1, 2, 1), 6, 3, 4),
+     (-13.394693433362844, -13.394693554691239, 11)),
+    ((12, (1, 1, 4, 2, 1, 4, 2, 1, 1, 3), 9, 7, 2),
+     (-2.8794137814678464, -2.879413788155666, 12)),
+    ((13, (2, 2, 2, 1, 1, 5, 1), 7, 5, 0),
+     (36.279811146511726, 36.27981106900161, 10)),
+]
+
+
+@pytest.mark.parametrize("case, golden", MIXED_GOLDEN)
+def test_mixed_block_sizes_match_recorded_outcomes(case, golden):
+    prob = mixed_instance(*case)
+    sol = solve_canonical(prob)
+    pobj, dobj, iters = golden
+    assert sol.status == "optimal"
+    assert abs(sol.primal_obj - pobj) <= 1e-7 * (1 + abs(pobj))
+    assert abs(sol.dual_obj - dobj) <= 1e-7 * (1 + abs(dobj))
+    assert abs(sol.iterations - iters) <= 1
+    assert sol.events == []
+
+
+def test_blocks_come_back_in_block_order():
+    prob = mixed_instance(*MIXED_GOLDEN[1][0])
+    sizes = prob.block_sizes
+    sol = solve_canonical(prob)
+    assert [x.shape for x in sol.x_blocks] == [(s, s) for s in sizes]
+    assert [s.shape for s in sol.s_blocks] == [(s, s) for s in sizes]
+    # feasibility recomputed block by block pins every block to its index
+    a_mats = [dense_from_entries(sizes, row) for row in prob.a_entries]
+    for arow, bi in zip(a_mats, prob.b):
+        got = sum(np.tensordot(ab, xb) for ab, xb in zip(arow, sol.x_blocks))
+        assert abs(got - bi) <= 1e-6 * (1 + abs(bi))
+    c_mats = dense_from_entries(sizes, prob.c_entries)
+    for blk in range(len(sizes)):
+        resid = c_mats[blk] - sol.s_blocks[blk] - sum(
+            yi * arow[blk] for yi, arow in zip(sol.y, a_mats))
+        assert np.abs(resid).max() <= 1e-6 * (1 + np.abs(c_mats[blk]).max())
+
+
+def test_step_length_is_zero_for_stack_with_non_pd_member():
+    rng = np.random.default_rng(3)
+    x = np.stack([np.eye(3), np.diag([1.0, -1.0, 2.0]), 2 * np.eye(3)])
+    dx = rng.normal(size=(3, 3, 3))
+    assert _step_length(x, dx + dx.swapaxes(1, 2)) == 0.0
+    assert _step_length(np.array([1.0, 0.0, 2.0]).reshape(3, 1, 1), np.ones((3, 1, 1))) == 0.0
+    # the same stack without the bad member gets a positive step
+    assert _step_length(x[[0, 2]], np.zeros((2, 3, 3))) == np.inf
+
+
+def test_ratio_test_matches_eigenvalue_definition():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        x = rng.uniform(0.1, 2.0, size=7)
+        dx = rng.normal(size=7)
+        ratio = _step_length(x.reshape(7, 1, 1), dx.reshape(7, 1, 1))
+        # largest alpha with diag(x) + alpha diag(dx) PSD, through X^{-1/2} dX X^{-1/2}
+        lo = np.linalg.cholesky(np.diag(x))
+        w = np.linalg.solve(lo, np.linalg.solve(lo, np.diag(dx)).T)
+        lam = np.linalg.eigvalsh(w).min()
+        if lam >= 0:
+            assert ratio == np.inf
+            continue
+        assert ratio == pytest.approx(-1.0 / lam, rel=1e-12)
+        assert np.linalg.eigvalsh(np.diag(x + ratio * dx)).min() == pytest.approx(0.0, abs=1e-12)
+    assert _step_length(np.ones((2, 1, 1)), np.ones((2, 1, 1))) == np.inf
+
+
+def test_stop_rule_is_recorded_as_event():
+    rng = np.random.default_rng(5)
+    prob, _, _ = random_instance(rng, (3,), 2)
+    sol = solve_canonical(prob, SolverConfig(max_iters=2))
+    assert {"event": "stop", "rule": "max_iters", "iter": 2} in sol.events
+    one = CanonicalSdp((1,), ((0, 0, 0, 1.0),), (((0, 0, 0, 1.0),),), (1.0,))
+    sol = solve_canonical(one)
+    assert sol.status == "optimal"
+    assert not [ev for ev in sol.events if ev["event"] == "stop"]
+
+
+def test_schur_jitter_is_recorded_as_event():
+    # a repeated constraint makes the Schur complement singular
+    prob = CanonicalSdp(
+        block_sizes=(2,),
+        c_entries=((0, 0, 0, 1.0), (0, 1, 1, 1.0)),
+        a_entries=(((0, 0, 0, 1.0),), ((0, 0, 0, 1.0),)),
+        b=(1.0, 1.0),
+    )
+    sol = solve_canonical(prob)
+    assert sol.status == "optimal"
+    jitters = [ev["max"] for ev in sol.events if ev["event"] == "schur_jitter"]
+    assert len(jitters) == 1 and jitters[0] > 0
