@@ -19,13 +19,16 @@ at (col, row).
 Blocks are grouped into size classes.  The blocks of one size s are held as
 stacked arrays, (nb, s, s) for C, X and S, and the constraint matrices
 touching them as one zero-padded stack (nb, k, s, s), k being the largest
-number of constraints touching one block of the class.  Each step of an
+number of constraints touching one block of the class.  A class holds only
+blocks whose constraint counts lie in one power-of-two bucket (k/2, k], so
+padding stays below a factor of two: a few many-term localizing blocks do
+not inflate every small moment block of the same size.  Each step of an
 iteration (Cholesky factors and inverses of S, Schur contributions, search
 directions, inner products, the maps A and A^T, the step-length test) is one
 batched numpy call per class, so the Python work per iteration grows with
-the number of distinct block sizes rather than with the number of blocks.
-For s = 1 the cone is the half-line: S^{-1} is 1/s and the step length is an
-elementwise ratio test.
+the number of classes rather than with the number of blocks.  1x1 blocks
+take the same path; for them the batched Cholesky and eigenvalue test
+reduce to S^{-1} = 1/s and the ratio test min dx/x.
 
 The Schur contributions keep the product form <A_j, X A_i S^{-1}>, whose
 temporaries have the size of the constraint stack.  The Kronecker form
@@ -138,7 +141,7 @@ def _sym(stack: np.ndarray) -> np.ndarray:
 
 
 class _SizeClass:
-    """The blocks of one size, stacked in block order.
+    """Blocks of one size and one constraint-count bucket, in block order.
 
     c is (nb, s, s).  a is (nb, k, s, s): for each block the constraint
     matrices touching it, in constraint order, zero-padded up to k, the
@@ -172,21 +175,25 @@ class _Layout:
         slot = pair_slot[pair_of_entry]
         touching = np.bincount(pair_blk, minlength=len(sizes))
         cblk, cr, cc, cv = _entry_columns(prob.c_entries)
+        # bucket j holds the counts in (2^(j-1), 2^j]; counts 0 and 1 share 0
+        bucket = np.frexp(np.maximum(touching, 1) - 1)[1]
+        keys, cls = np.unique(np.stack([sizes, bucket]), axis=1, return_inverse=True)
+        cls = cls.ravel()
 
         self.classes: List[_SizeClass] = []
         pos = np.zeros(len(sizes), dtype=np.intp)  # position inside the class
-        for s in np.unique(sizes):
-            members = np.flatnonzero(sizes == s)
+        for j, s in enumerate(keys[0]):
+            members = np.flatnonzero(cls == j)
             nb, k = len(members), int(touching[members].max())
             pos[members] = np.arange(nb)
             cstack = np.zeros((nb, s, s))
-            sel = sizes[cblk] == s
+            sel = cls[cblk] == j
             _add_sym(cstack, (pos[cblk[sel]],), cr[sel], cc[sel], cv[sel])
             astack = np.zeros((nb, k, s, s))
-            sel = sizes[blk] == s
+            sel = cls[blk] == j
             _add_sym(astack, (pos[blk[sel]], slot[sel]), r[sel], c[sel], v[sel])
             rows = np.full((nb, k), m, dtype=np.intp)
-            sel = sizes[pair_blk] == s
+            sel = cls[pair_blk] == j
             rows[pos[pair_blk[sel]], pair_slot[sel]] = pair_con[sel]
             self.classes.append(_SizeClass(members, cstack, astack, rows))
         none = np.zeros(0, dtype=np.intp)  # for a problem without blocks
@@ -231,8 +238,6 @@ class _Layout:
 
 def _inverse(s: np.ndarray) -> Optional[np.ndarray]:
     """S^{-1} for a stack of positive definite S; None if one is not."""
-    if s.shape[-1] == 1:
-        return 1.0 / s if np.all(s > 0) else None
     try:
         lo = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
@@ -245,19 +250,14 @@ def _step_length(x: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with x_b + alpha*dx_b >= 0 for every block b of a stack.
 
     The stack is assumed positive definite; when its Cholesky factorization
-    fails the step is 0.  For s = 1 this is the ratio test min dx/x.
+    fails the step is 0.
     """
-    if x.shape[-1] == 1:
-        if not np.all(x > 0):
-            return 0.0
-        lam = float((dx / x).min())
-    else:
-        try:
-            lo = np.linalg.cholesky(x)
-        except np.linalg.LinAlgError:
-            return 0.0
-        w = np.linalg.solve(lo, np.linalg.solve(lo, dx).swapaxes(-1, -2))
-        lam = float(np.linalg.eigvalsh(_sym(w)).min())
+    try:
+        lo = np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return 0.0
+    w = np.linalg.solve(lo, np.linalg.solve(lo, dx).swapaxes(-1, -2))
+    lam = float(np.linalg.eigvalsh(_sym(w)).min())
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -272,10 +272,9 @@ def _chol_solve(m: np.ndarray, rhs: np.ndarray) -> Tuple[Optional[np.ndarray], f
     when every jitter failed) and the jitter used.
     """
     base = 1e-14 * (1.0 + np.abs(np.diag(m)).max())
-    eye = np.eye(m.shape[0])
     for jitter in [0.0] + [base * 100.0 ** j for j in range(7)]:
         try:
-            lo = np.linalg.cholesky(m + jitter * eye if jitter else m)
+            lo = np.linalg.cholesky(m + jitter * np.eye(len(m)) if jitter else m)
         except np.linalg.LinAlgError:
             continue
         x = cho_solve((lo, True), rhs, check_finite=False)

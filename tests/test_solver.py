@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from tssos.solver import CanonicalSdp, SolverConfig, SolverSolution, _step_length, solve_canonical
+from tssos.solver import (
+    CanonicalSdp,
+    SolverConfig,
+    SolverSolution,
+    _Layout,
+    _step_length,
+    solve_canonical,
+)
 
 
 def entries_from_matrix(blk, mat, tol=0.0):
@@ -377,22 +384,34 @@ def test_step_length_is_zero_for_stack_with_non_pd_member():
     assert _step_length(x[[0, 2]], np.zeros((2, 3, 3))) == np.inf
 
 
-def test_ratio_test_matches_eigenvalue_definition():
+def test_step_length_on_1x1_stack_is_ratio_test():
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.uniform(0.1, 2.0, size=7)
         dx = rng.normal(size=7)
-        ratio = _step_length(x.reshape(7, 1, 1), dx.reshape(7, 1, 1))
-        # largest alpha with diag(x) + alpha diag(dx) PSD, through X^{-1/2} dX X^{-1/2}
-        lo = np.linalg.cholesky(np.diag(x))
-        w = np.linalg.solve(lo, np.linalg.solve(lo, np.diag(dx)).T)
-        lam = np.linalg.eigvalsh(w).min()
+        alpha = _step_length(x.reshape(7, 1, 1), dx.reshape(7, 1, 1))
+        # on the half-line the largest alpha with x + alpha dx >= 0 is -1/min(dx/x)
+        lam = (dx / x).min()
         if lam >= 0:
-            assert ratio == np.inf
+            assert alpha == np.inf
             continue
-        assert ratio == pytest.approx(-1.0 / lam, rel=1e-12)
-        assert np.linalg.eigvalsh(np.diag(x + ratio * dx)).min() == pytest.approx(0.0, abs=1e-12)
+        assert alpha == pytest.approx(-1.0 / lam, rel=1e-12)
+        assert (x + alpha * dx).min() == pytest.approx(0.0, abs=1e-12)
     assert _step_length(np.ones((2, 1, 1)), np.ones((2, 1, 1))) == np.inf
+
+
+def test_size_classes_split_by_constraint_count():
+    # four 1x1 blocks and one 2x2 block; block 0 is touched by nine
+    # constraints, blocks 1-3 by one each, block 4 by none
+    a_entries = tuple(((0, 0, 0, 1.0), (1 + i % 3, 0, 0, 1.0)) if i < 3 else ((0, 0, 0, float(i)),)
+                      for i in range(9))
+    prob = CanonicalSdp((1, 1, 1, 1, 2), ((4, 0, 1, 1.0),), a_entries, (1.0,) * 9)
+    lay = _Layout(prob)
+    got = sorted((cl.size, tuple(cl.blocks), cl.rows.shape[1]) for cl in lay.classes)
+    assert got == [(1, (0,), 9), (1, (1, 2, 3), 1), (2, (4,), 0)]
+    for cl in lay.classes:
+        counts = (cl.rows < prob.n_constraints).sum(axis=1)
+        assert cl.rows.shape[1] <= 2 * max(counts.min(), 1)
 
 
 def test_stop_rule_is_recorded_as_event():
