@@ -19,12 +19,19 @@ import math
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .poly import Exponent, Polynomial, PopProblem, grlex_key, monomials_up_to
 
 STANDARD_BASIS_CAP = 10 ** 7
 NEWTON_LP_TOL = 1e-9
+# candidates per phase-1 LP in newton_half_basis; bounds the LP's size and memory
+NEWTON_LP_CHUNK = 32
+# a phase-1 L1 residual above this rejects a candidate without a further test
+NEWTON_RESIDUAL_TOL = 1e-7
+# point pairs whose sums newton_half_basis searches at once; bounds its memory
+NEWTON_PAIR_BUDGET = 1 << 20
 
 
 class MonomialBasis:
@@ -105,6 +112,82 @@ def _in_half_polytope(beta: Exponent, points: np.ndarray) -> bool:
     return res.status == 0
 
 
+def _box_count(upper: Sequence[int], degree: int) -> int:
+    """Number of lattice points 0 <= beta <= upper with |beta| <= degree."""
+    ways = [1] + [0] * degree  # ways[d]: points of total degree d so far
+    for u in upper:
+        if u:
+            ways = [sum(ways[max(0, d - u):d + 1]) for d in range(degree + 1)]
+    return sum(ways)
+
+
+def _box_points(upper: np.ndarray, degree: int) -> np.ndarray:
+    """The lattice points counted by _box_count, one integer row each."""
+    rows = np.zeros((1, len(upper)), dtype=np.int64)
+    for i in np.flatnonzero(upper):
+        deg = rows.sum(axis=1)
+        grown = [rows]
+        for a in range(1, int(upper[i]) + 1):
+            more = rows[deg + a <= degree]
+            more[:, i] = a
+            grown.append(more)
+        rows = np.concatenate(grown)
+    return rows
+
+
+def _midpoint_certified(cands: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Mask of the candidates beta with 4*beta = p + q for rows p, q of points.
+
+    Then 2*beta = (p + q)/2 lies in conv(points): an exact certificate in
+    integer arithmetic.  The pairwise sums are searched through linear
+    64-bit keys, key(a) = sum_i a_i*w_i mod 2**64 with fixed odd weights w,
+    so key(p + q) = key(p) + key(q); the pair a search returns is then
+    checked on the exponent rows themselves, so a key collision can only
+    cost a candidate its certificate, never grant one.  The sums are formed
+    for at most NEWTON_PAIR_BUDGET pairs at a time.
+    """
+    npts, nvars = points.shape
+    weights = np.random.default_rng(0).integers(0, 2 ** 63, size=nvars, dtype=np.uint64) * 2 + 1
+    keys = points.astype(np.uint64) @ weights
+    target = (4 * cands).astype(np.uint64) @ weights
+    found = np.zeros(len(cands), dtype=bool)
+    step = max(1, NEWTON_PAIR_BUDGET // npts)
+    for lo in range(0, npts, step):
+        sums = (keys[lo:lo + step, None] + keys).ravel()
+        order = np.argsort(sums)
+        pos = np.minimum(np.searchsorted(sums[order], target), len(sums) - 1)
+        i, j = np.divmod(order[pos], npts)
+        found |= (points[lo + i] + points[j] == 4 * cands).all(axis=1)
+    return found
+
+
+def _phase1_residuals(cands: np.ndarray, points: np.ndarray):
+    """L1 distance of each 2*beta to conv(points), from one block-diagonal LP.
+
+    Each candidate gets its own block: lambda in the simplex and slacks
+    s+, s- >= 0 with points^T lambda + s+ - s- = 2*beta, and the LP
+    minimizes the sum of all slacks.  Returns None when the LP does not end
+    optimal.
+    """
+    npts, nvars = points.shape
+    eye = np.eye(nvars)
+    block = sparse.csr_matrix(np.block([
+        [points.T, eye, -eye],
+        [np.ones((1, npts)), np.zeros((1, 2 * nvars))],
+    ]))
+    count = len(cands)
+    res = linprog(
+        c=np.tile(np.r_[np.zeros(npts), np.ones(2 * nvars)], count),
+        A_eq=sparse.kron(sparse.identity(count, format="csr"), block, format="csr"),
+        b_eq=np.hstack([2.0 * cands, np.ones((count, 1))]).ravel(),
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        return None
+    return res.x.reshape(count, -1)[:, npts:].sum(axis=1)
+
+
 def newton_half_basis(f: Polynomial) -> MonomialBasis:
     """Lattice points of half the Newton polytope of f (origin included).
 
@@ -112,6 +195,13 @@ def newton_half_basis(f: Polynomial) -> MonomialBasis:
     the origin joins the hull because the representation target is always
     f - lambda with a constant present.  A single-monomial objective is
     handled separately: x^alpha is a square exactly when alpha is even.
+
+    Only the beta with 2*beta inside the bounding box and the degree bound
+    of the hull are enumerated (at most STANDARD_BASIS_CAP of them).  Each
+    is decided in up to three steps: an exact midpoint certificate keeps
+    it; else a chunked phase-1 LP rejects it when its L1 residual exceeds
+    NEWTON_RESIDUAL_TOL; what is left, and every candidate of a chunk whose
+    LP does not end optimal, is decided by _in_half_polytope.
     """
     supp = f.support()
     if not supp:
@@ -122,17 +212,26 @@ def newton_half_basis(f: Polynomial) -> MonomialBasis:
             raise ValueError("objective cannot be SOS: single monomial of odd exponent")
         return MonomialBasis(f.nvars, [tuple(a // 2 for a in alpha)])
     pts = sorted(supp | {(0,) * f.nvars}, key=grlex_key)
-    points = np.array(pts, dtype=float)
-    half_deg = max(sum(a) for a in supp) // 2
-    comp_max = points.max(axis=0)
-    deg_max = points.sum(axis=1).max()
-    kept = []
-    for beta in monomials_up_to(f.nvars, half_deg):
-        doubled = np.asarray(beta) * 2
-        if (doubled > comp_max).any() or doubled.sum() > deg_max:
-            continue
-        if _in_half_polytope(beta, points):
-            kept.append(beta)
+    points = np.array(pts, dtype=np.int64)
+    hull = points.astype(float)
+    upper = points.max(axis=0) // 2
+    half_deg = int(points.sum(axis=1).max()) // 2
+    count = _box_count(upper.tolist(), half_deg)
+    if count > STANDARD_BASIS_CAP:
+        raise ValueError(
+            f"Newton basis would test {count} candidate monomials "
+            f"(more than the {STANDARD_BASIS_CAP} cap); reduce the degree or variable count"
+        )
+    cands = _box_points(upper, half_deg)
+    certified = _midpoint_certified(cands, points)
+    kept = cands[certified].tolist()
+    rest = cands[~certified]
+    for start in range(0, len(rest), NEWTON_LP_CHUNK):
+        chunk = rest[start:start + NEWTON_LP_CHUNK]
+        resid = _phase1_residuals(chunk, points)
+        if resid is not None:
+            chunk = chunk[resid <= NEWTON_RESIDUAL_TOL]
+        kept.extend(b for b in chunk.tolist() if _in_half_polytope(b, hull))
     return MonomialBasis(f.nvars, kept)
 
 

@@ -42,9 +42,14 @@ from .solver import SolverConfig
 MODE_NAMES = {"chordal": "approx_min", "minfill": "min_fill", "block": "block_closure"}
 
 
-def _read_pop(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pop(fh.read())
+def _read_pop(args):
+    """Parse args.file and resolve the default basis from what it holds."""
+    with open(args.file, "r", encoding="utf-8") as fh:
+        pop = parse_pop(fh.read())
+    if args.basis is None:
+        # newton for unconstrained input, standard once constraints are present
+        args.basis = "standard" if pop.constraints else "newton"
+    return pop
 
 
 def _solver_config(args) -> SolverConfig:
@@ -100,7 +105,7 @@ def _size_census(sizes: List[int]) -> str:
 
 
 def cmd_solve(args) -> int:
-    pop = _read_pop(args.file)
+    pop = _read_pop(args)
     sdp, seq, d_hat, (bs, rbs) = _build_relaxation(pop, args)
 
     if args.export_sdpa or args.solver == "external":
@@ -150,7 +155,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_report(args) -> int:
-    pop = _read_pop(args.file)
+    pop = _read_pop(args)
     mode = MODE_NAMES[args.mode]
     k_max = args.sparse_order
     report: dict = {"file": args.file, "nvars": pop.nvars, "mode": args.mode}
@@ -276,14 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "basis", None) is None and args.command in ("solve", "report"):
-        # resolved after parsing the file: newton for unconstrained input,
-        # standard once constraints are present
-        args.basis = "auto"
     try:
-        if getattr(args, "basis", None) == "auto":
-            pop = _read_pop(args.file)
-            args.basis = "standard" if pop.constraints else "newton"
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

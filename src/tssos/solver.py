@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -353,7 +354,7 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
 
         if cfg.verbose:
             print(f"iter {it:3d}  pobj {pobj: .9e}  dobj {dobj: .9e}  "
-                  f"gap {rel_gap:.2e}  rp {rp_norm:.2e}  rd {rd_norm:.2e}")
+                  f"gap {rel_gap:.2e}  rp {rp_norm:.2e}  rd {rd_norm:.2e}", file=sys.stderr)
 
         if rel_gap <= cfg.tol_gap and rp_norm <= cfg.tol_feas and rd_norm <= cfg.tol_feas:
             status = "optimal"
@@ -472,7 +473,7 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
     if cfg.verbose:
         for ev in events:
             print(f"event  {ev['event']}  "
-                  + "  ".join(f"{k} {v}" for k, v in ev.items() if k != "event"))
+                  + "  ".join(f"{k} {v}" for k, v in ev.items() if k != "event"), file=sys.stderr)
 
     return SolverSolution(
         status=status,

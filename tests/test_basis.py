@@ -1,18 +1,24 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeResult, nnls
 
+import tssos.basis
+from tssos import bench
 from tssos.basis import (
+    STANDARD_BASIS_CAP,
     MonomialBasis,
+    _in_half_polytope,
     generate_basis,
     newton_half_basis,
     reduce_basis_constrained,
     reduce_basis_unconstrained,
     standard_basis,
 )
-from tssos.poly import Polynomial, parse_polynomial, parse_pop, monomials_up_to
+from tssos.poly import Polynomial, grlex_key, parse_polynomial, parse_pop, monomials_up_to
 
 EX33 = (
     "x1^2 - 2*x1*x2 + 3*x2^2 - 2*x1^2*x2 + 2*x1^2*x2^2 - 2*x2*x3 + 6*x3^2"
@@ -85,6 +91,126 @@ def test_newton_basis_against_nnls_oracle():
             assert (cand in got) == in_half_hull_nnls(cand, hull_pts), (
                 f"membership mismatch at {cand} for support {sorted(pick)}"
             )
+
+
+def reference_newton_basis(f):
+    """One LP per candidate: every monomial of degree <= d inside the box and
+    the degree bound of the hull, kept when _in_half_polytope accepts it."""
+    supp = f.support()
+    points = np.array(sorted(supp | {(0,) * f.nvars}, key=grlex_key), dtype=float)
+    half_deg = max(sum(a) for a in supp) // 2
+    comp_max = points.max(axis=0)
+    deg_max = points.sum(axis=1).max()
+    kept = []
+    for beta in monomials_up_to(f.nvars, half_deg):
+        doubled = np.asarray(beta) * 2
+        if (doubled > comp_max).any() or doubled.sum() > deg_max:
+            continue
+        if _in_half_polytope(beta, points):
+            kept.append(beta)
+    return MonomialBasis(f.nvars, kept)
+
+
+REFERENCE_CASES = {
+    **{f"{fam}_{n}": getattr(bench, fam)(n) for fam in (
+        "broyden_banded", "broyden_tridiagonal", "gen_rosenbrock",
+        "mod_gen_rosenbrock", "mod_chained_singular") for n in (4, 6)},
+    **{f"randpoly1_5_6_seed{s}": bench.randpoly1(5, 6, 6, 0.2, seed=s) for s in range(4)},
+    **{f"randpoly1_4_8_seed{s}": bench.randpoly1(4, 8, 3, 0.15, seed=s) for s in range(3)},
+    **{f"randpoly2_4_6_seed{s}": bench.randpoly2(4, 6, 12, seed=s) for s in range(3)},
+    **{f"randpoly2_3_4_seed{s}": bench.randpoly2(3, 4, 8, seed=s) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_newton_basis_matches_per_candidate_reference(name):
+    f = REFERENCE_CASES[name]
+    assert newton_half_basis(f) == reference_newton_basis(f)
+
+
+@st.composite
+def sparse_supports(draw):
+    n = draw(st.integers(1, 4))
+    deg = draw(st.integers(1, 6))
+    pool = monomials_up_to(n, deg)
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=10, unique=True))
+    return n, picks
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_supports())
+def test_newton_basis_property_against_nnls_oracle(case):
+    n, picks = case
+    f = Polynomial.zero(n)
+    for m in picks:
+        f = f + Polynomial.monomial(n, m, 1.0)
+    got = set(newton_half_basis(f).monos)
+    hull_pts = sorted(set(picks) | {(0,) * n})
+    for cand in monomials_up_to(n, max(sum(m) for m in picks) // 2):
+        assert (cand in got) == in_half_hull_nnls(cand, hull_pts), cand
+
+
+def test_newton_basis_small_chunks_match_reference(monkeypatch):
+    # several pair-sum chunks in the certificate search and several LP chunks
+    monkeypatch.setattr(tssos.basis, "NEWTON_PAIR_BUDGET", 50)
+    monkeypatch.setattr(tssos.basis, "NEWTON_LP_CHUNK", 5)
+    f = REFERENCE_CASES["randpoly1_5_6_seed0"]
+    assert newton_half_basis(f) == reference_newton_basis(f)
+
+
+def test_newton_basis_lp_calls(monkeypatch):
+    # broyden_tridiagonal: every member has a midpoint certificate and every
+    # candidate is a member; gen_rosenbrock: the 13 uncertified candidates
+    # are all rejected by one chunk LP
+    calls = []
+    real = tssos.basis.linprog
+    monkeypatch.setattr(tssos.basis, "linprog", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+    assert len(newton_half_basis(bench.broyden_tridiagonal(14))) == 120
+    assert len(calls) == 0
+    assert len(newton_half_basis(bench.gen_rosenbrock(14))) == 106
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("status", [1, 4])
+def test_newton_basis_falls_back_when_chunk_lp_fails(monkeypatch, status):
+    f = REFERENCE_CASES["randpoly1_5_6_seed0"]
+    want = reference_newton_basis(f)
+    real = tssos.basis.linprog
+    confirms = []
+
+    def failing(c, **kwargs):
+        if np.any(c):  # the phase-1 chunk LP; _in_half_polytope has no objective
+            return OptimizeResult(status=status, x=None)
+        confirms.append(c)
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(tssos.basis, "linprog", failing)
+    assert newton_half_basis(f) == want
+    # every uncertified candidate went to the per-candidate test
+    assert len(confirms) == 34
+
+
+def test_newton_candidates_stay_inside_the_box():
+    # declared over 60 variables, but only x1 and x2 appear: C(66, 6) monomials
+    # of degree <= 6 exist, 13 lie in the box
+    f = parse_polynomial("x1^12 + x2^2 + 1", 60)
+    start = time.perf_counter()
+    b = newton_half_basis(f)
+    assert time.perf_counter() - start < 5.0
+    zeros = (0,) * 58
+    assert set(b.monos) == {(a, 0) + zeros for a in range(7)} | {(0, 1) + zeros}
+
+
+def test_newton_candidate_box_above_cap_raises():
+    # 60 variables of degree 12: C(66, 6) > cap candidates in the box
+    f = Polynomial.constant(60, 1.0)
+    for i in range(60):
+        e = [0] * 60
+        e[i] = 12
+        f = f + Polynomial.monomial(60, tuple(e), 1.0)
+    assert math.comb(66, 6) > STANDARD_BASIS_CAP
+    with pytest.raises(ValueError, match="cap"):
+        newton_half_basis(f)
 
 
 def test_newton_basis_single_monomial():

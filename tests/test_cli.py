@@ -245,6 +245,34 @@ def test_optimal_solve_reports_no_stop_event(capsys):
 
 
 def test_verbose_prints_events(capsys):
-    code, out, _ = run(capsys, "solve", EX1, "--max-iters", "2", "--verbose")
+    code, _, err = run(capsys, "solve", EX1, "--max-iters", "2", "--verbose")
     assert code == 2
-    assert "event  stop  rule max_iters  iter 2" in out
+    assert "event  stop  rule max_iters  iter 2" in err
+
+
+def test_json_stays_parseable_under_verbose(capsys):
+    code, out, err = run(capsys, "solve", EX1, "--json", "--verbose")
+    assert code == 0
+    assert json.loads(out)["status"] == "optimal"
+    assert err.startswith("iter   1")
+
+
+@pytest.mark.parametrize("argv", [["solve", EX1, "--json"], ["solve", BALL, "--json"],
+                                  ["report", EX1], ["report", BALL]])
+def test_pop_file_is_parsed_once(capsys, monkeypatch, argv):
+    import tssos.cli
+
+    calls = []
+    real = tssos.cli.parse_pop
+    monkeypatch.setattr(tssos.cli, "parse_pop", lambda text: calls.append(text) or real(text))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_newton_candidates_above_cap_is_input_error(capsys, tmp_path):
+    path = tmp_path / "wide.pop"
+    path.write_text("vars 60\n1 + " + " + ".join(f"x{i}^12" for i in range(1, 61)) + "\n")
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "cap" in err
