@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -323,7 +323,9 @@ def assemble_sparse_constrained(
 
     rows_map: Dict[Exponent, List[Tuple[int, int, int, float]]] = {}
     if side == "sos":
-        # precompute realization maps per generator graph, then emit rows
+        # precompute realization maps per generator graph, then scatter them
+        # forward: row alpha collects, generator by generator and term by
+        # term, the entries realizing alpha - aprime
         realize: List[Dict[Exponent, List[Tuple[int, int, int]]]] = [dict() for _ in gens]
         for j, blk, clique in layout:
             monos = graphs[j].basis.monos
@@ -331,22 +333,12 @@ def assemble_sparse_constrained(
                 for b in range(a, len(clique)):
                     s = _sum(monos[clique[a]], monos[clique[b]])
                     realize[j].setdefault(s, []).append((blk, a, b))
-        alphas: Set[Exponent] = set()
         for j, g in enumerate(gens):
-            for aprime in g.terms:
-                for rho in realize[j]:
-                    alphas.add(_sum(aprime, rho))
-        for alpha in sorted(alphas, key=grlex_key):
-            ents: List[Tuple[int, int, int, float]] = []
-            for j, g in enumerate(gens):
-                for aprime, coeff in g.terms.items():
-                    delta = tuple(x - y for x, y in zip(alpha, aprime))
-                    if any(d < 0 for d in delta):
-                        continue
-                    for blk, a, b in realize[j].get(delta, ()):
-                        ents.append((blk, a, b, coeff))
-            if ents:
-                rows_map[alpha] = ents
+            for aprime, coeff in g.terms.items():
+                for rho, cells in realize[j].items():
+                    rows_map.setdefault(_sum(aprime, rho), []).extend(
+                        (blk, a, b, coeff) for blk, a, b in cells
+                    )
     else:
         for j, blk, clique in layout:
             monos = graphs[j].basis.monos

@@ -32,12 +32,39 @@ NEWTON_LP_CHUNK = 32
 NEWTON_RESIDUAL_TOL = 1e-7
 # point pairs whose sums newton_half_basis searches at once; bounds its memory
 NEWTON_PAIR_BUDGET = 1 << 20
+_MASK64 = (1 << 64) - 1
+
+
+def _key_weights(nvars: int) -> np.ndarray:
+    """Odd, well-mixed 64-bit weights: the first outputs of splitmix64 from seed 0, low bit set.
+
+    Fixed so that keys repeat from run to run.  Weights in arithmetic
+    progression would not do: c*(i+1) collapses every key to c*sum((i+1)*a_i),
+    so exponents of equal weighted degree collide.
+    """
+    out = []
+    for i in range(nvars):
+        z = ((i + 1) * 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append((z ^ (z >> 31)) | 1)
+    return np.array(out, dtype=np.uint64)
+
+
+def exponent_keys(rows: np.ndarray) -> np.ndarray:
+    """Linear 64-bit keys of exponent rows: sum_i a_i*w_i mod 2**64.
+
+    key(a + b) = key(a) + key(b), so keys of sums are sums of keys.  Distinct
+    exponents may share a key: a key match is a candidate, never a proof.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows.astype(np.uint64) @ _key_weights(rows.shape[1])
 
 
 class MonomialBasis:
     """An ordered set of exponents, graded lex, with O(1) index lookup."""
 
-    __slots__ = ("nvars", "monos", "_index")
+    __slots__ = ("nvars", "monos", "_index", "_array")
 
     def __init__(self, nvars: int, monos: Iterable[Exponent]):
         dedup = {tuple(int(a) for a in m) for m in monos}
@@ -47,6 +74,16 @@ class MonomialBasis:
         self.nvars = nvars
         self.monos: Tuple[Exponent, ...] = tuple(sorted(dedup, key=grlex_key))
         self._index: Dict[Exponent, int] = {m: i for i, m in enumerate(self.monos)}
+        self._array = None
+
+    @property
+    def array(self) -> np.ndarray:
+        """The exponents as a read-only (len, nvars) int64 array, in basis order."""
+        if self._array is None:
+            arr = np.array(self.monos, dtype=np.int64).reshape(len(self.monos), self.nvars)
+            arr.flags.writeable = False
+            self._array = arr
+        return self._array
 
     def __len__(self) -> int:
         return len(self.monos)
@@ -139,17 +176,15 @@ def _midpoint_certified(cands: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Mask of the candidates beta with 4*beta = p + q for rows p, q of points.
 
     Then 2*beta = (p + q)/2 lies in conv(points): an exact certificate in
-    integer arithmetic.  The pairwise sums are searched through linear
-    64-bit keys, key(a) = sum_i a_i*w_i mod 2**64 with fixed odd weights w,
-    so key(p + q) = key(p) + key(q); the pair a search returns is then
-    checked on the exponent rows themselves, so a key collision can only
-    cost a candidate its certificate, never grant one.  The sums are formed
-    for at most NEWTON_PAIR_BUDGET pairs at a time.
+    integer arithmetic.  The pairwise sums are searched through their
+    exponent_keys, key(p + q) = key(p) + key(q); the pair a search returns
+    is then checked on the exponent rows themselves, so a key collision can
+    only cost a candidate its certificate, never grant one.  The sums are
+    formed for at most NEWTON_PAIR_BUDGET pairs at a time.
     """
-    npts, nvars = points.shape
-    weights = np.random.default_rng(0).integers(0, 2 ** 63, size=nvars, dtype=np.uint64) * 2 + 1
-    keys = points.astype(np.uint64) @ weights
-    target = (4 * cands).astype(np.uint64) @ weights
+    npts = len(points)
+    keys = exponent_keys(points)
+    target = exponent_keys(4 * cands)
     found = np.zeros(len(cands), dtype=bool)
     step = max(1, NEWTON_PAIR_BUDGET // npts)
     for lo in range(0, npts, step):
@@ -318,7 +353,7 @@ def reduce_basis_constrained(
         seq = iterate_constrained(pop, d_hat, k=k, mode=mode, moment_basis=basis0)
         target = f.support() | {origin}
         for j, g in enumerate(pop.constraints, start=1):
-            graph = seq.graphs[-1][j]
+            graph = seq.levels[-1][j]
             sums: Set[Exponent] = set()
             for clique in maximal_cliques(graph).cliques:
                 members = [graph.basis.monos[i] for i in clique]

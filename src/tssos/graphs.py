@@ -26,21 +26,34 @@ Chordal extension modes:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .basis import MonomialBasis, standard_basis
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
+from .basis import MonomialBasis, exponent_keys, standard_basis
 from .poly import Exponent, Polynomial, PopProblem
 
 Edge = Tuple[int, int]
 
 EXTENSION_MODES = ("approx_min", "min_fill", "block_closure")
 
+# basis pairs (or target items) one edge search holds at a time; bounds its memory
+PAIR_BUDGET = 1 << 13
+
+
+def _pair_set(pairs: np.ndarray) -> FrozenSet[Edge]:
+    return frozenset(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+
 
 class MonomialGraph:
     """A graph over the monomials of a basis, self-loops implicit."""
 
-    __slots__ = ("basis", "edges")
+    __slots__ = ("basis", "edges", "_pairs")
 
     def __init__(self, basis: MonomialBasis, edges: Iterable[Edge]):
         n = len(basis)
@@ -53,6 +66,36 @@ class MonomialGraph:
             norm.add((min(i, j), max(i, j)))
         self.basis = basis
         self.edges: FrozenSet[Edge] = frozenset(norm)
+        self._pairs: Optional[np.ndarray] = None
+
+    @classmethod
+    def _from_pairs(
+        cls, basis: MonomialBasis, pairs: np.ndarray, edges: Optional[FrozenSet[Edge]] = None
+    ) -> "MonomialGraph":
+        """A graph from distinct in-range pairs i < j, taken without checks."""
+        graph = cls.__new__(cls)
+        graph.basis = basis
+        graph.edges = _pair_set(pairs) if edges is None else edges
+        pairs.flags.writeable = False
+        graph._pairs = pairs
+        return graph
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The edges as a read-only (n_edges, 2) int64 array of (i, j), i < j."""
+        if self._pairs is None:
+            flat = chain.from_iterable(self.edges)
+            self._pairs = np.fromiter(flat, dtype=np.int64, count=2 * self.n_edges).reshape(-1, 2)
+            self._pairs.flags.writeable = False
+        return self._pairs
+
+    def _with_pairs(self, new: np.ndarray) -> "MonomialGraph":
+        """This graph plus new edges, distinct pairs i < j that are not edges yet."""
+        if not len(new):
+            return self
+        return MonomialGraph._from_pairs(
+            self.basis, np.concatenate([self.pairs, new]), self.edges | _pair_set(new)
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -97,6 +140,102 @@ class MonomialGraph:
         return f"MonomialGraph(nodes={self.n_nodes}, edges={self.n_edges})"
 
 
+# -- edge search by exponent keys ----------------------------------------------
+
+RowsOf = Callable[[np.ndarray], np.ndarray]
+
+
+class _ExponentSet:
+    """A set of exponents searched by their exponent_keys, decided exactly.
+
+    Members are given as item keys plus rows_of(idx), the exponent rows of
+    the items idx, so rows are formed for the distinct keys and, chunk by
+    chunk, for one check: whether distinct members share a key.  A key
+    match is confirmed on the rows; when members do share a key,
+    searchsorted sees only one of them, and a candidate failing that
+    confirmation is looked up in an exact set of tuples instead.
+    """
+
+    def __init__(self, keys: np.ndarray, rows_of: RowsOf):
+        self.keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        self.rows = rows_of(first)
+        self.exact: Optional[Set[Exponent]] = None
+        items = np.arange(len(keys))
+        chunks = [items[lo:lo + PAIR_BUDGET] for lo in range(0, len(keys), PAIR_BUDGET)]
+        if any((rows_of(idx) != self.rows[inverse[idx]]).any() for idx in chunks):
+            self.exact = {tuple(row) for idx in chunks for row in rows_of(idx).tolist()}
+
+    def contains(self, keys: np.ndarray, rows_of: RowsOf) -> np.ndarray:
+        """Mask of the candidates, keys plus rows_of(idx), that are members."""
+        found = np.zeros(len(keys), dtype=bool)
+        if not len(self.keys):
+            return found
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        idx = np.flatnonzero(self.keys[pos] == keys)
+        if len(idx):
+            rows = rows_of(idx)
+            ok = (rows == self.rows[pos[idx]]).all(axis=1)
+            if self.exact is not None:
+                miss = np.flatnonzero(~ok)
+                ok[miss] = [tuple(row) in self.exact for row in rows[miss].tolist()]
+            found[idx[ok]] = True
+        return found
+
+
+def _support_set(graph: MonomialGraph) -> _ExponentSet:
+    """graph.support() as an _ExponentSet."""
+    rows = graph.basis.array
+    diag = np.arange(len(rows))
+    a = np.concatenate([diag, graph.pairs[:, 0]])
+    b = np.concatenate([diag, graph.pairs[:, 1]])
+    keys = exponent_keys(rows)
+    return _ExponentSet(keys[a] + keys[b], lambda idx: rows[a[idx]] + rows[b[idx]])
+
+
+def _linked_pairs(
+    basis: MonomialBasis,
+    targets: _ExponentSet,
+    shifts: Optional[np.ndarray] = None,
+    known: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Pairs i < j, not in known, with basis_i + basis_j + s in targets.
+
+    s runs over the rows of shifts (default: the zero exponent only).  The
+    pair sums are formed through exponent_keys for a chunk of rows of at
+    most PAIR_BUDGET pairs at a time; the result is an (m, 2) int64 array
+    sorted by (i, j).
+    """
+    rows = basis.array
+    r = len(rows)
+    if shifts is None:
+        shifts = np.zeros((1, basis.nvars), dtype=np.int64)
+    keys = exponent_keys(rows)
+    shift_keys = exponent_keys(shifts)
+    if known is not None:
+        known = known[np.argsort(known[:, 0], kind="stable")]
+    cols = np.arange(r)
+    step = max(1, PAIR_BUDGET // max(r, 1))
+    found = [np.zeros((0, 2), dtype=np.int64)]
+    for lo in range(0, r - 1, step):
+        hi = min(lo + step, r)
+        free = cols[lo:hi, None] < cols
+        if known is not None:
+            a, b = np.searchsorted(known[:, 0], [lo, hi])
+            free[known[a:b, 0] - lo, known[a:b, 1]] = False
+        i, j = np.nonzero(free)
+        i += lo
+        sums = keys[i] + keys[j]
+        hit = np.zeros(len(i), dtype=bool)
+        for shift, shift_key in zip(shifts, shift_keys):
+            todo = np.flatnonzero(~hit)
+            ti, tj = i[todo], j[todo]
+            hit[todo] = targets.contains(
+                sums[todo] + shift_key, lambda idx: rows[ti[idx]] + rows[tj[idx]] + shift
+            )
+        found.append(np.column_stack([i[hit], j[hit]]))
+    return np.concatenate(found)
+
+
 def tsp_graph(
     f: Polynomial,
     basis: MonomialBasis,
@@ -107,64 +246,50 @@ def tsp_graph(
     The target set is supp(f), any extra support exponents (constraint
     supports in the constrained setting), and all doubled basis monomials.
     """
-    monos = basis.monos
     target = set(f.support())
     target.update(tuple(a) for a in extra_support)
-    target.update(tuple(2 * x for x in m) for m in monos)
-    edges = []
-    r = len(monos)
-    for i in range(r):
-        mi = monos[i]
-        for j in range(i + 1, r):
-            s = tuple(x + y for x, y in zip(mi, monos[j]))
-            if s in target:
-                edges.append((i, j))
-    return MonomialGraph(basis, edges)
+    rows = np.concatenate([
+        np.array(sorted(target), dtype=np.int64).reshape(-1, basis.nvars),
+        2 * basis.array,
+    ])
+    targets = _ExponentSet(exponent_keys(rows), rows.__getitem__)
+    return MonomialGraph._from_pairs(basis, _linked_pairs(basis, targets))
 
 
 def support_extension(graph: MonomialGraph) -> MonomialGraph:
     """Add every edge whose sum is already realized by the graph."""
-    monos = graph.basis.monos
-    supp = graph.support()
-    edges = set(graph.edges)
-    r = len(monos)
-    for i in range(r):
-        mi = monos[i]
-        for j in range(i + 1, r):
-            if (i, j) in edges:
-                continue
-            if tuple(x + y for x, y in zip(mi, monos[j])) in supp:
-                edges.add((i, j))
-    return MonomialGraph(graph.basis, edges)
+    return graph._with_pairs(_linked_pairs(graph.basis, _support_set(graph), known=graph.pairs))
 
 
 # -- chordality ------------------------------------------------------------
 
 
 def _mcs_order(adj: Dict[int, Set[int]]) -> List[int]:
-    """Maximum cardinality search visit order (ties to the lowest index)."""
+    """Maximum cardinality search visit order (ties to the lowest index).
+
+    A heap of (-weight, node) with lazy deletion: every weight increment
+    pushes a fresh entry, and an entry whose node was visited or whose
+    weight is out of date is skipped when popped.
+    """
     n = len(adj)
     weight = [0] * n
     seen = [False] * n
+    heap = [(0, u) for u in range(n)]
     order = []
-    for _ in range(n):
-        v = max((w, -u) for u, w in enumerate(weight) if not seen[u])[1]
-        v = -v
+    while heap:
+        w, v = heapq.heappop(heap)
+        if seen[v] or -w != weight[v]:
+            continue
         seen[v] = True
         order.append(v)
         for u in adj[v]:
             if not seen[u]:
                 weight[u] += 1
+                heapq.heappush(heap, (-weight[u], u))
     return order
 
 
-def peo(graph: MonomialGraph) -> Optional[List[int]]:
-    """A perfect elimination ordering, or None if the graph is not chordal.
-
-    The reverse of an MCS visit order is a perfect elimination ordering
-    exactly when the graph is chordal; the candidate is verified directly.
-    """
-    adj = graph.adjacency()
+def _peo(adj: Dict[int, Set[int]]) -> Optional[List[int]]:
     order = list(reversed(_mcs_order(adj)))
     pos = {v: p for p, v in enumerate(order)}
     for v in order:
@@ -178,28 +303,35 @@ def peo(graph: MonomialGraph) -> Optional[List[int]]:
     return order
 
 
+def peo(graph: MonomialGraph) -> Optional[List[int]]:
+    """A perfect elimination ordering, or None if the graph is not chordal.
+
+    The reverse of an MCS visit order is a perfect elimination ordering
+    exactly when the graph is chordal; the candidate is verified directly.
+    """
+    return _peo(graph.adjacency())
+
+
 def is_chordal(graph: MonomialGraph) -> bool:
     return peo(graph) is not None
 
 
-def _connected_components(adj: Dict[int, Set[int]]) -> List[List[int]]:
-    seen = set()
-    comps = []
-    for start in range(len(adj)):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
+def _block_closure(graph: MonomialGraph) -> MonomialGraph:
+    """Complete every connected component; a graph already so is returned."""
+    pairs = graph.pairs
+    r = graph.n_nodes
+    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(r, r))
+    count, label = connected_components(adj, directed=False)
+    sizes = np.bincount(label, minlength=count)
+    if int((sizes * (sizes - 1) // 2).sum()) == len(pairs):
+        return graph
+    members = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
+    blocks = [np.zeros((0, 2), dtype=np.int64)]
+    for comp in members:
+        if len(comp) > 1:
+            a, b = np.triu_indices(len(comp), 1)
+            blocks.append(np.column_stack([comp[a], comp[b]]))
+    return MonomialGraph._from_pairs(graph.basis, np.concatenate(blocks))
 
 
 def _elimination_fill(adj: Dict[int, Set[int]], rule: str) -> Set[Edge]:
@@ -210,34 +342,53 @@ def _elimination_fill(adj: Dict[int, Set[int]], rule: str) -> Set[Edge]:
     lowest index.
     """
     work = {v: set(nb) for v, nb in adj.items()}
-    alive = sorted(work)
     fills: Set[Edge] = set()
-    while alive:
-        if rule == "degree":
-            v = min(alive, key=lambda u: (len(work[u]), u))
-        else:
-            def fill_count(u: int) -> int:
-                nbs = list(work[u])
-                missing = 0
-                for a in range(len(nbs)):
-                    for b in range(a + 1, len(nbs)):
-                        if nbs[b] not in work[nbs[a]]:
-                            missing += 1
-                return missing
+    by_fill = rule == "fill"
 
-            v = min(alive, key=lambda u: (fill_count(u), u))
+    def cost(u: int) -> int:
+        nbs = work[u]
+        if not by_fill:
+            return len(nbs)
+        linked = sum(len(work[a] & nbs) for a in nbs) // 2
+        return len(nbs) * (len(nbs) - 1) // 2 - linked
+
+    # costs are kept current edge by edge instead of being recounted, and the
+    # next node comes off a heap of (cost, node) whose stale entries are skipped
+    costs = {u: cost(u) for u in sorted(work)}
+    heap = [(c, u) for u, c in costs.items()]
+    heapq.heapify(heap)
+    while heap:
+        c, v = heapq.heappop(heap)
+        if costs.get(v) != c:
+            continue
         nbs = sorted(work[v])
+        moved = set(nbs)
         for a in range(len(nbs)):
             for b in range(a + 1, len(nbs)):
                 p, q = nbs[a], nbs[b]
                 if q not in work[p]:
+                    if by_fill:
+                        # p gains the pairs (q, x), x in N(p), missing unless
+                        # x is in N(q); a common neighbor loses the pair (p, q)
+                        common = work[p] & work[q]
+                        for w in common:
+                            costs[w] -= 1
+                        moved |= common
+                        costs[p] += len(work[p]) - len(common)
+                        costs[q] += len(work[q]) - len(common)
+                    else:
+                        costs[p] += 1
+                        costs[q] += 1
                     work[p].add(q)
                     work[q].add(p)
                     fills.add((min(p, q), max(p, q)))
         for u in nbs:
             work[u].discard(v)
-        del work[v]
-        alive.remove(v)
+            # N(v) is a clique now, so u's pairs (v, x) miss exactly for x outside N(v)
+            costs[u] -= len(work[u]) - (len(nbs) - 1) if by_fill else 1
+        del work[v], costs[v]
+        for u in moved - {v}:
+            heapq.heappush(heap, (costs[u], u))
     return fills
 
 
@@ -250,19 +401,14 @@ def chordal_extension(graph: MonomialGraph, mode: str = "approx_min") -> Monomia
     """
     if mode not in EXTENSION_MODES:
         raise ValueError(f"unknown extension mode {mode!r}; pick one of {EXTENSION_MODES}")
-    adj = graph.adjacency()
     if mode == "block_closure":
-        edges = set(graph.edges)
-        for comp in _connected_components(adj):
-            for a in range(len(comp)):
-                for b in range(a + 1, len(comp)):
-                    edges.add((comp[a], comp[b]))
-        return MonomialGraph(graph.basis, edges)
-    if is_chordal(graph):
+        return _block_closure(graph)
+    adj = graph.adjacency()
+    if _peo(adj) is not None:
         return graph
     rule = "degree" if mode == "approx_min" else "fill"
     fills = _elimination_fill(adj, rule)
-    return MonomialGraph(graph.basis, set(graph.edges) | fills)
+    return graph._with_pairs(np.array(sorted(fills), dtype=np.int64).reshape(-1, 2))
 
 
 # -- maximal cliques --------------------------------------------------------
@@ -293,22 +439,23 @@ def maximal_cliques(graph: MonomialGraph) -> CliqueDecomposition:
     Raises ValueError when the graph is not chordal: callers must extend
     first.
     """
-    order = peo(graph)
+    adj = graph.adjacency()
+    order = _peo(adj)
     if order is None:
         raise ValueError("graph is not chordal; apply chordal_extension first")
-    adj = graph.adjacency()
+    # Along a perfect elimination ordering, node v's later neighbors L(v)
+    # form a clique with v, and {v} | L(v) is maximal unless some node w
+    # whose first later neighbor is v has L(w) = {v} | L(v), which is
+    # exactly when |L(w)| = |L(v)| + 1 (Vandenberghe-Andersen, 2015, sec. 4).
     pos = {v: p for p, v in enumerate(order)}
-    candidates = []
+    later = {v: [u for u in adj[v] if pos[u] > pos[v]] for v in order}
+    absorbed = set()
     for v in order:
-        c = frozenset({v} | {u for u in adj[v] if pos[u] > pos[v]})
-        candidates.append(c)
-    # drop candidates contained in another one
-    candidates.sort(key=len, reverse=True)
-    kept: List[FrozenSet[int]] = []
-    for c in candidates:
-        if not any(c <= k for k in kept):
-            kept.append(c)
-    cliques = sorted(tuple(sorted(c)) for c in kept)
+        if later[v]:
+            parent = min(later[v], key=pos.__getitem__)
+            if len(later[v]) == len(later[parent]) + 1:
+                absorbed.add(parent)
+    cliques = sorted(tuple(sorted([v] + later[v])) for v in order if v not in absorbed)
     return CliqueDecomposition(graph.basis, tuple(cliques))
 
 
@@ -332,10 +479,6 @@ class GraphSequence:
     @property
     def order(self) -> int:
         return len(self.levels) - 1
-
-    @property
-    def graphs(self) -> List[List[MonomialGraph]]:
-        return self.levels
 
     def at(self, k: int) -> List[MonomialGraph]:
         return self.levels[k]
@@ -415,29 +558,31 @@ def iterate_constrained(
     b0 = moment_basis if moment_basis is not None else standard_basis(n, d_hat)
     if (0,) * n not in b0:
         raise ValueError("constant monomial missing from the moment basis")
-    loc_bases = [standard_basis(n, d_hat - dj) for dj in half_degs]
+    by_half = {dj: standard_basis(n, d_hat - dj) for dj in set(half_degs)}
+    loc_bases = [by_half[dj] for dj in half_degs]
+    shifts = [np.array(sorted(g.support()), dtype=np.int64).reshape(-1, n) for g in pop.constraints]
     extra = set()
     for g in pop.constraints:
         extra |= g.support()
 
-    def embedded_seed_edges(level: int, j: int, target_basis: MonomialBasis) -> Set[Edge]:
+    def with_seed(graph: MonomialGraph, level: int, j: int) -> MonomialGraph:
+        """graph plus the seed's level-`level` edges of generator j, by monomial identity."""
         if seed is None:
-            return set()
+            return graph
         lv = min(level, len(seed.levels) - 1)
         if j >= len(seed.levels[lv]):
-            return set()
+            return graph
         src = seed.levels[lv][j]
+        target_basis = graph.basis
         out: Set[Edge] = set()
         for a, b in src.edges:
             ma, mb = src.basis.monos[a], src.basis.monos[b]
             if ma in target_basis and mb in target_basis:
                 ia, ib = target_basis.index(ma), target_basis.index(mb)
                 out.add((min(ia, ib), max(ia, ib)))
-        return out
+        return MonomialGraph(target_basis, graph.edges | out)
 
-    g0 = tsp_graph(f, b0, extra_support=extra)
-    if seed is not None:
-        g0 = MonomialGraph(b0, set(g0.edges) | embedded_seed_edges(0, 0, b0))
+    g0 = with_seed(tsp_graph(f, b0, extra_support=extra), 0, 0)
     placeholders = [MonomialGraph(bj, ()) for bj in loc_bases]
     levels: List[List[MonomialGraph]] = [[g0] + placeholders]
     stabilized = None
@@ -445,29 +590,13 @@ def iterate_constrained(
     for step in range(1, steps + 1):
         prev = levels[min(step - 1, len(levels) - 1)]
         moment_prev = prev[0]
-        moment_supp = moment_prev.support()
-        new_level = []
-        edges0 = set(support_extension(moment_prev).edges)
-        edges0 |= embedded_seed_edges(step, 0, b0)
-        new_moment = chordal_extension(MonomialGraph(b0, edges0), mode)
-        new_level.append(new_moment)
-        for j, g in enumerate(pop.constraints):
-            bj = loc_bases[j]
-            monos = bj.monos
-            gsupp = sorted(g.support())
-            edges = set(prev[j + 1].edges)
-            for a in range(len(monos)):
-                for b in range(a + 1, len(monos)):
-                    if (a, b) in edges:
-                        continue
-                    base_sum = tuple(x + y for x, y in zip(monos[a], monos[b]))
-                    for ga in gsupp:
-                        if tuple(x + y for x, y in zip(ga, base_sum)) in moment_supp:
-                            edges.add((a, b))
-                            break
-            edges |= embedded_seed_edges(step, j + 1, bj)
-            new_graph = chordal_extension(MonomialGraph(bj, edges), mode)
-            new_level.append(new_graph)
+        moment_supp = _support_set(moment_prev)
+        new_moment = with_seed(support_extension(moment_prev), step, 0)
+        new_level = [chordal_extension(new_moment, mode)]
+        for j, loc_prev in enumerate(prev[1:]):
+            found = _linked_pairs(loc_prev.basis, moment_supp, shifts[j], known=loc_prev.pairs)
+            graph = with_seed(loc_prev._with_pairs(found), step, j + 1)
+            new_level.append(chordal_extension(graph, mode))
         if step >= 2 and _levels_equal(new_level, levels[-1]):
             stabilized = step - 1
             break

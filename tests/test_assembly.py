@@ -14,9 +14,16 @@ from tssos.assembly import (
     reconstruct_certificate,
     solve_relaxation,
 )
+from tssos import bench
 from tssos.basis import MonomialBasis, newton_half_basis, standard_basis
-from tssos.graphs import MonomialGraph, iterate_constrained, iterate_unconstrained, tsp_graph
-from tssos.poly import Polynomial, parse_polynomial, parse_pop
+from tssos.graphs import (
+    MonomialGraph,
+    iterate_constrained,
+    iterate_unconstrained,
+    maximal_cliques,
+    tsp_graph,
+)
+from tssos.poly import Polynomial, PopProblem, grlex_key, parse_polynomial, parse_pop
 
 EX33 = (
     "x1^2 - 2*x1*x2 + 3*x2^2 - 2*x1^2*x2 + 2*x1^2*x2^2 - 2*x2*x3 + 6*x3^2"
@@ -235,3 +242,44 @@ def test_bad_side_rejected():
     f = parse_polynomial("x1^2 + 1", 1)
     with pytest.raises(ValueError):
         assemble_dense_unconstrained(f, standard_basis(1, 1), side="primal")
+
+
+def reference_sos_rows(pop, graphs):
+    """SOS-side rows by the backward search: for each alpha, every generator
+    term aprime and the clique entries realizing alpha - aprime."""
+    gens = [Polynomial.constant(pop.nvars, 1.0)] + list(pop.constraints)
+    realize = [dict() for _ in gens]
+    blk = 0
+    for j, graph in enumerate(graphs):
+        monos = graph.basis.monos
+        for clique in maximal_cliques(graph).cliques:
+            for a in range(len(clique)):
+                for b in range(a, len(clique)):
+                    s = tuple(x + y for x, y in zip(monos[clique[a]], monos[clique[b]]))
+                    realize[j].setdefault(s, []).append((blk, a, b))
+            blk += 1
+    alphas = {
+        tuple(x + y for x, y in zip(aprime, rho))
+        for j, g in enumerate(gens)
+        for aprime in g.terms
+        for rho in realize[j]
+    }
+    rows = []
+    for alpha in sorted(alphas, key=grlex_key):
+        ents = []
+        for j, g in enumerate(gens):
+            for aprime, coeff in g.terms.items():
+                delta = tuple(x - y for x, y in zip(alpha, aprime))
+                if min(delta) >= 0:
+                    ents.extend((b, p, q, coeff) for b, p, q in realize[j].get(delta, ()))
+        rows.append((alpha, tuple(ents), pop.objective.coeff(alpha)))
+    return rows
+
+
+@pytest.mark.parametrize("n,constraint", [(4, "unit_ball"), (3, "unit_hypercube")])
+@pytest.mark.parametrize("d_hat", [2, 3])
+def test_sos_scatter_matches_backward_search(n, constraint, d_hat):
+    pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set(constraint, n))
+    graphs = iterate_constrained(pop, d_hat, k=2).at(2)
+    sdp = assemble_sparse_constrained(pop, d_hat, graphs, side="sos")
+    assert [(r.alpha, r.entries, r.rhs) for r in sdp.rows] == reference_sos_rows(pop, graphs)

@@ -5,11 +5,19 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tssos.basis
+import tssos.graphs
+from tssos import bench
 from tssos.basis import MonomialBasis, newton_half_basis, standard_basis
 from tssos.graphs import (
     EXTENSION_MODES,
     MonomialGraph,
+    _elimination_fill,
+    _linked_pairs,
+    _mcs_order,
+    _support_set,
     chordal_extension,
     clique_report,
     is_chordal,
@@ -20,7 +28,7 @@ from tssos.graphs import (
     support_extension,
     tsp_graph,
 )
-from tssos.poly import Polynomial, parse_polynomial, parse_pop
+from tssos.poly import Polynomial, PopProblem, parse_polynomial, parse_pop
 
 EX33 = (
     "x1^2 - 2*x1*x2 + 3*x2^2 - 2*x1^2*x2 + 2*x1^2*x2^2 - 2*x2*x3 + 6*x3^2"
@@ -336,3 +344,323 @@ def test_clique_report_shape():
     assert rep["clique_sizes"] == [3, 3, 3, 3]
     assert rep["n_edges"] == 9
     assert rep["stabilized"] is True
+
+
+# -- reference implementations: the tuple loops the key engine replaced -------
+
+
+def _tsum(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def reference_tsp_graph(f, basis, extra_support=()):
+    monos = basis.monos
+    target = set(f.support())
+    target.update(tuple(a) for a in extra_support)
+    target.update(tuple(2 * x for x in m) for m in monos)
+    edges = [
+        (i, j)
+        for i in range(len(monos))
+        for j in range(i + 1, len(monos))
+        if _tsum(monos[i], monos[j]) in target
+    ]
+    return MonomialGraph(basis, edges)
+
+
+def reference_support_extension(graph):
+    monos = graph.basis.monos
+    supp = graph.support()
+    edges = set(graph.edges)
+    for i in range(len(monos)):
+        for j in range(i + 1, len(monos)):
+            if (i, j) not in edges and _tsum(monos[i], monos[j]) in supp:
+                edges.add((i, j))
+    return MonomialGraph(graph.basis, edges)
+
+
+def reference_localizing_graph(prev, g, moment_supp):
+    """prev plus {a, b} whenever a shift of a + b by supp(g) is in moment_supp."""
+    monos = prev.basis.monos
+    edges = set(prev.edges)
+    for a in range(len(monos)):
+        for b in range(a + 1, len(monos)):
+            if (a, b) in edges:
+                continue
+            base_sum = _tsum(monos[a], monos[b])
+            if any(_tsum(ga, base_sum) in moment_supp for ga in sorted(g.support())):
+                edges.add((a, b))
+    return MonomialGraph(prev.basis, edges)
+
+
+def reference_mcs_order(adj):
+    n = len(adj)
+    weight = [0] * n
+    seen = [False] * n
+    order = []
+    for _ in range(n):
+        v = -max((w, -u) for u, w in enumerate(weight) if not seen[u])[1]
+        seen[v] = True
+        order.append(v)
+        for u in adj[v]:
+            if not seen[u]:
+                weight[u] += 1
+    return order
+
+
+def reference_elimination_fill(adj, rule):
+    work = {v: set(nb) for v, nb in adj.items()}
+    alive = sorted(work)
+    fills = set()
+
+    def fill_count(u):
+        nbs = list(work[u])
+        return sum(
+            1
+            for a in range(len(nbs))
+            for b in range(a + 1, len(nbs))
+            if nbs[b] not in work[nbs[a]]
+        )
+
+    while alive:
+        if rule == "degree":
+            v = min(alive, key=lambda u: (len(work[u]), u))
+        else:
+            v = min(alive, key=lambda u: (fill_count(u), u))
+        nbs = sorted(work[v])
+        for a in range(len(nbs)):
+            for b in range(a + 1, len(nbs)):
+                p, q = nbs[a], nbs[b]
+                if q not in work[p]:
+                    work[p].add(q)
+                    work[q].add(p)
+                    fills.add((p, q))
+        for u in nbs:
+            work[u].discard(v)
+        del work[v]
+        alive.remove(v)
+    return fills
+
+
+def reference_chordal_extension(graph, mode):
+    adj = graph.adjacency()
+    if mode == "block_closure":
+        h = to_nx(graph)
+        edges = set(graph.edges)
+        for comp in nx.connected_components(h):
+            edges.update(itertools.combinations(sorted(comp), 2))
+        return MonomialGraph(graph.basis, edges)
+    if nx.is_chordal(to_nx(graph)):
+        return graph
+    rule = "degree" if mode == "approx_min" else "fill"
+    return MonomialGraph(graph.basis, set(graph.edges) | reference_elimination_fill(adj, rule))
+
+
+def reference_maximal_cliques(graph):
+    """Cliques {v} | later(v) along peo(graph), minus those inside another."""
+    order = peo(graph)
+    adj = graph.adjacency()
+    pos = {v: p for p, v in enumerate(order)}
+    cands = sorted(
+        (frozenset({v} | {u for u in adj[v] if pos[u] > pos[v]}) for v in order),
+        key=len,
+        reverse=True,
+    )
+    kept = []
+    for c in cands:
+        if not any(c <= k for k in kept):
+            kept.append(c)
+    return tuple(sorted(tuple(sorted(c)) for c in kept))
+
+
+def reference_iterate_unconstrained(f, basis, k, mode):
+    cur = reference_tsp_graph(f, basis)
+    levels = [cur]
+    stabilized = None
+    for step in range(1, k + 2):
+        nxt = reference_chordal_extension(reference_support_extension(cur), mode)
+        if nxt.edges == cur.edges:
+            stabilized = max(1, step - 1)
+            break
+        if step <= k:
+            levels.append(nxt)
+        cur = nxt
+    while len(levels) < k + 1:
+        levels.append(cur)
+    return [[g.edges] for g in levels], stabilized
+
+
+def reference_iterate_constrained(pop, d_hat, k, mode):
+    n = pop.nvars
+    b0 = standard_basis(n, d_hat)
+    extra = set()
+    for g in pop.constraints:
+        extra |= g.support()
+    loc = [MonomialGraph(standard_basis(n, d_hat - (g.degree() + 1) // 2), ()) for g in pop.constraints]
+    levels = [[reference_tsp_graph(pop.objective, b0, extra)] + loc]
+    stabilized = None
+    for step in range(1, k + 2):
+        prev = levels[-1]
+        moment_supp = prev[0].support()
+        new_level = [reference_chordal_extension(reference_support_extension(prev[0]), mode)]
+        for g, loc_prev in zip(pop.constraints, prev[1:]):
+            graph = reference_localizing_graph(loc_prev, g, moment_supp)
+            new_level.append(reference_chordal_extension(graph, mode))
+        if step >= 2 and all(x.edges == y.edges for x, y in zip(new_level, prev)):
+            stabilized = step - 1
+            break
+        if step > k:
+            break
+        levels.append(new_level)
+    return [[g.edges for g in level] for level in levels], stabilized
+
+
+def edge_levels(seq):
+    return [[g.edges for g in level] for level in seq.levels]
+
+
+FAMILY_CASES = [
+    ("broyden_banded", 4, {}),
+    ("broyden_tridiagonal", 5, {}),
+    ("gen_rosenbrock", 5, {}),
+    ("mod_gen_rosenbrock", 4, {}),
+    ("mod_chained_singular", 4, {}),
+    ("randpoly1", 4, dict(deg=4, terms=10, prob=0.3, seed=1)),
+    ("randpoly2", 3, dict(deg=4, terms=8, seed=2)),
+]
+
+
+def test_family_cases_cover_every_bench_family():
+    assert sorted(c[0] for c in FAMILY_CASES) == sorted(bench.FAMILIES)
+
+
+@pytest.mark.parametrize("family,n,kwargs", FAMILY_CASES)
+def test_unconstrained_iteration_matches_reference(family, n, kwargs):
+    f = getattr(bench, family)(n, **kwargs)
+    bases = [standard_basis(n, (f.degree() + 1) // 2), newton_half_basis(f)]
+    for basis, mode in itertools.product(bases, EXTENSION_MODES):
+        want, stabilized = reference_iterate_unconstrained(f, basis, 3, mode)
+        for k in (1, 2, 3):
+            seq = iterate_unconstrained(f, basis, k=k, mode=mode)
+            assert edge_levels(seq) == want[: k + 1], (mode, k)
+        assert seq.stabilized_at == stabilized
+        for level in seq.levels[1:]:
+            assert maximal_cliques(level[0]).cliques == reference_maximal_cliques(level[0])
+
+
+@pytest.mark.parametrize("family,n", [("gen_rosenbrock", 3), ("broyden_tridiagonal", 3)])
+@pytest.mark.parametrize("constraint", ["unit_ball", "unit_hypercube"])
+def test_constrained_iteration_matches_reference(family, n, constraint):
+    pop = PopProblem(getattr(bench, family)(n), bench.constraint_set(constraint, n))
+    for d_hat, mode in itertools.product((2, 3), EXTENSION_MODES):
+        want, stabilized = reference_iterate_constrained(pop, d_hat, 3, mode)
+        for k in (1, 2, 3):
+            seq = iterate_constrained(pop, d_hat, k=k, mode=mode)
+            got = edge_levels(seq)
+            assert got[: len(want)] == want[: k + 1], (d_hat, mode, k)
+            assert all(level == want[-1] for level in got[len(want):])
+        assert seq.stabilized_at == stabilized
+        for g in seq.levels[-1]:
+            assert maximal_cliques(g).cliques == reference_maximal_cliques(g)
+
+
+def test_localizing_bases_built_once_per_half_degree():
+    n = 3
+    pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set("unit_hypercube", n))
+    seq = iterate_constrained(pop, 2, k=1)
+    assert all(g.basis is seq.at(1)[1].basis for g in seq.at(1)[1:])
+
+
+@st.composite
+def small_supports(draw):
+    """A random support, basis and graph in n <= 3 variables."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4) for _ in range(n)])
+    supp = draw(st.sets(exps, min_size=1, max_size=8))
+    pool = standard_basis(n, 2).monos
+    picks = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=len(pool)))
+    basis = MonomialBasis(n, picks)
+    r = len(basis)
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
+    shifts = draw(st.sets(exps, min_size=1, max_size=3))
+    return n, supp, basis, edges, shifts
+
+
+def _check_against_reference(n, supp, basis, edges, shifts):
+    f = Polynomial(n, {a: 1.0 for a in supp})
+    extra = sorted(shifts)
+    assert tsp_graph(f, basis, extra).edges == reference_tsp_graph(f, basis, extra).edges
+    graph = MonomialGraph(basis, edges)
+    assert support_extension(graph).edges == reference_support_extension(graph).edges
+    # localizing search: graph's support as the moment support, shifts as supp(g)
+    g = Polynomial(n, {a: 1.0 for a in shifts})
+    shift_rows = np.array(sorted(g.support()), dtype=np.int64).reshape(-1, n)
+    prev = MonomialGraph(basis, sorted(edges)[::2])
+    found = _linked_pairs(basis, _support_set(graph), shift_rows, known=prev.pairs)
+    want = reference_localizing_graph(prev, g, graph.support()).edges - prev.edges
+    assert {tuple(p) for p in found.tolist()} == want
+    assert len(found) == len(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_supports())
+def test_key_engine_matches_tuple_loops(case):
+    _check_against_reference(*case)
+
+
+def test_degenerate_key_weights_keep_edges(monkeypatch):
+    """All-ones weights make every key the total degree: collisions everywhere."""
+    monkeypatch.setattr(tssos.basis, "_key_weights", lambda nvars: np.ones(nvars, dtype=np.uint64))
+    rng = np.random.default_rng(5)
+    for _ in range(15):
+        n = int(rng.integers(2, 4))
+        pool = standard_basis(n, 4).monos
+        supp = {pool[i] for i in rng.choice(len(pool), size=6, replace=False)}
+        basis = standard_basis(n, 2)
+        r = len(basis)
+        edges = {(i, j) for i in range(r) for j in range(i + 1, r) if rng.random() < 0.2}
+        shifts = {pool[i] for i in rng.choice(len(pool), size=2, replace=False)}
+        assert _support_set(MonomialGraph(basis, edges)).exact is not None
+        _check_against_reference(n, supp, basis, edges, shifts)
+    pop = PopProblem(bench.gen_rosenbrock(3), bench.constraint_set("unit_ball", 3))
+    for mode in EXTENSION_MODES:
+        want, _ = reference_iterate_constrained(pop, 2, 2, mode)
+        assert edge_levels(iterate_constrained(pop, 2, k=2, mode=mode))[: len(want)] == want
+
+
+def test_chunked_pair_search_matches_reference(monkeypatch):
+    monkeypatch.setattr(tssos.graphs, "PAIR_BUDGET", 7)
+    f = bench.broyden_tridiagonal(4)
+    basis = standard_basis(4, 2)
+    for mode in EXTENSION_MODES:
+        want, stabilized = reference_iterate_unconstrained(f, basis, 3, mode)
+        seq = iterate_unconstrained(f, basis, k=3, mode=mode)
+        assert edge_levels(seq) == want
+        assert seq.stabilized_at == stabilized
+
+
+def test_mcs_order_matches_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        g = random_monomial_graph(rng, n_nodes=n, p=float(rng.random()))
+        adj = g.adjacency()
+        assert _mcs_order(adj) == reference_mcs_order(adj)
+
+
+def test_elimination_fill_matches_reference():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n = int(rng.integers(1, 20))
+        adj = random_monomial_graph(rng, n_nodes=n, p=float(rng.random())).adjacency()
+        for rule in ("degree", "fill"):
+            assert _elimination_fill(adj, rule) == reference_elimination_fill(adj, rule), rule
+
+
+def test_maximal_cliques_match_reference_on_random_chordal_graphs():
+    rng = np.random.default_rng(14)
+    for _ in range(100):
+        g = random_monomial_graph(rng, n_nodes=int(rng.integers(1, 25)), p=float(rng.random()))
+        for mode in EXTENSION_MODES:
+            ext = chordal_extension(g, mode)
+            assert maximal_cliques(ext).cliques == reference_maximal_cliques(ext)
