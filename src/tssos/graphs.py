@@ -256,9 +256,16 @@ def tsp_graph(
     return MonomialGraph._from_pairs(basis, _linked_pairs(basis, targets))
 
 
-def support_extension(graph: MonomialGraph) -> MonomialGraph:
-    """Add every edge whose sum is already realized by the graph."""
-    return graph._with_pairs(_linked_pairs(graph.basis, _support_set(graph), known=graph.pairs))
+def support_extension(
+    graph: MonomialGraph, support: Optional[_ExponentSet] = None
+) -> MonomialGraph:
+    """Add every edge whose sum is already realized by the graph.
+
+    support is the graph's ``_support_set`` when the caller has built it.
+    """
+    if support is None:
+        support = _support_set(graph)
+    return graph._with_pairs(_linked_pairs(graph.basis, support, known=graph.pairs))
 
 
 # -- chordality ------------------------------------------------------------
@@ -591,7 +598,7 @@ def iterate_constrained(
         prev = levels[min(step - 1, len(levels) - 1)]
         moment_prev = prev[0]
         moment_supp = _support_set(moment_prev)
-        new_moment = with_seed(support_extension(moment_prev), step, 0)
+        new_moment = with_seed(support_extension(moment_prev, moment_supp), step, 0)
         new_level = [chordal_extension(new_moment, mode)]
         for j, loc_prev in enumerate(prev[1:]):
             found = _linked_pairs(loc_prev.basis, moment_supp, shifts[j], known=loc_prev.pairs)

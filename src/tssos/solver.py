@@ -17,37 +17,62 @@ symmetric semantics: an off-diagonal entry v stands for v at (row, col) and
 at (col, row).
 
 Blocks are grouped into size classes.  The blocks of one size s are held as
-stacked arrays, (nb, s, s) for C, X and S, and the constraint matrices
-touching them as one zero-padded stack (nb, k, s, s), k being the largest
-number of constraints touching one block of the class.  A class holds only
-blocks whose constraint counts lie in one power-of-two bucket (k/2, k], so
-padding stays below a factor of two: a few many-term localizing blocks do
-not inflate every small moment block of the same size.  Each step of an
-iteration (Cholesky factors and inverses of S, Schur contributions, search
-directions, inner products, the maps A and A^T, the step-length test) is one
-batched numpy call per class, so the Python work per iteration grows with
-the number of classes rather than with the number of blocks.  1x1 blocks
-take the same path; for them the batched Cholesky and eigenvalue test
-reduce to S^{-1} = 1/s and the ratio test min dx/x.
+stacked arrays, (nb, s, s) for C, X and S.  A class holds only blocks whose
+constraint counts lie in one power-of-two bucket (k/2, k], so a few
+many-term localizing blocks do not pad every small moment block of the same
+size.  Each step of an iteration (Cholesky factors and inverses of S, Schur
+contributions, search directions, inner products, the step-length test) is
+one batched numpy call per class, so the Python work per iteration grows
+with the number of classes rather than with the number of blocks.  1x1
+blocks take the same path; for them the batched Cholesky and eigenvalue
+test reduce to S^{-1} = 1/s and the ratio test min dx/x.
 
-The Schur contributions keep the product form <A_j, X A_i S^{-1}>, whose
-temporaries have the size of the constraint stack.  The Kronecker form
-X (x) S^{-1} would need an s^2 x s^2 matrix per block, 3136 x 3136 for a
-56 x 56 block.
+The constraint matrices are never densified.  In a term-sparsity relaxation
+each A_i is a pattern of a few entries on a block, so they are kept as
+entry lists:
+
+- A(X) and A^T(y) are one CSR matrix (m x sum of nb*s^2 over the classes)
+  applied to the stacked blocks, one sparse matvec each.
+- The Schur complement follows the sparse-data formulas of Fujisawa, Kojima
+  and Nakata (Math. Prog. 79, 1997).  With the entries (p_e, q_e, v_e) of
+  A_i on a block expanded symmetrically,
+      T_i = X A_i S^{-1} = sum_e v_e X[:, p_e] S^{-1}[q_e, :],
+  one (s, K) by (K, s) product, K the entry count, instead of two s x s
+  products with a dense A_i.  The entries <A_j, T_i> of every constraint j
+  touching the block are read off T_i by one CSR product and added into M.
+- The (block, constraint) grid of a class is cut into chunks of at most
+  SCHUR_CHUNK_BYTES of working set, so no intermediate grows with the
+  number of constraints times s^2.  Within a block the constraints are
+  ordered widest first, so a chunk pads K only to its own widest entry
+  list.
+
+M is factored once per iteration; the predictor and the corrector solve
+with the same factor.  Before anything is allocated, the working set (M,
+its factor, one chunk, the block stacks) is compared with the memory the
+process may use, and a problem that does not fit is refused with a
+ValueError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import resource
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_solve
 
 Entry = Tuple[int, int, int, float]  # (block, row, col, value), row <= col
+
+# bytes of the working set of one chunk of the Schur build
+SCHUR_CHUNK_BYTES = 1 << 23
+# at most this many passes of iterative refinement per Schur solve
+REFINE_PASSES = 4
 
 
 @dataclass
@@ -141,38 +166,100 @@ def _sym(stack: np.ndarray) -> np.ndarray:
     return 0.5 * (stack + stack.swapaxes(-1, -2))
 
 
+def _rank_within(groups: np.ndarray) -> np.ndarray:
+    """Position of each element among the equal values of sorted groups."""
+    return np.arange(len(groups)) - np.searchsorted(groups, groups)
+
+
+class _Chunk(NamedTuple):
+    """A (block range, slot range) piece of a class for the Schur build.
+
+    For the entries e of each (block, slot) pair of the ranges, padded with
+    v_e = 0 up to K, the widest pair of the chunk, xrow and srow (nb, kc, K)
+    index the rows b*s + p_e and b*s + q_e of the range's stacks flattened
+    to (nb*s, s), b counted from the start of the block range.  w is the
+    CSR matrix whose row (b, j) is the flattened A_{rows[b, j]} on block b
+    of the range.
+    """
+
+    blocks: slice
+    slots: slice
+    xrow: np.ndarray
+    srow: np.ndarray
+    v: np.ndarray
+    w: sp.csr_matrix
+
+
 class _SizeClass:
     """Blocks of one size and one constraint-count bucket, in block order.
 
-    c is (nb, s, s).  a is (nb, k, s, s): for each block the constraint
-    matrices touching it, in constraint order, zero-padded up to k, the
-    largest count in the class.  rows (nb, k) holds their constraint
-    indices, with m marking padding.
+    c is (nb, s, s).  rows (nb, k) holds for each block the indices of the
+    constraints touching it, those with the most entries first, padded up
+    to k, the largest count in the class, with m*m, so that any index into
+    M formed with a padding row lies past its end.  chunks cut the
+    (block, slot) grid of the class into pieces of bounded bytes for the
+    Schur build.
     """
 
-    def __init__(self, blocks: np.ndarray, c: np.ndarray, a: np.ndarray, rows: np.ndarray):
+    def __init__(self, blocks: np.ndarray, c: np.ndarray, rows: np.ndarray, chunks: List[_Chunk]):
         self.blocks = blocks
         self.size = c.shape[-1]
         self.c = c
-        self.a = a
-        self.a_flat = a.reshape(a.shape[0], a.shape[1], self.size * self.size)
         self.rows = rows
+        self.chunks = chunks
+
+
+def _plan_chunks(nb: int, k: int, s: int, wide: int) -> List[Tuple[int, int, int, int]]:
+    """Block and slot ranges cutting a class's (block, slot) grid.
+
+    Whole blocks are grouped while they fit in SCHUR_CHUNK_BYTES; a block
+    that does not fit on its own is cut into slot ranges.  A block range is
+    never cut into slot ranges, so every Schur entry receives its
+    contributions in block order however the grid is cut.
+    """
+    if not k:
+        return []
+    # T and its transposed copy, the X and S^{-1} gathers, the readout and
+    # its scatter index, per (block, slot) pair
+    unit = 8 * (2 * s * s + 2 * s * wide + 3 * k)
+    per_chunk = max(1, SCHUR_CHUNK_BYTES // unit)
+    if per_chunk >= k:
+        step = per_chunk // k
+        return [(b0, min(b0 + step, nb), 0, k) for b0 in range(0, nb, step)]
+    return [(b, b + 1, i0, min(i0 + per_chunk, k))
+            for b in range(nb) for i0 in range(0, k, per_chunk)]
 
 
 class _Layout:
-    """Size classes of a problem plus the scatter indices into A(X) and M."""
+    """Size classes of a problem, the constraint map A and the Schur build.
+
+    a is the CSR matrix (m, N) of all constraints over the stacked block
+    entries: the classes in order, each as its (nb, s, s) stack flattened,
+    with every off-diagonal entry at (r, c) and at (c, r).  A(V) and A^T(y)
+    are one sparse matvec each.
+    """
 
     def __init__(self, prob: CanonicalSdp):
         sizes = np.array(prob.block_sizes, dtype=np.intp)
         m = self.m = prob.n_constraints
         self.n_blocks = len(sizes)
-        # each (block, constraint) pair gets a slot: its rank among the
-        # constraints touching that block
         blk, r, c, v = _entry_columns([e for row in prob.a_entries for e in row])
         con = np.repeat(np.arange(m), [len(row) for row in prob.a_entries])
+        off = r != c
+        blk, con, v = (np.concatenate([a, a[off]]) for a in (blk, con, v))
+        r, c = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
+        # each (block, constraint) pair gets a slot: its rank among the
+        # constraints touching that block, widest first, so that the slot
+        # ranges of a chunk need little padding
         pairs, pair_of_entry = np.unique(blk * m + con, return_inverse=True)
         pair_blk, pair_con = np.divmod(pairs, max(m, 1))
-        pair_slot = np.arange(len(pairs)) - np.searchsorted(pair_blk, pair_blk)
+        pair_width = np.bincount(pair_of_entry, minlength=len(pairs))
+        order = np.lexsort((pair_con, -pair_width, pair_blk))
+        pair_slot = np.empty(len(pairs), dtype=np.intp)
+        pair_slot[order] = _rank_within(pair_blk[order])
+        by_pair = np.argsort(pair_of_entry, kind="stable")
+        rank = np.empty(len(by_pair), dtype=np.intp)  # entry's place in its pair
+        rank[by_pair] = _rank_within(pair_of_entry[by_pair])
         slot = pair_slot[pair_of_entry]
         touching = np.bincount(pair_blk, minlength=len(sizes))
         cblk, cr, cc, cv = _entry_columns(prob.c_entries)
@@ -183,6 +270,8 @@ class _Layout:
 
         self.classes: List[_SizeClass] = []
         pos = np.zeros(len(sizes), dtype=np.intp)  # position inside the class
+        col = np.zeros(len(blk), dtype=np.intp)  # column of each entry in a
+        ofs = 0
         for j, s in enumerate(keys[0]):
             members = np.flatnonzero(cls == j)
             nb, k = len(members), int(touching[members].max())
@@ -190,43 +279,74 @@ class _Layout:
             cstack = np.zeros((nb, s, s))
             sel = cls[cblk] == j
             _add_sym(cstack, (pos[cblk[sel]],), cr[sel], cc[sel], cv[sel])
-            astack = np.zeros((nb, k, s, s))
-            sel = cls[blk] == j
-            _add_sym(astack, (pos[blk[sel]], slot[sel]), r[sel], c[sel], v[sel])
-            rows = np.full((nb, k), m, dtype=np.intp)
+            rows = np.full((nb, k), m * m, dtype=np.intp)
+            width = np.zeros((nb, k), dtype=np.intp)
             sel = cls[pair_blk] == j
             rows[pos[pair_blk[sel]], pair_slot[sel]] = pair_con[sel]
-            self.classes.append(_SizeClass(members, cstack, astack, rows))
-        none = np.zeros(0, dtype=np.intp)  # for a problem without blocks
-        self.row_index = np.concatenate([none] + [cl.rows.ravel() for cl in self.classes])
-        self.pair_index = np.concatenate(
-            [none] + [(cl.rows[:, :, None] * (m + 1) + cl.rows[:, None, :]).ravel()
-                      for cl in self.classes]
-        )
+            width[pos[pair_blk[sel]], pair_slot[sel]] = pair_width[sel]
+            sel = cls[blk] == j
+            eb, es, er, ec, ev = pos[blk[sel]], slot[sel], r[sel], c[sel], v[sel]
+            wide = int(width.max(initial=0))
+            p, q, val = (np.zeros((nb, k, wide), dtype=dt) for dt in (np.intp, np.intp, float))
+            p[eb, es, rank[sel]], q[eb, es, rank[sel]], val[eb, es, rank[sel]] = er, ec, ev
+            flat = (eb * s + er) * s + ec
+            col[sel] = ofs + flat
+            ofs += nb * s * s
+            w = sp.csr_matrix((ev, (eb * k + es, flat)), shape=(nb * k, nb * s * s))
+            chunks = []
+            for b0, b1, i0, i1 in _plan_chunks(nb, k, s, wide):
+                kk = int(width[b0:b1, i0:i1].max())
+                if not kk:  # blocks that no constraint touches add nothing
+                    continue
+                bl, sl = slice(b0, b1), slice(i0, i1)
+                base = np.arange(b1 - b0)[:, None, None] * s
+                wc = w[b0 * k:b1 * k, b0 * s * s:b1 * s * s]
+                chunks.append(_Chunk(bl, sl, base + p[bl, sl, :kk], base + q[bl, sl, :kk],
+                                     val[bl, sl, :kk].copy(), wc))
+            self.classes.append(_SizeClass(members, cstack, rows, chunks))
+        self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
+        self.at = self.a.T.tocsr()
+        self.ends = np.cumsum([0] + [cl.c.size for cl in self.classes])
 
     def a_map(self, vs: List[np.ndarray]) -> np.ndarray:
         """(<A_i, V>)_i for V given as one stack per class."""
-        vals = [np.matmul(cl.a_flat, v.reshape(len(v), cl.size * cl.size, 1)).ravel()
-                for cl, v in zip(self.classes, vs)]
-        return np.bincount(self.row_index, np.concatenate(vals), self.m + 1)[: self.m]
+        return self.a @ np.concatenate([v.ravel() for v in vs])
 
     def at_map(self, y: np.ndarray) -> List[np.ndarray]:
         """sum_i y_i A_i as one stack per class."""
-        ypad = np.append(y, 0.0)
-        return [np.matmul(ypad[cl.rows][:, None, :], cl.a_flat).reshape(cl.c.shape)
-                for cl in self.classes]
+        flat = self.at @ y
+        return [flat[a:b].reshape(cl.c.shape)
+                for a, b, cl in zip(self.ends, self.ends[1:], self.classes)]
 
     def schur(self, xs: List[np.ndarray], sinvs: List[np.ndarray]) -> np.ndarray:
-        """M[i,j] = sum_b <A_j, X A_i S^{-1}>, symmetrized."""
-        vals = []
+        """M[i,j] = sum_b <A_j, X A_i S^{-1}>, symmetrized.
+
+        X and S^{-1} are symmetric, so X A_i S^{-1} is the sum over the
+        entries e of A_i of v_e X[p_e, :]^T S^{-1}[q_e, :]: one (s, K) by
+        (K, s) product per (block, constraint) pair, read out against every
+        A_j of the block by one CSR product per chunk and added into M.
+        """
+        m = self.m
+        out = np.zeros(m * m)
         for cl, x, sinv in zip(self.classes, xs, sinvs):
-            t = np.matmul(np.matmul(x[:, None], cl.a), sinv[:, None])
-            # A_j is symmetric, so tr(A_j T) is the plain entrywise product
-            vals.append(np.matmul(cl.a_flat, t.reshape(cl.a_flat.shape).swapaxes(1, 2)).ravel())
-        n = self.m + 1
-        full = np.bincount(self.pair_index, np.concatenate(vals), n * n).reshape(n, n)
-        schur = full[: self.m, : self.m]
-        return 0.5 * (schur + schur.T)
+            s = cl.size
+            for ch in cl.chunks:
+                xf = x[ch.blocks].reshape(-1, s)
+                sf = sinv[ch.blocks].reshape(-1, s)
+                nb, kc = ch.v.shape[:2]
+                xg = np.take(xf, ch.xrow, axis=0) * ch.v[..., None]
+                t = np.matmul(xg.swapaxes(-1, -2), np.take(sf, ch.srow, axis=0))
+                t = t.reshape(nb, kc, s * s).swapaxes(1, 2).reshape(nb * s * s, kc)
+                vals = (ch.w @ t).reshape(nb, -1, kc)
+                rows = cl.rows[ch.blocks]
+                dest = rows[:, :, None] * m + rows[:, None, ch.slots]
+                keep = dest < len(out)
+                np.add.at(out, dest[keep], vals[keep])
+        schur = out.reshape(m, m)
+        # M + M^T in place: numpy copies the overlapping transpose first
+        schur += schur.T
+        schur *= 0.5
+        return schur
 
     def unstack(self, stacks: List[np.ndarray]) -> List[np.ndarray]:
         """Per-block matrices in the original block order."""
@@ -264,29 +384,80 @@ def _step_length(x: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def _chol_solve(m: np.ndarray, rhs: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
-    """Solve m x = rhs with a Cholesky factor, jittering only on failure.
+def _factor(m: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
+    """Lower Cholesky factor of m, jittering the diagonal only on failure.
 
-    One pass of iterative refinement keeps the solve accurate when m turns
-    ill-conditioned near the central path's end, which otherwise leaves a
-    feasibility residual floor around sqrt(eps).  Returns the solution (None
-    when every jitter failed) and the jitter used.
+    Returns the factor (None when every jitter failed) and the jitter used.
     """
     base = 1e-14 * (1.0 + np.abs(np.diag(m)).max())
     for jitter in [0.0] + [base * 100.0 ** j for j in range(7)]:
+        shifted = m
+        if jitter:
+            shifted = m.copy()
+            shifted.flat[:: len(m) + 1] += jitter
         try:
-            lo = np.linalg.cholesky(m + jitter * np.eye(len(m)) if jitter else m)
+            return np.linalg.cholesky(shifted), jitter
         except np.linalg.LinAlgError:
             continue
-        x = cho_solve((lo, True), rhs, check_finite=False)
-        x += cho_solve((lo, True), rhs - m @ x, check_finite=False)
-        return x, jitter
     return None, jitter
+
+
+def _solve(m: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve m x = rhs with the Cholesky factor lo of (a jittered) m.
+
+    Iterative refinement keeps the solve accurate when m turns
+    ill-conditioned near the central path's end, which otherwise leaves a
+    feasibility residual floor around sqrt(eps) or stalls the steps.  It
+    runs while each pass at least halves the residual, at most
+    REFINE_PASSES times.
+    """
+    x = cho_solve((lo, True), rhs, check_finite=False)
+    res = rhs - m @ x
+    last = np.inf
+    for _ in range(REFINE_PASSES):
+        size = np.linalg.norm(res)
+        if not size < 0.5 * last:
+            break
+        x += cho_solve((lo, True), res, check_finite=False)
+        last = size
+        res = rhs - m @ x
+    return x
+
+
+def _memory_limit() -> int:
+    """Bytes this process may use: physical memory, or RLIMIT_AS when lower."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    return limit
+
+
+def _check_memory(prob: CanonicalSdp):
+    """Raise ValueError when the solver's working set would not fit.
+
+    Counts M, the copy its symmetrization or a jittered factorization
+    makes, its Cholesky factor, one Schur chunk and the block stacks that an
+    iteration keeps alive (iterate, slack, inverse, residual, directions,
+    corrector and the remembered best iterate).
+    """
+    m = prob.n_constraints
+    sizes = prob.block_sizes
+    s_max = max(sizes, default=0)
+    chunk = max(SCHUR_CHUNK_BYTES, 8 * (2 * s_max * s_max + 3 * m))
+    need = 8 * 3 * m * m + chunk + 8 * 16 * sum(s * s for s in sizes)
+    limit = _memory_limit()
+    if need > limit:
+        raise ValueError(
+            f"the solver needs about {need / 2**20:.0f} MiB ({m} constraints, "
+            f"largest block {s_max}), more than the {limit / 2**20:.0f} MiB "
+            f"this process may use")
 
 
 def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> SolverSolution:
     cfg = config or SolverConfig()
     prob.validate()
+    _check_memory(prob)
     m = prob.n_constraints
     lay = _Layout(prob)
     classes = lay.classes
@@ -393,10 +564,18 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
             status = "numerical"
             break
 
+        # release the last iteration's M and factor, so that they are not
+        # alive beside the new ones
+        schur = lo = None
         schur = lay.schur(xs, sinvs)
+        lo, jitter = _factor(schur)
+        max_jitter = max(max_jitter, jitter)
+        if lo is None:
+            stop("schur_failed")
+            status = "numerical"
+            break
 
         def direction(sigma_mu: float, corr: Optional[List[np.ndarray]]):
-            nonlocal max_jitter
             aux = []
             for j, (x, sinv, rdb) in enumerate(zip(xs, sinvs, rd)):
                 u = x @ rdb @ sinv
@@ -405,10 +584,7 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
                 if corr is not None:
                     u = u + corr[j] @ sinv
                 aux.append(u)
-            dy, jitter = _chol_solve(schur, b + lay.a_map(aux))
-            max_jitter = max(max_jitter, jitter)
-            if dy is None:
-                return None
+            dy = _solve(schur, lo, b + lay.a_map(aux))
             dss = [rdb - at for rdb, at in zip(rd, lay.at_map(dy))]
             dxs = []
             for j, (x, sinv, dsb) in enumerate(zip(xs, sinvs, dss)):
@@ -420,12 +596,7 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
                 dxs.append(_sym(raw))
             return dxs, dy, dss
 
-        got = direction(0.0, None)
-        if got is None:
-            stop("schur_failed")
-            status = "numerical"
-            break
-        dx_aff, dy_aff, ds_aff = got
+        dx_aff, dy_aff, ds_aff = direction(0.0, None)
 
         ap_aff = min(1.0, min((_step_length(x, dx) for x, dx in zip(xs, dx_aff)), default=1.0))
         ad_aff = min(1.0, min((_step_length(s, ds) for s, ds in zip(ss, ds_aff)), default=1.0))
@@ -442,12 +613,7 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
             sigma = max(sigma, 0.5)
 
         corr = [dx @ ds for dx, ds in zip(dx_aff, ds_aff)]
-        got = direction(sigma * mu, corr)
-        if got is None:
-            stop("schur_failed")
-            status = "numerical"
-            break
-        dxs, dy, dss = got
+        dxs, dy, dss = direction(sigma * mu, corr)
 
         tau = cfg.step_fraction
         ap = min(1.0, tau * min((_step_length(x, dx) for x, dx in zip(xs, dxs)), default=np.inf))

@@ -276,3 +276,13 @@ def test_newton_candidates_above_cap_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 1
     assert err.startswith("error:") and "cap" in err
+
+
+def test_problem_above_memory_limit_is_refused(capsys, monkeypatch):
+    import tssos.solver
+
+    monkeypatch.setattr(tssos.solver, "_memory_limit", lambda: 1 << 20)
+    code, out, err = run(capsys, "solve", EX1, "--dense", "--json")
+    assert code == 1
+    assert out == ""
+    assert "error: the solver needs about" in err and "MiB" in err

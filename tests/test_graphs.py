@@ -570,6 +570,24 @@ def test_localizing_bases_built_once_per_half_degree():
     assert all(g.basis is seq.at(1)[1].basis for g in seq.at(1)[1:])
 
 
+def test_moment_support_built_once_per_step(monkeypatch):
+    n = 3
+    pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set("unit_hypercube", n))
+    want, _ = reference_iterate_constrained(pop, 2, 2, "approx_min")
+    built = []
+    real = tssos.graphs._support_set
+
+    def counting(graph):
+        built.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(tssos.graphs, "_support_set", counting)
+    seq = iterate_constrained(pop, 2, k=2, probe_stabilization=False)
+    assert edge_levels(seq)[: len(want)] == want
+    # one support per step, each of the previous level's moment graph
+    assert built == [level[0] for level in seq.levels[:-1]]
+
+
 @st.composite
 def small_supports(draw):
     """A random support, basis and graph in n <= 3 variables."""

@@ -1,6 +1,15 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import tssos.solver
+from tssos import bench
+from tssos.assembly import assemble_dense_unconstrained, assemble_sparse_constrained
+from tssos.basis import standard_basis
+from tssos.graphs import iterate_constrained
+from tssos.poly import PopProblem
 from tssos.solver import (
     CanonicalSdp,
     SolverConfig,
@@ -437,3 +446,178 @@ def test_schur_jitter_is_recorded_as_event():
     assert sol.status == "optimal"
     jitters = [ev["max"] for ev in sol.events if ev["event"] == "schur_jitter"]
     assert len(jitters) == 1 and jitters[0] > 0
+
+
+def reference_schur(prob, x_blocks, sinv_blocks):
+    """The dense product form sum_b <A_j, X A_i S^{-1}>, symmetrized."""
+    m = prob.n_constraints
+    full = np.zeros((m, m))
+    for blk, s in enumerate(prob.block_sizes):
+        touching = [(i, dense_from_entries(prob.block_sizes, [e for e in row if e[0] == blk])[blk])
+                    for i, row in enumerate(prob.a_entries) if any(e[0] == blk for e in row)]
+        for i, ai in touching:
+            t = x_blocks[blk] @ ai @ sinv_blocks[blk]
+            for j, aj in touching:
+                full[j, i] += np.vdot(aj, t)
+    return 0.5 * (full + full.T)
+
+
+def random_pd_blocks(rng, sizes):
+    out = []
+    for s in sizes:
+        q = rng.normal(size=(s, s))
+        out.append(0.5 * (q @ q.T + s * np.eye(s) + (q @ q.T + s * np.eye(s)).T))
+    return out
+
+
+def class_stacks(lay, blocks):
+    return [np.stack([blocks[b] for b in cl.blocks]) for cl in lay.classes]
+
+
+def localizing_instance():
+    """A constrained relaxation: moment cliques plus many-term localizing blocks."""
+    n = 3
+    pop = PopProblem(bench.broyden_tridiagonal(n), bench.constraint_set("unit_ball", n))
+    seq = iterate_constrained(pop, 3, k=1)
+    return assemble_sparse_constrained(pop, 3, seq.at(1)).canonical()[0]
+
+
+def dense_banded_instance():
+    """broyden_banded n=5 on the full degree-3 basis: one 56x56 block, m=461."""
+    f = bench.broyden_banded(5)
+    return assemble_dense_unconstrained(f, standard_basis(5, 3)).canonical()[0]
+
+
+SCHUR_CASES = {
+    "mixed": lambda: mixed_instance(*MIXED_GOLDEN[1][0]),
+    "localizing": localizing_instance,
+    "dense_banded": dense_banded_instance,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_schur_matches_dense_product_form(case):
+    prob = SCHUR_CASES[case]()
+    rng = np.random.default_rng(17)
+    xb = random_pd_blocks(rng, prob.block_sizes)
+    sb = random_pd_blocks(rng, prob.block_sizes)
+    lay = _Layout(prob)
+    got = lay.schur(class_stacks(lay, xb), class_stacks(lay, sb))
+    want = reference_schur(prob, xb, sb)
+    assert np.array_equal(got, got.T)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_schur_cases_cover_the_block_kinds():
+    mixed = SCHUR_CASES["mixed"]()
+    assert 1 in mixed.block_sizes
+    touched = {e[0] for row in mixed.a_entries for e in row}
+    assert len(touched) < len(mixed.block_sizes)  # an untouched block
+    loc = SCHUR_CASES["localizing"]()
+    touching = Counter(b for row in loc.a_entries for b in {e[0] for e in row})
+    widths = Counter((i, e[0]) for i, row in enumerate(loc.a_entries) for e in row)
+    # a block touched by most constraints, with constraint matrices of many entries
+    assert max(touching.values()) >= 50 and max(widths.values()) >= 5
+    dense = SCHUR_CASES["dense_banded"]()
+    assert dense.block_sizes == (56,) and dense.n_constraints == 461
+
+
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_constraint_maps_are_adjoint(case):
+    prob = SCHUR_CASES[case]()
+    rng = np.random.default_rng(5)
+    lay = _Layout(prob)
+    vs = [rng.normal(size=cl.c.shape) for cl in lay.classes]
+    y = rng.normal(size=prob.n_constraints)
+    lhs = float(lay.a_map(vs) @ y)
+    rhs = sum(float(np.vdot(v, w)) for v, w in zip(vs, lay.at_map(y)))
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    # and A matches the entries themselves
+    blocks = lay.unstack(vs)
+    got = lay.a_map(vs)
+    for i, row in enumerate(prob.a_entries):
+        mats = dense_from_entries(prob.block_sizes, row)
+        assert got[i] == pytest.approx(
+            sum(float(np.vdot(a, v)) for a, v in zip(mats, blocks)), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_chunked_schur_equals_unchunked(case, monkeypatch):
+    prob = SCHUR_CASES[case]()
+    rng = np.random.default_rng(23)
+    xb = random_pd_blocks(rng, prob.block_sizes)
+    sb = random_pd_blocks(rng, prob.block_sizes)
+    whole = _Layout(prob)
+    monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", 1)
+    cut = _Layout(prob)
+    # one (block, constraint) pair per chunk wherever a block has two or more
+    assert sum(len(cl.chunks) for cl in cut.classes) > sum(len(cl.chunks) for cl in whole.classes)
+    got = cut.schur(class_stacks(cut, xb), class_stacks(cut, sb))
+    want = whole.schur(class_stacks(whole, xb), class_stacks(whole, sb))
+    assert np.array_equal(got, want)
+
+
+def many_constraints_instance():
+    """1000 constraints over 300 blocks of size 1 to 4, two blocks per constraint."""
+    rng = np.random.default_rng(3)
+    m, sizes = 1000, tuple(int(s) for s in rng.integers(1, 5, size=300))
+    a_entries = []
+    for _ in range(m):
+        row = []
+        for blk in sorted(rng.choice(len(sizes), size=2, replace=False)):
+            r, c = sorted(rng.integers(0, sizes[blk], size=2))
+            row.append((int(blk), int(r), int(c), 1.0))
+        a_entries.append(tuple(row))
+    return CanonicalSdp(sizes, (), tuple(a_entries), (0.0,) * m)
+
+
+@pytest.mark.parametrize("make", [many_constraints_instance, dense_banded_instance])
+def test_schur_holds_two_m_by_m_arrays_and_one_chunk(make, monkeypatch):
+    monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", 1 << 20)
+    prob = make()
+    m = prob.n_constraints
+    rng = np.random.default_rng(3)
+    lay = _Layout(prob)
+    xs = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
+    ss = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        schur = lay.schur(xs, ss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert schur.shape == (m, m)
+    # M and the copy its in-place symmetrization makes, plus one chunk
+    assert peak <= 2.2 * m * m * 8 + (1 << 20), peak / (m * m * 8)
+
+
+def test_solver_refuses_problem_above_memory_limit(monkeypatch):
+    prob = dense_banded_instance()
+    monkeypatch.setattr(tssos.solver, "_memory_limit", lambda: 1 << 20)
+    monkeypatch.setattr(tssos.solver, "_Layout", None)  # nothing may be built
+    with pytest.raises(ValueError, match=r"needs about \d+ MiB \(461 constraints"):
+        solve_canonical(prob)
+
+
+def test_memory_limit_is_physical_memory_or_lower():
+    import os
+
+    limit = tssos.solver._memory_limit()
+    assert 0 < limit <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def test_schur_complement_factored_once_per_iteration(monkeypatch):
+    prob = mixed_instance(*MIXED_GOLDEN[0][0])
+    calls = []
+    real = tssos.solver._factor
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(tssos.solver, "_factor", counting)
+    sol = solve_canonical(prob)
+    assert sol.status == "optimal"
+    # the last iteration only checks convergence
+    assert len(calls) == sol.iterations - 1
