@@ -10,13 +10,24 @@ Three ways to pick the rows/columns of a Gram matrix for f:
   pair up into the support, optionally interleaved with the sparsity-graph
   machinery for constrained problems.
 
+Every Newton membership decision rests on a proof checked in exact
+arithmetic: 2*beta as the average of two or three hull points, a convex
+combination read off an LP and checked in fractions, or an integer
+hyperplane that separates 2*beta from the hull.  LPs only propose the last
+two; a candidate that no proof decides gets its own feasibility LP.
+
+Sets of exponents are searched by linear 64-bit exponent keys, and every key
+hit is confirmed on the exponent rows (_ExponentSet, _linked_pairs); the
+basis shrinking here and the graph module share that engine.
+
 Bases are value objects: a sorted tuple of exponents plus an index lookup.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -28,10 +39,14 @@ STANDARD_BASIS_CAP = 10 ** 7
 NEWTON_LP_TOL = 1e-9
 # candidates per phase-1 LP in newton_half_basis; bounds the LP's size and memory
 NEWTON_LP_CHUNK = 32
-# a phase-1 L1 residual above this rejects a candidate without a further test
+# only a candidate whose phase-1 L1 residual is at most this gets its LP weights checked
 NEWTON_RESIDUAL_TOL = 1e-7
 # point pairs whose sums newton_half_basis searches at once; bounds its memory
 NEWTON_PAIR_BUDGET = 1 << 20
+# largest denominator an LP's convex weights are rounded to before the exact check
+NEWTON_DENOMINATOR = 10 ** 6
+# basis pairs (or target items) one key search holds at a time; bounds its memory
+PAIR_BUDGET = 1 << 13
 _MASK64 = (1 << 64) - 1
 
 
@@ -114,6 +129,117 @@ class MonomialBasis:
         return f"MonomialBasis(nvars={self.nvars}, size={len(self)})"
 
 
+# -- exponent search by keys ---------------------------------------------------
+
+RowsOf = Callable[[np.ndarray], np.ndarray]
+
+
+class _ExponentSet:
+    """A set of exponents searched by their exponent_keys, decided exactly.
+
+    Members are given as item keys plus rows_of(idx), the exponent rows of
+    the items idx, which the set keeps: rows are formed, a bounded chunk at
+    a time, for one check (whether distinct members share a key, which only
+    items of a repeated key can do) and later for the members a key match
+    points to.  A key match is confirmed on the rows; when members do share
+    a key, searchsorted sees only one of them, and a candidate failing that
+    confirmation is looked up in an exact set of tuples instead.
+    """
+
+    def __init__(self, keys: np.ndarray, rows_of: RowsOf):
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        head = np.ones(len(keys), dtype=bool)  # first of its key in key order
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        self.keys = ranked[head]
+        heads = np.flatnonzero(head)
+        self._first, self._rows_of = order[heads], rows_of
+        self.exact: Optional[Set[Exponent]] = None
+        later = np.flatnonzero(~head)  # key order positions of items after their key's first
+        if not len(later):
+            return
+        lead = order[heads[np.searchsorted(heads, later) - 1]]
+        later = order[later]
+        # compare at most PAIR_BUDGET exponent entries per side at a time
+        step = max(1, PAIR_BUDGET // max(1, rows_of(later[:1]).shape[1]))
+        if any((rows_of(later[lo:lo + step]) != rows_of(lead[lo:lo + step])).any()
+               for lo in range(0, len(later), step)):
+            items = np.arange(len(keys))
+            self.exact = {
+                tuple(row)
+                for lo in range(0, len(keys), PAIR_BUDGET)
+                for row in rows_of(items[lo:lo + PAIR_BUDGET]).tolist()
+            }
+
+    def contains(self, keys: np.ndarray, rows_of: RowsOf) -> np.ndarray:
+        """Mask of the candidates, keys plus rows_of(idx), that are members."""
+        found = np.zeros(len(keys), dtype=bool)
+        if not len(self.keys):
+            return found
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        idx = np.flatnonzero(self.keys[pos] == keys)
+        if len(idx):
+            rows = rows_of(idx)
+            ok = (rows == self._rows_of(self._first[pos[idx]])).all(axis=1)
+            if self.exact is not None:
+                miss = np.flatnonzero(~ok)
+                ok[miss] = [tuple(row) in self.exact for row in rows[miss].tolist()]
+            found[idx[ok]] = True
+        return found
+
+
+def _rows_set(rows: np.ndarray) -> _ExponentSet:
+    """The exponent rows as an _ExponentSet."""
+    return _ExponentSet(exponent_keys(rows), rows.__getitem__)
+
+
+def _linked_pairs(
+    basis: MonomialBasis,
+    targets: _ExponentSet,
+    shifts: Optional[np.ndarray] = None,
+    known: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Pairs i < j, not in known, with basis_i + basis_j + s in targets.
+
+    s runs over the rows of shifts (default: the zero exponent only).  The
+    pair sums are formed through exponent_keys for a chunk of rows of at
+    most PAIR_BUDGET pairs at a time; the result is an (m, 2) int64 array
+    sorted by (i, j).
+    """
+    rows = basis.array
+    r = len(rows)
+    if shifts is None:
+        shifts = np.zeros((1, basis.nvars), dtype=np.int64)
+    keys = exponent_keys(rows)
+    shift_keys = exponent_keys(shifts)
+    if known is not None:
+        known = known[np.argsort(known[:, 0], kind="stable")]
+    cols = np.arange(r)
+    step = max(1, PAIR_BUDGET // max(r, 1))
+    found = [np.zeros((0, 2), dtype=np.int64)]
+    for lo in range(0, r - 1, step):
+        hi = min(lo + step, r)
+        free = cols[lo:hi, None] < cols
+        if known is not None:
+            a, b = np.searchsorted(known[:, 0], [lo, hi])
+            free[known[a:b, 0] - lo, known[a:b, 1]] = False
+        i, j = np.nonzero(free)
+        i += lo
+        sums = keys[i] + keys[j]
+        hit = np.zeros(len(i), dtype=bool)
+        for shift, shift_key in zip(shifts, shift_keys):
+            todo = np.flatnonzero(~hit)
+            ti, tj = i[todo], j[todo]
+            hit[todo] = targets.contains(
+                sums[todo] + shift_key, lambda idx: rows[ti[idx]] + rows[tj[idx]] + shift
+            )
+        found.append(np.column_stack([i[hit], j[hit]]))
+    return np.concatenate(found)
+
+
+# -- standard and Newton bases -------------------------------------------------
+
+
 def standard_basis(nvars: int, degree: int) -> MonomialBasis:
     """All monomials of total degree <= degree."""
     if nvars < 1 or degree < 0:
@@ -172,37 +298,68 @@ def _box_points(upper: np.ndarray, degree: int) -> np.ndarray:
     return rows
 
 
-def _midpoint_certified(cands: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Mask of the candidates beta with 4*beta = p + q for rows p, q of points.
+def _newton_candidates(f: Polynomial) -> Tuple[np.ndarray, np.ndarray]:
+    """The hull points supp(f) + {0} (graded lex) and the candidates to decide.
 
-    Then 2*beta = (p + q)/2 lies in conv(points): an exact certificate in
-    integer arithmetic.  The pairwise sums are searched through their
-    exponent_keys, key(p + q) = key(p) + key(q); the pair a search returns
-    is then checked on the exponent rows themselves, so a key collision can
-    only cost a candidate its certificate, never grant one.  The sums are
-    formed for at most NEWTON_PAIR_BUDGET pairs at a time.
+    The candidates are the beta with 2*beta inside the bounding box and the
+    degree bound of the hull; more than STANDARD_BASIS_CAP of them is refused.
+    """
+    pts = sorted(f.support() | {(0,) * f.nvars}, key=grlex_key)
+    points = np.array(pts, dtype=np.int64)
+    upper = points.max(axis=0) // 2
+    half_deg = int(points.sum(axis=1).max()) // 2
+    count = _box_count(upper.tolist(), half_deg)
+    if count > STANDARD_BASIS_CAP:
+        raise ValueError(
+            f"Newton basis would test {count} candidate monomials "
+            f"(more than the {STANDARD_BASIS_CAP} cap); reduce the degree or variable count"
+        )
+    return points, _box_points(upper, half_deg)
+
+
+def _average_certified(cands: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Mask of the candidates beta with 2k*beta = p_1 + ... + p_k, k = 2 or 3.
+
+    The p_i are rows of points; 2*beta is then their average, an exact
+    certificate in integer arithmetic.  The pair sums p + q (p = q allowed)
+    form one _ExponentSet per chunk of at most NEWTON_PAIR_BUDGET pairs.
+    The origin is a point, so k = 2 looks 4*beta up among them, and k = 3
+    looks up 6*beta - r for every point r, about PAIR_BUDGET lookups at a
+    time.  The set confirms every key hit on the rows, so a key
+    collision can only cost a candidate its certificate, never grant one.
     """
     npts = len(points)
     keys = exponent_keys(points)
-    target = exponent_keys(4 * cands)
     found = np.zeros(len(cands), dtype=bool)
+    cols = np.arange(npts)
     step = max(1, NEWTON_PAIR_BUDGET // npts)
     for lo in range(0, npts, step):
-        sums = (keys[lo:lo + step, None] + keys).ravel()
-        order = np.argsort(sums)
-        pos = np.minimum(np.searchsorted(sums[order], target), len(sums) - 1)
-        i, j = np.divmod(order[pos], npts)
-        found |= (points[lo + i] + points[j] == 4 * cands).all(axis=1)
+        i, j = np.nonzero(cols[lo:lo + step, None] <= cols)
+        i += lo
+        pairs = _ExponentSet(keys[i] + keys[j], lambda idx: points[i[idx]] + points[j[idx]])
+        todo = np.flatnonzero(~found)
+        four = 4 * cands[todo]
+        found[todo] = pairs.contains(exponent_keys(four), four.__getitem__)
+        todo = np.flatnonzero(~found)
+        six = 6 * cands[todo]
+        six_keys = exponent_keys(six)
+        per = max(1, PAIR_BUDGET // npts)  # candidates per lookup
+        for c_lo in range(0, len(todo), per):
+            c, r = np.divmod(np.arange(min(per, len(todo) - c_lo) * npts), npts)
+            c += c_lo
+            hit = pairs.contains(six_keys[c] - keys[r], lambda idx: six[c[idx]] - points[r[idx]])
+            found[todo[c[hit]]] = True
     return found
 
 
-def _phase1_residuals(cands: np.ndarray, points: np.ndarray):
-    """L1 distance of each 2*beta to conv(points), from one block-diagonal LP.
+def _chunk_lp(cands: np.ndarray, points: np.ndarray):
+    """One block-diagonal phase-1 LP for the candidates, or None if not optimal.
 
     Each candidate gets its own block: lambda in the simplex and slacks
     s+, s- >= 0 with points^T lambda + s+ - s- = 2*beta, and the LP
-    minimizes the sum of all slacks.  Returns None when the LP does not end
-    optimal.
+    minimizes the sum of all slacks.  A block's optimal dual y on the
+    points^T rows has |y_i| <= 1 and y.(2*beta) - max_p y.p equal to the
+    block's L1 residual.
     """
     npts, nvars = points.shape
     eye = np.eye(nvars)
@@ -218,25 +375,92 @@ def _phase1_residuals(cands: np.ndarray, points: np.ndarray):
         bounds=(0, None),
         method="highs",
     )
-    if res.status != 0:
-        return None
-    return res.x.reshape(count, -1)[:, npts:].sum(axis=1)
+    return res if res.status == 0 else None
+
+
+def _convex_proof(lam: np.ndarray, beta: np.ndarray, points: np.ndarray) -> bool:
+    """Do the positive weights of lam, rounded to fractions, put 2*beta in conv(points)?
+
+    The rounded weights are nonnegative; the check that they sum to 1 and
+    combine the points to 2*beta runs in integers over their common
+    denominator.
+    """
+    support = np.flatnonzero(lam > 0)
+    weights = [Fraction(float(v)).limit_denominator(NEWTON_DENOMINATOR) for v in lam[support]]
+    den = math.lcm(*(w.denominator for w in weights))
+    num = np.array([w.numerator * (den // w.denominator) for w in weights], dtype=object)
+    return num.sum() == den and (
+        num @ points[support].astype(object) == 2 * den * beta.astype(object)
+    ).all()
+
+
+def _cut_off(cands: np.ndarray, cut_w: np.ndarray, cut_b: np.ndarray) -> np.ndarray:
+    """Mask of the candidates with w.(2*beta) > b for some cut (w, b)."""
+    return (2 * cands @ cut_w.T > cut_b).any(axis=1)
+
+
+def _newton_members(cands: np.ndarray, points: np.ndarray):
+    """Which candidates beta have 2*beta in conv(points), and the cuts used.
+
+    After _average_certified, the rest go to chunked phase-1 LPs in an order
+    that spreads every chunk over the whole candidate list.  From each LP,
+    a candidate is accepted when _convex_proof confirms its weights, and
+    rejected when its dual, scaled and rounded to an integer w, satisfies
+    w.(2*beta) > b = max_p w.p in exact integer arithmetic.  Each such
+    (w, b) is kept as a cut and rejects every candidate still waiting that
+    it separates too.  A candidate neither proof decides, and every
+    candidate of a chunk whose LP does not end optimal, is decided by
+    _in_half_polytope.  Returns the member mask and the cuts (w, b).
+    """
+    nvars = points.shape[1]
+    hull = points.astype(float)
+    # |w_i| <= scale and every point has degree <= max_deg: products stay below 2**62
+    max_deg = max(1, int(points.sum(axis=1).max()))
+    scale = min(1 << 52, (1 << 61) // max_deg)
+    member = _average_certified(cands, points)
+    rest = np.flatnonzero(~member)
+    spread = -(-len(rest) // NEWTON_LP_CHUNK)
+    rest = rest[np.argsort(np.arange(len(rest)) % max(spread, 1), kind="stable")]
+    cut_w = np.zeros((0, nvars), dtype=np.int64)
+    cut_b = np.zeros(0, dtype=np.int64)
+    while len(rest):
+        chunk, rest = rest[:NEWTON_LP_CHUNK], rest[NEWTON_LP_CHUNK:]
+        res = _chunk_lp(cands[chunk], points)
+        if res is not None:
+            count = len(chunk)
+            lam, slack = np.split(res.x.reshape(count, -1), [len(points)], axis=1)
+            near = np.flatnonzero(slack.sum(axis=1) <= NEWTON_RESIDUAL_TOL)
+            accepted = np.zeros(count, dtype=bool)
+            accepted[near] = [_convex_proof(lam[i], cands[chunk[i]], points) for i in near]
+            member[chunk[accepted]] = True
+            duals = res.eqlin.marginals.reshape(count, nvars + 1)[:, :nvars]
+            w = np.rint(np.clip(duals, -1.0, 1.0) * scale).astype(np.int64)
+            b = (points @ w.T).max(axis=0)
+            proven = ~accepted & ((2 * cands[chunk] * w).sum(axis=1) > b)
+            cut_w = np.concatenate([cut_w, w[proven]])
+            cut_b = np.concatenate([cut_b, b[proven]])
+            chunk = chunk[~accepted & ~proven]
+            rest = rest[~_cut_off(cands[rest], w[proven], b[proven])]
+        for c in chunk:
+            member[c] = _in_half_polytope(cands[c], hull)
+    return member, (cut_w, cut_b)
 
 
 def newton_half_basis(f: Polynomial) -> MonomialBasis:
     """Lattice points of half the Newton polytope of f (origin included).
 
-    The candidates are all beta with 2*beta in conv(supp(f) union {0});
-    the origin joins the hull because the representation target is always
+    The members are all beta with 2*beta in conv(supp(f) union {0}); the
+    origin joins the hull because the representation target is always
     f - lambda with a constant present.  A single-monomial objective is
     handled separately: x^alpha is a square exactly when alpha is even.
 
-    Only the beta with 2*beta inside the bounding box and the degree bound
-    of the hull are enumerated (at most STANDARD_BASIS_CAP of them).  Each
-    is decided in up to three steps: an exact midpoint certificate keeps
-    it; else a chunked phase-1 LP rejects it when its L1 residual exceeds
-    NEWTON_RESIDUAL_TOL; what is left, and every candidate of a chunk whose
-    LP does not end optimal, is decided by _in_half_polytope.
+    Only the beta inside the bounding box and the degree bound of the hull
+    are tested (at most STANDARD_BASIS_CAP of them).  Each is decided by an
+    exact proof: 2*beta as the average of two or three hull points; else
+    the convex weights or the separating dual that a chunked phase-1 LP
+    proposes, checked in exact arithmetic, where each separating dual also
+    cuts the candidates still waiting.  Only a candidate no proof decides
+    gets its own feasibility LP (_in_half_polytope).
     """
     supp = f.support()
     if not supp:
@@ -246,32 +470,16 @@ def newton_half_basis(f: Polynomial) -> MonomialBasis:
         if any(a % 2 for a in alpha):
             raise ValueError("objective cannot be SOS: single monomial of odd exponent")
         return MonomialBasis(f.nvars, [tuple(a // 2 for a in alpha)])
-    pts = sorted(supp | {(0,) * f.nvars}, key=grlex_key)
-    points = np.array(pts, dtype=np.int64)
-    hull = points.astype(float)
-    upper = points.max(axis=0) // 2
-    half_deg = int(points.sum(axis=1).max()) // 2
-    count = _box_count(upper.tolist(), half_deg)
-    if count > STANDARD_BASIS_CAP:
-        raise ValueError(
-            f"Newton basis would test {count} candidate monomials "
-            f"(more than the {STANDARD_BASIS_CAP} cap); reduce the degree or variable count"
-        )
-    cands = _box_points(upper, half_deg)
-    certified = _midpoint_certified(cands, points)
-    kept = cands[certified].tolist()
-    rest = cands[~certified]
-    for start in range(0, len(rest), NEWTON_LP_CHUNK):
-        chunk = rest[start:start + NEWTON_LP_CHUNK]
-        resid = _phase1_residuals(chunk, points)
-        if resid is not None:
-            chunk = chunk[resid <= NEWTON_RESIDUAL_TOL]
-        kept.extend(b for b in chunk.tolist() if _in_half_polytope(b, hull))
-    return MonomialBasis(f.nvars, kept)
+    points, cands = _newton_candidates(f)
+    member, _ = _newton_members(cands, points)
+    return MonomialBasis(f.nvars, cands[member].tolist())
+
+
+# -- shrinking -------------------------------------------------------------------
 
 
 def generate_basis(
-    support: Iterable[Exponent],
+    support: Iterable[Exponent] | np.ndarray,
     base: MonomialBasis | Iterable[Exponent],
     nvars: int | None = None,
     max_steps: int | None = None,
@@ -282,33 +490,32 @@ def generate_basis(
     base whose sum lies in the support or in 2*B_{p-1}.  The chain B_1,
     B_2, ... is returned up to stabilization (B_p == B_{p-1}) or up to
     max_steps entries.  The last element is the useful shrunken basis.
+
+    The support is given as exponents or as an integer array of exponent
+    rows.  Each step is one _linked_pairs search of the base's pair sums
+    over that target set, plus a lookup of the doubled base elements.
     """
-    if isinstance(base, MonomialBasis):
-        nvars = base.nvars
-        base_set = base.exponent_set()
-    else:
-        base_set = {tuple(m) for m in base}
+    if not isinstance(base, MonomialBasis):
         if nvars is None:
             raise ValueError("nvars required when base is a raw exponent set")
-    supp = {tuple(a) for a in support}
-    base_list = sorted(base_set, key=grlex_key)
+        base = MonomialBasis(nvars, base)
+    if not isinstance(support, np.ndarray):
+        support = np.array(sorted({tuple(a) for a in support}), dtype=np.int64)
+    support = support.reshape(-1, base.nvars)
+    rows = base.array
+    diag_keys = exponent_keys(2 * rows)
     chain: List[MonomialBasis] = []
-    prev: Set[Exponent] = set()
+    prev = np.zeros(0, dtype=np.int64)  # indices of B_{p-1} in base
     while True:
-        targets = supp | {tuple(2 * a for a in m) for m in prev}
-        cur: Set[Exponent] = set()
-        for t in targets:
-            for beta in base_list:
-                gamma = tuple(x - y for x, y in zip(t, beta))
-                if any(g < 0 for g in gamma):
-                    continue
-                if gamma in base_set:
-                    cur.add(beta)
-                    cur.add(gamma)
-        if cur == prev and chain:
+        targets = _rows_set(np.concatenate([support, 2 * rows[prev]]))
+        pairs = _linked_pairs(base, targets)
+        diag = np.flatnonzero(targets.contains(diag_keys, lambda idx: 2 * rows[idx]))
+        cur = np.unique(np.concatenate([pairs.ravel(), diag]))
+        same = np.array_equal(cur, prev)
+        if same and chain:
             break
-        chain.append(MonomialBasis(nvars, cur))
-        if cur == prev:
+        chain.append(MonomialBasis(base.nvars, rows[cur].tolist()))
+        if same:
             break
         prev = cur
         if max_steps is not None and len(chain) >= max_steps:
@@ -342,29 +549,24 @@ def reduce_basis_constrained(
     basis elements that can pair into supp(f), or into supp(g_j) shifted by
     products within some clique of g_j's graph.  Only the j = 0 basis is
     shrunk; localizing bases stay standard.
-    """
-    from .graphs import iterate_constrained, maximal_cliques
 
-    f = pop.objective
+    g_j's graph is chordal, so the products within its maximal cliques are
+    exactly its support: the doubled nodes and the sums along its edges.
+    """
+    from .graphs import _support_pairs, iterate_constrained
+
     n = pop.nvars
     basis0 = standard_basis(n, d_hat)
-    origin = (0,) * n
+    fixed = np.array(sorted(pop.objective.support() | {(0,) * n}), dtype=np.int64).reshape(-1, n)
+    shifts = [np.array(sorted(g.support()), dtype=np.int64).reshape(-1, n) for g in pop.constraints]
     while True:
         seq = iterate_constrained(pop, d_hat, k=k, mode=mode, moment_basis=basis0)
-        target = f.support() | {origin}
-        for j, g in enumerate(pop.constraints, start=1):
-            graph = seq.levels[-1][j]
-            sums: Set[Exponent] = set()
-            for clique in maximal_cliques(graph).cliques:
-                members = [graph.basis.monos[i] for i in clique]
-                for a in members:
-                    for b in members:
-                        sums.add(tuple(x + y for x, y in zip(a, b)))
-            for ga in g.support():
-                for s in sums:
-                    target.add(tuple(x + y for x, y in zip(ga, s)))
-        chain = generate_basis(target, basis0)
-        new_basis = chain[-1]
+        targets = [fixed]
+        for graph, shift in zip(seq.levels[-1][1:], shifts):
+            a, b = _support_pairs(graph)
+            sums = np.unique(graph.basis.array[a] + graph.basis.array[b], axis=0)
+            targets.append((sums[:, None, :] + shift).reshape(-1, n))
+        new_basis = generate_basis(np.concatenate(targets), basis0)[-1]
         if new_basis == basis0:
             return basis0
         basis0 = new_basis

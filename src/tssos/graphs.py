@@ -29,21 +29,25 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .basis import MonomialBasis, exponent_keys, standard_basis
+from .basis import (
+    MonomialBasis,
+    _ExponentSet,
+    _linked_pairs,
+    _rows_set,
+    exponent_keys,
+    standard_basis,
+)
 from .poly import Exponent, Polynomial, PopProblem
 
 Edge = Tuple[int, int]
 
 EXTENSION_MODES = ("approx_min", "min_fill", "block_closure")
-
-# basis pairs (or target items) one edge search holds at a time; bounds its memory
-PAIR_BUDGET = 1 << 13
 
 
 def _pair_set(pairs: np.ndarray) -> FrozenSet[Edge]:
@@ -142,98 +146,19 @@ class MonomialGraph:
 
 # -- edge search by exponent keys ----------------------------------------------
 
-RowsOf = Callable[[np.ndarray], np.ndarray]
 
-
-class _ExponentSet:
-    """A set of exponents searched by their exponent_keys, decided exactly.
-
-    Members are given as item keys plus rows_of(idx), the exponent rows of
-    the items idx, so rows are formed for the distinct keys and, chunk by
-    chunk, for one check: whether distinct members share a key.  A key
-    match is confirmed on the rows; when members do share a key,
-    searchsorted sees only one of them, and a candidate failing that
-    confirmation is looked up in an exact set of tuples instead.
-    """
-
-    def __init__(self, keys: np.ndarray, rows_of: RowsOf):
-        self.keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        self.rows = rows_of(first)
-        self.exact: Optional[Set[Exponent]] = None
-        items = np.arange(len(keys))
-        chunks = [items[lo:lo + PAIR_BUDGET] for lo in range(0, len(keys), PAIR_BUDGET)]
-        if any((rows_of(idx) != self.rows[inverse[idx]]).any() for idx in chunks):
-            self.exact = {tuple(row) for idx in chunks for row in rows_of(idx).tolist()}
-
-    def contains(self, keys: np.ndarray, rows_of: RowsOf) -> np.ndarray:
-        """Mask of the candidates, keys plus rows_of(idx), that are members."""
-        found = np.zeros(len(keys), dtype=bool)
-        if not len(self.keys):
-            return found
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        idx = np.flatnonzero(self.keys[pos] == keys)
-        if len(idx):
-            rows = rows_of(idx)
-            ok = (rows == self.rows[pos[idx]]).all(axis=1)
-            if self.exact is not None:
-                miss = np.flatnonzero(~ok)
-                ok[miss] = [tuple(row) in self.exact for row in rows[miss].tolist()]
-            found[idx[ok]] = True
-        return found
+def _support_pairs(graph: MonomialGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """Node index arrays a, b whose sums basis[a] + basis[b] make up graph.support()."""
+    diag = np.arange(graph.n_nodes)
+    return np.concatenate([diag, graph.pairs[:, 0]]), np.concatenate([diag, graph.pairs[:, 1]])
 
 
 def _support_set(graph: MonomialGraph) -> _ExponentSet:
     """graph.support() as an _ExponentSet."""
     rows = graph.basis.array
-    diag = np.arange(len(rows))
-    a = np.concatenate([diag, graph.pairs[:, 0]])
-    b = np.concatenate([diag, graph.pairs[:, 1]])
+    a, b = _support_pairs(graph)
     keys = exponent_keys(rows)
     return _ExponentSet(keys[a] + keys[b], lambda idx: rows[a[idx]] + rows[b[idx]])
-
-
-def _linked_pairs(
-    basis: MonomialBasis,
-    targets: _ExponentSet,
-    shifts: Optional[np.ndarray] = None,
-    known: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Pairs i < j, not in known, with basis_i + basis_j + s in targets.
-
-    s runs over the rows of shifts (default: the zero exponent only).  The
-    pair sums are formed through exponent_keys for a chunk of rows of at
-    most PAIR_BUDGET pairs at a time; the result is an (m, 2) int64 array
-    sorted by (i, j).
-    """
-    rows = basis.array
-    r = len(rows)
-    if shifts is None:
-        shifts = np.zeros((1, basis.nvars), dtype=np.int64)
-    keys = exponent_keys(rows)
-    shift_keys = exponent_keys(shifts)
-    if known is not None:
-        known = known[np.argsort(known[:, 0], kind="stable")]
-    cols = np.arange(r)
-    step = max(1, PAIR_BUDGET // max(r, 1))
-    found = [np.zeros((0, 2), dtype=np.int64)]
-    for lo in range(0, r - 1, step):
-        hi = min(lo + step, r)
-        free = cols[lo:hi, None] < cols
-        if known is not None:
-            a, b = np.searchsorted(known[:, 0], [lo, hi])
-            free[known[a:b, 0] - lo, known[a:b, 1]] = False
-        i, j = np.nonzero(free)
-        i += lo
-        sums = keys[i] + keys[j]
-        hit = np.zeros(len(i), dtype=bool)
-        for shift, shift_key in zip(shifts, shift_keys):
-            todo = np.flatnonzero(~hit)
-            ti, tj = i[todo], j[todo]
-            hit[todo] = targets.contains(
-                sums[todo] + shift_key, lambda idx: rows[ti[idx]] + rows[tj[idx]] + shift
-            )
-        found.append(np.column_stack([i[hit], j[hit]]))
-    return np.concatenate(found)
 
 
 def tsp_graph(
@@ -252,8 +177,7 @@ def tsp_graph(
         np.array(sorted(target), dtype=np.int64).reshape(-1, basis.nvars),
         2 * basis.array,
     ])
-    targets = _ExponentSet(exponent_keys(rows), rows.__getitem__)
-    return MonomialGraph._from_pairs(basis, _linked_pairs(basis, targets))
+    return MonomialGraph._from_pairs(basis, _linked_pairs(basis, _rows_set(rows)))
 
 
 def support_extension(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -11,14 +12,27 @@ from tssos import bench
 from tssos.basis import (
     STANDARD_BASIS_CAP,
     MonomialBasis,
+    _average_certified,
+    _convex_proof,
+    _cut_off,
     _in_half_polytope,
+    _newton_candidates,
+    _newton_members,
     generate_basis,
     newton_half_basis,
     reduce_basis_constrained,
     reduce_basis_unconstrained,
     standard_basis,
 )
-from tssos.poly import Polynomial, grlex_key, parse_polynomial, parse_pop, monomials_up_to
+from tssos.graphs import iterate_constrained, maximal_cliques
+from tssos.poly import (
+    Polynomial,
+    PopProblem,
+    grlex_key,
+    monomials_up_to,
+    parse_polynomial,
+    parse_pop,
+)
 
 EX33 = (
     "x1^2 - 2*x1*x2 + 3*x2^2 - 2*x1^2*x2 + 2*x1^2*x2^2 - 2*x2*x3 + 6*x3^2"
@@ -150,9 +164,69 @@ def test_newton_basis_property_against_nnls_oracle(case):
         assert (cand in got) == in_half_hull_nnls(cand, hull_pts), cand
 
 
+def has_average_certificate(beta, points):
+    """Brute force: 4*beta = p + q or 6*beta = p + q + r for rows of points."""
+    pts = [tuple(p) for p in points.tolist()]
+    for k in (2, 3):
+        target = tuple(2 * k * b for b in beta)
+        for combo in itertools.combinations_with_replacement(pts, k):
+            if tuple(map(sum, zip(*combo))) == target:
+                return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_supports())
+def test_newton_decisions_are_exact_proofs(case):
+    n, picks = case
+    f = Polynomial(n, {m: 1.0 for m in picks})
+    points, cands = _newton_candidates(f)
+    certified = _average_certified(cands, points)
+    confirmed = set()
+    real = tssos.basis._in_half_polytope
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            tssos.basis, "_in_half_polytope", lambda b, h: confirmed.add(tuple(b)) or real(b, h)
+        )
+        member, (cut_w, cut_b) = _newton_members(cands, points)
+    # accepted without an LP exactly when a 2- or 3-point certificate exists
+    for beta, ok in zip(cands.tolist(), certified):
+        assert ok == has_average_certificate(beta, points), beta
+    assert member[certified].all()
+    # every cut is valid: no hull point lies beyond it
+    assert (points @ cut_w.T <= cut_b).all()
+    # every rejection that skipped the per-candidate LP violates a logged cut
+    for beta in cands[~member]:
+        if tuple(beta) not in confirmed:
+            assert (2 * beta @ cut_w.T > cut_b).any(), beta
+    hull_pts = sorted(set(picks) | {(0,) * n})
+    for beta, ok in zip(cands.tolist(), member):
+        assert ok == in_half_hull_nnls(beta, hull_pts), beta
+
+
+def test_convex_proof_and_cuts_are_exact():
+    points = np.array([[0, 0], [2, 0], [0, 2], [2, 2]])
+    beta = np.array([1, 0])  # 2*beta = (2, 0)
+    assert _convex_proof(np.array([0.0, 1.0, 0.0, 0.0]), beta, points)
+    # the right combination with weights summing to 1.5
+    assert not _convex_proof(np.array([0.5, 1.0, 0.0, 0.0]), beta, points)
+    # weights summing to 1 that combine to (1, 0)
+    assert not _convex_proof(np.array([0.5, 0.5, 0.0, 0.0]), beta, points)
+    # LP weights off by 1e-12 round back to 1/3 and 2/3: (2, 0) = (0, 0)/3 + 2*(3, 0)/3
+    thirds = np.array([1 / 3 + 1e-12, 2 / 3 - 1e-12, 0.0])
+    assert _convex_proof(thirds, beta, np.array([[0, 0], [3, 0], [0, 3]]))
+    # the cut x + y <= 2: a 2*beta on it stays, a 2*beta beyond it goes
+    cut_w, cut_b = np.array([[1, 1]]), np.array([2])
+    cut = _cut_off(np.array([[1, 0], [0, 1], [1, 1]]), cut_w, cut_b)
+    assert cut.tolist() == [False, False, True]
+    assert not _cut_off(np.array([[1, 1]]), np.zeros((0, 2), dtype=np.int64), np.zeros(0)).any()
+
+
 def test_newton_basis_small_chunks_match_reference(monkeypatch):
-    # several pair-sum chunks in the certificate search and several LP chunks
+    # several pair-sum chunks, lookup chunks and collision-check chunks in the
+    # certificate search, and several LP chunks
     monkeypatch.setattr(tssos.basis, "NEWTON_PAIR_BUDGET", 50)
+    monkeypatch.setattr(tssos.basis, "PAIR_BUDGET", 64)
     monkeypatch.setattr(tssos.basis, "NEWTON_LP_CHUNK", 5)
     f = REFERENCE_CASES["randpoly1_5_6_seed0"]
     assert newton_half_basis(f) == reference_newton_basis(f)
@@ -161,14 +235,27 @@ def test_newton_basis_small_chunks_match_reference(monkeypatch):
 def test_newton_basis_lp_calls(monkeypatch):
     # broyden_tridiagonal: every member has a midpoint certificate and every
     # candidate is a member; gen_rosenbrock: the 13 uncertified candidates
-    # are all rejected by one chunk LP
-    calls = []
-    real = tssos.basis.linprog
+    # are all rejected by one chunk LP; every candidate of broyden_banded and
+    # randpoly2 is a member and the average of two or three hull points; the
+    # randpoly1 README instance leaves 8 of its 100 members and its 363
+    # non-members to the chunk LPs, whose proofs decide every one of them
+    calls, confirms = [], []
+    real, real_confirm = tssos.basis.linprog, tssos.basis._in_half_polytope
     monkeypatch.setattr(tssos.basis, "linprog", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+    monkeypatch.setattr(
+        tssos.basis, "_in_half_polytope", lambda b, h: confirms.append(b) or real_confirm(b, h)
+    )
     assert len(newton_half_basis(bench.broyden_tridiagonal(14))) == 120
     assert len(calls) == 0
     assert len(newton_half_basis(bench.gen_rosenbrock(14))) == 106
     assert len(calls) == 1
+    calls.clear()
+    assert len(newton_half_basis(bench.broyden_banded(10))) == 286
+    assert len(newton_half_basis(bench.randpoly2(6, 6, 20, seed=1))) == 84
+    assert len(calls) == 0
+    assert len(newton_half_basis(bench.randpoly1(8, 8, 30, 0.1, seed=3))) == 100
+    assert 1 <= len(calls) <= 10
+    assert len(confirms) == 0
 
 
 @pytest.mark.parametrize("status", [1, 4])
@@ -186,8 +273,11 @@ def test_newton_basis_falls_back_when_chunk_lp_fails(monkeypatch, status):
 
     monkeypatch.setattr(tssos.basis, "linprog", failing)
     assert newton_half_basis(f) == want
-    # every uncertified candidate went to the per-candidate test
-    assert len(confirms) == 34
+    # every candidate without a 2- or 3-point certificate went to the per-candidate test
+    points, cands = _newton_candidates(f)
+    uncertified = int((~_average_certified(cands, points)).sum())
+    assert uncertified > 0
+    assert len(confirms) == uncertified
 
 
 def test_newton_candidates_stay_inside_the_box():
@@ -311,3 +401,123 @@ def test_reduce_constrained_no_constraints_collapses():
     red = reduce_basis_constrained(pop, d_hat=2)
     chain = generate_basis({(0,), (2,), (4,)}, standard_basis(1, 2))
     assert set(red.monos) == set(chain[-1].monos)
+
+
+def reference_generate_basis(support, base):
+    """The basis iteration as a loop over targets x base, on exponent tuples."""
+    base_set = base.exponent_set()
+    base_list = sorted(base_set, key=grlex_key)
+    supp = {tuple(a) for a in support}
+    chain = []
+    prev = set()
+    while True:
+        targets = supp | {tuple(2 * a for a in m) for m in prev}
+        cur = set()
+        for t in targets:
+            for beta in base_list:
+                gamma = tuple(x - y for x, y in zip(t, beta))
+                if any(g < 0 for g in gamma):
+                    continue
+                if gamma in base_set:
+                    cur.add(beta)
+                    cur.add(gamma)
+        if cur == prev and chain:
+            break
+        chain.append(MonomialBasis(base.nvars, cur))
+        if cur == prev:
+            break
+        prev = cur
+    return chain
+
+
+def reference_reduce_basis_constrained(pop, d_hat, k=1, mode="approx_min"):
+    """reduce_basis_constrained with clique pair sums and supp(g_j) shifts as tuple loops."""
+    f = pop.objective
+    n = pop.nvars
+    basis0 = standard_basis(n, d_hat)
+    origin = (0,) * n
+    while True:
+        seq = iterate_constrained(pop, d_hat, k=k, mode=mode, moment_basis=basis0)
+        target = f.support() | {origin}
+        for j, g in enumerate(pop.constraints, start=1):
+            graph = seq.levels[-1][j]
+            sums = set()
+            for clique in maximal_cliques(graph).cliques:
+                members = [graph.basis.monos[i] for i in clique]
+                for a in members:
+                    for b in members:
+                        sums.add(tuple(x + y for x, y in zip(a, b)))
+            for ga in g.support():
+                for s in sums:
+                    target.add(tuple(x + y for x, y in zip(ga, s)))
+        new_basis = reference_generate_basis(target, basis0)[-1]
+        if new_basis == basis0:
+            return basis0
+        basis0 = new_basis
+
+
+CHAIN_CASES = {**REFERENCE_CASES, "broyden_banded_10": bench.broyden_banded(10)}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_generate_basis_matches_tuple_loop_reference(name):
+    f = CHAIN_CASES[name]
+    base = newton_half_basis(f)
+    support = f.support() | {(0,) * f.nvars}
+    assert generate_basis(support, base) == reference_generate_basis(support, base)
+
+
+CONSTRAINED_CASES = [
+    (fam, cset, d_hat)
+    for fam in ("gen_rosenbrock", "broyden_tridiagonal")
+    for cset in ("unit_ball", "unit_hypercube")
+    for d_hat in (2, 3)
+]
+
+
+@pytest.mark.parametrize("fam,cset,d_hat", CONSTRAINED_CASES)
+def test_reduce_constrained_matches_tuple_loop_reference(fam, cset, d_hat):
+    pop = PopProblem(getattr(bench, fam)(3), bench.constraint_set(cset, 3))
+    assert reduce_basis_constrained(pop, d_hat) == reference_reduce_basis_constrained(pop, d_hat)
+
+
+# constraints without a constant term, so the reduction drops monomials (on
+# the ball and the box above it keeps the whole standard basis)
+SHRINKING_POPS = {
+    "n2_d2": ("vars 2\nx1^4 + x2^4 + 1\nsubject to\nx1^2 - x1^4\n", 2, 4),
+    "n3_d3": ("vars 3\nx1^4*x2^2 + x3^2 + 1\nsubject to\nx1^2*x2^2 - x1^4\n", 3, 18),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHRINKING_POPS))
+def test_reduce_constrained_shrinking_matches_tuple_loop_reference(name):
+    text, d_hat, size = SHRINKING_POPS[name]
+    pop = parse_pop(text)
+    want = reference_reduce_basis_constrained(pop, d_hat)
+    assert len(want) == size < len(standard_basis(pop.nvars, d_hat))
+    for mode in ("approx_min", "block_closure"):
+        assert reduce_basis_constrained(pop, d_hat, mode=mode) == (
+            reference_reduce_basis_constrained(pop, d_hat, mode=mode)
+        )
+
+
+def test_degenerate_key_weights_keep_bases(monkeypatch):
+    """All-ones weights make every key the total degree: collisions everywhere."""
+    names = ["broyden_banded_4", "gen_rosenbrock_6", "randpoly1_5_6_seed0", "randpoly2_4_6_seed1"]
+    want = {}
+    for name in names:
+        f = REFERENCE_CASES[name]
+        nb = newton_half_basis(f)
+        want[name] = (nb, reduce_basis_unconstrained(f, nb))
+    pops = [
+        PopProblem(bench.gen_rosenbrock(3), bench.constraint_set("unit_ball", 3)),
+        parse_pop(SHRINKING_POPS["n3_d3"][0]),
+    ]
+    want_constrained = [reduce_basis_constrained(pop, 3) for pop in pops]
+    monkeypatch.setattr(tssos.basis, "_key_weights", lambda nvars: np.ones(nvars, dtype=np.uint64))
+    assert tssos.basis._rows_set(standard_basis(2, 2).array).exact is not None
+    for name in names:
+        f = REFERENCE_CASES[name]
+        nb = newton_half_basis(f)
+        assert (nb, reduce_basis_unconstrained(f, nb)) == want[name], name
+    assert [reduce_basis_constrained(pop, 3) for pop in pops] == want_constrained

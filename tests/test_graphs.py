@@ -647,7 +647,7 @@ def test_degenerate_key_weights_keep_edges(monkeypatch):
 
 
 def test_chunked_pair_search_matches_reference(monkeypatch):
-    monkeypatch.setattr(tssos.graphs, "PAIR_BUDGET", 7)
+    monkeypatch.setattr(tssos.basis, "PAIR_BUDGET", 7)
     f = bench.broyden_tridiagonal(4)
     basis = standard_basis(4, 2)
     for mode in EXTENSION_MODES:
