@@ -10,10 +10,7 @@ interior-point solver or export it in SDPA sparse format.
 from .assembly import (
     BlockSdp,
     RelaxationResult,
-    assemble_dense_constrained,
-    assemble_dense_unconstrained,
-    assemble_sparse_constrained,
-    assemble_sparse_unconstrained,
+    assemble,
     reconstruct_certificate,
     solve_relaxation,
 )
@@ -66,10 +63,7 @@ __all__ = [
     "SdpaFormatError",
     "SolverConfig",
     "SolverSolution",
-    "assemble_dense_constrained",
-    "assemble_dense_unconstrained",
-    "assemble_sparse_constrained",
-    "assemble_sparse_unconstrained",
+    "assemble",
     "chordal_extension",
     "clique_report",
     "export_sdpa",

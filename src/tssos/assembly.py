@@ -1,4 +1,4 @@
-"""Assembling block SDPs from sparsity graphs by coefficient matching.
+"""Assembling block SDPs from clique decompositions by coefficient matching.
 
 The SOS side of a relaxation asks for f - lambda = sum_j g_j * sigma_j with
 every sigma_j a sum of squares supported on the cliques of g_j's graph.
@@ -16,21 +16,21 @@ side and from the dual objective on the moment side:
 
     bound = f_0 - primal_opt   (sos)      bound = f_0 - dual_opt   (moment)
 
-The two assembly routes enumerate independently (rows by exponent vs blocks
-by position), which makes cross-checking them a meaningful test.
+Every relaxation takes the same route: each generator g_j (g_0 = 1) brings a
+clique decomposition of its basis, every clique is one PSD block, and the
+rows are scattered forward from the products within the cliques.  The
+unconstrained case is the generator list [1] and the dense case one clique
+per basis, so only the readout depends on the side.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .basis import MonomialBasis, standard_basis
-from .graphs import CliqueDecomposition, GraphSequence, MonomialGraph, maximal_cliques
-from .poly import Exponent, Polynomial, PopProblem, grlex_key, monomials_up_to
+from .graphs import CliqueDecomposition
+from .poly import Exponent, Polynomial, PopProblem, grlex_key
 from .solver import CanonicalSdp, SolverConfig, SolverSolution, solve_canonical
 
 SIDES = ("sos", "moment")
@@ -60,7 +60,6 @@ class BlockSdp:
     blocks: Tuple[BlockSpec, ...]
     rows: Tuple[CoeffMatcher, ...]
     constraints: Tuple[Polynomial, ...] = ()
-    meta: Dict = field(default_factory=dict)
 
     @property
     def n_equalities(self) -> int:
@@ -142,235 +141,61 @@ def _check_side(side: str):
         raise ValueError(f"side must be one of {SIDES}")
 
 
-def _require_constant(basis: MonomialBasis):
-    if (0,) * basis.nvars not in basis:
-        raise ValueError("constant monomial missing from the basis")
-
-
 def _sum(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
 
-# -- dense assembly (the oracle path; no graph machinery involved) -----------
+def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str = "sos") -> BlockSdp:
+    """Relaxation with one PSD block per clique of every generator's basis.
 
-
-def assemble_dense_unconstrained(f: Polynomial, basis: MonomialBasis, side: str = "sos") -> BlockSdp:
-    """Full Gram relaxation on one block: rows over every pairwise sum."""
-    _check_side(side)
-    _require_constant(basis)
-    monos = basis.monos
-    r = len(monos)
-    positions: Dict[Exponent, List[Tuple[int, int, int, float]]] = {}
-    for i in range(r):
-        for j in range(i, r):
-            positions.setdefault(_sum(monos[i], monos[j]), []).append((0, i, j, 1.0))
-    missing = [a for a in f.support() if a not in positions]
-    if missing:
-        raise ValueError(f"unrepresentable support: {sorted(missing, key=grlex_key)[:5]} not in basis sums")
-    rows = tuple(
-        CoeffMatcher(alpha=a, entries=tuple(ents), rhs=f.coeff(a))
-        for a, ents in sorted(positions.items(), key=lambda kv: grlex_key(kv[0]))
-    )
-    return BlockSdp(
-        nvars=f.nvars,
-        side=side,
-        blocks=(BlockSpec(size=r, label=(0, 0)),),
-        rows=rows,
-        meta={"kind": "dense_unconstrained", "basis_size": r},
-    )
-
-
-def assemble_dense_constrained(pop: PopProblem, d_hat: int, side: str = "sos") -> BlockSdp:
-    """Full moment/SOS relaxation of order d_hat with one block per g_j."""
+    cliques[0] decomposes the moment basis (g_0 = 1) and cliques[j] the
+    basis of g_j's localizing block.  An unconstrained problem has the single
+    generator 1; a dense relaxation passes CliqueDecomposition.whole of each
+    basis.  Row alpha collects, generator by generator and term by term, the
+    clique entries realizing alpha - aprime, so duplicate exponents across
+    generators share one equality row (SOS side) or one y variable (moment
+    side).
+    """
     _check_side(side)
     f = pop.objective
     n = pop.nvars
     gens = [Polynomial.constant(n, 1.0)] + list(pop.constraints)
-    half = [0] + [(g.degree() + 1) // 2 for g in pop.constraints]
-    if d_hat < max((f.degree() + 1) // 2, max(half)):
-        raise ValueError("relaxation order too small for the problem degrees")
-    bases = [standard_basis(n, d_hat - h) for h in half]
-    blocks = tuple(BlockSpec(size=len(b), label=(j, 0)) for j, b in enumerate(bases))
-    rows_map: Dict[Exponent, List[Tuple[int, int, int, float]]] = {}
-    for j, (g, bj) in enumerate(zip(gens, bases)):
-        monos = bj.monos
-        for i in range(len(monos)):
-            for k in range(i, len(monos)):
-                rho = _sum(monos[i], monos[k])
-                for aprime, coeff in g.terms.items():
-                    rows_map.setdefault(_sum(aprime, rho), []).append((j, i, k, coeff))
-    missing = [a for a in f.support() if a not in rows_map]
-    if missing:
-        raise ValueError(f"unrepresentable support: {sorted(missing, key=grlex_key)[:5]}")
-    rows = tuple(
-        CoeffMatcher(alpha=a, entries=tuple(ents), rhs=f.coeff(a))
-        for a, ents in sorted(rows_map.items(), key=lambda kv: grlex_key(kv[0]))
-    )
-    return BlockSdp(
-        nvars=n,
-        side=side,
-        blocks=blocks,
-        rows=rows,
-        constraints=tuple(pop.constraints),
-        meta={"kind": "dense_constrained", "d_hat": d_hat, "basis_sizes": [len(b) for b in bases]},
-    )
+    if len(cliques) != len(gens):
+        raise ValueError(f"expected {len(gens)} clique decompositions, got {len(cliques)}")
+    if (0,) * n not in cliques[0].basis:
+        raise ValueError("constant monomial missing from the basis")
 
-
-# -- sparse assembly ----------------------------------------------------------
-
-
-def _clique_blocks(
-    graphs: Sequence[MonomialGraph],
-) -> Tuple[Tuple[BlockSpec, ...], List[Tuple[int, int, Tuple[int, ...]]]]:
-    """Flatten clique decompositions into solver blocks.
-
-    Returns the block specs plus a list of (j, block index, member node
-    indices) triples.
-    """
-    specs: List[BlockSpec] = []
-    layout: List[Tuple[int, int, Tuple[int, ...]]] = []
-    for j, graph in enumerate(graphs):
-        dec = maximal_cliques(graph)
+    blocks: List[BlockSpec] = []
+    realize: List[Dict[Exponent, List[Tuple[int, int, int]]]] = [dict() for _ in gens]
+    for j, dec in enumerate(cliques):
+        monos = dec.basis.monos
         for ci, clique in enumerate(dec.cliques):
-            layout.append((j, len(specs), clique))
-            specs.append(BlockSpec(size=len(clique), label=(j, ci)))
-    return tuple(specs), layout
-
-
-def assemble_sparse_unconstrained(
-    f: Polynomial,
-    basis: MonomialBasis,
-    graph: MonomialGraph,
-    side: str = "sos",
-) -> BlockSdp:
-    """Sparse Gram relaxation with one block per maximal clique of the graph.
-
-    SOS route: one row per exponent in the graph support, collecting every
-    clique position that realizes it.  Moment route: walk clique positions
-    and scatter them into per-exponent pattern matrices.  Both land in the
-    same row container.
-    """
-    _check_side(side)
-    _require_constant(basis)
-    if graph.basis != basis:
-        raise ValueError("graph was built on a different basis")
-    blocks, layout = _clique_blocks([graph])
-    monos = basis.monos
-    supp_g = graph.support()
-    missing = [a for a in f.support() if a not in supp_g]
-    if missing:
-        raise ValueError(
-            f"unrepresentable support: {sorted(missing, key=grlex_key)[:5]} "
-            "not realized by the graph"
-        )
-
-    rows_map: Dict[Exponent, List[Tuple[int, int, int, float]]] = {}
-    if side == "sos":
-        # row-major: fix the exponent, scan cliques for realizing positions
-        by_alpha: Dict[Exponent, List[Tuple[int, int, int]]] = {}
-        for _, blk, clique in layout:
-            for a in range(len(clique)):
-                for b in range(a, len(clique)):
-                    s = _sum(monos[clique[a]], monos[clique[b]])
-                    by_alpha.setdefault(s, []).append((blk, a, b))
-        for alpha in sorted(supp_g, key=grlex_key):
-            rows_map[alpha] = [(blk, a, b, 1.0) for blk, a, b in by_alpha[alpha]]
-    else:
-        # position-major: scatter clique entries into pattern matrices
-        for _, blk, clique in layout:
-            members = [monos[i] for i in clique]
-            for a, ma in enumerate(members):
-                for b in range(a, len(members)):
-                    rows_map.setdefault(_sum(ma, members[b]), []).append((blk, a, b, 1.0))
-
-    rows = tuple(
-        CoeffMatcher(alpha=a, entries=tuple(ents), rhs=f.coeff(a))
-        for a, ents in sorted(rows_map.items(), key=lambda kv: grlex_key(kv[0]))
-    )
-    return BlockSdp(
-        nvars=f.nvars,
-        side=side,
-        blocks=blocks,
-        rows=rows,
-        meta={
-            "kind": "sparse_unconstrained",
-            "basis_size": len(basis),
-            "clique_sizes": sorted((len(c) for _, _, c in layout), reverse=True),
-        },
-    )
-
-
-def assemble_sparse_constrained(
-    pop: PopProblem,
-    d_hat: int,
-    graphs: Sequence[MonomialGraph],
-    side: str = "sos",
-) -> BlockSdp:
-    """Sparse constrained relaxation from one graph per generator.
-
-    graphs[0] is the moment graph, graphs[j] the localizing graph of g_j.
-    Duplicate exponents across generators share a single equality row (SOS
-    side) or a single y variable (moment side).
-    """
-    _check_side(side)
-    f = pop.objective
-    n = pop.nvars
-    gens = [Polynomial.constant(n, 1.0)] + list(pop.constraints)
-    if len(graphs) != len(gens):
-        raise ValueError(f"expected {len(gens)} graphs, got {len(graphs)}")
-    _require_constant(graphs[0].basis)
-    blocks, layout = _clique_blocks(graphs)
-
-    rows_map: Dict[Exponent, List[Tuple[int, int, int, float]]] = {}
-    if side == "sos":
-        # precompute realization maps per generator graph, then scatter them
-        # forward: row alpha collects, generator by generator and term by
-        # term, the entries realizing alpha - aprime
-        realize: List[Dict[Exponent, List[Tuple[int, int, int]]]] = [dict() for _ in gens]
-        for j, blk, clique in layout:
-            monos = graphs[j].basis.monos
+            blk = len(blocks)
+            blocks.append(BlockSpec(size=len(clique), label=(j, ci)))
             for a in range(len(clique)):
                 for b in range(a, len(clique)):
                     s = _sum(monos[clique[a]], monos[clique[b]])
                     realize[j].setdefault(s, []).append((blk, a, b))
-        for j, g in enumerate(gens):
-            for aprime, coeff in g.terms.items():
-                for rho, cells in realize[j].items():
-                    rows_map.setdefault(_sum(aprime, rho), []).extend(
-                        (blk, a, b, coeff) for blk, a, b in cells
-                    )
-    else:
-        for j, blk, clique in layout:
-            monos = graphs[j].basis.monos
-            g = gens[j]
-            for a in range(len(clique)):
-                for b in range(a, len(clique)):
-                    rho = _sum(monos[clique[a]], monos[clique[b]])
-                    for aprime, coeff in g.terms.items():
-                        rows_map.setdefault(_sum(aprime, rho), []).append((blk, a, b, coeff))
+    rows_map: Dict[Exponent, List[Tuple[int, int, int, float]]] = {}
+    for j, g in enumerate(gens):
+        for aprime, coeff in g.terms.items():
+            shifted = any(aprime)
+            for rho, cells in realize[j].items():
+                alpha = _sum(aprime, rho) if shifted else rho
+                rows_map.setdefault(alpha, []).extend([(blk, a, b, coeff) for blk, a, b in cells])
 
     missing = [a for a in f.support() if a not in rows_map]
     if missing:
-        raise ValueError(f"unrepresentable support: {sorted(missing, key=grlex_key)[:5]}")
+        raise ValueError(
+            f"unrepresentable support: {sorted(missing, key=grlex_key)[:5]} "
+            "not realized by the cliques"
+        )
     rows = tuple(
         CoeffMatcher(alpha=a, entries=tuple(ents), rhs=f.coeff(a))
         for a, ents in sorted(rows_map.items(), key=lambda kv: grlex_key(kv[0]))
     )
-    return BlockSdp(
-        nvars=n,
-        side=side,
-        blocks=blocks,
-        rows=rows,
-        constraints=tuple(pop.constraints),
-        meta={
-            "kind": "sparse_constrained",
-            "d_hat": d_hat,
-            "clique_sizes_per_j": [
-                sorted((len(c) for jj, _, c in layout if jj == j), reverse=True)
-                for j in range(len(gens))
-            ],
-        },
-    )
+    return BlockSdp(nvars=n, side=side, blocks=tuple(blocks), rows=rows,
+                    constraints=tuple(pop.constraints))
 
 
 # -- solving ------------------------------------------------------------------
@@ -399,14 +224,13 @@ def solve_relaxation(problem: BlockSdp, config: SolverConfig | None = None) -> R
 def reconstruct_certificate(
     problem: BlockSdp,
     result: RelaxationResult,
-    graphs: Sequence[MonomialGraph] | None = None,
-    bases: Sequence[MonomialBasis] | None = None,
+    cliques: Sequence[CliqueDecomposition],
 ) -> Polynomial:
     """Rebuild lambda + sum_j g_j * sigma_j from an SOS-side solution.
 
     For a sound solve this equals f up to solver tolerance; it is the
-    soundness check used in the tests.  The caller supplies the clique
-    layout through graphs (sparse) or bases (dense).
+    soundness check used in the tests.  cliques is the decomposition the
+    problem was assembled from.
     """
     if problem.side != "sos":
         raise ValueError("certificates come from SOS-side solves")
@@ -414,26 +238,15 @@ def reconstruct_certificate(
         raise ValueError("result carries no solver solution")
     n = problem.nvars
     gens = [Polynomial.constant(n, 1.0)] + list(problem.constraints)
-    if graphs is not None:
-        _, layout = _clique_blocks(graphs)
-        member_monos = [
-            [graphs[j].basis.monos[i] for i in clique] for j, _, clique in layout
-        ]
-        block_gen = [j for j, _, _ in layout]
-    elif bases is not None:
-        member_monos = [list(b.monos) for b in bases]
-        block_gen = list(range(len(bases)))
-    else:
-        raise ValueError("pass graphs (sparse) or bases (dense)")
-    lam = result.bound
-    total = Polynomial.constant(n, lam)
-    for blk, monos in enumerate(member_monos):
-        x = result.solution.x_blocks[blk]
+    if len(cliques) != len(gens):
+        raise ValueError(f"expected {len(gens)} clique decompositions, got {len(cliques)}")
+    members = [(g, dec.monomials(ci)) for g, dec in zip(gens, cliques) for ci in range(len(dec.cliques))]
+    total = Polynomial.constant(n, result.bound)
+    for (g, monos), x in zip(members, result.solution.x_blocks):
         sigma_terms: Dict[Exponent, float] = {}
         for a in range(len(monos)):
             for b in range(len(monos)):
                 key = _sum(monos[a], monos[b])
                 sigma_terms[key] = sigma_terms.get(key, 0.0) + x[a, b]
-        sigma = Polynomial(n, sigma_terms)
-        total = total + gens[block_gen[blk]] * sigma
+        total = total + g * Polynomial(n, sigma_terms)
     return total

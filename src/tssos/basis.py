@@ -541,6 +541,7 @@ def reduce_basis_constrained(
     d_hat: int,
     k: int = 1,
     mode: str = "approx_min",
+    rounds: List | None = None,
 ) -> MonomialBasis:
     """Shrink the moment basis of a constrained relaxation to a fixed point.
 
@@ -548,7 +549,9 @@ def reduce_basis_constrained(
     graph iteration at order k with the current moment basis, then keep only
     basis elements that can pair into supp(f), or into supp(g_j) shifted by
     products within some clique of g_j's graph.  Only the j = 0 basis is
-    shrunk; localizing bases stay standard.
+    shrunk; localizing bases stay standard.  A rounds list, when given,
+    receives each round's GraphSequence; the last one is the iteration on
+    the returned basis.
 
     g_j's graph is chordal, so the products within its maximal cliques are
     exactly its support: the doubled nodes and the sums along its edges.
@@ -561,6 +564,8 @@ def reduce_basis_constrained(
     shifts = [np.array(sorted(g.support()), dtype=np.int64).reshape(-1, n) for g in pop.constraints]
     while True:
         seq = iterate_constrained(pop, d_hat, k=k, mode=mode, moment_basis=basis0)
+        if rounds is not None:
+            rounds.append(seq)
         targets = [fixed]
         for graph, shift in zip(seq.levels[-1][1:], shifts):
             a, b = _support_pairs(graph)

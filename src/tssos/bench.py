@@ -25,23 +25,25 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .assembly import (
-    assemble_sparse_constrained,
-    assemble_sparse_unconstrained,
-    solve_relaxation,
-)
+from .assembly import assemble, solve_relaxation
 from .basis import (
     newton_half_basis,
     reduce_basis_constrained,
     reduce_basis_unconstrained,
     standard_basis,
 )
-from .graphs import iterate_constrained, iterate_unconstrained, maximal_cliques
+from .graphs import (
+    CliqueDecomposition,
+    GraphSequence,
+    iterate_constrained,
+    iterate_unconstrained,
+    maximal_cliques,
+)
 from .poly import Polynomial, PopProblem
 from .solver import SolverConfig
 
@@ -210,11 +212,6 @@ class BenchSpec:
     terms: Optional[int] = None  # t for randpoly1, s for randpoly2
     prob: Optional[float] = None
     constraint: str = "none"
-    d_hat: Optional[int] = None
-    k_max: int = 1
-    mode: str = "approx_min"
-    basis: Optional[str] = None
-    side: str = "sos"
     seed: int = 0
 
 
@@ -245,12 +242,16 @@ def generate(spec: BenchSpec) -> PopProblem:
 
 @dataclass
 class RunOptions:
-    d_hat: Optional[int] = None
+    # relaxation order of a constrained problem (default: the smallest
+    # feasible one), or the half degree of an unconstrained standard basis
+    order: Optional[int] = None
     k_max: int = 1
     mode: str = "approx_min"
-    basis: str = "newton"  # newton | standard | reduced (moment basis choice)
+    # newton | standard | reduced; None picks standard with constraints and
+    # newton without
+    basis: Optional[str] = None
     side: str = "sos"
-    order: Optional[int] = None  # standard-basis half degree override (unconstrained)
+    dense: bool = False
     config: SolverConfig = field(default_factory=SolverConfig)
 
 
@@ -304,90 +305,106 @@ def unconstrained_basis(f: Polynomial, choice: str, order: Optional[int] = None)
     raise ValueError(f"unknown basis choice {choice!r}")
 
 
-def run_pop(pop: PopProblem, opts: RunOptions, instance: str = "problem") -> List[BenchRow]:
-    """Assemble and solve the sparse relaxation at every order 1..k_max."""
-    rows: List[BenchRow] = []
-    if pop.constraints:
-        d_hat = opts.d_hat if opts.d_hat is not None else min_half_degree(pop)
-        moment_basis = None
-        rbs = None
-        if opts.basis == "reduced":
-            moment_basis = reduce_basis_constrained(pop, d_hat, k=opts.k_max, mode=opts.mode)
-            rbs = len(moment_basis)
-        elif opts.basis == "newton":
-            raise ValueError("the half-polytope basis applies to unconstrained problems only")
-        elif opts.basis != "standard":
-            raise ValueError(f"unknown basis choice {opts.basis!r}")
-        seq = iterate_constrained(pop, d_hat, k=opts.k_max, mode=opts.mode, moment_basis=moment_basis)
-        bs = len(seq.levels[0][0].basis)
-        for k in range(1, opts.k_max + 1):
-            graphs = seq.at(k)
-            t0 = time.perf_counter()
-            sdp = assemble_sparse_constrained(pop, d_hat, graphs, side=opts.side)
-            res = solve_relaxation(sdp, opts.config)
-            dt = time.perf_counter() - t0
-            mc0 = maximal_cliques(graphs[0]).max_clique
-            mcl = max((maximal_cliques(g).max_clique for g in graphs[1:]), default=0)
-            rows.append(
-                BenchRow(
-                    instance=instance,
-                    k=k,
-                    bs=bs,
-                    rbs=rbs,
-                    mc=[mc0, mcl],
-                    n_equalities=sdp.n_equalities,
-                    bound=res.bound,
-                    status=res.status,
-                    seconds=dt,
-                    stabilized=seq.stabilized_at is not None and k >= seq.stabilized_at,
-                )
-            )
-    else:
+@dataclass
+class Relaxation:
+    """A relaxation up to its cliques: what assemble needs at any k <= k_max.
+
+    A sparse relaxation keeps its graph sequence; a dense one has no graphs
+    and one whole-basis clique per generator instead.  bs is the size of the
+    moment basis, rbs that of the reduced basis when one was asked for, and
+    order the relaxation order of a constrained problem.
+    """
+
+    bs: int
+    rbs: Optional[int] = None
+    order: Optional[int] = None
+    seq: Optional[GraphSequence] = None
+    dense: Optional[List[CliqueDecomposition]] = None
+
+    def cliques(self, k: int) -> List[CliqueDecomposition]:
+        """One clique decomposition per generator at sparse order k."""
+        if self.seq is None:
+            return self.dense
+        return [maximal_cliques(g) for g in self.seq.at(k)]
+
+    def stabilized(self, k: int) -> bool:
+        at = self.seq.stabilized_at if self.seq is not None else None
+        return at is not None and k >= at
+
+
+def build_relaxation(pop: PopProblem, opts: RunOptions) -> Relaxation:
+    """Choose the basis, check the orders and run the graph iteration to k_max."""
+    k = opts.k_max
+    if k < 1:
+        raise ValueError("--sparse-order must be >= 1")
+    basis = opts.basis or ("standard" if pop.constraints else "newton")
+    if not pop.constraints:
         f = pop.objective
-        basis, bs, rbs = unconstrained_basis(f, opts.basis, opts.order)
-        seq = iterate_unconstrained(f, basis, k=opts.k_max, mode=opts.mode)
-        for k in range(1, opts.k_max + 1):
-            graph = seq.at(k)[0]
-            t0 = time.perf_counter()
-            sdp = assemble_sparse_unconstrained(f, basis, graph, side=opts.side)
-            res = solve_relaxation(sdp, opts.config)
-            dt = time.perf_counter() - t0
-            rows.append(
-                BenchRow(
-                    instance=instance,
-                    k=k,
-                    bs=bs,
-                    rbs=rbs,
-                    mc=maximal_cliques(graph).max_clique,
-                    n_equalities=sdp.n_equalities,
-                    bound=res.bound,
-                    status=res.status,
-                    seconds=dt,
-                    stabilized=seq.stabilized_at is not None and k >= seq.stabilized_at,
-                )
+        base, bs, rbs = unconstrained_basis(f, basis, opts.order)
+        if opts.dense:
+            return Relaxation(bs, rbs, dense=[CliqueDecomposition.whole(base)])
+        return Relaxation(bs, rbs, seq=iterate_unconstrained(f, base, k=k, mode=opts.mode))
+    if basis == "newton":
+        raise ValueError("--basis newton applies to unconstrained problems only")
+    if basis not in ("standard", "reduced"):
+        raise ValueError(f"unknown basis choice {basis!r}")
+    d_min = min_half_degree(pop)
+    d_hat = opts.order if opts.order is not None else d_min
+    if d_hat < d_min:
+        raise ValueError(f"--order {d_hat} is below the minimum feasible order {d_min}")
+    if opts.dense:
+        if basis == "reduced":
+            raise ValueError("--dense always uses the standard basis; drop --basis reduced")
+        half = [0] + [(g.degree() + 1) // 2 for g in pop.constraints]
+        bases = {h: standard_basis(pop.nvars, d_hat - h) for h in set(half)}
+        return Relaxation(len(bases[0]), order=d_hat,
+                          dense=[CliqueDecomposition.whole(bases[h]) for h in half])
+    rbs = None
+    if basis == "reduced":
+        # the last reduction round already iterated the graphs on the reduced basis
+        rounds: List[GraphSequence] = []
+        rbs = len(reduce_basis_constrained(pop, d_hat, k=k, mode=opts.mode, rounds=rounds))
+        seq = rounds[-1]
+    else:
+        seq = iterate_constrained(pop, d_hat, k=k, mode=opts.mode)
+    return Relaxation(len(seq.levels[0][0].basis), rbs, order=d_hat, seq=seq)
+
+
+def run_pop(pop: PopProblem, opts: RunOptions, instance: str = "problem") -> List[BenchRow]:
+    """Assemble and solve the relaxation at every order 1..k_max."""
+    rel = build_relaxation(pop, opts)
+    rows: List[BenchRow] = []
+    for k in range(1, opts.k_max + 1):
+        t0 = time.perf_counter()
+        cliques = rel.cliques(k)
+        sdp = assemble(pop, cliques, side=opts.side)
+        res = solve_relaxation(sdp, opts.config)
+        dt = time.perf_counter() - t0
+        mc = [dec.max_clique for dec in cliques]
+        rows.append(
+            BenchRow(
+                instance=instance,
+                k=k,
+                bs=rel.bs,
+                rbs=rel.rbs,
+                mc=[mc[0], max(mc[1:], default=0)] if pop.constraints else mc[0],
+                n_equalities=sdp.n_equalities,
+                bound=res.bound,
+                status=res.status,
+                seconds=dt,
+                stabilized=rel.stabilized(k),
             )
+        )
     return rows
 
 
-def run_pipeline(spec: BenchSpec) -> List[BenchRow]:
+def run_pipeline(spec: BenchSpec, opts: Optional[RunOptions] = None) -> List[BenchRow]:
+    """Generate the instance and run it at every order 1..k_max."""
     pop = generate(spec)
-    basis = spec.basis
-    if basis is None:
-        if pop.constraints:
-            basis = "standard"
-        elif spec.family == "randpoly1":
-            basis = "reduced"
-        elif spec.family == "randpoly2":
-            basis = "newton"
-        else:
-            basis = "standard"
-    opts = RunOptions(
-        d_hat=spec.d_hat,
-        k_max=spec.k_max,
-        mode=spec.mode,
-        basis=basis,
-        side=spec.side,
-    )
+    opts = opts if opts is not None else RunOptions()
+    if opts.basis is None and not pop.constraints:
+        # the family's basis: reduced for randpoly1, newton for randpoly2, standard otherwise
+        opts = replace(opts, basis={"randpoly1": "reduced", "randpoly2": "newton"}.get(spec.family, "standard"))
     label = f"{spec.family}(n={spec.n}" + (f", seed={spec.seed})" if spec.family.startswith("rand") else ")")
     return run_pop(pop, opts, instance=label)
 

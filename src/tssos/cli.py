@@ -17,24 +17,17 @@ import json
 import sys
 from typing import List, Optional
 
-from .assembly import (
-    assemble_dense_constrained,
-    assemble_dense_unconstrained,
-    assemble_sparse_constrained,
-    assemble_sparse_unconstrained,
-    solve_relaxation,
-)
-from .basis import reduce_basis_constrained, standard_basis
+from .assembly import assemble, solve_relaxation
 from .bench import (
     CONSTRAINT_SETS,
     FAMILIES,
     BenchSpec,
+    RunOptions,
+    build_relaxation,
     emit_table,
-    min_half_degree,
     run_pipeline,
-    unconstrained_basis,
 )
-from .graphs import clique_report, iterate_constrained, iterate_unconstrained
+from .graphs import clique_report
 from .poly import ParseError, parse_pop
 from .sdpa import export_sdpa
 from .solver import SolverConfig
@@ -43,13 +36,8 @@ MODE_NAMES = {"chordal": "approx_min", "minfill": "min_fill", "block": "block_cl
 
 
 def _read_pop(args):
-    """Parse args.file and resolve the default basis from what it holds."""
     with open(args.file, "r", encoding="utf-8") as fh:
-        pop = parse_pop(fh.read())
-    if args.basis is None:
-        # newton for unconstrained input, standard once constraints are present
-        args.basis = "standard" if pop.constraints else "newton"
-    return pop
+        return parse_pop(fh.read())
 
 
 def _solver_config(args) -> SolverConfig:
@@ -61,40 +49,15 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _build_relaxation(pop, args):
-    """Shared solve/report plumbing; returns (sdp, seq, d_hat, basis_sizes)."""
-    mode = MODE_NAMES[args.mode]
-    k = args.sparse_order
-    if k < 1:
-        raise ValueError("--sparse-order must be >= 1")
-    if pop.constraints:
-        if args.basis == "newton":
-            raise ValueError("--basis newton applies to unconstrained problems only")
-        d_min = min_half_degree(pop)
-        d_hat = args.order if args.order is not None else d_min
-        if d_hat < d_min:
-            raise ValueError(f"--order {d_hat} is below the minimum feasible order {d_min}")
-        if args.dense:
-            if args.basis == "reduced":
-                raise ValueError("--dense always uses the standard basis; drop --basis reduced")
-            sdp = assemble_dense_constrained(pop, d_hat, side=args.side)
-            return sdp, None, d_hat, (len(standard_basis(pop.nvars, d_hat)), None)
-        moment_basis = None
-        if args.basis == "reduced":
-            moment_basis = reduce_basis_constrained(pop, d_hat, k=k, mode=mode)
-        seq = iterate_constrained(pop, d_hat, k=k, mode=mode, moment_basis=moment_basis)
-        sdp = assemble_sparse_constrained(pop, d_hat, seq.at(k), side=args.side)
-        bs = len(seq.levels[0][0].basis)
-        rbs = len(moment_basis) if moment_basis else None
-        return sdp, seq, d_hat, (bs, rbs)
-    f = pop.objective
-    basis, bs, rbs = unconstrained_basis(f, args.basis, args.order)
-    if args.dense:
-        sdp = assemble_dense_unconstrained(f, basis, side=args.side)
-        return sdp, None, None, (bs, rbs)
-    seq = iterate_unconstrained(f, basis, k=k, mode=mode)
-    sdp = assemble_sparse_unconstrained(f, basis, seq.at(k)[0], side=args.side)
-    return sdp, seq, None, (bs, rbs)
+def _run_options(args) -> RunOptions:
+    return RunOptions(
+        order=args.order,
+        k_max=args.sparse_order,
+        mode=MODE_NAMES[args.mode],
+        basis=args.basis,
+        side=args.side,
+        dense=args.dense,
+    )
 
 
 def _size_census(sizes: List[int]) -> str:
@@ -106,7 +69,8 @@ def _size_census(sizes: List[int]) -> str:
 
 def cmd_solve(args) -> int:
     pop = _read_pop(args)
-    sdp, seq, d_hat, (bs, rbs) = _build_relaxation(pop, args)
+    rel = build_relaxation(pop, _run_options(args))
+    sdp = assemble(pop, rel.cliques(args.sparse_order), side=args.side)
 
     if args.export_sdpa or args.solver == "external":
         path = args.export_sdpa or args.file + ".dat-s"
@@ -131,14 +95,14 @@ def cmd_solve(args) -> int:
 
     res = solve_relaxation(sdp, _solver_config(args))
     payload = res.to_dict()
-    payload["bs"] = bs
-    if rbs is not None:
-        payload["rbs"] = rbs
-    if d_hat is not None:
-        payload["order"] = d_hat
+    payload["bs"] = rel.bs
+    if rel.rbs is not None:
+        payload["rbs"] = rel.rbs
+    if rel.order is not None:
+        payload["order"] = rel.order
     payload["sparse_order"] = args.sparse_order
-    if seq is not None:
-        payload["stabilized_at"] = seq.stabilized_at
+    if rel.seq is not None:
+        payload["stabilized_at"] = rel.seq.stabilized_at
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -149,40 +113,24 @@ def cmd_solve(args) -> int:
         print(f"equalities: {res.n_equalities}")
         print(f"iterations: {res.iterations}")
         print(f"time:       {res.solve_seconds:.3f} s")
-        if seq is not None and seq.stabilized_at is not None:
-            print(f"stabilized: yes (k = {seq.stabilized_at})")
+        if rel.seq is not None and rel.seq.stabilized_at is not None:
+            print(f"stabilized: yes (k = {rel.seq.stabilized_at})")
     return 0 if res.status == "optimal" else 2
 
 
 def cmd_report(args) -> int:
     pop = _read_pop(args)
-    mode = MODE_NAMES[args.mode]
     k_max = args.sparse_order
+    rel = build_relaxation(pop, _run_options(args))
     report: dict = {"file": args.file, "nvars": pop.nvars, "mode": args.mode}
-    if pop.constraints:
-        if args.basis == "newton":
-            raise ValueError("--basis newton applies to unconstrained problems only")
-        d_min = min_half_degree(pop)
-        d_hat = args.order if args.order is not None else d_min
-        moment_basis = None
-        if args.basis == "reduced":
-            moment_basis = reduce_basis_constrained(pop, d_hat, k=k_max, mode=mode)
-        seq = iterate_constrained(pop, d_hat, k=k_max, mode=mode, moment_basis=moment_basis)
-        report["order"] = d_hat
-    else:
-        basis, _, _ = unconstrained_basis(pop.objective, args.basis, args.order)
-        seq = iterate_unconstrained(pop.objective, basis, k=k_max, mode=mode)
-    levels = {}
-    for k in range(1, k_max + 1):
-        stab = seq.stabilized_at is not None and k >= seq.stabilized_at
-        levels[str(k)] = [clique_report(g, stab) for g in seq.at(k)]
-    report["levels"] = levels
-    report["stabilized_at"] = seq.stabilized_at
-    last = seq.at(k_max)
-    if pop.constraints:
-        sdp = assemble_sparse_constrained(pop, report["order"], last, side=args.side)
-    else:
-        sdp = assemble_sparse_unconstrained(pop.objective, seq.levels[0][0].basis, last[0], side=args.side)
+    if rel.order is not None:
+        report["order"] = rel.order
+    report["levels"] = {
+        str(k): [clique_report(g, rel.stabilized(k)) for g in rel.seq.at(k)]
+        for k in range(1, k_max + 1)
+    }
+    report["stabilized_at"] = rel.seq.stabilized_at
+    sdp = assemble(pop, rel.cliques(k_max), side=args.side)
     report["sos_scalar_variables"] = sdp.scalar_variable_count()
     report["moment_scalar_variables"] = sdp.moment_variable_count()
     report["n_equalities"] = sdp.n_equalities
@@ -198,14 +146,9 @@ def cmd_bench(args) -> int:
         terms=args.terms,
         prob=args.prob,
         constraint=args.constraint,
-        d_hat=args.order,
-        k_max=args.sparse_order,
-        mode=MODE_NAMES[args.mode],
-        basis=args.basis,
-        side=args.side,
         seed=args.seed,
     )
-    rows = run_pipeline(spec)
+    rows = run_pipeline(spec, _run_options(args))
     text = emit_table(rows, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -257,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("report", help="clique census and relaxation sizes, no solve")
     pr.add_argument("file")
     _add_common(pr, basis_default=None)
-    pr.set_defaults(func=cmd_report)
+    pr.set_defaults(func=cmd_report, dense=False)
 
     pb = sub.add_parser("bench", help="run a benchmark family instance")
     pb.add_argument("family", choices=sorted(FAMILIES))
@@ -274,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--seed", type=int, required=True)
     pb.add_argument("--format", choices=["markdown", "json", "csv"], default="markdown")
     pb.add_argument("--out", metavar="PATH", default=None)
-    pb.set_defaults(func=cmd_bench)
+    pb.set_defaults(func=cmd_bench, dense=False)
     return parser
 
 

@@ -352,6 +352,11 @@ class CliqueDecomposition:
     basis: MonomialBasis
     cliques: Tuple[Tuple[int, ...], ...]
 
+    @classmethod
+    def whole(cls, basis: MonomialBasis) -> CliqueDecomposition:
+        """One clique holding the whole basis: the dense relaxation."""
+        return cls(basis, (tuple(range(len(basis))),))
+
     @property
     def sizes(self) -> List[int]:
         return sorted((len(c) for c in self.cliques), reverse=True)

@@ -8,7 +8,9 @@ encoded with the usual .dat-s conventions: mDIM, nBLOCK, block sizes, the
 right-hand sides, then one ``k blk i j v`` line per upper-triangle entry with
 1-based indices, where k = 0 carries F_0 = -C (the sign swap accounts for the
 format's maximize-vs-minimize orientation) and k >= 1 carries A_k.  Numbers
-are %g-style with enough digits to round-trip a double exactly.
+are %g-style with enough digits to round-trip a double exactly, and entries
+keep the problem's order, so a re-imported problem is the same data summed
+in the same order.
 
 A leading comment line records the constant offset and the readout side so a
 re-imported file reproduces the same bound; foreign solvers ignore comments.
@@ -75,11 +77,11 @@ def export_sdpa(problem, path: str) -> None:
     lines.append(str(len(prob.block_sizes)))
     lines.append(" ".join(str(s) for s in prob.block_sizes))
     lines.append(" ".join(_FMT.format(v) for v in prob.b))
-    for blk, r, c, v in sorted(prob.c_entries):
+    for blk, r, c, v in prob.c_entries:
         if v != 0.0:
             lines.append(_format_entry(0, blk, r, c, -v))
     for i, row in enumerate(prob.a_entries, start=1):
-        for blk, r, c, v in sorted(row):
+        for blk, r, c, v in row:
             if v != 0.0:
                 lines.append(_format_entry(i, blk, r, c, v))
     with open(path, "w") as fh:

@@ -55,7 +55,6 @@ ValueError.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import resource
@@ -133,19 +132,6 @@ class SolverSolution:
     # the returned point is the remembered best instead of the last one, and
     # "schur_jitter" with the largest regularization the Schur solves needed
     events: List[dict] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "status": self.status,
-                "primal_obj": self.primal_obj,
-                "dual_obj": self.dual_obj,
-                "iters": self.iterations,
-                "residuals": self.residuals,
-                "events": self.events,
-            },
-            indent=2,
-        )
 
 
 def _entry_columns(entries: Sequence[Entry]):

@@ -13,13 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from tssos.assembly import (
-    assemble_dense_constrained,
-    assemble_dense_unconstrained,
-    assemble_sparse_constrained,
-    assemble_sparse_unconstrained,
-    solve_relaxation,
-)
+from tssos.assembly import assemble, solve_relaxation
 from tssos.basis import MonomialBasis, generate_basis, newton_half_basis, standard_basis
 from tssos.bench import (
     broyden_banded,
@@ -30,6 +24,7 @@ from tssos.bench import (
     randpoly2,
 )
 from tssos.graphs import (
+    CliqueDecomposition,
     is_chordal,
     iterate_constrained,
     iterate_unconstrained,
@@ -79,12 +74,12 @@ def ex33():
     basis = newton_half_basis(f)
     t0 = time.perf_counter()
     seq = iterate_unconstrained(f, basis, k=1)
-    sdp = assemble_sparse_unconstrained(f, basis, seq.at(1)[0])
+    sdp = assemble(PopProblem(f), [maximal_cliques(seq.at(1)[0])])
     sparse = solve_relaxation(sdp)
     elapsed = time.perf_counter() - t0
-    dense = solve_relaxation(assemble_dense_unconstrained(f, basis))
+    dense = solve_relaxation(assemble(PopProblem(f), [CliqueDecomposition.whole(basis)]))
     moment = solve_relaxation(
-        assemble_sparse_unconstrained(f, basis, seq.at(1)[0], side="moment")
+        assemble(PopProblem(f), [maximal_cliques(seq.at(1)[0])], side="moment")
     )
     return {
         "f": f,
@@ -106,11 +101,11 @@ def quadratics():
         f = banded_quadratic(n, 1 + trial % 2, seed=100 + trial)
         basis = newton_half_basis(f)
         seq = iterate_unconstrained(f, basis, k=1)
-        sdp = assemble_sparse_unconstrained(f, basis, seq.at(1)[0])
+        sdp = assemble(PopProblem(f), [maximal_cliques(seq.at(1)[0])])
         sparse = solve_relaxation(sdp)
-        dense = solve_relaxation(assemble_dense_unconstrained(f, basis))
+        dense = solve_relaxation(assemble(PopProblem(f), [CliqueDecomposition.whole(basis)]))
         moment = solve_relaxation(
-            assemble_sparse_unconstrained(f, basis, seq.at(1)[0], side="moment")
+            assemble(PopProblem(f), [maximal_cliques(seq.at(1)[0])], side="moment")
         )
         out.append({"n": n, "sdp": sdp, "sparse": sparse, "dense": dense, "moment": moment})
     return out
@@ -123,8 +118,8 @@ def ball_runs():
         pop = PopProblem(family(10), constraint_set("unit_ball", 10))
         seq = iterate_constrained(pop, d_hat=2, k=1)
         graphs = seq.at(1)
-        sos = solve_relaxation(assemble_sparse_constrained(pop, 2, graphs))
-        moment = solve_relaxation(assemble_sparse_constrained(pop, 2, graphs, side="moment"))
+        sos = solve_relaxation(assemble(pop, [maximal_cliques(g) for g in graphs]))
+        moment = solve_relaxation(assemble(pop, [maximal_cliques(g) for g in graphs], side="moment"))
         out[name] = {
             "sos": sos,
             "moment": moment,
@@ -180,11 +175,11 @@ def test_criterion_04_monotone_in_order_and_degree():
         chain = []
         for k in (1, 2, 3):
             r = solve_relaxation(
-                assemble_sparse_unconstrained(f, basis, seq.at(k)[0]), LOOSE
+                assemble(PopProblem(f), [maximal_cliques(seq.at(k)[0])]), LOOSE
             )
             assert r.status == "optimal", (seed, k, r.status)
             chain.append(r.bound)
-        dense = solve_relaxation(assemble_dense_unconstrained(f, basis), LOOSE)
+        dense = solve_relaxation(assemble(PopProblem(f), [CliqueDecomposition.whole(basis)]), LOOSE)
         assert dense.status == "optimal", (seed, dense.status)
         chain.append(dense.bound)
         for lo, hi in zip(chain, chain[1:]):
@@ -197,7 +192,7 @@ def test_criterion_04_monotone_in_order_and_degree():
         vals = {}
         for dh, s in ((d, lo_seq), (d + 1, hi_seq)):
             for k in (1, 2):
-                r = solve_relaxation(assemble_sparse_constrained(pop, dh, s.at(k)), LOOSE)
+                r = solve_relaxation(assemble(pop, [maximal_cliques(g) for g in s.at(k)]), LOOSE)
                 assert r.status == "optimal", (seed, dh, k, r.status)
                 vals[(dh, k)] = r.bound
         assert vals[(d, 1)] <= vals[(d, 2)] + slack(vals[(d, 2)]), (seed, vals)
@@ -228,7 +223,7 @@ def test_criterion_05_coupled_quartic_census():
         sizes = maximal_cliques(g0).sizes
         expected = sorted([3] * (n * (n - 1) // 2) + [1] * n + [n + 1], reverse=True)
         assert sizes == expected, n
-        sdp = assemble_sparse_unconstrained(f, basis, g0)
+        sdp = assemble(PopProblem(f), [maximal_cliques(g0)])
         assert sdp.n_equalities == 3 * n * (n - 1) // 2 + 2 * n + 1, n
     print("criterion 5: clique census and equality counts exact for n=3..8 -> PASS")
 
@@ -266,7 +261,7 @@ def test_criterion_07_broyden_banded_bounds():
         t0 = time.perf_counter()
         seq = iterate_unconstrained(f, basis, k=1)
         g1 = seq.at(1)[0]
-        res = solve_relaxation(assemble_sparse_unconstrained(f, basis, g1))
+        res = solve_relaxation(assemble(PopProblem(f), [maximal_cliques(g1)]))
         elapsed = time.perf_counter() - t0
         mc = maximal_cliques(g1).max_clique
         assert res.status == "optimal"
@@ -299,7 +294,7 @@ def test_criterion_09_coupled_rosenbrock_modes():
     for mode in ("approx_min", "block_closure"):
         seq = iterate_unconstrained(f, basis, k=1, mode=mode)
         g1 = seq.at(1)[0]
-        res = solve_relaxation(assemble_sparse_unconstrained(f, basis, g1))
+        res = solve_relaxation(assemble(PopProblem(f), [maximal_cliques(g1)]))
         assert res.status == "optimal", mode
         results[mode] = (res.bound, maximal_cliques(g1).max_clique)
     chordal_bound, chordal_mc = results["approx_min"]
@@ -331,8 +326,8 @@ def test_criterion_10_dense_oracle_dominance():
         if seq.stabilized_at is None:
             continue
         g = seq.at(seq.stabilized_at)[0]
-        sparse = solve_relaxation(assemble_sparse_unconstrained(f, basis, g), LOOSE)
-        dense = solve_relaxation(assemble_dense_unconstrained(f, basis), LOOSE)
+        sparse = solve_relaxation(assemble(PopProblem(f), [maximal_cliques(g)]), LOOSE)
+        dense = solve_relaxation(assemble(PopProblem(f), [CliqueDecomposition.whole(basis)]), LOOSE)
         assert sparse.status == "optimal" and dense.status == "optimal", trial
         assert sparse.bound <= dense.bound + 1e-6, (trial, sparse.bound, dense.bound)
         r = len(basis)
@@ -377,7 +372,7 @@ def test_criterion_12_sdpa_round_trip(ex33, quadratics, tmp_path):
         assert abs((offset - value) - want) <= 1e-6, name
 
     f = parse_polynomial("x1^2 - 2*x1 + 3", 1)
-    toy = assemble_dense_unconstrained(f, standard_basis(1, 1))
+    toy = assemble(PopProblem(f), [CliqueDecomposition.whole(standard_basis(1, 1))])
     out = tmp_path / "toy.dat-s"
     export_sdpa(toy, str(out))
     golden = os.path.join(os.path.dirname(__file__), "data", "quadratic_1d.dat-s")

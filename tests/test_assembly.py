@@ -7,16 +7,15 @@ from tssos.assembly import (
     BlockSdp,
     BlockSpec,
     CoeffMatcher,
-    assemble_dense_constrained,
-    assemble_dense_unconstrained,
-    assemble_sparse_constrained,
-    assemble_sparse_unconstrained,
+    assemble,
     reconstruct_certificate,
     solve_relaxation,
 )
 from tssos import bench
 from tssos.basis import MonomialBasis, newton_half_basis, standard_basis
+from tssos.bench import RunOptions, build_relaxation
 from tssos.graphs import (
+    CliqueDecomposition,
     MonomialGraph,
     iterate_constrained,
     iterate_unconstrained,
@@ -36,6 +35,11 @@ def complete_graph(basis):
     return MonomialGraph(basis, itertools.combinations(range(n), 2))
 
 
+def dense_cliques(pop, d_hat):
+    """Whole-basis cliques of the dense relaxation of order d_hat."""
+    return build_relaxation(pop, RunOptions(order=d_hat, dense=True)).cliques(1)
+
+
 def coeff_gap(p, q):
     diff = p - q
     return max((abs(v) for v in diff.terms.values()), default=0.0)
@@ -44,7 +48,7 @@ def coeff_gap(p, q):
 def test_dense_row_count_matches_pairwise_sums():
     f = parse_polynomial(EX33, 3)
     basis = newton_half_basis(f)
-    sdp = assemble_dense_unconstrained(f, basis)
+    sdp = assemble(PopProblem(f), [CliqueDecomposition.whole(basis)])
     sums = {
         tuple(a + b for a, b in zip(m1, m2))
         for m1 in basis.monos
@@ -65,7 +69,7 @@ def test_sparse_rows_are_graph_support():
     seq = iterate_unconstrained(f, basis, k=1)
     g1 = seq.at(1)[0]
     for side in ("sos", "moment"):
-        sdp = assemble_sparse_unconstrained(f, basis, g1, side=side)
+        sdp = assemble(PopProblem(f), [maximal_cliques(g1)], side=side)
         assert {r.alpha for r in sdp.rows} == g1.support(), side
         assert sorted(sdp.block_sizes, reverse=True) == [3, 3, 3, 3]
 
@@ -73,8 +77,8 @@ def test_sparse_rows_are_graph_support():
 def test_rows_sorted_and_deterministic():
     f = parse_polynomial(EX33, 3)
     basis = newton_half_basis(f)
-    a = assemble_dense_unconstrained(f, basis)
-    b = assemble_dense_unconstrained(f, basis)
+    a = assemble(PopProblem(f), [CliqueDecomposition.whole(basis)])
+    b = assemble(PopProblem(f), [CliqueDecomposition.whole(basis)])
     assert a.rows == b.rows
     degs = [sum(r.alpha) for r in a.rows]
     assert degs == sorted(degs)
@@ -84,39 +88,42 @@ def test_missing_constant_rejected():
     f = parse_polynomial("x1^2", 1)
     basis = MonomialBasis(1, [(1,)])
     with pytest.raises(ValueError):
-        assemble_dense_unconstrained(f, basis)
+        assemble(PopProblem(f), [CliqueDecomposition.whole(basis)])
 
 
 def test_unrepresentable_support_rejected():
     f = parse_polynomial("x1^6 + 1", 1)
     basis = standard_basis(1, 1)
     with pytest.raises(ValueError):
-        assemble_dense_unconstrained(f, basis)
+        assemble(PopProblem(f), [CliqueDecomposition.whole(basis)])
     g = complete_graph(basis)
     with pytest.raises(ValueError):
-        assemble_sparse_unconstrained(f, basis, g)
+        assemble(PopProblem(f), [maximal_cliques(g)])
 
 
-def test_graph_basis_mismatch_rejected():
+def test_one_decomposition_per_generator_required():
     f = parse_polynomial("x1^2 + 1", 1)
-    basis = standard_basis(1, 1)
-    other = standard_basis(1, 2)
-    with pytest.raises(ValueError):
-        assemble_sparse_unconstrained(f, basis, complete_graph(other))
+    whole = CliqueDecomposition.whole(standard_basis(1, 1))
+    with pytest.raises(ValueError, match="expected 1 clique decompositions, got 2"):
+        assemble(PopProblem(f), [whole, whole])
+    sdp = assemble(PopProblem(f), [whole])
+    res = solve_relaxation(sdp)
+    with pytest.raises(ValueError, match="expected 1 clique decompositions, got 0"):
+        reconstruct_certificate(sdp, res, [])
 
 
 def test_constrained_needs_one_graph_per_generator():
     pop = parse_pop("vars 1\nx1^2\nsubject to\n1 - x1^2\n")
     seq = iterate_constrained(pop, d_hat=1, k=1)
     with pytest.raises(ValueError):
-        assemble_sparse_constrained(pop, 1, seq.at(1)[:1])
+        assemble(pop, [maximal_cliques(g) for g in seq.at(1)[:1]])
 
 
 def test_canonical_offset_and_sign_conventions():
     f = parse_polynomial("x1^2 - 2*x1 + 3", 1)
     basis = standard_basis(1, 1)
-    sos = assemble_dense_unconstrained(f, basis, side="sos").canonical()
-    mom = assemble_dense_unconstrained(f, basis, side="moment").canonical()
+    sos = assemble(PopProblem(f), [CliqueDecomposition.whole(basis)], side="sos").canonical()
+    mom = assemble(PopProblem(f), [CliqueDecomposition.whole(basis)], side="moment").canonical()
     for (prob, offset, readout), sign, expect in ((sos, 1.0, "primal"), (mom, -1.0, "dual")):
         assert offset == 3.0
         assert readout == expect
@@ -129,7 +136,7 @@ def test_scalar_quadratic_bound():
     f = parse_polynomial("x1^2 - 2*x1 + 1", 1)
     basis = standard_basis(1, 1)
     for side in ("sos", "moment"):
-        res = solve_relaxation(assemble_dense_unconstrained(f, basis, side=side))
+        res = solve_relaxation(assemble(PopProblem(f), [CliqueDecomposition.whole(basis)], side=side))
         assert res.status == "optimal"
         assert abs(res.bound) < 1e-7, side
 
@@ -137,11 +144,11 @@ def test_scalar_quadratic_bound():
 def test_sparse_on_complete_graph_equals_dense():
     f = parse_polynomial("x1^4 + x2^4 - x1*x2 + 1", 2)
     basis = standard_basis(2, 2)
-    dense = solve_relaxation(assemble_dense_unconstrained(f, basis))
-    sparse_sdp = assemble_sparse_unconstrained(f, basis, complete_graph(basis))
+    dense = solve_relaxation(assemble(PopProblem(f), [CliqueDecomposition.whole(basis)]))
+    sparse_sdp = assemble(PopProblem(f), [maximal_cliques(complete_graph(basis))])
     assert sparse_sdp.block_sizes == [len(basis)]
     assert {r.alpha for r in sparse_sdp.rows} == {
-        r.alpha for r in assemble_dense_unconstrained(f, basis).rows
+        r.alpha for r in assemble(PopProblem(f), [CliqueDecomposition.whole(basis)]).rows
     }
     sparse = solve_relaxation(sparse_sdp)
     assert sparse.status == dense.status == "optimal"
@@ -155,7 +162,7 @@ def test_moment_and_sos_sides_agree():
     g1 = seq.at(1)[0]
     vals = {}
     for side in ("sos", "moment"):
-        res = solve_relaxation(assemble_sparse_unconstrained(f, basis, g1, side=side))
+        res = solve_relaxation(assemble(PopProblem(f), [maximal_cliques(g1)], side=side))
         assert res.status == "optimal"
         vals[side] = res.bound
     assert abs(vals["sos"] - vals["moment"]) <= 1e-6 * (1 + abs(vals["sos"]))
@@ -163,7 +170,7 @@ def test_moment_and_sos_sides_agree():
 
 def test_constrained_rows_merge_across_generators():
     pop = parse_pop("vars 1\nx1^2\nsubject to\n1 - x1^2\n")
-    sdp = assemble_dense_constrained(pop, d_hat=1)
+    sdp = assemble(pop, dense_cliques(pop, 1))
     row = next(r for r in sdp.rows if r.alpha == (2,))
     touched = {e[0] for e in row.entries}
     assert touched == {0, 1}
@@ -177,11 +184,11 @@ def test_constrained_ball_toy_bound():
         "vars 2\nx1^2*x2^2 - x1*x2 + 1\nsubject to\n1 - x1^2 - x2^2\n"
     )
     for side in ("sos", "moment"):
-        res = solve_relaxation(assemble_dense_constrained(pop, d_hat=2, side=side))
+        res = solve_relaxation(assemble(pop, dense_cliques(pop, 2), side=side))
         assert res.status == "optimal"
         assert abs(res.bound - 0.75) < 1e-6, side
     seq = iterate_constrained(pop, d_hat=2, k=2)
-    sres = solve_relaxation(assemble_sparse_constrained(pop, 2, seq.at(2)))
+    sres = solve_relaxation(assemble(pop, [maximal_cliques(g) for g in seq.at(2)]))
     assert sres.status == "optimal"
     assert sres.bound <= 0.75 + 1e-7
 
@@ -191,10 +198,10 @@ def test_certificate_matches_objective_unconstrained():
     basis = newton_half_basis(f)
     seq = iterate_unconstrained(f, basis, k=1)
     g1 = seq.at(1)[0]
-    sdp = assemble_sparse_unconstrained(f, basis, g1, side="sos")
+    sdp = assemble(PopProblem(f), [maximal_cliques(g1)], side="sos")
     res = solve_relaxation(sdp)
     assert res.status == "optimal"
-    cert = reconstruct_certificate(sdp, res, graphs=[g1])
+    cert = reconstruct_certificate(sdp, res, [maximal_cliques(g1)])
     assert coeff_gap(cert, f) <= 1e-6
     # PSD Gram blocks back the decomposition
     for x in res.solution.x_blocks:
@@ -205,26 +212,26 @@ def test_certificate_matches_objective_constrained():
     pop = parse_pop(
         "vars 2\nx1^2*x2^2 - x1*x2 + 1\nsubject to\n1 - x1^2 - x2^2\n"
     )
-    sdp = assemble_dense_constrained(pop, d_hat=2, side="sos")
+    sdp = assemble(pop, dense_cliques(pop, 2), side="sos")
     res = solve_relaxation(sdp)
     assert res.status == "optimal"
     bases = [standard_basis(2, 2), standard_basis(2, 1)]
-    cert = reconstruct_certificate(sdp, res, bases=bases)
+    cert = reconstruct_certificate(sdp, res, [CliqueDecomposition.whole(b) for b in bases])
     assert coeff_gap(cert, pop.objective) <= 1e-6
 
 
 def test_certificate_requires_sos_side_and_solution():
     f = parse_polynomial("x1^2 + 1", 1)
     basis = standard_basis(1, 1)
-    sdp = assemble_sparse_unconstrained(f, basis, complete_graph(basis), side="moment")
+    sdp = assemble(PopProblem(f), [maximal_cliques(complete_graph(basis))], side="moment")
     res = solve_relaxation(sdp)
     with pytest.raises(ValueError):
-        reconstruct_certificate(sdp, res, graphs=[complete_graph(basis)])
-    sos_sdp = assemble_sparse_unconstrained(f, basis, complete_graph(basis))
+        reconstruct_certificate(sdp, res, [maximal_cliques(complete_graph(basis))])
+    sos_sdp = assemble(PopProblem(f), [maximal_cliques(complete_graph(basis))])
     bare = solve_relaxation(sos_sdp)
     bare.solution = None
     with pytest.raises(ValueError):
-        reconstruct_certificate(sos_sdp, bare, graphs=[complete_graph(basis)])
+        reconstruct_certificate(sos_sdp, bare, [maximal_cliques(complete_graph(basis))])
 
 
 def test_constant_row_lookup_errors_when_absent():
@@ -241,7 +248,7 @@ def test_constant_row_lookup_errors_when_absent():
 def test_bad_side_rejected():
     f = parse_polynomial("x1^2 + 1", 1)
     with pytest.raises(ValueError):
-        assemble_dense_unconstrained(f, standard_basis(1, 1), side="primal")
+        assemble(PopProblem(f), [CliqueDecomposition.whole(standard_basis(1, 1))], side="primal")
 
 
 def reference_sos_rows(pop, graphs):
@@ -281,5 +288,30 @@ def reference_sos_rows(pop, graphs):
 def test_sos_scatter_matches_backward_search(n, constraint, d_hat):
     pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set(constraint, n))
     graphs = iterate_constrained(pop, d_hat, k=2).at(2)
-    sdp = assemble_sparse_constrained(pop, d_hat, graphs, side="sos")
+    sdp = assemble(pop, [maximal_cliques(g) for g in graphs], side="sos")
     assert [(r.alpha, r.entries, r.rhs) for r in sdp.rows] == reference_sos_rows(pop, graphs)
+
+
+@pytest.mark.parametrize("family,n,constraint", [
+    ("gen_rosenbrock", 4, "none"), ("broyden_tridiagonal", 3, "none"),
+    ("gen_rosenbrock", 4, "unit_ball"), ("broyden_tridiagonal", 3, "unit_hypercube"),
+])
+@pytest.mark.parametrize("dense,k", [(False, 1), (False, 2), (True, 1)])
+@pytest.mark.parametrize("side", ["sos", "moment"])
+def test_assemble_rows_match_backward_search(family, n, constraint, dense, k, side):
+    pop = PopProblem(getattr(bench, family)(n), bench.constraint_set(constraint, n))
+    rel = build_relaxation(pop, RunOptions(k_max=2, dense=dense))
+    cliques = rel.cliques(k)
+    # a dense relaxation is the sparse one on complete graphs
+    graphs = [complete_graph(dec.basis) for dec in cliques] if dense else rel.seq.at(k)
+    sdp = assemble(pop, cliques, side=side)
+    assert [(r.alpha, r.entries, r.rhs) for r in sdp.rows] == reference_sos_rows(pop, graphs)
+
+
+def test_certificate_matches_objective_sparse_constrained():
+    pop = parse_pop("vars 2\nx1^2*x2^2 - x1*x2 + 1\nsubject to\n1 - x1^2 - x2^2\n")
+    cliques = build_relaxation(pop, RunOptions(order=2, k_max=2)).cliques(2)
+    sdp = assemble(pop, cliques)
+    res = solve_relaxation(sdp)
+    assert res.status == "optimal"
+    assert coeff_gap(reconstruct_certificate(sdp, res, cliques), pop.objective) <= 1e-6

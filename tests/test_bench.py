@@ -198,7 +198,7 @@ def test_run_pop_constrained_rows():
     pop = parse_pop(
         "vars 2\nx1^2*x2^2 - x1*x2 + 1\nsubject to\n1 - x1^2 - x2^2\n"
     )
-    rows = run_pop(pop, RunOptions(d_hat=2, k_max=2, basis="standard"))
+    rows = run_pop(pop, RunOptions(order=2, k_max=2, basis="standard"))
     assert len(rows) == 2
     for r in rows:
         assert r.status == "optimal"
@@ -206,14 +206,14 @@ def test_run_pop_constrained_rows():
         assert r.bound <= 0.75 + 1e-6
     assert rows[0].bound <= rows[1].bound + 1e-7
     with pytest.raises(ValueError):
-        run_pop(pop, RunOptions(d_hat=2, basis="newton"))
+        run_pop(pop, RunOptions(order=2, basis="newton"))
 
 
 def test_sampled_values_dominate_bounds():
     pop = parse_pop(
         "vars 2\nx1^2*x2^2 - x1*x2 + 1\nsubject to\n1 - x1^2 - x2^2\n"
     )
-    rows = run_pop(pop, RunOptions(d_hat=2, k_max=1, basis="standard"))
+    rows = run_pop(pop, RunOptions(order=2, k_max=1, basis="standard"))
     hi = sample_minimum(pop, count=2000, seed=1)
     assert rows[-1].bound <= hi + 1e-6
     free = PopProblem(broyden_tridiagonal(3), ())

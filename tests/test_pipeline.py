@@ -1,0 +1,104 @@
+"""The one relaxation pipeline: build_relaxation and the commands that use it."""
+
+import contextlib
+import io
+import json
+import os
+import re
+
+import pytest
+
+import tssos.bench
+import tssos.graphs
+from tssos.basis import reduce_basis_constrained
+from tssos.bench import RunOptions, build_relaxation
+from tssos.cli import main
+from tssos.poly import parse_pop
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EX1 = os.path.join(ROOT, "examples_pop", "ex1.pop")
+BALL = os.path.join(ROOT, "examples_pop", "ball2.pop")
+
+# the moment basis shrinks 10 -> 9 at order 2, so the reduction takes two rounds
+TWO_ROUNDS = "vars 3\nx1*x2 + x3^2\nsubject to\n1 - x1^2\n"
+with open(BALL, encoding="utf-8") as _fh:
+    BALL_TEXT = _fh.read()
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def iterate_calls(monkeypatch):
+    """Moment bases of every iterate_constrained call, from basis and bench alike."""
+    calls = []
+    real = tssos.graphs.iterate_constrained
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("moment_basis"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tssos.graphs, "iterate_constrained", counting)
+    monkeypatch.setattr(tssos.bench, "iterate_constrained", counting)
+    return calls
+
+
+@pytest.mark.parametrize("text,order", [(TWO_ROUNDS, 2), (BALL_TEXT, 3)])
+def test_reduced_constrained_iterates_once_per_round(iterate_calls, text, order):
+    pop = parse_pop(text)
+    rounds = []
+    basis = reduce_basis_constrained(pop, order, rounds=rounds)
+    assert len(iterate_calls) == len(rounds)
+    assert rounds[-1].levels[0][0].basis == basis
+    iterate_calls.clear()
+    rel = build_relaxation(pop, RunOptions(order=order, basis="reduced"))
+    assert len(iterate_calls) == len(rounds)
+    assert rel.rbs == len(basis)
+    assert rel.seq.levels[0][0].basis == basis
+
+
+def test_two_round_reduction_really_shrinks():
+    rounds = []
+    reduce_basis_constrained(parse_pop(TWO_ROUNDS), 2, rounds=rounds)
+    assert [len(s.levels[0][0].basis) for s in rounds] == [10, 9]
+
+
+def test_bench_order_sets_the_standard_basis_degree(capsys):
+    code, out, _ = run(capsys, "bench", "broyden_tridiagonal", "--n", "4", "--seed", "0",
+                       "--basis", "standard", "--order", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["bs"] == 35  # C(4 + 3, 3) monomials of degree <= 3
+    code, out, _ = run(capsys, "solve", EX1, "--basis", "standard", "--order", "3", "--json")
+    assert json.loads(out)["bs"] == 20  # solve honours the same flag: C(3 + 3, 3)
+
+
+def test_report_validates_like_solve(capsys):
+    code, out, err = run(capsys, "report", EX1, "--sparse-order", "0")
+    assert code == 1 and out == ""
+    assert "--sparse-order" in err
+    code, _, err = run(capsys, "report", BALL, "--order", "1")
+    assert code == 1 and "minimum" in err
+    code, _, err = run(capsys, "report", BALL, "--basis", "newton")
+    assert code == 1 and "unconstrained" in err
+
+
+def test_dense_relaxation_has_one_clique_per_generator():
+    pop = parse_pop(BALL_TEXT)
+    rel = build_relaxation(pop, RunOptions(order=2, dense=True))
+    assert rel.seq is None and rel.order == 2 and rel.bs == 6
+    assert [dec.cliques for dec in rel.cliques(1)] == [(tuple(range(6)),), (tuple(range(3)),)]
+    assert not rel.stabilized(1)
+
+
+def test_readme_library_example_runs():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert "optimal" in out.getvalue()

@@ -2,9 +2,11 @@ import os
 
 import pytest
 
-from tssos.assembly import assemble_dense_constrained, assemble_dense_unconstrained, solve_relaxation
+from tssos.assembly import assemble, solve_relaxation
 from tssos.basis import standard_basis
-from tssos.poly import parse_polynomial, parse_pop
+from tssos.bench import RunOptions, build_relaxation
+from tssos.graphs import CliqueDecomposition
+from tssos.poly import PopProblem, parse_polynomial, parse_pop
 from tssos.sdpa import SdpaFormatError, export_sdpa, import_sdpa
 from tssos.solver import solve_canonical
 
@@ -13,7 +15,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def quadratic_sdp(side="sos"):
     f = parse_polynomial("x1^2 - 2*x1 + 3", 1)
-    return assemble_dense_unconstrained(f, standard_basis(1, 1), side=side)
+    return assemble(PopProblem(f), [CliqueDecomposition.whole(standard_basis(1, 1))], side=side)
 
 
 def test_export_matches_golden_file(tmp_path):
@@ -42,7 +44,7 @@ def test_round_trip_preserves_problem(tmp_path, side):
 
 def test_round_trip_reproduces_bound(tmp_path):
     pop = parse_pop("vars 2\nx1^2*x2^2 - x1*x2 + 1\nsubject to\n1 - x1^2 - x2^2\n")
-    sdp = assemble_dense_constrained(pop, d_hat=2)
+    sdp = assemble(pop, build_relaxation(pop, RunOptions(order=2, dense=True)).cliques(1))
     direct = solve_relaxation(sdp)
     path = tmp_path / "ball.dat-s"
     export_sdpa(sdp, str(path))
@@ -56,7 +58,7 @@ def test_round_trip_reproduces_bound(tmp_path):
 
 def test_seventeen_digit_coefficients_survive(tmp_path):
     f = parse_polynomial("0.1*x1^2 + 0.30000000000000004*x1 + 1", 1)
-    sdp = assemble_dense_unconstrained(f, standard_basis(1, 1))
+    sdp = assemble(PopProblem(f), [CliqueDecomposition.whole(standard_basis(1, 1))])
     path = tmp_path / "digits.dat-s"
     export_sdpa(sdp, str(path))
     back = import_sdpa(str(path))

@@ -6,9 +6,9 @@ import pytest
 
 import tssos.solver
 from tssos import bench
-from tssos.assembly import assemble_dense_unconstrained, assemble_sparse_constrained
+from tssos.assembly import assemble
 from tssos.basis import standard_basis
-from tssos.graphs import iterate_constrained
+from tssos.graphs import CliqueDecomposition, iterate_constrained, maximal_cliques
 from tssos.poly import PopProblem
 from tssos.solver import (
     CanonicalSdp,
@@ -285,12 +285,9 @@ def test_solution_json_fields():
         b=(1.0,),
     )
     sol = solve_canonical(prob)
-    import json
-
-    payload = json.loads(sol.to_json())
-    assert payload["status"] == "optimal"
-    assert abs(payload["primal_obj"] - 1.0) < 1e-8
-    assert set(payload["residuals"]) == {"gap", "primal", "dual"}
+    assert sol.status == "optimal"
+    assert abs(sol.primal_obj - 1.0) < 1e-8
+    assert set(sol.residuals) == {"gap", "primal", "dual"}
 
 
 def mixed_instance(seed, sizes, m, untouched, no_c):
@@ -479,13 +476,13 @@ def localizing_instance():
     n = 3
     pop = PopProblem(bench.broyden_tridiagonal(n), bench.constraint_set("unit_ball", n))
     seq = iterate_constrained(pop, 3, k=1)
-    return assemble_sparse_constrained(pop, 3, seq.at(1)).canonical()[0]
+    return assemble(pop, [maximal_cliques(g) for g in seq.at(1)]).canonical()[0]
 
 
 def dense_banded_instance():
     """broyden_banded n=5 on the full degree-3 basis: one 56x56 block, m=461."""
     f = bench.broyden_banded(5)
-    return assemble_dense_unconstrained(f, standard_basis(5, 3)).canonical()[0]
+    return assemble(PopProblem(f), [CliqueDecomposition.whole(standard_basis(5, 3))]).canonical()[0]
 
 
 SCHUR_CASES = {
