@@ -31,7 +31,6 @@ from .graphs import (
     clique_report,
     is_chordal,
     iterate_constrained,
-    iterate_unconstrained,
     maximal_cliques,
     support_extension,
     tsp_graph,
@@ -71,7 +70,6 @@ __all__ = [
     "import_sdpa",
     "is_chordal",
     "iterate_constrained",
-    "iterate_unconstrained",
     "maximal_cliques",
     "newton_half_basis",
     "parse_polynomial",

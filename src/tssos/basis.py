@@ -2,7 +2,8 @@
 
 Three ways to pick the rows/columns of a Gram matrix for f:
 
-* the standard basis, all monomials of degree <= d;
+* the standard basis, all monomials of degree <= d (generator_bases gives
+  each generator of a constrained relaxation its own);
 * the Newton half-polytope basis, lattice points beta with 2*beta inside the
   convex hull of supp(f) together with the origin (the origin participates
   because we always represent f - lambda, which has a constant term);
@@ -254,6 +255,26 @@ def standard_basis(nvars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(nvars, monomials_up_to(nvars, degree))
 
 
+def min_half_degree(pop: PopProblem) -> int:
+    """The smallest relaxation order: max over f and every g_j of ceil(deg/2)."""
+    return max((p.degree() + 1) // 2 for p in (pop.objective, *pop.constraints))
+
+
+def generator_bases(pop: PopProblem, d_hat: int) -> List[MonomialBasis]:
+    """The standard bases of a relaxation of order d_hat, one per generator.
+
+    Generator g_j (g_0 = 1) gets the monomials of degree at most
+    d_hat - ceil(deg(g_j)/2); generators of equal half degree share one
+    basis object.
+    """
+    d_min = min_half_degree(pop)
+    if d_hat < d_min:
+        raise ValueError(f"relaxation order {d_hat} is below the minimum feasible order {d_min}")
+    half = [0] + [(g.degree() + 1) // 2 for g in pop.constraints]
+    by_half = {h: standard_basis(pop.nvars, d_hat - h) for h in dict.fromkeys(half)}
+    return [by_half[h] for h in half]
+
+
 def _in_half_polytope(beta: Exponent, points: np.ndarray) -> bool:
     """Is 2*beta a convex combination of the rows of points?
 
@@ -478,27 +499,18 @@ def newton_half_basis(f: Polynomial) -> MonomialBasis:
 # -- shrinking -------------------------------------------------------------------
 
 
-def generate_basis(
-    support: Iterable[Exponent] | np.ndarray,
-    base: MonomialBasis | Iterable[Exponent],
-    nvars: int | None = None,
-    max_steps: int | None = None,
-) -> List[MonomialBasis]:
+def generate_basis(support: Iterable[Exponent] | np.ndarray, base: MonomialBasis) -> List[MonomialBasis]:
     """Increasing chain of sub-bases that can still reach the support.
 
     Starting from B_0 empty, step p keeps every pair {beta, gamma} of the
     base whose sum lies in the support or in 2*B_{p-1}.  The chain B_1,
-    B_2, ... is returned up to stabilization (B_p == B_{p-1}) or up to
-    max_steps entries.  The last element is the useful shrunken basis.
+    B_2, ... is returned up to stabilization (B_p == B_{p-1}).  The last
+    element is the useful shrunken basis.
 
     The support is given as exponents or as an integer array of exponent
     rows.  Each step is one _linked_pairs search of the base's pair sums
     over that target set, plus a lookup of the doubled base elements.
     """
-    if not isinstance(base, MonomialBasis):
-        if nvars is None:
-            raise ValueError("nvars required when base is a raw exponent set")
-        base = MonomialBasis(nvars, base)
     if not isinstance(support, np.ndarray):
         support = np.array(sorted({tuple(a) for a in support}), dtype=np.int64)
     support = support.reshape(-1, base.nvars)
@@ -518,8 +530,6 @@ def generate_basis(
         if same:
             break
         prev = cur
-        if max_steps is not None and len(chain) >= max_steps:
-            break
     return chain
 
 
@@ -549,9 +559,9 @@ def reduce_basis_constrained(
     graph iteration at order k with the current moment basis, then keep only
     basis elements that can pair into supp(f), or into supp(g_j) shifted by
     products within some clique of g_j's graph.  Only the j = 0 basis is
-    shrunk; localizing bases stay standard.  A rounds list, when given,
-    receives each round's GraphSequence; the last one is the iteration on
-    the returned basis.
+    shrunk; localizing bases stay the generator_bases ones.  A rounds list,
+    when given, receives each round's GraphSequence; the last one is the
+    iteration on the returned basis.
 
     g_j's graph is chordal, so the products within its maximal cliques are
     exactly its support: the doubled nodes and the sums along its edges.
@@ -559,11 +569,11 @@ def reduce_basis_constrained(
     from .graphs import _support_pairs, iterate_constrained
 
     n = pop.nvars
-    basis0 = standard_basis(n, d_hat)
+    basis0, *loc_bases = generator_bases(pop, d_hat)
     fixed = np.array(sorted(pop.objective.support() | {(0,) * n}), dtype=np.int64).reshape(-1, n)
     shifts = [np.array(sorted(g.support()), dtype=np.int64).reshape(-1, n) for g in pop.constraints]
     while True:
-        seq = iterate_constrained(pop, d_hat, k=k, mode=mode, moment_basis=basis0)
+        seq = iterate_constrained(pop, [basis0] + loc_bases, k=k, mode=mode)
         if rounds is not None:
             rounds.append(seq)
         targets = [fixed]

@@ -32,18 +32,14 @@ import numpy as np
 
 from .assembly import assemble, solve_relaxation
 from .basis import (
+    generator_bases,
+    min_half_degree,
     newton_half_basis,
     reduce_basis_constrained,
     reduce_basis_unconstrained,
     standard_basis,
 )
-from .graphs import (
-    CliqueDecomposition,
-    GraphSequence,
-    iterate_constrained,
-    iterate_unconstrained,
-    maximal_cliques,
-)
+from .graphs import CliqueDecomposition, GraphSequence, iterate_constrained, maximal_cliques
 from .poly import Polynomial, PopProblem
 from .solver import SolverConfig
 
@@ -283,13 +279,6 @@ class BenchRow:
         }
 
 
-def min_half_degree(pop: PopProblem) -> int:
-    d = (pop.objective.degree() + 1) // 2
-    for g in pop.constraints:
-        d = max(d, (g.degree() + 1) // 2)
-    return d
-
-
 def unconstrained_basis(f: Polynomial, choice: str, order: Optional[int] = None):
     """Resolve the basis flag; returns (basis, bs, rbs)."""
     if choice == "standard":
@@ -311,8 +300,8 @@ class Relaxation:
 
     A sparse relaxation keeps its graph sequence; a dense one has no graphs
     and one whole-basis clique per generator instead.  bs is the size of the
-    moment basis, rbs that of the reduced basis when one was asked for, and
-    order the relaxation order of a constrained problem.
+    moment basis before any reduction, rbs that of the reduced basis when one
+    was asked for, and order the relaxation order of a constrained problem.
     """
 
     bs: int
@@ -333,41 +322,33 @@ class Relaxation:
 
 
 def build_relaxation(pop: PopProblem, opts: RunOptions) -> Relaxation:
-    """Choose the basis, check the orders and run the graph iteration to k_max."""
+    """Choose the bases, check the orders and run the graph iteration to k_max."""
     k = opts.k_max
     if k < 1:
         raise ValueError("--sparse-order must be >= 1")
     basis = opts.basis or ("standard" if pop.constraints else "newton")
+    rbs = order = None
     if not pop.constraints:
-        f = pop.objective
-        base, bs, rbs = unconstrained_basis(f, basis, opts.order)
-        if opts.dense:
-            return Relaxation(bs, rbs, dense=[CliqueDecomposition.whole(base)])
-        return Relaxation(bs, rbs, seq=iterate_unconstrained(f, base, k=k, mode=opts.mode))
-    if basis == "newton":
-        raise ValueError("--basis newton applies to unconstrained problems only")
-    if basis not in ("standard", "reduced"):
-        raise ValueError(f"unknown basis choice {basis!r}")
-    d_min = min_half_degree(pop)
-    d_hat = opts.order if opts.order is not None else d_min
-    if d_hat < d_min:
-        raise ValueError(f"--order {d_hat} is below the minimum feasible order {d_min}")
-    if opts.dense:
-        if basis == "reduced":
-            raise ValueError("--dense always uses the standard basis; drop --basis reduced")
-        half = [0] + [(g.degree() + 1) // 2 for g in pop.constraints]
-        bases = {h: standard_basis(pop.nvars, d_hat - h) for h in set(half)}
-        return Relaxation(len(bases[0]), order=d_hat,
-                          dense=[CliqueDecomposition.whole(bases[h]) for h in half])
-    rbs = None
-    if basis == "reduced":
-        # the last reduction round already iterated the graphs on the reduced basis
-        rounds: List[GraphSequence] = []
-        rbs = len(reduce_basis_constrained(pop, d_hat, k=k, mode=opts.mode, rounds=rounds))
-        seq = rounds[-1]
+        base, bs, rbs = unconstrained_basis(pop.objective, basis, opts.order)
+        bases = [base]
     else:
-        seq = iterate_constrained(pop, d_hat, k=k, mode=opts.mode)
-    return Relaxation(len(seq.levels[0][0].basis), rbs, order=d_hat, seq=seq)
+        if basis == "newton":
+            raise ValueError("--basis newton applies to unconstrained problems only")
+        if basis not in ("standard", "reduced"):
+            raise ValueError(f"unknown basis choice {basis!r}")
+        order = opts.order if opts.order is not None else min_half_degree(pop)
+        bases = generator_bases(pop, order)
+        bs = len(bases[0])
+        if basis == "reduced":
+            if opts.dense:
+                raise ValueError("--dense always uses the standard basis; drop --basis reduced")
+            # the last reduction round already iterated the graphs on the reduced basis
+            rounds: List[GraphSequence] = []
+            rbs = len(reduce_basis_constrained(pop, order, k=k, mode=opts.mode, rounds=rounds))
+            return Relaxation(bs, rbs, order, seq=rounds[-1])
+    if opts.dense:
+        return Relaxation(bs, rbs, order, dense=[CliqueDecomposition.whole(b) for b in bases])
+    return Relaxation(bs, rbs, order, seq=iterate_constrained(pop, bases, k=k, mode=opts.mode))
 
 
 def run_pop(pop: PopProblem, opts: RunOptions, instance: str = "problem") -> List[BenchRow]:

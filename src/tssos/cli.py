@@ -209,11 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--terms", type=int, default=None)
     pb.add_argument("--prob", type=float, default=None)
     pb.add_argument("--constraint", choices=sorted(CONSTRAINT_SETS), default="none")
-    pb.add_argument("--order", type=int, default=None)
-    pb.add_argument("--sparse-order", type=int, default=1, metavar="K")
-    pb.add_argument("--mode", choices=sorted(MODE_NAMES), default="chordal")
-    pb.add_argument("--basis", choices=["newton", "standard", "reduced"], default=None)
-    pb.add_argument("--side", choices=["sos", "moment"], default="sos")
+    _add_common(pb, basis_default=None)
     pb.add_argument("--seed", type=int, required=True)
     pb.add_argument("--format", choices=["markdown", "json", "csv"], default="markdown")
     pb.add_argument("--out", metavar="PATH", default=None)

@@ -6,11 +6,14 @@ itself, so the diagonal (squares of basis monomials) is always part of a
 graph's support.  Edges are stored as a frozenset of index pairs (i, j) with
 i < j against the graded lex order of the basis.
 
-The sparse relaxation machinery iterates two steps: a support extension that
-adds any edge whose sum is already realized by the current graph, and a
-chordal extension that completes the result into a chordal graph.  Running
-the pair to a fixed point gives the graph sequence the block structure of the
-relaxations is read from.
+The sparse relaxation machinery iterates two steps on the graph of every
+generator g_j (g_0 = 1, then each constraint), each on its own basis: a
+support extension that adds any edge whose sum, shifted by a term of g_j,
+is already realized by the current moment graph, and a chordal extension
+that completes the result into a chordal graph.  An unconstrained problem is
+the single generator g_0.  Running the pair to a fixed point gives the graph
+sequence the block structure of the relaxations is read from; one loop,
+iterate_constrained, does it for every relaxation.
 
 Chordal extension modes:
 
@@ -29,20 +32,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .basis import (
-    MonomialBasis,
-    _ExponentSet,
-    _linked_pairs,
-    _rows_set,
-    exponent_keys,
-    standard_basis,
-)
+from .basis import MonomialBasis, _ExponentSet, _linked_pairs, _rows_set, exponent_keys
 from .poly import Exponent, Polynomial, PopProblem
 
 Edge = Tuple[int, int]
@@ -400,9 +396,9 @@ def maximal_cliques(graph: MonomialGraph) -> CliqueDecomposition:
 
 @dataclass
 class GraphSequence:
-    """Graphs per iteration order; levels[k][j] is constraint j's graph.
+    """Graphs per iteration order; levels[k][j] is generator j's graph.
 
-    Unconstrained sequences have a single entry per level (j = 0).  Level 0
+    j = 0 is the moment graph, the only one of an unconstrained problem.  Level 0
     holds the raw sparsity pattern; levels >= 1 are chordal.  stabilized_at
     is the smallest k >= 1 whose level is a fixed point of the iteration,
     or None if that was not reached within the computed range.
@@ -424,82 +420,36 @@ def _levels_equal(a: List[MonomialGraph], b: List[MonomialGraph]) -> bool:
     return len(a) == len(b) and all(x.edges == y.edges for x, y in zip(a, b))
 
 
-def iterate_unconstrained(
-    f: Polynomial,
-    basis: MonomialBasis,
-    k: int = 1,
-    mode: str = "approx_min",
-    probe_stabilization: bool = True,
-) -> GraphSequence:
-    """Run the support-extension / chordal-extension loop k times.
-
-    Nestedness across k is automatic: the support extension always contains
-    its argument and the chordal extension only adds edges.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    g0 = tsp_graph(f, basis)
-    levels = [[g0]]
-    stabilized = None
-    cur = g0
-    steps = k if not probe_stabilization else k + 1
-    for step in range(1, steps + 1):
-        nxt = chordal_extension(support_extension(cur), mode)
-        if nxt.edges == cur.edges:
-            stabilized = max(1, step - 1)
-            break
-        if step <= k:
-            levels.append([nxt])
-        cur = nxt
-    while len(levels) < k + 1:
-        levels.append([cur])
-    return GraphSequence(levels=levels, mode=mode, stabilized_at=stabilized)
-
-
 def iterate_constrained(
     pop: PopProblem,
-    d_hat: int,
+    bases: Sequence[MonomialBasis],
     k: int = 1,
     mode: str = "approx_min",
-    moment_basis: MonomialBasis | None = None,
     seed: GraphSequence | None = None,
-    probe_stabilization: bool = True,
 ) -> GraphSequence:
-    """Graph iteration for a constrained relaxation of order d_hat.
+    """Graph iteration of a relaxation with one basis per generator.
 
-    The moment graph (j = 0) lives on monomials of degree <= d_hat (or on a
-    caller-provided shrunken basis); each constraint g_j gets a graph on
-    monomials of degree <= d_hat - ceil(deg(g_j)/2).  Per iteration the
-    moment graph is support-extended and the constraint graphs are rebuilt
-    from the previous moment support: g_j links {beta, gamma} whenever some
-    exponent of g_j shifted by beta + gamma lands in that support.  Each
-    graph is seeded with its predecessor's edges before the chordal
-    extension, which keeps the levels nested even though the extension
-    heuristic is not monotone by itself.
+    bases[0] carries the moment graph (g_0 = 1) and bases[j] the graph of
+    constraint g_j, as cliques[j] does in assemble; an unconstrained
+    problem has the single basis [basis].  Per iteration the moment graph
+    is support-extended and the constraint graphs are rebuilt from the
+    previous moment support: g_j links {beta, gamma} whenever some exponent
+    of g_j shifted by beta + gamma lands in that support.  Each graph is
+    seeded with its predecessor's edges before the chordal extension, which
+    keeps the levels nested even though the extension heuristic is not
+    monotone by itself.  One step past k probes for stabilization.
 
     A seed sequence from a lower relaxation order can be supplied to keep
-    graphs nested across d_hat as well; its edges are embedded by monomial
+    graphs nested across orders as well; its edges are embedded by monomial
     identity and unioned in at every level.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    f = pop.objective
+    if len(bases) != len(pop.constraints) + 1:
+        raise ValueError(f"expected {len(pop.constraints) + 1} bases, got {len(bases)}")
     n = pop.nvars
-    d_min = (f.degree() + 1) // 2
-    half_degs = [(g.degree() + 1) // 2 for g in pop.constraints]
-    if half_degs:
-        d_min = max(d_min, max(half_degs))
-    if d_hat < d_min:
-        raise ValueError(f"relaxation order {d_hat} below minimum {d_min}")
-    b0 = moment_basis if moment_basis is not None else standard_basis(n, d_hat)
-    if (0,) * n not in b0:
-        raise ValueError("constant monomial missing from the moment basis")
-    by_half = {dj: standard_basis(n, d_hat - dj) for dj in set(half_degs)}
-    loc_bases = [by_half[dj] for dj in half_degs]
     shifts = [np.array(sorted(g.support()), dtype=np.int64).reshape(-1, n) for g in pop.constraints]
-    extra = set()
-    for g in pop.constraints:
-        extra |= g.support()
+    extra = set().union(*(g.support() for g in pop.constraints))
 
     def with_seed(graph: MonomialGraph, level: int, j: int) -> MonomialGraph:
         """graph plus the seed's level-`level` edges of generator j, by monomial identity."""
@@ -518,28 +468,24 @@ def iterate_constrained(
                 out.add((min(ia, ib), max(ia, ib)))
         return MonomialGraph(target_basis, graph.edges | out)
 
-    g0 = with_seed(tsp_graph(f, b0, extra_support=extra), 0, 0)
-    placeholders = [MonomialGraph(bj, ()) for bj in loc_bases]
-    levels: List[List[MonomialGraph]] = [[g0] + placeholders]
+    g0 = with_seed(tsp_graph(pop.objective, bases[0], extra_support=extra), 0, 0)
+    levels: List[List[MonomialGraph]] = [[g0] + [MonomialGraph(b, ()) for b in bases[1:]]]
     stabilized = None
-    steps = k if not probe_stabilization else k + 1
-    for step in range(1, steps + 1):
-        prev = levels[min(step - 1, len(levels) - 1)]
-        moment_prev = prev[0]
-        moment_supp = _support_set(moment_prev)
-        new_moment = with_seed(support_extension(moment_prev, moment_supp), step, 0)
+    for step in range(1, k + 2):
+        prev = levels[-1]
+        moment_supp = _support_set(prev[0])
+        new_moment = with_seed(support_extension(prev[0], moment_supp), step, 0)
         new_level = [chordal_extension(new_moment, mode)]
         for j, loc_prev in enumerate(prev[1:]):
             found = _linked_pairs(loc_prev.basis, moment_supp, shifts[j], known=loc_prev.pairs)
             graph = with_seed(loc_prev._with_pairs(found), step, j + 1)
             new_level.append(chordal_extension(graph, mode))
-        if step >= 2 and _levels_equal(new_level, levels[-1]):
+        if step >= 2 and _levels_equal(new_level, prev):
             stabilized = step - 1
             break
-        if step <= k:
-            levels.append(new_level)
-        else:
+        if step > k:
             break
+        levels.append(new_level)
     while len(levels) < k + 1:
         levels.append(levels[-1])
     return GraphSequence(levels=levels, mode=mode, stabilized_at=stabilized)

@@ -47,20 +47,12 @@ class ImportedSdp:
         return self.problem, self.offset, readout
 
     @property
-    def blocks(self):
-        return self.problem.block_sizes
-
-    @property
     def block_sizes(self) -> List[int]:
         return list(self.problem.block_sizes)
 
     @property
     def n_equalities(self) -> int:
         return self.problem.n_constraints
-
-    @property
-    def constraints(self):
-        return ()
 
 
 def _format_entry(k: int, blk: int, r: int, c: int, v: float) -> str:

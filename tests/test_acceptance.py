@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from tssos.assembly import assemble, solve_relaxation
-from tssos.basis import MonomialBasis, generate_basis, newton_half_basis, standard_basis
+from tssos.basis import (
+    MonomialBasis,
+    generate_basis,
+    generator_bases,
+    newton_half_basis,
+    standard_basis,
+)
 from tssos.bench import (
     broyden_banded,
     broyden_tridiagonal,
@@ -27,7 +33,6 @@ from tssos.graphs import (
     CliqueDecomposition,
     is_chordal,
     iterate_constrained,
-    iterate_unconstrained,
     maximal_cliques,
     tsp_graph,
 )
@@ -73,7 +78,7 @@ def ex33():
     f = parse_polynomial(EX33, 3)
     basis = newton_half_basis(f)
     t0 = time.perf_counter()
-    seq = iterate_unconstrained(f, basis, k=1)
+    seq = iterate_constrained(PopProblem(f), [basis], k=1)
     sdp = assemble(PopProblem(f), [maximal_cliques(seq.at(1)[0])])
     sparse = solve_relaxation(sdp)
     elapsed = time.perf_counter() - t0
@@ -100,7 +105,7 @@ def quadratics():
         n = 2 + trial % 9  # n ranges over 2..10
         f = banded_quadratic(n, 1 + trial % 2, seed=100 + trial)
         basis = newton_half_basis(f)
-        seq = iterate_unconstrained(f, basis, k=1)
+        seq = iterate_constrained(PopProblem(f), [basis], k=1)
         sdp = assemble(PopProblem(f), [maximal_cliques(seq.at(1)[0])])
         sparse = solve_relaxation(sdp)
         dense = solve_relaxation(assemble(PopProblem(f), [CliqueDecomposition.whole(basis)]))
@@ -116,7 +121,7 @@ def ball_runs():
     out = {}
     for name, family in (("rosenbrock", gen_rosenbrock), ("tridiagonal", broyden_tridiagonal)):
         pop = PopProblem(family(10), constraint_set("unit_ball", 10))
-        seq = iterate_constrained(pop, d_hat=2, k=1)
+        seq = iterate_constrained(pop, generator_bases(pop, 2), k=1)
         graphs = seq.at(1)
         sos = solve_relaxation(assemble(pop, [maximal_cliques(g) for g in graphs]))
         moment = solve_relaxation(assemble(pop, [maximal_cliques(g) for g in graphs], side="moment"))
@@ -171,7 +176,7 @@ def test_criterion_04_monotone_in_order_and_degree():
         n, deg = shapes[seed % len(shapes)]
         f = randpoly2(n, deg, n + 3, seed=seed)
         basis = newton_half_basis(f)
-        seq = iterate_unconstrained(f, basis, k=3)
+        seq = iterate_constrained(PopProblem(f), [basis], k=3)
         chain = []
         for k in (1, 2, 3):
             r = solve_relaxation(
@@ -187,8 +192,8 @@ def test_criterion_04_monotone_in_order_and_degree():
 
         pop = PopProblem(f, constraint_set("unit_ball", n))
         d = deg // 2
-        lo_seq = iterate_constrained(pop, d, k=2)
-        hi_seq = iterate_constrained(pop, d + 1, k=2, seed=lo_seq)
+        lo_seq = iterate_constrained(pop, generator_bases(pop, d), k=2)
+        hi_seq = iterate_constrained(pop, generator_bases(pop, d + 1), k=2, seed=lo_seq)
         vals = {}
         for dh, s in ((d, lo_seq), (d + 1, hi_seq)):
             for k in (1, 2):
@@ -259,7 +264,7 @@ def test_criterion_07_broyden_banded_bounds():
         f = broyden_banded(n)
         basis = newton_half_basis(f)
         t0 = time.perf_counter()
-        seq = iterate_unconstrained(f, basis, k=1)
+        seq = iterate_constrained(PopProblem(f), [basis], k=1)
         g1 = seq.at(1)[0]
         res = solve_relaxation(assemble(PopProblem(f), [maximal_cliques(g1)]))
         elapsed = time.perf_counter() - t0
@@ -292,7 +297,7 @@ def test_criterion_09_coupled_rosenbrock_modes():
     basis = standard_basis(10, 2)
     results = {}
     for mode in ("approx_min", "block_closure"):
-        seq = iterate_unconstrained(f, basis, k=1, mode=mode)
+        seq = iterate_constrained(PopProblem(f), [basis], k=1, mode=mode)
         g1 = seq.at(1)[0]
         res = solve_relaxation(assemble(PopProblem(f), [maximal_cliques(g1)]))
         assert res.status == "optimal", mode
@@ -322,7 +327,7 @@ def test_criterion_10_dense_oracle_dominance():
         else:
             f = randpoly2(n, 4, n + 2, seed=500 + trial)
         basis = newton_half_basis(f)
-        seq = iterate_unconstrained(f, basis, k=6)
+        seq = iterate_constrained(PopProblem(f), [basis], k=6)
         if seq.stabilized_at is None:
             continue
         g = seq.at(seq.stabilized_at)[0]

@@ -12,13 +12,12 @@ from tssos.assembly import (
     solve_relaxation,
 )
 from tssos import bench
-from tssos.basis import MonomialBasis, newton_half_basis, standard_basis
+from tssos.basis import MonomialBasis, generator_bases, newton_half_basis, standard_basis
 from tssos.bench import RunOptions, build_relaxation
 from tssos.graphs import (
     CliqueDecomposition,
     MonomialGraph,
     iterate_constrained,
-    iterate_unconstrained,
     maximal_cliques,
     tsp_graph,
 )
@@ -66,7 +65,7 @@ def test_dense_row_count_matches_pairwise_sums():
 def test_sparse_rows_are_graph_support():
     f = parse_polynomial(EX33, 3)
     basis = newton_half_basis(f)
-    seq = iterate_unconstrained(f, basis, k=1)
+    seq = iterate_constrained(PopProblem(f), [basis], k=1)
     g1 = seq.at(1)[0]
     for side in ("sos", "moment"):
         sdp = assemble(PopProblem(f), [maximal_cliques(g1)], side=side)
@@ -114,7 +113,7 @@ def test_one_decomposition_per_generator_required():
 
 def test_constrained_needs_one_graph_per_generator():
     pop = parse_pop("vars 1\nx1^2\nsubject to\n1 - x1^2\n")
-    seq = iterate_constrained(pop, d_hat=1, k=1)
+    seq = iterate_constrained(pop, generator_bases(pop, 1), k=1)
     with pytest.raises(ValueError):
         assemble(pop, [maximal_cliques(g) for g in seq.at(1)[:1]])
 
@@ -158,7 +157,7 @@ def test_sparse_on_complete_graph_equals_dense():
 def test_moment_and_sos_sides_agree():
     f = parse_polynomial(EX33, 3)
     basis = newton_half_basis(f)
-    seq = iterate_unconstrained(f, basis, k=1)
+    seq = iterate_constrained(PopProblem(f), [basis], k=1)
     g1 = seq.at(1)[0]
     vals = {}
     for side in ("sos", "moment"):
@@ -187,7 +186,7 @@ def test_constrained_ball_toy_bound():
         res = solve_relaxation(assemble(pop, dense_cliques(pop, 2), side=side))
         assert res.status == "optimal"
         assert abs(res.bound - 0.75) < 1e-6, side
-    seq = iterate_constrained(pop, d_hat=2, k=2)
+    seq = iterate_constrained(pop, generator_bases(pop, 2), k=2)
     sres = solve_relaxation(assemble(pop, [maximal_cliques(g) for g in seq.at(2)]))
     assert sres.status == "optimal"
     assert sres.bound <= 0.75 + 1e-7
@@ -196,7 +195,7 @@ def test_constrained_ball_toy_bound():
 def test_certificate_matches_objective_unconstrained():
     f = parse_polynomial(EX33, 3)
     basis = newton_half_basis(f)
-    seq = iterate_unconstrained(f, basis, k=1)
+    seq = iterate_constrained(PopProblem(f), [basis], k=1)
     g1 = seq.at(1)[0]
     sdp = assemble(PopProblem(f), [maximal_cliques(g1)], side="sos")
     res = solve_relaxation(sdp)
@@ -287,7 +286,7 @@ def reference_sos_rows(pop, graphs):
 @pytest.mark.parametrize("d_hat", [2, 3])
 def test_sos_scatter_matches_backward_search(n, constraint, d_hat):
     pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set(constraint, n))
-    graphs = iterate_constrained(pop, d_hat, k=2).at(2)
+    graphs = iterate_constrained(pop, generator_bases(pop, d_hat), k=2).at(2)
     sdp = assemble(pop, [maximal_cliques(g) for g in graphs], side="sos")
     assert [(r.alpha, r.entries, r.rhs) for r in sdp.rows] == reference_sos_rows(pop, graphs)
 

@@ -19,6 +19,7 @@ from tssos.basis import (
     _newton_candidates,
     _newton_members,
     generate_basis,
+    generator_bases,
     newton_half_basis,
     reduce_basis_constrained,
     reduce_basis_unconstrained,
@@ -60,6 +61,20 @@ def test_standard_basis_sizes_and_order():
             assert len(b) == math.comb(n + d, d)
             assert (0,) * n in b
             assert b.monos[0] == (0,) * n
+
+
+def test_generator_bases_rejects_low_order():
+    pop = parse_pop("vars 1\nx1^4\nsubject to\n1 - x1^2\n")
+    with pytest.raises(ValueError, match="minimum"):
+        generator_bases(pop, 1)
+
+
+def test_generator_bases_one_standard_basis_per_half_degree():
+    pop = parse_pop("vars 2\nx1^4 + x2\nsubject to\n1 - x1^2\nx2\n1 - x2^4\n")
+    bases = generator_bases(pop, 3)
+    assert [len(b) for b in bases] == [10, 6, 6, 3]
+    assert bases[0] == standard_basis(2, 3) and bases[3] == standard_basis(2, 1)
+    assert bases[1] is bases[2]
 
 
 def test_monomial_basis_dedups_and_indexes():
@@ -437,7 +452,7 @@ def reference_reduce_basis_constrained(pop, d_hat, k=1, mode="approx_min"):
     basis0 = standard_basis(n, d_hat)
     origin = (0,) * n
     while True:
-        seq = iterate_constrained(pop, d_hat, k=k, mode=mode, moment_basis=basis0)
+        seq = iterate_constrained(pop, [basis0] + generator_bases(pop, d_hat)[1:], k=k, mode=mode)
         target = f.support() | {origin}
         for j, g in enumerate(pop.constraints, start=1):
             graph = seq.levels[-1][j]

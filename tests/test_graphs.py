@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import tssos.basis
 import tssos.graphs
 from tssos import bench
-from tssos.basis import MonomialBasis, newton_half_basis, standard_basis
+from tssos.basis import MonomialBasis, generator_bases, newton_half_basis, standard_basis
 from tssos.graphs import (
     EXTENSION_MODES,
     MonomialGraph,
@@ -22,7 +22,6 @@ from tssos.graphs import (
     clique_report,
     is_chordal,
     iterate_constrained,
-    iterate_unconstrained,
     maximal_cliques,
     peo,
     support_extension,
@@ -271,17 +270,17 @@ def test_same_sign_type_pairs_are_adjacent():
                 assert g.has_edge(i, j)
 
 
-def test_iterate_unconstrained_running_example():
+def test_iteration_without_constraints_running_example():
     f = parse_polynomial(EX33, 3)
     basis = newton_half_basis(f)
-    seq = iterate_unconstrained(f, basis, k=3)
+    seq = iterate_constrained(PopProblem(f), [basis], k=3)
     assert seq.stabilized_at == 1
     assert len(seq.at(1)) == 1
     assert seq.at(1)[0].edges == seq.at(3)[0].edges
     assert len(seq.at(1)[0].edges) == 9  # 7 pattern edges + 2 fills
 
 
-def test_iterate_unconstrained_monotone_edges():
+def test_iteration_without_constraints_monotone_edges():
     rng = np.random.default_rng(6)
     for trial in range(6):
         n = int(rng.integers(2, 4))
@@ -291,7 +290,7 @@ def test_iterate_unconstrained_monotone_edges():
         for m in pick:
             f = f + Polynomial.monomial(n, m, float(rng.normal()))
         basis = standard_basis(n, 2)
-        seq = iterate_unconstrained(f, basis, k=4)
+        seq = iterate_constrained(PopProblem(f), [basis], k=4)
         for k in range(1, 4):
             assert seq.at(k)[0].edges <= seq.at(k + 1)[0].edges
         if seq.stabilized_at is not None:
@@ -303,7 +302,7 @@ def test_iterate_constrained_shapes_and_nesting():
     pop = parse_pop(
         "vars 2\nx1^4 + x2^4 - x1*x2 + 1\nsubject to\n1 - x1^2 - x2^2\n"
     )
-    seq = iterate_constrained(pop, d_hat=2, k=3)
+    seq = iterate_constrained(pop, generator_bases(pop, 2), k=3)
     assert all(len(level) == 2 for level in seq.levels)
     for j in (0, 1):
         for k in range(1, 3):
@@ -313,18 +312,21 @@ def test_iterate_constrained_shapes_and_nesting():
     assert len(seq.at(1)[1].basis) == 3
 
 
-def test_iterate_constrained_rejects_low_order():
-    pop = parse_pop("vars 1\nx1^4\nsubject to\n1 - x1^2\n")
-    with pytest.raises(ValueError):
-        iterate_constrained(pop, d_hat=1, k=1)
+def test_iterate_constrained_rejects_wrong_number_of_bases():
+    pop = parse_pop("vars 2\nx1^4 + x2^4\nsubject to\n1 - x1^2\n1 - x2^2\n")
+    bases = generator_bases(pop, 2)
+    with pytest.raises(ValueError, match="expected 3 bases, got 2"):
+        iterate_constrained(pop, bases[:2], k=1)
+    with pytest.raises(ValueError, match="expected 1 bases, got 3"):
+        iterate_constrained(PopProblem(pop.objective), bases, k=1)
 
 
 def test_iterate_constrained_seed_embedding_gives_inclusion():
     pop = parse_pop(
         "vars 2\nx1^4 + x2^4 - x1^3*x2 + 0.5\nsubject to\n1 - x1^2 - x2^2\n"
     )
-    low = iterate_constrained(pop, d_hat=2, k=2)
-    high = iterate_constrained(pop, d_hat=3, k=2, seed=low)
+    low = iterate_constrained(pop, generator_bases(pop, 2), k=2)
+    high = iterate_constrained(pop, generator_bases(pop, 3), k=2, seed=low)
     for k in (1, 2):
         for j in (0, 1):
             lo_basis = low.at(k)[j].basis
@@ -338,7 +340,7 @@ def test_iterate_constrained_seed_embedding_gives_inclusion():
 def test_clique_report_shape():
     f = parse_polynomial(EX33, 3)
     basis = newton_half_basis(f)
-    seq = iterate_unconstrained(f, basis, k=1)
+    seq = iterate_constrained(PopProblem(f), [basis], k=1)
     rep = clique_report(seq.at(1)[0], stabilized=True)
     assert rep["max_clique"] == 3
     assert rep["clique_sizes"] == [3, 3, 3, 3]
@@ -472,7 +474,7 @@ def reference_maximal_cliques(graph):
     return tuple(sorted(tuple(sorted(c)) for c in kept))
 
 
-def reference_iterate_unconstrained(f, basis, k, mode):
+def reference_iterate_single(f, basis, k, mode):
     cur = reference_tsp_graph(f, basis)
     levels = [cur]
     stabilized = None
@@ -538,9 +540,9 @@ def test_unconstrained_iteration_matches_reference(family, n, kwargs):
     f = getattr(bench, family)(n, **kwargs)
     bases = [standard_basis(n, (f.degree() + 1) // 2), newton_half_basis(f)]
     for basis, mode in itertools.product(bases, EXTENSION_MODES):
-        want, stabilized = reference_iterate_unconstrained(f, basis, 3, mode)
+        want, stabilized = reference_iterate_single(f, basis, 3, mode)
         for k in (1, 2, 3):
-            seq = iterate_unconstrained(f, basis, k=k, mode=mode)
+            seq = iterate_constrained(PopProblem(f), [basis], k=k, mode=mode)
             assert edge_levels(seq) == want[: k + 1], (mode, k)
         assert seq.stabilized_at == stabilized
         for level in seq.levels[1:]:
@@ -554,7 +556,7 @@ def test_constrained_iteration_matches_reference(family, n, constraint):
     for d_hat, mode in itertools.product((2, 3), EXTENSION_MODES):
         want, stabilized = reference_iterate_constrained(pop, d_hat, 3, mode)
         for k in (1, 2, 3):
-            seq = iterate_constrained(pop, d_hat, k=k, mode=mode)
+            seq = iterate_constrained(pop, generator_bases(pop, d_hat), k=k, mode=mode)
             got = edge_levels(seq)
             assert got[: len(want)] == want[: k + 1], (d_hat, mode, k)
             assert all(level == want[-1] for level in got[len(want):])
@@ -566,7 +568,7 @@ def test_constrained_iteration_matches_reference(family, n, constraint):
 def test_localizing_bases_built_once_per_half_degree():
     n = 3
     pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set("unit_hypercube", n))
-    seq = iterate_constrained(pop, 2, k=1)
+    seq = iterate_constrained(pop, generator_bases(pop, 2), k=1)
     assert all(g.basis is seq.at(1)[1].basis for g in seq.at(1)[1:])
 
 
@@ -582,10 +584,14 @@ def test_moment_support_built_once_per_step(monkeypatch):
         return real(graph)
 
     monkeypatch.setattr(tssos.graphs, "_support_set", counting)
-    seq = iterate_constrained(pop, 2, k=2, probe_stabilization=False)
-    assert edge_levels(seq)[: len(want)] == want
-    # one support per step, each of the previous level's moment graph
-    assert built == [level[0] for level in seq.levels[:-1]]
+    for k in (1, 2):
+        built.clear()
+        seq = iterate_constrained(pop, generator_bases(pop, 2), k=k)
+        assert edge_levels(seq)[: len(want)] == want[: k + 1]
+        # one support per step, each of the previous level's moment graph; step 2
+        # finds the fixed point, and at k = 1 it is the probe one step past k
+        assert seq.stabilized_at == 1
+        assert built == [level[0] for level in seq.levels[:2]]
 
 
 @st.composite
@@ -643,7 +649,7 @@ def test_degenerate_key_weights_keep_edges(monkeypatch):
     pop = PopProblem(bench.gen_rosenbrock(3), bench.constraint_set("unit_ball", 3))
     for mode in EXTENSION_MODES:
         want, _ = reference_iterate_constrained(pop, 2, 2, mode)
-        assert edge_levels(iterate_constrained(pop, 2, k=2, mode=mode))[: len(want)] == want
+        assert edge_levels(iterate_constrained(pop, generator_bases(pop, 2), k=2, mode=mode))[: len(want)] == want
 
 
 def test_chunked_pair_search_matches_reference(monkeypatch):
@@ -651,8 +657,8 @@ def test_chunked_pair_search_matches_reference(monkeypatch):
     f = bench.broyden_tridiagonal(4)
     basis = standard_basis(4, 2)
     for mode in EXTENSION_MODES:
-        want, stabilized = reference_iterate_unconstrained(f, basis, 3, mode)
-        seq = iterate_unconstrained(f, basis, k=3, mode=mode)
+        want, stabilized = reference_iterate_single(f, basis, 3, mode)
+        seq = iterate_constrained(PopProblem(f), [basis], k=3, mode=mode)
         assert edge_levels(seq) == want
         assert seq.stabilized_at == stabilized
 

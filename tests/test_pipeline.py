@@ -10,7 +10,8 @@ import pytest
 
 import tssos.bench
 import tssos.graphs
-from tssos.basis import reduce_basis_constrained
+from tssos.assembly import assemble
+from tssos.basis import generator_bases, reduce_basis_constrained
 from tssos.bench import RunOptions, build_relaxation
 from tssos.cli import main
 from tssos.poly import parse_pop
@@ -33,12 +34,12 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def iterate_calls(monkeypatch):
-    """Moment bases of every iterate_constrained call, from basis and bench alike."""
+    """Bases of every iterate_constrained call, from basis and bench alike."""
     calls = []
     real = tssos.graphs.iterate_constrained
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("moment_basis"))
+        calls.append(args[1])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(tssos.graphs, "iterate_constrained", counting)
@@ -66,6 +67,14 @@ def test_two_round_reduction_really_shrinks():
     assert [len(s.levels[0][0].basis) for s in rounds] == [10, 9]
 
 
+def test_reduced_constrained_bs_counts_the_standard_basis(capsys, tmp_path):
+    path = tmp_path / "two_rounds.pop"
+    path.write_text(TWO_ROUNDS, encoding="utf-8")
+    _, out, _ = run(capsys, "solve", str(path), "--order", "2", "--basis", "reduced", "--json")
+    payload = json.loads(out)
+    assert (payload["bs"], payload["rbs"]) == (10, 9)  # C(3 + 2, 2) before the reduction
+
+
 def test_bench_order_sets_the_standard_basis_degree(capsys):
     code, out, _ = run(capsys, "bench", "broyden_tridiagonal", "--n", "4", "--seed", "0",
                        "--basis", "standard", "--order", "3", "--format", "json")
@@ -91,6 +100,14 @@ def test_dense_relaxation_has_one_clique_per_generator():
     assert rel.seq is None and rel.order == 2 and rel.bs == 6
     assert [dec.cliques for dec in rel.cliques(1)] == [(tuple(range(6)),), (tuple(range(3)),)]
     assert not rel.stabilized(1)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_dense_constrained_blocks_are_the_generator_bases(order):
+    pop = parse_pop("vars 2\nx1^4 + x2^4 - x1*x2\nsubject to\n1 - x1^2 - x2^2\n1 - x1^4\n")
+    rel = build_relaxation(pop, RunOptions(order=order, dense=True))
+    sdp = assemble(pop, rel.cliques(1))
+    assert sdp.block_sizes == [len(b) for b in generator_bases(pop, order)]
 
 
 def test_readme_library_example_runs():

@@ -7,7 +7,7 @@ import pytest
 import tssos.solver
 from tssos import bench
 from tssos.assembly import assemble
-from tssos.basis import standard_basis
+from tssos.basis import generator_bases, standard_basis
 from tssos.graphs import CliqueDecomposition, iterate_constrained, maximal_cliques
 from tssos.poly import PopProblem
 from tssos.solver import (
@@ -475,7 +475,7 @@ def localizing_instance():
     """A constrained relaxation: moment cliques plus many-term localizing blocks."""
     n = 3
     pop = PopProblem(bench.broyden_tridiagonal(n), bench.constraint_set("unit_ball", n))
-    seq = iterate_constrained(pop, 3, k=1)
+    seq = iterate_constrained(pop, generator_bases(pop, 3), k=1)
     return assemble(pop, [maximal_cliques(g) for g in seq.at(1)]).canonical()[0]
 
 
