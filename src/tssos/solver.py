@@ -47,10 +47,13 @@ entry lists:
   list.
 
 M is factored once per iteration; the predictor and the corrector solve
-with the same factor.  Before anything is allocated, the working set (M,
-its factor, one chunk, the block stacks) is compared with the memory the
-process may use, and a problem that does not fit is refused with a
-ValueError.
+with the same factor, and the step-length tests reuse the Cholesky
+factors of X and S.  The working set (M, the scratch of its
+symmetrization and the arena of the Schur chunks) is allocated once per
+solve and refilled by every iteration.  Before anything is allocated, the
+working set (with M's factor and the block stacks) is compared with the
+memory the process may use, and a problem that does not fit is refused
+with a ValueError.
 """
 
 from __future__ import annotations
@@ -163,17 +166,30 @@ class _Chunk(NamedTuple):
     For the entries e of each (block, slot) pair of the ranges, padded with
     v_e = 0 up to K, the widest pair of the chunk, xrow and srow (nb, kc, K)
     index the rows b*s + p_e and b*s + q_e of the range's stacks flattened
-    to (nb*s, s), b counted from the start of the block range.  w is the
-    CSR matrix whose row (b, j) is the flattened A_{rows[b, j]} on block b
-    of the range.
+    to (nb*s, s), b counted from the start of the block range; v is
+    (nb, kc, K, 1).  w is the CSR matrix whose row (b, j) is the flattened
+    A_{rows[b, j]} on block b of the range.  rows_i (nb, k, 1) and rows_j
+    (nb, 1, kc) hold m * rows[b, j] and the rows of the slot range.
+
+    xg, sg, t, tt and dest are views into the layout's arena, written by
+    every Schur build: the X and S^{-1} gathers (nb, kc, K, s), T
+    (nb, kc, s, s), T transposed to (nb, s*s, kc) and the scatter index
+    (nb, k, kc) into M.  tt overwrites the gathers and dest overwrites T,
+    each once what it overwrites is dead.
     """
 
     blocks: slice
-    slots: slice
     xrow: np.ndarray
     srow: np.ndarray
     v: np.ndarray
     w: sp.csr_matrix
+    rows_i: np.ndarray
+    rows_j: np.ndarray
+    xg: np.ndarray
+    sg: np.ndarray
+    t: np.ndarray
+    tt: np.ndarray
+    dest: np.ndarray
 
 
 class _SizeClass:
@@ -182,9 +198,9 @@ class _SizeClass:
     c is (nb, s, s).  rows (nb, k) holds for each block the indices of the
     constraints touching it, those with the most entries first, padded up
     to k, the largest count in the class, with m*m, so that any index into
-    M formed with a padding row lies past its end.  chunks cut the
-    (block, slot) grid of the class into pieces of bounded bytes for the
-    Schur build.
+    M formed with a padding row lies past its end and lands, clipped, on
+    the spare cell after M.  chunks cut the (block, slot) grid of the class
+    into pieces of bounded bytes for the Schur build.
     """
 
     def __init__(self, blocks: np.ndarray, c: np.ndarray, rows: np.ndarray, chunks: List[_Chunk]):
@@ -216,6 +232,24 @@ def _plan_chunks(nb: int, k: int, s: int, wide: int) -> List[Tuple[int, int, int
             for b in range(nb) for i0 in range(0, k, per_chunk)]
 
 
+def _arena_views(arena: Optional[np.ndarray], nb: int, kc: int, kk: int, s: int, k: int):
+    """The Schur intermediates of a chunk as views into arena.
+
+    T, and after it the scatter index, sit first; the gathers, and after
+    them T transposed, share the space that follows.  Returns the views,
+    or with arena None the number of elements they need.
+    """
+    n_t, n_g, n_d = nb * kc * s * s, nb * kc * kk * s, nb * k * kc
+    head = max(n_t, n_d)
+    size = head + max(2 * n_g, n_t)
+    if arena is None:
+        return size
+    rest = arena[head:size]
+    return (rest[:n_g].reshape(nb, kc, kk, s), rest[n_g:2 * n_g].reshape(nb, kc, kk, s),
+            arena[:n_t].reshape(nb, kc, s, s), rest[:n_t].reshape(nb, s * s, kc),
+            arena[:n_d].view(np.int64).reshape(nb, k, kc))
+
+
 class _Layout:
     """Size classes of a problem, the constraint map A and the Schur build.
 
@@ -223,6 +257,12 @@ class _Layout:
     entries: the classes in order, each as its (nb, s, s) stack flattened,
     with every off-diagonal entry at (r, c) and at (c, r).  A(V) and A^T(y)
     are one sparse matvec each.
+
+    The Schur build's working set is allocated here, once per solve, and
+    reused by every build: the accumulator of M (m*m entries and a spare
+    cell that padding indices land on), the m x m scratch of its
+    symmetrization, and one arena that holds the intermediates of the
+    largest chunk.
     """
 
     def __init__(self, prob: CanonicalSdp):
@@ -255,6 +295,7 @@ class _Layout:
         cls = cls.ravel()
 
         self.classes: List[_SizeClass] = []
+        planned = []  # (class, arena dimensions, chunk fields before the views)
         pos = np.zeros(len(sizes), dtype=np.intp)  # position inside the class
         col = np.zeros(len(blk), dtype=np.intp)  # column of each entry in a
         ofs = 0
@@ -279,7 +320,6 @@ class _Layout:
             col[sel] = ofs + flat
             ofs += nb * s * s
             w = sp.csr_matrix((ev, (eb * k + es, flat)), shape=(nb * k, nb * s * s))
-            chunks = []
             for b0, b1, i0, i1 in _plan_chunks(nb, k, s, wide):
                 kk = int(width[b0:b1, i0:i1].max())
                 if not kk:  # blocks that no constraint touches add nothing
@@ -287,9 +327,15 @@ class _Layout:
                 bl, sl = slice(b0, b1), slice(i0, i1)
                 base = np.arange(b1 - b0)[:, None, None] * s
                 wc = w[b0 * k:b1 * k, b0 * s * s:b1 * s * s]
-                chunks.append(_Chunk(bl, sl, base + p[bl, sl, :kk], base + q[bl, sl, :kk],
-                                     val[bl, sl, :kk].copy(), wc))
-            self.classes.append(_SizeClass(members, cstack, rows, chunks))
+                planned.append((j, (b1 - b0, i1 - i0, kk, s, k), (
+                    bl, base + p[bl, sl, :kk], base + q[bl, sl, :kk], val[bl, sl, :kk, None].copy(),
+                    wc, rows[bl, :, None] * m, rows[bl, None, sl])))
+            self.classes.append(_SizeClass(members, cstack, rows, []))
+        self.arena = np.empty(max((_arena_views(None, *dims) for _, dims, _ in planned), default=0))
+        for j, dims, fields in planned:
+            self.classes[j].chunks.append(_Chunk(*fields, *_arena_views(self.arena, *dims)))
+        self.m_acc = np.empty(m * m + 1)
+        self.m_sym = np.empty((m, m))
         self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
         self.at = self.a.T.tocsr()
         self.ends = np.cumsum([0] + [cl.c.size for cl in self.classes])
@@ -311,27 +357,31 @@ class _Layout:
         entries e of A_i of v_e X[p_e, :]^T S^{-1}[q_e, :]: one (s, K) by
         (K, s) product per (block, constraint) pair, read out against every
         A_j of the block by one CSR product per chunk and added into M.
+
+        The returned M is the layout's own buffer, overwritten by the next
+        call: a caller that keeps M past it keeps a copy.
         """
         m = self.m
-        out = np.zeros(m * m)
+        acc = self.m_acc
+        acc.fill(0.0)
         for cl, x, sinv in zip(self.classes, xs, sinvs):
             s = cl.size
             for ch in cl.chunks:
                 xf = x[ch.blocks].reshape(-1, s)
                 sf = sinv[ch.blocks].reshape(-1, s)
                 nb, kc = ch.v.shape[:2]
-                xg = np.take(xf, ch.xrow, axis=0) * ch.v[..., None]
-                t = np.matmul(xg.swapaxes(-1, -2), np.take(sf, ch.srow, axis=0))
-                t = t.reshape(nb, kc, s * s).swapaxes(1, 2).reshape(nb * s * s, kc)
-                vals = (ch.w @ t).reshape(nb, -1, kc)
-                rows = cl.rows[ch.blocks]
-                dest = rows[:, :, None] * m + rows[:, None, ch.slots]
-                keep = dest < len(out)
-                np.add.at(out, dest[keep], vals[keep])
-        schur = out.reshape(m, m)
-        # M + M^T in place: numpy copies the overlapping transpose first
-        schur += schur.T
-        schur *= 0.5
+                # take buffers out= unless mode is "clip"; the rows are in range
+                np.take(xf, ch.xrow, axis=0, out=ch.xg, mode="clip")
+                np.multiply(ch.xg, ch.v, out=ch.xg)
+                np.take(sf, ch.srow, axis=0, out=ch.sg, mode="clip")
+                np.matmul(ch.xg.swapaxes(-1, -2), ch.sg, out=ch.t)
+                np.copyto(ch.tt, ch.t.reshape(nb, kc, s * s).swapaxes(1, 2))
+                np.add(ch.rows_i, ch.rows_j, out=ch.dest)
+                np.minimum(ch.dest, m * m, out=ch.dest)
+                np.add.at(acc, ch.dest.ravel(), (ch.w @ ch.tt.reshape(-1, kc)).ravel())
+        schur = acc[:m * m].reshape(m, m)
+        np.add(schur, schur.T, out=self.m_sym)
+        np.multiply(self.m_sym, 0.5, out=schur)
         return schur
 
     def unstack(self, stacks: List[np.ndarray]) -> List[np.ndarray]:
@@ -343,25 +393,27 @@ class _Layout:
         return out
 
 
-def _inverse(s: np.ndarray) -> Optional[np.ndarray]:
-    """S^{-1} for a stack of positive definite S; None if one is not."""
+def _cholesky(stack: np.ndarray) -> Optional[np.ndarray]:
+    """Lower Cholesky factors of a stack; None if a member is not positive definite."""
     try:
-        lo = np.linalg.cholesky(s)
+        return np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         return None
-    eye = np.broadcast_to(np.eye(s.shape[-1]), s.shape)
+
+
+def _inverse(lo: np.ndarray) -> np.ndarray:
+    """S^{-1} for a stack of S given by its lower Cholesky factors lo."""
+    eye = np.broadcast_to(np.eye(lo.shape[-1]), lo.shape)
     return _sym(np.linalg.solve(lo.swapaxes(-1, -2), np.linalg.solve(lo, eye)))
 
 
-def _step_length(x: np.ndarray, dx: np.ndarray) -> float:
+def _step_length(lo: Optional[np.ndarray], dx: np.ndarray) -> float:
     """Largest alpha with x_b + alpha*dx_b >= 0 for every block b of a stack.
 
-    The stack is assumed positive definite; when its Cholesky factorization
-    fails the step is 0.
+    lo is the lower Cholesky factor of the stack x, as _cholesky returns
+    it; when x is not positive definite (lo is None) the step is 0.
     """
-    try:
-        lo = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
+    if lo is None:
         return 0.0
     w = np.linalg.solve(lo, np.linalg.solve(lo, dx).swapaxes(-1, -2))
     lam = float(np.linalg.eigvalsh(_sym(w)).min())
@@ -374,17 +426,21 @@ def _factor(m: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
     """Lower Cholesky factor of m, jittering the diagonal only on failure.
 
     Returns the factor (None when every jitter failed) and the jitter used.
+    A jitter is added to m's diagonal in place, and the diagonal is put
+    back to the last bit before returning.
     """
-    base = 1e-14 * (1.0 + np.abs(np.diag(m)).max())
-    for jitter in [0.0] + [base * 100.0 ** j for j in range(7)]:
-        shifted = m
-        if jitter:
-            shifted = m.copy()
-            shifted.flat[:: len(m) + 1] += jitter
-        try:
-            return np.linalg.cholesky(shifted), jitter
-        except np.linalg.LinAlgError:
-            continue
+    diag = m.diagonal().copy()
+    base = 1e-14 * (1.0 + np.abs(diag).max())
+    try:
+        for jitter in [0.0] + [base * 100.0 ** j for j in range(7)]:
+            if jitter:
+                m.flat[:: len(m) + 1] = diag + jitter
+            try:
+                return np.linalg.cholesky(m), jitter
+            except np.linalg.LinAlgError:
+                continue
+    finally:
+        m.flat[:: len(m) + 1] = diag
     return None, jitter
 
 
@@ -395,16 +451,18 @@ def _solve(m: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ill-conditioned near the central path's end, which otherwise leaves a
     feasibility residual floor around sqrt(eps) or stalls the steps.  It
     runs while each pass at least halves the residual, at most
-    REFINE_PASSES times.
+    REFINE_PASSES times.  lo.T is the upper factor in Fortran order, which
+    cho_solve passes to LAPACK without copying it.
     """
-    x = cho_solve((lo, True), rhs, check_finite=False)
+    upper = (lo.T, False)
+    x = cho_solve(upper, rhs, check_finite=False)
     res = rhs - m @ x
     last = np.inf
     for _ in range(REFINE_PASSES):
         size = np.linalg.norm(res)
         if not size < 0.5 * last:
             break
-        x += cho_solve((lo, True), res, check_finite=False)
+        x += cho_solve(upper, res, check_finite=False)
         last = size
         res = rhs - m @ x
     return x
@@ -419,25 +477,27 @@ def _memory_limit() -> int:
     return limit
 
 
-def _check_memory(prob: CanonicalSdp):
-    """Raise ValueError when the solver's working set would not fit.
+def _check_memory(prob: CanonicalSdp) -> int:
+    """Bytes of the solver's working set; ValueError when it would not fit.
 
-    Counts M, the copy its symmetrization or a jittered factorization
-    makes, its Cholesky factor, one Schur chunk and the block stacks that an
-    iteration keeps alive (iterate, slack, inverse, residual, directions,
-    corrector and the remembered best iterate).
+    Counts what is held for the whole solve: M, the scratch of its
+    symmetrization, its Cholesky factor and the copy np.linalg.cholesky
+    factors in; the Schur arena with one chunk's readout; and the block
+    stacks that an iteration keeps alive (iterate, slack, inverse,
+    residual, directions, corrector and the remembered best iterate).
     """
     m = prob.n_constraints
     sizes = prob.block_sizes
     s_max = max(sizes, default=0)
     chunk = max(SCHUR_CHUNK_BYTES, 8 * (2 * s_max * s_max + 3 * m))
-    need = 8 * 3 * m * m + chunk + 8 * 16 * sum(s * s for s in sizes)
+    need = 8 * 4 * m * m + chunk + 8 * 16 * sum(s * s for s in sizes)
     limit = _memory_limit()
     if need > limit:
         raise ValueError(
             f"the solver needs about {need / 2**20:.0f} MiB ({m} constraints, "
             f"largest block {s_max}), more than the {limit / 2**20:.0f} MiB "
             f"this process may use")
+    return need
 
 
 def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> SolverSolution:
@@ -544,14 +604,15 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
             status = "infeasible" if rd_norm <= 1e-6 else "numerical"
             break
 
-        sinvs = [_inverse(s) for s in ss]
-        if any(si is None for si in sinvs):
+        s_chol = [_cholesky(s) for s in ss]
+        if any(c is None for c in s_chol):
             stop("s_not_pd")
             status = "numerical"
             break
+        sinvs = [_inverse(c) for c in s_chol]
 
-        # release the last iteration's M and factor, so that they are not
-        # alive beside the new ones
+        # release the last iteration's factor, so that it is not alive
+        # beside the new one; M is the layout's buffer, refilled in place
         schur = lo = None
         schur = lay.schur(xs, sinvs)
         lo, jitter = _factor(schur)
@@ -584,8 +645,9 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
 
         dx_aff, dy_aff, ds_aff = direction(0.0, None)
 
-        ap_aff = min(1.0, min((_step_length(x, dx) for x, dx in zip(xs, dx_aff)), default=1.0))
-        ad_aff = min(1.0, min((_step_length(s, ds) for s, ds in zip(ss, ds_aff)), default=1.0))
+        x_chol = [_cholesky(x) for x in xs]
+        ap_aff = min(1.0, min((_step_length(c, dx) for c, dx in zip(x_chol, dx_aff)), default=1.0))
+        ad_aff = min(1.0, min((_step_length(c, ds) for c, ds in zip(s_chol, ds_aff)), default=1.0))
         gap_aff = sum(
             float(np.vdot(x + ap_aff * dx, s + ad_aff * ds))
             for x, dx, s, ds in zip(xs, dx_aff, ss, ds_aff)
@@ -602,8 +664,8 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
         dxs, dy, dss = direction(sigma * mu, corr)
 
         tau = cfg.step_fraction
-        ap = min(1.0, tau * min((_step_length(x, dx) for x, dx in zip(xs, dxs)), default=np.inf))
-        ad = min(1.0, tau * min((_step_length(s, ds) for s, ds in zip(ss, dss)), default=np.inf))
+        ap = min(1.0, tau * min((_step_length(c, dx) for c, dx in zip(x_chol, dxs)), default=np.inf))
+        ad = min(1.0, tau * min((_step_length(c, ds) for c, ds in zip(s_chol, dss)), default=np.inf))
         if ap <= 1e-12 and ad <= 1e-12:
             stop("tiny_steps")
             status = "numerical"

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 import tssos.solver
 from tssos import bench
@@ -14,7 +15,9 @@ from tssos.solver import (
     CanonicalSdp,
     SolverConfig,
     SolverSolution,
+    _cholesky,
     _Layout,
+    _solve,
     _step_length,
     solve_canonical,
 )
@@ -384,10 +387,12 @@ def test_step_length_is_zero_for_stack_with_non_pd_member():
     rng = np.random.default_rng(3)
     x = np.stack([np.eye(3), np.diag([1.0, -1.0, 2.0]), 2 * np.eye(3)])
     dx = rng.normal(size=(3, 3, 3))
-    assert _step_length(x, dx + dx.swapaxes(1, 2)) == 0.0
-    assert _step_length(np.array([1.0, 0.0, 2.0]).reshape(3, 1, 1), np.ones((3, 1, 1))) == 0.0
+    assert _cholesky(x) is None
+    assert _step_length(_cholesky(x), dx + dx.swapaxes(1, 2)) == 0.0
+    one = np.array([1.0, 0.0, 2.0]).reshape(3, 1, 1)
+    assert _step_length(_cholesky(one), np.ones((3, 1, 1))) == 0.0
     # the same stack without the bad member gets a positive step
-    assert _step_length(x[[0, 2]], np.zeros((2, 3, 3))) == np.inf
+    assert _step_length(_cholesky(x[[0, 2]]), np.zeros((2, 3, 3))) == np.inf
 
 
 def test_step_length_on_1x1_stack_is_ratio_test():
@@ -395,7 +400,7 @@ def test_step_length_on_1x1_stack_is_ratio_test():
     for _ in range(20):
         x = rng.uniform(0.1, 2.0, size=7)
         dx = rng.normal(size=7)
-        alpha = _step_length(x.reshape(7, 1, 1), dx.reshape(7, 1, 1))
+        alpha = _step_length(_cholesky(x.reshape(7, 1, 1)), dx.reshape(7, 1, 1))
         # on the half-line the largest alpha with x + alpha dx >= 0 is -1/min(dx/x)
         lam = (dx / x).min()
         if lam >= 0:
@@ -403,7 +408,7 @@ def test_step_length_on_1x1_stack_is_ratio_test():
             continue
         assert alpha == pytest.approx(-1.0 / lam, rel=1e-12)
         assert (x + alpha * dx).min() == pytest.approx(0.0, abs=1e-12)
-    assert _step_length(np.ones((2, 1, 1)), np.ones((2, 1, 1))) == np.inf
+    assert _step_length(_cholesky(np.ones((2, 1, 1))), np.ones((2, 1, 1))) == np.inf
 
 
 def test_size_classes_split_by_constraint_count():
@@ -618,3 +623,104 @@ def test_schur_complement_factored_once_per_iteration(monkeypatch):
     assert sol.status == "optimal"
     # the last iteration only checks convergence
     assert len(calls) == sol.iterations - 1
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1])
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_schur_build_carries_nothing_over_to_the_next(case, chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", chunk_bytes)
+    prob = SCHUR_CASES[case]()
+    rng = np.random.default_rng(29)
+    first, second = ([random_pd_blocks(rng, prob.block_sizes) for _ in range(2)] for _ in range(2))
+    lay = _Layout(prob)
+    lay.schur(*(class_stacks(lay, b) for b in first))
+    got = lay.schur(*(class_stacks(lay, b) for b in second))
+    fresh = _Layout(prob)
+    assert np.array_equal(got, fresh.schur(*(class_stacks(fresh, b) for b in second)))
+
+
+def test_schur_build_allocates_little_after_the_first():
+    prob = dense_banded_instance()
+    m = prob.n_constraints
+    rng = np.random.default_rng(3)
+    lay = _Layout(prob)
+    xs = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
+    ss = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
+    lay.schur(xs, ss)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lay.schur(xs, ss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # M, its scratch and the chunk intermediates are reused; what is left
+    # is one chunk's readout
+    assert peak < m * m * 8 / 4, peak / (m * m * 8)
+
+
+def lower_factor_solve(m, lo, rhs):
+    """_solve's refinement, passing the lower factor to cho_solve."""
+    x = cho_solve((lo, True), rhs, check_finite=False)
+    res = rhs - m @ x
+    last = np.inf
+    for _ in range(tssos.solver.REFINE_PASSES):
+        size = np.linalg.norm(res)
+        if not size < 0.5 * last:
+            break
+        x += cho_solve((lo, True), res, check_finite=False)
+        last = size
+        res = rhs - m @ x
+    return x
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_solve_with_upper_factor_matches_lower_factor_bitwise(singular):
+    rng = np.random.default_rng(31)
+    n = 300
+    q = rng.normal(size=(n, n - 5 if singular else n))
+    m = q @ q.T
+    if singular:  # indefinite, so that the jitter ladder takes several rungs
+        m.flat[:: n + 1] -= 1e-7
+    kept = m.copy()
+    lo, jitter = tssos.solver._factor(m)
+    assert (jitter > 0) == singular
+    # the factor is of M + jitter I, and the jitter is taken off the
+    # diagonal again to the last bit
+    shifted = kept.copy()
+    shifted.flat[:: n + 1] += jitter
+    assert np.array_equal(lo, np.linalg.cholesky(shifted))
+    assert np.array_equal(m, kept)
+    rhs = rng.normal(size=n)
+    assert np.array_equal(_solve(m, lo, rhs), lower_factor_solve(m, lo, rhs))
+
+
+@pytest.mark.parametrize("make", [many_constraints_instance, dense_banded_instance])
+def test_solve_peak_is_within_memory_estimate(make):
+    prob = make()
+    need = tssos.solver._check_memory(prob)
+    tracemalloc.start()
+    try:
+        solve_canonical(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need, (peak, need)
+
+
+def test_step_tests_reuse_the_cholesky_factors(monkeypatch):
+    prob = mixed_instance(*MIXED_GOLDEN[0][0])
+    classes = len(_Layout(prob).classes)
+    calls = []
+    real = tssos.solver._cholesky
+
+    def counting(stack):
+        calls.append(stack.shape)
+        return real(stack)
+
+    monkeypatch.setattr(tssos.solver, "_cholesky", counting)
+    sol = solve_canonical(prob)
+    assert sol.status == "optimal"
+    # S and X once per class in every iteration but the last
+    assert len(calls) == 2 * classes * (sol.iterations - 1)
