@@ -29,6 +29,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from .basis import RowsOf, _ExponentSet, exponent_keys
 from .graphs import CliqueDecomposition
 from .poly import Exponent, Polynomial, PopProblem, grlex_key
 from .solver import CanonicalSdp, SolverConfig, SolverSolution, solve_canonical
@@ -98,7 +101,8 @@ class BlockSdp:
         for row in self.rows:
             if row.alpha == origin:
                 continue
-            a_entries.append(tuple((blk, r, c, sign * v) for blk, r, c, v in row.entries))
+            ents = row.entries
+            a_entries.append(ents if sign == 1.0 else tuple((blk, r, c, -v) for blk, r, c, v in ents))
             b.append(sign * row.rhs)
         prob = CanonicalSdp(
             block_sizes=tuple(s.size for s in self.blocks),
@@ -141,8 +145,41 @@ def _check_side(side: str):
         raise ValueError(f"side must be one of {SIDES}")
 
 
-def _sum(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+def _clique_cells(dec: CliqueDecomposition) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every cell a <= b of every clique block, clique by clique in row-major order.
+
+    Returns the clique index, the in-block row a and column b, and the basis
+    indices u, v of the two nodes the cell pairs.
+    """
+    sizes = np.array([len(c) for c in dec.cliques], dtype=np.int64)
+    counts = sizes * (sizes + 1) // 2
+    start = np.cumsum(counts) - counts
+    clique = np.repeat(np.arange(len(sizes)), counts)
+    a, b, u, v = (np.empty(int(counts.sum()), dtype=np.int64) for _ in range(4))
+    for size in np.unique(sizes).tolist():
+        which = np.flatnonzero(sizes == size)
+        members = np.array([dec.cliques[w] for w in which.tolist()], dtype=np.int64)
+        ta, tb = np.triu_indices(size)
+        pos = (start[which, None] + np.arange(len(ta))).ravel()
+        a[pos], b[pos] = np.tile(ta, len(which)), np.tile(tb, len(which))
+        u[pos], v[pos] = members[:, ta].ravel(), members[:, tb].ravel()
+    return clique, a, b, u, v
+
+
+def _distinct(keys: np.ndarray, rows_of: RowsOf) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct exponents among items given as keys plus rows_of(idx), and
+    the index of every item among them.
+
+    Items are grouped by key once _ExponentSet has confirmed, on the rows,
+    that no two distinct exponents share one; otherwise they are grouped
+    exactly.
+    """
+    if _ExponentSet(keys, rows_of).exact is None:
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(rows_of(np.arange(len(keys))), axis=0,
+                                      return_index=True, return_inverse=True)
+    return rows_of(first), inverse.ravel()
 
 
 def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str = "sos") -> BlockSdp:
@@ -155,6 +192,10 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
     clique entries realizing alpha - aprime, so duplicate exponents across
     generators share one equality row (SOS side) or one y variable (moment
     side).
+
+    Every (generator, term, cell) triple is one entry of row aprime + u + v;
+    the entries are laid out in that order, so a stable sort by row keeps it
+    within each row.
     """
     _check_side(side)
     f = pop.objective
@@ -166,33 +207,47 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
         raise ValueError("constant monomial missing from the basis")
 
     blocks: List[BlockSpec] = []
-    realize: List[Dict[Exponent, List[Tuple[int, int, int]]]] = [dict() for _ in gens]
-    for j, dec in enumerate(cliques):
-        monos = dec.basis.monos
-        for ci, clique in enumerate(dec.cliques):
-            blk = len(blocks)
-            blocks.append(BlockSpec(size=len(clique), label=(j, ci)))
-            for a in range(len(clique)):
-                for b in range(a, len(clique)):
-                    s = _sum(monos[clique[a]], monos[clique[b]])
-                    realize[j].setdefault(s, []).append((blk, a, b))
-    rows_map: Dict[Exponent, List[Tuple[int, int, int, float]]] = {}
-    for j, g in enumerate(gens):
-        for aprime, coeff in g.terms.items():
-            shifted = any(aprime)
-            for rho, cells in realize[j].items():
-                alpha = _sum(aprime, rho) if shifted else rho
-                rows_map.setdefault(alpha, []).extend([(blk, a, b, coeff) for blk, a, b in cells])
+    parts: List[Tuple[np.ndarray, ...]] = []  # per generator term: its cells and term index
+    nodes: List[np.ndarray] = []  # every generator's basis rows, stacked
+    terms: List[Tuple[Exponent, float]] = []
+    first_node = 0
+    for j, (g, dec) in enumerate(zip(gens, cliques)):
+        clique, a, b, u, v = _clique_cells(dec)
+        blk = clique + len(blocks)
+        blocks.extend(BlockSpec(size=len(c), label=(j, ci)) for ci, c in enumerate(dec.cliques))
+        for term in g.terms.items():
+            parts.append((blk, a, b, u + first_node, v + first_node, np.full(len(a), len(terms))))
+            terms.append(term)
+        nodes.append(dec.basis.array)
+        first_node += len(dec.basis)
+    blk, a, b, u, v, term = (np.concatenate(col) for col in zip(*parts))
+    node_rows = np.concatenate(nodes)
+    shifts = np.array([t for t, _ in terms], dtype=np.int64).reshape(-1, n)
+    node_keys = exponent_keys(node_rows)
+    distinct, group = _distinct(
+        node_keys[u] + node_keys[v] + exponent_keys(shifts)[term],
+        lambda idx: node_rows[u[idx]] + node_rows[v[idx]] + shifts[term[idx]],
+    )
+    coeff = np.array([c for _, c in terms])[term]
+    # graded lex: total degree first, then x1's exponent downwards, then x2's, ...
+    order = np.lexsort(np.vstack([-distinct[:, ::-1].T, distinct.sum(axis=1)]))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    row = rank[group]
+    perm = np.argsort(row, kind="stable")
+    entries = list(zip(blk[perm].tolist(), a[perm].tolist(), b[perm].tolist(), coeff[perm].tolist()))
+    ends = np.cumsum(np.bincount(row, minlength=len(order))).tolist()
+    alphas = list(map(tuple, distinct[order].tolist()))
 
-    missing = [a for a in f.support() if a not in rows_map]
+    missing = f.support().difference(alphas)
     if missing:
         raise ValueError(
             f"unrepresentable support: {sorted(missing, key=grlex_key)[:5]} "
             "not realized by the cliques"
         )
     rows = tuple(
-        CoeffMatcher(alpha=a, entries=tuple(ents), rhs=f.coeff(a))
-        for a, ents in sorted(rows_map.items(), key=lambda kv: grlex_key(kv[0]))
+        CoeffMatcher(alpha=al, entries=tuple(entries[lo:hi]), rhs=f.coeff(al))
+        for al, lo, hi in zip(alphas, [0] + ends, ends)
     )
     return BlockSdp(nvars=n, side=side, blocks=tuple(blocks), rows=rows,
                     constraints=tuple(pop.constraints))
@@ -240,13 +295,18 @@ def reconstruct_certificate(
     gens = [Polynomial.constant(n, 1.0)] + list(problem.constraints)
     if len(cliques) != len(gens):
         raise ValueError(f"expected {len(gens)} clique decompositions, got {len(cliques)}")
-    members = [(g, dec.monomials(ci)) for g, dec in zip(gens, cliques) for ci in range(len(dec.cliques))]
     total = Polynomial.constant(n, result.bound)
-    for (g, monos), x in zip(members, result.solution.x_blocks):
-        sigma_terms: Dict[Exponent, float] = {}
-        for a in range(len(monos)):
-            for b in range(len(monos)):
-                key = _sum(monos[a], monos[b])
-                sigma_terms[key] = sigma_terms.get(key, 0.0) + x[a, b]
-        total = total + g * Polynomial(n, sigma_terms)
+    x_blocks = iter(result.solution.x_blocks)
+    for g, dec in zip(gens, cliques):
+        u, v = _clique_cells(dec)[3:]
+        # x is symmetric, so an off-diagonal cell a < b carries x[a, b] + x[b, a]
+        cells = [np.zeros(0)]
+        for _, x in zip(dec.cliques, x_blocks):
+            cells.append((x + x.T - np.diag(np.diag(x)))[np.triu_indices(len(x))])
+        rows = dec.basis.array
+        keys = exponent_keys(rows)
+        distinct, group = _distinct(keys[u] + keys[v], lambda idx: rows[u[idx]] + rows[v[idx]])
+        coeffs = np.bincount(group, weights=np.concatenate(cells), minlength=len(distinct))
+        sigma = dict(zip(map(tuple, distinct.tolist()), coeffs.tolist()))
+        total = total + g * Polynomial(n, sigma)
     return total

@@ -15,6 +15,15 @@ the single generator g_0.  Running the pair to a fixed point gives the graph
 sequence the block structure of the relaxations is read from; one loop,
 iterate_constrained, does it for every relaxation.
 
+Each step searches only the support that is new.  This is exact because
+edges only grow from level to level (the seed union and the chordal
+extension both return supergraphs): a pair that is still a non-edge was a
+non-edge at every earlier level, so its sum already missed every support
+searched for that graph so far (for the moment graph, the tsp_graph targets
+too).  Only support outside those sets can link it, and only chordal fill
+and seed edges bring such support, since a support-extension edge's sum is
+old support by definition.
+
 Chordal extension modes:
 
 * ``approx_min``: leave the graph alone when it is already chordal (checked
@@ -38,7 +47,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .basis import MonomialBasis, _ExponentSet, _linked_pairs, _rows_set, exponent_keys
+from .basis import MonomialBasis, RowsOf, _ExponentSet, _linked_pairs, _rows_set, exponent_keys
 from .poly import Exponent, Polynomial, PopProblem
 
 Edge = Tuple[int, int]
@@ -149,12 +158,49 @@ def _support_pairs(graph: MonomialGraph) -> Tuple[np.ndarray, np.ndarray]:
     return np.concatenate([diag, graph.pairs[:, 0]]), np.concatenate([diag, graph.pairs[:, 1]])
 
 
-def _support_set(graph: MonomialGraph) -> _ExponentSet:
-    """graph.support() as an _ExponentSet."""
+def _support_items(graph: MonomialGraph) -> Tuple[np.ndarray, RowsOf]:
+    """Keys and rows_of of the sums basis[a] + basis[b] that make up graph.support()."""
     rows = graph.basis.array
     a, b = _support_pairs(graph)
     keys = exponent_keys(rows)
-    return _ExponentSet(keys[a] + keys[b], lambda idx: rows[a[idx]] + rows[b[idx]])
+    return keys[a] + keys[b], lambda idx: rows[a[idx]] + rows[b[idx]]
+
+
+def _support_set(graph: MonomialGraph) -> _ExponentSet:
+    """graph.support() as an _ExponentSet."""
+    return _ExponentSet(*_support_items(graph))
+
+
+def _new_support(graph: MonomialGraph, searched: _ExponentSet) -> Optional[_ExponentSet]:
+    """The part of graph.support() outside searched, or None when it is all in there."""
+    keys, rows_of = _support_items(graph)
+    new = np.flatnonzero(~searched.contains(keys, rows_of))
+    if not len(new):
+        return None
+    return _ExponentSet(keys[new], lambda idx: rows_of(new[idx]))
+
+
+def _tsp_targets(f: Polynomial, basis: MonomialBasis, extra_support: Iterable[Exponent]) -> _ExponentSet:
+    """supp(f), the extra support exponents and all doubled basis monomials."""
+    target = set(f.support())
+    target.update(tuple(a) for a in extra_support)
+    rows = np.concatenate([
+        np.array(sorted(target), dtype=np.int64).reshape(-1, basis.nvars),
+        2 * basis.array,
+    ])
+    return _rows_set(rows)
+
+
+def _linked(
+    graph: MonomialGraph, targets: Optional[_ExponentSet], shifts: Optional[np.ndarray] = None
+) -> MonomialGraph:
+    """graph plus every non-edge whose sum, shifted by a row of shifts, is in targets.
+
+    targets None stands for the empty set: no pair search at all.
+    """
+    if targets is None:
+        return graph
+    return graph._with_pairs(_linked_pairs(graph.basis, targets, shifts, known=graph.pairs))
 
 
 def tsp_graph(
@@ -167,25 +213,12 @@ def tsp_graph(
     The target set is supp(f), any extra support exponents (constraint
     supports in the constrained setting), and all doubled basis monomials.
     """
-    target = set(f.support())
-    target.update(tuple(a) for a in extra_support)
-    rows = np.concatenate([
-        np.array(sorted(target), dtype=np.int64).reshape(-1, basis.nvars),
-        2 * basis.array,
-    ])
-    return MonomialGraph._from_pairs(basis, _linked_pairs(basis, _rows_set(rows)))
+    return _linked(MonomialGraph(basis, ()), _tsp_targets(f, basis, extra_support))
 
 
-def support_extension(
-    graph: MonomialGraph, support: Optional[_ExponentSet] = None
-) -> MonomialGraph:
-    """Add every edge whose sum is already realized by the graph.
-
-    support is the graph's ``_support_set`` when the caller has built it.
-    """
-    if support is None:
-        support = _support_set(graph)
-    return graph._with_pairs(_linked_pairs(graph.basis, support, known=graph.pairs))
+def support_extension(graph: MonomialGraph) -> MonomialGraph:
+    """Add every edge whose sum is already realized by the graph."""
+    return _linked(graph, _support_set(graph))
 
 
 # -- chordality ------------------------------------------------------------
@@ -442,6 +475,12 @@ def iterate_constrained(
     A seed sequence from a lower relaxation order can be supplied to keep
     graphs nested across orders as well; its edges are embedded by monomial
     identity and unioned in at every level.
+
+    Every search covers only the support new since that graph's last one
+    (see the module docstring): the moment support minus the tsp targets at
+    step 1 for the moment graph, the whole moment support at step 1 for a
+    constraint graph, and from step 2 on, for both, the moment support minus
+    the previous step's.  When nothing is new the search is skipped.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -468,17 +507,21 @@ def iterate_constrained(
                 out.add((min(ia, ib), max(ia, ib)))
         return MonomialGraph(target_basis, graph.edges | out)
 
-    g0 = with_seed(tsp_graph(pop.objective, bases[0], extra_support=extra), 0, 0)
+    targets = _tsp_targets(pop.objective, bases[0], extra)
+    g0 = with_seed(_linked(MonomialGraph(bases[0], ()), targets), 0, 0)
     levels: List[List[MonomialGraph]] = [[g0] + [MonomialGraph(b, ()) for b in bases[1:]]]
     stabilized = None
+    searched = targets  # every non-edge of the moment graph is known to miss it
     for step in range(1, k + 2):
         prev = levels[-1]
         moment_supp = _support_set(prev[0])
-        new_moment = with_seed(support_extension(prev[0], moment_supp), step, 0)
-        new_level = [chordal_extension(new_moment, mode)]
+        new = _new_support(prev[0], searched)
+        new_level = [chordal_extension(with_seed(_linked(prev[0], new), step, 0), mode)]
+        # the constraint graphs were last searched one step back, against the
+        # support searched now holds; at step 1 they have searched nothing yet
+        loc_targets = moment_supp if step == 1 else new
         for j, loc_prev in enumerate(prev[1:]):
-            found = _linked_pairs(loc_prev.basis, moment_supp, shifts[j], known=loc_prev.pairs)
-            graph = with_seed(loc_prev._with_pairs(found), step, j + 1)
+            graph = with_seed(_linked(loc_prev, loc_targets, shifts[j]), step, j + 1)
             new_level.append(chordal_extension(graph, mode))
         if step >= 2 and _levels_equal(new_level, prev):
             stabilized = step - 1
@@ -486,6 +529,8 @@ def iterate_constrained(
         if step > k:
             break
         levels.append(new_level)
+        # it holds every tsp target a basis pair can realize, as tsp edges did
+        searched = moment_supp
     while len(levels) < k + 1:
         levels.append(levels[-1])
     return GraphSequence(levels=levels, mode=mode, stabilized_at=stabilized)

@@ -17,13 +17,22 @@ re-imported file reproduces the same bound; foreign solvers ignore comments.
 Negative block sizes (the format's diagonal-block convention) are accepted on
 import and treated as ordinary PSD blocks, which changes nothing when every
 data entry on such a block is diagonal.
+
+Entry lines are written and read a column at a time: each distinct number is
+formatted once on export, and numpy parses and range-checks the entry
+section on import.  A malformed file, a header offset that is not a number
+and a header side other than sos or moment included, raises SdpaFormatError
+naming the first bad line.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import chain
+from typing import Callable, List, Sequence, Tuple
+
+import numpy as np
 
 from .solver import CanonicalSdp
 
@@ -55,8 +64,11 @@ class ImportedSdp:
         return self.problem.n_constraints
 
 
-def _format_entry(k: int, blk: int, r: int, c: int, v: float) -> str:
-    return f"{k} {blk + 1} {r + 1} {c + 1} " + _FMT.format(v)
+def _text_column(values: np.ndarray, fmt: Callable[[object], str]) -> List[str]:
+    """fmt of every value, each distinct value formatted once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    text = list(map(fmt, distinct.tolist()))
+    return list(map(text.__getitem__, inverse.ravel().tolist()))
 
 
 def export_sdpa(problem, path: str) -> None:
@@ -69,41 +81,109 @@ def export_sdpa(problem, path: str) -> None:
     lines.append(str(len(prob.block_sizes)))
     lines.append(" ".join(str(s) for s in prob.block_sizes))
     lines.append(" ".join(_FMT.format(v) for v in prob.b))
-    for blk, r, c, v in prob.c_entries:
-        if v != 0.0:
-            lines.append(_format_entry(0, blk, r, c, -v))
-    for i, row in enumerate(prob.a_entries, start=1):
-        for blk, r, c, v in row:
-            if v != 0.0:
-                lines.append(_format_entry(i, blk, r, c, v))
+    # one "k blk i j v" line per nonzero entry: F_0 = -C first, then A_1, ..., A_m
+    counts = [len(prob.c_entries)] + [len(row) for row in prob.a_entries]
+    if sum(counts):
+        k = np.repeat(np.arange(m + 1), counts)
+        blk, r, c, v = (np.array(col) for col in zip(*chain(prob.c_entries, *prob.a_entries)))
+        v = np.where(k == 0, -v, v)
+        keep = v != 0.0
+        columns = [_text_column(col[keep], str) for col in (k, blk + 1, r + 1, c + 1)]
+        columns.append(_text_column(v[keep], _FMT.format))
+        lines.extend(map(" ".join, zip(*columns)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 _SPLIT = re.compile(r"[\s,(){}]+")
+_DELIMS = str.maketrans(",(){}", "     ")
+_HEADER = re.compile(r"offset=([^\s]+)\s+side=(\w+)")
+_ENTRY = np.dtype([("k", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _tokens(line: str) -> List[str]:
     return [t for t in _SPLIT.split(line.strip()) if t]
 
 
+def _parse_entry(ln: int, line: str, m: int, sizes: Sequence[int]) -> Tuple[int, int, int, int, float]:
+    """One 'k blk i j v' line as (k, blk, i, j, v), checked; raises SdpaFormatError."""
+    toks = _tokens(line)
+    if len(toks) != 5:
+        raise SdpaFormatError(f"line {ln}: expected 'k blk i j v', got {line!r}")
+    try:
+        k, blk, i, j = (int(t) for t in toks[:4])
+        v = float(toks[4])
+    except ValueError:
+        raise SdpaFormatError(f"line {ln}: bad entry {line!r}") from None
+    if not 0 <= k <= m:
+        raise SdpaFormatError(f"line {ln}: matrix index {k} out of range 0..{m}")
+    if not 1 <= blk <= len(sizes):
+        raise SdpaFormatError(f"line {ln}: block index {blk} out of range 1..{len(sizes)}")
+    if min(i, j) < 1 or max(i, j) > sizes[blk - 1]:
+        raise SdpaFormatError(f"line {ln}: entry ({i},{j}) outside block of size {sizes[blk - 1]}")
+    if max(i, j) > _INT64_MAX:
+        raise SdpaFormatError(f"line {ln}: entry ({i},{j}) beyond 64-bit indices")
+    return k, blk, i, j, v
+
+
+def _entry_columns(lines: List[Tuple[int, str]], m: int, sizes: Sequence[int]) -> List[np.ndarray]:
+    """The k, blk, i, j, v columns of the entry lines [(line number, text)].
+
+    numpy parses and range-checks the whole section at once; should anything
+    be off, the lines are parsed one by one instead, which names the first
+    bad line, or accepts what numpy's stricter number syntax refused.
+    """
+    if not lines:
+        return [np.zeros(0, dtype=_ENTRY[f]) for f in _ENTRY.names]
+    texts = [line for _, line in lines]
+    joined = "\n".join(texts)
+    if any(ch in joined for ch in ",(){}"):
+        texts = joined.translate(_DELIMS).split("\n")
+    try:
+        table = np.loadtxt(texts, dtype=_ENTRY, comments=None, ndmin=1)
+    except (ValueError, OverflowError):
+        table = None
+    if table is not None and len(table) == len(lines):
+        k, blk, i, j = (table[f] for f in _ENTRY.names[:4])
+        ok = (0 <= k) & (k <= m) & (1 <= blk) & (blk <= len(sizes))
+        # an index read as int64 is below any larger size
+        capped = np.array([min(s, _INT64_MAX) for s in sizes], dtype=np.int64)
+        size = capped[np.where(ok, blk - 1, 0)] if sizes else 0
+        if (ok & (np.minimum(i, j) >= 1) & (np.maximum(i, j) <= size)).all():
+            return [table[f] for f in _ENTRY.names]
+    parsed = [_parse_entry(ln, line, m, sizes) for ln, line in lines]
+    return [np.array(col, dtype=_ENTRY[f]) for f, col in zip(_ENTRY.names, zip(*parsed))]
+
+
 def import_sdpa(path: str) -> ImportedSdp:
     """Read a .dat-s file back into a solvable problem."""
     offset = 0.0
     side = "sos"
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise SdpaFormatError(f"line {line}: not UTF-8 text") from None
     data_lines: List[Tuple[int, str]] = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith('"') or line.startswith("*"):
-                m = re.search(r"offset=([^\s]+)\s+side=(\w+)", line)
-                if m:
-                    offset = float(m.group(1))
-                    side = m.group(2)
-                continue
-            data_lines.append((ln, line))
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for ln, line in enumerate(map(str.strip, lines), start=1):
+        if not line:
+            continue
+        if line[0] in "\"*":
+            header = _HEADER.search(line)
+            if header:
+                try:
+                    offset = float(header.group(1))
+                except ValueError:
+                    raise SdpaFormatError(f"line {ln}: bad offset {header.group(1)!r}") from None
+                side = header.group(2)
+                if side not in ("sos", "moment"):
+                    raise SdpaFormatError(f"line {ln}: side must be sos or moment, got {side!r}")
+            continue
+        data_lines.append((ln, line))
 
     if len(data_lines) < 2:
         last = data_lines[-1][0] if data_lines else 0
@@ -147,36 +227,21 @@ def import_sdpa(path: str) -> ImportedSdp:
     if len(b) > m:
         raise SdpaFormatError(f"line {data_lines[cursor - 1][0]}: {len(b)} right-hand sides for mDIM {m}")
 
-    c_entries: List[Tuple[int, int, int, float]] = []
-    a_entries: List[List[Tuple[int, int, int, float]]] = [[] for _ in range(m)]
-    for ln, line in data_lines[cursor:]:
-        toks = _tokens(line)
-        if len(toks) != 5:
-            raise SdpaFormatError(f"line {ln}: expected 'k blk i j v', got {line!r}")
-        try:
-            k, blk, i, j = (int(t) for t in toks[:4])
-            v = float(toks[4])
-        except ValueError:
-            raise SdpaFormatError(f"line {ln}: bad entry {line!r}") from None
-        if not 0 <= k <= m:
-            raise SdpaFormatError(f"line {ln}: matrix index {k} out of range 0..{m}")
-        if not 1 <= blk <= nblock:
-            raise SdpaFormatError(f"line {ln}: block index {blk} out of range 1..{nblock}")
-        r, c = min(i, j) - 1, max(i, j) - 1
-        if r < 0 or c >= sizes[blk - 1]:
-            raise SdpaFormatError(f"line {ln}: entry ({i},{j}) outside block of size {sizes[blk - 1]}")
-        if k == 0:
-            c_entries.append((blk - 1, r, c, -v))
-        else:
-            a_entries[k - 1].append((blk - 1, r, c, v))
-
-    for i, row in enumerate(a_entries):
-        if not row:
-            raise SdpaFormatError(f"constraint {i + 1} has no entries")
+    k, blk, i, j, v = _entry_columns(data_lines[cursor:], m, sizes)
+    blk, r, c = blk - 1, np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    head = k == 0
+    c_entries = tuple(zip(blk[head].tolist(), r[head].tolist(), c[head].tolist(), (-v[head]).tolist()))
+    rows = np.flatnonzero(~head)
+    rows = rows[np.argsort(k[rows], kind="stable")]
+    counts = np.bincount(k[rows] - 1, minlength=m)
+    if not counts.all():
+        raise SdpaFormatError(f"constraint {int(np.argmin(counts)) + 1} has no entries")
+    entries = list(zip(blk[rows].tolist(), r[rows].tolist(), c[rows].tolist(), v[rows].tolist()))
+    ends = np.cumsum(counts).tolist()
     prob = CanonicalSdp(
         block_sizes=sizes,
-        c_entries=tuple(c_entries),
-        a_entries=tuple(tuple(r) for r in a_entries),
+        c_entries=c_entries,
+        a_entries=tuple(tuple(entries[lo:hi]) for lo, hi in zip([0] + ends, ends)),
         b=tuple(b),
     )
     return ImportedSdp(problem=prob, offset=offset, side=side)

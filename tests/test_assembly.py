@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import tssos.basis
+
 from tssos.assembly import (
     BlockSdp,
     BlockSpec,
@@ -314,3 +316,54 @@ def test_certificate_matches_objective_sparse_constrained():
     res = solve_relaxation(sdp)
     assert res.status == "optimal"
     assert coeff_gap(reconstruct_certificate(sdp, res, cliques), pop.objective) <= 1e-6
+
+
+def reference_forward_rows(pop, cliques):
+    """Rows by the tuple forward scatter: each generator term shifts every
+    clique cell's sum into its row, generator by generator, term by term."""
+    gens = [Polynomial.constant(pop.nvars, 1.0)] + list(pop.constraints)
+    realize = [dict() for _ in gens]
+    blk = 0
+    for j, dec in enumerate(cliques):
+        monos = dec.basis.monos
+        for clique in dec.cliques:
+            for a in range(len(clique)):
+                for b in range(a, len(clique)):
+                    s = tuple(x + y for x, y in zip(monos[clique[a]], monos[clique[b]]))
+                    realize[j].setdefault(s, []).append((blk, a, b))
+            blk += 1
+    rows = {}
+    for j, g in enumerate(gens):
+        for aprime, coeff in g.terms.items():
+            for rho, cells in realize[j].items():
+                alpha = tuple(x + y for x, y in zip(aprime, rho))
+                rows.setdefault(alpha, []).extend((b, p, q, coeff) for b, p, q in cells)
+    return [(a, tuple(rows[a]), pop.objective.coeff(a)) for a in sorted(rows, key=grlex_key)]
+
+
+@pytest.mark.parametrize("family,n,constraint,dense,side", [
+    ("gen_rosenbrock", 5, "none", True, "sos"),
+    ("broyden_banded", 4, "none", True, "moment"),
+    ("broyden_tridiagonal", 5, "none", False, "sos"),
+    ("gen_rosenbrock", 6, "none", False, "moment"),
+    ("gen_rosenbrock", 4, "unit_ball", False, "moment"),
+    ("broyden_tridiagonal", 3, "unit_hypercube", True, "moment"),
+])
+def test_rows_and_entry_order_match_forward_scatter(family, n, constraint, dense, side):
+    pop = PopProblem(getattr(bench, family)(n), bench.constraint_set(constraint, n))
+    cliques = build_relaxation(pop, RunOptions(k_max=2, dense=dense)).cliques(1 if dense else 2)
+    sdp = assemble(pop, cliques, side=side)
+    assert [(r.alpha, r.entries, r.rhs) for r in sdp.rows] == reference_forward_rows(pop, cliques)
+
+
+@pytest.mark.parametrize("n,constraint", [(4, "unit_ball"), (3, "unit_hypercube")])
+def test_colliding_keys_keep_rows_apart(monkeypatch, n, constraint):
+    """All-ones weights make every key the total degree: rows must be grouped exactly."""
+    monkeypatch.setattr(tssos.basis, "_key_weights", lambda nvars: np.ones(nvars, dtype=np.uint64))
+    pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set(constraint, n))
+    for d_hat, dense in [(2, False), (3, False), (2, True)]:
+        rel = build_relaxation(pop, RunOptions(order=d_hat, k_max=2, dense=dense))
+        cliques = rel.cliques(1 if dense else 2)
+        graphs = [complete_graph(dec.basis) for dec in cliques] if dense else rel.seq.at(2)
+        sdp = assemble(pop, cliques, side="sos")
+        assert [(r.alpha, r.entries, r.rhs) for r in sdp.rows] == reference_sos_rows(pop, graphs)

@@ -17,7 +17,9 @@ from tssos.graphs import (
     _elimination_fill,
     _linked_pairs,
     _mcs_order,
+    _new_support,
     _support_set,
+    _tsp_targets,
     chordal_extension,
     clique_report,
     is_chordal,
@@ -491,22 +493,39 @@ def reference_iterate_single(f, basis, k, mode):
     return [[g.edges] for g in levels], stabilized
 
 
-def reference_iterate_constrained(pop, d_hat, k, mode):
+def reference_seed_edges(graph, seed, level, j):
+    """graph plus the level-`level` edges of generator j in seed, matched by monomial."""
+    if seed is None:
+        return graph
+    lv = seed.levels[min(level, len(seed.levels) - 1)]
+    if j >= len(lv):
+        return graph
+    src, basis = lv[j], graph.basis
+    edges = set(graph.edges)
+    for a, b in src.edges:
+        ma, mb = src.basis.monos[a], src.basis.monos[b]
+        if ma in basis and mb in basis:
+            edges.add((basis.index(ma), basis.index(mb)))
+    return MonomialGraph(basis, edges)
+
+
+def reference_iterate_constrained(pop, d_hat, k, mode, seed=None):
     n = pop.nvars
     b0 = standard_basis(n, d_hat)
     extra = set()
     for g in pop.constraints:
         extra |= g.support()
     loc = [MonomialGraph(standard_basis(n, d_hat - (g.degree() + 1) // 2), ()) for g in pop.constraints]
-    levels = [[reference_tsp_graph(pop.objective, b0, extra)] + loc]
+    levels = [[reference_seed_edges(reference_tsp_graph(pop.objective, b0, extra), seed, 0, 0)] + loc]
     stabilized = None
     for step in range(1, k + 2):
         prev = levels[-1]
         moment_supp = prev[0].support()
-        new_level = [reference_chordal_extension(reference_support_extension(prev[0]), mode)]
-        for g, loc_prev in zip(pop.constraints, prev[1:]):
+        moment = reference_seed_edges(reference_support_extension(prev[0]), seed, step, 0)
+        new_level = [reference_chordal_extension(moment, mode)]
+        for j, (g, loc_prev) in enumerate(zip(pop.constraints, prev[1:]), start=1):
             graph = reference_localizing_graph(loc_prev, g, moment_supp)
-            new_level.append(reference_chordal_extension(graph, mode))
+            new_level.append(reference_chordal_extension(reference_seed_edges(graph, seed, step, j), mode))
         if step >= 2 and all(x.edges == y.edges for x, y in zip(new_level, prev)):
             stabilized = step - 1
             break
@@ -563,6 +582,59 @@ def test_constrained_iteration_matches_reference(family, n, constraint):
         assert seq.stabilized_at == stabilized
         for g in seq.levels[-1]:
             assert maximal_cliques(g).cliques == reference_maximal_cliques(g)
+
+
+def test_seeded_iteration_matches_reference():
+    pop = parse_pop(
+        "vars 2\nx1^4 + x2^4 - x1^3*x2 + 0.5\nsubject to\n1 - x1^2 - x2^2\n"
+    )
+    # a seed of another objective puts edges outside the tsp targets into
+    # level 0, so the moment graph has new support to search at step 1
+    other = parse_pop("vars 2\nx1^4 + x2^4 + x1*x2^3\nsubject to\n1 - x1^2 - x2^2\n")
+    extra = pop.constraints[0].support()
+    for mode in EXTENSION_MODES:
+        for k in (1, 2, 3):
+            for source in (pop, other):
+                low = iterate_constrained(source, generator_bases(source, 2), k=k, mode=mode)
+                want, stabilized = reference_iterate_constrained(pop, 3, k, mode, seed=low)
+                seq = iterate_constrained(pop, generator_bases(pop, 3), k=k, mode=mode, seed=low)
+                got = edge_levels(seq)
+                assert got[: len(want)] == want[: k + 1], (mode, k)
+                assert all(level == want[-1] for level in got[len(want):])
+                assert seq.stabilized_at == stabilized, (mode, k)
+            level0 = seq.at(0)[0]  # seeded by other
+            assert _new_support(level0, _tsp_targets(pop.objective, level0.basis, extra)) is not None
+
+
+def test_iteration_searches_only_new_support(monkeypatch):
+    f = bench.broyden_tridiagonal(24)
+    basis = newton_half_basis(f)
+    want, stabilized = reference_iterate_single(f, basis, 2, "approx_min")
+    calls = []
+    real = tssos.graphs._linked_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tssos.graphs, "_linked_pairs", counting)
+    seq = iterate_constrained(PopProblem(f), [basis], k=2)
+    # the tsp search, then one step whose chordal fill brought new support
+    assert len(calls) == 2
+    assert edge_levels(seq) == want
+    assert seq.stabilized_at == stabilized
+
+    n = 28
+    pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set("unit_hypercube", n))
+    want, stabilized = reference_iterate_constrained(pop, 2, 2, "approx_min")
+    calls.clear()
+    seq = iterate_constrained(pop, generator_bases(pop, 2), k=2)
+    # the tsp search and the 28 first searches of the constraint graphs; the
+    # moment graph gains no support outside the tsp targets at step 1, and
+    # step 1 brings no new support at all
+    assert len(calls) == 1 + n
+    assert edge_levels(seq)[: len(want)] == want
+    assert seq.stabilized_at == stabilized
 
 
 def test_localizing_bases_built_once_per_half_degree():

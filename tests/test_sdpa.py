@@ -1,14 +1,15 @@
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tssos.assembly import assemble, solve_relaxation
 from tssos.basis import standard_basis
 from tssos.bench import RunOptions, build_relaxation
 from tssos.graphs import CliqueDecomposition
 from tssos.poly import PopProblem, parse_polynomial, parse_pop
-from tssos.sdpa import SdpaFormatError, export_sdpa, import_sdpa
-from tssos.solver import solve_canonical
+from tssos.sdpa import ImportedSdp, SdpaFormatError, export_sdpa, import_sdpa
+from tssos.solver import CanonicalSdp, solve_canonical
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -121,6 +122,14 @@ def test_lower_triangle_entries_normalized(tmp_path):
     assert back.problem.a_entries == (((0, 0, 1, 1.0),),)
 
 
+def test_block_sizes_beyond_int64_accepted(tmp_path):
+    path = tmp_path / "huge.dat-s"
+    path.write_text("1\n1\n" + "9" * 25 + "\n1.0\n1 1 1 1 1\n")
+    back = import_sdpa(str(path))
+    assert back.block_sizes == [int("9" * 25)]
+    assert back.problem.a_entries == (((0, 0, 0, 1.0),),)
+
+
 def test_empty_problem_round_trips(tmp_path):
     path = tmp_path / "empty.dat-s"
     path.write_text("0\n0\n")
@@ -147,6 +156,9 @@ def test_empty_problem_round_trips(tmp_path):
         ("1\n1\n2\n1.0\n1 2 1 1 1\n", "block index 2"),
         ("1\n1\n2\n1.0\n1 1 1 3 1\n", "outside block"),
         ("1\n1\n2\n1.0\n0 1 1 1 -1\n", "constraint 1 has no entries"),
+        ("1\n1\n" + "9" * 25 + "\n1.0\n1 1 1 " + "9" * 20 + " 1\n", "line 5"),
+        ("* tssos offset=abc side=sos\n1\n1\n2\n1.0\n1 1 1 1 1\n", "line 1: bad offset 'abc'"),
+        ("1\n1\n* tssos offset=0 side=SOS\n2\n1.0\n1 1 1 1 1\n", "line 3: side must be sos or moment"),
     ],
 )
 def test_malformed_files_report_location(tmp_path, text, fragment):
@@ -155,3 +167,109 @@ def test_malformed_files_report_location(tmp_path, text, fragment):
     with pytest.raises(SdpaFormatError) as err:
         import_sdpa(str(path))
     assert fragment in str(err.value)
+
+
+def test_non_utf8_file_reports_location(tmp_path):
+    path = tmp_path / "bytes.dat-s"
+    path.write_bytes(b"1\n1\n2\n1.0\n1 1 1 1 \xff\n")
+    with pytest.raises(SdpaFormatError, match="line 5"):
+        import_sdpa(str(path))
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+NUMBERS = st.floats(allow_nan=False)
+
+
+@st.composite
+def imported_problems(draw):
+    """A random problem with nonzero entries (export drops zeros), as an ImportedSdp."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+
+    def entries(lo, hi):
+        out = []
+        for _ in range(draw(st.integers(lo, hi))):
+            blk = draw(st.integers(0, len(sizes) - 1))
+            r = draw(st.integers(0, sizes[blk] - 1))
+            c = draw(st.integers(r, sizes[blk] - 1))
+            out.append((blk, r, c, draw(NUMBERS.filter(lambda v: v != 0.0))))
+        return tuple(out)
+
+    m = draw(st.integers(0, 5))
+    prob = CanonicalSdp(
+        block_sizes=tuple(sizes),
+        c_entries=entries(0, 4),
+        a_entries=tuple(entries(1, 4) for _ in range(m)),
+        b=tuple(draw(st.lists(NUMBERS, min_size=m, max_size=m))),
+    )
+    return ImportedSdp(problem=prob, offset=draw(NUMBERS), side=draw(st.sampled_from(["sos", "moment"])))
+
+
+def _exported_lines(tmp_path_factory, problem):
+    path = tmp_path_factory.mktemp("fuzz") / "p.dat-s"
+    export_sdpa(problem, str(path))
+    return path, path.read_text().split("\n")
+
+
+def _same(back, problem):
+    # repr tells -0.0 from 0.0 and is exact for every double
+    assert repr(back.problem) == repr(problem.problem)
+    assert (repr(back.offset), back.side) == (repr(problem.offset), problem.side)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(imported_problems(), st.randoms(use_true_random=False))
+def test_import_reproduces_exported_problems(tmp_path_factory, problem, rng):
+    path, lines = _exported_lines(tmp_path_factory, problem)
+    back = import_sdpa(str(path))
+    _same(back, problem)
+    path.write_text("\n".join(lines))
+    _same(import_sdpa(str(path)), back)
+    # the same data written as other writers do: lower-triangle entries,
+    # braces and commas, and the right-hand sides spread over lines
+    head, rhs, body = lines[:4], lines[4].split(), lines[5:]
+    for i, line in enumerate(body):
+        toks = line.split()
+        if toks and rng.random() < 0.5:
+            toks[2], toks[3] = toks[3], toks[2]
+        body[i] = ", ".join(toks) if rng.random() < 0.3 else " ".join(toks)
+    head[3] = "{" + ", ".join(head[3].split()) + "}"
+    cuts = sorted(rng.randint(0, len(rhs)) for _ in range(2))
+    spread = [rhs[:cuts[0]], rhs[cuts[0]:cuts[1]], rhs[cuts[1]:]]
+    spread = [" ".join(spread[0]), "(" + ",".join(spread[1]) + ")", " ".join(spread[2])]
+    path.write_text("\n".join(head + [line for line in spread if line != "()"] + body))
+    _same(import_sdpa(str(path)), problem)
+
+
+PIECES = ["0", "1", "-", ".", "e", "9" * 25, " ", "\n", "\t", "\r", ",", "{", "}", "(", ")", "*",
+          '"', "x", "nan", "inf", "1_0", "\u0661", "\xa0", "offset=", " side=", "moment", "sos"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(imported_problems(), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 10 ** 6),
+                                               st.sampled_from(PIECES)), min_size=1, max_size=4),
+       st.booleans())
+def test_mutated_files_fail_only_with_format_errors(tmp_path_factory, problem, edits, bad_byte):
+    path, lines = _exported_lines(tmp_path_factory, problem)
+    text = "\n".join(lines)
+    for op, at, piece in edits:
+        at %= len(text) + 1
+        if op == 0:  # insert
+            text = text[:at] + piece + text[at:]
+        elif op == 1:  # delete a few characters
+            text = text[:at] + text[at + len(piece):]
+        elif op == 2:  # overwrite
+            text = text[:at] + piece + text[at + len(piece):]
+        else:  # drop or repeat a line
+            rows = text.split("\n")
+            i = at % len(rows)
+            rows[i:i + 1] = [] if len(piece) % 2 else [rows[i], rows[i]]
+            text = "\n".join(rows)
+    data = text.encode()
+    if bad_byte:
+        data = data[: len(data) // 2] + b"\xfe" + data[len(data) // 2:]
+    path.write_bytes(data)
+    try:
+        import_sdpa(str(path))
+    except SdpaFormatError:
+        pass
