@@ -26,6 +26,7 @@ Bases are value objects: a sorted tuple of exponents plus an index lookup.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -51,12 +52,14 @@ PAIR_BUDGET = 1 << 13
 _MASK64 = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=None)
 def _key_weights(nvars: int) -> np.ndarray:
     """Odd, well-mixed 64-bit weights: the first outputs of splitmix64 from seed 0, low bit set.
 
     Fixed so that keys repeat from run to run.  Weights in arithmetic
     progression would not do: c*(i+1) collapses every key to c*sum((i+1)*a_i),
-    so exponents of equal weighted degree collide.
+    so exponents of equal weighted degree collide.  Built once per nvars and
+    returned read-only.
     """
     out = []
     for i in range(nvars):
@@ -64,7 +67,9 @@ def _key_weights(nvars: int) -> np.ndarray:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         out.append((z ^ (z >> 31)) | 1)
-    return np.array(out, dtype=np.uint64)
+    weights = np.array(out, dtype=np.uint64)
+    weights.flags.writeable = False
+    return weights
 
 
 def exponent_keys(rows: np.ndarray) -> np.ndarray:
@@ -173,13 +178,19 @@ class _ExponentSet:
             }
 
     def contains(self, keys: np.ndarray, rows_of: RowsOf) -> np.ndarray:
-        """Mask of the candidates, keys plus rows_of(idx), that are members."""
+        """Mask of the candidates, keys plus rows_of(idx), that are members.
+
+        Key hits are confirmed PAIR_BUDGET at a time, so however many
+        candidates are passed, no more rows are formed at once than in a
+        pair search.
+        """
         found = np.zeros(len(keys), dtype=bool)
         if not len(self.keys):
             return found
         pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        idx = np.flatnonzero(self.keys[pos] == keys)
-        if len(idx):
+        hits = np.flatnonzero(self.keys[pos] == keys)
+        for lo in range(0, len(hits), PAIR_BUDGET):
+            idx = hits[lo:lo + PAIR_BUDGET]
             rows = rows_of(idx)
             ok = (rows == self._rows_of(self._first[pos[idx]])).all(axis=1)
             if self.exact is not None:

@@ -60,9 +60,14 @@ def _pair_set(pairs: np.ndarray) -> FrozenSet[Edge]:
 
 
 class MonomialGraph:
-    """A graph over the monomials of a basis, self-loops implicit."""
+    """A graph over the monomials of a basis, self-loops implicit.
 
-    __slots__ = ("basis", "edges", "_pairs")
+    A graph that chordal_extension returned keeps a perfect elimination
+    ordering of itself, so neither a later extension step nor
+    maximal_cliques searches for one again.
+    """
+
+    __slots__ = ("basis", "edges", "_pairs", "_order")
 
     def __init__(self, basis: MonomialBasis, edges: Iterable[Edge]):
         n = len(basis)
@@ -76,6 +81,7 @@ class MonomialGraph:
         self.basis = basis
         self.edges: FrozenSet[Edge] = frozenset(norm)
         self._pairs: Optional[np.ndarray] = None
+        self._order: Optional[List[int]] = None
 
     @classmethod
     def _from_pairs(
@@ -87,6 +93,7 @@ class MonomialGraph:
         graph.edges = _pair_set(pairs) if edges is None else edges
         pairs.flags.writeable = False
         graph._pairs = pairs
+        graph._order = None
         return graph
 
     @property
@@ -294,15 +301,18 @@ def _block_closure(graph: MonomialGraph) -> MonomialGraph:
     return MonomialGraph._from_pairs(graph.basis, np.concatenate(blocks))
 
 
-def _elimination_fill(adj: Dict[int, Set[int]], rule: str) -> Set[Edge]:
-    """Fill edges produced by a greedy elimination ordering.
+def _elimination_fill(adj: Dict[int, Set[int]], rule: str) -> Tuple[Set[Edge], List[int]]:
+    """Fill edges produced by a greedy elimination ordering, and the ordering.
 
     rule 'degree' picks the node of minimum current degree, rule 'fill' the
     node whose neighborhood needs the fewest new edges.  Ties go to the
-    lowest index.
+    lowest index.  The ordering is a perfect elimination ordering of the
+    graph plus the fill: a node's neighbors eliminated after it are its
+    neighbors when it is eliminated, made a clique by then.
     """
     work = {v: set(nb) for v, nb in adj.items()}
     fills: Set[Edge] = set()
+    order: List[int] = []
     by_fill = rule == "fill"
 
     def cost(u: int) -> int:
@@ -321,6 +331,7 @@ def _elimination_fill(adj: Dict[int, Set[int]], rule: str) -> Set[Edge]:
         c, v = heapq.heappop(heap)
         if costs.get(v) != c:
             continue
+        order.append(v)
         nbs = sorted(work[v])
         moved = set(nbs)
         for a in range(len(nbs)):
@@ -349,7 +360,7 @@ def _elimination_fill(adj: Dict[int, Set[int]], rule: str) -> Set[Edge]:
         del work[v], costs[v]
         for u in moved - {v}:
             heapq.heappush(heap, (costs[u], u))
-    return fills
+    return fills, order
 
 
 def chordal_extension(graph: MonomialGraph, mode: str = "approx_min") -> MonomialGraph:
@@ -357,18 +368,27 @@ def chordal_extension(graph: MonomialGraph, mode: str = "approx_min") -> Monomia
 
     Already-chordal graphs are returned unchanged in the elimination modes,
     so trees, complete graphs and other chordal inputs keep their exact edge
-    set.
+    set.  In those modes the returned graph keeps a perfect elimination
+    ordering: the one that showed the input chordal, or the elimination
+    ordering the fill was made along.  A graph that already holds one is
+    returned at once.
     """
     if mode not in EXTENSION_MODES:
         raise ValueError(f"unknown extension mode {mode!r}; pick one of {EXTENSION_MODES}")
     if mode == "block_closure":
         return _block_closure(graph)
+    if graph._order is not None:
+        return graph
     adj = graph.adjacency()
-    if _peo(adj) is not None:
+    order = _peo(adj)
+    if order is not None:
+        graph._order = order
         return graph
     rule = "degree" if mode == "approx_min" else "fill"
-    fills = _elimination_fill(adj, rule)
-    return graph._with_pairs(np.array(sorted(fills), dtype=np.int64).reshape(-1, 2))
+    fills, order = _elimination_fill(adj, rule)
+    out = graph._with_pairs(np.array(sorted(fills), dtype=np.int64).reshape(-1, 2))
+    out._order = order
+    return out
 
 
 # -- maximal cliques --------------------------------------------------------
@@ -401,11 +421,12 @@ class CliqueDecomposition:
 def maximal_cliques(graph: MonomialGraph) -> CliqueDecomposition:
     """Enumerate maximal cliques along a perfect elimination ordering.
 
-    Raises ValueError when the graph is not chordal: callers must extend
-    first.
+    The ordering the graph keeps from chordal_extension is used when there
+    is one.  Raises ValueError when the graph is not chordal: callers must
+    extend first.
     """
     adj = graph.adjacency()
-    order = _peo(adj)
+    order = graph._order if graph._order is not None else _peo(adj)
     if order is None:
         raise ValueError("graph is not chordal; apply chordal_extension first")
     # Along a perfect elimination ordering, node v's later neighbors L(v)

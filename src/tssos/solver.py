@@ -20,12 +20,12 @@ Blocks are grouped into size classes.  The blocks of one size s are held as
 stacked arrays, (nb, s, s) for C, X and S.  A class holds only blocks whose
 constraint counts lie in one power-of-two bucket (k/2, k], so a few
 many-term localizing blocks do not pad every small moment block of the same
-size.  Each step of an iteration (Cholesky factors and inverses of S, Schur
-contributions, search directions, inner products, the step-length test) is
-one batched numpy call per class, so the Python work per iteration grows
-with the number of classes rather than with the number of blocks.  1x1
-blocks take the same path; for them the batched Cholesky and eigenvalue
-test reduce to S^{-1} = 1/s and the ratio test min dx/x.
+size.  Each step of an iteration (inverse Cholesky factors of X and S,
+Schur contributions, search directions, inner products, the step-length
+tests) is one batched numpy call per class, so the Python work per
+iteration grows with the number of classes rather than with the number of
+blocks.  1x1 blocks take the same path; for them the batched Cholesky and
+eigenvalue test reduce to S^{-1} = 1/s and the ratio test min dx/x.
 
 The constraint matrices are never densified.  In a term-sparsity relaxation
 each A_i is a pattern of a few entries on a block, so they are kept as
@@ -47,13 +47,18 @@ entry lists:
   list.
 
 M is factored once per iteration; the predictor and the corrector solve
-with the same factor, and the step-length tests reuse the Cholesky
-factors of X and S.  The working set (M, the scratch of its
-symmetrization and the arena of the Schur chunks) is allocated once per
-solve and refilled by every iteration.  Before anything is allocated, the
-working set (with M's factor and the block stacks) is compared with the
-memory the process may use, and a problem that does not fit is refused
-with a ValueError.
+with the same factor.  X and S are factored together, one Cholesky call on
+each class's stacked [X; S], and the factor L is inverted once.  S^{-1} is
+L_S^{-T} L_S^{-1}, and both step-length tests read their bounds off the
+eigenvalues of W = L^{-1} [dX; dS] L^{-T} (as SDPT3 does, Toh, Todd and
+Tutuncu, Optim. Methods Softw. 11, 1999): two batched products and one
+eigvalsh per class, no triangular solve.
+
+The working set (M, the scratch of its symmetrization and the arena of the
+Schur chunks) is allocated once per solve and refilled by every iteration.
+Before anything is allocated, the working set (with M's factor and the
+block stacks) is compared with the memory the process may use, and a
+problem that does not fit is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -401,25 +406,43 @@ def _cholesky(stack: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
-def _inverse(lo: np.ndarray) -> np.ndarray:
-    """S^{-1} for a stack of S given by its lower Cholesky factors lo."""
-    eye = np.broadcast_to(np.eye(lo.shape[-1]), lo.shape)
-    return _sym(np.linalg.solve(lo.swapaxes(-1, -2), np.linalg.solve(lo, eye)))
+def _inverse_factors(x: np.ndarray, s: np.ndarray) -> Optional[np.ndarray]:
+    """Inverse lower Cholesky factors of a class's X and S stacks.
 
-
-def _step_length(lo: Optional[np.ndarray], dx: np.ndarray) -> float:
-    """Largest alpha with x_b + alpha*dx_b >= 0 for every block b of a stack.
-
-    lo is the lower Cholesky factor of the stack x, as _cholesky returns
-    it; when x is not positive definite (lo is None) the step is 0.
+    X and S are factored together, one Cholesky call on the (2nb, s, s)
+    stack [X; S], and the factor is inverted by one batched call.  When
+    that Cholesky fails, S alone is factored to learn which one is not
+    positive definite: if S is, only S's (nb, s, s) half is returned, and
+    if S is not, None.
     """
+    lo = _cholesky(np.concatenate([x, s]))
     if lo is None:
-        return 0.0
-    w = np.linalg.solve(lo, np.linalg.solve(lo, dx).swapaxes(-1, -2))
-    lam = float(np.linalg.eigvalsh(_sym(w)).min())
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
+        lo = _cholesky(s)
+        if lo is None:
+            return None
+    return np.linalg.inv(lo)
+
+
+def _bound(lam: float) -> float:
+    """Largest alpha with 1 + alpha*lam >= 0: -1/lam, or inf for lam >= -1e-14."""
+    return np.inf if lam >= -1e-14 else -1.0 / float(lam)
+
+
+def _step_lengths(linv: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> Tuple[float, float]:
+    """Largest alphas with x_b + alpha*dx_b and s_b + alpha*ds_b PSD for every block b.
+
+    linv is what _inverse_factors returned for the class's stacks x and s.
+    With L the Cholesky factor of x_b, x_b + alpha*dx_b is PSD exactly when
+    I + alpha*L^{-1} dx_b L^{-T} is, so the bound is read off the smallest
+    eigenvalue of W = L^{-1} D L^{-T}, formed for [dx; ds] at once; eigvalsh
+    reads one triangle of W, so W is not symmetrized.  When linv holds only
+    S's half (x is not positive definite) the primal step is 0.
+    """
+    nb = len(ds)
+    both = len(linv) > nb
+    w = linv @ (np.concatenate([dx, ds]) if both else ds) @ linv.swapaxes(-1, -2)
+    lam = np.linalg.eigvalsh(w)[:, 0]
+    return (_bound(lam[:nb].min()) if both else 0.0), _bound(lam[-nb:].min())
 
 
 def _factor(m: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
@@ -482,15 +505,18 @@ def _check_memory(prob: CanonicalSdp) -> int:
 
     Counts what is held for the whole solve: M, the scratch of its
     symmetrization, its Cholesky factor and the copy np.linalg.cholesky
-    factors in; the Schur arena with one chunk's readout; and the block
-    stacks that an iteration keeps alive (iterate, slack, inverse,
-    residual, directions, corrector and the remembered best iterate).
+    factors in; the Schur arena with one chunk's readout; and 24 block
+    stacks: the 13 an iteration keeps alive (iterate, slack, the remembered
+    best of both, residual, inverse factors of X and S, S^{-1}, both pairs
+    of directions, corrector) and the temporaries of a step test (the
+    stacked directions, two products and eigvalsh's copy, each two stacks
+    deep) with room to spare.
     """
     m = prob.n_constraints
     sizes = prob.block_sizes
     s_max = max(sizes, default=0)
     chunk = max(SCHUR_CHUNK_BYTES, 8 * (2 * s_max * s_max + 3 * m))
-    need = 8 * 4 * m * m + chunk + 8 * 16 * sum(s * s for s in sizes)
+    need = 8 * 4 * m * m + chunk + 8 * 24 * sum(s * s for s in sizes)
     limit = _memory_limit()
     if need > limit:
         raise ValueError(
@@ -604,12 +630,13 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
             status = "infeasible" if rd_norm <= 1e-6 else "numerical"
             break
 
-        s_chol = [_cholesky(s) for s in ss]
-        if any(c is None for c in s_chol):
+        linvs = [_inverse_factors(x, s) for x, s in zip(xs, ss)]
+        if any(li is None for li in linvs):
             stop("s_not_pd")
             status = "numerical"
             break
-        sinvs = [_inverse(c) for c in s_chol]
+        # S^{-1} = L^{-T} L^{-1} from S's half of the inverse factors
+        sinvs = [_sym(li[-len(s):].swapaxes(-1, -2) @ li[-len(s):]) for li, s in zip(linvs, ss)]
 
         # release the last iteration's factor, so that it is not alive
         # beside the new one; M is the layout's buffer, refilled in place
@@ -645,9 +672,9 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
 
         dx_aff, dy_aff, ds_aff = direction(0.0, None)
 
-        x_chol = [_cholesky(x) for x in xs]
-        ap_aff = min(1.0, min((_step_length(c, dx) for c, dx in zip(x_chol, dx_aff)), default=1.0))
-        ad_aff = min(1.0, min((_step_length(c, ds) for c, ds in zip(s_chol, ds_aff)), default=1.0))
+        aff = [_step_lengths(*a) for a in zip(linvs, dx_aff, ds_aff)]
+        ap_aff = min(1.0, min((p for p, _ in aff), default=1.0))
+        ad_aff = min(1.0, min((d for _, d in aff), default=1.0))
         gap_aff = sum(
             float(np.vdot(x + ap_aff * dx, s + ad_aff * ds))
             for x, dx, s, ds in zip(xs, dx_aff, ss, ds_aff)
@@ -664,8 +691,9 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
         dxs, dy, dss = direction(sigma * mu, corr)
 
         tau = cfg.step_fraction
-        ap = min(1.0, tau * min((_step_length(c, dx) for c, dx in zip(x_chol, dxs)), default=np.inf))
-        ad = min(1.0, tau * min((_step_length(c, ds) for c, ds in zip(s_chol, dss)), default=np.inf))
+        steps = [_step_lengths(*a) for a in zip(linvs, dxs, dss)]
+        ap = min(1.0, tau * min((p for p, _ in steps), default=np.inf))
+        ad = min(1.0, tau * min((d for _, d in steps), default=np.inf))
         if ap <= 1e-12 and ad <= 1e-12:
             stop("tiny_steps")
             status = "numerical"

@@ -536,3 +536,41 @@ def test_degenerate_key_weights_keep_bases(monkeypatch):
         nb = newton_half_basis(f)
         assert (nb, reduce_basis_unconstrained(f, nb)) == want[name], name
     assert [reduce_basis_constrained(pop, 3) for pop in pops] == want_constrained
+
+
+def test_key_weights_are_built_once_and_read_only():
+    weights = tssos.basis._key_weights(6)
+    assert tssos.basis._key_weights(6) is weights
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 1
+    # keys are sum(a_i * w_i) mod 2^64 over the splitmix64 weights
+    mask = (1 << 64) - 1
+    want_weights = []
+    for i in range(6):
+        z = ((i + 1) * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        want_weights.append((z ^ (z >> 31)) | 1)
+    rows = np.random.default_rng(8).integers(0, 40, size=(50, 6))
+    want = [sum(int(a) * w for a, w in zip(row, want_weights)) & mask for row in rows]
+    assert tssos.basis.exponent_keys(rows).tolist() == want
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_contains_confirms_key_hits_in_chunks(monkeypatch, degenerate):
+    if degenerate:  # every key is the total degree: collisions everywhere
+        monkeypatch.setattr(tssos.basis, "_key_weights", lambda nvars: np.ones(nvars, dtype=np.uint64))
+    rows = np.random.default_rng(9).integers(0, 4, size=(300, 5))
+    members = tssos.basis._rows_set(rows[:150])
+    assert (members.exact is not None) == degenerate
+    want = [tuple(row) in set(map(tuple, rows[:150].tolist())) for row in rows.tolist()]
+    monkeypatch.setattr(tssos.basis, "PAIR_BUDGET", 7)
+    formed = []
+
+    def rows_of(idx):
+        formed.append(len(idx))
+        return rows[idx]
+
+    assert members.contains(tssos.basis.exponent_keys(rows), rows_of).tolist() == want
+    assert len(formed) > 1 and max(formed) <= 7

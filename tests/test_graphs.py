@@ -205,22 +205,25 @@ def test_maximal_cliques_requires_chordal():
         maximal_cliques(c4)
 
 
+def assert_peo(adj, order):
+    """order is a perfect elimination ordering of the graph with adjacency adj."""
+    assert sorted(order) == list(range(len(adj)))
+    pos = {v: i for i, v in enumerate(order)}
+    for idx, v in enumerate(order):
+        later = [u for u in adj[v] if pos[u] > idx]
+        if not later:
+            continue
+        first = min(later, key=lambda u: pos[u])
+        rest = set(later) - {first}
+        assert rest <= adj[first]
+
+
 def test_peo_is_a_perfect_elimination_ordering():
     rng = np.random.default_rng(41)
     for trial in range(10):
         g = random_monomial_graph(rng, n_nodes=9, p=0.3)
         ext = chordal_extension(g, "min_fill")
-        order = peo(ext)
-        assert sorted(order) == list(range(ext.n_nodes))
-        adj = ext.adjacency()
-        pos = {v: i for i, v in enumerate(order)}
-        for idx, v in enumerate(order):
-            later = [u for u in adj[v] if pos[u] > idx]
-            if not later:
-                continue
-            first = min(later, key=lambda u: pos[u])
-            rest = set(later) - {first}
-            assert rest <= adj[first]
+        assert_peo(ext.adjacency(), peo(ext))
 
 
 def f_n_polynomial(n):
@@ -750,7 +753,57 @@ def test_elimination_fill_matches_reference():
         n = int(rng.integers(1, 20))
         adj = random_monomial_graph(rng, n_nodes=n, p=float(rng.random())).adjacency()
         for rule in ("degree", "fill"):
-            assert _elimination_fill(adj, rule) == reference_elimination_fill(adj, rule), rule
+            fills, order = _elimination_fill(adj, rule)
+            assert fills == reference_elimination_fill(adj, rule), rule
+            filled = {v: set(nb) for v, nb in adj.items()}
+            for p, q in fills:
+                filled[p].add(q)
+                filled[q].add(p)
+            assert_peo(filled, order)
+
+
+@pytest.fixture
+def peo_calls(monkeypatch):
+    calls = []
+    real = tssos.graphs._peo
+
+    def counting(adj):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(tssos.graphs, "_peo", counting)
+    return calls
+
+
+def test_extended_graphs_keep_an_elimination_ordering(peo_calls):
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        g = random_monomial_graph(rng, n_nodes=int(rng.integers(1, 20)), p=float(rng.random()))
+        for mode in ("approx_min", "min_fill"):
+            ext = chordal_extension(g, mode)
+            assert_peo(ext.adjacency(), ext._order)
+            # neither a second extension nor the clique search looks for one again
+            want = reference_maximal_cliques(ext)
+            peo_calls.clear()
+            assert chordal_extension(ext, mode) is ext
+            assert maximal_cliques(ext).cliques == want
+            assert peo_calls == []
+
+
+def test_iteration_tests_chordality_once_per_new_graph(peo_calls):
+    n = 28
+    pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set("unit_hypercube", n))
+    want, stabilized = reference_iterate_constrained(pop, 2, 2, "approx_min")
+    seq = iterate_constrained(pop, generator_bases(pop, 2), k=2)
+    assert edge_levels(seq)[: len(want)] == want
+    assert seq.stabilized_at == stabilized
+    # step 1 tests the moment graph and the 28 new constraint graphs; step 2
+    # changes no graph, so it and the clique search test none
+    assert len(peo_calls) == 1 + n
+    cliques = [maximal_cliques(g) for g in seq.at(2)]
+    assert len(peo_calls) == 1 + n
+    assert [c.cliques for c in cliques] == [maximal_cliques(MonomialGraph(g.basis, g.edges)).cliques
+                                            for g in seq.at(2)]
 
 
 def test_maximal_cliques_match_reference_on_random_chordal_graphs():

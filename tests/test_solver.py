@@ -16,9 +16,10 @@ from tssos.solver import (
     SolverConfig,
     SolverSolution,
     _cholesky,
+    _inverse_factors,
     _Layout,
     _solve,
-    _step_length,
+    _step_lengths,
     solve_canonical,
 )
 
@@ -386,29 +387,110 @@ def test_blocks_come_back_in_block_order():
 def test_step_length_is_zero_for_stack_with_non_pd_member():
     rng = np.random.default_rng(3)
     x = np.stack([np.eye(3), np.diag([1.0, -1.0, 2.0]), 2 * np.eye(3)])
+    s = np.stack([np.eye(3)] * 3)
     dx = rng.normal(size=(3, 3, 3))
     assert _cholesky(x) is None
-    assert _step_length(_cholesky(x), dx + dx.swapaxes(1, 2)) == 0.0
+    assert _step_lengths(_inverse_factors(x, s), dx + dx.swapaxes(1, 2), np.zeros((3, 3, 3)))[0] == 0.0
     one = np.array([1.0, 0.0, 2.0]).reshape(3, 1, 1)
-    assert _step_length(_cholesky(one), np.ones((3, 1, 1))) == 0.0
+    ones = np.ones((3, 1, 1))
+    assert _step_lengths(_inverse_factors(one, ones), ones, ones)[0] == 0.0
     # the same stack without the bad member gets a positive step
-    assert _step_length(_cholesky(x[[0, 2]]), np.zeros((2, 3, 3))) == np.inf
+    assert _step_lengths(_inverse_factors(x[[0, 2]], s[:2]), np.zeros((2, 3, 3)), np.zeros((2, 3, 3))) == (
+        np.inf, np.inf)
 
 
 def test_step_length_on_1x1_stack_is_ratio_test():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        x = rng.uniform(0.1, 2.0, size=7)
-        dx = rng.normal(size=7)
-        alpha = _step_length(_cholesky(x.reshape(7, 1, 1)), dx.reshape(7, 1, 1))
-        # on the half-line the largest alpha with x + alpha dx >= 0 is -1/min(dx/x)
-        lam = (dx / x).min()
-        if lam >= 0:
-            assert alpha == np.inf
-            continue
-        assert alpha == pytest.approx(-1.0 / lam, rel=1e-12)
-        assert (x + alpha * dx).min() == pytest.approx(0.0, abs=1e-12)
-    assert _step_length(_cholesky(np.ones((2, 1, 1))), np.ones((2, 1, 1))) == np.inf
+        x, s = rng.uniform(0.1, 2.0, size=(2, 7))
+        dx, ds = rng.normal(size=(2, 7))
+        alphas = _step_lengths(_inverse_factors(x.reshape(7, 1, 1), s.reshape(7, 1, 1)),
+                               dx.reshape(7, 1, 1), ds.reshape(7, 1, 1))
+        for v, dv, alpha in zip((x, s), (dx, ds), alphas):
+            # on the half-line the largest alpha with v + alpha dv >= 0 is -1/min(dv/v)
+            lam = (dv / v).min()
+            if lam >= 0:
+                assert alpha == np.inf
+                continue
+            assert alpha == pytest.approx(-1.0 / lam, rel=1e-12)
+            assert (v + alpha * dv).min() == pytest.approx(0.0, abs=1e-12)
+    ones = np.ones((2, 1, 1))
+    assert _step_lengths(_inverse_factors(ones, ones), ones, ones) == (np.inf, np.inf)
+
+
+def separate_step_length(v, dv):
+    """The step test of one stack by its own Cholesky factor and triangular solves."""
+    lo = np.linalg.cholesky(v)
+    w = np.linalg.solve(lo, np.linalg.solve(lo, dv).swapaxes(-1, -2))
+    lam = float(np.linalg.eigvalsh(0.5 * (w + w.swapaxes(-1, -2))).min())
+    return np.inf if lam >= -1e-14 else -1.0 / lam
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
+def test_stacked_step_test_matches_separate_tests(size):
+    rng = np.random.default_rng(41 + size)
+    for nb in (1, 4):
+        x, s = (np.stack(random_pd_blocks(rng, [size] * nb)) for _ in range(2))
+        dx, ds = (rng.normal(size=(nb, size, size)) for _ in range(2))
+        dx, ds = dx + dx.swapaxes(1, 2), ds + ds.swapaxes(1, 2)
+        # a negative definite member makes both bounds finite
+        dx[0] -= 10 * np.eye(size)
+        ds[-1] -= 10 * np.eye(size)
+        got = _step_lengths(_inverse_factors(x, s), dx, ds)
+        want = separate_step_length(x, dx), separate_step_length(s, ds)
+        assert np.isfinite(want).all()
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_x_not_pd_gives_primal_step_zero_and_a_finite_dual_step():
+    rng = np.random.default_rng(43)
+    x = np.stack([np.eye(3), np.diag([1.0, -1.0, 2.0])])
+    s = np.stack(random_pd_blocks(rng, [3, 3]))
+    ds = rng.normal(size=(2, 3, 3))
+    ds = ds + ds.swapaxes(1, 2)
+    linv = _inverse_factors(x, s)
+    assert linv.shape == (2, 3, 3)  # S's half only
+    primal, dual = _step_lengths(linv, np.zeros((2, 3, 3)), ds)
+    assert primal == 0.0
+    assert np.isfinite(dual) and dual == pytest.approx(separate_step_length(s, ds), rel=1e-12)
+    # S not positive definite: no factors at all
+    assert _inverse_factors(s, x) is None
+
+
+def failing_cholesky(monkeypatch, fails):
+    """Make tssos.solver._cholesky return None for the calls fails(call, stack) picks."""
+    real = tssos.solver._cholesky
+    calls = []
+
+    def patched(stack):
+        calls.append(stack.shape)
+        return None if fails(len(calls), stack) else real(stack)
+
+    monkeypatch.setattr(tssos.solver, "_cholesky", patched)
+    return calls
+
+
+def test_s_not_pd_ends_numerical_with_stop_event(monkeypatch):
+    prob = mixed_instance(*MIXED_GOLDEN[0][0])
+    classes = len(_Layout(prob).classes)
+    # from the third iteration on every factorization fails
+    failing_cholesky(monkeypatch, lambda call, stack: call > 2 * classes)
+    sol = solve_canonical(prob)
+    assert sol.status == "numerical"
+    assert {"event": "stop", "rule": "s_not_pd", "iter": 3} in sol.events
+
+
+def test_x_not_pd_in_one_iteration_does_not_stop_the_run(monkeypatch):
+    prob = mixed_instance(*MIXED_GOLDEN[0][0])
+    classes = len(_Layout(prob).classes)
+    # the stacked factorization of the first class fails in the third iteration;
+    # S alone still factors, so only that iteration's primal step is lost
+    calls = failing_cholesky(monkeypatch, lambda call, stack: call == 2 * classes + 1)
+    sol = solve_canonical(prob)
+    assert sol.status == "optimal"
+    assert not [ev for ev in sol.events if ev["event"] == "stop"]
+    # one extra call: S of the failed class on its own
+    assert len(calls) == classes * (sol.iterations - 1) + 1
 
 
 def test_size_classes_split_by_constraint_count():
@@ -711,16 +793,38 @@ def test_solve_peak_is_within_memory_estimate(make):
 
 def test_step_tests_reuse_the_cholesky_factors(monkeypatch):
     prob = mixed_instance(*MIXED_GOLDEN[0][0])
-    classes = len(_Layout(prob).classes)
-    calls = []
-    real = tssos.solver._cholesky
+    lay = _Layout(prob)
+    calls = failing_cholesky(monkeypatch, lambda call, stack: False)
+    inverses = []
+    real_inv = np.linalg.inv
 
-    def counting(stack):
-        calls.append(stack.shape)
-        return real(stack)
+    def counting_inv(a):
+        inverses.append(a.shape)
+        return real_inv(a)
 
-    monkeypatch.setattr(tssos.solver, "_cholesky", counting)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
     sol = solve_canonical(prob)
     assert sol.status == "optimal"
-    # S and X once per class in every iteration but the last
-    assert len(calls) == 2 * classes * (sol.iterations - 1)
+    # X and S stacked: one factorization and one inverse of the (2nb, s, s)
+    # stack per class in every iteration but the last
+    stacked = [(2 * len(cl.blocks), cl.size, cl.size) for cl in lay.classes]
+    assert calls == stacked * (sol.iterations - 1)
+    assert inverses == calls
+
+
+def test_solve_peak_with_large_blocks_is_within_memory_estimate(monkeypatch):
+    # with a small chunk budget the block stacks dominate the working set
+    monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", 1 << 16)
+    sizes = (150, 100)
+    c = tuple((b, i, i, 1.0) for b, s in enumerate(sizes) for i in range(s))
+    a = tuple(((b, 0, 0, 1.0), (b, 0, 1, 1.0)) for b in range(len(sizes)))
+    prob = CanonicalSdp(sizes, c, a, (1.0,) * len(sizes))
+    need = tssos.solver._check_memory(prob)
+    tracemalloc.start()
+    try:
+        sol = solve_canonical(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    assert peak <= need, (peak, need)
