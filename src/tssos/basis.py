@@ -19,9 +19,16 @@ two; a candidate that no proof decides gets its own feasibility LP.
 
 Sets of exponents are searched by linear 64-bit exponent keys, and every key
 hit is confirmed on the exponent rows (_ExponentSet, _linked_pairs); the
-basis shrinking here and the graph module share that engine.
+basis shrinking here and the graph module share that engine.  The pairs of
+basis elements whose sums (shifted by s) hit a target set are found by
+divisor enumeration: for each distinct target t and shift s, the
+sub-exponents beta of d = t - s are counted out in mixed radix over d's
+nonzero positions and looked up, together with d - beta, among the basis
+keys.  That costs O(|targets| * |shifts| * prod(d_k + 1)), whatever the
+basis size r; no search forms an r x r array.
 
-Bases are value objects: a sorted tuple of exponents plus an index lookup.
+Bases are value objects: a graded lex sorted int64 array of exponents; the
+exponent tuples and the index lookup are formed on first use.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .poly import Exponent, Polynomial, PopProblem, grlex_key, monomials_up_to
+from .poly import Exponent, Polynomial, PopProblem
 
 STANDARD_BASIS_CAP = 10 ** 7
 NEWTON_LP_TOL = 1e-9
@@ -47,27 +54,24 @@ NEWTON_RESIDUAL_TOL = 1e-7
 NEWTON_PAIR_BUDGET = 1 << 20
 # largest denominator an LP's convex weights are rounded to before the exact check
 NEWTON_DENOMINATOR = 10 ** 6
-# basis pairs (or target items) one key search holds at a time; bounds its memory
+# sub-exponents (or target items) one key search holds at a time; bounds its memory
 PAIR_BUDGET = 1 << 13
-_MASK64 = (1 << 64) - 1
+# seed of the generator the exponent key weights are drawn from
+KEY_SEED = 0x7553
 
 
 @functools.lru_cache(maxsize=None)
 def _key_weights(nvars: int) -> np.ndarray:
-    """Odd, well-mixed 64-bit weights: the first outputs of splitmix64 from seed 0, low bit set.
+    """Odd 64-bit weights: the first outputs of numpy's PCG64 from KEY_SEED, low bit set.
 
-    Fixed so that keys repeat from run to run.  Weights in arithmetic
-    progression would not do: c*(i+1) collapses every key to c*sum((i+1)*a_i),
-    so exponents of equal weighted degree collide.  Built once per nvars and
-    returned read-only.
+    Fixed so that keys repeat from run to run.  Weights with structure do
+    not do: c*(i+1) collapses every key to c*sum((i+1)*a_i), so exponents of
+    equal weighted degree collide, and the splitmix64 outputs of seeds s and
+    2s obey short integer relations that make distinct pair sums collide
+    from about 46 variables on.  Built once per nvars and returned read-only.
     """
-    out = []
-    for i in range(nvars):
-        z = ((i + 1) * 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out.append((z ^ (z >> 31)) | 1)
-    weights = np.array(out, dtype=np.uint64)
+    weights = np.random.default_rng(KEY_SEED).integers(2 ** 64, size=nvars, dtype=np.uint64)
+    weights |= np.uint64(1)
     weights.flags.writeable = False
     return weights
 
@@ -82,51 +86,81 @@ def exponent_keys(rows: np.ndarray) -> np.ndarray:
     return rows.astype(np.uint64) @ _key_weights(rows.shape[1])
 
 
+def _grlex_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct exponent rows in graded lex order (x1 heaviest within a degree).
+
+    That is the reverse of the lexicographic order of (-degree, x1, ..., xn).
+    """
+    if not len(rows):
+        return rows
+    rows = rows[np.lexsort((*rows.T[::-1], -rows.sum(axis=1)))[::-1]]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows if keep.all() else rows[keep]
+
+
 class MonomialBasis:
-    """An ordered set of exponents, graded lex, with O(1) index lookup."""
+    """An ordered set of exponents, graded lex, with O(1) index lookup.
 
-    __slots__ = ("nvars", "monos", "_index", "_array")
+    Held as a read-only (len, nvars) int64 array; the tuples and the index
+    are formed on first use.
+    """
 
-    def __init__(self, nvars: int, monos: Iterable[Exponent]):
-        dedup = {tuple(int(a) for a in m) for m in monos}
-        for m in dedup:
-            if len(m) != nvars or any(a < 0 for a in m):
-                raise ValueError(f"bad exponent {m} for {nvars} variables")
+    __slots__ = ("nvars", "array", "_monos", "_index")
+
+    def __init__(self, nvars: int, monos: Iterable[Exponent] | np.ndarray):
+        if not isinstance(monos, np.ndarray):
+            monos = [tuple(m) for m in monos]
+            for m in monos:
+                if len(m) != nvars:
+                    raise ValueError(f"bad exponent {m} for {nvars} variables")
+            monos = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+        rows = monos.astype(np.int64)  # a copy, so the basis owns its array
+        if rows.ndim != 2 or rows.shape[1] != nvars:
+            raise ValueError(f"exponent rows of shape {rows.shape} for {nvars} variables")
+        negative = rows[(rows < 0).any(axis=1)]
+        if len(negative):
+            raise ValueError(f"bad exponent {tuple(negative[0].tolist())} for {nvars} variables")
+        rows = _grlex_rows(rows)
+        rows.flags.writeable = False
         self.nvars = nvars
-        self.monos: Tuple[Exponent, ...] = tuple(sorted(dedup, key=grlex_key))
-        self._index: Dict[Exponent, int] = {m: i for i, m in enumerate(self.monos)}
-        self._array = None
+        self.array = rows
+        self._monos: Optional[Tuple[Exponent, ...]] = None
+        self._index: Optional[Dict[Exponent, int]] = None
 
     @property
-    def array(self) -> np.ndarray:
-        """The exponents as a read-only (len, nvars) int64 array, in basis order."""
-        if self._array is None:
-            arr = np.array(self.monos, dtype=np.int64).reshape(len(self.monos), self.nvars)
-            arr.flags.writeable = False
-            self._array = arr
-        return self._array
+    def monos(self) -> Tuple[Exponent, ...]:
+        """The exponents as tuples, in basis order."""
+        if self._monos is None:
+            self._monos = tuple(map(tuple, self.array.tolist()))
+        return self._monos
 
     def __len__(self) -> int:
-        return len(self.monos)
+        return len(self.array)
 
     def __iter__(self):
         return iter(self.monos)
 
     def __contains__(self, alpha) -> bool:
-        return tuple(alpha) in self._index
+        return tuple(alpha) in self._lookup()
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonomialBasis)
             and self.nvars == other.nvars
-            and self.monos == other.monos
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.monos))
+        return hash((self.nvars, self.array.tobytes()))
+
+    def _lookup(self) -> Dict[Exponent, int]:
+        if self._index is None:
+            self._index = {m: i for i, m in enumerate(self.monos)}
+        return self._index
 
     def index(self, alpha: Exponent) -> int:
-        return self._index[tuple(alpha)]
+        return self._lookup()[tuple(alpha)]
 
     def exponent_set(self) -> Set[Exponent]:
         return set(self.monos)
@@ -150,6 +184,9 @@ class _ExponentSet:
     points to.  A key match is confirmed on the rows; when members do share
     a key, searchsorted sees only one of them, and a candidate failing that
     confirmation is looked up in an exact set of tuples instead.
+
+    The distinct members themselves, which the divisor search of
+    _linked_pairs enumerates, are formed once, on first use (members).
     """
 
     def __init__(self, keys: np.ndarray, rows_of: RowsOf):
@@ -160,6 +197,7 @@ class _ExponentSet:
         self.keys = ranked[head]
         heads = np.flatnonzero(head)
         self._first, self._rows_of = order[heads], rows_of
+        self._members: Optional[Tuple[np.ndarray, ...]] = None
         self.exact: Optional[Set[Exponent]] = None
         later = np.flatnonzero(~head)  # key order positions of items after their key's first
         if not len(later):
@@ -177,17 +215,50 @@ class _ExponentSet:
                 for row in rows_of(items[lo:lo + PAIR_BUDGET]).tolist()
             }
 
+    def members(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct members as sparse patterns (positions, values), their degrees and keys.
+
+        Row m of positions lists member m's nonzero positions, left-aligned
+        and padded with -1, and values the exponents there (0 on the pad).
+        Formed on first use, from the rows of the first item of every key
+        (PAIR_BUDGET rows at a time) or from the exact set when there is one.
+        """
+        if self._members is None:
+            if self.exact is not None:
+                rows = np.array(sorted(self.exact), dtype=np.int64)
+                chunks, keys = [(0, rows)], exponent_keys(rows)
+            else:
+                chunks = ((lo, self._rows_of(self._first[lo:lo + PAIR_BUDGET]))
+                          for lo in range(0, len(self._first), PAIR_BUDGET))
+                keys = self.keys
+            entries = [(np.zeros(0, dtype=np.int64),) * 3]
+            for lo, rows in chunks:
+                at, var = np.nonzero(rows)
+                entries.append((at + lo, var, rows[at, var]))
+            at, var, value = (np.concatenate(col) for col in zip(*entries))
+            count = np.bincount(at, minlength=len(keys))
+            slot = np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count)
+            pos = np.full((len(keys), count.max(initial=0)), -1, dtype=np.int64)
+            val = np.zeros(pos.shape, dtype=np.int64)
+            pos[at, slot] = var
+            val[at, slot] = value
+            self._members = (pos, val, val.sum(axis=1), keys)
+        return self._members
+
     def contains(self, keys: np.ndarray, rows_of: RowsOf) -> np.ndarray:
         """Mask of the candidates, keys plus rows_of(idx), that are members.
 
-        Key hits are confirmed PAIR_BUDGET at a time, so however many
-        candidates are passed, no more rows are formed at once than in a
-        pair search.
+        The keys are searched in sorted order, and key hits are confirmed
+        PAIR_BUDGET at a time, so however many candidates are passed, no
+        more rows are formed at once than in a pair search.
         """
         found = np.zeros(len(keys), dtype=bool)
         if not len(self.keys):
             return found
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        order = np.argsort(keys)
+        pos = np.empty(len(keys), dtype=np.intp)
+        pos[order] = np.searchsorted(self.keys, keys[order])
+        np.minimum(pos, len(self.keys) - 1, out=pos)
         hits = np.flatnonzero(self.keys[pos] == keys)
         for lo in range(0, len(hits), PAIR_BUDGET):
             idx = hits[lo:lo + PAIR_BUDGET]
@@ -214,39 +285,117 @@ def _linked_pairs(
     """Pairs i < j, not in known, with basis_i + basis_j + s in targets.
 
     s runs over the rows of shifts (default: the zero exponent only).  The
-    pair sums are formed through exponent_keys for a chunk of rows of at
-    most PAIR_BUDGET pairs at a time; the result is an (m, 2) int64 array
-    sorted by (i, j).
+    search runs over divisors, not over basis pairs: for every distinct
+    target t and shift s with d = t - s >= 0 and |d| in the degree range of
+    basis pair sums, it enumerates the sub-exponents beta <= d by one
+    mixed-radix count over d's nonzero positions, keyed straight from the
+    digits, and looks key(beta) and key(d) - key(beta) up among the basis
+    keys.  Every hit (i, j) is confirmed as basis_i + basis_j = d on d's
+    positions and the total degree; a repeated basis key yields every
+    basis element that carries it.  The cost is O(|targets| * |shifts| *
+    prod(d_k + 1)), at most PAIR_BUDGET sub-exponents at a time, and no
+    r x r or sub-exponent x nvars array is formed.  The result is an
+    (m, 2) int64 array sorted by (i, j).
     """
     rows = basis.array
-    r = len(rows)
+    r, n = rows.shape
     if shifts is None:
-        shifts = np.zeros((1, basis.nvars), dtype=np.int64)
+        shifts = np.zeros((1, n), dtype=np.int64)
+    pos, val, deg, key = targets.members()
+    lookup = _basis_lookup(rows)
+    degs = lookup[-1]
+    parts = [(pos[:0], val[:0], deg[:0], key[:0])]
+    for shift, s_key in zip(shifts, exponent_keys(shifts)) if r else ():
+        # d = t - s for the targets s divides and whose |d| a pair sum can
+        # have: the basis is in graded lex order, so that is 2|b_0|..2|b_r-1|
+        s_deg = int(shift.sum())
+        sel = np.flatnonzero((deg >= 2 * degs[0] + s_deg) & (deg <= 2 * degs[-1] + s_deg))
+        d_val = val[sel]
+        for v in np.flatnonzero(shift):
+            row, col = np.nonzero(pos[sel] == v)
+            fits = d_val[row, col] >= shift[v]
+            row, col = row[fits], col[fits]
+            sel, d_val = sel[row], d_val[row]
+            d_val[np.arange(len(row)), col] -= shift[v]
+        parts.append((pos[sel], d_val, deg[sel] - s_deg, key[sel] - s_key))
+    d = [np.concatenate(col) for col in zip(*parts)]
+    d_val = d[1]
+    if not len(d_val):
+        return np.zeros((0, 2), dtype=np.int64)
+    count = np.prod(d_val + 1, axis=1)
+    ends = np.cumsum(count)
+    found = []
+    lo = 0
+    while lo < len(count):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + PAIR_BUDGET, "right")))
+        found.append(_divisor_pairs(rows, lookup, [col[lo:hi] for col in d], count[lo:hi]))
+        lo = hi
+    codes = np.unique(np.concatenate(found))
+    if known is not None and len(known):
+        codes = codes[~np.isin(codes, known[:, 0] * r + known[:, 1])]
+    return np.column_stack(np.divmod(codes, r))
+
+
+def _basis_lookup(rows: np.ndarray) -> tuple:
+    """The distinct keys of the basis rows, sorted, and how to read their rows back.
+
+    Returns (keys, first, sizes, order, degrees): the rows with key keys[g]
+    are order[first[g]:first[g] + sizes[g]], and sizes is None when no key
+    repeats (first is then the identity).
+    """
     keys = exponent_keys(rows)
-    shift_keys = exponent_keys(shifts)
-    if known is not None:
-        known = known[np.argsort(known[:, 0], kind="stable")]
-    cols = np.arange(r)
-    step = max(1, PAIR_BUDGET // max(r, 1))
-    found = [np.zeros((0, 2), dtype=np.int64)]
-    for lo in range(0, r - 1, step):
-        hi = min(lo + step, r)
-        free = cols[lo:hi, None] < cols
-        if known is not None:
-            a, b = np.searchsorted(known[:, 0], [lo, hi])
-            free[known[a:b, 0] - lo, known[a:b, 1]] = False
-        i, j = np.nonzero(free)
-        i += lo
-        sums = keys[i] + keys[j]
-        hit = np.zeros(len(i), dtype=bool)
-        for shift, shift_key in zip(shifts, shift_keys):
-            todo = np.flatnonzero(~hit)
-            ti, tj = i[todo], j[todo]
-            hit[todo] = targets.contains(
-                sums[todo] + shift_key, lambda idx: rows[ti[idx]] + rows[tj[idx]] + shift
-            )
-        found.append(np.column_stack([i[hit], j[hit]]))
-    return np.concatenate(found)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    sizes = None if head.all() else np.diff(np.append(first, len(keys)))
+    return keys[first], first, sizes, order, rows.sum(axis=1)
+
+
+def _divisor_pairs(rows, lookup, d, count) -> np.ndarray:
+    """Codes i*r + j of the pairs i < j with rows_i + rows_j = d, over the exponents d.
+
+    lookup is _basis_lookup's; d holds the positions, values, degrees and
+    keys of the exponents, and count[t] = prod(d_val[t] + 1) is the number
+    of sub-exponents beta <= d_t.  The basis is in graded lex order, so
+    i < j needs |rows_i| <= |rows_j|, and only the beta with
+    |beta| <= |d - beta| are looked up.
+    """
+    keys, first, sizes, order, degs = lookup
+    d_pos, d_val, d_deg, d_key = d
+    d_w = _key_weights(rows.shape[1])[d_pos]  # a pad position (-1) has value 0: adds nothing
+    radix = d_val + 1
+    owner = np.repeat(np.arange(len(count)), count)
+    rest = np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+    key = np.zeros(len(owner), dtype=np.uint64)
+    deg = np.zeros(len(owner), dtype=np.int64)
+    for k in range(d_val.shape[1]):
+        rest, digit = np.divmod(rest, radix[owner, k])
+        key += digit.astype(np.uint64) * d_w[owner, k]
+        deg += digit
+    total = d_deg[owner]
+    ok = (deg >= degs[0]) & (2 * deg <= total) & (total - deg <= degs[-1])
+    owner, key = owner[ok], key[ok]
+    # look beta and d - beta up in one search; both must hit
+    both = np.concatenate([key, d_key[owner] - key])
+    group = np.minimum(np.searchsorted(keys, both), len(keys) - 1)
+    hit = keys[group] == both
+    half = len(key)
+    hit = np.flatnonzero(hit[:half] & hit[half:])
+    owner, at_i, at_j = owner[hit], first[group[hit]], first[group[half + hit]]
+    if sizes is not None:  # a repeated key: pair every element of one group with every one of the other
+        size_i, size_j = sizes[group[hit]], sizes[group[half + hit]]
+        many = size_i * size_j
+        src = np.repeat(np.arange(len(owner)), many)
+        k = np.arange(len(src)) - np.repeat(np.cumsum(many) - many, many)
+        owner, at_i, at_j = owner[src], at_i[src] + k // size_j[src], at_j[src] + k % size_j[src]
+    i, j = order[at_i], order[at_j]
+    # rows_i + rows_j = d: equal on d's nonzero positions and in total degree
+    at, want = d_pos[owner], d_val[owner]
+    ok = ((rows[i[:, None], at] + rows[j[:, None], at] == want) | (want == 0)).all(axis=1)
+    ok &= (i < j) & (degs[i] + degs[j] == d_deg[owner])
+    return i[ok] * len(rows) + j[ok]
 
 
 # -- standard and Newton bases -------------------------------------------------
@@ -263,7 +412,7 @@ def standard_basis(nvars: int, degree: int) -> MonomialBasis:
             f"(more than the {STANDARD_BASIS_CAP} cap); "
             "reduce the degree or variable count"
         )
-    return MonomialBasis(nvars, monomials_up_to(nvars, degree))
+    return MonomialBasis(nvars, _box_points(np.full(nvars, degree), degree))
 
 
 def min_half_degree(pop: PopProblem) -> int:
@@ -336,8 +485,7 @@ def _newton_candidates(f: Polynomial) -> Tuple[np.ndarray, np.ndarray]:
     The candidates are the beta with 2*beta inside the bounding box and the
     degree bound of the hull; more than STANDARD_BASIS_CAP of them is refused.
     """
-    pts = sorted(f.support() | {(0,) * f.nvars}, key=grlex_key)
-    points = np.array(pts, dtype=np.int64)
+    points = _grlex_rows(np.array([*f.support(), (0,) * f.nvars], dtype=np.int64))
     upper = points.max(axis=0) // 2
     half_deg = int(points.sum(axis=1).max()) // 2
     count = _box_count(upper.tolist(), half_deg)
@@ -504,7 +652,7 @@ def newton_half_basis(f: Polynomial) -> MonomialBasis:
         return MonomialBasis(f.nvars, [tuple(a // 2 for a in alpha)])
     points, cands = _newton_candidates(f)
     member, _ = _newton_members(cands, points)
-    return MonomialBasis(f.nvars, cands[member].tolist())
+    return MonomialBasis(f.nvars, cands[member])
 
 
 # -- shrinking -------------------------------------------------------------------
@@ -537,7 +685,7 @@ def generate_basis(support: Iterable[Exponent] | np.ndarray, base: MonomialBasis
         same = np.array_equal(cur, prev)
         if same and chain:
             break
-        chain.append(MonomialBasis(base.nvars, rows[cur].tolist()))
+        chain.append(MonomialBasis(base.nvars, rows[cur]))
         if same:
             break
         prev = cur

@@ -24,6 +24,13 @@ too).  Only support outside those sets can link it, and only chordal fill
 and seed edges bring such support, since a support-extension edge's sum is
 old support by definition.
 
+Every search is one _linked_pairs call (basis module): it enumerates the
+divisors of the targets instead of the basis pairs.  For a target t and a
+shift s (a term of g_j, or 0 for the moment graph) it counts out the
+sub-exponents beta <= d = t - s and looks beta and d - beta up among the
+basis keys, so a search costs O(|targets| * |shifts| * prod(d_k + 1)) and
+not O(r^2) in the basis size r; every hit is confirmed on the exponent rows.
+
 Chordal extension modes:
 
 * ``approx_min``: leave the graph alone when it is already chordal (checked

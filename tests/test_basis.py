@@ -86,6 +86,17 @@ def test_monomial_basis_dedups_and_indexes():
         MonomialBasis(2, [(1, -1)])
 
 
+def test_monomial_basis_from_arrays_is_grlex_sorted_and_distinct():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 5):
+        rows = rng.integers(0, 4, size=(60, n))
+        want = sorted({tuple(r) for r in rows.tolist()}, key=grlex_key)
+        assert MonomialBasis(n, rows).monos == tuple(want)
+        assert MonomialBasis(n, rows) == MonomialBasis(n, [tuple(r) for r in rows.tolist()])
+    for n, d in ((1, 3), (3, 2), (4, 3)):
+        assert standard_basis(n, d).monos == tuple(monomials_up_to(n, d))
+
+
 def test_newton_basis_running_example():
     f = parse_polynomial(EX33, 3)
     b = newton_half_basis(f)
@@ -544,17 +555,24 @@ def test_key_weights_are_built_once_and_read_only():
     assert not weights.flags.writeable
     with pytest.raises(ValueError):
         weights[0] = 1
-    # keys are sum(a_i * w_i) mod 2^64 over the splitmix64 weights
+    # keys are sum(a_i * w_i) mod 2^64 over the first PCG64 outputs of KEY_SEED, made odd
     mask = (1 << 64) - 1
-    want_weights = []
-    for i in range(6):
-        z = ((i + 1) * 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        want_weights.append((z ^ (z >> 31)) | 1)
+    raw = np.random.PCG64(tssos.basis.KEY_SEED).random_raw(6)
+    want_weights = [int(w) | 1 for w in raw]
+    assert weights.tolist() == want_weights
     rows = np.random.default_rng(8).integers(0, 40, size=(50, 6))
     want = [sum(int(a) * w for a, w in zip(row, want_weights)) & mask for row in rows]
     assert tssos.basis.exponent_keys(rows).tolist() == want
+
+
+def test_newton_pair_sums_of_broyden_tridiagonal_120_have_no_key_collision():
+    """The pair sums _average_certified searches: no two distinct ones share a key."""
+    points, _ = _newton_candidates(bench.broyden_tridiagonal(120))
+    i, j = np.triu_indices(len(points))
+    keys = tssos.basis.exponent_keys(points)
+    sums = tssos.basis._ExponentSet(keys[i] + keys[j], lambda idx: points[i[idx]] + points[j[idx]])
+    assert len(i) == 351_541
+    assert sums.exact is None
 
 
 @pytest.mark.parametrize("degenerate", [False, True])

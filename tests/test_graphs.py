@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import networkx as nx
@@ -736,6 +737,104 @@ def test_chunked_pair_search_matches_reference(monkeypatch):
         seq = iterate_constrained(PopProblem(f), [basis], k=3, mode=mode)
         assert edge_levels(seq) == want
         assert seq.stabilized_at == stabilized
+
+
+def reference_linked_pairs(basis, target_rows, shift_rows, known=()):
+    """The pairs i < j, not in known, with basis_i + basis_j + s a target row for some shift s."""
+    monos = basis.monos
+    targets = {tuple(t) for t in target_rows.tolist()}
+    shifts = [tuple(s) for s in shift_rows.tolist()]
+    known = set(known)
+    return [
+        (i, j)
+        for i in range(len(monos))
+        for j in range(i + 1, len(monos))
+        if (i, j) not in known and any(_tsum(_tsum(monos[i], monos[j]), s) in targets for s in shifts)
+    ]
+
+
+def _exponents(rng, n, count, low, high):
+    """count random exponents in n variables with total degree in [low, high]."""
+    pool = [m for m in standard_basis(n, high).monos if sum(m) >= low]
+    return np.array([pool[k] for k in rng.choice(len(pool), size=min(count, len(pool)), replace=False)],
+                    dtype=np.int64).reshape(-1, n)
+
+
+def _divisor_case(name, rng):
+    """(basis, target rows, shift rows) of one kind of divisor-search input."""
+    n = int(rng.integers(2, 5))
+    basis = standard_basis(n, 2)
+    targets = _exponents(rng, n, 12, 0, 4)
+    shifts = np.zeros((1, n), dtype=np.int64)
+    if name == "targets_above_twice_the_basis_degree":
+        basis = standard_basis(n, 1)
+        targets = np.concatenate([_exponents(rng, n, 10, 3, 6), _exponents(rng, n, 3, 2, 2)])
+        shifts = np.concatenate([shifts, _exponents(rng, n, 3, 1, 3)])
+    elif name == "shifts_that_divide_no_target":
+        shifts = 5 * np.eye(n, dtype=np.int64)
+    elif name == "basis_without_the_constant":
+        pool = standard_basis(n, 3).monos[1:]
+        picks = rng.choice(len(pool), size=min(12, len(pool)), replace=False)
+        basis = MonomialBasis(n, [pool[k] for k in picks])
+        targets = _exponents(rng, n, 20, 1, 6)
+        shifts = np.concatenate([shifts, _exponents(rng, n, 2, 1, 2)])
+    elif name == "many_shifts":
+        targets = _exponents(rng, n, 25, 0, 6)
+        shifts = _exponents(rng, n, 30, 0, 3)
+    return basis, targets, shifts
+
+
+DIVISOR_CASES = [
+    "targets_above_twice_the_basis_degree",
+    "shifts_that_divide_no_target",
+    "basis_without_the_constant",
+    "many_shifts",
+    "colliding_basis_keys",
+]
+
+
+@pytest.mark.parametrize("name", DIVISOR_CASES)
+def test_divisor_search_matches_tuple_loop(monkeypatch, name):
+    if name == "colliding_basis_keys":  # every key is the total degree
+        monkeypatch.setattr(tssos.basis, "_key_weights", lambda nvars: np.ones(nvars, dtype=np.uint64))
+    rng = np.random.default_rng(DIVISOR_CASES.index(name))
+    for _ in range(12):
+        basis, targets, shifts = _divisor_case(name, rng)
+        if name == "colliding_basis_keys":
+            assert tssos.basis._basis_lookup(basis.array)[2] is not None
+        r = len(basis)
+        known = [(i, j) for i in range(r) for j in range(i + 1, r) if rng.random() < 0.3]
+        known_rows = np.array(known, dtype=np.int64).reshape(-1, 2)
+        for budget in (1 << 13, 5):
+            monkeypatch.setattr(tssos.basis, "PAIR_BUDGET", budget)
+            for drop in ((), known):
+                found = _linked_pairs(basis, tssos.basis._rows_set(targets), shifts,
+                                      known=known_rows if drop else None)
+                assert found.tolist() == [list(p) for p in reference_linked_pairs(basis, targets, shifts, drop)]
+        supp = {tuple(t) for t in targets.tolist()}
+        _check_against_reference(basis.nvars, supp, basis, set(known), {tuple(s) for s in shifts.tolist()})
+        if name == "shifts_that_divide_no_target":
+            assert not len(_linked_pairs(basis, tssos.basis._rows_set(targets), shifts))
+
+
+def test_pair_search_memory_is_far_below_r_squared():
+    f = bench.broyden_tridiagonal(100)
+    basis = newton_half_basis(f)
+    r = len(basis)
+    assert r == 5151
+    targets = _tsp_targets(f, basis, ())
+    tracemalloc.start()
+    try:
+        pairs = _linked_pairs(basis, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # far below one int64 per basis pair: no r x r array is formed
+    assert peak < r * r * 8 / 20
+    rows = basis.array
+    assert len(pairs) and (pairs[:, 0] < pairs[:, 1]).all()
+    sums = rows[pairs[:, 0]] + rows[pairs[:, 1]]
+    assert targets.contains(tssos.basis.exponent_keys(sums), sums.__getitem__).all()
 
 
 def test_mcs_order_matches_reference():
