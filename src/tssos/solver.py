@@ -46,19 +46,21 @@ entry lists:
   ordered widest first, so a chunk pads K only to its own widest entry
   list.
 
-M is factored once per iteration; the predictor and the corrector solve
-with the same factor.  X and S are factored together, one Cholesky call on
-each class's stacked [X; S], and the factor L is inverted once.  S^{-1} is
+M is factored once per iteration, in place by LAPACK's potrf, and the
+predictor and the corrector solve with the same factor by potrs, as in
+SDPT3.  X and S are factored together, one Cholesky call on each class's
+stacked [X; S], and the factor L is inverted once.  S^{-1} is
 L_S^{-T} L_S^{-1}, and both step-length tests read their bounds off the
 eigenvalues of W = L^{-1} [dX; dS] L^{-T} (as SDPT3 does, Toh, Todd and
 Tutuncu, Optim. Methods Softw. 11, 1999): two batched products and one
 eigvalsh per class, no triangular solve.
 
-The working set (M, the scratch of its symmetrization and the arena of the
-Schur chunks) is allocated once per solve and refilled by every iteration.
-Before anything is allocated, the working set (with M's factor and the
-block stacks) is compared with the memory the process may use, and a
-problem that does not fit is refused with a ValueError.
+The working set (M, the scratch of its symmetrization, the buffer M is
+factored in and the arena of the Schur chunks) is allocated once per solve
+and refilled by every iteration.  Before anything is allocated, the
+working set (with the block stacks) is compared with the memory the
+process may use, and a problem that does not fit is refused with a
+ValueError.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve
+from scipy.linalg import lapack
 
 Entry = Tuple[int, int, int, float]  # (block, row, col, value), row <= col
 
@@ -267,7 +269,7 @@ class _Layout:
     reused by every build: the accumulator of M (m*m entries and a spare
     cell that padding indices land on), the m x m scratch of its
     symmetrization, and one arena that holds the intermediates of the
-    largest chunk.
+    largest chunk.  m_fac is the m x m buffer _factor factors M in.
     """
 
     def __init__(self, prob: CanonicalSdp):
@@ -341,6 +343,7 @@ class _Layout:
             self.classes[j].chunks.append(_Chunk(*fields, *_arena_views(self.arena, *dims)))
         self.m_acc = np.empty(m * m + 1)
         self.m_sym = np.empty((m, m))
+        self.m_fac = np.empty((m, m))
         self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
         self.at = self.a.T.tocsr()
         self.ends = np.cumsum([0] + [cl.c.size for cl in self.classes])
@@ -445,47 +448,45 @@ def _step_lengths(linv: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> Tuple[flo
     return (_bound(lam[:nb].min()) if both else 0.0), _bound(lam[-nb:].min())
 
 
-def _factor(m: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
-    """Lower Cholesky factor of m, jittering the diagonal only on failure.
+def _factor(m: np.ndarray, out: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
+    """Lower Cholesky factor of m in out, jittering the diagonal only on failure.
 
     Returns the factor (None when every jitter failed) and the jitter used.
-    A jitter is added to m's diagonal in place, and the diagonal is put
-    back to the last bit before returning.
+    m is exactly symmetric, so the C-order copy of m in out read as out.T
+    is m in Fortran order, which LAPACK's potrf factors in place.  Every
+    rung of the ladder copies m into out again and adds its jitter there,
+    so m itself is never written.  The factor is out.T, the Fortran-order
+    view; its upper triangle keeps m's entries, which potrs does not read.
     """
-    diag = m.diagonal().copy()
-    base = 1e-14 * (1.0 + np.abs(diag).max())
-    try:
-        for jitter in [0.0] + [base * 100.0 ** j for j in range(7)]:
-            if jitter:
-                m.flat[:: len(m) + 1] = diag + jitter
-            try:
-                return np.linalg.cholesky(m), jitter
-            except np.linalg.LinAlgError:
-                continue
-    finally:
-        m.flat[:: len(m) + 1] = diag
+    base = 1e-14 * (1.0 + np.abs(m.diagonal()).max())
+    for jitter in [0.0] + [base * 100.0 ** j for j in range(7)]:
+        np.copyto(out, m)
+        if jitter:
+            out.flat[:: len(m) + 1] += jitter
+        lo, info = lapack.dpotrf(out.T, lower=1, overwrite_a=1, clean=0)
+        if info == 0:
+            return lo, jitter
     return None, jitter
 
 
 def _solve(m: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve m x = rhs with the Cholesky factor lo of (a jittered) m.
+    """Solve m x = rhs with the lower Cholesky factor lo of (a jittered) m.
 
     Iterative refinement keeps the solve accurate when m turns
     ill-conditioned near the central path's end, which otherwise leaves a
     feasibility residual floor around sqrt(eps) or stalls the steps.  It
     runs while each pass at least halves the residual, at most
-    REFINE_PASSES times.  lo.T is the upper factor in Fortran order, which
-    cho_solve passes to LAPACK without copying it.
+    REFINE_PASSES times.  lo is _factor's Fortran-order factor, which potrs
+    reads in place.
     """
-    upper = (lo.T, False)
-    x = cho_solve(upper, rhs, check_finite=False)
+    x = lapack.dpotrs(lo, rhs, lower=1)[0]
     res = rhs - m @ x
     last = np.inf
     for _ in range(REFINE_PASSES):
         size = np.linalg.norm(res)
         if not size < 0.5 * last:
             break
-        x += cho_solve(upper, res, check_finite=False)
+        x += lapack.dpotrs(lo, res, lower=1)[0]
         last = size
         res = rhs - m @ x
     return x
@@ -504,19 +505,19 @@ def _check_memory(prob: CanonicalSdp) -> int:
     """Bytes of the solver's working set; ValueError when it would not fit.
 
     Counts what is held for the whole solve: M, the scratch of its
-    symmetrization, its Cholesky factor and the copy np.linalg.cholesky
-    factors in; the Schur arena with one chunk's readout; and 24 block
-    stacks: the 13 an iteration keeps alive (iterate, slack, the remembered
-    best of both, residual, inverse factors of X and S, S^{-1}, both pairs
-    of directions, corrector) and the temporaries of a step test (the
-    stacked directions, two products and eigvalsh's copy, each two stacks
-    deep) with room to spare.
+    symmetrization and the one buffer M is factored in; the Schur arena
+    with one chunk's readout; and 24 block stacks: the 13 an iteration
+    keeps alive (iterate, slack, the remembered best of both, residual,
+    inverse factors of X and S, S^{-1}, both pairs of directions,
+    corrector) and the temporaries of a step test (the stacked directions,
+    two products and eigvalsh's copy, each two stacks deep) with room to
+    spare.
     """
     m = prob.n_constraints
     sizes = prob.block_sizes
     s_max = max(sizes, default=0)
     chunk = max(SCHUR_CHUNK_BYTES, 8 * (2 * s_max * s_max + 3 * m))
-    need = 8 * 4 * m * m + chunk + 8 * 24 * sum(s * s for s in sizes)
+    need = 8 * 3 * m * m + chunk + 8 * 24 * sum(s * s for s in sizes)
     limit = _memory_limit()
     if need > limit:
         raise ValueError(
@@ -638,11 +639,8 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
         # S^{-1} = L^{-T} L^{-1} from S's half of the inverse factors
         sinvs = [_sym(li[-len(s):].swapaxes(-1, -2) @ li[-len(s):]) for li, s in zip(linvs, ss)]
 
-        # release the last iteration's factor, so that it is not alive
-        # beside the new one; M is the layout's buffer, refilled in place
-        schur = lo = None
         schur = lay.schur(xs, sinvs)
-        lo, jitter = _factor(schur)
+        lo, jitter = _factor(schur, lay.m_fac)
         max_jitter = max(max_jitter, jitter)
         if lo is None:
             stop("schur_failed")

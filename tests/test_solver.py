@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, lapack
 
 import tssos.solver
 from tssos import bench
@@ -696,15 +696,38 @@ def test_schur_complement_factored_once_per_iteration(monkeypatch):
     calls = []
     real = tssos.solver._factor
 
-    def counting(m):
-        calls.append(m.shape)
-        return real(m)
+    def counting(m, out):
+        lo, jitter = real(m, out)
+        calls.append((out, np.shares_memory(lo, out)))
+        return lo, jitter
 
     monkeypatch.setattr(tssos.solver, "_factor", counting)
     sol = solve_canonical(prob)
     assert sol.status == "optimal"
     # the last iteration only checks convergence
     assert len(calls) == sol.iterations - 1
+    # every iteration factors into the same buffer
+    assert all(out is calls[0][0] and inside for out, inside in calls)
+
+
+def test_factor_allocates_little_after_the_first():
+    prob = dense_banded_instance()
+    m = prob.n_constraints
+    rng = np.random.default_rng(3)
+    lay = _Layout(prob)
+    xs = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
+    ss = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
+    schur = lay.schur(xs, ss)
+    tssos.solver._factor(schur, lay.m_fac)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lo, _ = tssos.solver._factor(schur, lay.m_fac)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert lo is not None and np.shares_memory(lo, lay.m_fac)
+    assert peak < m * m * 8 / 4, peak / (m * m * 8)
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 1])
@@ -758,24 +781,35 @@ def lower_factor_solve(m, lo, rhs):
 
 
 @pytest.mark.parametrize("singular", [False, True])
-def test_solve_with_upper_factor_matches_lower_factor_bitwise(singular):
+def test_factor_in_buffer_and_solve_match_lapack_bitwise(singular):
     rng = np.random.default_rng(31)
     n = 300
     q = rng.normal(size=(n, n - 5 if singular else n))
     m = q @ q.T
+    m = 0.5 * (m + m.T)  # exactly symmetric, as _Layout.schur leaves M
     if singular:  # indefinite, so that the jitter ladder takes several rungs
         m.flat[:: n + 1] -= 1e-7
     kept = m.copy()
-    lo, jitter = tssos.solver._factor(m)
+    buf = np.empty_like(m)
+    lo, jitter = tssos.solver._factor(m, buf)
     assert (jitter > 0) == singular
-    # the factor is of M + jitter I, and the jitter is taken off the
-    # diagonal again to the last bit
+    assert np.shares_memory(lo, buf)
+    # the factor is potrf's of M + jitter I, and M is not written
     shifted = kept.copy()
     shifted.flat[:: n + 1] += jitter
-    assert np.array_equal(lo, np.linalg.cholesky(shifted))
+    ref, info = lapack.dpotrf(shifted, lower=1)
+    assert info == 0
+    assert np.array_equal(np.tril(lo), ref)
     assert np.array_equal(m, kept)
     rhs = rng.normal(size=n)
     assert np.array_equal(_solve(m, lo, rhs), lower_factor_solve(m, lo, rhs))
+
+
+def test_factor_gives_up_past_the_last_rung_without_writing_m():
+    m = -np.eye(4)
+    lo, jitter = tssos.solver._factor(m, np.empty_like(m))
+    assert lo is None and 0 < jitter < 1
+    assert np.array_equal(m, -np.eye(4))
 
 
 @pytest.mark.parametrize("make", [many_constraints_instance, dense_banded_instance])
