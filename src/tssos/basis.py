@@ -13,9 +13,10 @@ Three ways to pick the rows/columns of a Gram matrix for f:
 
 Every Newton membership decision rests on a proof checked in exact
 arithmetic: 2*beta as the average of two or three hull points, a convex
-combination read off an LP and checked in fractions, or an integer
-hyperplane that separates 2*beta from the hull.  LPs only propose the last
-two; a candidate that no proof decides gets its own feasibility LP.
+combination checked in fractions, or an integer hyperplane that separates
+2*beta from the hull.  One nonnegative least squares fit per candidate
+proposes the last two (its weights, or its residual); a candidate that no
+proof decides gets its own feasibility LP.
 
 Sets of exponents are searched by linear 64-bit exponent keys, and every key
 hit is confirmed on the exponent rows (_ExponentSet, _linked_pairs); the
@@ -39,20 +40,17 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from .poly import Exponent, Polynomial, PopProblem
 
 STANDARD_BASIS_CAP = 10 ** 7
 NEWTON_LP_TOL = 1e-9
-# candidates per phase-1 LP in newton_half_basis; bounds the LP's size and memory
-NEWTON_LP_CHUNK = 32
-# only a candidate whose phase-1 L1 residual is at most this gets its LP weights checked
+# only a candidate whose NNLS residual has L1 norm at most this gets its weights checked
 NEWTON_RESIDUAL_TOL = 1e-7
 # point pairs whose sums newton_half_basis searches at once; bounds its memory
 NEWTON_PAIR_BUDGET = 1 << 20
-# largest denominator an LP's convex weights are rounded to before the exact check
+# largest denominator proposed convex weights are rounded to before the exact check
 NEWTON_DENOMINATOR = 10 ** 6
 # sub-exponents (or target items) one key search holds at a time; bounds its memory
 PAIR_BUDGET = 1 << 13
@@ -532,32 +530,6 @@ def _average_certified(cands: np.ndarray, points: np.ndarray) -> np.ndarray:
     return found
 
 
-def _chunk_lp(cands: np.ndarray, points: np.ndarray):
-    """One block-diagonal phase-1 LP for the candidates, or None if not optimal.
-
-    Each candidate gets its own block: lambda in the simplex and slacks
-    s+, s- >= 0 with points^T lambda + s+ - s- = 2*beta, and the LP
-    minimizes the sum of all slacks.  A block's optimal dual y on the
-    points^T rows has |y_i| <= 1 and y.(2*beta) - max_p y.p equal to the
-    block's L1 residual.
-    """
-    npts, nvars = points.shape
-    eye = np.eye(nvars)
-    block = sparse.csr_matrix(np.block([
-        [points.T, eye, -eye],
-        [np.ones((1, npts)), np.zeros((1, 2 * nvars))],
-    ]))
-    count = len(cands)
-    res = linprog(
-        c=np.tile(np.r_[np.zeros(npts), np.ones(2 * nvars)], count),
-        A_eq=sparse.kron(sparse.identity(count, format="csr"), block, format="csr"),
-        b_eq=np.hstack([2.0 * cands, np.ones((count, 1))]).ravel(),
-        bounds=(0, None),
-        method="highs",
-    )
-    return res if res.status == 0 else None
-
-
 def _convex_proof(lam: np.ndarray, beta: np.ndarray, points: np.ndarray) -> bool:
     """Do the positive weights of lam, rounded to fractions, put 2*beta in conv(points)?
 
@@ -582,47 +554,53 @@ def _cut_off(cands: np.ndarray, cut_w: np.ndarray, cut_b: np.ndarray) -> np.ndar
 def _newton_members(cands: np.ndarray, points: np.ndarray):
     """Which candidates beta have 2*beta in conv(points), and the cuts used.
 
-    After _average_certified, the rest go to chunked phase-1 LPs in an order
-    that spreads every chunk over the whole candidate list.  From each LP,
-    a candidate is accepted when _convex_proof confirms its weights, and
-    rejected when its dual, scaled and rounded to an integer w, satisfies
-    w.(2*beta) > b = max_p w.p in exact integer arithmetic.  Each such
-    (w, b) is kept as a cut and rejects every candidate still waiting that
-    it separates too.  A candidate neither proof decides, and every
-    candidate of a chunk whose LP does not end optimal, is decided by
+    After _average_certified, the rest are taken in order.  A candidate
+    that a kept cut separates is rejected; any other gets one NNLS,
+    min ||A lam - t|| over lam >= 0 with A = [points^T; 1] and
+    t = [2*beta; 1], and its residual r = t - A lam is recomputed from
+    lam.  When r vanishes, beta is accepted if _convex_proof confirms
+    lam.  Otherwise the NNLS optimality conditions give
+    r.(p, 1) <= 0 < r.(2*beta, 1) for every point p, so r's first entries,
+    scaled and rounded to an integer w, separate 2*beta from the hull when
+    w.(2*beta) > b = max_p w.p holds in exact integer arithmetic; beta is
+    then rejected and (w, b) kept as a cut.  A candidate neither proof
+    decides, or whose NNLS stops at its iteration limit, is decided by
     _in_half_polytope.  Returns the member mask and the cuts (w, b).
     """
     nvars = points.shape[1]
     hull = points.astype(float)
+    a = np.vstack([hull.T, np.ones(len(points))])
     # |w_i| <= scale and every point has degree <= max_deg: products stay below 2**62
     max_deg = max(1, int(points.sum(axis=1).max()))
     scale = min(1 << 52, (1 << 61) // max_deg)
     member = _average_certified(cands, points)
     rest = np.flatnonzero(~member)
-    spread = -(-len(rest) // NEWTON_LP_CHUNK)
-    rest = rest[np.argsort(np.arange(len(rest)) % max(spread, 1), kind="stable")]
-    cut_w = np.zeros((0, nvars), dtype=np.int64)
-    cut_b = np.zeros(0, dtype=np.int64)
+    cuts = []
     while len(rest):
-        chunk, rest = rest[:NEWTON_LP_CHUNK], rest[NEWTON_LP_CHUNK:]
-        res = _chunk_lp(cands[chunk], points)
-        if res is not None:
-            count = len(chunk)
-            lam, slack = np.split(res.x.reshape(count, -1), [len(points)], axis=1)
-            near = np.flatnonzero(slack.sum(axis=1) <= NEWTON_RESIDUAL_TOL)
-            accepted = np.zeros(count, dtype=bool)
-            accepted[near] = [_convex_proof(lam[i], cands[chunk[i]], points) for i in near]
-            member[chunk[accepted]] = True
-            duals = res.eqlin.marginals.reshape(count, nvars + 1)[:, :nvars]
-            w = np.rint(np.clip(duals, -1.0, 1.0) * scale).astype(np.int64)
-            b = (points @ w.T).max(axis=0)
-            proven = ~accepted & ((2 * cands[chunk] * w).sum(axis=1) > b)
-            cut_w = np.concatenate([cut_w, w[proven]])
-            cut_b = np.concatenate([cut_b, b[proven]])
-            chunk = chunk[~accepted & ~proven]
-            rest = rest[~_cut_off(cands[rest], w[proven], b[proven])]
-        for c in chunk:
-            member[c] = _in_half_polytope(cands[c], hull)
+        c, rest = rest[0], rest[1:]
+        beta = cands[c]
+        target = np.append(2.0 * beta, 1.0)
+        try:
+            lam, _ = nnls(a, target)
+        except RuntimeError:
+            member[c] = _in_half_polytope(beta, hull)
+            continue
+        r = target - a @ lam
+        top = np.abs(r[:nvars]).max()
+        if np.abs(r).sum() <= NEWTON_RESIDUAL_TOL:
+            if _convex_proof(lam, beta, points):
+                member[c] = True
+                continue
+        elif top > 0:
+            w = np.rint(r[:nvars] / top * scale).astype(np.int64)
+            b = (points @ w).max()
+            if 2 * beta @ w > b:
+                cuts.append((w, b))
+                rest = rest[~_cut_off(cands[rest], w[None], np.array([b]))]
+                continue
+        member[c] = _in_half_polytope(beta, hull)
+    cut_w = np.array([w for w, _ in cuts], dtype=np.int64).reshape(-1, nvars)
+    cut_b = np.array([b for _, b in cuts], dtype=np.int64)
     return member, (cut_w, cut_b)
 
 
@@ -631,25 +609,23 @@ def newton_half_basis(f: Polynomial) -> MonomialBasis:
 
     The members are all beta with 2*beta in conv(supp(f) union {0}); the
     origin joins the hull because the representation target is always
-    f - lambda with a constant present.  A single-monomial objective is
-    handled separately: x^alpha is a square exactly when alpha is even.
+    f - lambda with a constant present, so a single monomial x^alpha gets
+    the lattice points of the segment from 0 to alpha/2.  A single monomial
+    with an odd exponent is refused: it is not a sum of squares.
 
     Only the beta inside the bounding box and the degree bound of the hull
     are tested (at most STANDARD_BASIS_CAP of them).  Each is decided by an
     exact proof: 2*beta as the average of two or three hull points; else
-    the convex weights or the separating dual that a chunked phase-1 LP
-    proposes, checked in exact arithmetic, where each separating dual also
-    cuts the candidates still waiting.  Only a candidate no proof decides
-    gets its own feasibility LP (_in_half_polytope).
+    the convex weights or the separating hyperplane that one NNLS fit
+    proposes, checked in exact arithmetic, where each separating hyperplane
+    also cuts the candidates still waiting.  Only a candidate no proof
+    decides gets its own feasibility LP (_in_half_polytope).
     """
     supp = f.support()
     if not supp:
         raise ValueError("zero polynomial has no Newton polytope")
-    if len(supp) == 1:
-        (alpha,) = supp
-        if any(a % 2 for a in alpha):
-            raise ValueError("objective cannot be SOS: single monomial of odd exponent")
-        return MonomialBasis(f.nvars, [tuple(a // 2 for a in alpha)])
+    if len(supp) == 1 and any(a % 2 for a in next(iter(supp))):
+        raise ValueError("objective cannot be SOS: single monomial of odd exponent")
     points, cands = _newton_candidates(f)
     member, _ = _newton_members(cands, points)
     return MonomialBasis(f.nvars, cands[member])

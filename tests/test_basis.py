@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import OptimizeResult, nnls
+from scipy.optimize import nnls
 
 import tssos.basis
 from tssos import bench
@@ -250,60 +250,122 @@ def test_convex_proof_and_cuts_are_exact():
 
 def test_newton_basis_small_chunks_match_reference(monkeypatch):
     # several pair-sum chunks, lookup chunks and collision-check chunks in the
-    # certificate search, and several LP chunks
+    # certificate search
     monkeypatch.setattr(tssos.basis, "NEWTON_PAIR_BUDGET", 50)
     monkeypatch.setattr(tssos.basis, "PAIR_BUDGET", 64)
-    monkeypatch.setattr(tssos.basis, "NEWTON_LP_CHUNK", 5)
     f = REFERENCE_CASES["randpoly1_5_6_seed0"]
     assert newton_half_basis(f) == reference_newton_basis(f)
+
+
+def count_calls(monkeypatch, name):
+    """Record the calls of tssos.basis.<name>, which still runs."""
+    calls, real = [], getattr(tssos.basis, name)
+    monkeypatch.setattr(tssos.basis, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
 
 
 def test_newton_basis_lp_calls(monkeypatch):
     # broyden_tridiagonal: every member has a midpoint certificate and every
     # candidate is a member; gen_rosenbrock: the 13 uncertified candidates
-    # are all rejected by one chunk LP; every candidate of broyden_banded and
+    # are rejected by their NNLS cuts; every candidate of broyden_banded and
     # randpoly2 is a member and the average of two or three hull points; the
     # randpoly1 README instance leaves 8 of its 100 members and its 363
-    # non-members to the chunk LPs, whose proofs decide every one of them
-    calls, confirms = [], []
-    real, real_confirm = tssos.basis.linprog, tssos.basis._in_half_polytope
-    monkeypatch.setattr(tssos.basis, "linprog", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
-    monkeypatch.setattr(
-        tssos.basis, "_in_half_polytope", lambda b, h: confirms.append(b) or real_confirm(b, h)
-    )
+    # non-members to NNLS, and 55 NNLS calls decide all of them (measured)
+    lps = count_calls(monkeypatch, "linprog")
+    confirms = count_calls(monkeypatch, "_in_half_polytope")
+    calls = count_calls(monkeypatch, "nnls")
     assert len(newton_half_basis(bench.broyden_tridiagonal(14))) == 120
     assert len(calls) == 0
     assert len(newton_half_basis(bench.gen_rosenbrock(14))) == 106
-    assert len(calls) == 1
+    assert len(calls) <= 13
     calls.clear()
     assert len(newton_half_basis(bench.broyden_banded(10))) == 286
     assert len(newton_half_basis(bench.randpoly2(6, 6, 20, seed=1))) == 84
     assert len(calls) == 0
     assert len(newton_half_basis(bench.randpoly1(8, 8, 30, 0.1, seed=3))) == 100
-    assert 1 <= len(calls) <= 10
+    assert 1 <= len(calls) <= 64
+    assert len(lps) == 0
     assert len(confirms) == 0
 
 
-@pytest.mark.parametrize("status", [1, 4])
-def test_newton_basis_falls_back_when_chunk_lp_fails(monkeypatch, status):
+def test_newton_basis_falls_back_when_nnls_fails(monkeypatch):
     f = REFERENCE_CASES["randpoly1_5_6_seed0"]
     want = reference_newton_basis(f)
-    real = tssos.basis.linprog
-    confirms = []
 
-    def failing(c, **kwargs):
-        if np.any(c):  # the phase-1 chunk LP; _in_half_polytope has no objective
-            return OptimizeResult(status=status, x=None)
-        confirms.append(c)
-        return real(c, **kwargs)
+    def failing(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
 
-    monkeypatch.setattr(tssos.basis, "linprog", failing)
+    monkeypatch.setattr(tssos.basis, "nnls", failing)
+    confirms = count_calls(monkeypatch, "_in_half_polytope")
     assert newton_half_basis(f) == want
     # every candidate without a 2- or 3-point certificate went to the per-candidate test
     points, cands = _newton_candidates(f)
     uncertified = int((~_average_certified(cands, points)).sum())
     assert uncertified > 0
     assert len(confirms) == uncertified
+
+
+def test_newton_basis_of_a_lower_dimensional_hull(monkeypatch):
+    # supp(f) + {0} lies on the line x1 = x2: NNLS residuals of the points
+    # off it give the cuts, and no candidate needs an LP
+    confirms = count_calls(monkeypatch, "_in_half_polytope")
+    f = parse_polynomial("x1^2*x2^2 + x1^4*x2^4 + 1", 2)
+    b = newton_half_basis(f)
+    assert set(b.monos) == {(0, 0), (1, 1), (2, 2)}
+    assert b == reference_newton_basis(f)
+    assert len(confirms) == 0
+    # the same line inside three variables, with x3 absent
+    g = parse_polynomial("x1^2*x2^2 + x1^6*x2^6 + 1", 3)
+    assert set(newton_half_basis(g).monos) == {(a, a, 0) for a in range(4)}
+    assert len(confirms) == 0
+
+
+def test_newton_member_with_weights_in_ninths(monkeypatch):
+    # 2*(1, 1) = (2, 2) = (0, 0)/9 + 2*(3, 0)/9 + 2*(2, 3)/3, the only convex
+    # weights since the hull is a triangle; a combination over denominator 3
+    # would be a 3-point certificate, so this member is NNLS's to propose and
+    # _convex_proof's to round back from floats
+    points = np.array([[0, 0], [3, 0], [2, 3]])
+    assert not has_average_certificate((1, 1), points)
+    proofs = count_calls(monkeypatch, "_convex_proof")
+    confirms = count_calls(monkeypatch, "_in_half_polytope")
+    f = parse_polynomial("x1^3 + x1^2*x2^3 + 1", 2)
+    b = newton_half_basis(f)
+    assert (1, 1) in b
+    assert b == reference_newton_basis(f)
+    assert any(tuple(beta) == (1, 1) for _, beta, _ in proofs)
+    assert len(confirms) == 0
+
+
+def test_newton_basis_survives_a_zero_nnls_proposal(monkeypatch):
+    # with lam = 0 the residual is (2*beta, 1): members fall through to the
+    # per-candidate LP and only the cut w = 2*beta may reject without one
+    f = REFERENCE_CASES["randpoly1_5_6_seed0"]
+    want = reference_newton_basis(f)
+    monkeypatch.setattr(
+        tssos.basis, "nnls", lambda a, t, **kw: (np.zeros(a.shape[1]), float(np.linalg.norm(t)))
+    )
+    confirms = count_calls(monkeypatch, "_in_half_polytope")
+    points, cands = _newton_candidates(f)
+    member, (cut_w, cut_b) = _newton_members(cands, points)
+    confirmed = {tuple(beta) for beta, _ in confirms}
+    assert MonomialBasis(f.nvars, cands[member]) == want
+    assert len(cut_w) > 0
+    assert (points @ cut_w.T <= cut_b).all()
+    for beta in cands[~member]:
+        if tuple(beta) not in confirmed:
+            assert (2 * beta @ cut_w.T > cut_b).any(), beta
+
+
+@pytest.mark.parametrize("args, sizes", [
+    ((8, 8, 30, 0.1), [67, 102, 129, 100, 82]),
+    ((10, 6, 40, 0.1), [36, 49, 54]),
+])
+def test_randpoly1_newton_bases_need_no_lp(monkeypatch, args, sizes):
+    lps = count_calls(monkeypatch, "linprog")
+    got = [len(newton_half_basis(bench.randpoly1(*args, seed=s))) for s in range(len(sizes))]
+    assert got == sizes
+    assert len(lps) == 0
 
 
 def test_newton_candidates_stay_inside_the_box():
@@ -332,7 +394,7 @@ def test_newton_candidate_box_above_cap_raises():
 def test_newton_basis_single_monomial():
     f = parse_polynomial("4*x1^2*x2^4", 2)
     b = newton_half_basis(f)
-    assert set(b.monos) == {(1, 2)}
+    assert set(b.monos) == {(0, 0), (1, 2)}
     with pytest.raises(ValueError):
         newton_half_basis(parse_polynomial("x1^3", 1))
     with pytest.raises(ValueError):

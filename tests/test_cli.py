@@ -286,3 +286,14 @@ def test_problem_above_memory_limit_is_refused(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "error: the solver needs about" in err and "MiB" in err
+
+
+@pytest.mark.parametrize("text", ["vars 1\nx1^2\n", "vars 2\n4*x1^2*x2^4\n", "vars 1\n3*x1^4\n"])
+def test_one_term_objective_solves_on_the_newton_basis(capsys, tmp_path, text):
+    # the origin joins the Newton hull, so the basis keeps the constant monomial
+    path = tmp_path / "one_term.pop"
+    path.write_text(text)
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "optimal"
+    assert abs(payload["bound"]) <= 1e-6
