@@ -288,12 +288,18 @@ def test_newton_basis_lp_calls(monkeypatch):
     assert len(confirms) == 0
 
 
-def test_newton_basis_falls_back_when_nnls_fails(monkeypatch):
+@pytest.mark.parametrize("status", [1, 4])
+def test_newton_basis_falls_back_when_chunk_lp_fails(monkeypatch, status):
+    # the batched proposal step (once chunked phase-1 LPs, now one NNLS per
+    # candidate) fails in the two ways scipy reports as status 1 (iteration
+    # limit: nnls raises) and 4 (numerical difficulties: non-finite weights)
     f = REFERENCE_CASES["randpoly1_5_6_seed0"]
     want = reference_newton_basis(f)
 
-    def failing(*args, **kwargs):
-        raise RuntimeError("Maximum number of iterations reached.")
+    def failing(a, t, **kwargs):
+        if status == 1:
+            raise RuntimeError("Maximum number of iterations reached.")
+        return np.full(a.shape[1], np.nan), np.nan
 
     monkeypatch.setattr(tssos.basis, "nnls", failing)
     confirms = count_calls(monkeypatch, "_in_half_polytope")
