@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import RowsOf, _ExponentSet, exponent_keys
+from .basis import _ExponentSet, exponent_keys
 from .graphs import CliqueDecomposition
 from .poly import Exponent, Polynomial, PopProblem, grlex_key
 from .solver import CanonicalSdp, SolverConfig, SolverSolution, solve_canonical
@@ -166,22 +166,6 @@ def _clique_cells(dec: CliqueDecomposition) -> Tuple[np.ndarray, np.ndarray, np.
     return clique, a, b, u, v
 
 
-def _distinct(keys: np.ndarray, rows_of: RowsOf) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct exponents among items given as keys plus rows_of(idx), and
-    the index of every item among them.
-
-    Items are grouped by key once _ExponentSet has confirmed, on the rows,
-    that no two distinct exponents share one; otherwise they are grouped
-    exactly.
-    """
-    if _ExponentSet(keys, rows_of).exact is None:
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(rows_of(np.arange(len(keys))), axis=0,
-                                      return_index=True, return_inverse=True)
-    return rows_of(first), inverse.ravel()
-
-
 def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str = "sos") -> BlockSdp:
     """Relaxation with one PSD block per clique of every generator's basis.
 
@@ -203,7 +187,9 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
     gens = [Polynomial.constant(n, 1.0)] + list(pop.constraints)
     if len(cliques) != len(gens):
         raise ValueError(f"expected {len(gens)} clique decompositions, got {len(cliques)}")
-    if (0,) * n not in cliques[0].basis:
+    # the basis is graded lex, so the constant is row 0 when present
+    basis0 = cliques[0].basis.array
+    if not len(basis0) or basis0[0].any():
         raise ValueError("constant monomial missing from the basis")
 
     blocks: List[BlockSpec] = []
@@ -224,10 +210,11 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
     node_rows = np.concatenate(nodes)
     shifts = np.array([t for t, _ in terms], dtype=np.int64).reshape(-1, n)
     node_keys = exponent_keys(node_rows)
-    distinct, group = _distinct(
+    sums = _ExponentSet(
         node_keys[u] + node_keys[v] + exponent_keys(shifts)[term],
         lambda idx: node_rows[u[idx]] + node_rows[v[idx]] + shifts[term[idx]],
     )
+    distinct, group = sums.rows(np.arange(len(sums))), sums.member_of
     coeff = np.array([c for _, c in terms])[term]
     # graded lex: total degree first, then x1's exponent downwards, then x2's, ...
     order = np.lexsort(np.vstack([-distinct[:, ::-1].T, distinct.sum(axis=1)]))
@@ -305,7 +292,8 @@ def reconstruct_certificate(
             cells.append((x + x.T - np.diag(np.diag(x)))[np.triu_indices(len(x))])
         rows = dec.basis.array
         keys = exponent_keys(rows)
-        distinct, group = _distinct(keys[u] + keys[v], lambda idx: rows[u[idx]] + rows[v[idx]])
+        sums = _ExponentSet(keys[u] + keys[v], lambda idx: rows[u[idx]] + rows[v[idx]])
+        distinct, group = sums.rows(np.arange(len(sums))), sums.member_of
         coeffs = np.bincount(group, weights=np.concatenate(cells), minlength=len(distinct))
         sigma = dict(zip(map(tuple, distinct.tolist()), coeffs.tolist()))
         total = total + g * Polynomial(n, sigma)

@@ -18,15 +18,15 @@ combination checked in fractions, or an integer hyperplane that separates
 proposes the last two (its weights, or its residual); a candidate that no
 proof decides gets its own feasibility LP.
 
-Sets of exponents are searched by linear 64-bit exponent keys, and every key
-hit is confirmed on the exponent rows (_ExponentSet, _linked_pairs); the
-basis shrinking here and the graph module share that engine.  The pairs of
-basis elements whose sums (shifted by s) hit a target set are found by
-divisor enumeration: for each distinct target t and shift s, the
-sub-exponents beta of d = t - s are counted out in mixed radix over d's
-nonzero positions and looked up, together with d - beta, among the basis
-keys.  That costs O(|targets| * |shifts| * prod(d_k + 1)), whatever the
-basis size r; no search forms an r x r array.
+Every exponent set is one _ExponentSet: its distinct exponents, grouped by
+linear 64-bit keys and grouped exactly only where distinct exponents share
+a key.  One key search, confirmed on the rows, serves the basis shrinking
+here, the graph module and assembly's row matching.  The pairs of basis
+elements whose sums (shifted by s) hit a target set are found by divisor
+enumeration: for each target t and shift s, the sub-exponents beta of
+d = t - s are counted out in mixed radix over d's nonzero positions and
+looked up, with d - beta, in the basis's own set.  That costs
+O(|targets| * |shifts| * prod(d_k + 1)), whatever the basis size r.
 
 Bases are value objects: a graded lex sorted int64 array of exponents; the
 exponent tuples and the index lookup are formed on first use.
@@ -81,7 +81,7 @@ def exponent_keys(rows: np.ndarray) -> np.ndarray:
     exponents may share a key: a key match is a candidate, never a proof.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    return rows.astype(np.uint64) @ _key_weights(rows.shape[1])
+    return rows.view(np.uint64) @ _key_weights(rows.shape[1])
 
 
 def _grlex_rows(rows: np.ndarray) -> np.ndarray:
@@ -100,11 +100,11 @@ def _grlex_rows(rows: np.ndarray) -> np.ndarray:
 class MonomialBasis:
     """An ordered set of exponents, graded lex, with O(1) index lookup.
 
-    Held as a read-only (len, nvars) int64 array; the tuples and the index
-    are formed on first use.
+    Held as a read-only (len, nvars) int64 array; the tuples, the index and
+    the _ExponentSet of the rows are formed on first use.
     """
 
-    __slots__ = ("nvars", "array", "_monos", "_index")
+    __slots__ = ("nvars", "array", "_monos", "_index", "_set")
 
     def __init__(self, nvars: int, monos: Iterable[Exponent] | np.ndarray):
         if not isinstance(monos, np.ndarray):
@@ -125,6 +125,7 @@ class MonomialBasis:
         self.array = rows
         self._monos: Optional[Tuple[Exponent, ...]] = None
         self._index: Optional[Dict[Exponent, int]] = None
+        self._set: Optional[_ExponentSet] = None
 
     @property
     def monos(self) -> Tuple[Exponent, ...]:
@@ -163,6 +164,12 @@ class MonomialBasis:
     def exponent_set(self) -> Set[Exponent]:
         return set(self.monos)
 
+    def key_set(self) -> "_ExponentSet":
+        """The rows as an _ExponentSet, whose item i is basis element i."""
+        if self._set is None:
+            self._set = _rows_set(self.array)
+        return self._set
+
     def __repr__(self) -> str:
         return f"MonomialBasis(nvars={self.nvars}, size={len(self)})"
 
@@ -175,16 +182,18 @@ RowsOf = Callable[[np.ndarray], np.ndarray]
 class _ExponentSet:
     """A set of exponents searched by their exponent_keys, decided exactly.
 
-    Members are given as item keys plus rows_of(idx), the exponent rows of
-    the items idx, which the set keeps: rows are formed, a bounded chunk at
-    a time, for one check (whether distinct members share a key, which only
-    items of a repeated key can do) and later for the members a key match
-    points to.  A key match is confirmed on the rows; when members do share
-    a key, searchsorted sees only one of them, and a candidate failing that
-    confirmation is looked up in an exact set of tuples instead.
+    Built from items, given as keys plus rows_of(idx), the exponent rows of
+    the items idx, which the set keeps and forms a bounded chunk at a time.
+    Each distinct exponent is one member.  The items are sorted by key once;
+    an item with the rows of its key's first item is that item's member, and
+    only the items of keys whose rows really differ go through one exact
+    np.unique over their rows, so members sharing a key sit in one group.
 
-    The distinct members themselves, which the divisor search of
-    _linked_pairs enumerates, are formed once, on first use (members).
+    keys are the distinct keys, sorted; keys[g] is carried by the members
+    first[g] .. first[g] + sizes[g] - 1, or by member g alone when no key
+    repeats (first and sizes None).  items[m] is member m's first item and
+    member_of[i] item i's member.  One search, candidates, maps query keys
+    to the members carrying them; the caller confirms a hit on the rows.
     """
 
     def __init__(self, keys: np.ndarray, rows_of: RowsOf):
@@ -193,79 +202,105 @@ class _ExponentSet:
         head = np.ones(len(keys), dtype=bool)  # first of its key in key order
         np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
         self.keys = ranked[head]
-        heads = np.flatnonzero(head)
-        self._first, self._rows_of = order[heads], rows_of
+        del ranked
+        self.items = order[head]
+        group = np.cumsum(head)  # the key of every key order position, as its member so far
+        group -= 1
+        self.member_of = np.empty(len(keys), dtype=np.intp)
+        self.member_of[order] = group
+        del group
+        self.first = self.sizes = None
+        self._rows_of = rows_of
         self._members: Optional[Tuple[np.ndarray, ...]] = None
-        self.exact: Optional[Set[Exponent]] = None
-        later = np.flatnonzero(~head)  # key order positions of items after their key's first
-        if not len(later):
-            return
-        lead = order[heads[np.searchsorted(heads, later) - 1]]
-        later = order[later]
-        # compare at most PAIR_BUDGET exponent entries per side at a time
+        # compare each later item with its key's first, PAIR_BUDGET exponent entries per side at a time
+        later = order[~head]
+        differ = np.zeros(len(later), dtype=bool)
         step = max(1, PAIR_BUDGET // max(1, rows_of(later[:1]).shape[1]))
-        if any((rows_of(later[lo:lo + step]) != rows_of(lead[lo:lo + step])).any()
-               for lo in range(0, len(later), step)):
-            items = np.arange(len(keys))
-            self.exact = {
-                tuple(row)
-                for lo in range(0, len(keys), PAIR_BUDGET)
-                for row in rows_of(items[lo:lo + PAIR_BUDGET]).tolist()
-            }
+        for lo in range(0, len(later), step):
+            at = later[lo:lo + step]
+            differ[lo:lo + step] = (rows_of(at) != self.rows(self.member_of[at])).any(axis=1)
+        if not differ.any():
+            return
+        split = self.member_of[later[differ]]  # the keys whose items really differ
+        at = order[np.isin(self.member_of[order], split)]  # their items, in key order
+        group = self.member_of[at]
+        uniq, first_at, inverse = np.unique(np.column_stack([group, rows_of(at)]), axis=0,
+                                            return_index=True, return_inverse=True)
+        # uniq is sorted by key, then by exponent: a member's rank within its key
+        rank = np.arange(len(uniq)) - np.searchsorted(uniq[:, 0], uniq[:, 0])
+        self.sizes = np.maximum(np.bincount(uniq[:, 0], minlength=len(self.keys)), 1)
+        self.first = np.cumsum(self.sizes) - self.sizes
+        self.member_of = self.first[self.member_of]
+        self.member_of[at] += rank[inverse.ravel()]
+        items = np.empty(int(self.sizes.sum()), dtype=np.intp)
+        items[self.first] = self.items
+        items[self.first[uniq[:, 0]] + rank] = at[first_at]
+        self.items = items
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def rows(self, members: np.ndarray) -> np.ndarray:
+        """The exponent rows of the members."""
+        return self._rows_of(self.items[members])
+
+    def candidates(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Pairs (q, m) of a query q and a member m carrying its key, sorted by q.
+
+        The keys are searched in sorted order; a key several members carry
+        gives a pair with each of them.
+        """
+        if not len(self.keys):
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        order = np.argsort(keys)
+        group = np.empty(len(keys), dtype=np.intp)
+        group[order] = np.searchsorted(self.keys, keys[order])
+        np.minimum(group, len(self.keys) - 1, out=group)
+        q = np.flatnonzero(self.keys[group] == keys)
+        group = group[q]
+        if self.sizes is None:
+            return q, group
+        size = self.sizes[group]
+        src = np.repeat(np.arange(len(q)), size)
+        rank = np.arange(len(src)) - np.repeat(np.cumsum(size) - size, size)
+        return q[src], self.first[group][src] + rank
 
     def members(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct members as sparse patterns (positions, values), their degrees and keys.
+        """The members as sparse patterns (positions, values), their degrees and keys.
 
         Row m of positions lists member m's nonzero positions, left-aligned
         and padded with -1, and values the exponents there (0 on the pad).
-        Formed on first use, from the rows of the first item of every key
-        (PAIR_BUDGET rows at a time) or from the exact set when there is one.
+        Formed on first use, PAIR_BUDGET members at a time.
         """
         if self._members is None:
-            if self.exact is not None:
-                rows = np.array(sorted(self.exact), dtype=np.int64)
-                chunks, keys = [(0, rows)], exponent_keys(rows)
-            else:
-                chunks = ((lo, self._rows_of(self._first[lo:lo + PAIR_BUDGET]))
-                          for lo in range(0, len(self._first), PAIR_BUDGET))
-                keys = self.keys
             entries = [(np.zeros(0, dtype=np.int64),) * 3]
-            for lo, rows in chunks:
+            for lo in range(0, len(self), PAIR_BUDGET):
+                rows = self.rows(np.arange(lo, min(lo + PAIR_BUDGET, len(self))))
                 at, var = np.nonzero(rows)
                 entries.append((at + lo, var, rows[at, var]))
             at, var, value = (np.concatenate(col) for col in zip(*entries))
-            count = np.bincount(at, minlength=len(keys))
+            count = np.bincount(at, minlength=len(self))
             slot = np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count)
-            pos = np.full((len(keys), count.max(initial=0)), -1, dtype=np.int64)
+            pos = np.full((len(self), count.max(initial=0)), -1, dtype=np.int64)
             val = np.zeros(pos.shape, dtype=np.int64)
             pos[at, slot] = var
             val[at, slot] = value
+            keys = self.keys if self.sizes is None else np.repeat(self.keys, self.sizes)
             self._members = (pos, val, val.sum(axis=1), keys)
         return self._members
 
     def contains(self, keys: np.ndarray, rows_of: RowsOf) -> np.ndarray:
-        """Mask of the candidates, keys plus rows_of(idx), that are members.
+        """Mask of the queries, keys plus rows_of(idx), that are members.
 
-        The keys are searched in sorted order, and key hits are confirmed
-        PAIR_BUDGET at a time, so however many candidates are passed, no
-        more rows are formed at once than in a pair search.
+        Key hits are confirmed PAIR_BUDGET at a time, so however many
+        queries are passed, no more rows are formed at once than in a pair
+        search.
         """
         found = np.zeros(len(keys), dtype=bool)
-        if not len(self.keys):
-            return found
-        order = np.argsort(keys)
-        pos = np.empty(len(keys), dtype=np.intp)
-        pos[order] = np.searchsorted(self.keys, keys[order])
-        np.minimum(pos, len(self.keys) - 1, out=pos)
-        hits = np.flatnonzero(self.keys[pos] == keys)
-        for lo in range(0, len(hits), PAIR_BUDGET):
-            idx = hits[lo:lo + PAIR_BUDGET]
-            rows = rows_of(idx)
-            ok = (rows == self._rows_of(self._first[pos[idx]])).all(axis=1)
-            if self.exact is not None:
-                miss = np.flatnonzero(~ok)
-                ok[miss] = [tuple(row) in self.exact for row in rows[miss].tolist()]
-            found[idx[ok]] = True
+        q, m = self.candidates(keys)
+        for lo in range(0, len(q), PAIR_BUDGET):
+            at, mem = q[lo:lo + PAIR_BUDGET], m[lo:lo + PAIR_BUDGET]
+            found[at[(rows_of(at) == self.rows(mem)).all(axis=1)]] = True
         return found
 
 
@@ -287,10 +322,11 @@ def _linked_pairs(
     target t and shift s with d = t - s >= 0 and |d| in the degree range of
     basis pair sums, it enumerates the sub-exponents beta <= d by one
     mixed-radix count over d's nonzero positions, keyed straight from the
-    digits, and looks key(beta) and key(d) - key(beta) up among the basis
-    keys.  Every hit (i, j) is confirmed as basis_i + basis_j = d on d's
-    positions and the total degree; a repeated basis key yields every
-    basis element that carries it.  The cost is O(|targets| * |shifts| *
+    digits, and looks key(beta), then key(d) - key(beta) for every hit, up
+    in the basis's own _ExponentSet (key_set).  Every hit (i, j) is
+    confirmed as basis_i + basis_j = d on d's positions and the total
+    degree; a repeated basis key yields every basis element that carries
+    it.  The cost is O(|targets| * |shifts| *
     prod(d_k + 1)), at most PAIR_BUDGET sub-exponents at a time, and no
     r x r or sub-exponent x nvars array is formed.  The result is an
     (m, 2) int64 array sorted by (i, j).
@@ -300,8 +336,7 @@ def _linked_pairs(
     if shifts is None:
         shifts = np.zeros((1, n), dtype=np.int64)
     pos, val, deg, key = targets.members()
-    lookup = _basis_lookup(rows)
-    degs = lookup[-1]
+    degs = rows.sum(axis=1)
     parts = [(pos[:0], val[:0], deg[:0], key[:0])]
     for shift, s_key in zip(shifts, exponent_keys(shifts)) if r else ():
         # d = t - s for the targets s divides and whose |d| a pair sum can
@@ -326,7 +361,7 @@ def _linked_pairs(
     lo = 0
     while lo < len(count):
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + PAIR_BUDGET, "right")))
-        found.append(_divisor_pairs(rows, lookup, [col[lo:hi] for col in d], count[lo:hi]))
+        found.append(_divisor_pairs(basis, degs, [col[lo:hi] for col in d], count[lo:hi]))
         lo = hi
     codes = np.unique(np.concatenate(found))
     if known is not None and len(known):
@@ -334,33 +369,17 @@ def _linked_pairs(
     return np.column_stack(np.divmod(codes, r))
 
 
-def _basis_lookup(rows: np.ndarray) -> tuple:
-    """The distinct keys of the basis rows, sorted, and how to read their rows back.
+def _divisor_pairs(basis: MonomialBasis, degs: np.ndarray, d, count) -> np.ndarray:
+    """Codes i*r + j of the pairs i < j with basis_i + basis_j = d, over the exponents d.
 
-    Returns (keys, first, sizes, order, degrees): the rows with key keys[g]
-    are order[first[g]:first[g] + sizes[g]], and sizes is None when no key
-    repeats (first is then the identity).
-    """
-    keys = exponent_keys(rows)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    head = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    first = np.flatnonzero(head)
-    sizes = None if head.all() else np.diff(np.append(first, len(keys)))
-    return keys[first], first, sizes, order, rows.sum(axis=1)
-
-
-def _divisor_pairs(rows, lookup, d, count) -> np.ndarray:
-    """Codes i*r + j of the pairs i < j with rows_i + rows_j = d, over the exponents d.
-
-    lookup is _basis_lookup's; d holds the positions, values, degrees and
+    degs holds the basis degrees; d holds the positions, values, degrees and
     keys of the exponents, and count[t] = prod(d_val[t] + 1) is the number
     of sub-exponents beta <= d_t.  The basis is in graded lex order, so
-    i < j needs |rows_i| <= |rows_j|, and only the beta with
-    |beta| <= |d - beta| are looked up.
+    i < j needs |basis_i| <= |basis_j|, and only the beta with
+    |beta| <= |d - beta| are looked up: beta among the basis keys, then
+    d - beta for every basis element beta's key hit.
     """
-    keys, first, sizes, order, degs = lookup
+    rows, basis_set = basis.array, basis.key_set()
     d_pos, d_val, d_deg, d_key = d
     d_w = _key_weights(rows.shape[1])[d_pos]  # a pad position (-1) has value 0: adds nothing
     radix = d_val + 1
@@ -375,20 +394,9 @@ def _divisor_pairs(rows, lookup, d, count) -> np.ndarray:
     total = d_deg[owner]
     ok = (deg >= degs[0]) & (2 * deg <= total) & (total - deg <= degs[-1])
     owner, key = owner[ok], key[ok]
-    # look beta and d - beta up in one search; both must hit
-    both = np.concatenate([key, d_key[owner] - key])
-    group = np.minimum(np.searchsorted(keys, both), len(keys) - 1)
-    hit = keys[group] == both
-    half = len(key)
-    hit = np.flatnonzero(hit[:half] & hit[half:])
-    owner, at_i, at_j = owner[hit], first[group[hit]], first[group[half + hit]]
-    if sizes is not None:  # a repeated key: pair every element of one group with every one of the other
-        size_i, size_j = sizes[group[hit]], sizes[group[half + hit]]
-        many = size_i * size_j
-        src = np.repeat(np.arange(len(owner)), many)
-        k = np.arange(len(src)) - np.repeat(np.cumsum(many) - many, many)
-        owner, at_i, at_j = owner[src], at_i[src] + k // size_j[src], at_j[src] + k % size_j[src]
-    i, j = order[at_i], order[at_j]
+    at, m_i = basis_set.candidates(key)
+    at_j, m_j = basis_set.candidates(d_key[owner[at]] - key[at])
+    owner, i, j = owner[at[at_j]], basis_set.items[m_i[at_j]], basis_set.items[m_j]
     # rows_i + rows_j = d: equal on d's nonzero positions and in total degree
     at, want = d_pos[owner], d_val[owner]
     ok = ((rows[i[:, None], at] + rows[j[:, None], at] == want) | (want == 0)).all(axis=1)
@@ -527,6 +535,7 @@ def _average_certified(cands: np.ndarray, points: np.ndarray) -> np.ndarray:
             c += c_lo
             hit = pairs.contains(six_keys[c] - keys[r], lambda idx: six[c[idx]] - points[r[idx]])
             found[todo[c[hit]]] = True
+        del pairs, i, j  # free this chunk's set before the next one is built
     return found
 
 
@@ -647,7 +656,7 @@ def generate_basis(support: Iterable[Exponent] | np.ndarray, base: MonomialBasis
     over that target set, plus a lookup of the doubled base elements.
     """
     if not isinstance(support, np.ndarray):
-        support = np.array(sorted({tuple(a) for a in support}), dtype=np.int64)
+        support = np.array(list(map(tuple, support)), dtype=np.int64)
     support = support.reshape(-1, base.nvars)
     rows = base.array
     diag_keys = exponent_keys(2 * rows)
@@ -705,7 +714,7 @@ def reduce_basis_constrained(
 
     n = pop.nvars
     basis0, *loc_bases = generator_bases(pop, d_hat)
-    fixed = np.array(sorted(pop.objective.support() | {(0,) * n}), dtype=np.int64).reshape(-1, n)
+    fixed = np.array([*pop.objective.support(), (0,) * n], dtype=np.int64)
     shifts = [np.array(sorted(g.support()), dtype=np.int64).reshape(-1, n) for g in pop.constraints]
     while True:
         seq = iterate_constrained(pop, [basis0] + loc_bases, k=k, mode=mode)
@@ -714,7 +723,7 @@ def reduce_basis_constrained(
         targets = [fixed]
         for graph, shift in zip(seq.levels[-1][1:], shifts):
             a, b = _support_pairs(graph)
-            sums = np.unique(graph.basis.array[a] + graph.basis.array[b], axis=0)
+            sums = graph.basis.array[a] + graph.basis.array[b]
             targets.append((sums[:, None, :] + shift).reshape(-1, n))
         new_basis = generate_basis(np.concatenate(targets), basis0)[-1]
         if new_basis == basis0:

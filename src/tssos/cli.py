@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -41,6 +42,10 @@ def _read_pop(args):
 
 
 def _solver_config(args) -> SolverConfig:
+    if args.max_iters < 1:
+        raise ValueError(f"--max-iters must be at least 1, got {args.max_iters}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     return SolverConfig(
         tol_gap=args.tol,
         tol_feas=args.tol,
@@ -68,6 +73,7 @@ def _size_census(sizes: List[int]) -> str:
 
 
 def cmd_solve(args) -> int:
+    config = _solver_config(args)
     pop = _read_pop(args)
     rel = build_relaxation(pop, _run_options(args))
     sdp = assemble(pop, rel.cliques(args.sparse_order), side=args.side)
@@ -93,7 +99,7 @@ def cmd_solve(args) -> int:
                   f"bound:  {bound:.10g}\nstatus: {status} (external)")
             return 0 if status == "optimal" else 2
 
-    res = solve_relaxation(sdp, _solver_config(args))
+    res = solve_relaxation(sdp, config)
     payload = res.to_dict()
     payload["bs"] = rel.bs
     if rel.rbs is not None:

@@ -196,13 +196,8 @@ def _new_support(graph: MonomialGraph, searched: _ExponentSet) -> Optional[_Expo
 
 def _tsp_targets(f: Polynomial, basis: MonomialBasis, extra_support: Iterable[Exponent]) -> _ExponentSet:
     """supp(f), the extra support exponents and all doubled basis monomials."""
-    target = set(f.support())
-    target.update(tuple(a) for a in extra_support)
-    rows = np.concatenate([
-        np.array(sorted(target), dtype=np.int64).reshape(-1, basis.nvars),
-        2 * basis.array,
-    ])
-    return _rows_set(rows)
+    terms = np.array([*f.support(), *map(tuple, extra_support)], dtype=np.int64)
+    return _rows_set(np.concatenate([terms.reshape(-1, basis.nvars), 2 * basis.array]))
 
 
 def _linked(
@@ -420,9 +415,6 @@ class CliqueDecomposition:
     @property
     def max_clique(self) -> int:
         return max(len(c) for c in self.cliques) if self.cliques else 0
-
-    def monomials(self, which: int) -> List[Exponent]:
-        return [self.basis.monos[i] for i in self.cliques[which]]
 
 
 def maximal_cliques(graph: MonomialGraph) -> CliqueDecomposition:

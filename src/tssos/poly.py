@@ -37,11 +37,6 @@ def grlex_key(alpha: Exponent) -> tuple:
     return (sum(alpha), tuple(-a for a in alpha))
 
 
-def sign_type(alpha: Exponent) -> Exponent:
-    """Componentwise parity of an exponent (its class in {0,1}^n)."""
-    return tuple(a % 2 for a in alpha)
-
-
 def _clean(terms: Dict[Exponent, float], tol: float) -> Dict[Exponent, float]:
     return {a: c for a, c in terms.items() if abs(c) > tol}
 
@@ -338,6 +333,8 @@ def parse_pop(text: str, nvars: int | None = None) -> PopProblem:
         declared = int(lines[0].split()[1])
         if nvars is not None and nvars != declared:
             raise ParseError("vars line contradicts explicit nvars")
+        if declared < 1:
+            raise ParseError("vars line must declare at least one variable")
         nvars = declared
         lines = lines[1:]
     split = None

@@ -609,7 +609,7 @@ def test_degenerate_key_weights_keep_bases(monkeypatch):
     ]
     want_constrained = [reduce_basis_constrained(pop, 3) for pop in pops]
     monkeypatch.setattr(tssos.basis, "_key_weights", lambda nvars: np.ones(nvars, dtype=np.uint64))
-    assert tssos.basis._rows_set(standard_basis(2, 2).array).exact is not None
+    assert tssos.basis._rows_set(standard_basis(2, 2).array).sizes.max() > 1
     for name in names:
         f = REFERENCE_CASES[name]
         nb = newton_half_basis(f)
@@ -640,7 +640,7 @@ def test_newton_pair_sums_of_broyden_tridiagonal_120_have_no_key_collision():
     keys = tssos.basis.exponent_keys(points)
     sums = tssos.basis._ExponentSet(keys[i] + keys[j], lambda idx: points[i[idx]] + points[j[idx]])
     assert len(i) == 351_541
-    assert sums.exact is None
+    assert sums.sizes is None
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
@@ -649,7 +649,7 @@ def test_contains_confirms_key_hits_in_chunks(monkeypatch, degenerate):
         monkeypatch.setattr(tssos.basis, "_key_weights", lambda nvars: np.ones(nvars, dtype=np.uint64))
     rows = np.random.default_rng(9).integers(0, 4, size=(300, 5))
     members = tssos.basis._rows_set(rows[:150])
-    assert (members.exact is not None) == degenerate
+    assert (members.sizes is not None) == degenerate
     want = [tuple(row) in set(map(tuple, rows[:150].tolist())) for row in rows.tolist()]
     monkeypatch.setattr(tssos.basis, "PAIR_BUDGET", 7)
     formed = []
@@ -660,3 +660,65 @@ def test_contains_confirms_key_hits_in_chunks(monkeypatch, degenerate):
 
     assert members.contains(tssos.basis.exponent_keys(rows), rows_of).tolist() == want
     assert len(formed) > 1 and max(formed) <= 7
+
+
+def _check_exponent_set(items, queries):
+    """_ExponentSet of the item rows against Python tuple sets: members, item map, lookups."""
+    members = tssos.basis._rows_set(items)
+    distinct = set(map(tuple, items.tolist()))
+    keys = tssos.basis.exponent_keys(items)
+    by_key = {}
+    for row, key in zip(items.tolist(), keys.tolist()):
+        by_key.setdefault(key, set()).add(tuple(row))
+    assert members.keys.tolist() == sorted(by_key)
+    sizes = [len(by_key[key]) for key in sorted(by_key)]
+    assert members.sizes is None if max(sizes, default=1) == 1 else members.sizes.tolist() == sizes
+    # one member per distinct exponent, and every item maps to the member of its exponent
+    assert len(members) == len(distinct)
+    assert members.rows(members.member_of).tolist() == items.tolist()
+    assert len(set(members.member_of.tolist())) == len(distinct)
+    # the sparse patterns decode to the distinct exponents, with their degrees and keys
+    pos, val, deg, key = members.members()
+    decoded = np.zeros((len(pos), items.shape[1]), dtype=np.int64)
+    at, slot = np.nonzero(pos >= 0)
+    decoded[at, pos[at, slot]] = val[at, slot]
+    assert sorted(map(tuple, decoded.tolist())) == sorted(distinct)
+    assert deg.tolist() == decoded.sum(axis=1).tolist()
+    assert key.tolist() == tssos.basis.exponent_keys(decoded).tolist()
+    found = members.contains(tssos.basis.exponent_keys(queries), queries.__getitem__)
+    assert found.tolist() == [tuple(q) in distinct for q in queries.tolist()]
+    return members
+
+
+def test_exponent_set_groups_only_the_colliding_key(monkeypatch):
+    # key(a) = a1 + 2*a2: of these rows only (2, 0) and (0, 1) share a key (2)
+    monkeypatch.setattr(tssos.basis, "_key_weights", lambda nvars: np.array([1, 2], dtype=np.uint64))
+    items = np.array([[2, 0], [0, 1], [2, 0], [1, 1], [0, 0], [0, 1], [3, 1], [1, 1]])
+    # (3, 0) and (1, 2) hit the keys of members (1, 1) and (3, 1) without being members
+    queries = np.array([[0, 1], [2, 0], [1, 1], [0, 0], [3, 1], [3, 0], [1, 2], [4, 0]])
+    members = _check_exponent_set(items, queries)
+    assert members.keys.tolist() == [0, 2, 3, 5]
+    assert members.sizes.tolist() == [1, 2, 1, 1]
+    assert members.first.tolist() == [0, 1, 3, 4]
+    assert members.member_of.tolist() == [2, 1, 2, 3, 0, 1, 4, 3]
+    assert members.items.tolist() == [4, 1, 0, 3, 6]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(1, 3), min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=0, max_size=30),
+        st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=0, max_size=30),
+    ))
+)
+def test_exponent_set_matches_tuple_sets_under_small_weights(case):
+    weights, items, queries = case
+    n = len(weights)
+    real = tssos.basis._key_weights
+    tssos.basis._key_weights = lambda nvars: np.array(weights, dtype=np.uint64)
+    try:
+        _check_exponent_set(np.array(items, dtype=np.int64).reshape(-1, n),
+                            np.array(queries, dtype=np.int64).reshape(-1, n))
+    finally:
+        tssos.basis._key_weights = real

@@ -119,3 +119,17 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert "optimal" in out.getvalue()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--max-iters", "0"), ("--max-iters", "-3"),
+    ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+])
+def test_solve_rejects_bad_solver_options(capsys, tmp_path, flag, value):
+    path = tmp_path / "quartic.pop"
+    path.write_text("vars 2\nx1^4 + x2^4 + 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path), "--json", f"{flag}={value}")
+    assert code == 1 and out == ""
+    assert flag in err
+    code, out, _ = run(capsys, "solve", str(path), "--json", "--max-iters", "1", "--tol", "1e-8")
+    assert code == 2 and json.loads(out)["iters"] == 1

@@ -175,3 +175,8 @@ def test_product_evaluates_pointwise(f, g):
     rhs = f.evaluate(x) * g.evaluate(x)
     scale = 1.0 + abs(rhs)
     assert abs(lhs - rhs) <= 1e-8 * scale
+
+
+def test_vars_zero_is_a_parse_error():
+    with pytest.raises(ParseError, match="at least one variable"):
+        parse_pop("vars 0\n1\n")
