@@ -39,38 +39,32 @@ from .solver import CanonicalSdp, SolverConfig, SolverSolution, solve_canonical
 SIDES = ("sos", "moment")
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    size: int
-    label: Tuple[int, int]  # (constraint index j, clique index); j = 0 is the moment block
-
-
-@dataclass(frozen=True)
-class CoeffMatcher:
-    """One equality row: entries of Gram blocks that realize an exponent."""
-
-    alpha: Exponent
-    entries: Tuple[Tuple[int, int, int, float], ...]  # (block, row, col, coeff), row <= col
-    rhs: float
-
-
 @dataclass
 class BlockSdp:
-    """A relaxation in block form, before canonicalization for the solver."""
+    """A relaxation in block form, before canonicalization for the solver.
+
+    Row i is the equality of exponent alphas[i], f's coefficient rhs[i] on
+    the right.  alphas is graded lex, so row 0 is the constant.  Entry e
+    puts coefficient v[e] on cell (r[e], c[e]), r <= c, of block blk[e] in
+    row row[e]; entries are stably ordered by row.  The row number is the
+    SDPA matrix index: row 0 becomes the objective, row i constraint i.
+    """
 
     nvars: int
     side: str
-    blocks: Tuple[BlockSpec, ...]
-    rows: Tuple[CoeffMatcher, ...]
+    block_sizes: List[int]
+    alphas: np.ndarray
+    rhs: np.ndarray
+    row: np.ndarray
+    blk: np.ndarray
+    r: np.ndarray
+    c: np.ndarray
+    v: np.ndarray
     constraints: Tuple[Polynomial, ...] = ()
 
     @property
     def n_equalities(self) -> int:
-        return len(self.rows)
-
-    @property
-    def block_sizes(self) -> List[int]:
-        return [b.size for b in self.blocks]
+        return len(self.alphas)
 
     def scalar_variable_count(self) -> int:
         """Total Gram entries over all blocks (SOS-side scalar count)."""
@@ -78,14 +72,7 @@ class BlockSdp:
 
     def moment_variable_count(self) -> int:
         """Distinct y_alpha variables (moment-side scalar count)."""
-        return len(self.rows)
-
-    def constant_row(self) -> CoeffMatcher:
-        origin = (0,) * self.nvars
-        for row in self.rows:
-            if row.alpha == origin:
-                return row
-        raise ValueError("constant monomial missing: no alpha = 0 row")
+        return len(self.alphas)
 
     def canonical(self) -> Tuple[CanonicalSdp, float, str]:
         """Standard-form data plus (constant offset, readout side).
@@ -93,25 +80,12 @@ class BlockSdp:
         bound = offset - primal objective for the SOS side, and
         bound = offset - dual objective for the moment side.
         """
-        origin = (0,) * self.nvars
-        const = self.constant_row()
         sign = 1.0 if self.side == "sos" else -1.0
-        a_entries = []
-        b = []
-        for row in self.rows:
-            if row.alpha == origin:
-                continue
-            ents = row.entries
-            a_entries.append(ents if sign == 1.0 else tuple((blk, r, c, -v) for blk, r, c, v in ents))
-            b.append(sign * row.rhs)
-        prob = CanonicalSdp(
-            block_sizes=tuple(s.size for s in self.blocks),
-            c_entries=tuple(const.entries),
-            a_entries=tuple(a_entries),
-            b=tuple(b),
-        )
+        v = self.v if sign == 1.0 else np.where(self.row > 0, -self.v, self.v)
+        prob = CanonicalSdp(tuple(self.block_sizes), sign * self.rhs[1:],
+                            self.row, self.blk, self.r, self.c, v)
         readout = "primal" if self.side == "sos" else "dual"
-        return prob, const.rhs, readout
+        return prob, float(self.rhs[0]), readout
 
 
 @dataclass
@@ -192,15 +166,15 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
     if not len(basis0) or basis0[0].any():
         raise ValueError("constant monomial missing from the basis")
 
-    blocks: List[BlockSpec] = []
+    block_sizes: List[int] = []
     parts: List[Tuple[np.ndarray, ...]] = []  # per generator term: its cells and term index
     nodes: List[np.ndarray] = []  # every generator's basis rows, stacked
     terms: List[Tuple[Exponent, float]] = []
     first_node = 0
-    for j, (g, dec) in enumerate(zip(gens, cliques)):
+    for g, dec in zip(gens, cliques):
         clique, a, b, u, v = _clique_cells(dec)
-        blk = clique + len(blocks)
-        blocks.extend(BlockSpec(size=len(c), label=(j, ci)) for ci, c in enumerate(dec.cliques))
+        blk = clique + len(block_sizes)
+        block_sizes.extend(len(c) for c in dec.cliques)
         for term in g.terms.items():
             parts.append((blk, a, b, u + first_node, v + first_node, np.full(len(a), len(terms))))
             terms.append(term)
@@ -222,21 +196,24 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
     rank[order] = np.arange(len(order))
     row = rank[group]
     perm = np.argsort(row, kind="stable")
-    entries = list(zip(blk[perm].tolist(), a[perm].tolist(), b[perm].tolist(), coeff[perm].tolist()))
-    ends = np.cumsum(np.bincount(row, minlength=len(order))).tolist()
-    alphas = list(map(tuple, distinct[order].tolist()))
+    alphas = distinct[order]
+    if not len(alphas) or alphas[0].any():
+        raise ValueError("constant monomial missing: no alpha = 0 row")
 
-    missing = f.support().difference(alphas)
-    if missing:
-        raise ValueError(
-            f"unrepresentable support: {sorted(missing, key=grlex_key)[:5]} "
-            "not realized by the cliques"
-        )
-    rows = tuple(
-        CoeffMatcher(alpha=al, entries=tuple(entries[lo:hi]), rhs=f.coeff(al))
-        for al, lo, hi in zip(alphas, [0] + ends, ends)
-    )
-    return BlockSdp(nvars=n, side=side, blocks=tuple(blocks), rows=rows,
+    # f's support looked up among the rows: its coefficients are the rhs
+    supp = np.array(list(f.terms), dtype=np.int64).reshape(-1, n)
+    q, member = sums.candidates(exponent_keys(supp))
+    hit = (supp[q] == sums.rows(member)).all(axis=1)
+    q, member = q[hit], member[hit]
+    missing = np.ones(len(supp), dtype=bool)
+    missing[q] = False
+    if missing.any():
+        absent = sorted(map(tuple, supp[missing].tolist()), key=grlex_key)
+        raise ValueError(f"unrepresentable support: {absent[:5]} not realized by the cliques")
+    rhs = np.zeros(len(alphas))
+    rhs[rank[member]] = np.array(list(f.terms.values()))[q]
+    return BlockSdp(nvars=n, side=side, block_sizes=block_sizes, alphas=alphas, rhs=rhs,
+                    row=row[perm], blk=blk[perm], r=a[perm], c=b[perm], v=coeff[perm],
                     constraints=tuple(pop.constraints))
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -160,9 +160,6 @@ class MonomialBasis:
 
     def index(self, alpha: Exponent) -> int:
         return self._lookup()[tuple(alpha)]
-
-    def exponent_set(self) -> Set[Exponent]:
-        return set(self.monos)
 
     def key_set(self) -> "_ExponentSet":
         """The rows as an _ExponentSet, whose item i is basis element i."""

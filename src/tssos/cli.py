@@ -73,6 +73,8 @@ def _size_census(sizes: List[int]) -> str:
 
 
 def cmd_solve(args) -> int:
+    if args.solution and args.solver != "external":
+        raise ValueError("--solution needs --solver external")
     config = _solver_config(args)
     pop = _read_pop(args)
     rel = build_relaxation(pop, _run_options(args))
@@ -87,12 +89,18 @@ def cmd_solve(args) -> int:
                       f"--solution RESULT.json to read the objective back")
                 return 0
             with open(args.solution, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+                # integers as floats: one beyond double range reads as inf, not an OverflowError
+                payload = json.load(fh, parse_int=float)
             _, offset, readout = sdp.canonical()
             key = "primal_obj" if readout == "primal" else "dual_obj"
+            if not isinstance(payload, dict):
+                raise ValueError("solution file is not a JSON object")
             if key not in payload:
                 raise ValueError(f"solution file is missing {key!r}")
-            bound = offset - float(payload[key])
+            value = payload[key]
+            if not isinstance(value, float) or math.isnan(value):
+                raise ValueError(f"solution file's {key!r} is not a number: {value!r}")
+            bound = offset - value
             status = payload.get("status", "unknown")
             out = {"bound": bound, "status": status, "side": args.side, "solver": "external"}
             print(json.dumps(out, indent=2) if args.json else

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .solver import CanonicalSdp
+from .solver import _INT64_MAX, CanonicalSdp, _capped_sizes
 
 _FMT = "{:.17g}"
 
@@ -80,17 +79,13 @@ def export_sdpa(problem, path: str) -> None:
     lines.append(str(m))
     lines.append(str(len(prob.block_sizes)))
     lines.append(" ".join(str(s) for s in prob.block_sizes))
-    lines.append(" ".join(_FMT.format(v) for v in prob.b))
+    lines.append(" ".join(map(_FMT.format, prob.b.tolist())))
     # one "k blk i j v" line per nonzero entry: F_0 = -C first, then A_1, ..., A_m
-    counts = [len(prob.c_entries)] + [len(row) for row in prob.a_entries]
-    if sum(counts):
-        k = np.repeat(np.arange(m + 1), counts)
-        blk, r, c, v = (np.array(col) for col in zip(*chain(prob.c_entries, *prob.a_entries)))
-        v = np.where(k == 0, -v, v)
-        keep = v != 0.0
-        columns = [_text_column(col[keep], str) for col in (k, blk + 1, r + 1, c + 1)]
-        columns.append(_text_column(v[keep], _FMT.format))
-        lines.extend(map(" ".join, zip(*columns)))
+    v = np.where(prob.k == 0, -prob.v, prob.v)
+    keep = v != 0.0
+    columns = [_text_column(col[keep], str) for col in (prob.k, prob.blk + 1, prob.r + 1, prob.c + 1)]
+    columns.append(_text_column(v[keep], _FMT.format))
+    lines.extend(map(" ".join, zip(*columns)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -99,7 +94,6 @@ _SPLIT = re.compile(r"[\s,(){}]+")
 _DELIMS = str.maketrans(",(){}", "     ")
 _HEADER = re.compile(r"offset=([^\s]+)\s+side=(\w+)")
 _ENTRY = np.dtype([("k", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("v", np.float64)])
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _tokens(line: str) -> List[str]:
@@ -147,9 +141,7 @@ def _entry_columns(lines: List[Tuple[int, str]], m: int, sizes: Sequence[int]) -
     if table is not None and len(table) == len(lines):
         k, blk, i, j = (table[f] for f in _ENTRY.names[:4])
         ok = (0 <= k) & (k <= m) & (1 <= blk) & (blk <= len(sizes))
-        # an index read as int64 is below any larger size
-        capped = np.array([min(s, _INT64_MAX) for s in sizes], dtype=np.int64)
-        size = capped[np.where(ok, blk - 1, 0)] if sizes else 0
+        size = _capped_sizes(sizes)[np.where(ok, blk - 1, 0)] if sizes else 0
         if (ok & (np.minimum(i, j) >= 1) & (np.maximum(i, j) <= size)).all():
             return [table[f] for f in _ENTRY.names]
     parsed = [_parse_entry(ln, line, m, sizes) for ln, line in lines]
@@ -228,20 +220,11 @@ def import_sdpa(path: str) -> ImportedSdp:
         raise SdpaFormatError(f"line {data_lines[cursor - 1][0]}: {len(b)} right-hand sides for mDIM {m}")
 
     k, blk, i, j, v = _entry_columns(data_lines[cursor:], m, sizes)
-    blk, r, c = blk - 1, np.minimum(i, j) - 1, np.maximum(i, j) - 1
-    head = k == 0
-    c_entries = tuple(zip(blk[head].tolist(), r[head].tolist(), c[head].tolist(), (-v[head]).tolist()))
-    rows = np.flatnonzero(~head)
-    rows = rows[np.argsort(k[rows], kind="stable")]
-    counts = np.bincount(k[rows] - 1, minlength=m)
+    order = np.argsort(k, kind="stable")
+    k, blk, i, j, v = (col[order] for col in (k, blk, i, j, v))
+    counts = np.bincount(k, minlength=m + 1)[1:]
     if not counts.all():
         raise SdpaFormatError(f"constraint {int(np.argmin(counts)) + 1} has no entries")
-    entries = list(zip(blk[rows].tolist(), r[rows].tolist(), c[rows].tolist(), v[rows].tolist()))
-    ends = np.cumsum(counts).tolist()
-    prob = CanonicalSdp(
-        block_sizes=sizes,
-        c_entries=c_entries,
-        a_entries=tuple(tuple(entries[lo:hi]) for lo, hi in zip([0] + ends, ends)),
-        b=tuple(b),
-    )
+    prob = CanonicalSdp(sizes, np.array(b, dtype=float), k, blk - 1, np.minimum(i, j) - 1,
+                        np.maximum(i, j) - 1, np.where(k == 0, -v, v))
     return ImportedSdp(problem=prob, offset=offset, side=side)

@@ -12,9 +12,9 @@ whenever the constraint matrices are linearly independent, and a tiny
 diagonal regularization keeps the Cholesky factorization alive near
 degeneracy.
 
-All constraint data is sparse (block, row, col, value) with row <= col and
-symmetric semantics: an off-diagonal entry v stands for v at (row, col) and
-at (col, row).
+All problem data is one sparse table (CanonicalSdp): the columns k, block,
+row, col and value with row <= col, and symmetric semantics: an
+off-diagonal entry v stands for v at (row, col) and at (col, row).
 
 Blocks are grouped into size classes.  The blocks of one size s are held as
 stacked arrays, (nb, s, s) for C, X and S.  A class holds only blocks whose
@@ -28,8 +28,8 @@ blocks.  1x1 blocks take the same path; for them the batched Cholesky and
 eigenvalue test reduce to S^{-1} = 1/s and the ratio test min dx/x.
 
 The constraint matrices are never densified.  In a term-sparsity relaxation
-each A_i is a pattern of a few entries on a block, so they are kept as
-entry lists:
+each A_i is a pattern of a few entries on a block, so they are read
+straight off the table's columns:
 
 - A(X) and A^T(y) are one CSR matrix (m x sum of nb*s^2 over the classes)
   applied to the stacked blocks, one sparse matvec each.
@@ -70,13 +70,14 @@ import os
 import resource
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
 Entry = Tuple[int, int, int, float]  # (block, row, col, value), row <= col
+_INT64_MAX = np.iinfo(np.int64).max
 
 # bytes of the working set of one chunk of the Schur build
 SCHUR_CHUNK_BYTES = 1 << 23
@@ -84,38 +85,68 @@ SCHUR_CHUNK_BYTES = 1 << 23
 REFINE_PASSES = 4
 
 
+def _capped_sizes(block_sizes) -> np.ndarray:
+    """Block sizes as int64, a size beyond int64 capped: above any index either way."""
+    return np.array([min(s, _INT64_MAX) for s in block_sizes], dtype=np.int64)
+
+
 @dataclass
 class CanonicalSdp:
-    """Standard-form data: objective entries, constraint entries, rhs."""
+    """Standard-form data as one table of entries, plus the rhs b.
+
+    Entry e is v[e] at (r[e], c[e]), r <= c, of block blk[e] of F_k[e]: F_0
+    is the objective C and F_{i+1} the constraint matrix A_i, whose rhs is
+    b[i].  Entries are stably ordered by k, which is SDPA's entry order.
+    """
 
     block_sizes: Tuple[int, ...]
-    c_entries: Tuple[Entry, ...]
-    a_entries: Tuple[Tuple[Entry, ...], ...]  # one tuple per constraint
-    b: Tuple[float, ...]
+    b: np.ndarray
+    k: np.ndarray
+    blk: np.ndarray
+    r: np.ndarray
+    c: np.ndarray
+    v: np.ndarray
 
     @property
     def n_constraints(self) -> int:
-        return len(self.a_entries)
+        return len(self.b)
+
+    def _entry_tuples(self) -> List[List[Entry]]:
+        rows: List[List[Entry]] = [[] for _ in range(self.n_constraints + 1)]
+        for k, *entry in zip(*(col.tolist() for col in (self.k, self.blk, self.r, self.c, self.v))):
+            rows[k].append(tuple(entry))
+        return rows
+
+    @property
+    def c_entries(self) -> Tuple[Entry, ...]:
+        """C's entries as tuples, read-only.
+
+        Kept only for the counts perfbench/spans.py reads under --trace 1;
+        nothing in the package reads it or a_entries.
+        """
+        return tuple(self._entry_tuples()[0])
+
+    @property
+    def a_entries(self) -> Tuple[Tuple[Entry, ...], ...]:
+        """One tuple of entry tuples per constraint, read-only; see c_entries."""
+        return tuple(map(tuple, self._entry_tuples()[1:]))
 
     def validate(self):
-        nb = len(self.block_sizes)
-        for ent in self.c_entries:
-            self._check_entry(ent, nb)
-        for row in self.a_entries:
-            if not row:
-                raise ValueError("constraint with no coefficients")
-            for ent in row:
-                self._check_entry(ent, nb)
-        if len(self.b) != len(self.a_entries):
-            raise ValueError("rhs length mismatch")
-
-    def _check_entry(self, ent: Entry, nb: int):
-        blk, r, c, _ = ent
-        if not 0 <= blk < nb:
-            raise ValueError(f"entry block {blk} out of range")
-        s = self.block_sizes[blk]
-        if not (0 <= r <= c < s):
-            raise ValueError(f"entry ({r},{c}) out of range for block size {s}")
+        m, nb = self.n_constraints, len(self.block_sizes)
+        bad = np.flatnonzero((self.k < 0) | (self.k > m))
+        if len(bad):
+            raise ValueError(f"entry matrix index {self.k[bad[0]]} out of range 0..{m}")
+        if not np.bincount(self.k, minlength=m + 1)[1:].all():
+            raise ValueError("constraint with no coefficients")
+        bad = np.flatnonzero((self.blk < 0) | (self.blk >= nb))
+        if len(bad):
+            raise ValueError(f"entry block {self.blk[bad[0]]} out of range")
+        size = _capped_sizes(self.block_sizes)[self.blk]
+        bad = np.flatnonzero((self.r < 0) | (self.r > self.c) | (self.c >= size))
+        if len(bad):
+            e = bad[0]
+            raise ValueError(f"entry ({self.r[e]},{self.c[e]}) out of range for block size "
+                             f"{self.block_sizes[self.blk[e]]}")
 
 
 @dataclass
@@ -142,13 +173,6 @@ class SolverSolution:
     # the returned point is the remembered best instead of the last one, and
     # "schur_jitter" with the largest regularization the Schur solves needed
     events: List[dict] = field(default_factory=list)
-
-
-def _entry_columns(entries: Sequence[Entry]):
-    """Block, row and column index arrays and the value array of entries."""
-    arr = np.array(entries, dtype=float).reshape(-1, 4)
-    blk, r, c = (arr[:, j].astype(np.intp) for j in range(3))
-    return blk, r, c, arr[:, 3]
 
 
 def _add_sym(out: np.ndarray, index: Tuple[np.ndarray, ...], r, c, v):
@@ -276,8 +300,9 @@ class _Layout:
         sizes = np.array(prob.block_sizes, dtype=np.intp)
         m = self.m = prob.n_constraints
         self.n_blocks = len(sizes)
-        blk, r, c, v = _entry_columns([e for row in prob.a_entries for e in row])
-        con = np.repeat(np.arange(m), [len(row) for row in prob.a_entries])
+        on_a = prob.k > 0
+        blk, r, c, v = (col[on_a] for col in (prob.blk, prob.r, prob.c, prob.v))
+        con = prob.k[on_a] - 1
         off = r != c
         blk, con, v = (np.concatenate([a, a[off]]) for a in (blk, con, v))
         r, c = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
@@ -295,7 +320,7 @@ class _Layout:
         rank[by_pair] = _rank_within(pair_of_entry[by_pair])
         slot = pair_slot[pair_of_entry]
         touching = np.bincount(pair_blk, minlength=len(sizes))
-        cblk, cr, cc, cv = _entry_columns(prob.c_entries)
+        cblk, cr, cc, cv = (col[~on_a] for col in (prob.blk, prob.r, prob.c, prob.v))
         # bucket j holds the counts in (2^(j-1), 2^j]; counts 0 and 1 share 0
         bucket = np.frexp(np.maximum(touching, 1) - 1)[1]
         keys, cls = np.unique(np.stack([sizes, bucket]), axis=1, return_inverse=True)
@@ -527,6 +552,13 @@ def _check_memory(prob: CanonicalSdp) -> int:
     return need
 
 
+def _constraint_norms(prob: CanonicalSdp) -> np.ndarray:
+    """||A_i||_F of every constraint, its squares summed entry by entry in table order."""
+    sq = np.bincount(prob.k, weights=prob.v * prob.v * (2.0 - (prob.r == prob.c)),
+                     minlength=prob.n_constraints + 1)
+    return np.sqrt(sq[1:])  # bin 0 is C's
+
+
 def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> SolverSolution:
     cfg = config or SolverConfig()
     prob.validate()
@@ -535,7 +567,7 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
     lay = _Layout(prob)
     classes = lay.classes
     total_dim = sum(prob.block_sizes)
-    b = np.array(prob.b, dtype=float)
+    b = prob.b
 
     if m == 0:
         # min <C, X> over X >= 0: zero if C is PSD, otherwise unbounded below.
@@ -556,14 +588,11 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
 
     norm_b = np.linalg.norm(b)
     norm_c = math.sqrt(sum(float(np.vdot(cl.c, cl.c)) for cl in classes))
-    norm_a = []
-    for row in prob.a_entries:
-        sq = sum(v * v * (1.0 if r == c else 2.0) for _, r, c, v in row)
-        norm_a.append(math.sqrt(sq))
+    norm_a = _constraint_norms(prob)
     eta_p = max(10.0, math.sqrt(total_dim))
     eta_d = max(10.0, math.sqrt(total_dim), norm_c / max(1.0, math.sqrt(total_dim)))
-    for i in range(m):
-        eta_p = max(eta_p, (1.0 + abs(b[i])) / (1.0 + norm_a[i]))
+    # fmax skips a NaN ratio, as max(eta_p, ratio) does
+    eta_p = float(np.fmax.reduce((1.0 + np.abs(b)) / (1.0 + norm_a), initial=eta_p))
 
     xs = [eta_p * np.broadcast_to(np.eye(cl.size), cl.c.shape) for cl in classes]
     ss = [eta_d * np.broadcast_to(np.eye(cl.size), cl.c.shape) for cl in classes]

@@ -6,9 +6,6 @@ import pytest
 import tssos.basis
 
 from tssos.assembly import (
-    BlockSdp,
-    BlockSpec,
-    CoeffMatcher,
     assemble,
     reconstruct_certificate,
     solve_relaxation,
@@ -41,6 +38,18 @@ def dense_cliques(pop, d_hat):
     return build_relaxation(pop, RunOptions(order=d_hat, dense=True)).cliques(1)
 
 
+def block_rows(sdp):
+    """(alpha, entries, rhs) of every row, entries as (block, row, col, coeff) tuples."""
+    entries = [[] for _ in range(sdp.n_equalities)]
+    for i, *entry in zip(*(col.tolist() for col in (sdp.row, sdp.blk, sdp.r, sdp.c, sdp.v))):
+        entries[i].append(tuple(entry))
+    return list(zip(map(tuple, sdp.alphas.tolist()), map(tuple, entries), sdp.rhs.tolist()))
+
+
+def row_alphas(sdp):
+    return set(map(tuple, sdp.alphas.tolist()))
+
+
 def coeff_gap(p, q):
     diff = p - q
     return max((abs(v) for v in diff.terms.values()), default=0.0)
@@ -59,9 +68,9 @@ def test_dense_row_count_matches_pairwise_sums():
     assert sdp.block_sizes == [len(basis)]
     assert sdp.scalar_variable_count() == len(basis) * (len(basis) + 1) // 2
     assert sdp.moment_variable_count() == sdp.n_equalities
-    assert {r.alpha for r in sdp.rows} == sums
-    for row in sdp.rows:
-        assert row.rhs == f.coeff(row.alpha)
+    assert row_alphas(sdp) == sums
+    for alpha, _, rhs in block_rows(sdp):
+        assert rhs == f.coeff(alpha)
 
 
 def test_sparse_rows_are_graph_support():
@@ -71,7 +80,7 @@ def test_sparse_rows_are_graph_support():
     g1 = seq.at(1)[0]
     for side in ("sos", "moment"):
         sdp = assemble(PopProblem(f), [maximal_cliques(g1)], side=side)
-        assert {r.alpha for r in sdp.rows} == g1.support(), side
+        assert row_alphas(sdp) == g1.support(), side
         assert sorted(sdp.block_sizes, reverse=True) == [3, 3, 3, 3]
 
 
@@ -80,8 +89,8 @@ def test_rows_sorted_and_deterministic():
     basis = newton_half_basis(f)
     a = assemble(PopProblem(f), [CliqueDecomposition.whole(basis)])
     b = assemble(PopProblem(f), [CliqueDecomposition.whole(basis)])
-    assert a.rows == b.rows
-    degs = [sum(r.alpha) for r in a.rows]
+    assert block_rows(a) == block_rows(b)
+    degs = a.alphas.sum(axis=1).tolist()
     assert degs == sorted(degs)
 
 
@@ -90,6 +99,12 @@ def test_missing_constant_rejected():
     basis = MonomialBasis(1, [(1,)])
     with pytest.raises(ValueError):
         assemble(PopProblem(f), [CliqueDecomposition.whole(basis)])
+
+
+def test_cliques_without_the_constant_rejected():
+    f = parse_polynomial("x1^2", 1)
+    with pytest.raises(ValueError, match="no alpha = 0 row"):
+        assemble(PopProblem(f), [CliqueDecomposition(standard_basis(1, 1), ((1,),))])
 
 
 def test_unrepresentable_support_rejected():
@@ -148,9 +163,8 @@ def test_sparse_on_complete_graph_equals_dense():
     dense = solve_relaxation(assemble(PopProblem(f), [CliqueDecomposition.whole(basis)]))
     sparse_sdp = assemble(PopProblem(f), [maximal_cliques(complete_graph(basis))])
     assert sparse_sdp.block_sizes == [len(basis)]
-    assert {r.alpha for r in sparse_sdp.rows} == {
-        r.alpha for r in assemble(PopProblem(f), [CliqueDecomposition.whole(basis)]).rows
-    }
+    dense_sdp = assemble(PopProblem(f), [CliqueDecomposition.whole(basis)])
+    assert row_alphas(sparse_sdp) == row_alphas(dense_sdp)
     sparse = solve_relaxation(sparse_sdp)
     assert sparse.status == dense.status == "optimal"
     assert abs(sparse.bound - dense.bound) < 1e-7
@@ -172,10 +186,10 @@ def test_moment_and_sos_sides_agree():
 def test_constrained_rows_merge_across_generators():
     pop = parse_pop("vars 1\nx1^2\nsubject to\n1 - x1^2\n")
     sdp = assemble(pop, dense_cliques(pop, 1))
-    row = next(r for r in sdp.rows if r.alpha == (2,))
-    touched = {e[0] for e in row.entries}
+    entries = next(ents for alpha, ents, _ in block_rows(sdp) if alpha == (2,))
+    touched = {e[0] for e in entries}
     assert touched == {0, 1}
-    coeffs = {e[0]: e[3] for e in row.entries}
+    coeffs = {e[0]: e[3] for e in entries}
     assert coeffs[0] == 1.0  # x * x in the moment block
     assert coeffs[1] == -1.0  # -x^2 shift of the localizing block
 
@@ -235,17 +249,6 @@ def test_certificate_requires_sos_side_and_solution():
         reconstruct_certificate(sos_sdp, bare, [maximal_cliques(complete_graph(basis))])
 
 
-def test_constant_row_lookup_errors_when_absent():
-    sdp = BlockSdp(
-        nvars=1,
-        side="sos",
-        blocks=(BlockSpec(size=1, label=(0, 0)),),
-        rows=(CoeffMatcher(alpha=(2,), entries=((0, 0, 0, 1.0),), rhs=1.0),),
-    )
-    with pytest.raises(ValueError):
-        sdp.constant_row()
-
-
 def test_bad_side_rejected():
     f = parse_polynomial("x1^2 + 1", 1)
     with pytest.raises(ValueError):
@@ -290,7 +293,7 @@ def test_sos_scatter_matches_backward_search(n, constraint, d_hat):
     pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set(constraint, n))
     graphs = iterate_constrained(pop, generator_bases(pop, d_hat), k=2).at(2)
     sdp = assemble(pop, [maximal_cliques(g) for g in graphs], side="sos")
-    assert [(r.alpha, r.entries, r.rhs) for r in sdp.rows] == reference_sos_rows(pop, graphs)
+    assert block_rows(sdp) == reference_sos_rows(pop, graphs)
 
 
 @pytest.mark.parametrize("family,n,constraint", [
@@ -306,7 +309,7 @@ def test_assemble_rows_match_backward_search(family, n, constraint, dense, k, si
     # a dense relaxation is the sparse one on complete graphs
     graphs = [complete_graph(dec.basis) for dec in cliques] if dense else rel.seq.at(k)
     sdp = assemble(pop, cliques, side=side)
-    assert [(r.alpha, r.entries, r.rhs) for r in sdp.rows] == reference_sos_rows(pop, graphs)
+    assert block_rows(sdp) == reference_sos_rows(pop, graphs)
 
 
 def test_certificate_matches_objective_sparse_constrained():
@@ -353,7 +356,7 @@ def test_rows_and_entry_order_match_forward_scatter(family, n, constraint, dense
     pop = PopProblem(getattr(bench, family)(n), bench.constraint_set(constraint, n))
     cliques = build_relaxation(pop, RunOptions(k_max=2, dense=dense)).cliques(1 if dense else 2)
     sdp = assemble(pop, cliques, side=side)
-    assert [(r.alpha, r.entries, r.rhs) for r in sdp.rows] == reference_forward_rows(pop, cliques)
+    assert block_rows(sdp) == reference_forward_rows(pop, cliques)
 
 
 @pytest.mark.parametrize("n,constraint", [(4, "unit_ball"), (3, "unit_hypercube")])
@@ -366,4 +369,4 @@ def test_colliding_keys_keep_rows_apart(monkeypatch, n, constraint):
         cliques = rel.cliques(1 if dense else 2)
         graphs = [complete_graph(dec.basis) for dec in cliques] if dense else rel.seq.at(2)
         sdp = assemble(pop, cliques, side="sos")
-        assert [(r.alpha, r.entries, r.rhs) for r in sdp.rows] == reference_sos_rows(pop, graphs)
+        assert block_rows(sdp) == reference_sos_rows(pop, graphs)

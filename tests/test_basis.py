@@ -499,7 +499,7 @@ def test_reduce_constrained_no_constraints_collapses():
 
 def reference_generate_basis(support, base):
     """The basis iteration as a loop over targets x base, on exponent tuples."""
-    base_set = base.exponent_set()
+    base_set = set(map(tuple, base.array.tolist()))
     base_list = sorted(base_set, key=grlex_key)
     supp = {tuple(a) for a in support}
     chain = []

@@ -297,3 +297,43 @@ def test_one_term_objective_solves_on_the_newton_basis(capsys, tmp_path, text):
     payload = json.loads(out)
     assert code == 0 and payload["status"] == "optimal"
     assert abs(payload["bound"]) <= 1e-6
+
+
+@pytest.mark.parametrize("payload, fragment", [
+    (3, "is not a JSON object"),
+    ([0.75], "is not a JSON object"),
+    ({"primal_obj": None}, "'primal_obj' is not a number: None"),
+    ({"primal_obj": "x"}, "'primal_obj' is not a number: 'x'"),
+    ({"primal_obj": True}, "'primal_obj' is not a number: True"),
+    ({"primal_obj": float("nan")}, "'primal_obj' is not a number: nan"),
+])
+def test_external_solution_must_hold_a_numeric_objective(capsys, tmp_path, payload, fragment):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(payload))
+    code, out, err = run(
+        capsys, "solve", BALL, "--solver", "external",
+        "--export-sdpa", str(tmp_path / "b.dat-s"), "--solution", str(result),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: solution file") and fragment in err
+
+
+def test_external_objective_beyond_double_range_reads_as_inf(capsys, tmp_path):
+    result = tmp_path / "result.json"
+    result.write_text('{"status": "optimal", "primal_obj": 1' + "0" * 400 + "}")
+    code, out, _ = run(
+        capsys, "solve", BALL, "--solver", "external",
+        "--export-sdpa", str(tmp_path / "b.dat-s"), "--solution", str(result), "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["bound"] == float("-inf")
+
+
+def test_solution_needs_the_external_solver(capsys, tmp_path):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"primal_obj": 0.75}))
+    code, out, err = run(capsys, "solve", BALL, "--solution", str(result))
+    assert code == 1
+    assert out == ""
+    assert err == "error: --solution needs --solver external\n"

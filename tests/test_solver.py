@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 
@@ -12,16 +13,19 @@ from tssos.basis import generator_bases, standard_basis
 from tssos.graphs import CliqueDecomposition, iterate_constrained, maximal_cliques
 from tssos.poly import PopProblem
 from tssos.solver import (
-    CanonicalSdp,
     SolverConfig,
     SolverSolution,
+    CanonicalSdp,
     _cholesky,
+    _constraint_norms,
     _inverse_factors,
     _Layout,
     _solve,
     _step_lengths,
     solve_canonical,
 )
+
+from sdp_tables import canonical_sdp, entry_rows
 
 
 def entries_from_matrix(blk, mat, tol=0.0):
@@ -78,7 +82,7 @@ def random_instance(rng, sizes, m):
     for yi, arow in zip(y_star, a_mats):
         for blk, ab in enumerate(arow):
             c_mats[blk] += yi * ab
-    prob = CanonicalSdp(
+    prob = canonical_sdp(
         block_sizes=tuple(sizes),
         c_entries=tuple(
             e for blk, cm in enumerate(c_mats) for e in entries_from_matrix(blk, cm)
@@ -101,9 +105,9 @@ def admm_solve(prob, iters=30000, tol=5e-8):
     multiplier X recovered as sigma * (S - V); X stays PSD by construction.
     """
     sizes = prob.block_sizes
-    c = blockdiag(dense_from_entries(sizes, prob.c_entries))
+    c = blockdiag(dense_from_entries(sizes, entry_rows(prob)[0]))
     a = np.array(
-        [blockdiag(dense_from_entries(sizes, row)) for row in prob.a_entries]
+        [blockdiag(dense_from_entries(sizes, row)) for row in entry_rows(prob)[1:]]
     )
     b = np.array(prob.b, dtype=float)
     m, n = len(b), c.shape[0]
@@ -140,7 +144,7 @@ def admm_solve(prob, iters=30000, tol=5e-8):
 
 
 def test_one_by_one_equality():
-    prob = CanonicalSdp(
+    prob = canonical_sdp(
         block_sizes=(1,),
         c_entries=((0, 0, 0, 1.0),),
         a_entries=(((0, 0, 0, 1.0),),),
@@ -155,7 +159,7 @@ def test_one_by_one_equality():
 
 def test_trace_min_with_fixed_offdiagonal():
     # min X11 + X22 with X12 = 1: optimum 2 at X = ones
-    prob = CanonicalSdp(
+    prob = canonical_sdp(
         block_sizes=(2,),
         c_entries=((0, 0, 0, 1.0), (0, 1, 1, 1.0)),
         a_entries=(((0, 0, 1, 1.0),),),
@@ -169,10 +173,10 @@ def test_trace_min_with_fixed_offdiagonal():
 
 
 def test_zero_constraints_shortcut():
-    psd = CanonicalSdp((2,), ((0, 0, 0, 1.0), (0, 1, 1, 2.0)), (), ())
+    psd = canonical_sdp((2,), ((0, 0, 0, 1.0), (0, 1, 1, 2.0)), (), ())
     sol = solve_canonical(psd)
     assert sol.status == "optimal" and sol.primal_obj == 0.0
-    indef = CanonicalSdp((2,), ((0, 0, 1, 1.0),), (), ())
+    indef = canonical_sdp((2,), ((0, 0, 1, 1.0),), (), ())
     assert solve_canonical(indef).status == "unbounded"
 
 
@@ -190,7 +194,7 @@ def test_random_instances_reach_kkt_accuracy():
         gap = abs(sol.primal_obj - sol.dual_obj)
         assert gap <= 1e-6 * (1 + abs(sol.primal_obj) + abs(sol.dual_obj))
         # primal feasibility recomputed from scratch
-        a_mats = [dense_from_entries(sizes, row) for row in prob.a_entries]
+        a_mats = [dense_from_entries(sizes, row) for row in entry_rows(prob)[1:]]
         rp = np.array(
             [
                 sum(np.tensordot(ab, xb) for ab, xb in zip(arow, sol.x_blocks)) - bi
@@ -199,7 +203,7 @@ def test_random_instances_reach_kkt_accuracy():
         )
         assert np.linalg.norm(rp) <= 1e-6 * (1 + np.linalg.norm(prob.b))
         # dual feasibility and conic membership
-        c_mats = dense_from_entries(sizes, prob.c_entries)
+        c_mats = dense_from_entries(sizes, entry_rows(prob)[0])
         for blk in range(len(sizes)):
             resid = c_mats[blk] - sol.s_blocks[blk]
             for i, arow in enumerate(a_mats):
@@ -225,7 +229,7 @@ def test_agrees_with_boundary_point_method():
 
 def test_infeasible_primal_is_flagged():
     # X11 = -1 contradicts positive semidefiniteness
-    prob = CanonicalSdp(
+    prob = canonical_sdp(
         block_sizes=(2,),
         c_entries=((0, 0, 0, 1.0), (0, 1, 1, 1.0)),
         a_entries=(((0, 0, 0, 1.0),),),
@@ -238,7 +242,7 @@ def test_infeasible_primal_is_flagged():
 
 def test_unbounded_primal_is_flagged():
     # min -X22 subject to X11 = 1
-    prob = CanonicalSdp(
+    prob = canonical_sdp(
         block_sizes=(2,),
         c_entries=((0, 1, 1, -1.0),),
         a_entries=(((0, 0, 0, 1.0),),),
@@ -262,15 +266,20 @@ def test_solver_is_deterministic():
 
 def test_validate_rejects_bad_data():
     with pytest.raises(ValueError):
-        CanonicalSdp((2,), ((1, 0, 0, 1.0),), (), ()).validate()
+        canonical_sdp((2,), ((1, 0, 0, 1.0),), (), ()).validate()
     with pytest.raises(ValueError):
-        CanonicalSdp((2,), ((0, 1, 0, 1.0),), (), ()).validate()
+        canonical_sdp((2,), ((0, 1, 0, 1.0),), (), ()).validate()
     with pytest.raises(ValueError):
-        CanonicalSdp((2,), ((0, 0, 2, 1.0),), (), ()).validate()
+        canonical_sdp((2,), ((0, 0, 2, 1.0),), (), ()).validate()
     with pytest.raises(ValueError):
-        CanonicalSdp((2,), (), ((),), (0.0,)).validate()
+        canonical_sdp((2,), (), ((),), (0.0,)).validate()
     with pytest.raises(ValueError):
-        CanonicalSdp((2,), (), (((0, 0, 0, 1.0),),), (0.0, 1.0)).validate()
+        canonical_sdp((2,), (), (((0, 0, 0, 1.0),),), (0.0, 1.0)).validate()
+    zeros = np.zeros(2, dtype=np.int64)
+    for k in (-1, 2):
+        bad_k = CanonicalSdp((2,), np.zeros(1), np.array([1, k]), zeros, zeros, zeros, np.ones(2))
+        with pytest.raises(ValueError, match=f"matrix index {k} out of range 0..1"):
+            bad_k.validate()
 
 
 def test_max_iter_status_when_budget_too_small():
@@ -282,7 +291,7 @@ def test_max_iter_status_when_budget_too_small():
 
 
 def test_solution_json_fields():
-    prob = CanonicalSdp(
+    prob = canonical_sdp(
         block_sizes=(1,),
         c_entries=((0, 0, 0, 1.0),),
         a_entries=(((0, 0, 0, 1.0),),),
@@ -331,7 +340,7 @@ def mixed_instance(seed, sizes, m, untouched, no_c):
         for blk, w in row.items():
             c_mats[blk] += yi * w
     b = tuple(float(sum(np.tensordot(w, x_star[blk]) for blk, w in row.items())) for row in rows)
-    return CanonicalSdp(
+    return canonical_sdp(
         block_sizes=tuple(sizes),
         c_entries=tuple(e for blk, cm in enumerate(c_mats) if blk != no_c
                         for e in entries_from_matrix(blk, cm)),
@@ -373,11 +382,11 @@ def test_blocks_come_back_in_block_order():
     assert [x.shape for x in sol.x_blocks] == [(s, s) for s in sizes]
     assert [s.shape for s in sol.s_blocks] == [(s, s) for s in sizes]
     # feasibility recomputed block by block pins every block to its index
-    a_mats = [dense_from_entries(sizes, row) for row in prob.a_entries]
+    a_mats = [dense_from_entries(sizes, row) for row in entry_rows(prob)[1:]]
     for arow, bi in zip(a_mats, prob.b):
         got = sum(np.tensordot(ab, xb) for ab, xb in zip(arow, sol.x_blocks))
         assert abs(got - bi) <= 1e-6 * (1 + abs(bi))
-    c_mats = dense_from_entries(sizes, prob.c_entries)
+    c_mats = dense_from_entries(sizes, entry_rows(prob)[0])
     for blk in range(len(sizes)):
         resid = c_mats[blk] - sol.s_blocks[blk] - sum(
             yi * arow[blk] for yi, arow in zip(sol.y, a_mats))
@@ -498,7 +507,7 @@ def test_size_classes_split_by_constraint_count():
     # constraints, blocks 1-3 by one each, block 4 by none
     a_entries = tuple(((0, 0, 0, 1.0), (1 + i % 3, 0, 0, 1.0)) if i < 3 else ((0, 0, 0, float(i)),)
                       for i in range(9))
-    prob = CanonicalSdp((1, 1, 1, 1, 2), ((4, 0, 1, 1.0),), a_entries, (1.0,) * 9)
+    prob = canonical_sdp((1, 1, 1, 1, 2), ((4, 0, 1, 1.0),), a_entries, (1.0,) * 9)
     lay = _Layout(prob)
     got = sorted((cl.size, tuple(cl.blocks), cl.rows.shape[1]) for cl in lay.classes)
     assert got == [(1, (0,), 9), (1, (1, 2, 3), 1), (2, (4,), 0)]
@@ -512,7 +521,7 @@ def test_stop_rule_is_recorded_as_event():
     prob, _, _ = random_instance(rng, (3,), 2)
     sol = solve_canonical(prob, SolverConfig(max_iters=2))
     assert {"event": "stop", "rule": "max_iters", "iter": 2} in sol.events
-    one = CanonicalSdp((1,), ((0, 0, 0, 1.0),), (((0, 0, 0, 1.0),),), (1.0,))
+    one = canonical_sdp((1,), ((0, 0, 0, 1.0),), (((0, 0, 0, 1.0),),), (1.0,))
     sol = solve_canonical(one)
     assert sol.status == "optimal"
     assert not [ev for ev in sol.events if ev["event"] == "stop"]
@@ -520,7 +529,7 @@ def test_stop_rule_is_recorded_as_event():
 
 def test_schur_jitter_is_recorded_as_event():
     # a repeated constraint makes the Schur complement singular
-    prob = CanonicalSdp(
+    prob = canonical_sdp(
         block_sizes=(2,),
         c_entries=((0, 0, 0, 1.0), (0, 1, 1, 1.0)),
         a_entries=(((0, 0, 0, 1.0),), ((0, 0, 0, 1.0),)),
@@ -538,7 +547,7 @@ def reference_schur(prob, x_blocks, sinv_blocks):
     full = np.zeros((m, m))
     for blk, s in enumerate(prob.block_sizes):
         touching = [(i, dense_from_entries(prob.block_sizes, [e for e in row if e[0] == blk])[blk])
-                    for i, row in enumerate(prob.a_entries) if any(e[0] == blk for e in row)]
+                    for i, row in enumerate(entry_rows(prob)[1:]) if any(e[0] == blk for e in row)]
         for i, ai in touching:
             t = x_blocks[blk] @ ai @ sinv_blocks[blk]
             for j, aj in touching:
@@ -595,15 +604,23 @@ def test_schur_matches_dense_product_form(case):
 def test_schur_cases_cover_the_block_kinds():
     mixed = SCHUR_CASES["mixed"]()
     assert 1 in mixed.block_sizes
-    touched = {e[0] for row in mixed.a_entries for e in row}
+    touched = {e[0] for row in entry_rows(mixed)[1:] for e in row}
     assert len(touched) < len(mixed.block_sizes)  # an untouched block
     loc = SCHUR_CASES["localizing"]()
-    touching = Counter(b for row in loc.a_entries for b in {e[0] for e in row})
-    widths = Counter((i, e[0]) for i, row in enumerate(loc.a_entries) for e in row)
+    touching = Counter(b for row in entry_rows(loc)[1:] for b in {e[0] for e in row})
+    widths = Counter((i, e[0]) for i, row in enumerate(entry_rows(loc)[1:]) for e in row)
     # a block touched by most constraints, with constraint matrices of many entries
     assert max(touching.values()) >= 50 and max(widths.values()) >= 5
     dense = SCHUR_CASES["dense_banded"]()
     assert dense.block_sizes == (56,) and dense.n_constraints == 461
+
+
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_constraint_norms_match_the_entry_loop(case):
+    prob = SCHUR_CASES[case]()
+    want = [math.sqrt(sum(v * v * (1.0 if r == c else 2.0) for _, r, c, v in row))
+            for row in entry_rows(prob)[1:]]
+    assert _constraint_norms(prob).tolist() == want
 
 
 @pytest.mark.parametrize("case", sorted(SCHUR_CASES))
@@ -619,7 +636,7 @@ def test_constraint_maps_are_adjoint(case):
     # and A matches the entries themselves
     blocks = lay.unstack(vs)
     got = lay.a_map(vs)
-    for i, row in enumerate(prob.a_entries):
+    for i, row in enumerate(entry_rows(prob)[1:]):
         mats = dense_from_entries(prob.block_sizes, row)
         assert got[i] == pytest.approx(
             sum(float(np.vdot(a, v)) for a, v in zip(mats, blocks)), rel=1e-12, abs=1e-12)
@@ -652,7 +669,7 @@ def many_constraints_instance():
             r, c = sorted(rng.integers(0, sizes[blk], size=2))
             row.append((int(blk), int(r), int(c), 1.0))
         a_entries.append(tuple(row))
-    return CanonicalSdp(sizes, (), tuple(a_entries), (0.0,) * m)
+    return canonical_sdp(sizes, (), tuple(a_entries), (0.0,) * m)
 
 
 @pytest.mark.parametrize("make", [many_constraints_instance, dense_banded_instance])
@@ -852,7 +869,7 @@ def test_solve_peak_with_large_blocks_is_within_memory_estimate(monkeypatch):
     sizes = (150, 100)
     c = tuple((b, i, i, 1.0) for b, s in enumerate(sizes) for i in range(s))
     a = tuple(((b, 0, 0, 1.0), (b, 0, 1, 1.0)) for b in range(len(sizes)))
-    prob = CanonicalSdp(sizes, c, a, (1.0,) * len(sizes))
+    prob = canonical_sdp(sizes, c, a, (1.0,) * len(sizes))
     need = tssos.solver._check_memory(prob)
     tracemalloc.start()
     try:
