@@ -33,7 +33,7 @@ import numpy as np
 
 from .basis import _ExponentSet, exponent_keys
 from .graphs import CliqueDecomposition
-from .poly import Exponent, Polynomial, PopProblem, grlex_key
+from .poly import Polynomial, PopProblem, grlex_key
 from .solver import CanonicalSdp, SolverConfig, SolverSolution, solve_canonical
 
 SIDES = ("sos", "moment")
@@ -169,27 +169,27 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
     block_sizes: List[int] = []
     parts: List[Tuple[np.ndarray, ...]] = []  # per generator term: its cells and term index
     nodes: List[np.ndarray] = []  # every generator's basis rows, stacked
-    terms: List[Tuple[Exponent, float]] = []
+    terms: List[Tuple[np.ndarray, np.ndarray]] = []  # every generator's term rows and coefficients
     first_node = 0
     for g, dec in zip(gens, cliques):
         clique, a, b, u, v = _clique_cells(dec)
         blk = clique + len(block_sizes)
         block_sizes.extend(len(c) for c in dec.cliques)
-        for term in g.terms.items():
-            parts.append((blk, a, b, u + first_node, v + first_node, np.full(len(a), len(terms))))
-            terms.append(term)
+        terms.append(g.arrays())
+        for _ in terms[-1][1]:  # parts holds one entry per term so far
+            parts.append((blk, a, b, u + first_node, v + first_node, np.full(len(a), len(parts))))
         nodes.append(dec.basis.array)
         first_node += len(dec.basis)
     blk, a, b, u, v, term = (np.concatenate(col) for col in zip(*parts))
     node_rows = np.concatenate(nodes)
-    shifts = np.array([t for t, _ in terms], dtype=np.int64).reshape(-1, n)
+    shifts, coeffs = (np.concatenate(col) for col in zip(*terms))
     node_keys = exponent_keys(node_rows)
     sums = _ExponentSet(
         node_keys[u] + node_keys[v] + exponent_keys(shifts)[term],
         lambda idx: node_rows[u[idx]] + node_rows[v[idx]] + shifts[term[idx]],
     )
     distinct, group = sums.rows(np.arange(len(sums))), sums.member_of
-    coeff = np.array([c for _, c in terms])[term]
+    coeff = coeffs[term]
     # graded lex: total degree first, then x1's exponent downwards, then x2's, ...
     order = np.lexsort(np.vstack([-distinct[:, ::-1].T, distinct.sum(axis=1)]))
     rank = np.empty(len(order), dtype=np.int64)
@@ -201,17 +201,14 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
         raise ValueError("constant monomial missing: no alpha = 0 row")
 
     # f's support looked up among the rows: its coefficients are the rhs
-    supp = np.array(list(f.terms), dtype=np.int64).reshape(-1, n)
-    q, member = sums.candidates(exponent_keys(supp))
-    hit = (supp[q] == sums.rows(member)).all(axis=1)
-    q, member = q[hit], member[hit]
-    missing = np.ones(len(supp), dtype=bool)
-    missing[q] = False
+    supp, f_coeffs = f.arrays()
+    member = sums.find(exponent_keys(supp), supp.__getitem__)
+    missing = member < 0
     if missing.any():
         absent = sorted(map(tuple, supp[missing].tolist()), key=grlex_key)
         raise ValueError(f"unrepresentable support: {absent[:5]} not realized by the cliques")
     rhs = np.zeros(len(alphas))
-    rhs[rank[member]] = np.array(list(f.terms.values()))[q]
+    rhs[rank[member]] = f_coeffs
     return BlockSdp(nvars=n, side=side, block_sizes=block_sizes, alphas=alphas, rhs=rhs,
                     row=row[perm], blk=blk[perm], r=a[perm], c=b[perm], v=coeff[perm],
                     constraints=tuple(pop.constraints))
@@ -272,6 +269,5 @@ def reconstruct_certificate(
         sums = _ExponentSet(keys[u] + keys[v], lambda idx: rows[u[idx]] + rows[v[idx]])
         distinct, group = sums.rows(np.arange(len(sums))), sums.member_of
         coeffs = np.bincount(group, weights=np.concatenate(cells), minlength=len(distinct))
-        sigma = dict(zip(map(tuple, distinct.tolist()), coeffs.tolist()))
-        total = total + g * Polynomial(n, sigma)
+        total = total + g * Polynomial.from_arrays(n, distinct, coeffs)
     return total

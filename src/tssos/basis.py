@@ -28,8 +28,9 @@ d = t - s are counted out in mixed radix over d's nonzero positions and
 looked up, with d - beta, in the basis's own set.  That costs
 O(|targets| * |shifts| * prod(d_k + 1)), whatever the basis size r.
 
-Bases are value objects: a graded lex sorted int64 array of exponents; the
-exponent tuples and the index lookup are formed on first use.
+Bases are value objects: a graded lex sorted int64 array of exponents.
+Positions are looked up in the rows' _ExponentSet; the exponent tuples are
+formed only when asked for.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -98,33 +99,30 @@ def _grlex_rows(rows: np.ndarray) -> np.ndarray:
 
 
 class MonomialBasis:
-    """An ordered set of exponents, graded lex, with O(1) index lookup.
+    """An ordered set of exponents, graded lex.
 
-    Held as a read-only (len, nvars) int64 array; the tuples, the index and
-    the _ExponentSet of the rows are formed on first use.
+    Held as a read-only (len, nvars) int64 array.  The _ExponentSet of the
+    rows (key_set) is formed on first use and answers find, index and in;
+    the tuples of monos are formed only for callers that ask for them.
     """
 
-    __slots__ = ("nvars", "array", "_monos", "_index", "_set")
+    __slots__ = ("nvars", "array", "_monos", "_set")
 
     def __init__(self, nvars: int, monos: Iterable[Exponent] | np.ndarray):
         if not isinstance(monos, np.ndarray):
-            monos = [tuple(m) for m in monos]
-            for m in monos:
-                if len(m) != nvars:
-                    raise ValueError(f"bad exponent {m} for {nvars} variables")
-            monos = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+            monos = list(monos)
+            monos = np.array(monos, dtype=np.int64).reshape(len(monos), -1 if monos else nvars)
         rows = monos.astype(np.int64)  # a copy, so the basis owns its array
         if rows.ndim != 2 or rows.shape[1] != nvars:
             raise ValueError(f"exponent rows of shape {rows.shape} for {nvars} variables")
         negative = rows[(rows < 0).any(axis=1)]
         if len(negative):
-            raise ValueError(f"bad exponent {tuple(negative[0].tolist())} for {nvars} variables")
+            raise ValueError(f"bad exponent {negative[0].tolist()} for {nvars} variables")
         rows = _grlex_rows(rows)
         rows.flags.writeable = False
         self.nvars = nvars
         self.array = rows
         self._monos: Optional[Tuple[Exponent, ...]] = None
-        self._index: Optional[Dict[Exponent, int]] = None
         self._set: Optional[_ExponentSet] = None
 
     @property
@@ -141,7 +139,7 @@ class MonomialBasis:
         return iter(self.monos)
 
     def __contains__(self, alpha) -> bool:
-        return tuple(alpha) in self._lookup()
+        return len(alpha) == self.nvars and self.find([alpha])[0] >= 0
 
     def __eq__(self, other) -> bool:
         return (
@@ -153,13 +151,16 @@ class MonomialBasis:
     def __hash__(self):
         return hash((self.nvars, self.array.tobytes()))
 
-    def _lookup(self) -> Dict[Exponent, int]:
-        if self._index is None:
-            self._index = {m: i for i, m in enumerate(self.monos)}
-        return self._index
-
     def index(self, alpha: Exponent) -> int:
-        return self._lookup()[tuple(alpha)]
+        if alpha not in self:
+            raise KeyError(alpha)
+        return int(self.find([alpha])[0])
+
+    def find(self, rows) -> np.ndarray:
+        """The index of every exponent row in the basis, -1 where it is not an element."""
+        rows = np.asarray(rows, dtype=np.int64)
+        members = self.key_set().find(exponent_keys(rows), rows.__getitem__)
+        return np.append(self.key_set().items, -1)[members]  # member -1 picks the -1
 
     def key_set(self) -> "_ExponentSet":
         """The rows as an _ExponentSet, whose item i is basis element i."""
@@ -210,9 +211,10 @@ class _ExponentSet:
         self._rows_of = rows_of
         self._members: Optional[Tuple[np.ndarray, ...]] = None
         # compare each later item with its key's first, PAIR_BUDGET exponent entries per side at a time
+        self.nvars = rows_of(order[:1]).shape[1]
+        step = max(1, PAIR_BUDGET // max(1, self.nvars))
         later = order[~head]
         differ = np.zeros(len(later), dtype=bool)
-        step = max(1, PAIR_BUDGET // max(1, rows_of(later[:1]).shape[1]))
         for lo in range(0, len(later), step):
             at = later[lo:lo + step]
             differ[lo:lo + step] = (rows_of(at) != self.rows(self.member_of[at])).any(axis=1)
@@ -286,19 +288,24 @@ class _ExponentSet:
             self._members = (pos, val, val.sum(axis=1), keys)
         return self._members
 
-    def contains(self, keys: np.ndarray, rows_of: RowsOf) -> np.ndarray:
-        """Mask of the queries, keys plus rows_of(idx), that are members.
+    def find(self, keys: np.ndarray, rows_of: RowsOf) -> np.ndarray:
+        """The member each query, keys plus rows_of(idx), is, or -1 where it is none.
 
-        Key hits are confirmed PAIR_BUDGET at a time, so however many
-        queries are passed, no more rows are formed at once than in a pair
-        search.
+        Key hits are confirmed PAIR_BUDGET // nvars at a time, like the
+        constructor's comparisons, however many queries are passed.
         """
-        found = np.zeros(len(keys), dtype=bool)
+        found = np.full(len(keys), -1, dtype=np.intp)
         q, m = self.candidates(keys)
-        for lo in range(0, len(q), PAIR_BUDGET):
-            at, mem = q[lo:lo + PAIR_BUDGET], m[lo:lo + PAIR_BUDGET]
-            found[at[(rows_of(at) == self.rows(mem)).all(axis=1)]] = True
+        step = max(1, PAIR_BUDGET // max(1, self.nvars))
+        for lo in range(0, len(q), step):
+            at, mem = q[lo:lo + step], m[lo:lo + step]
+            hit = (rows_of(at) == self.rows(mem)).all(axis=1)
+            found[at[hit]] = mem[hit]
         return found
+
+    def contains(self, keys: np.ndarray, rows_of: RowsOf) -> np.ndarray:
+        """Mask of the queries, keys plus rows_of(idx), that are members."""
+        return self.find(keys, rows_of) >= 0
 
 
 def _rows_set(rows: np.ndarray) -> _ExponentSet:
@@ -312,7 +319,7 @@ def _linked_pairs(
     shifts: Optional[np.ndarray] = None,
     known: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Pairs i < j, not in known, with basis_i + basis_j + s in targets.
+    """Codes i*r + j of the pairs i < j with basis_i + basis_j + s in targets.
 
     s runs over the rows of shifts (default: the zero exponent only).  The
     search runs over divisors, not over basis pairs: for every distinct
@@ -325,8 +332,8 @@ def _linked_pairs(
     degree; a repeated basis key yields every basis element that carries
     it.  The cost is O(|targets| * |shifts| *
     prod(d_k + 1)), at most PAIR_BUDGET sub-exponents at a time, and no
-    r x r or sub-exponent x nvars array is formed.  The result is an
-    (m, 2) int64 array sorted by (i, j).
+    r x r or sub-exponent x nvars array is formed.  The result is a sorted
+    int64 array of distinct codes, less those in known (sorted codes too).
     """
     rows = basis.array
     r, n = rows.shape
@@ -351,7 +358,7 @@ def _linked_pairs(
     d = [np.concatenate(col) for col in zip(*parts)]
     d_val = d[1]
     if not len(d_val):
-        return np.zeros((0, 2), dtype=np.int64)
+        return np.zeros(0, dtype=np.int64)
     count = np.prod(d_val + 1, axis=1)
     ends = np.cumsum(count)
     found = []
@@ -362,8 +369,8 @@ def _linked_pairs(
         lo = hi
     codes = np.unique(np.concatenate(found))
     if known is not None and len(known):
-        codes = codes[~np.isin(codes, known[:, 0] * r + known[:, 1])]
-    return np.column_stack(np.divmod(codes, r))
+        codes = codes[~np.isin(codes, known)]
+    return codes
 
 
 def _divisor_pairs(basis: MonomialBasis, degs: np.ndarray, d, count) -> np.ndarray:
@@ -482,13 +489,18 @@ def _box_points(upper: np.ndarray, degree: int) -> np.ndarray:
     return rows
 
 
+def _with_origin(f: Polynomial) -> np.ndarray:
+    """The exponent rows of supp(f), then the origin."""
+    return np.vstack([f.arrays()[0], np.zeros((1, f.nvars), dtype=np.int64)])
+
+
 def _newton_candidates(f: Polynomial) -> Tuple[np.ndarray, np.ndarray]:
     """The hull points supp(f) + {0} (graded lex) and the candidates to decide.
 
     The candidates are the beta with 2*beta inside the bounding box and the
     degree bound of the hull; more than STANDARD_BASIS_CAP of them is refused.
     """
-    points = _grlex_rows(np.array([*f.support(), (0,) * f.nvars], dtype=np.int64))
+    points = _grlex_rows(_with_origin(f))
     upper = points.max(axis=0) // 2
     half_deg = int(points.sum(axis=1).max()) // 2
     count = _box_count(upper.tolist(), half_deg)
@@ -627,10 +639,10 @@ def newton_half_basis(f: Polynomial) -> MonomialBasis:
     also cuts the candidates still waiting.  Only a candidate no proof
     decides gets its own feasibility LP (_in_half_polytope).
     """
-    supp = f.support()
-    if not supp:
+    supp = f.arrays()[0]
+    if not len(supp):
         raise ValueError("zero polynomial has no Newton polytope")
-    if len(supp) == 1 and any(a % 2 for a in next(iter(supp))):
+    if len(supp) == 1 and (supp % 2).any():
         raise ValueError("objective cannot be SOS: single monomial of odd exponent")
     points, cands = _newton_candidates(f)
     member, _ = _newton_members(cands, points)
@@ -653,7 +665,7 @@ def generate_basis(support: Iterable[Exponent] | np.ndarray, base: MonomialBasis
     over that target set, plus a lookup of the doubled base elements.
     """
     if not isinstance(support, np.ndarray):
-        support = np.array(list(map(tuple, support)), dtype=np.int64)
+        support = np.array(list(support), dtype=np.int64)
     support = support.reshape(-1, base.nvars)
     rows = base.array
     diag_keys = exponent_keys(2 * rows)
@@ -661,9 +673,9 @@ def generate_basis(support: Iterable[Exponent] | np.ndarray, base: MonomialBasis
     prev = np.zeros(0, dtype=np.int64)  # indices of B_{p-1} in base
     while True:
         targets = _rows_set(np.concatenate([support, 2 * rows[prev]]))
-        pairs = _linked_pairs(base, targets)
+        pairs = np.divmod(_linked_pairs(base, targets), len(rows))
         diag = np.flatnonzero(targets.contains(diag_keys, lambda idx: 2 * rows[idx]))
-        cur = np.unique(np.concatenate([pairs.ravel(), diag]))
+        cur = np.unique(np.concatenate([*pairs, diag]))
         same = np.array_equal(cur, prev)
         if same and chain:
             break
@@ -682,9 +694,7 @@ def reduce_basis_unconstrained(f: Polynomial, base: MonomialBasis | None = None)
     """
     if base is None:
         base = newton_half_basis(f)
-    support = f.support() | {(0,) * f.nvars}
-    chain = generate_basis(support, base)
-    return chain[-1]
+    return generate_basis(_with_origin(f), base)[-1]
 
 
 def reduce_basis_constrained(
@@ -711,8 +721,8 @@ def reduce_basis_constrained(
 
     n = pop.nvars
     basis0, *loc_bases = generator_bases(pop, d_hat)
-    fixed = np.array([*pop.objective.support(), (0,) * n], dtype=np.int64)
-    shifts = [np.array(sorted(g.support()), dtype=np.int64).reshape(-1, n) for g in pop.constraints]
+    fixed = _with_origin(pop.objective)
+    shifts = [g.arrays()[0] for g in pop.constraints]
     while True:
         seq = iterate_constrained(pop, [basis0] + loc_bases, k=k, mode=mode)
         if rounds is not None:

@@ -175,7 +175,7 @@ def randpoly2(n: int, deg: int, terms: int, seed: int) -> Polynomial:
     for i in range(1, n + 1):
         e = [0] * n
         e[i - 1] = deg
-        total = total + Polynomial.monomial(n, tuple(e), float(rng.uniform(0.0, 1.0)))
+        total = total + Polynomial.monomial(n, e, float(rng.uniform(0.0, 1.0)))
     pool = [m for m in monomials_up_to(n, deg - 1) if any(m)]
     extra = terms - n - 1
     if extra > len(pool):
@@ -329,6 +329,8 @@ def build_relaxation(pop: PopProblem, opts: RunOptions) -> Relaxation:
     basis = opts.basis or ("standard" if pop.constraints else "newton")
     rbs = order = None
     if not pop.constraints:
+        if opts.order is not None and basis != "standard":
+            raise ValueError("--order needs --basis standard on an unconstrained problem")
         base, bs, rbs = unconstrained_basis(pop.objective, basis, opts.order)
         bases = [base]
     else:

@@ -3,8 +3,11 @@
 Nodes are basis monomials.  Two distinct monomials are linked when their sum
 is a support exponent we care about; every node is implicitly linked to
 itself, so the diagonal (squares of basis monomials) is always part of a
-graph's support.  Edges are stored as a frozenset of index pairs (i, j) with
-i < j against the graded lex order of the basis.
+graph's support.  A graph holds its edges as one sorted array of codes
+i*r + j, i < j, against the graded lex order of a basis of r nodes: the
+form the edge search returns, so a union is np.union1d and a comparison
+np.array_equal, and the pairs, the edge set and the adjacency are formed
+from it only where they are read.
 
 The sparse relaxation machinery iterates two steps on the graph of every
 generator g_j (g_0 = 1, then each constraint), each on its own basis: a
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -62,63 +64,50 @@ Edge = Tuple[int, int]
 EXTENSION_MODES = ("approx_min", "min_fill", "block_closure")
 
 
-def _pair_set(pairs: np.ndarray) -> FrozenSet[Edge]:
-    return frozenset(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
-
-
 class MonomialGraph:
     """A graph over the monomials of a basis, self-loops implicit.
 
-    A graph that chordal_extension returned keeps a perfect elimination
-    ordering of itself, so neither a later extension step nor
-    maximal_cliques searches for one again.
+    The edges are one read-only, sorted int64 array of distinct codes
+    i*r + j, i < j, for a basis of r nodes; pairs, edges and adjacency()
+    are formed from it on demand.  Edges are given as pairs (i, j), an
+    iterable or an (m, 2) array, or as a 1-D array of codes; repeats and
+    self-loops are dropped and a node outside the basis is refused.  A graph
+    that chordal_extension returned keeps a perfect elimination ordering of
+    itself, so neither a later extension step nor maximal_cliques searches
+    for one again.
     """
 
-    __slots__ = ("basis", "edges", "_pairs", "_order")
+    __slots__ = ("basis", "codes", "_order")
 
-    def __init__(self, basis: MonomialBasis, edges: Iterable[Edge]):
-        n = len(basis)
-        norm = set()
-        for i, j in edges:
-            if i == j:
-                continue  # self-loops are implicit
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range for {n} nodes")
-            norm.add((min(i, j), max(i, j)))
+    def __init__(self, basis: MonomialBasis, edges: Iterable[Edge] | np.ndarray = ()):
+        r = len(basis)
+        if not isinstance(edges, np.ndarray):
+            edges = np.array(list(edges), dtype=np.int64)
+        elif edges.ndim == 1:  # codes
+            edges = np.column_stack(np.divmod(edges, max(r, 1)))
+        pairs = edges.astype(np.int64).reshape(-1, 2)
+        i, j = pairs.min(axis=1), pairs.max(axis=1)
+        bad = (i < 0) | (j >= r)
+        if bad.any():
+            raise ValueError(f"edge {tuple(pairs[bad][0].tolist())} out of range for {r} nodes")
         self.basis = basis
-        self.edges: FrozenSet[Edge] = frozenset(norm)
-        self._pairs: Optional[np.ndarray] = None
+        self.codes = np.unique((i * r + j)[i != j])
+        self.codes.flags.writeable = False
         self._order: Optional[List[int]] = None
-
-    @classmethod
-    def _from_pairs(
-        cls, basis: MonomialBasis, pairs: np.ndarray, edges: Optional[FrozenSet[Edge]] = None
-    ) -> "MonomialGraph":
-        """A graph from distinct in-range pairs i < j, taken without checks."""
-        graph = cls.__new__(cls)
-        graph.basis = basis
-        graph.edges = _pair_set(pairs) if edges is None else edges
-        pairs.flags.writeable = False
-        graph._pairs = pairs
-        graph._order = None
-        return graph
 
     @property
     def pairs(self) -> np.ndarray:
-        """The edges as a read-only (n_edges, 2) int64 array of (i, j), i < j."""
-        if self._pairs is None:
-            flat = chain.from_iterable(self.edges)
-            self._pairs = np.fromiter(flat, dtype=np.int64, count=2 * self.n_edges).reshape(-1, 2)
-            self._pairs.flags.writeable = False
-        return self._pairs
+        """The edges as an (n_edges, 2) int64 array of (i, j), i < j, in code order."""
+        return np.column_stack(np.divmod(self.codes, max(self.n_nodes, 1)))
 
-    def _with_pairs(self, new: np.ndarray) -> "MonomialGraph":
-        """This graph plus new edges, distinct pairs i < j that are not edges yet."""
-        if not len(new):
-            return self
-        return MonomialGraph._from_pairs(
-            self.basis, np.concatenate([self.pairs, new]), self.edges | _pair_set(new)
-        )
+    @property
+    def edges(self) -> FrozenSet[Edge]:
+        """The edges as a frozenset of index pairs (i, j), i < j."""
+        return frozenset(map(tuple, self.pairs.tolist()))
+
+    def _union(self, codes: np.ndarray) -> "MonomialGraph":
+        """This graph plus the edges of codes: np.union1d, by the constructor's np.unique."""
+        return MonomialGraph(self.basis, np.concatenate([self.codes, codes])) if len(codes) else self
 
     @property
     def n_nodes(self) -> int:
@@ -126,16 +115,17 @@ class MonomialGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.codes)
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return True
-        return (min(i, j), max(i, j)) in self.edges
+        i, j = min(i, j), max(i, j)
+        code = i * self.n_nodes + j
+        at = np.searchsorted(self.codes, code)
+        return i == j or bool(0 <= i and j < self.n_nodes and at < self.n_edges and self.codes[at] == code)
 
     def adjacency(self) -> Dict[int, Set[int]]:
         adj: Dict[int, Set[int]] = {i: set() for i in range(self.n_nodes)}
-        for i, j in self.edges:
+        for i, j in self.pairs.tolist():
             adj[i].add(j)
             adj[j].add(i)
         return adj
@@ -146,17 +136,15 @@ class MonomialGraph:
         The diagonal contributes 2*beta for every node beta, matching the
         implicit self-loops.
         """
-        monos = self.basis.monos
-        out = {tuple(2 * a for a in m) for m in monos}
-        for i, j in self.edges:
-            out.add(tuple(x + y for x, y in zip(monos[i], monos[j])))
-        return out
+        rows = self.basis.array
+        a, b = _support_pairs(self)
+        return set(map(tuple, (rows[a] + rows[b]).tolist()))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonomialGraph)
             and self.basis == other.basis
-            and self.edges == other.edges
+            and np.array_equal(self.codes, other.codes)
         )
 
     def __repr__(self) -> str:
@@ -194,10 +182,10 @@ def _new_support(graph: MonomialGraph, searched: _ExponentSet) -> Optional[_Expo
     return _ExponentSet(keys[new], lambda idx: rows_of(new[idx]))
 
 
-def _tsp_targets(f: Polynomial, basis: MonomialBasis, extra_support: Iterable[Exponent]) -> _ExponentSet:
-    """supp(f), the extra support exponents and all doubled basis monomials."""
-    terms = np.array([*f.support(), *map(tuple, extra_support)], dtype=np.int64)
-    return _rows_set(np.concatenate([terms.reshape(-1, basis.nvars), 2 * basis.array]))
+def _tsp_targets(f: Polynomial, basis: MonomialBasis, extra: Iterable[Exponent] | np.ndarray) -> _ExponentSet:
+    """supp(f), the extra support exponents (or exponent rows) and all doubled basis monomials."""
+    extra = np.array(extra if isinstance(extra, np.ndarray) else list(extra), dtype=np.int64)
+    return _rows_set(np.concatenate([f.arrays()[0], extra.reshape(-1, basis.nvars), 2 * basis.array]))
 
 
 def _linked(
@@ -209,7 +197,7 @@ def _linked(
     """
     if targets is None:
         return graph
-    return graph._with_pairs(_linked_pairs(graph.basis, targets, shifts, known=graph.pairs))
+    return graph._union(_linked_pairs(graph.basis, targets, shifts, known=graph.codes))
 
 
 def tsp_graph(
@@ -292,15 +280,15 @@ def _block_closure(graph: MonomialGraph) -> MonomialGraph:
     adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(r, r))
     count, label = connected_components(adj, directed=False)
     sizes = np.bincount(label, minlength=count)
-    if int((sizes * (sizes - 1) // 2).sum()) == len(pairs):
+    if int((sizes * (sizes - 1) // 2).sum()) == graph.n_edges:
         return graph
     members = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
-    blocks = [np.zeros((0, 2), dtype=np.int64)]
+    blocks = [np.zeros(0, dtype=np.int64)]
     for comp in members:
         if len(comp) > 1:
             a, b = np.triu_indices(len(comp), 1)
-            blocks.append(np.column_stack([comp[a], comp[b]]))
-    return MonomialGraph._from_pairs(graph.basis, np.concatenate(blocks))
+            blocks.append(comp[a] * r + comp[b])
+    return MonomialGraph(graph.basis, np.concatenate(blocks))
 
 
 def _elimination_fill(adj: Dict[int, Set[int]], rule: str) -> Tuple[Set[Edge], List[int]]:
@@ -388,7 +376,7 @@ def chordal_extension(graph: MonomialGraph, mode: str = "approx_min") -> Monomia
         return graph
     rule = "degree" if mode == "approx_min" else "fill"
     fills, order = _elimination_fill(adj, rule)
-    out = graph._with_pairs(np.array(sorted(fills), dtype=np.int64).reshape(-1, 2))
+    out = graph._union(np.array([p * graph.n_nodes + q for p, q in fills], dtype=np.int64))
     out._order = order
     return out
 
@@ -469,10 +457,6 @@ class GraphSequence:
         return self.levels[k]
 
 
-def _levels_equal(a: List[MonomialGraph], b: List[MonomialGraph]) -> bool:
-    return len(a) == len(b) and all(x.edges == y.edges for x, y in zip(a, b))
-
-
 def iterate_constrained(
     pop: PopProblem,
     bases: Sequence[MonomialBasis],
@@ -506,9 +490,8 @@ def iterate_constrained(
         raise ValueError("k must be >= 1")
     if len(bases) != len(pop.constraints) + 1:
         raise ValueError(f"expected {len(pop.constraints) + 1} bases, got {len(bases)}")
-    n = pop.nvars
-    shifts = [np.array(sorted(g.support()), dtype=np.int64).reshape(-1, n) for g in pop.constraints]
-    extra = set().union(*(g.support() for g in pop.constraints))
+    shifts = [g.arrays()[0] for g in pop.constraints]
+    extra = np.concatenate([np.zeros((0, pop.nvars), dtype=np.int64), *shifts])
 
     def with_seed(graph: MonomialGraph, level: int, j: int) -> MonomialGraph:
         """graph plus the seed's level-`level` edges of generator j, by monomial identity."""
@@ -518,14 +501,10 @@ def iterate_constrained(
         if j >= len(seed.levels[lv]):
             return graph
         src = seed.levels[lv][j]
-        target_basis = graph.basis
-        out: Set[Edge] = set()
-        for a, b in src.edges:
-            ma, mb = src.basis.monos[a], src.basis.monos[b]
-            if ma in target_basis and mb in target_basis:
-                ia, ib = target_basis.index(ma), target_basis.index(mb)
-                out.add((min(ia, ib), max(ia, ib)))
-        return MonomialGraph(target_basis, graph.edges | out)
+        # both bases are graded lex, so an edge i < j of src stays i < j
+        at = graph.basis.find(src.basis.array)[src.pairs]
+        at = at[(at >= 0).all(axis=1)]
+        return graph._union(at[:, 0] * graph.n_nodes + at[:, 1])
 
     targets = _tsp_targets(pop.objective, bases[0], extra)
     g0 = with_seed(_linked(MonomialGraph(bases[0], ()), targets), 0, 0)
@@ -543,7 +522,7 @@ def iterate_constrained(
         for j, loc_prev in enumerate(prev[1:]):
             graph = with_seed(_linked(loc_prev, loc_targets, shifts[j]), step, j + 1)
             new_level.append(chordal_extension(graph, mode))
-        if step >= 2 and _levels_equal(new_level, prev):
+        if step >= 2 and all(np.array_equal(g.codes, h.codes) for g, h in zip(new_level, prev)):
             stabilized = step - 1
             break
         if step > k:

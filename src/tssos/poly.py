@@ -2,9 +2,9 @@
 
 A polynomial in n variables is stored as a dict mapping exponent tuples to
 coefficients.  The exponent tuple ``(2, 0, 1)`` stands for ``x1^2*x3`` when
-``nvars = 3``.  The zero polynomial has an empty dict.  Supports are plain
-sets of exponent tuples, which keeps all the combinatorial work downstream
-(Newton polytopes, term-sparsity graphs) free of any symbolic machinery.
+``nvars = 3``.  The zero polynomial has an empty dict.  The work downstream
+(Newton polytopes, term-sparsity graphs, assembly) reads a polynomial as
+arrays(): int64 exponent rows and coefficients, free of symbolic machinery.
 
 Monomials are ordered graded lexicographically: first by total degree, then
 lexicographically with x1 heaviest, so ``1 < x1 < x2 < x1^2 < x1*x2 < x2^2``.
@@ -24,6 +24,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Sequence, Tuple
+
+import numpy as np
 
 Exponent = Tuple[int, ...]
 
@@ -82,10 +84,20 @@ class Polynomial:
     def monomial(nvars: int, alpha: Exponent, c: float = 1.0) -> "Polynomial":
         return Polynomial(nvars, {tuple(alpha): c})
 
+    @staticmethod
+    def from_arrays(nvars: int, rows: np.ndarray, coeffs: np.ndarray) -> "Polynomial":
+        """The polynomial with coefficient coeffs[t] on exponent row t (rows distinct)."""
+        return Polynomial(nvars, dict(zip(map(tuple, rows.tolist()), coeffs.tolist())))
+
     # -- basic queries ----------------------------------------------------
 
     def support(self) -> set:
         return set(self.terms)
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The exponents as (len(terms), nvars) int64 rows and the coefficients, in term order."""
+        rows = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.nvars)
+        return rows, np.array(list(self.terms.values()), dtype=float)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""

@@ -291,9 +291,10 @@ class _Layout:
 
     The Schur build's working set is allocated here, once per solve, and
     reused by every build: the accumulator of M (m*m entries and a spare
-    cell that padding indices land on), the m x m scratch of its
-    symmetrization, and one arena that holds the intermediates of the
-    largest chunk.  m_fac is the m x m buffer _factor factors M in.
+    cell that padding indices land on) and one arena that holds the
+    intermediates of the largest chunk.  m_fac is the m x m buffer _factor
+    factors M in; it is dead while M is built, so it doubles as the scratch
+    of M's symmetrization.
     """
 
     def __init__(self, prob: CanonicalSdp):
@@ -367,7 +368,6 @@ class _Layout:
         for j, dims, fields in planned:
             self.classes[j].chunks.append(_Chunk(*fields, *_arena_views(self.arena, *dims)))
         self.m_acc = np.empty(m * m + 1)
-        self.m_sym = np.empty((m, m))
         self.m_fac = np.empty((m, m))
         self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
         self.at = self.a.T.tocsr()
@@ -413,8 +413,8 @@ class _Layout:
                 np.minimum(ch.dest, m * m, out=ch.dest)
                 np.add.at(acc, ch.dest.ravel(), (ch.w @ ch.tt.reshape(-1, kc)).ravel())
         schur = acc[:m * m].reshape(m, m)
-        np.add(schur, schur.T, out=self.m_sym)
-        np.multiply(self.m_sym, 0.5, out=schur)
+        np.add(schur, schur.T, out=self.m_fac)
+        np.multiply(self.m_fac, 0.5, out=schur)
         return schur
 
     def unstack(self, stacks: List[np.ndarray]) -> List[np.ndarray]:
@@ -529,8 +529,8 @@ def _memory_limit() -> int:
 def _check_memory(prob: CanonicalSdp) -> int:
     """Bytes of the solver's working set; ValueError when it would not fit.
 
-    Counts what is held for the whole solve: M, the scratch of its
-    symmetrization and the one buffer M is factored in; the Schur arena
+    Counts what is held for the whole solve: M and the one buffer M is
+    factored in (also the scratch of M's symmetrization); the Schur arena
     with one chunk's readout; and 24 block stacks: the 13 an iteration
     keeps alive (iterate, slack, the remembered best of both, residual,
     inverse factors of X and S, S^{-1}, both pairs of directions,
@@ -542,7 +542,7 @@ def _check_memory(prob: CanonicalSdp) -> int:
     sizes = prob.block_sizes
     s_max = max(sizes, default=0)
     chunk = max(SCHUR_CHUNK_BYTES, 8 * (2 * s_max * s_max + 3 * m))
-    need = 8 * 3 * m * m + chunk + 8 * 24 * sum(s * s for s in sizes)
+    need = 8 * 2 * m * m + chunk + 8 * 24 * sum(s * s for s in sizes)
     limit = _memory_limit()
     if need > limit:
         raise ValueError(

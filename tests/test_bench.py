@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from tssos.bench import (
     sample_minimum,
     unconstrained_basis,
 )
+from tssos.cli import main
 from tssos.poly import PopProblem, parse_pop
+
+EX1 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples_pop", "ex1.pop")
 
 
 def coupling_direct(x):
@@ -247,3 +251,27 @@ def test_emit_table_formats():
     assert "| Bt3 | 1 |" in md
     with pytest.raises(ValueError):
         emit_table(rows, "latex")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", EX1, "--order", "7"],
+    ["solve", EX1, "--order", "1", "--json"],
+    ["solve", EX1, "--order", "3", "--basis", "reduced"],
+    ["report", EX1, "--order", "3", "--basis", "newton"],
+    # randpoly2 picks the Newton basis by family
+    ["bench", "randpoly2", "--n", "3", "--deg", "4", "--terms", "8", "--seed", "2", "--order", "3"],
+])
+def test_order_on_an_unconstrained_problem_needs_the_standard_basis(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "--basis standard" in captured.err
+
+
+def test_order_sets_the_standard_basis_degree(capsys):
+    assert main(["solve", EX1, "--order", "3", "--basis", "standard", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bs"] == 20
+    with open(EX1) as fh:
+        pop = parse_pop(fh.read())
+    with pytest.raises(ValueError, match="--basis standard"):
+        run_pop(pop, RunOptions(order=2))

@@ -11,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 import tssos.basis
 import tssos.graphs
 from tssos import bench
-from tssos.basis import MonomialBasis, generator_bases, newton_half_basis, standard_basis
+from tssos.basis import (
+    MonomialBasis,
+    generator_bases,
+    newton_half_basis,
+    reduce_basis_unconstrained,
+    standard_basis,
+)
 from tssos.graphs import (
     EXTENSION_MODES,
     MonomialGraph,
@@ -64,6 +70,66 @@ def test_monomial_graph_normalizes_edges():
     assert not g.has_edge(0, 1)
     with pytest.raises(ValueError):
         MonomialGraph(basis, [(0, 9)])
+
+
+def _set_model(pairs):
+    """The edge set a pair list stands for: self-loops dropped, each pair as (min, max)."""
+    return {(min(i, j), max(i, j)) for i, j in pairs if i != j}
+
+
+def _assert_views_match(graph, model):
+    r = graph.n_nodes
+    assert graph.edges == model
+    assert graph.n_edges == len(model)
+    assert graph.pairs.tolist() == [list(p) for p in sorted(model)]
+    assert graph.codes.tolist() == sorted(i * r + j for i, j in model)
+    adj = {v: set() for v in range(r)}
+    for i, j in model:
+        adj[i].add(j)
+        adj[j].add(i)
+    assert graph.adjacency() == adj
+    for i in range(-1, r + 1):
+        for j in range(-1, r + 1):
+            assert graph.has_edge(i, j) == (i == j or (min(i, j), max(i, j)) in model), (i, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_monomial_graph_matches_a_set_model(data):
+    r = data.draw(st.integers(2, 9))
+    basis = MonomialBasis(1, [(i,) for i in range(r)])
+    node = st.integers(0, r - 1)
+    edge_lists = st.lists(st.tuples(node, node), max_size=25)
+    pairs = data.draw(edge_lists)
+    # a self-loop, a pair in both orders and repeats, whatever was drawn
+    pairs += [(0, 0), (1, 0), (0, 1)] + pairs[:2]
+    as_array = data.draw(st.booleans())
+    graph = MonomialGraph(basis, np.array(pairs, dtype=np.int64) if as_array else pairs)
+    model = _set_model(pairs)
+    _assert_views_match(graph, model)
+    assert graph == MonomialGraph(basis, sorted(model))
+    for bad in [(0, r), (r, 0), (-1, 0), (0, -1)]:
+        for edges in ([*pairs, bad], np.array([*pairs, bad], dtype=np.int64)):
+            with pytest.raises(ValueError, match="out of range"):
+                MonomialGraph(basis, edges)
+    for _ in range(2):
+        other = MonomialGraph(basis, data.draw(edge_lists))
+        graph = graph._union(other.codes)
+        model |= other.edges
+        _assert_views_match(graph, model)
+    h = nx.Graph()
+    h.add_nodes_from(range(r))
+    h.add_edges_from(model)
+    for mode in EXTENSION_MODES:
+        ext = chordal_extension(graph, mode)
+        if mode == "block_closure":
+            want = {p for comp in nx.connected_components(h) for p in itertools.combinations(sorted(comp), 2)}
+        elif nx.is_chordal(h):
+            want = model
+        else:
+            adj = {v: set(h[v]) for v in range(r)}
+            want = model | reference_elimination_fill(adj, "degree" if mode == "approx_min" else "fill")
+        _assert_views_match(ext, want)
 
 
 def test_graph_support_includes_diagonal():
@@ -505,21 +571,26 @@ def reference_seed_edges(graph, seed, level, j):
     if j >= len(lv):
         return graph
     src, basis = lv[j], graph.basis
+    index = {m: i for i, m in enumerate(basis.monos)}
     edges = set(graph.edges)
     for a, b in src.edges:
         ma, mb = src.basis.monos[a], src.basis.monos[b]
-        if ma in basis and mb in basis:
-            edges.add((basis.index(ma), basis.index(mb)))
+        if ma in index and mb in index:
+            edges.add((index[ma], index[mb]))
     return MonomialGraph(basis, edges)
 
 
-def reference_iterate_constrained(pop, d_hat, k, mode, seed=None):
+def reference_iterate_constrained(pop, d_hat, k, mode, seed=None, bases=None):
+    """The graph levels and stabilization step; bases default to generator_bases(pop, d_hat)."""
     n = pop.nvars
-    b0 = standard_basis(n, d_hat)
+    if bases is None:
+        bases = [standard_basis(n, d_hat)]
+        bases += [standard_basis(n, d_hat - (g.degree() + 1) // 2) for g in pop.constraints]
+    b0 = bases[0]
     extra = set()
     for g in pop.constraints:
         extra |= g.support()
-    loc = [MonomialGraph(standard_basis(n, d_hat - (g.degree() + 1) // 2), ()) for g in pop.constraints]
+    loc = [MonomialGraph(b, ()) for b in bases[1:]]
     levels = [[reference_seed_edges(reference_tsp_graph(pop.objective, b0, extra), seed, 0, 0)] + loc]
     stabilized = None
     for step in range(1, k + 2):
@@ -610,6 +681,26 @@ def test_seeded_iteration_matches_reference():
             assert _new_support(level0, _tsp_targets(pop.objective, level0.basis, extra)) is not None
 
 
+def test_seed_embedding_skips_monomials_outside_a_reduced_basis():
+    pop = parse_pop("vars 2\nx1^4 + x2^4 + 1\nsubject to\n1 - x1^2 - x2^2\n")
+    reduced = reduce_basis_unconstrained(pop.objective, standard_basis(2, 4))
+    bases = [reduced] + generator_bases(pop, 4)[1:]
+    assert len(reduced) < len(generator_bases(pop, 4)[0])
+    for mode in EXTENSION_MODES:
+        for k in (1, 2, 3):
+            low = iterate_constrained(pop, generator_bases(pop, 3), k=k, mode=mode)
+            # some seed edges have an endpoint the reduced basis lacks
+            src = low.at(k)[0]
+            assert any(src.basis.monos[a] not in reduced.monos or src.basis.monos[b] not in reduced.monos
+                       for a, b in src.edges)
+            want, stabilized = reference_iterate_constrained(pop, 4, k, mode, seed=low, bases=bases)
+            seq = iterate_constrained(pop, bases, k=k, mode=mode, seed=low)
+            got = edge_levels(seq)
+            assert got[: len(want)] == want[: k + 1], (mode, k)
+            assert all(level == want[-1] for level in got[len(want):])
+            assert seq.stabilized_at == stabilized, (mode, k)
+
+
 def test_iteration_searches_only_new_support(monkeypatch):
     f = bench.broyden_tridiagonal(24)
     basis = newton_half_basis(f)
@@ -696,9 +787,9 @@ def _check_against_reference(n, supp, basis, edges, shifts):
     g = Polynomial(n, {a: 1.0 for a in shifts})
     shift_rows = np.array(sorted(g.support()), dtype=np.int64).reshape(-1, n)
     prev = MonomialGraph(basis, sorted(edges)[::2])
-    found = _linked_pairs(basis, _support_set(graph), shift_rows, known=prev.pairs)
+    found = _linked_pairs(basis, _support_set(graph), shift_rows, known=prev.codes)
     want = reference_localizing_graph(prev, g, graph.support()).edges - prev.edges
-    assert {tuple(p) for p in found.tolist()} == want
+    assert {divmod(c, len(basis)) for c in found.tolist()} == want
     assert len(found) == len(want)
 
 
@@ -804,13 +895,13 @@ def test_divisor_search_matches_tuple_loop(monkeypatch, name):
             assert basis.key_set().sizes.max() > 1
         r = len(basis)
         known = [(i, j) for i in range(r) for j in range(i + 1, r) if rng.random() < 0.3]
-        known_rows = np.array(known, dtype=np.int64).reshape(-1, 2)
+        known_codes = np.array([i * r + j for i, j in known], dtype=np.int64)
         for budget in (1 << 13, 5):
             monkeypatch.setattr(tssos.basis, "PAIR_BUDGET", budget)
             for drop in ((), known):
                 found = _linked_pairs(basis, tssos.basis._rows_set(targets), shifts,
-                                      known=known_rows if drop else None)
-                assert found.tolist() == [list(p) for p in reference_linked_pairs(basis, targets, shifts, drop)]
+                                      known=known_codes if drop else None)
+                assert found.tolist() == [i * r + j for i, j in reference_linked_pairs(basis, targets, shifts, drop)]
         supp = {tuple(t) for t in targets.tolist()}
         _check_against_reference(basis.nvars, supp, basis, set(known), {tuple(s) for s in shifts.tolist()})
         if name == "shifts_that_divide_no_target":
@@ -825,10 +916,11 @@ def test_pair_search_memory_is_far_below_r_squared():
     targets = _tsp_targets(f, basis, ())
     tracemalloc.start()
     try:
-        pairs = _linked_pairs(basis, targets)
+        codes = _linked_pairs(basis, targets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    pairs = np.column_stack(np.divmod(codes, r))
     # far below one int64 per basis pair: no r x r array is formed
     assert peak < r * r * 8 / 20
     rows = basis.array
