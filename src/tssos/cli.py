@@ -6,8 +6,8 @@ Three subcommands:
 * bench  -- generate a benchmark family instance and run the pipeline
 * report -- print the clique census and variable counts without solving
 
-Exit codes: 0 on success (solver reached optimal), 1 on input errors,
-2 when the solver finished without an optimal status.
+Exit codes: 0 on success (solver reached optimal), 1 on input errors and
+when memory runs out, 2 when the solver finished without an optimal status.
 """
 
 from __future__ import annotations
@@ -238,6 +238,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
 
 

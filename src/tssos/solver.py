@@ -46,21 +46,34 @@ straight off the table's columns:
   ordered widest first, so a chunk pads K only to its own widest entry
   list.
 
+Only the pairs i <= j of each block are formed: the chunk holding T_i
+reads out the constraints from its first slot on, and its pairs below the
+slot diagonal land on a spare cell.  M is accumulated in one triangle of
+one m x m buffer, through a scatter index built with the layout.
+
 M is factored once per iteration, in place by LAPACK's potrf, and the
 predictor and the corrector solve with the same factor by potrs, as in
-SDPT3.  X and S are factored together, one Cholesky call on each class's
-stacked [X; S], and the factor L is inverted once.  S^{-1} is
-L_S^{-T} L_S^{-1}, and both step-length tests read their bounds off the
-eigenvalues of W = L^{-1} [dX; dS] L^{-T} (as SDPT3 does, Toh, Todd and
-Tutuncu, Optim. Methods Softw. 11, 1999): two batched products and one
-eigvalsh per class, no triangular solve.
+SDPT3: M's triangle is copied onto the other one strip by strip, and
+potrf overwrites that copy, so the untouched triangle and M's diagonal, saved
+aside, still hold M for the refinement's symv.  X and S are factored
+together, one Cholesky call on each class's stacked [X; S], and the
+factor L is inverted once.  S^{-1} is L_S^{-T} L_S^{-1}, and both
+step-length tests read their bounds off the eigenvalues of
+W = L^{-1} [dX; dS] L^{-T} (as SDPT3 does, Toh, Todd and Tutuncu, Optim.
+Methods Softw. 11, 1999): two batched products and one eigvalsh per
+class, no triangular solve.
 
-The working set (M, the scratch of its symmetrization, the buffer M is
-factored in and the arena of the Schur chunks) is allocated once per solve
-and refilled by every iteration.  Before anything is allocated, the
-working set (with the block stacks) is compared with the memory the
-process may use, and a problem that does not fit is refused with a
-ValueError.
+M is singular for every X and S when the rows of A are linearly
+dependent, which the localizing blocks of a constrained relaxation make
+common.  Before the first iteration such rows are found by a pivoted
+Cholesky of A A^T and dropped, as SDPT3 drops dependent constraints; a
+dropped row's multiplier is returned as 0.
+
+The working set (the m x m buffer, the scatter index and the arena of the
+Schur chunks) is allocated once per solve and refilled by every
+iteration.  Before anything is allocated, the working set (with the
+block stacks) is compared with the memory the process may use, and a
+problem that does not fit is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -74,7 +87,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
+from scipy.linalg import blas, lapack, solve_triangular
 
 Entry = Tuple[int, int, int, float]  # (block, row, col, value), row <= col
 _INT64_MAX = np.iinfo(np.int64).max
@@ -83,6 +97,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 SCHUR_CHUNK_BYTES = 1 << 23
 # at most this many passes of iterative refinement per Schur solve
 REFINE_PASSES = 4
+# width of the strips in which _factor copies M's triangle onto the other
+MIRROR_TILE = 64
+_UPPER = np.triu(np.ones((MIRROR_TILE, MIRROR_TILE), dtype=bool), 1)
 
 
 def _capped_sizes(block_sizes) -> np.ndarray:
@@ -170,8 +187,9 @@ class SolverSolution:
     residuals: Dict[str, float]
     # what happened besides plain iterating: {"event": "stop", "rule": ...}
     # for the rule that ended a run short of optimality, "best_iterate" when
-    # the returned point is the remembered best instead of the last one, and
+    # the returned point is the remembered best instead of the last one,
     # "schur_jitter" with the largest regularization the Schur solves needed
+    # and "presolve" with the count of dependent constraint rows dropped
     events: List[dict] = field(default_factory=list)
 
 
@@ -199,14 +217,17 @@ class _Chunk(NamedTuple):
     index the rows b*s + p_e and b*s + q_e of the range's stacks flattened
     to (nb*s, s), b counted from the start of the block range; v is
     (nb, kc, K, 1).  w is the CSR matrix whose row (b, j) is the flattened
-    A_{rows[b, j]} on block b of the range.  rows_i (nb, k, 1) and rows_j
-    (nb, 1, kc) hold m * rows[b, j] and the rows of the slot range.
+    A_{rows[b, j]} on block b of the range, for the kr slots j from the
+    range's first slot on.  dest (nb*kr*kc) is the index into M's buffer of
+    each pair (j, i) of the readout: the lower-triangle cell of the two
+    constraints when j is not below i in slot order and both are real,
+    the spare cell after M otherwise.
 
-    xg, sg, t, tt and dest are views into the layout's arena, written by
+    xg, sg, t, tt and out are views into the layout's arena, written by
     every Schur build: the X and S^{-1} gathers (nb, kc, K, s), T
-    (nb, kc, s, s), T transposed to (nb, s*s, kc) and the scatter index
-    (nb, k, kc) into M.  tt overwrites the gathers and dest overwrites T,
-    each once what it overwrites is dead.
+    (nb, kc, s, s), T transposed to (nb, s*s, kc) and the readout
+    (nb*kr, kc).  tt overwrites the gathers and out overwrites T, each once
+    what it overwrites is dead.
     """
 
     blocks: slice
@@ -214,13 +235,12 @@ class _Chunk(NamedTuple):
     srow: np.ndarray
     v: np.ndarray
     w: sp.csr_matrix
-    rows_i: np.ndarray
-    rows_j: np.ndarray
+    dest: np.ndarray
     xg: np.ndarray
     sg: np.ndarray
     t: np.ndarray
     tt: np.ndarray
-    dest: np.ndarray
+    out: np.ndarray
 
 
 class _SizeClass:
@@ -228,10 +248,9 @@ class _SizeClass:
 
     c is (nb, s, s).  rows (nb, k) holds for each block the indices of the
     constraints touching it, those with the most entries first, padded up
-    to k, the largest count in the class, with m*m, so that any index into
-    M formed with a padding row lies past its end and lands, clipped, on
-    the spare cell after M.  chunks cut the (block, slot) grid of the class
-    into pieces of bounded bytes for the Schur build.
+    to k, the largest count in the class, with m.  chunks cut the (block,
+    slot) grid of the class into pieces of bounded bytes for the Schur
+    build.
     """
 
     def __init__(self, blocks: np.ndarray, c: np.ndarray, rows: np.ndarray, chunks: List[_Chunk]):
@@ -240,6 +259,19 @@ class _SizeClass:
         self.c = c
         self.rows = rows
         self.chunks = chunks
+
+
+def _size_classes(sizes: np.ndarray, pair_blk: np.ndarray):
+    """Touching counts per block, and the (size, count bucket) class of each block.
+
+    pair_blk holds the block of every distinct (block, constraint) pair.
+    Returns the counts, the size of each class and the class of each block.
+    """
+    touching = np.bincount(pair_blk, minlength=len(sizes))
+    # bucket j holds the counts in (2^(j-1), 2^j]; counts 0 and 1 share 0
+    bucket = np.frexp(np.maximum(touching, 1) - 1)[1]
+    keys, cls = np.unique(np.stack([sizes, bucket]), axis=1, return_inverse=True)
+    return touching, keys[0], cls.ravel()
 
 
 def _plan_chunks(nb: int, k: int, s: int, wide: int) -> List[Tuple[int, int, int, int]]:
@@ -263,22 +295,65 @@ def _plan_chunks(nb: int, k: int, s: int, wide: int) -> List[Tuple[int, int, int
             for b in range(nb) for i0 in range(0, k, per_chunk)]
 
 
-def _arena_views(arena: Optional[np.ndarray], nb: int, kc: int, kk: int, s: int, k: int):
+def _index_dtype(m: int):
+    """int32 while every index into M's buffer, the spare cell m*m included, fits it."""
+    return np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
+
+
+def _index_size(prob: CanonicalSdp) -> int:
+    """Entries of the Schur scatter index of prob's layout, or more.
+
+    The index holds nb * kr * kc entries per chunk.  Planned with one
+    entry per (block, constraint) pair, the narrowest the layout can see,
+    the chunks are the largest they can be, and the index with them.
+    """
+    m = prob.n_constraints
+    on_a = prob.k > 0
+    pair_blk = np.unique(prob.blk[on_a] * max(m, 1) + prob.k[on_a] - 1) // max(m, 1)
+    touching, class_sizes, cls = _size_classes(np.array(prob.block_sizes, dtype=np.intp), pair_blk)
+    total = 0
+    for j, s in enumerate(class_sizes.tolist()):
+        members = cls == j
+        k = int(touching[members].max())
+        total += sum((b1 - b0) * (k - i0) * (i1 - i0)
+                     for b0, b1, i0, i1 in _plan_chunks(int(members.sum()), k, s, 1))
+    return total
+
+
+def _arena_views(arena: Optional[np.ndarray], nb: int, kc: int, kk: int, s: int, kr: int):
     """The Schur intermediates of a chunk as views into arena.
 
-    T, and after it the scatter index, sit first; the gathers, and after
-    them T transposed, share the space that follows.  Returns the views,
-    or with arena None the number of elements they need.
+    T, and after it the readout, sit first; the gathers, and after them T
+    transposed, share the space that follows.  Returns the views, or with
+    arena None the number of elements they need.
     """
-    n_t, n_g, n_d = nb * kc * s * s, nb * kc * kk * s, nb * k * kc
-    head = max(n_t, n_d)
+    n_t, n_g, n_r = nb * kc * s * s, nb * kc * kk * s, nb * kr * kc
+    head = max(n_t, n_r)
     size = head + max(2 * n_g, n_t)
     if arena is None:
         return size
     rest = arena[head:size]
     return (rest[:n_g].reshape(nb, kc, kk, s), rest[n_g:2 * n_g].reshape(nb, kc, kk, s),
             arena[:n_t].reshape(nb, kc, s, s), rest[:n_t].reshape(nb, s * s, kc),
-            arena[:n_d].view(np.int64).reshape(nb, k, kc))
+            arena[:n_r].reshape(nb * kr, kc))
+
+
+def _readout(w: sp.csr_matrix, t: np.ndarray, out: np.ndarray):
+    """w @ t written into out, by the kernel of scipy's own CSR-dense product.
+
+    scipy's product allocates its result; out is a view into the arena.
+    """
+    out.fill(0.0)
+    _sparsetools.csr_matvecs(w.shape[0], w.shape[1], t.shape[-1], w.indptr, w.indices, w.data,
+                             t.ravel(), out.ravel())
+
+
+def _scatter_index(rows: np.ndarray, i0: int, i1: int, m: int) -> np.ndarray:
+    """dest of a chunk: rows (nb, k) of its blocks, its slots i0..i1, m constraints."""
+    ci, cj = rows[:, None, i0:i1], rows[:, i0:, None]
+    lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
+    upper = np.arange(rows.shape[1] - i0)[:, None] >= np.arange(i1 - i0)
+    return np.where(upper & (hi < m), hi * m + lo, m * m).astype(_index_dtype(m)).ravel()
 
 
 class _Layout:
@@ -290,14 +365,14 @@ class _Layout:
     are one sparse matvec each.
 
     The Schur build's working set is allocated here, once per solve, and
-    reused by every build: the accumulator of M (m*m entries and a spare
-    cell that padding indices land on) and one arena that holds the
-    intermediates of the largest chunk.  m_fac is the m x m buffer _factor
-    factors M in; it is dead while M is built, so it doubles as the scratch
-    of M's symmetrization.
+    reused by every build: m_acc, the one m x m buffer (and a spare cell
+    after it that the pairs not formed land on), in which M is built in the
+    lower triangle and factored, taken from buf when given; the scatter
+    indices of the chunks; and one arena that holds the intermediates of
+    the largest chunk.
     """
 
-    def __init__(self, prob: CanonicalSdp):
+    def __init__(self, prob: CanonicalSdp, buf: Optional[np.ndarray] = None):
         sizes = np.array(prob.block_sizes, dtype=np.intp)
         m = self.m = prob.n_constraints
         self.n_blocks = len(sizes)
@@ -320,26 +395,22 @@ class _Layout:
         rank = np.empty(len(by_pair), dtype=np.intp)  # entry's place in its pair
         rank[by_pair] = _rank_within(pair_of_entry[by_pair])
         slot = pair_slot[pair_of_entry]
-        touching = np.bincount(pair_blk, minlength=len(sizes))
+        touching, class_sizes, cls = _size_classes(sizes, pair_blk)
         cblk, cr, cc, cv = (col[~on_a] for col in (prob.blk, prob.r, prob.c, prob.v))
-        # bucket j holds the counts in (2^(j-1), 2^j]; counts 0 and 1 share 0
-        bucket = np.frexp(np.maximum(touching, 1) - 1)[1]
-        keys, cls = np.unique(np.stack([sizes, bucket]), axis=1, return_inverse=True)
-        cls = cls.ravel()
 
         self.classes: List[_SizeClass] = []
         planned = []  # (class, arena dimensions, chunk fields before the views)
         pos = np.zeros(len(sizes), dtype=np.intp)  # position inside the class
         col = np.zeros(len(blk), dtype=np.intp)  # column of each entry in a
         ofs = 0
-        for j, s in enumerate(keys[0]):
+        for j, s in enumerate(class_sizes.tolist()):
             members = np.flatnonzero(cls == j)
             nb, k = len(members), int(touching[members].max())
             pos[members] = np.arange(nb)
             cstack = np.zeros((nb, s, s))
             sel = cls[cblk] == j
             _add_sym(cstack, (pos[cblk[sel]],), cr[sel], cc[sel], cv[sel])
-            rows = np.full((nb, k), m * m, dtype=np.intp)
+            rows = np.full((nb, k), m, dtype=np.intp)
             width = np.zeros((nb, k), dtype=np.intp)
             sel = cls[pair_blk] == j
             rows[pos[pair_blk[sel]], pair_slot[sel]] = pair_con[sel]
@@ -352,6 +423,8 @@ class _Layout:
             flat = (eb * s + er) * s + ec
             col[sel] = ofs + flat
             ofs += nb * s * s
+            # the readout of every chunk is a run of w's rows, taken off
+            # its arrays without copying the values
             w = sp.csr_matrix((ev, (eb * k + es, flat)), shape=(nb * k, nb * s * s))
             for b0, b1, i0, i1 in _plan_chunks(nb, k, s, wide):
                 kk = int(width[b0:b1, i0:i1].max())
@@ -359,16 +432,18 @@ class _Layout:
                     continue
                 bl, sl = slice(b0, b1), slice(i0, i1)
                 base = np.arange(b1 - b0)[:, None, None] * s
-                wc = w[b0 * k:b1 * k, b0 * s * s:b1 * s * s]
-                planned.append((j, (b1 - b0, i1 - i0, kk, s, k), (
+                r0, r1 = b0 * k + i0, b1 * k
+                e0, e1 = w.indptr[r0], w.indptr[r1]
+                wc = sp.csr_matrix((w.data[e0:e1], w.indices[e0:e1] - b0 * s * s,
+                                    w.indptr[r0:r1 + 1] - e0), shape=(r1 - r0, (b1 - b0) * s * s))
+                planned.append((j, (b1 - b0, i1 - i0, kk, s, k - i0), (
                     bl, base + p[bl, sl, :kk], base + q[bl, sl, :kk], val[bl, sl, :kk, None].copy(),
-                    wc, rows[bl, :, None] * m, rows[bl, None, sl])))
+                    wc, _scatter_index(rows[bl], i0, i1, m))))
             self.classes.append(_SizeClass(members, cstack, rows, []))
         self.arena = np.empty(max((_arena_views(None, *dims) for _, dims, _ in planned), default=0))
         for j, dims, fields in planned:
             self.classes[j].chunks.append(_Chunk(*fields, *_arena_views(self.arena, *dims)))
-        self.m_acc = np.empty(m * m + 1)
-        self.m_fac = np.empty((m, m))
+        self.m_acc = np.empty(m * m + 1) if buf is None else buf[:m * m + 1]
         self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
         self.at = self.a.T.tocsr()
         self.ends = np.cumsum([0] + [cl.c.size for cl in self.classes])
@@ -384,15 +459,20 @@ class _Layout:
                 for a, b, cl in zip(self.ends, self.ends[1:], self.classes)]
 
     def schur(self, xs: List[np.ndarray], sinvs: List[np.ndarray]) -> np.ndarray:
-        """M[i,j] = sum_b <A_j, X A_i S^{-1}>, symmetrized.
+        """M[i,j] = sum_b <A_j, X A_i S^{-1}> for i >= j, in the lower triangle.
 
         X and S^{-1} are symmetric, so X A_i S^{-1} is the sum over the
         entries e of A_i of v_e X[p_e, :]^T S^{-1}[q_e, :]: one (s, K) by
-        (K, s) product per (block, constraint) pair, read out against every
-        A_j of the block by one CSR product per chunk and added into M.
+        (K, s) product per (block, constraint) pair, read out by one CSR
+        product per chunk against the A_j of the block from the chunk's
+        first slot on, and added into M.  Each pair of a block is formed
+        once, by the slot that comes first, so M is exactly symmetric in
+        what it holds: its lower triangle, diagonal included.  The upper
+        triangle holds zeros.
 
-        The returned M is the layout's own buffer, overwritten by the next
-        call: a caller that keeps M past it keeps a copy.
+        The returned M is the layout's own (m, m) buffer, overwritten by the
+        next call and by _factor: a caller that keeps M past them keeps a
+        copy.
         """
         m = self.m
         acc = self.m_acc
@@ -409,13 +489,9 @@ class _Layout:
                 np.take(sf, ch.srow, axis=0, out=ch.sg, mode="clip")
                 np.matmul(ch.xg.swapaxes(-1, -2), ch.sg, out=ch.t)
                 np.copyto(ch.tt, ch.t.reshape(nb, kc, s * s).swapaxes(1, 2))
-                np.add(ch.rows_i, ch.rows_j, out=ch.dest)
-                np.minimum(ch.dest, m * m, out=ch.dest)
-                np.add.at(acc, ch.dest.ravel(), (ch.w @ ch.tt.reshape(-1, kc)).ravel())
-        schur = acc[:m * m].reshape(m, m)
-        np.add(schur, schur.T, out=self.m_fac)
-        np.multiply(self.m_fac, 0.5, out=schur)
-        return schur
+                _readout(ch.w, ch.tt.reshape(-1, kc), ch.out)
+                np.add.at(acc, ch.dest, ch.out.ravel())
+        return acc[:m * m].reshape(m, m)
 
     def unstack(self, stacks: List[np.ndarray]) -> List[np.ndarray]:
         """Per-block matrices in the original block order."""
@@ -473,39 +549,68 @@ def _step_lengths(linv: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> Tuple[flo
     return (_bound(lam[:nb].min()) if both else 0.0), _bound(lam[-nb:].min())
 
 
-def _factor(m: np.ndarray, out: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
-    """Lower Cholesky factor of m in out, jittering the diagonal only on failure.
+def _mirror(m: np.ndarray):
+    """Copy the lower triangle of the square m onto its upper one.
 
-    Returns the factor (None when every jitter failed) and the jitter used.
-    m is exactly symmetric, so the C-order copy of m in out read as out.T
-    is m in Fortran order, which LAPACK's potrf factors in place.  Every
-    rung of the ladder copies m into out again and adds its jitter there,
-    so m itself is never written.  The factor is out.T, the Fortran-order
-    view; its upper triangle keeps m's entries, which potrs does not read.
+    Column strip by column strip: the rows a..b of the lower triangle,
+    contiguous, become the columns a..b of the upper one.
     """
-    base = 1e-14 * (1.0 + np.abs(m.diagonal()).max())
+    n = len(m)
+    for a in range(0, n, MIRROR_TILE):
+        b = min(a + MIRROR_TILE, n)
+        m[:a, a:b] = m[a:b, :a].T
+        tile = m[a:b, a:b]
+        np.copyto(tile, tile.T, where=_UPPER[:b - a, :b - a])
+
+
+def _factor(m: np.ndarray) -> Tuple[Optional[np.ndarray], float, np.ndarray]:
+    """Lower Cholesky factor of M in M's own buffer, jittering the diagonal only on failure.
+
+    m holds M in its lower triangle, as _Layout.schur leaves it.  Returns
+    the factor (None when every jitter failed), the jitter used and M's
+    diagonal.  Every rung of the ladder copies the lower triangle onto the
+    upper one, puts M's diagonal plus the rung's jitter on the diagonal and
+    runs LAPACK's potrf in place on m.T, whose lower triangle in Fortran
+    order is that copy.  The factor is m.T, the Fortran-order view: its
+    lower triangle is the factor, its strict upper one is M's, which potrs
+    does not read and _solve reads M off.  When every rung fails, M's
+    diagonal is put back.
+    """
+    n = len(m)
+    diag = m.diagonal().copy()
+    base = 1e-14 * (1.0 + np.abs(diag).max(initial=0.0))
     for jitter in [0.0] + [base * 100.0 ** j for j in range(7)]:
-        np.copyto(out, m)
-        if jitter:
-            out.flat[:: len(m) + 1] += jitter
-        lo, info = lapack.dpotrf(out.T, lower=1, overwrite_a=1, clean=0)
+        _mirror(m)
+        m.flat[:: n + 1] = diag + jitter
+        lo, info = lapack.dpotrf(m.T, lower=1, overwrite_a=1, clean=0)
         if info == 0:
-            return lo, jitter
-    return None, jitter
+            return lo, jitter, diag
+    m.flat[:: n + 1] = diag
+    return None, jitter, diag
 
 
-def _solve(m: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve m x = rhs with the lower Cholesky factor lo of (a jittered) m.
+def _solve(lo: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs with _factor's factor lo of (a jittered) M and M's diagonal.
 
-    Iterative refinement keeps the solve accurate when m turns
+    Iterative refinement keeps the solve accurate when M turns
     ill-conditioned near the central path's end, which otherwise leaves a
     feasibility residual floor around sqrt(eps) or stalls the steps.  It
     runs while each pass at least halves the residual, at most
-    REFINE_PASSES times.  lo is _factor's Fortran-order factor, which potrs
-    reads in place.
+    REFINE_PASSES times.  potrs reads lo's lower triangle in place, and the
+    residual's M x is one symv on the strict upper triangle, with M's
+    diagonal swapped in for the call.
     """
+    on_diag = lo.T.reshape(-1)[:: len(diag) + 1]  # a view: lo is Fortran-contiguous
+    factor_diag = on_diag.copy()
+
+    def residual(x):
+        on_diag[:] = diag
+        mx = blas.dsymv(1.0, lo, x, lower=0)
+        on_diag[:] = factor_diag
+        return rhs - mx
+
     x = lapack.dpotrs(lo, rhs, lower=1)[0]
-    res = rhs - m @ x
+    res = residual(x)
     last = np.inf
     for _ in range(REFINE_PASSES):
         size = np.linalg.norm(res)
@@ -513,36 +618,51 @@ def _solve(m: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             break
         x += lapack.dpotrs(lo, res, lower=1)[0]
         last = size
-        res = rhs - m @ x
+        res = residual(x)
     return x
 
 
+def _mapped_bytes() -> int:
+    """Address space this process maps now, from /proc/self/statm; 0 where that is unreadable."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            return int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
 def _memory_limit() -> int:
-    """Bytes this process may use: physical memory, or RLIMIT_AS when lower."""
+    """Bytes this process may use: physical memory, or when lower what RLIMIT_AS leaves.
+
+    RLIMIT_AS bounds the whole address space, so what the process already
+    maps (the interpreter, numpy, scipy, the relaxation) is taken off it.
+    """
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY:
-        limit = min(limit, soft)
+        limit = min(limit, max(0, soft - _mapped_bytes()))
     return limit
 
 
 def _check_memory(prob: CanonicalSdp) -> int:
     """Bytes of the solver's working set; ValueError when it would not fit.
 
-    Counts what is held for the whole solve: M and the one buffer M is
-    factored in (also the scratch of M's symmetrization); the Schur arena
-    with one chunk's readout; and 24 block stacks: the 13 an iteration
-    keeps alive (iterate, slack, the remembered best of both, residual,
-    inverse factors of X and S, S^{-1}, both pairs of directions,
-    corrector) and the temporaries of a step test (the stacked directions,
-    two products and eigvalsh's copy, each two stacks deep) with room to
-    spare.
+    Counts what is held for the whole solve: the one m x m buffer M is
+    built and factored in; the Schur scatter index (bounded by
+    _index_size); the Schur arena with one chunk's readout; and 24 block
+    stacks: the 13 an iteration keeps alive (iterate, slack, the remembered
+    best of both, residual, inverse factors of X and S, S^{-1}, both pairs
+    of directions, corrector) and the temporaries of a step test (the
+    stacked directions, two products and eigvalsh's copy, each two stacks
+    deep) with room to spare.
     """
     m = prob.n_constraints
     sizes = prob.block_sizes
     s_max = max(sizes, default=0)
     chunk = max(SCHUR_CHUNK_BYTES, 8 * (2 * s_max * s_max + 3 * m))
-    need = 8 * 2 * m * m + chunk + 8 * 24 * sum(s * s for s in sizes)
+    need = 8 * m * m + chunk + 8 * 24 * sum(s * s for s in sizes)
+    if s_max <= _INT64_MAX:  # beyond, the stacks alone are past any memory
+        need += np.dtype(_index_dtype(m)).itemsize * _index_size(prob)
     limit = _memory_limit()
     if need > limit:
         raise ValueError(
@@ -559,12 +679,112 @@ def _constraint_norms(prob: CanonicalSdp) -> np.ndarray:
     return np.sqrt(sq[1:])  # bin 0 is C's
 
 
+def _dependent_rows(prob: CanonicalSdp, buf: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows of A that are combinations of the others: (droppable, inconsistent).
+
+    Nonzero rows whose supports share no cell (block, r, c) are
+    independent; that is every unconstrained relaxation, settled by one sort
+    of the table.  Otherwise the Gram matrix G = D A A^T D of the rows
+    scaled to unit norm (<A_i, A_j> with symmetric semantics) is formed in
+    buf and factored by LAPACK's pivoted Cholesky, pstrf, with its default
+    tolerance.  The rows past its rank, in pivot order, are combinations
+    of the rows K before: with P^T G P = L L^T, D_d A_d = L21 L11^{-1} D_K
+    A_K.  Such a row is droppable when b_d agrees with the same combination
+    of b_K within tol * (1 + ||b||); otherwise no X satisfies A(X) = b, and
+    the row is inconsistent.  Both are returned sorted.
+    """
+    m = prob.n_constraints
+    on_a = prob.k > 0
+    con, blk, r, c, v = (col[on_a] for col in (prob.k - 1, prob.blk, prob.r, prob.c, prob.v))
+    order = np.lexsort((con, c, r, blk))
+    con, blk, r, c, v = (col[order] for col in (con, blk, r, c, v))
+    new_cell = np.ones(len(con), dtype=bool)
+    new_cell[1:] = (blk[1:] != blk[:-1]) | (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    norm = _constraint_norms(prob)
+    none = np.zeros(0, dtype=np.intp)
+    if norm.all() and not (~new_cell[1:] & (con[1:] != con[:-1])).any():
+        return none, none
+    cell = np.cumsum(new_cell) - 1
+    scale = np.divide(1.0, norm, out=np.zeros(m), where=norm > 0)
+    a = sp.csr_matrix((v * np.where(r == c, 1.0, math.sqrt(2.0)) * scale[con], (con, cell)),
+                      shape=(m, cell[-1] + 1))
+    gram = buf[:m * m].reshape(m, m)
+    (a @ a.T).toarray(out=gram)
+    fac, piv, rank, _ = lapack.dpstrf(gram.T, lower=1, overwrite_a=1)
+    if rank == m:
+        return none, none
+    kept, dep = piv[:rank] - 1, piv[rank:] - 1
+    z = solve_triangular(fac[:rank, :rank], scale[kept] * prob.b[kept], lower=True)
+    want = norm[dep] * (fac[rank:, :rank] @ z)
+    off = np.abs(prob.b[dep] - want) > tol * (1.0 + np.linalg.norm(prob.b))
+    return np.sort(dep[~off]), np.sort(dep[off])
+
+
+def _without_rows(prob: CanonicalSdp, rows: np.ndarray) -> CanonicalSdp:
+    """prob with the constraints rows taken out, the others renumbered in order."""
+    m = prob.n_constraints
+    keep = np.ones(m + 1, dtype=bool)
+    keep[rows + 1] = False
+    renumber = np.cumsum(keep) - 1
+    sel = keep[prob.k]
+    return CanonicalSdp(prob.block_sizes, prob.b[keep[1:]], renumber[prob.k[sel]],
+                        prob.blk[sel], prob.r[sel], prob.c[sel], prob.v[sel])
+
+
 def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> SolverSolution:
+    """Solve prob by the interior point, after dropping its dependent constraint rows.
+
+    A dropped row's multiplier is returned as 0.  A dependent row whose rhs
+    disagrees with the rows it depends on makes the primal infeasible: the
+    status is then "infeasible" at once, with an event naming the rows.
+    """
     cfg = config or SolverConfig()
     prob.validate()
     _check_memory(prob)
+    m_all = prob.n_constraints
+    buf = np.empty(m_all * m_all + 1)
+    dropped, inconsistent = _dependent_rows(prob, buf, cfg.tol_feas)
+    if len(inconsistent):
+        sol = _inconsistent(prob, inconsistent)
+    else:
+        sol = _interior_point(_without_rows(prob, dropped) if len(dropped) else prob, cfg, buf)
+        if len(dropped):
+            sol.events.insert(0, {"event": "presolve", "dropped": len(dropped)})
+            y = np.zeros(m_all)
+            y[np.isin(np.arange(m_all), dropped, invert=True)] = sol.y
+            sol.y = y
+    if cfg.verbose:
+        for ev in sol.events:
+            print(f"event  {ev['event']}  "
+                  + "  ".join(f"{k} {v}" for k, v in ev.items() if k != "event"), file=sys.stderr)
+    return sol
+
+
+def _inconsistent(prob: CanonicalSdp, rows: np.ndarray) -> SolverSolution:
+    """The outcome when A(X) = b has no solution: rows are combinations of others, b is not.
+
+    The point returned is X = S = 0, y = 0, with its residuals.
+    """
+    on_c = prob.k == 0
+    norm_b = float(np.linalg.norm(prob.b))
+    norm_c = math.sqrt(float(prob.v[on_c] ** 2 @ (2.0 - (prob.r[on_c] == prob.c[on_c]))))
+    return SolverSolution(
+        status="infeasible",
+        x_blocks=[np.zeros((s, s)) for s in prob.block_sizes],
+        s_blocks=[np.zeros((s, s)) for s in prob.block_sizes],
+        y=np.zeros(prob.n_constraints),
+        primal_obj=0.0,
+        dual_obj=0.0,
+        iterations=0,
+        residuals={"gap": 0.0, "primal": norm_b / (1.0 + norm_b), "dual": norm_c / (1.0 + norm_c)},
+        events=[{"event": "stop", "rule": "inconsistent_rows", "iter": 0, "rows": rows.tolist()}],
+    )
+
+
+def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, buf: np.ndarray) -> SolverSolution:
+    """The interior-point iteration on prob, M built and factored in buf."""
     m = prob.n_constraints
-    lay = _Layout(prob)
+    lay = _Layout(prob, buf)
     classes = lay.classes
     total_dim = sum(prob.block_sizes)
     b = prob.b
@@ -668,8 +888,7 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
         # S^{-1} = L^{-T} L^{-1} from S's half of the inverse factors
         sinvs = [_sym(li[-len(s):].swapaxes(-1, -2) @ li[-len(s):]) for li, s in zip(linvs, ss)]
 
-        schur = lay.schur(xs, sinvs)
-        lo, jitter = _factor(schur, lay.m_fac)
+        lo, jitter, diag = _factor(lay.schur(xs, sinvs))
         max_jitter = max(max_jitter, jitter)
         if lo is None:
             stop("schur_failed")
@@ -685,7 +904,7 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
                 if corr is not None:
                     u = u + corr[j] @ sinv
                 aux.append(u)
-            dy = _solve(schur, lo, b + lay.a_map(aux))
+            dy = _solve(lo, diag, b + lay.a_map(aux))
             dss = [rdb - at for rdb, at in zip(rd, lay.at_map(dy))]
             dxs = []
             for j, (x, sinv, dsb) in enumerate(zip(xs, sinvs, dss)):
@@ -739,10 +958,6 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
             _, _, xs, ss, y, pobj, dobj, residuals = best
     if max_jitter:
         events.append({"event": "schur_jitter", "max": float(max_jitter)})
-    if cfg.verbose:
-        for ev in events:
-            print(f"event  {ev['event']}  "
-                  + "  ".join(f"{k} {v}" for k, v in ev.items() if k != "event"), file=sys.stderr)
 
     return SolverSolution(
         status=status,

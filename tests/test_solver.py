@@ -1,10 +1,11 @@
 import math
+import os
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, lapack
+from scipy.linalg import blas, cho_solve, lapack
 
 import tssos.solver
 from tssos import bench
@@ -527,18 +528,93 @@ def test_stop_rule_is_recorded_as_event():
     assert not [ev for ev in sol.events if ev["event"] == "stop"]
 
 
-def test_schur_jitter_is_recorded_as_event():
-    # a repeated constraint makes the Schur complement singular
-    prob = canonical_sdp(
-        block_sizes=(2,),
-        c_entries=((0, 0, 0, 1.0), (0, 1, 1, 1.0)),
-        a_entries=(((0, 0, 0, 1.0),), ((0, 0, 0, 1.0),)),
-        b=(1.0, 1.0),
-    )
+def test_schur_jitter_is_recorded_as_event(monkeypatch):
+    # potrf fails once, in the first iteration, so one rung of jitter is taken
+    real, calls = lapack.dpotrf, []
+
+    def failing_once(*args, **kwargs):
+        calls.append(1)
+        lo, info = real(*args, **kwargs)
+        return lo, (1 if len(calls) == 1 else info)
+
+    monkeypatch.setattr(tssos.solver.lapack, "dpotrf", failing_once)
+    prob, _, _ = random_instance(np.random.default_rng(5), (3,), 2)
     sol = solve_canonical(prob)
     assert sol.status == "optimal"
     jitters = [ev["max"] for ev in sol.events if ev["event"] == "schur_jitter"]
     assert len(jitters) == 1 and jitters[0] > 0
+    # one factor per iteration but the last, which only checks convergence,
+    # and the failed one
+    assert len(calls) == (sol.iterations - 1) + 1
+
+
+def repeated_constraint_instance(b):
+    """min X11 + X22 over 2x2 X >= 0 with X11 = b[0] and X11 = b[1]."""
+    return canonical_sdp(
+        block_sizes=(2,),
+        c_entries=((0, 0, 0, 1.0), (0, 1, 1, 1.0)),
+        a_entries=(((0, 0, 0, 1.0),), ((0, 0, 0, 1.0),)),
+        b=b,
+    )
+
+
+def test_repeated_constraint_is_dropped_by_presolve():
+    # the repeated row would make the Schur complement singular for every X and S
+    sol = solve_canonical(repeated_constraint_instance((1.0, 1.0)))
+    assert sol.status == "optimal"
+    assert sol.events == [{"event": "presolve", "dropped": 1}]
+    assert abs(sol.primal_obj - 1.0) < 1e-7
+    # the dropped row's multiplier is 0, the kept one carries the dual
+    assert sol.y.shape == (2,) and sol.y[1] == 0.0 and abs(sol.y[0] - 1.0) < 1e-6
+
+
+def test_inconsistent_repeated_constraint_is_infeasible():
+    sol = solve_canonical(repeated_constraint_instance((1.0, 2.0)))
+    assert sol.status == "infeasible" and sol.iterations == 0
+    assert sol.events == [{"event": "stop", "rule": "inconsistent_rows", "iter": 0, "rows": [1]}]
+
+
+def dense_rows(prob):
+    """A as a dense (m, cells) matrix whose row products are <A_i, A_j>."""
+    cells = {}
+    cols = []
+    for i, row in enumerate(entry_rows(prob)[1:]):
+        for blk, r, c, v in row:
+            j = cells.setdefault((blk, r, c), len(cells))
+            cols.append((i, j, v if r == c else math.sqrt(2.0) * v))
+    a = np.zeros((prob.n_constraints, len(cells)))
+    for i, j, v in cols:
+        a[i, j] += v
+    return a
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("constraint", ["unit_ball", "unit_hypercube"])
+def test_presolved_rows_have_full_rank(constraint, order, k):
+    n = 3
+    pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set(constraint, n))
+    seq = iterate_constrained(pop, generator_bases(pop, order), k=k)
+    prob = assemble(pop, [maximal_cliques(g) for g in seq.at(k)]).canonical()[0]
+    m = prob.n_constraints
+    dropped, inconsistent = tssos.solver._dependent_rows(prob, np.empty(m * m), 1e-8)
+    assert len(inconsistent) == 0
+    # exactly the rank deficiency is dropped, and what is left has full row rank
+    assert np.linalg.matrix_rank(dense_rows(prob)) == m - len(dropped)
+    reduced = tssos.solver._without_rows(prob, dropped)
+    assert reduced.n_constraints == m - len(dropped)
+    assert np.linalg.matrix_rank(dense_rows(reduced)) == reduced.n_constraints
+    # the ball's localizing rows repeat each other; the hypercube's do not
+    assert (len(dropped) > 0) == (constraint == "unit_ball")
+
+
+@pytest.mark.parametrize("n, dropped", [(8, 42), (10, 72)])
+def test_ball_relaxations_need_no_schur_jitter(n, dropped):
+    pop = bench.generate(bench.BenchSpec("gen_rosenbrock", n, constraint="unit_ball"))
+    rel = bench.build_relaxation(pop, bench.RunOptions(order=2))
+    sol = solve_canonical(assemble(pop, rel.cliques(1)).canonical()[0])
+    assert sol.status == "optimal"
+    assert sol.events == [{"event": "presolve", "dropped": dropped}]
 
 
 def reference_schur(prob, x_blocks, sinv_blocks):
@@ -597,8 +673,10 @@ def test_schur_matches_dense_product_form(case):
     lay = _Layout(prob)
     got = lay.schur(class_stacks(lay, xb), class_stacks(lay, sb))
     want = reference_schur(prob, xb, sb)
-    assert np.array_equal(got, got.T)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # M is the lower triangle; mirrored, it is the symmetrized product form
+    assert not np.triu(got, 1).any()
+    mirrored = np.tril(got) + np.tril(got, -1).T
+    assert np.abs(mirrored - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_schur_cases_cover_the_block_kinds():
@@ -673,24 +751,26 @@ def many_constraints_instance():
 
 
 @pytest.mark.parametrize("make", [many_constraints_instance, dense_banded_instance])
-def test_schur_holds_two_m_by_m_arrays_and_one_chunk(make, monkeypatch):
+def test_schur_holds_one_m_by_m_array_and_one_chunk(make, monkeypatch):
     monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", 1 << 20)
     prob = make()
     m = prob.n_constraints
     rng = np.random.default_rng(3)
-    lay = _Layout(prob)
-    xs = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
-    ss = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
+    xb = random_pd_blocks(rng, prob.block_sizes)
+    sb = random_pd_blocks(rng, prob.block_sizes)
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        schur = lay.schur(xs, ss)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        lay = _Layout(prob)
+        schur = lay.schur(class_stacks(lay, xb), class_stacks(lay, sb))
+        tssos.solver._factor(schur)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert schur.shape == (m, m)
-    # M and the copy its in-place symmetrization makes, plus one chunk
-    assert peak <= 2.2 * m * m * 8 + (1 << 20), peak / (m * m * 8)
+    assert schur.shape == (m, m) and np.shares_memory(schur, lay.m_acc)
+    index = sum(ch.dest.nbytes for cl in lay.classes for ch in cl.chunks)
+    # M's one buffer and the scatter index, plus one chunk and the layout's
+    # smaller arrays
+    assert peak <= m * m * 8 + index + 2 * (1 << 20), (peak - index) / (m * m * 8)
 
 
 def test_solver_refuses_problem_above_memory_limit(monkeypatch):
@@ -702,10 +782,34 @@ def test_solver_refuses_problem_above_memory_limit(monkeypatch):
 
 
 def test_memory_limit_is_physical_memory_or_lower():
-    import os
-
     limit = tssos.solver._memory_limit()
     assert 0 < limit <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def test_running_out_of_memory_exits_one_without_a_traceback(capsys, monkeypatch):
+    from tssos.cli import main
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(tssos.solver, "_Layout", no_memory)
+    ex1 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples_pop", "ex1.pop")
+    assert main(["solve", ex1, "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 1.00 GiB for an array\n"
+
+
+def test_memory_limit_takes_the_mapped_address_space_off_rlimit_as(monkeypatch):
+    import resource
+
+    cap = 4 << 30
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (cap, resource.RLIM_INFINITY))
+    mapped = tssos.solver._mapped_bytes()
+    # the interpreter with numpy and scipy already maps far more than 64 MiB
+    assert mapped > 64 << 20
+    limit = tssos.solver._memory_limit()
+    assert 0 < limit < cap - (64 << 20)
 
 
 def test_schur_complement_factored_once_per_iteration(monkeypatch):
@@ -713,18 +817,18 @@ def test_schur_complement_factored_once_per_iteration(monkeypatch):
     calls = []
     real = tssos.solver._factor
 
-    def counting(m, out):
-        lo, jitter = real(m, out)
-        calls.append((out, np.shares_memory(lo, out)))
-        return lo, jitter
+    def counting(m):
+        lo, jitter, diag = real(m)
+        calls.append((m.__array_interface__["data"][0], np.shares_memory(lo, m)))
+        return lo, jitter, diag
 
     monkeypatch.setattr(tssos.solver, "_factor", counting)
     sol = solve_canonical(prob)
     assert sol.status == "optimal"
     # the last iteration only checks convergence
     assert len(calls) == sol.iterations - 1
-    # every iteration factors into the same buffer
-    assert all(out is calls[0][0] and inside for out, inside in calls)
+    # every iteration factors M in M's own buffer, the same one
+    assert all(out == calls[0][0] and inside for out, inside in calls)
 
 
 def test_factor_allocates_little_after_the_first():
@@ -734,16 +838,16 @@ def test_factor_allocates_little_after_the_first():
     lay = _Layout(prob)
     xs = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
     ss = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
+    tssos.solver._factor(lay.schur(xs, ss))
     schur = lay.schur(xs, ss)
-    tssos.solver._factor(schur, lay.m_fac)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        lo, _ = tssos.solver._factor(schur, lay.m_fac)
+        lo, _, _ = tssos.solver._factor(schur)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert lo is not None and np.shares_memory(lo, lay.m_fac)
+    assert lo is not None and np.shares_memory(lo, lay.m_acc)
     assert peak < m * m * 8 / 4, peak / (m * m * 8)
 
 
@@ -782,10 +886,21 @@ def test_schur_build_allocates_little_after_the_first():
     assert peak < m * m * 8 / 4, peak / (m * m * 8)
 
 
-def lower_factor_solve(m, lo, rhs):
-    """_solve's refinement, passing the lower factor to cho_solve."""
+def lower_factor_solve(lo, diag, rhs):
+    """_solve's refinement, passing the lower factor to cho_solve.
+
+    M x is formed as _solve forms it: symv on the strict upper triangle of
+    lo, which holds M's, with M's diagonal in place of the factor's.
+    """
+    def m_times(x):
+        held = np.diag(lo).copy()
+        np.fill_diagonal(lo, diag)
+        out = blas.dsymv(1.0, lo, x, lower=0)
+        np.fill_diagonal(lo, held)
+        return out
+
     x = cho_solve((lo, True), rhs, check_finite=False)
-    res = rhs - m @ x
+    res = rhs - m_times(x)
     last = np.inf
     for _ in range(tssos.solver.REFINE_PASSES):
         size = np.linalg.norm(res)
@@ -793,7 +908,7 @@ def lower_factor_solve(m, lo, rhs):
             break
         x += cho_solve((lo, True), res, check_finite=False)
         last = size
-        res = rhs - m @ x
+        res = rhs - m_times(x)
     return x
 
 
@@ -803,28 +918,29 @@ def test_factor_in_buffer_and_solve_match_lapack_bitwise(singular):
     n = 300
     q = rng.normal(size=(n, n - 5 if singular else n))
     m = q @ q.T
-    m = 0.5 * (m + m.T)  # exactly symmetric, as _Layout.schur leaves M
+    m = 0.5 * (m + m.T)  # exactly symmetric
     if singular:  # indefinite, so that the jitter ladder takes several rungs
         m.flat[:: n + 1] -= 1e-7
     kept = m.copy()
-    buf = np.empty_like(m)
-    lo, jitter = tssos.solver._factor(m, buf)
+    buf = np.tril(m)  # M's lower triangle, as _Layout.schur leaves it
+    lo, jitter, diag = tssos.solver._factor(buf)
     assert (jitter > 0) == singular
     assert np.shares_memory(lo, buf)
-    # the factor is potrf's of M + jitter I, and M is not written
+    # the factor is potrf's of M + jitter I, and M's triangle is not written
     shifted = kept.copy()
     shifted.flat[:: n + 1] += jitter
     ref, info = lapack.dpotrf(shifted, lower=1)
     assert info == 0
     assert np.array_equal(np.tril(lo), ref)
-    assert np.array_equal(m, kept)
+    assert np.array_equal(np.tril(buf, -1), np.tril(kept, -1))
+    assert np.array_equal(diag, kept.diagonal())
     rhs = rng.normal(size=n)
-    assert np.array_equal(_solve(m, lo, rhs), lower_factor_solve(m, lo, rhs))
+    assert np.array_equal(_solve(lo, diag, rhs), lower_factor_solve(lo, diag, rhs))
 
 
 def test_factor_gives_up_past_the_last_rung_without_writing_m():
     m = -np.eye(4)
-    lo, jitter = tssos.solver._factor(m, np.empty_like(m))
+    lo, jitter, _ = tssos.solver._factor(m)
     assert lo is None and 0 < jitter < 1
     assert np.array_equal(m, -np.eye(4))
 
