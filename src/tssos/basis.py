@@ -499,14 +499,18 @@ def _newton_candidates(f: Polynomial) -> Tuple[np.ndarray, np.ndarray]:
 
     The candidates are the beta with 2*beta inside the bounding box and the
     degree bound of the hull; more than STANDARD_BASIS_CAP of them is refused.
+    Each point p alone puts its half box 0 <= beta <= p // 2, at least
+    1 + sum(p // 2) candidates, among them, so a point past the cap is refused
+    before the count, whose work grows with the degree.
     """
     points = _grlex_rows(_with_origin(f))
     upper = points.max(axis=0) // 2
     half_deg = int(points.sum(axis=1).max()) // 2
-    count = _box_count(upper.tolist(), half_deg)
+    least = 1 + int((points // 2).sum(axis=1).max())
+    count = least if least > STANDARD_BASIS_CAP else _box_count(upper.tolist(), half_deg)
     if count > STANDARD_BASIS_CAP:
         raise ValueError(
-            f"Newton basis would test {count} candidate monomials "
+            f"Newton basis would test at least {count} candidate monomials "
             f"(more than the {STANDARD_BASIS_CAP} cap); reduce the degree or variable count"
         )
     return points, _box_points(upper, half_deg)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
@@ -419,10 +420,24 @@ def sample_minimum(pop: PopProblem, count: int = 10000, seed: int = 0, spread: f
     return float(best)
 
 
+def json_text(obj) -> str:
+    """obj as indented JSON, with every non-finite float written as null."""
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return v
+
+    return json.dumps(finite(obj), indent=2)
+
+
 def emit_table(rows: Sequence[BenchRow], fmt: str = "markdown") -> str:
     dicts = [r.to_dict() for r in rows]
     if fmt == "json":
-        return json.dumps(dicts, indent=2)
+        return json_text(dicts)
     headers = ["instance", "k", "bs", "rbs", "mc", "n_eq", "opt", "status", "time", "stabilized"]
     if fmt == "csv":
         buf = io.StringIO()

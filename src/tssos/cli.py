@@ -26,6 +26,7 @@ from .bench import (
     RunOptions,
     build_relaxation,
     emit_table,
+    json_text,
     run_pipeline,
 )
 from .graphs import clique_report
@@ -118,7 +119,7 @@ def cmd_solve(args) -> int:
     if rel.seq is not None:
         payload["stabilized_at"] = rel.seq.stabilized_at
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         print(f"bound:      {res.bound:.10g}")
         print(f"status:     {res.status}")

@@ -11,11 +11,17 @@ lexicographically with x1 heaviest, so ``1 < x1 < x2 < x1^2 < x1*x2 < x2^2``.
 This single ordering is used everywhere a deterministic node or basis index
 is needed.
 
-Text input uses a small grammar: terms separated by ``+``/``-``, each term an
-optional real coefficient and ``*``-separated factors ``x<i>`` or ``x<i>^<k>``
-with 1-based variable indices.  A whole problem file is an objective, then an
-optional ``subject to`` line followed by one constraint polynomial per line,
-every constraint meaning ``g >= 0``.
+Text input uses a small grammar.  A polynomial is a sequence of terms, each
+after the first opening with a run of ``+``/``-`` signs.  A term is a finite
+real coefficient, ``*``-separated factors ``x<i>`` or ``x<i>^<k>`` (1-based
+index, k >= 1), or a coefficient glued to its first factor by ``*``, blanks or
+nothing (``2*x1``, ``2 x1``, ``2x1``), but not by a line break.  Variables are
+never multiplied by juxtaposition, and a term's degree must fit in int64.
+A whole problem file is an optional ``vars <n>`` line, an objective that may
+span lines, then an optional ``subject to`` line followed by one constraint
+polynomial per line, every constraint meaning ``g >= 0``.  ``#`` starts a
+comment; without a ``vars`` line the variable count is the largest index in
+the parsed terms, so comment text never counts.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -223,118 +229,84 @@ class ParseError(ValueError):
     pass
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<var>x\d+)"
-    r"|(?P<op>[-+*^()]))"
+# One term: a run of signs (required before every term but the first), then a
+# coefficient, '*'-separated factors x<i> or x<i>^<k>, or both, the coefficient
+# glued to its first factor by '*', blanks or nothing, but not by a line break.
+_TERM = re.compile(
+    r"(?P<signs>(?:[-+]\s*)+)?"
+    r"(?P<coeff>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)?"
+    r"(?P<factors>(?(coeff)(?:\s*\*\s*|[^\S\n]*))"
+    r"x\d+(?:\s*\^\s*\d+)?(?:\s*\*\s*x\d+(?:\s*\^\s*\d+)?)*)?"
+    r"\s*"
 )
+_INT64_MAX = 2 ** 63 - 1
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
+def _parse_terms(text: str) -> list:
+    """The (coefficient, [(variable, power), ...]) terms of a polynomial text, in order."""
+    terms = []
+    pos = len(text) - len(text.lstrip())
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        if m.group("num") is not None:
-            out.append(("num", m.group("num"), pos))
-        elif m.group("var") is not None:
-            out.append(("var", m.group("var"), pos))
-        else:
-            out.append(("op", m.group("op"), pos))
+        m = _TERM.match(text, pos)
+        signs, coeff, factors = m.group("signs", "coeff", "factors")
+        if coeff is None and factors is None:
+            raise ParseError(f"expected a coefficient or x<i> at position {m.end()}")
+        if terms and signs is None:
+            raise ParseError(f"expected '+' or '-' at position {pos}; products need '*'")
+        c = -1.0 if signs is not None and signs.count("-") % 2 else 1.0
+        if coeff is not None:
+            c *= float(coeff)
+        powers = []
+        try:
+            for factor in (factors or "").split("*"):
+                var, _, power = factor.strip().partition("^")
+                if var:
+                    powers.append((int(var[1:]), int(power) if power else 1))
+        except ValueError:  # more digits than int() reads
+            raise ParseError(f"number too long at position {pos}") from None
+        if any(k == 0 for _, k in powers):
+            raise ParseError(f"zero exponent at position {pos}")
+        if sum(k for _, k in powers) > _INT64_MAX:
+            raise ParseError(f"term degree beyond 2^63 - 1 at position {pos}")
+        terms.append((c, powers))
         pos = m.end()
-    return out
+    if not terms:
+        raise ParseError("empty polynomial")
+    return terms
+
+
+def _polynomial(terms: list, nvars: int) -> Polynomial:
+    """The sum of the terms, like terms added in input order, exact zeros dropped."""
+    out: Dict[Exponent, float] = {}
+    for c, powers in terms:
+        expo = [0] * nvars
+        for i, k in powers:
+            if not 1 <= i <= nvars:
+                raise ParseError(f"variable x{i} out of range 1..x{nvars}")
+            expo[i - 1] += k
+        key = tuple(expo)
+        out[key] = out.get(key, 0.0) + c
+    for key, c in out.items():
+        if not math.isfinite(c):
+            raise ParseError(f"coefficient {c} of {Polynomial.monomial(nvars, key)} is not finite")
+    return Polynomial(nvars, {a: c for a, c in out.items() if c != 0.0})
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse a polynomial in the ``3*x1^2*x2 - x3 + 1.5`` style.
 
-    Terms are separated by + and -, factors inside a term by ``*``.  A term is
-    an optional coefficient followed by ``x<i>`` or ``x<i>^<k>`` factors.  Like
-    terms are merged; terms cancelling exactly disappear.
+    Like terms are merged; terms cancelling exactly disappear.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial")
-    terms: Dict[Exponent, float] = {}
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1.0
-        # leading signs (allow a run of +/-)
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise ParseError("dangling sign at end of input")
-        coeff = sign
-        expo = [0] * nvars
-        saw_factor = False
-        expect_factor = True
-        while i < n:
-            kind, val, pos = tokens[i]
-            if kind == "num":
-                if saw_factor:
-                    raise ParseError(f"coefficient after variable at position {pos}")
-                coeff *= float(val)
-                saw_factor = True
-                expect_factor = False
-                i += 1
-            elif kind == "var":
-                idx = int(val[1:])
-                if not 1 <= idx <= nvars:
-                    raise ParseError(f"variable {val} out of range 1..x{nvars} at position {pos}")
-                power = 1
-                if i + 1 < n and tokens[i + 1][:2] == ("op", "^"):
-                    if i + 2 >= n or tokens[i + 2][0] != "num":
-                        raise ParseError(f"missing exponent after '^' at position {pos}")
-                    ptext = tokens[i + 2][1]
-                    if not ptext.isdigit():
-                        raise ParseError(f"exponent must be a positive integer at position {pos}")
-                    power = int(ptext)
-                    if power == 0:
-                        raise ParseError(f"zero exponent at position {pos}")
-                    i += 2
-                expo[idx - 1] += power
-                saw_factor = True
-                expect_factor = False
-                i += 1
-            elif kind == "op" and val == "*":
-                if expect_factor:
-                    raise ParseError(f"unexpected '*' at position {pos}")
-                expect_factor = True
-                i += 1
-            elif kind == "op" and val in "+-":
-                break
-            else:
-                raise ParseError(f"unexpected token {val!r} at position {pos}")
-        if expect_factor and saw_factor:
-            raise ParseError("dangling '*' at end of term")
-        if not saw_factor:
-            raise ParseError("empty term")
-        key = tuple(expo)
-        terms[key] = terms.get(key, 0.0) + coeff
-    return Polynomial(nvars, {a: c for a, c in terms.items() if c != 0.0})
-
-
-def infer_nvars(text: str) -> int:
-    """Largest variable index mentioned anywhere in the text."""
-    best = 0
-    for m in re.finditer(r"x(\d+)", text):
-        best = max(best, int(m.group(1)))
-    return best
+    return _polynomial(_parse_terms(text), nvars)
 
 
 def parse_pop(text: str, nvars: int | None = None) -> PopProblem:
     """Parse a whole problem: objective, then constraints under 'subject to'.
 
-    Lines starting with '#' are comments.  An optional leading ``vars <n>``
-    line pins the variable count; otherwise it is inferred as the largest
-    index used.  Every constraint line means g(x) >= 0.
+    '#' starts a comment to the end of its line.  An optional leading
+    ``vars <n>`` line pins the variable count; otherwise it is the largest
+    variable index in the objective and constraints.  Every constraint line
+    means g(x) >= 0.
     """
     lines = []
     for raw in text.splitlines():
@@ -358,13 +330,13 @@ def parse_pop(text: str, nvars: int | None = None) -> PopProblem:
     con_lines = [] if split is None else lines[split + 1:]
     if not obj_lines:
         raise ParseError("no objective polynomial found")
+    parsed = [_parse_terms("\n".join(obj_lines))] + [_parse_terms(line) for line in con_lines]
     if nvars is None:
-        nvars = infer_nvars(text)
+        nvars = max((i for terms in parsed for _, powers in terms for i, _ in powers), default=0)
         if nvars == 0:
             raise ParseError("could not infer variable count (no x<i> in input)")
-    objective = parse_polynomial(" ".join(obj_lines), nvars)
-    constraints = tuple(parse_polynomial(line, nvars) for line in con_lines)
-    return PopProblem(objective, constraints)
+    objective, *constraints = (_polynomial(terms, nvars) for terms in parsed)
+    return PopProblem(objective, tuple(constraints))
 
 
 def monomials_up_to(nvars: int, degree: int) -> list:

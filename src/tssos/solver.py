@@ -99,6 +99,8 @@ SCHUR_CHUNK_BYTES = 1 << 23
 REFINE_PASSES = 4
 # width of the strips in which _factor copies M's triangle onto the other
 MIRROR_TILE = 64
+# share of the way to the cone boundary that each step goes
+STEP_FRACTION = 0.98
 _UPPER = np.triu(np.ones((MIRROR_TILE, MIRROR_TILE), dtype=bool), 1)
 
 
@@ -171,7 +173,6 @@ class SolverConfig:
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iters: int = 200
-    step_fraction: float = 0.98
     verbose: bool = False
 
 
@@ -936,10 +937,9 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, buf: np.ndarray) -> S
         corr = [dx @ ds for dx, ds in zip(dx_aff, ds_aff)]
         dxs, dy, dss = direction(sigma * mu, corr)
 
-        tau = cfg.step_fraction
         steps = [_step_lengths(*a) for a in zip(linvs, dxs, dss)]
-        ap = min(1.0, tau * min((p for p, _ in steps), default=np.inf))
-        ad = min(1.0, tau * min((d for _, d in steps), default=np.inf))
+        ap = min(1.0, STEP_FRACTION * min((p for p, _ in steps), default=np.inf))
+        ad = min(1.0, STEP_FRACTION * min((d for _, d in steps), default=np.inf))
         if ap <= 1e-12 and ad <= 1e-12:
             stop("tiny_steps")
             status = "numerical"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tssos.bench import (
+    BenchRow,
     BenchSpec,
     RunOptions,
     broyden_banded,
@@ -13,6 +14,7 @@ from tssos.bench import (
     emit_table,
     gen_rosenbrock,
     generate,
+    json_text,
     min_half_degree,
     mod_chained_singular,
     mod_gen_rosenbrock,
@@ -275,3 +277,12 @@ def test_order_sets_the_standard_basis_degree(capsys):
         pop = parse_pop(fh.read())
     with pytest.raises(ValueError, match="--basis standard"):
         run_pop(pop, RunOptions(order=2))
+
+
+def test_json_text_writes_non_finite_floats_as_null():
+    rows = [BenchRow("x", 1, 3, None, 2, 4, float("nan"), "numerical", 0.5, False)]
+    text = emit_table(rows, "json")
+    assert json.loads(text, parse_constant=lambda name: pytest.fail(name)) == [
+        {"instance": "x", "k": 1, "bs": 3, "rbs": None, "mc": 2, "n_eq": 4, "opt": None,
+         "status": "numerical", "time": 0.5, "stabilized": False}]
+    assert json.loads(json_text({"a": (float("inf"), -float("inf"), 1.5)})) == {"a": [None, None, 1.5]}

@@ -337,3 +337,47 @@ def test_solution_needs_the_external_solver(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: --solution needs --solver external\n"
+
+
+COMMENTED_BALL = ("# scaled down from the x40 model\n"
+                  "x1^4 + x2^4 - x1*x2\nsubject to\n1 - x1^2 - x2^2\n")
+
+
+def test_comment_text_does_not_set_the_variable_count(capsys, tmp_path):
+    path = tmp_path / "ball.pop"
+    path.write_text(COMMENTED_BALL)
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    d = json.loads(out)
+    assert code == 0
+    assert (d["bs"], d["n_equalities"]) == (6, 9)
+
+
+@pytest.mark.parametrize("text", [
+    "x1^4 + x2^4 - x1 x2\n",
+    "x1^4 + x2^4 - x1x2\n",
+    "x1^4 + x2^4 - 2\nx1*x2\n",
+    "1e999*x1^2 + 1\n",
+    "vars 1\nx1^99999999999999999999\n",
+    "vars 2\nx1^4611686018427387904*x2^4611686018427387904 + 1\n",
+    "vars 1\nx1^4000000000 + 1\n",
+])
+def test_malformed_input_exits_one(capsys, tmp_path, text):
+    path = tmp_path / "bad.pop"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", str(path), "--json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_json_writes_non_finite_numbers_as_null(capsys, tmp_path):
+    path = tmp_path / "wide.pop"
+    path.write_text("1e200*x1^2 + 1e-200*x2^2 + 1\n")
+    _, out, _ = run(capsys, "solve", str(path), "--json")
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    d = json.loads(out, parse_constant=refuse)
+    assert d["status"] in {"optimal", "numerical", "max_iter", "infeasible", "unbounded"}

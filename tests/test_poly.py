@@ -1,8 +1,13 @@
+import functools
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from tssos import bench
 
 from tssos.poly import (
     ParseError,
@@ -10,7 +15,6 @@ from tssos.poly import (
     PopProblem,
     count_monomials,
     grlex_key,
-    infer_nvars,
     monomials_up_to,
     parse_polynomial,
     parse_pop,
@@ -88,9 +92,17 @@ def test_parse_errors_carry_positions():
         parse_polynomial("2 ** x1", 1)
 
 
-def test_infer_nvars():
-    assert infer_nvars("x2*x5 + 1") == 5
-    assert infer_nvars("3.0") == 0
+def test_parse_pop_takes_nvars_from_the_largest_index():
+    assert parse_pop("x2*x5 + 1").nvars == 5
+    with pytest.raises(ParseError, match="could not infer"):
+        parse_pop("3.0")
+
+
+def test_parse_pop_ignores_comments_for_the_variable_count():
+    text = "# from the x40 model\nx1^4 + x2^4 - x1*x2\nsubject to\n1 - x1^2 - x2^2\n"
+    pop = parse_pop(text)
+    assert pop.nvars == 2
+    assert pop == parse_pop(text.split("\n", 1)[1])
 
 
 def test_parse_pop_with_constraints_and_comments():
@@ -180,3 +192,96 @@ def test_product_evaluates_pointwise(f, g):
 def test_vars_zero_is_a_parse_error():
     with pytest.raises(ParseError, match="at least one variable"):
         parse_pop("vars 0\n1\n")
+
+
+def test_products_need_a_star_between_variables():
+    for text in ("x1 x2", "x1x2", "x1^2x2", "x1^2 x2 + 1"):
+        with pytest.raises(ParseError, match="products need"):
+            parse_polynomial(text, 2)
+    want = parse_polynomial("2*x1*x2", 2)
+    for text in ("2x1*x2", "2 x1*x2", "2 * x1 * x2", "2\t*x1 *x2"):
+        assert parse_polynomial(text, 2) == want
+
+
+def test_a_coefficient_does_not_reach_across_a_line():
+    with pytest.raises(ParseError, match="position"):
+        parse_pop("x1^4 + 2\nx2^4")
+    with pytest.raises(ParseError):
+        parse_pop("x1^4 + x2^4\nx1*x2")
+    want = parse_pop("x1^4 + 2*x2^4")
+    for text in ("x1^4 + 2*\nx2^4", "x1^4 +\n2 x2^4", "x1^4\n+ 2x2^4", "x1^4 + 2\n*x2^4"):
+        assert parse_pop(text) == want
+
+
+def test_errors_name_the_position():
+    with pytest.raises(ParseError, match="position 5"):
+        parse_polynomial("x1 + * x2", 2)
+    with pytest.raises(ParseError, match="position 3"):
+        parse_polynomial("x1 x2", 2)
+    with pytest.raises(ParseError, match="empty"):
+        parse_polynomial(" \t", 1)
+
+
+def test_non_finite_coefficients_are_refused():
+    for text in ("1e999*x1^2 + 1", "1e308*x1 + 1e308*x1", "1e999*x1 - 1e999*x1"):
+        with pytest.raises(ParseError, match="not finite"):
+            parse_polynomial(text, 1)
+
+
+def test_degrees_must_fit_int64():
+    assert parse_polynomial(f"x1^{2 ** 63 - 1}", 1).degree() == 2 ** 63 - 1
+    for text in ("x1^99999999999999999999", "x1^4611686018427387904*x2^4611686018427387904 + 1",
+                 "x1^" + "1" * 5000):
+        with pytest.raises(ParseError):
+            parse_polynomial(text, 2)
+    with pytest.raises(ParseError, match="zero exponent"):
+        parse_polynomial("x1^00", 1)
+
+
+def _perfbench_suite():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "suite.py"
+    spec = importlib.util.spec_from_file_location("perfbench_suite", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SUITE = _perfbench_suite()
+family = functools.lru_cache(maxsize=None)(lambda name, n: getattr(bench, name)(n))
+NAMED = ("broyden_banded", "broyden_tridiagonal", "gen_rosenbrock", "mod_gen_rosenbrock",
+         "mod_chained_singular")
+INSTANCE_TEXTS = (
+    [pytest.param(lambda name=name: SUITE.generate(name), id=name) for name in SUITE.INSTANCES]
+    + [pytest.param(lambda fam=fam, con=con, n=n: PopProblem(family(fam, n),
+                                                             bench.constraint_set(con, n)),
+                    id=f"{fam}_{con}_{n}")
+       for fam in NAMED for con in bench.CONSTRAINT_SETS for n in (4, 12, 40)]
+    + [pytest.param(lambda seed=seed: PopProblem(bench.randpoly1(8, 8, 30, 0.1, seed)),
+                    id=f"randpoly1_seed{seed}") for seed in range(10)]
+    + [pytest.param(lambda seed=seed: PopProblem(bench.randpoly2(6, 6, 20, seed)),
+                    id=f"randpoly2_seed{seed}") for seed in range(10)]
+)
+
+
+@pytest.mark.parametrize("make", INSTANCE_TEXTS)
+def test_instance_texts_parse_to_the_generated_problem(make):
+    pop = make()
+    got = parse_pop(SUITE.pop_text(pop))
+    assert got.nvars == pop.nvars
+    assert got.objective.terms == pop.objective.terms
+    assert [g.terms for g in got.constraints] == [g.terms for g in pop.constraints]
+
+
+TERM_PIECES = ["x1", "x2", "x3", "x0", "x4", "x01^02", "x", "^", "^0", "^2", "*", "**", "+", "-",
+               " ", "\t", "\n", "(", ")", "1e", "1e5", "1e999", ".5", "3.", "2", "0", "e", "#"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TERM_PIECES), max_size=12).map("".join))
+def test_parsers_raise_nothing_but_parse_error(text):
+    # the vars line keeps exponent lists short whatever index the text names
+    for parse in (lambda: parse_polynomial(text, 3), lambda: parse_pop("vars 3\n" + text)):
+        try:
+            parse()
+        except ParseError:
+            pass
