@@ -33,7 +33,7 @@ import numpy as np
 
 from .basis import _ExponentSet, exponent_keys
 from .graphs import CliqueDecomposition
-from .poly import Polynomial, PopProblem, grlex_key
+from .poly import Polynomial, PopProblem, grlex_order
 from .solver import CanonicalSdp, SolverConfig, SolverSolution, solve_canonical
 
 SIDES = ("sos", "moment")
@@ -175,7 +175,7 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
         clique, a, b, u, v = _clique_cells(dec)
         blk = clique + len(block_sizes)
         block_sizes.extend(len(c) for c in dec.cliques)
-        terms.append(g.arrays())
+        terms.append((g.rows, g.coeffs))
         for _ in terms[-1][1]:  # parts holds one entry per term so far
             parts.append((blk, a, b, u + first_node, v + first_node, np.full(len(a), len(parts))))
         nodes.append(dec.basis.array)
@@ -190,8 +190,7 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
     )
     distinct, group = sums.rows(np.arange(len(sums))), sums.member_of
     coeff = coeffs[term]
-    # graded lex: total degree first, then x1's exponent downwards, then x2's, ...
-    order = np.lexsort(np.vstack([-distinct[:, ::-1].T, distinct.sum(axis=1)]))
+    order = grlex_order(distinct)
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     row = rank[group]
@@ -201,12 +200,13 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
         raise ValueError("constant monomial missing: no alpha = 0 row")
 
     # f's support looked up among the rows: its coefficients are the rhs
-    supp, f_coeffs = f.arrays()
+    supp, f_coeffs = f.rows, f.coeffs
     member = sums.find(exponent_keys(supp), supp.__getitem__)
     missing = member < 0
     if missing.any():
-        absent = sorted(map(tuple, supp[missing].tolist()), key=grlex_key)
-        raise ValueError(f"unrepresentable support: {absent[:5]} not realized by the cliques")
+        absent = supp[missing][grlex_order(supp[missing])][:5]
+        raise ValueError(f"unrepresentable support: {list(map(tuple, absent.tolist()))} "
+                         "not realized by the cliques")
     rhs = np.zeros(len(alphas))
     rhs[rank[member]] = f_coeffs
     return BlockSdp(nvars=n, side=side, block_sizes=block_sizes, alphas=alphas, rhs=rhs,
@@ -269,5 +269,5 @@ def reconstruct_certificate(
         sums = _ExponentSet(keys[u] + keys[v], lambda idx: rows[u[idx]] + rows[v[idx]])
         distinct, group = sums.rows(np.arange(len(sums))), sums.member_of
         coeffs = np.bincount(group, weights=np.concatenate(cells), minlength=len(distinct))
-        total = total + g * Polynomial.from_arrays(n, distinct, coeffs)
+        total = total + g * Polynomial(n, distinct, coeffs)
     return total

@@ -29,8 +29,7 @@ looked up, with d - beta, in the basis's own set.  That costs
 O(|targets| * |shifts| * prod(d_k + 1)), whatever the basis size r.
 
 Bases are value objects: a graded lex sorted int64 array of exponents.
-Positions are looked up in the rows' _ExponentSet; the exponent tuples are
-formed only when asked for.
+Positions are looked up in the rows' _ExponentSet.
 """
 
 from __future__ import annotations
@@ -38,14 +37,13 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from .poly import Exponent, Polynomial, PopProblem
+from .poly import STANDARD_BASIS_CAP, Polynomial, PopProblem, grlex_order
 
-STANDARD_BASIS_CAP = 10 ** 7
 NEWTON_LP_TOL = 1e-9
 # only a candidate whose NNLS residual has L1 norm at most this gets its weights checked
 NEWTON_RESIDUAL_TOL = 1e-7
@@ -86,13 +84,10 @@ def exponent_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _grlex_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct exponent rows in graded lex order (x1 heaviest within a degree).
-
-    That is the reverse of the lexicographic order of (-degree, x1, ..., xn).
-    """
+    """The distinct exponent rows in graded lex order (x1 heaviest within a degree)."""
     if not len(rows):
         return rows
-    rows = rows[np.lexsort((*rows.T[::-1], -rows.sum(axis=1)))[::-1]]
+    rows = rows[grlex_order(rows)]
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return rows if keep.all() else rows[keep]
@@ -101,18 +96,17 @@ def _grlex_rows(rows: np.ndarray) -> np.ndarray:
 class MonomialBasis:
     """An ordered set of exponents, graded lex.
 
-    Held as a read-only (len, nvars) int64 array.  The _ExponentSet of the
-    rows (key_set) is formed on first use and answers find, index and in;
-    the tuples of monos are formed only for callers that ask for them.
+    Held as a read-only (len, nvars) int64 array, built from exponent rows
+    (an array or a sequence of rows).  The _ExponentSet of the rows
+    (key_set) is formed on first use and answers find, index and in.
     """
 
-    __slots__ = ("nvars", "array", "_monos", "_set")
+    __slots__ = ("nvars", "array", "_set")
 
-    def __init__(self, nvars: int, monos: Iterable[Exponent] | np.ndarray):
-        if not isinstance(monos, np.ndarray):
-            monos = list(monos)
-            monos = np.array(monos, dtype=np.int64).reshape(len(monos), -1 if monos else nvars)
-        rows = monos.astype(np.int64)  # a copy, so the basis owns its array
+    def __init__(self, nvars: int, rows):
+        rows = np.array(rows, dtype=np.int64)  # a copy, so the basis owns its array
+        if not rows.size:
+            rows = rows.reshape(0, nvars)
         if rows.ndim != 2 or rows.shape[1] != nvars:
             raise ValueError(f"exponent rows of shape {rows.shape} for {nvars} variables")
         negative = rows[(rows < 0).any(axis=1)]
@@ -122,21 +116,10 @@ class MonomialBasis:
         rows.flags.writeable = False
         self.nvars = nvars
         self.array = rows
-        self._monos: Optional[Tuple[Exponent, ...]] = None
         self._set: Optional[_ExponentSet] = None
-
-    @property
-    def monos(self) -> Tuple[Exponent, ...]:
-        """The exponents as tuples, in basis order."""
-        if self._monos is None:
-            self._monos = tuple(map(tuple, self.array.tolist()))
-        return self._monos
 
     def __len__(self) -> int:
         return len(self.array)
-
-    def __iter__(self):
-        return iter(self.monos)
 
     def __contains__(self, alpha) -> bool:
         return len(alpha) == self.nvars and self.find([alpha])[0] >= 0
@@ -151,7 +134,7 @@ class MonomialBasis:
     def __hash__(self):
         return hash((self.nvars, self.array.tobytes()))
 
-    def index(self, alpha: Exponent) -> int:
+    def index(self, alpha: Sequence[int]) -> int:
         if alpha not in self:
             raise KeyError(alpha)
         return int(self.find([alpha])[0])
@@ -445,7 +428,7 @@ def generator_bases(pop: PopProblem, d_hat: int) -> List[MonomialBasis]:
     return [by_half[h] for h in half]
 
 
-def _in_half_polytope(beta: Exponent, points: np.ndarray) -> bool:
+def _in_half_polytope(beta: Sequence[int], points: np.ndarray) -> bool:
     """Is 2*beta a convex combination of the rows of points?
 
     Decided by LP feasibility: find lambda >= 0 with sum(lambda) = 1 and
@@ -491,7 +474,7 @@ def _box_points(upper: np.ndarray, degree: int) -> np.ndarray:
 
 def _with_origin(f: Polynomial) -> np.ndarray:
     """The exponent rows of supp(f), then the origin."""
-    return np.vstack([f.arrays()[0], np.zeros((1, f.nvars), dtype=np.int64)])
+    return np.vstack([f.rows, np.zeros((1, f.nvars), dtype=np.int64)])
 
 
 def _newton_candidates(f: Polynomial) -> Tuple[np.ndarray, np.ndarray]:
@@ -643,7 +626,7 @@ def newton_half_basis(f: Polynomial) -> MonomialBasis:
     also cuts the candidates still waiting.  Only a candidate no proof
     decides gets its own feasibility LP (_in_half_polytope).
     """
-    supp = f.arrays()[0]
+    supp = f.rows
     if not len(supp):
         raise ValueError("zero polynomial has no Newton polytope")
     if len(supp) == 1 and (supp % 2).any():
@@ -656,7 +639,7 @@ def newton_half_basis(f: Polynomial) -> MonomialBasis:
 # -- shrinking -------------------------------------------------------------------
 
 
-def generate_basis(support: Iterable[Exponent] | np.ndarray, base: MonomialBasis) -> List[MonomialBasis]:
+def generate_basis(support, base: MonomialBasis) -> List[MonomialBasis]:
     """Increasing chain of sub-bases that can still reach the support.
 
     Starting from B_0 empty, step p keeps every pair {beta, gamma} of the
@@ -664,13 +647,11 @@ def generate_basis(support: Iterable[Exponent] | np.ndarray, base: MonomialBasis
     B_2, ... is returned up to stabilization (B_p == B_{p-1}).  The last
     element is the useful shrunken basis.
 
-    The support is given as exponents or as an integer array of exponent
-    rows.  Each step is one _linked_pairs search of the base's pair sums
-    over that target set, plus a lookup of the doubled base elements.
+    The support is given as exponent rows.  Each step is one _linked_pairs
+    search of the base's pair sums over that target set, plus a lookup of
+    the doubled base elements.
     """
-    if not isinstance(support, np.ndarray):
-        support = np.array(list(support), dtype=np.int64)
-    support = support.reshape(-1, base.nvars)
+    support = np.asarray(support, dtype=np.int64).reshape(-1, base.nvars)
     rows = base.array
     diag_keys = exponent_keys(2 * rows)
     chain: List[MonomialBasis] = []
@@ -726,7 +707,7 @@ def reduce_basis_constrained(
     n = pop.nvars
     basis0, *loc_bases = generator_bases(pop, d_hat)
     fixed = _with_origin(pop.objective)
-    shifts = [g.arrays()[0] for g in pop.constraints]
+    shifts = [g.rows for g in pop.constraints]
     while True:
         seq = iterate_constrained(pop, [basis0] + loc_bases, k=k, mode=mode)
         if rounds is not None:

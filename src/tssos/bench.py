@@ -146,18 +146,13 @@ def randpoly1(n: int, deg: int, terms: int, prob: float, seed: int) -> Polynomia
     if not 0 < prob <= 1:
         raise ValueError("prob must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    from .poly import monomials_up_to
-
-    candidates = monomials_up_to(n, deg // 2)
-    picked: List = []
-    while not picked:
-        mask = rng.random(len(candidates)) < prob
-        picked = [m for m, keep in zip(candidates, mask) if keep]
+    candidates = standard_basis(n, deg // 2).array
+    picked = candidates[:0]
+    while not len(picked):
+        picked = candidates[rng.random(len(candidates)) < prob]
     owner = rng.integers(0, terms, size=len(picked))
     coeffs = rng.uniform(-1.0, 1.0, size=len(picked))
-    parts = [Polynomial.zero(n) for _ in range(terms)]
-    for m, o, c in zip(picked, owner, coeffs):
-        parts[o] = parts[o] + Polynomial.monomial(n, m, float(c))
+    parts = [Polynomial(n, picked[owner == o], coeffs[owner == o]) for o in range(terms)]
     total = Polynomial.zero(n)
     for p in parts:
         total = total + p * p
@@ -170,14 +165,12 @@ def randpoly2(n: int, deg: int, terms: int, seed: int) -> Polynomial:
     if terms < n + 1:
         raise ValueError("randpoly2 needs at least n + 1 terms")
     rng = np.random.default_rng(seed)
-    from .poly import monomials_up_to
-
     total = Polynomial.constant(n, float(rng.uniform(0.0, 1.0)))
     for i in range(1, n + 1):
         e = [0] * n
         e[i - 1] = deg
         total = total + Polynomial.monomial(n, e, float(rng.uniform(0.0, 1.0)))
-    pool = [m for m in monomials_up_to(n, deg - 1) if any(m)]
+    pool = standard_basis(n, deg - 1).array[1:]  # graded lex: row 0 is the constant
     extra = terms - n - 1
     if extra > len(pool):
         raise ValueError(f"randpoly2 cannot place {extra} extra terms in {len(pool)} slots")

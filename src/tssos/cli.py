@@ -104,7 +104,7 @@ def cmd_solve(args) -> int:
             bound = offset - value
             status = payload.get("status", "unknown")
             out = {"bound": bound, "status": status, "side": args.side, "solver": "external"}
-            print(json.dumps(out, indent=2) if args.json else
+            print(json_text(out) if args.json else
                   f"bound:  {bound:.10g}\nstatus: {status} (external)")
             return 0 if status == "optimal" else 2
 
@@ -149,7 +149,7 @@ def cmd_report(args) -> int:
     report["sos_scalar_variables"] = sdp.scalar_variable_count()
     report["moment_scalar_variables"] = sdp.moment_variable_count()
     report["n_equalities"] = sdp.n_equalities
-    print(json.dumps(report, indent=2))
+    print(json_text(report))
     return 0
 
 

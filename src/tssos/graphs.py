@@ -57,7 +57,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .basis import MonomialBasis, RowsOf, _ExponentSet, _linked_pairs, _rows_set, exponent_keys
-from .poly import Exponent, Polynomial, PopProblem
+from .poly import Polynomial, PopProblem
 
 Edge = Tuple[int, int]
 
@@ -130,16 +130,6 @@ class MonomialGraph:
             adj[j].add(i)
         return adj
 
-    def support(self) -> Set[Exponent]:
-        """All exponents realized as a sum of two adjacent nodes.
-
-        The diagonal contributes 2*beta for every node beta, matching the
-        implicit self-loops.
-        """
-        rows = self.basis.array
-        a, b = _support_pairs(self)
-        return set(map(tuple, (rows[a] + rows[b]).tolist()))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonomialGraph)
@@ -155,13 +145,17 @@ class MonomialGraph:
 
 
 def _support_pairs(graph: MonomialGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """Node index arrays a, b whose sums basis[a] + basis[b] make up graph.support()."""
+    """Node index arrays a, b whose sums basis[a] + basis[b] make up the graph's support.
+
+    The support is every sum of two adjacent nodes; the diagonal contributes
+    2*beta for every node beta, matching the implicit self-loops.
+    """
     diag = np.arange(graph.n_nodes)
     return np.concatenate([diag, graph.pairs[:, 0]]), np.concatenate([diag, graph.pairs[:, 1]])
 
 
 def _support_items(graph: MonomialGraph) -> Tuple[np.ndarray, RowsOf]:
-    """Keys and rows_of of the sums basis[a] + basis[b] that make up graph.support()."""
+    """Keys and rows_of of the sums basis[a] + basis[b] that make up the graph's support."""
     rows = graph.basis.array
     a, b = _support_pairs(graph)
     keys = exponent_keys(rows)
@@ -169,12 +163,12 @@ def _support_items(graph: MonomialGraph) -> Tuple[np.ndarray, RowsOf]:
 
 
 def _support_set(graph: MonomialGraph) -> _ExponentSet:
-    """graph.support() as an _ExponentSet."""
+    """The graph's support as an _ExponentSet."""
     return _ExponentSet(*_support_items(graph))
 
 
 def _new_support(graph: MonomialGraph, searched: _ExponentSet) -> Optional[_ExponentSet]:
-    """The part of graph.support() outside searched, or None when it is all in there."""
+    """The part of the graph's support outside searched, or None when it is all in there."""
     keys, rows_of = _support_items(graph)
     new = np.flatnonzero(~searched.contains(keys, rows_of))
     if not len(new):
@@ -182,10 +176,10 @@ def _new_support(graph: MonomialGraph, searched: _ExponentSet) -> Optional[_Expo
     return _ExponentSet(keys[new], lambda idx: rows_of(new[idx]))
 
 
-def _tsp_targets(f: Polynomial, basis: MonomialBasis, extra: Iterable[Exponent] | np.ndarray) -> _ExponentSet:
-    """supp(f), the extra support exponents (or exponent rows) and all doubled basis monomials."""
-    extra = np.array(extra if isinstance(extra, np.ndarray) else list(extra), dtype=np.int64)
-    return _rows_set(np.concatenate([f.arrays()[0], extra.reshape(-1, basis.nvars), 2 * basis.array]))
+def _tsp_targets(f: Polynomial, basis: MonomialBasis, extra) -> _ExponentSet:
+    """supp(f), the extra support exponent rows and all doubled basis monomials."""
+    extra = np.asarray(extra, dtype=np.int64).reshape(-1, basis.nvars)
+    return _rows_set(np.concatenate([f.rows, extra, 2 * basis.array]))
 
 
 def _linked(
@@ -203,11 +197,11 @@ def _linked(
 def tsp_graph(
     f: Polynomial,
     basis: MonomialBasis,
-    extra_support: Iterable[Exponent] = (),
+    extra_support=(),
 ) -> MonomialGraph:
     """Initial sparsity graph: link monomials whose sum hits the support.
 
-    The target set is supp(f), any extra support exponents (constraint
+    The target set is supp(f), any extra support exponent rows (constraint
     supports in the constrained setting), and all doubled basis monomials.
     """
     return _linked(MonomialGraph(basis, ()), _tsp_targets(f, basis, extra_support))
@@ -490,7 +484,7 @@ def iterate_constrained(
         raise ValueError("k must be >= 1")
     if len(bases) != len(pop.constraints) + 1:
         raise ValueError(f"expected {len(pop.constraints) + 1} bases, got {len(bases)}")
-    shifts = [g.arrays()[0] for g in pop.constraints]
+    shifts = [g.rows for g in pop.constraints]
     extra = np.concatenate([np.zeros((0, pop.nvars), dtype=np.int64), *shifts])
 
     def with_seed(graph: MonomialGraph, level: int, j: int) -> MonomialGraph:

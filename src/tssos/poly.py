@@ -1,15 +1,19 @@
 """Sparse multivariate polynomials with float coefficients.
 
-A polynomial in n variables is stored as a dict mapping exponent tuples to
-coefficients.  The exponent tuple ``(2, 0, 1)`` stands for ``x1^2*x3`` when
-``nvars = 3``.  The zero polynomial has an empty dict.  The work downstream
-(Newton polytopes, term-sparsity graphs, assembly) reads a polynomial as
-arrays(): int64 exponent rows and coefficients, free of symbolic machinery.
+A polynomial in n variables is stored as exponent rows and coefficients: a
+read-only (terms, n) int64 array whose row ``[2, 0, 1]`` stands for
+``x1^2*x3`` when ``nvars = 3``, and a read-only float array with one
+coefficient per row.  Rows are distinct, coefficients nonzero, and terms sit
+in the order they first occurred; the zero polynomial has no rows.  Every
+layer downstream (Newton polytopes, term-sparsity graphs, assembly) reads
+these arrays as they are.  Like terms are merged by one exact pass,
+np.unique over the rows viewed as raw bytes and np.bincount of the
+coefficients, which the constructor, the arithmetic and the parser share.
 
 Monomials are ordered graded lexicographically: first by total degree, then
 lexicographically with x1 heaviest, so ``1 < x1 < x2 < x1^2 < x1*x2 < x2^2``.
-This single ordering is used everywhere a deterministic node or basis index
-is needed.
+This single ordering, grlex_order, is used everywhere a deterministic node,
+basis or row index is needed.
 
 Text input uses a small grammar.  A polynomial is a sequence of terms, each
 after the first opening with a run of ``+``/``-`` signs.  A term is a finite
@@ -21,136 +25,142 @@ A whole problem file is an optional ``vars <n>`` line, an objective that may
 span lines, then an optional ``subject to`` line followed by one constraint
 polynomial per line, every constraint meaning ``g >= 0``.  ``#`` starts a
 comment; without a ``vars`` line the variable count is the largest index in
-the parsed terms, so comment text never counts.
+the parsed terms, so comment text never counts.  A problem whose terms times
+variables exceed STANDARD_BASIS_CAP exponent entries is refused before its
+rows are allocated.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-
-Exponent = Tuple[int, ...]
 
 # Coefficients smaller than this (in absolute value) are dropped after
 # arithmetic; parsing only drops exact zeros.
 COEFF_TOL = 1e-14
+# Most exponent entries (or monomials) one problem or basis may hold.
+STANDARD_BASIS_CAP = 10 ** 7
+_INT64_MAX = 2 ** 63 - 1
 
 
-def grlex_key(alpha: Exponent) -> tuple:
-    """Sort key for graded lex order with x1 heaviest within a degree."""
-    return (sum(alpha), tuple(-a for a in alpha))
+def grlex_order(rows) -> np.ndarray:
+    """The permutation sorting exponent rows graded lex (x1 heaviest within a degree); stable."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return np.lexsort(np.vstack([-rows[:, ::-1].T, rows.sum(axis=1)]))
 
 
-def _clean(terms: Dict[Exponent, float], tol: float) -> Dict[Exponent, float]:
-    return {a: c for a, c in terms.items() if abs(c) > tol}
+def _merge(rows: np.ndarray, coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Like terms summed in input order: the distinct rows, in first-occurrence order, and their sums."""
+    if len(rows) < 2:
+        return rows, coeffs
+    if rows.shape[1]:
+        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    else:
+        keys = np.zeros(len(rows), dtype=np.int8)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    sums = np.bincount(inverse.ravel(), weights=coeffs, minlength=len(first))
+    order = np.argsort(first)
+    return rows[first[order]], sums[order]
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial."""
+    """Immutable sparse polynomial: nvars, exponent rows and their coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "rows", "coeffs")
 
-    def __init__(self, nvars: int, terms: Dict[Exponent, float] | None = None):
+    def __init__(self, nvars: int, rows=(), coeffs=()):
+        """The sum of coeffs[t] * x^rows[t]: like terms summed, exact zeros dropped."""
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        self.nvars = nvars
-        cleaned = {}
-        for alpha, c in (terms or {}).items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != nvars or any(a < 0 for a in alpha):
-                raise ValueError(f"bad exponent {alpha} for {nvars} variables")
-            if c != 0.0:
-                cleaned[alpha] = float(c)
-        self.terms = cleaned
+        coeffs = np.array(coeffs, dtype=float).ravel()
+        rows = np.array(rows, dtype=np.int64)  # copies, so the polynomial owns its arrays
+        if rows.size != len(coeffs) * nvars or (rows.size and rows.shape[-1] != nvars):
+            raise ValueError(f"exponent rows of shape {rows.shape} for {len(coeffs)} terms in {nvars} variables")
+        rows = rows.reshape(len(coeffs), nvars)
+        bad = rows[(rows < 0).any(axis=1)]
+        if len(bad):
+            raise ValueError(f"bad exponent {bad[0].tolist()} for {nvars} variables")
+        # degree() must not wrap: the float sums flag the rows near 2^63, summed exactly
+        near = rows[rows.sum(axis=1, dtype=float) >= 2.0 ** 62]
+        if any(sum(row) > _INT64_MAX for row in near.tolist()):
+            raise ValueError("exponent row of degree beyond 2^63 - 1")
+        rows, coeffs = _merge(rows, coeffs)
+        self._hold(nvars, rows, coeffs, coeffs != 0.0)
+
+    def _hold(self, nvars: int, rows: np.ndarray, coeffs: np.ndarray, keep: np.ndarray) -> "Polynomial":
+        if not keep.all():
+            rows, coeffs = rows[keep], coeffs[keep]
+        rows.flags.writeable = coeffs.flags.writeable = False
+        self.nvars, self.rows, self.coeffs = nvars, rows, coeffs
+        return self
+
+    def _result(self, rows: np.ndarray, coeffs: np.ndarray) -> "Polynomial":
+        """The arithmetic result with these distinct rows: terms with |c| <= COEFF_TOL dropped."""
+        return Polynomial.__new__(Polynomial)._hold(self.nvars, rows, coeffs, np.abs(coeffs) > COEFF_TOL)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "Polynomial":
-        return Polynomial(nvars, {})
+        return Polynomial(nvars)
 
     @staticmethod
     def constant(nvars: int, c: float) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: c})
+        return Polynomial(nvars, np.zeros((1, nvars), dtype=np.int64), [c])
 
     @staticmethod
     def variable(nvars: int, i: int) -> "Polynomial":
         """The monomial x_i, 1-based index."""
         if not 1 <= i <= nvars:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
-        e = [0] * nvars
-        e[i - 1] = 1
-        return Polynomial(nvars, {tuple(e): 1.0})
+        row = np.zeros((1, nvars), dtype=np.int64)
+        row[0, i - 1] = 1
+        return Polynomial(nvars, row, [1.0])
 
     @staticmethod
-    def monomial(nvars: int, alpha: Exponent, c: float = 1.0) -> "Polynomial":
-        return Polynomial(nvars, {tuple(alpha): c})
-
-    @staticmethod
-    def from_arrays(nvars: int, rows: np.ndarray, coeffs: np.ndarray) -> "Polynomial":
-        """The polynomial with coefficient coeffs[t] on exponent row t (rows distinct)."""
-        return Polynomial(nvars, dict(zip(map(tuple, rows.tolist()), coeffs.tolist())))
+    def monomial(nvars: int, alpha: Sequence[int], c: float = 1.0) -> "Polynomial":
+        return Polynomial(nvars, [alpha], [c])
 
     # -- basic queries ----------------------------------------------------
 
-    def support(self) -> set:
-        return set(self.terms)
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The exponents as (len(terms), nvars) int64 rows and the coefficients, in term order."""
-        rows = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.nvars)
-        return rows, np.array(list(self.terms.values()), dtype=float)
-
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self.terms:
-            return -1
-        return max(sum(a) for a in self.terms)
+        return int(self.rows.sum(axis=1).max(initial=-1))
 
-    def coeff(self, alpha: Exponent) -> float:
-        return self.terms.get(tuple(alpha), 0.0)
+    def coeff(self, alpha: Sequence[int]) -> float:
+        hit = np.flatnonzero((self.rows == np.reshape(alpha, (1, self.nvars))).all(axis=1))
+        return float(self.coeffs[hit[0]]) if len(hit) else 0.0
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.coeffs)
 
     def evaluate(self, x: Sequence[float]) -> float:
         if len(x) != self.nvars:
             raise ValueError("point dimension mismatch")
-        total = 0.0
-        for alpha, c in self.terms.items():
-            v = c
-            for xi, a in zip(x, alpha):
-                if a:
-                    v *= xi ** a
-            total += v
-        return total
+        return float(self.coeffs @ np.prod(np.asarray(x, dtype=float) ** self.rows, axis=1))
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, 0.0) + c
-        return Polynomial(self.nvars, _clean(out, COEFF_TOL))
+        return self._result(*_merge(np.concatenate([self.rows, other.rows]),
+                                    np.concatenate([self.coeffs, other.coeffs])))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (other * -1.0)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Polynomial(self.nvars, _clean({a: c * other for a, c in self.terms.items()}, COEFF_TOL))
+            return self._result(self.rows, self.coeffs * other)
         self._check(other)
-        out: Dict[Exponent, float] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                k = tuple(x + y for x, y in zip(a, b))
-                out[k] = out.get(k, 0.0) + ca * cb
-        return Polynomial(self.nvars, _clean(out, COEFF_TOL))
+        if self.degree() + other.degree() > _INT64_MAX:
+            raise ValueError("product degree beyond 2^63 - 1")
+        rows = (self.rows[:, None, :] + other.rows[None, :, :]).reshape(-1, self.nvars)
+        coeffs = np.outer(self.coeffs, other.coeffs).ravel()
+        return self._result(*_merge(rows, coeffs))
 
     __rmul__ = __mul__
 
@@ -169,20 +179,26 @@ class Polynomial:
     # -- comparison and printing ------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.nvars == other.nvars and self.terms == other.terms
+        if not (isinstance(other, Polynomial) and self.nvars == other.nvars
+                and len(self.coeffs) == len(other.coeffs)):
+            return False
+        mine, theirs = grlex_order(self.rows), grlex_order(other.rows)
+        return (np.array_equal(self.rows[mine], other.rows[theirs])
+                and np.array_equal(self.coeffs[mine], other.coeffs[theirs]))
 
     def allclose(self, other: "Polynomial", tol: float = 1e-9) -> bool:
         if self.nvars != other.nvars:
             return False
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.coeff(a) - other.coeff(a)) <= tol for a in keys)
+        _, diff = _merge(np.concatenate([self.rows, other.rows]),
+                         np.concatenate([self.coeffs, -other.coeffs]))
+        return bool((np.abs(diff) <= tol).all())
 
     def __str__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return "0"
+        order = grlex_order(self.rows)
         parts = []
-        for alpha in sorted(self.terms, key=grlex_key):
-            c = self.terms[alpha]
+        for alpha, c in zip(self.rows[order].tolist(), self.coeffs[order].tolist()):
             factors = []
             for i, a in enumerate(alpha):
                 if a == 1:
@@ -239,7 +255,6 @@ _TERM = re.compile(
     r"x\d+(?:\s*\^\s*\d+)?(?:\s*\*\s*x\d+(?:\s*\^\s*\d+)?)*)?"
     r"\s*"
 )
-_INT64_MAX = 2 ** 63 - 1
 
 
 def _parse_terms(text: str) -> list:
@@ -275,21 +290,27 @@ def _parse_terms(text: str) -> list:
     return terms
 
 
+def _fits(n_terms: int, nvars: int):
+    """Refuse n_terms exponent rows of nvars entries past STANDARD_BASIS_CAP, before they exist."""
+    if n_terms * nvars > STANDARD_BASIS_CAP:
+        raise ParseError(f"{n_terms} terms in {nvars} variables need {n_terms * nvars} exponent "
+                         f"entries (more than the {STANDARD_BASIS_CAP} cap)")
+
+
 def _polynomial(terms: list, nvars: int) -> Polynomial:
     """The sum of the terms, like terms added in input order, exact zeros dropped."""
-    out: Dict[Exponent, float] = {}
-    for c, powers in terms:
-        expo = [0] * nvars
+    rows = np.zeros((len(terms), nvars), dtype=np.int64)
+    for row, (_, powers) in zip(rows, terms):
         for i, k in powers:
             if not 1 <= i <= nvars:
                 raise ParseError(f"variable x{i} out of range 1..x{nvars}")
-            expo[i - 1] += k
-        key = tuple(expo)
-        out[key] = out.get(key, 0.0) + c
-    for key, c in out.items():
-        if not math.isfinite(c):
-            raise ParseError(f"coefficient {c} of {Polynomial.monomial(nvars, key)} is not finite")
-    return Polynomial(nvars, {a: c for a, c in out.items() if c != 0.0})
+            row[i - 1] += k
+    p = Polynomial(nvars, rows, [c for c, _ in terms])
+    bad = np.flatnonzero(~np.isfinite(p.coeffs))
+    if len(bad):
+        t = bad[0]
+        raise ParseError(f"coefficient {p.coeffs[t]} of {Polynomial.monomial(nvars, p.rows[t])} is not finite")
+    return p
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
@@ -297,7 +318,9 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 
     Like terms are merged; terms cancelling exactly disappear.
     """
-    return _polynomial(_parse_terms(text), nvars)
+    terms = _parse_terms(text)
+    _fits(len(terms), nvars)
+    return _polynomial(terms, nvars)
 
 
 def parse_pop(text: str, nvars: int | None = None) -> PopProblem:
@@ -335,25 +358,6 @@ def parse_pop(text: str, nvars: int | None = None) -> PopProblem:
         nvars = max((i for terms in parsed for _, powers in terms for i, _ in powers), default=0)
         if nvars == 0:
             raise ParseError("could not infer variable count (no x<i> in input)")
+    _fits(sum(map(len, parsed)), nvars)
     objective, *constraints = (_polynomial(terms, nvars) for terms in parsed)
     return PopProblem(objective, tuple(constraints))
-
-
-def monomials_up_to(nvars: int, degree: int) -> list:
-    """All exponents in n variables with total degree <= degree, graded lex."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for d in range(remaining + 1):
-            rec(prefix + [d], remaining - d, slots - 1)
-
-    rec([], degree, nvars)
-    out.sort(key=grlex_key)
-    return out
-
-
-def count_monomials(nvars: int, degree: int) -> int:
-    return math.comb(nvars + degree, degree)

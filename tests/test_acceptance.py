@@ -39,6 +39,7 @@ from tssos.graphs import (
 from tssos.poly import Polynomial, PopProblem, parse_polynomial
 from tssos.sdpa import export_sdpa, import_sdpa
 from tssos.solver import SolverConfig, solve_canonical
+from tuple_forms import from_terms, monos
 
 EX33 = (
     "x1^2 - 2*x1*x2 + 3*x2^2 - 2*x1^2*x2 + 2*x1^2*x2^2 - 2*x2*x3 + 6*x3^2"
@@ -70,7 +71,7 @@ def banded_quadratic(n, bandwidth, seed):
                 e[i] = 1
                 e[j] = 1
                 terms[tuple(e)] = float(2.0 * q[i, j])
-    return Polynomial(n, terms)
+    return from_terms(n, terms)
 
 
 @pytest.fixture(scope="module")
@@ -148,9 +149,9 @@ def test_criterion_01_running_example(ex33):
 
 
 def test_criterion_02_basis_iteration_golden():
-    chain = generate_basis({(0,), (1,), (8,)}, standard_basis(1, 4))
-    assert set(chain[0].monos) == {(0,), (1,), (4,)}
-    assert set(chain[1].monos) == {(0,), (1,), (2,), (4,)}
+    chain = generate_basis([(0,), (1,), (8,)], standard_basis(1, 4))
+    assert set(monos(chain[0])) == {(0,), (1,), (4,)}
+    assert set(monos(chain[1])) == {(0,), (1,), (2,), (4,)}
     print("criterion 2: basis chain {0,1,4} then {0,1,2,4} -> PASS")
 
 
@@ -238,12 +239,12 @@ def test_criterion_06_sign_type_structure():
     for n, d in itertools.product(range(1, 5), range(1, 5)):
         basis = standard_basis(n, d)
         classes = {}
-        for m in basis.monos:
+        for m in monos(basis):
             classes.setdefault(tuple(e % 2 for e in m), []).append(m)
         cap = math.comb(n + d // 2, d // 2)
         assert max(len(c) for c in classes.values()) <= cap, (n, d)
 
-        pool = standard_basis(n, 2 * d).monos
+        pool = monos(standard_basis(n, 2 * d))
         supports = [[(0,) * n]] + [
             [m for m in pool if rng.random() < 0.1] or [(0,) * n] for _ in range(2)
         ]
@@ -252,8 +253,9 @@ def test_criterion_06_sign_type_structure():
             for m in support:
                 f = f + Polynomial.monomial(n, m, 1.0)
             g = tsp_graph(f, basis)
+            nodes = monos(basis)
             for i, j in itertools.combinations(range(len(basis)), 2):
-                bi, bj = basis.monos[i], basis.monos[j]
+                bi, bj = nodes[i], nodes[j]
                 if all((a + b) % 2 == 0 for a, b in zip(bi, bj)):
                     assert g.has_edge(i, j), (n, d, bi, bj)
     print("criterion 6: sign-type adjacency and class size cap (n,d <= 4) -> PASS")

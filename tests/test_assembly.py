@@ -20,7 +20,8 @@ from tssos.graphs import (
     maximal_cliques,
     tsp_graph,
 )
-from tssos.poly import Polynomial, PopProblem, grlex_key, parse_polynomial, parse_pop
+from tssos.poly import Polynomial, PopProblem, parse_polynomial, parse_pop
+from tuple_forms import graph_support, grlex_key, monos, terms
 
 EX33 = (
     "x1^2 - 2*x1*x2 + 3*x2^2 - 2*x1^2*x2 + 2*x1^2*x2^2 - 2*x2*x3 + 6*x3^2"
@@ -52,7 +53,7 @@ def row_alphas(sdp):
 
 def coeff_gap(p, q):
     diff = p - q
-    return max((abs(v) for v in diff.terms.values()), default=0.0)
+    return max((abs(v) for v in terms(diff).values()), default=0.0)
 
 
 def test_dense_row_count_matches_pairwise_sums():
@@ -61,8 +62,8 @@ def test_dense_row_count_matches_pairwise_sums():
     sdp = assemble(PopProblem(f), [CliqueDecomposition.whole(basis)])
     sums = {
         tuple(a + b for a, b in zip(m1, m2))
-        for m1 in basis.monos
-        for m2 in basis.monos
+        for m1 in monos(basis)
+        for m2 in monos(basis)
     }
     assert sdp.n_equalities == len(sums)
     assert sdp.block_sizes == [len(basis)]
@@ -80,7 +81,7 @@ def test_sparse_rows_are_graph_support():
     g1 = seq.at(1)[0]
     for side in ("sos", "moment"):
         sdp = assemble(PopProblem(f), [maximal_cliques(g1)], side=side)
-        assert row_alphas(sdp) == g1.support(), side
+        assert row_alphas(sdp) == graph_support(g1), side
         assert sorted(sdp.block_sizes, reverse=True) == [3, 3, 3, 3]
 
 
@@ -262,7 +263,7 @@ def reference_sos_rows(pop, graphs):
     realize = [dict() for _ in gens]
     blk = 0
     for j, graph in enumerate(graphs):
-        monos = graph.basis.monos
+        monos = tuple(map(tuple, graph.basis.array.tolist()))
         for clique in maximal_cliques(graph).cliques:
             for a in range(len(clique)):
                 for b in range(a, len(clique)):
@@ -272,14 +273,14 @@ def reference_sos_rows(pop, graphs):
     alphas = {
         tuple(x + y for x, y in zip(aprime, rho))
         for j, g in enumerate(gens)
-        for aprime in g.terms
+        for aprime in terms(g)
         for rho in realize[j]
     }
     rows = []
     for alpha in sorted(alphas, key=grlex_key):
         ents = []
         for j, g in enumerate(gens):
-            for aprime, coeff in g.terms.items():
+            for aprime, coeff in terms(g).items():
                 delta = tuple(x - y for x, y in zip(alpha, aprime))
                 if min(delta) >= 0:
                     ents.extend((b, p, q, coeff) for b, p, q in realize[j].get(delta, ()))
@@ -328,7 +329,7 @@ def reference_forward_rows(pop, cliques):
     realize = [dict() for _ in gens]
     blk = 0
     for j, dec in enumerate(cliques):
-        monos = dec.basis.monos
+        monos = tuple(map(tuple, dec.basis.array.tolist()))
         for clique in dec.cliques:
             for a in range(len(clique)):
                 for b in range(a, len(clique)):
@@ -337,7 +338,7 @@ def reference_forward_rows(pop, cliques):
             blk += 1
     rows = {}
     for j, g in enumerate(gens):
-        for aprime, coeff in g.terms.items():
+        for aprime, coeff in terms(g).items():
             for rho, cells in realize[j].items():
                 alpha = tuple(x + y for x, y in zip(aprime, rho))
                 rows.setdefault(alpha, []).extend((b, p, q, coeff) for b, p, q in cells)

@@ -10,7 +10,6 @@ from scipy.optimize import nnls
 import tssos.basis
 from tssos import bench
 from tssos.basis import (
-    STANDARD_BASIS_CAP,
     MonomialBasis,
     _average_certified,
     _convex_proof,
@@ -26,14 +25,8 @@ from tssos.basis import (
     standard_basis,
 )
 from tssos.graphs import iterate_constrained, maximal_cliques
-from tssos.poly import (
-    Polynomial,
-    PopProblem,
-    grlex_key,
-    monomials_up_to,
-    parse_polynomial,
-    parse_pop,
-)
+from tssos.poly import STANDARD_BASIS_CAP, Polynomial, PopProblem, parse_polynomial, parse_pop
+from tuple_forms import from_terms, grlex_key, monomials_up_to, monos, support
 
 EX33 = (
     "x1^2 - 2*x1*x2 + 3*x2^2 - 2*x1^2*x2 + 2*x1^2*x2^2 - 2*x2*x3 + 6*x3^2"
@@ -60,7 +53,7 @@ def test_standard_basis_sizes_and_order():
             b = standard_basis(n, d)
             assert len(b) == math.comb(n + d, d)
             assert (0,) * n in b
-            assert b.monos[0] == (0,) * n
+            assert monos(b)[0] == (0,) * n
 
 
 def test_generator_bases_rejects_low_order():
@@ -91,16 +84,16 @@ def test_monomial_basis_from_arrays_is_grlex_sorted_and_distinct():
     for n in (1, 2, 3, 5):
         rows = rng.integers(0, 4, size=(60, n))
         want = sorted({tuple(r) for r in rows.tolist()}, key=grlex_key)
-        assert MonomialBasis(n, rows).monos == tuple(want)
+        assert monos(MonomialBasis(n, rows)) == tuple(want)
         assert MonomialBasis(n, rows) == MonomialBasis(n, [tuple(r) for r in rows.tolist()])
     for n, d in ((1, 3), (3, 2), (4, 3)):
-        assert standard_basis(n, d).monos == tuple(monomials_up_to(n, d))
+        assert monos(standard_basis(n, d)) == tuple(monomials_up_to(n, d))
 
 
 def test_newton_basis_running_example():
     f = parse_polynomial(EX33, 3)
     b = newton_half_basis(f)
-    assert set(b.monos) == {
+    assert set(monos(b)) == {
         (0, 0, 0),
         (1, 0, 0),
         (0, 1, 0),
@@ -126,7 +119,7 @@ def test_newton_basis_against_nnls_oracle():
             f = f + Polynomial.monomial(n, m, float(rng.uniform(0.5, 2.0)))
         basis = newton_half_basis(f)
         hull_pts = sorted(set(pick) | {(0,) * n})
-        got = set(basis.monos)
+        got = set(monos(basis))
         for cand in monomials_up_to(n, deg // 2):
             assert (cand in got) == in_half_hull_nnls(cand, hull_pts), (
                 f"membership mismatch at {cand} for support {sorted(pick)}"
@@ -136,7 +129,7 @@ def test_newton_basis_against_nnls_oracle():
 def reference_newton_basis(f):
     """One LP per candidate: every monomial of degree <= d inside the box and
     the degree bound of the hull, kept when _in_half_polytope accepts it."""
-    supp = f.support()
+    supp = support(f)
     points = np.array(sorted(supp | {(0,) * f.nvars}, key=grlex_key), dtype=float)
     half_deg = max(sum(a) for a in supp) // 2
     comp_max = points.max(axis=0)
@@ -184,7 +177,7 @@ def test_newton_basis_property_against_nnls_oracle(case):
     f = Polynomial.zero(n)
     for m in picks:
         f = f + Polynomial.monomial(n, m, 1.0)
-    got = set(newton_half_basis(f).monos)
+    got = set(monos(newton_half_basis(f)))
     hull_pts = sorted(set(picks) | {(0,) * n})
     for cand in monomials_up_to(n, max(sum(m) for m in picks) // 2):
         assert (cand in got) == in_half_hull_nnls(cand, hull_pts), cand
@@ -205,7 +198,7 @@ def has_average_certificate(beta, points):
 @given(sparse_supports())
 def test_newton_decisions_are_exact_proofs(case):
     n, picks = case
-    f = Polynomial(n, {m: 1.0 for m in picks})
+    f = from_terms(n, {m: 1.0 for m in picks})
     points, cands = _newton_candidates(f)
     certified = _average_certified(cands, points)
     confirmed = set()
@@ -317,12 +310,12 @@ def test_newton_basis_of_a_lower_dimensional_hull(monkeypatch):
     confirms = count_calls(monkeypatch, "_in_half_polytope")
     f = parse_polynomial("x1^2*x2^2 + x1^4*x2^4 + 1", 2)
     b = newton_half_basis(f)
-    assert set(b.monos) == {(0, 0), (1, 1), (2, 2)}
+    assert set(monos(b)) == {(0, 0), (1, 1), (2, 2)}
     assert b == reference_newton_basis(f)
     assert len(confirms) == 0
     # the same line inside three variables, with x3 absent
     g = parse_polynomial("x1^2*x2^2 + x1^6*x2^6 + 1", 3)
-    assert set(newton_half_basis(g).monos) == {(a, a, 0) for a in range(4)}
+    assert set(monos(newton_half_basis(g))) == {(a, a, 0) for a in range(4)}
     assert len(confirms) == 0
 
 
@@ -382,7 +375,7 @@ def test_newton_candidates_stay_inside_the_box():
     b = newton_half_basis(f)
     assert time.perf_counter() - start < 5.0
     zeros = (0,) * 58
-    assert set(b.monos) == {(a, 0) + zeros for a in range(7)} | {(0, 1) + zeros}
+    assert set(monos(b)) == {(a, 0) + zeros for a in range(7)} | {(0, 1) + zeros}
 
 
 def test_newton_candidate_box_above_cap_raises():
@@ -400,7 +393,7 @@ def test_newton_candidate_box_above_cap_raises():
 def test_newton_basis_single_monomial():
     f = parse_polynomial("4*x1^2*x2^4", 2)
     b = newton_half_basis(f)
-    assert set(b.monos) == {(0, 0), (1, 2)}
+    assert set(monos(b)) == {(0, 0), (1, 2)}
     with pytest.raises(ValueError):
         newton_half_basis(parse_polynomial("x1^3", 1))
     with pytest.raises(ValueError):
@@ -411,7 +404,7 @@ def test_newton_quadratic_is_affine_basis():
     # any quadratic with all squares present keeps exactly {1, x_i}
     f = parse_polynomial("x1^2 + x2^2 + x3^2 - x1*x2 + x3 - 2", 3)
     b = newton_half_basis(f)
-    assert set(b.monos) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert set(monos(b)) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def naive_generate_chain(targets, base):
@@ -437,13 +430,13 @@ def naive_generate_chain(targets, base):
 
 def test_generate_basis_golden_chain():
     base = standard_basis(1, 4)
-    chain = generate_basis({(0,), (1,), (8,)}, base)
-    assert set(chain[0].monos) == {(0,), (1,), (4,)}
-    assert set(chain[1].monos) == {(0,), (1,), (2,), (4,)}
+    chain = generate_basis([(0,), (1,), (8,)], base)
+    assert set(monos(chain[0])) == {(0,), (1,), (4,)}
+    assert set(monos(chain[1])) == {(0,), (1,), (2,), (4,)}
     # monotone and capped by the input basis
     for a, b in zip(chain, chain[1:]):
-        assert set(a.monos) <= set(b.monos)
-    assert set(chain[-1].monos) <= set(base.monos)
+        assert set(monos(a)) <= set(monos(b))
+    assert set(monos(chain[-1])) <= set(monos(base))
 
 
 def test_generate_basis_matches_naive_oracle():
@@ -453,19 +446,19 @@ def test_generate_basis_matches_naive_oracle():
         pool = monomials_up_to(n, 4)
         targets = {m for m in pool if rng.random() < 0.25}
         base = standard_basis(n, 2)
-        chain = generate_basis(targets, base)
-        oracle = naive_generate_chain(targets, base.monos)
+        chain = generate_basis(sorted(targets), base)
+        oracle = naive_generate_chain(targets, monos(base))
         assert len(chain) == len(oracle)
         for got, want in zip(chain, oracle):
-            assert set(got.monos) == want
+            assert set(monos(got)) == want
 
 
 def test_generate_basis_idempotent_at_fixed_point():
     base = standard_basis(2, 2)
     targets = {(2, 0), (0, 2), (1, 1), (0, 0)}
-    chain = generate_basis(targets, base)
-    again = generate_basis(targets, chain[-1])
-    assert set(again[-1].monos) == set(chain[-1].monos)
+    chain = generate_basis(sorted(targets), base)
+    again = generate_basis(sorted(targets), chain[-1])
+    assert set(monos(again[-1])) == set(monos(chain[-1]))
 
 
 def test_reduce_unconstrained_shrinks_randpoly1_instance():
@@ -474,7 +467,7 @@ def test_reduce_unconstrained_shrinks_randpoly1_instance():
     f = randpoly1(8, 8, 30, 0.1, seed=3)
     nb = newton_half_basis(f)
     rb = reduce_basis_unconstrained(f, nb)
-    assert set(rb.monos) <= set(nb.monos)
+    assert set(monos(rb)) <= set(monos(nb))
     assert 40 <= len(rb) <= 106
 
 
@@ -484,7 +477,7 @@ def test_reduce_constrained_keeps_constant_and_fixed_point():
     )
     red = reduce_basis_constrained(pop, d_hat=2)
     assert (0, 0) in red
-    assert set(red.monos) <= set(standard_basis(2, 2).monos)
+    assert set(monos(red)) <= set(monos(standard_basis(2, 2)))
     # running the reduction again from its own output changes nothing
     again = reduce_basis_constrained(pop, d_hat=2)
     assert again == red
@@ -493,8 +486,8 @@ def test_reduce_constrained_keeps_constant_and_fixed_point():
 def test_reduce_constrained_no_constraints_collapses():
     pop = parse_pop("x1^4 - x1^2 + 1")
     red = reduce_basis_constrained(pop, d_hat=2)
-    chain = generate_basis({(0,), (2,), (4,)}, standard_basis(1, 2))
-    assert set(red.monos) == set(chain[-1].monos)
+    chain = generate_basis([(0,), (2,), (4,)], standard_basis(1, 2))
+    assert set(monos(red)) == set(monos(chain[-1]))
 
 
 def reference_generate_basis(support, base):
@@ -517,7 +510,7 @@ def reference_generate_basis(support, base):
                     cur.add(gamma)
         if cur == prev and chain:
             break
-        chain.append(MonomialBasis(base.nvars, cur))
+        chain.append(MonomialBasis(base.nvars, sorted(cur)))
         if cur == prev:
             break
         prev = cur
@@ -532,16 +525,17 @@ def reference_reduce_basis_constrained(pop, d_hat, k=1, mode="approx_min"):
     origin = (0,) * n
     while True:
         seq = iterate_constrained(pop, [basis0] + generator_bases(pop, d_hat)[1:], k=k, mode=mode)
-        target = f.support() | {origin}
+        target = support(f) | {origin}
         for j, g in enumerate(pop.constraints, start=1):
             graph = seq.levels[-1][j]
             sums = set()
+            nodes = monos(graph.basis)
             for clique in maximal_cliques(graph).cliques:
-                members = [graph.basis.monos[i] for i in clique]
+                members = [nodes[i] for i in clique]
                 for a in members:
                     for b in members:
                         sums.add(tuple(x + y for x, y in zip(a, b)))
-            for ga in g.support():
+            for ga in support(g):
                 for s in sums:
                     target.add(tuple(x + y for x, y in zip(ga, s)))
         new_basis = reference_generate_basis(target, basis0)[-1]
@@ -557,8 +551,8 @@ CHAIN_CASES = {**REFERENCE_CASES, "broyden_banded_10": bench.broyden_banded(10)}
 def test_generate_basis_matches_tuple_loop_reference(name):
     f = CHAIN_CASES[name]
     base = newton_half_basis(f)
-    support = f.support() | {(0,) * f.nvars}
-    assert generate_basis(support, base) == reference_generate_basis(support, base)
+    target = support(f) | {(0,) * f.nvars}
+    assert generate_basis(list(target), base) == reference_generate_basis(target, base)
 
 
 CONSTRAINED_CASES = [

@@ -27,6 +27,7 @@ from tssos.bench import (
 )
 from tssos.cli import main
 from tssos.poly import PopProblem, parse_pop
+from tuple_forms import support, terms as term_dict
 
 EX1 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples_pop", "ex1.pop")
 
@@ -122,9 +123,9 @@ def test_family_argument_validation():
 def test_randpoly1_is_sos_and_deterministic():
     f = randpoly1(4, 4, 3, 0.3, seed=42)
     again = randpoly1(4, 4, 3, 0.3, seed=42)
-    assert f.terms == again.terms
+    assert term_dict(f) == term_dict(again)
     other = randpoly1(4, 4, 3, 0.3, seed=43)
-    assert f.terms != other.terms
+    assert term_dict(f) != term_dict(other)
     assert f.degree() <= 4
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -134,8 +135,8 @@ def test_randpoly1_is_sos_and_deterministic():
 def test_randpoly2_structure():
     n, deg, terms = 3, 6, 9
     f = randpoly2(n, deg, terms, seed=5)
-    assert f.terms == randpoly2(n, deg, terms, seed=5).terms
-    assert len(f.terms) == terms
+    assert term_dict(f) == term_dict(randpoly2(n, deg, terms, seed=5))
+    assert len(f.rows) == terms
     const = f.coeff((0,) * n)
     assert 0.0 <= const <= 1.0
     for i in range(n):
@@ -143,7 +144,7 @@ def test_randpoly2_structure():
         e[i] = deg
         lead = f.coeff(tuple(e))
         assert 0.0 < lead <= 1.0
-    others = [a for a in f.support() if sum(a) not in (0,) and a not in
+    others = [a for a in support(f) if sum(a) not in (0,) and a not in
               {tuple(deg if j == i else 0 for j in range(n)) for i in range(n)}]
     assert all(sum(a) <= deg - 1 for a in others if sum(a) > 0)
 

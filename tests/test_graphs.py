@@ -37,6 +37,7 @@ from tssos.graphs import (
     tsp_graph,
 )
 from tssos.poly import Polynomial, PopProblem, parse_polynomial, parse_pop
+from tuple_forms import from_terms, graph_support, monos, support
 
 EX33 = (
     "x1^2 - 2*x1*x2 + 3*x2^2 - 2*x1^2*x2 + 2*x1^2*x2^2 - 2*x2*x3 + 6*x3^2"
@@ -135,13 +136,13 @@ def test_monomial_graph_matches_a_set_model(data):
 def test_graph_support_includes_diagonal():
     basis = MonomialBasis(1, [(0,), (1,), (3,)])
     g = MonomialGraph(basis, [(0, 2)])
-    assert g.support() == {(0,), (2,), (6,), (3,)}
+    assert graph_support(g) == {(0,), (2,), (6,), (3,)}
 
 
 def test_tsp_graph_running_example_edges():
     f = parse_polynomial(EX33, 3)
     basis = newton_half_basis(f)
-    names = {m: i for i, m in enumerate(basis.monos)}
+    names = {m: i for i, m in enumerate(monos(basis))}
     one, x1, x2, x3 = names[(0, 0, 0)], names[(1, 0, 0)], names[(0, 1, 0)], names[(0, 0, 1)]
     x1x2, x2x3 = names[(1, 1, 0)], names[(0, 1, 1)]
     want = {
@@ -178,12 +179,12 @@ def test_support_extension_fixed_point_on_tsp_graphs():
     for _ in range(10):
         n = int(rng.integers(1, 4))
         d = int(rng.integers(1, 3))
-        pool = standard_basis(n, 2 * d).monos
+        pool = monos(standard_basis(n, 2 * d))
         pick = [m for m in pool if rng.random() < 0.3]
         f = Polynomial.zero(n)
         for m in pick:
             f = f + Polynomial.monomial(n, m, 1.0)
-        if not f.support():
+        if f.is_zero():
             continue
         g0 = tsp_graph(f, standard_basis(n, d))
         assert support_extension(g0).edges == g0.edges
@@ -330,14 +331,15 @@ def test_same_sign_type_pairs_are_adjacent():
     rng = np.random.default_rng(8)
     for n, d in ((2, 2), (3, 2), (2, 3)):
         basis = standard_basis(n, d)
-        pool = standard_basis(n, 2 * d).monos
+        pool = monos(standard_basis(n, 2 * d))
         pick = [m for m in pool if rng.random() < 0.15]
         f = Polynomial.constant(n, 1.0)
         for m in pick:
             f = f + Polynomial.monomial(n, m, 1.0)
         g = tsp_graph(f, basis)
+        nodes = monos(basis)
         for i, j in itertools.combinations(range(len(basis)), 2):
-            bi, bj = basis.monos[i], basis.monos[j]
+            bi, bj = nodes[i], nodes[j]
             if all((a + b) % 2 == 0 for a, b in zip(bi, bj)):
                 assert g.has_edge(i, j)
 
@@ -356,7 +358,7 @@ def test_iteration_without_constraints_monotone_edges():
     rng = np.random.default_rng(6)
     for trial in range(6):
         n = int(rng.integers(2, 4))
-        pool = standard_basis(n, 4).monos
+        pool = monos(standard_basis(n, 4))
         pick = [m for m in pool if rng.random() < 0.2]
         f = Polynomial.constant(n, 1.0)
         for m in pick:
@@ -401,10 +403,10 @@ def test_iterate_constrained_seed_embedding_gives_inclusion():
     high = iterate_constrained(pop, generator_bases(pop, 3), k=2, seed=low)
     for k in (1, 2):
         for j in (0, 1):
-            lo_basis = low.at(k)[j].basis
+            lo_nodes = monos(low.at(k)[j].basis)
             hi_basis = high.at(k)[j].basis
             for a, b in low.at(k)[j].edges:
-                ma, mb = lo_basis.monos[a], lo_basis.monos[b]
+                ma, mb = lo_nodes[a], lo_nodes[b]
                 ia, ib = hi_basis.index(ma), hi_basis.index(mb)
                 assert high.at(k)[j].has_edge(ia, ib)
 
@@ -428,8 +430,8 @@ def _tsum(a, b):
 
 
 def reference_tsp_graph(f, basis, extra_support=()):
-    monos = basis.monos
-    target = set(f.support())
+    monos = tuple(map(tuple, basis.array.tolist()))
+    target = set(support(f))
     target.update(tuple(a) for a in extra_support)
     target.update(tuple(2 * x for x in m) for m in monos)
     edges = [
@@ -442,8 +444,8 @@ def reference_tsp_graph(f, basis, extra_support=()):
 
 
 def reference_support_extension(graph):
-    monos = graph.basis.monos
-    supp = graph.support()
+    monos = tuple(map(tuple, graph.basis.array.tolist()))
+    supp = graph_support(graph)
     edges = set(graph.edges)
     for i in range(len(monos)):
         for j in range(i + 1, len(monos)):
@@ -454,14 +456,14 @@ def reference_support_extension(graph):
 
 def reference_localizing_graph(prev, g, moment_supp):
     """prev plus {a, b} whenever a shift of a + b by supp(g) is in moment_supp."""
-    monos = prev.basis.monos
+    monos = tuple(map(tuple, prev.basis.array.tolist()))
     edges = set(prev.edges)
     for a in range(len(monos)):
         for b in range(a + 1, len(monos)):
             if (a, b) in edges:
                 continue
             base_sum = _tsum(monos[a], monos[b])
-            if any(_tsum(ga, base_sum) in moment_supp for ga in sorted(g.support())):
+            if any(_tsum(ga, base_sum) in moment_supp for ga in sorted(support(g))):
                 edges.add((a, b))
     return MonomialGraph(prev.basis, edges)
 
@@ -571,10 +573,11 @@ def reference_seed_edges(graph, seed, level, j):
     if j >= len(lv):
         return graph
     src, basis = lv[j], graph.basis
-    index = {m: i for i, m in enumerate(basis.monos)}
+    index = {m: i for i, m in enumerate(monos(basis))}
     edges = set(graph.edges)
+    src_nodes = monos(src.basis)
     for a, b in src.edges:
-        ma, mb = src.basis.monos[a], src.basis.monos[b]
+        ma, mb = src_nodes[a], src_nodes[b]
         if ma in index and mb in index:
             edges.add((index[ma], index[mb]))
     return MonomialGraph(basis, edges)
@@ -589,13 +592,13 @@ def reference_iterate_constrained(pop, d_hat, k, mode, seed=None, bases=None):
     b0 = bases[0]
     extra = set()
     for g in pop.constraints:
-        extra |= g.support()
+        extra |= support(g)
     loc = [MonomialGraph(b, ()) for b in bases[1:]]
     levels = [[reference_seed_edges(reference_tsp_graph(pop.objective, b0, extra), seed, 0, 0)] + loc]
     stabilized = None
     for step in range(1, k + 2):
         prev = levels[-1]
-        moment_supp = prev[0].support()
+        moment_supp = graph_support(prev[0])
         moment = reference_seed_edges(reference_support_extension(prev[0]), seed, step, 0)
         new_level = [reference_chordal_extension(moment, mode)]
         for j, (g, loc_prev) in enumerate(zip(pop.constraints, prev[1:]), start=1):
@@ -666,7 +669,7 @@ def test_seeded_iteration_matches_reference():
     # a seed of another objective puts edges outside the tsp targets into
     # level 0, so the moment graph has new support to search at step 1
     other = parse_pop("vars 2\nx1^4 + x2^4 + x1*x2^3\nsubject to\n1 - x1^2 - x2^2\n")
-    extra = pop.constraints[0].support()
+    extra = support(pop.constraints[0])
     for mode in EXTENSION_MODES:
         for k in (1, 2, 3):
             for source in (pop, other):
@@ -678,7 +681,7 @@ def test_seeded_iteration_matches_reference():
                 assert all(level == want[-1] for level in got[len(want):])
                 assert seq.stabilized_at == stabilized, (mode, k)
             level0 = seq.at(0)[0]  # seeded by other
-            assert _new_support(level0, _tsp_targets(pop.objective, level0.basis, extra)) is not None
+            assert _new_support(level0, _tsp_targets(pop.objective, level0.basis, sorted(extra))) is not None
 
 
 def test_seed_embedding_skips_monomials_outside_a_reduced_basis():
@@ -690,9 +693,9 @@ def test_seed_embedding_skips_monomials_outside_a_reduced_basis():
         for k in (1, 2, 3):
             low = iterate_constrained(pop, generator_bases(pop, 3), k=k, mode=mode)
             # some seed edges have an endpoint the reduced basis lacks
-            src = low.at(k)[0]
-            assert any(src.basis.monos[a] not in reduced.monos or src.basis.monos[b] not in reduced.monos
-                       for a, b in src.edges)
+            src, kept = low.at(k)[0], set(monos(reduced))
+            src_nodes = monos(src.basis)
+            assert any(src_nodes[a] not in kept or src_nodes[b] not in kept for a, b in src.edges)
             want, stabilized = reference_iterate_constrained(pop, 4, k, mode, seed=low, bases=bases)
             seq = iterate_constrained(pop, bases, k=k, mode=mode, seed=low)
             got = edge_levels(seq)
@@ -767,9 +770,9 @@ def small_supports(draw):
     n = draw(st.integers(1, 3))
     exps = st.tuples(*[st.integers(0, 4) for _ in range(n)])
     supp = draw(st.sets(exps, min_size=1, max_size=8))
-    pool = standard_basis(n, 2).monos
+    pool = monos(standard_basis(n, 2))
     picks = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=len(pool)))
-    basis = MonomialBasis(n, picks)
+    basis = MonomialBasis(n, sorted(picks))
     r = len(basis)
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
@@ -778,17 +781,17 @@ def small_supports(draw):
 
 
 def _check_against_reference(n, supp, basis, edges, shifts):
-    f = Polynomial(n, {a: 1.0 for a in supp})
+    f = from_terms(n, {a: 1.0 for a in supp})
     extra = sorted(shifts)
     assert tsp_graph(f, basis, extra).edges == reference_tsp_graph(f, basis, extra).edges
     graph = MonomialGraph(basis, edges)
     assert support_extension(graph).edges == reference_support_extension(graph).edges
     # localizing search: graph's support as the moment support, shifts as supp(g)
-    g = Polynomial(n, {a: 1.0 for a in shifts})
-    shift_rows = np.array(sorted(g.support()), dtype=np.int64).reshape(-1, n)
+    g = from_terms(n, {a: 1.0 for a in shifts})
+    shift_rows = np.array(sorted(support(g)), dtype=np.int64).reshape(-1, n)
     prev = MonomialGraph(basis, sorted(edges)[::2])
     found = _linked_pairs(basis, _support_set(graph), shift_rows, known=prev.codes)
-    want = reference_localizing_graph(prev, g, graph.support()).edges - prev.edges
+    want = reference_localizing_graph(prev, g, graph_support(graph)).edges - prev.edges
     assert {divmod(c, len(basis)) for c in found.tolist()} == want
     assert len(found) == len(want)
 
@@ -805,7 +808,7 @@ def test_degenerate_key_weights_keep_edges(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(15):
         n = int(rng.integers(2, 4))
-        pool = standard_basis(n, 4).monos
+        pool = monos(standard_basis(n, 4))
         supp = {pool[i] for i in rng.choice(len(pool), size=6, replace=False)}
         basis = standard_basis(n, 2)
         r = len(basis)
@@ -832,7 +835,7 @@ def test_chunked_pair_search_matches_reference(monkeypatch):
 
 def reference_linked_pairs(basis, target_rows, shift_rows, known=()):
     """The pairs i < j, not in known, with basis_i + basis_j + s a target row for some shift s."""
-    monos = basis.monos
+    monos = tuple(map(tuple, basis.array.tolist()))
     targets = {tuple(t) for t in target_rows.tolist()}
     shifts = [tuple(s) for s in shift_rows.tolist()]
     known = set(known)
@@ -846,7 +849,7 @@ def reference_linked_pairs(basis, target_rows, shift_rows, known=()):
 
 def _exponents(rng, n, count, low, high):
     """count random exponents in n variables with total degree in [low, high]."""
-    pool = [m for m in standard_basis(n, high).monos if sum(m) >= low]
+    pool = [m for m in monos(standard_basis(n, high)) if sum(m) >= low]
     return np.array([pool[k] for k in rng.choice(len(pool), size=min(count, len(pool)), replace=False)],
                     dtype=np.int64).reshape(-1, n)
 
@@ -864,7 +867,7 @@ def _divisor_case(name, rng):
     elif name == "shifts_that_divide_no_target":
         shifts = 5 * np.eye(n, dtype=np.int64)
     elif name == "basis_without_the_constant":
-        pool = standard_basis(n, 3).monos[1:]
+        pool = monos(standard_basis(n, 3))[1:]
         picks = rng.choice(len(pool), size=min(12, len(pool)), replace=False)
         basis = MonomialBasis(n, [pool[k] for k in picks])
         targets = _exponents(rng, n, 20, 1, 6)
