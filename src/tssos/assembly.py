@@ -75,7 +75,7 @@ class BlockSdp:
         return len(self.alphas)
 
     def canonical(self) -> Tuple[CanonicalSdp, float, str]:
-        """Standard-form data plus (constant offset, readout side).
+        """Standard-form data plus (constant offset, side).
 
         bound = offset - primal objective for the SOS side, and
         bound = offset - dual objective for the moment side.
@@ -84,8 +84,7 @@ class BlockSdp:
         v = self.v if sign == 1.0 else np.where(self.row > 0, -self.v, self.v)
         prob = CanonicalSdp(tuple(self.block_sizes), sign * self.rhs[1:],
                             self.row, self.blk, self.r, self.c, v)
-        readout = "primal" if self.side == "sos" else "dual"
-        return prob, float(self.rhs[0]), readout
+        return prob, float(self.rhs[0]), self.side
 
 
 @dataclass
@@ -219,11 +218,11 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
 
 def solve_relaxation(problem: BlockSdp, config: SolverConfig | None = None) -> RelaxationResult:
     """Canonicalize, run the interior-point solver, read out the bound."""
-    prob, offset, readout = problem.canonical()
+    prob, offset, side = problem.canonical()
     t0 = time.perf_counter()
     sol = solve_canonical(prob, config)
     dt = time.perf_counter() - t0
-    value = sol.primal_obj if readout == "primal" else sol.dual_obj
+    value = sol.primal_obj if side == "sos" else sol.dual_obj
     return RelaxationResult(
         bound=offset - value,
         status=sol.status,

@@ -26,7 +26,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,17 +42,6 @@ from .basis import (
 )
 from .graphs import CliqueDecomposition, GraphSequence, iterate_constrained, maximal_cliques
 from .poly import Polynomial, PopProblem
-from .solver import SolverConfig
-
-FAMILIES = (
-    "randpoly1",
-    "randpoly2",
-    "broyden_banded",
-    "broyden_tridiagonal",
-    "gen_rosenbrock",
-    "mod_gen_rosenbrock",
-    "mod_chained_singular",
-)
 
 CONSTRAINT_SETS = ("none", "unit_ball", "unit_hypercube")
 
@@ -61,11 +50,16 @@ def _var(n: int, i: int) -> Polynomial:
     return Polynomial.variable(n, i)
 
 
+def _sum(n: int, parts: Sequence[Polynomial]) -> Polynomial:
+    """The sum of parts by one merge: like terms added in the order of the parts."""
+    return Polynomial(n, np.concatenate([p.rows for p in parts]), np.concatenate([p.coeffs for p in parts]))
+
+
 def broyden_banded(n: int) -> Polynomial:
     """Sum of squared Broyden banded residuals; global minimum 0."""
     if n < 2:
         raise ValueError("broyden_banded needs n >= 2")
-    total = Polynomial.zero(n)
+    parts = []
     for i in range(1, n + 1):
         xi = _var(n, i)
         p = xi * (Polynomial.constant(n, 2.0) + 5.0 * xi * xi) + Polynomial.constant(n, 1.0)
@@ -74,15 +68,15 @@ def broyden_banded(n: int) -> Polynomial:
                 continue
             xj = _var(n, j)
             p = p - (Polynomial.constant(n, 1.0) + xj) * xj
-        total = total + p * p
-    return total
+        parts.append(p * p)
+    return _sum(n, parts)
 
 
 def broyden_tridiagonal(n: int) -> Polynomial:
     """Squared tridiagonal residuals with zero boundary neighbors."""
     if n < 2:
         raise ValueError("broyden_tridiagonal needs n >= 2")
-    total = Polynomial.zero(n)
+    parts = []
     one = Polynomial.constant(n, 1.0)
     three = Polynomial.constant(n, 3.0)
     for i in range(1, n + 1):
@@ -92,33 +86,32 @@ def broyden_tridiagonal(n: int) -> Polynomial:
             p = p - _var(n, i - 1)
         if i < n:
             p = p - 2.0 * _var(n, i + 1)
-        total = total + p * p
-    return total
+        parts.append(p * p)
+    return _sum(n, parts)
 
 
 def gen_rosenbrock(n: int) -> Polynomial:
     """1 + sum_{i=2..n} 100(x_i - x_{i-1}^2)^2 + (1 - x_i)^2."""
     if n < 2:
         raise ValueError("gen_rosenbrock needs n >= 2")
-    total = Polynomial.constant(n, 1.0)
     one = Polynomial.constant(n, 1.0)
+    parts = [one]
     for i in range(2, n + 1):
         xi = _var(n, i)
         prev = _var(n, i - 1)
         t1 = xi - prev * prev
         t2 = one - xi
-        total = total + 100.0 * t1 * t1 + t2 * t2
-    return total
+        parts += [100.0 * t1 * t1, t2 * t2]
+    return _sum(n, parts)
 
 
 def _pairwise_coupling(n: int) -> Polynomial:
-    total = Polynomial.zero(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            xi2 = _var(n, i) * _var(n, i)
-            xj2 = _var(n, j) * _var(n, j)
-            total = total + xi2 * xj2
-    return total
+    """sum_{i<j} x_i^2 x_j^2, its terms in (i, j) order."""
+    i, j = np.triu_indices(n, 1)
+    rows = np.zeros((len(i), n), dtype=np.int64)
+    at = np.arange(len(i))
+    rows[at, i] = rows[at, j] = 2
+    return Polynomial(n, rows, np.ones(len(i)))
 
 
 def mod_gen_rosenbrock(n: int) -> Polynomial:
@@ -129,15 +122,15 @@ def mod_chained_singular(n: int) -> Polynomial:
     """Chained singular terms over odd i plus pairwise coupling."""
     if n < 4 or n % 2:
         raise ValueError("mod_chained_singular needs even n >= 4")
-    total = _pairwise_coupling(n)
+    parts = [_pairwise_coupling(n)]
     for i in range(1, n - 2, 2):
         x0, x1, x2, x3 = (_var(n, i + k) for k in range(4))
         a = x0 + 10.0 * x1
         b = x2 - x3
         c = x1 - 2.0 * x2
         d = x0 - 10.0 * x3
-        total = total + a * a + 5.0 * b * b + (c * c) * (c * c) + 10.0 * (d * d) * (d * d)
-    return total
+        parts += [a * a, 5.0 * b * b, (c * c) * (c * c), 10.0 * (d * d) * (d * d)]
+    return _sum(n, parts)
 
 
 def randpoly1(n: int, deg: int, terms: int, prob: float, seed: int) -> Polynomial:
@@ -153,10 +146,7 @@ def randpoly1(n: int, deg: int, terms: int, prob: float, seed: int) -> Polynomia
     owner = rng.integers(0, terms, size=len(picked))
     coeffs = rng.uniform(-1.0, 1.0, size=len(picked))
     parts = [Polynomial(n, picked[owner == o], coeffs[owner == o]) for o in range(terms)]
-    total = Polynomial.zero(n)
-    for p in parts:
-        total = total + p * p
-    return total
+    return _sum(n, [p * p for p in parts])
 
 
 def randpoly2(n: int, deg: int, terms: int, seed: int) -> Polynomial:
@@ -165,31 +155,24 @@ def randpoly2(n: int, deg: int, terms: int, seed: int) -> Polynomial:
     if terms < n + 1:
         raise ValueError("randpoly2 needs at least n + 1 terms")
     rng = np.random.default_rng(seed)
-    total = Polynomial.constant(n, float(rng.uniform(0.0, 1.0)))
-    for i in range(1, n + 1):
-        e = [0] * n
-        e[i - 1] = deg
-        total = total + Polynomial.monomial(n, e, float(rng.uniform(0.0, 1.0)))
+    coercive = rng.uniform(0.0, 1.0, size=n + 1)  # c_0, then c_i of x_i^{2d}
     pool = standard_basis(n, deg - 1).array[1:]  # graded lex: row 0 is the constant
     extra = terms - n - 1
     if extra > len(pool):
         raise ValueError(f"randpoly2 cannot place {extra} extra terms in {len(pool)} slots")
-    idx = rng.choice(len(pool), size=extra, replace=False)
-    for i in sorted(int(t) for t in idx):
-        total = total + Polynomial.monomial(n, pool[i], float(rng.uniform(-1.0, 1.0)))
-    return total
+    idx = np.sort(rng.choice(len(pool), size=extra, replace=False))
+    rows = np.concatenate([np.zeros((1, n), dtype=np.int64), deg * np.eye(n, dtype=np.int64), pool[idx]])
+    return Polynomial(n, rows, np.concatenate([coercive, rng.uniform(-1.0, 1.0, size=extra)]))
 
 
 def constraint_set(name: str, n: int) -> Tuple[Polynomial, ...]:
     if name == "none":
         return ()
-    one = Polynomial.constant(n, 1.0)
     if name == "unit_ball":
-        g = one
-        for i in range(1, n + 1):
-            g = g - _var(n, i) * _var(n, i)
-        return (g,)
+        rows = np.concatenate([np.zeros((1, n), dtype=np.int64), 2 * np.eye(n, dtype=np.int64)])
+        return (Polynomial(n, rows, [1.0] + [-1.0] * n),)
     if name == "unit_hypercube":
+        one = Polynomial.constant(n, 1.0)
         return tuple(one - _var(n, i) * _var(n, i) for i in range(1, n + 1))
     raise ValueError(f"unknown constraint set {name!r}; pick one of {CONSTRAINT_SETS}")
 
@@ -205,29 +188,29 @@ class BenchSpec:
     seed: int = 0
 
 
+# Each family: its builder, the BenchSpec fields it takes after n, and its
+# basis when unconstrained.
+FAMILIES = {
+    "randpoly1": (randpoly1, ("deg", "terms", "prob", "seed"), "reduced"),
+    "randpoly2": (randpoly2, ("deg", "terms", "seed"), "newton"),
+    "broyden_banded": (broyden_banded, (), "standard"),
+    "broyden_tridiagonal": (broyden_tridiagonal, (), "standard"),
+    "gen_rosenbrock": (gen_rosenbrock, (), "standard"),
+    "mod_gen_rosenbrock": (mod_gen_rosenbrock, (), "standard"),
+    "mod_chained_singular": (mod_chained_singular, (), "standard"),
+}
+
+
 def generate(spec: BenchSpec) -> PopProblem:
     fam = spec.family
     if fam not in FAMILIES:
-        raise ValueError(f"unknown family {fam!r}; pick one of {FAMILIES}")
-    if fam == "randpoly1":
-        if spec.deg is None or spec.terms is None or spec.prob is None:
-            raise ValueError("randpoly1 needs --deg, --terms and --prob")
-        f = randpoly1(spec.n, spec.deg, spec.terms, spec.prob, spec.seed)
-    elif fam == "randpoly2":
-        if spec.deg is None or spec.terms is None:
-            raise ValueError("randpoly2 needs --deg and --terms")
-        f = randpoly2(spec.n, spec.deg, spec.terms, spec.seed)
-    elif fam == "broyden_banded":
-        f = broyden_banded(spec.n)
-    elif fam == "broyden_tridiagonal":
-        f = broyden_tridiagonal(spec.n)
-    elif fam == "gen_rosenbrock":
-        f = gen_rosenbrock(spec.n)
-    elif fam == "mod_gen_rosenbrock":
-        f = mod_gen_rosenbrock(spec.n)
-    else:
-        f = mod_chained_singular(spec.n)
-    return PopProblem(f, constraint_set(spec.constraint, spec.n))
+        raise ValueError(f"unknown family {fam!r}; pick one of {tuple(FAMILIES)}")
+    build, fields, _ = FAMILIES[fam]
+    kwargs = {name: getattr(spec, name) for name in fields}
+    if any(v is None for v in kwargs.values()):
+        flags = [f"--{name}" for name in fields if name != "seed"]
+        raise ValueError(f"{fam} needs {', '.join(flags[:-1])} and {flags[-1]}")
+    return PopProblem(build(spec.n, **kwargs), constraint_set(spec.constraint, spec.n))
 
 
 @dataclass
@@ -242,7 +225,6 @@ class RunOptions:
     basis: Optional[str] = None
     side: str = "sos"
     dense: bool = False
-    config: SolverConfig = field(default_factory=SolverConfig)
 
 
 @dataclass
@@ -355,7 +337,7 @@ def run_pop(pop: PopProblem, opts: RunOptions, instance: str = "problem") -> Lis
         t0 = time.perf_counter()
         cliques = rel.cliques(k)
         sdp = assemble(pop, cliques, side=opts.side)
-        res = solve_relaxation(sdp, opts.config)
+        res = solve_relaxation(sdp)
         dt = time.perf_counter() - t0
         mc = [dec.max_clique for dec in cliques]
         rows.append(
@@ -379,10 +361,10 @@ def run_pipeline(spec: BenchSpec, opts: Optional[RunOptions] = None) -> List[Ben
     """Generate the instance and run it at every order 1..k_max."""
     pop = generate(spec)
     opts = opts if opts is not None else RunOptions()
+    _, fields, basis = FAMILIES[spec.family]
     if opts.basis is None and not pop.constraints:
-        # the family's basis: reduced for randpoly1, newton for randpoly2, standard otherwise
-        opts = replace(opts, basis={"randpoly1": "reduced", "randpoly2": "newton"}.get(spec.family, "standard"))
-    label = f"{spec.family}(n={spec.n}" + (f", seed={spec.seed})" if spec.family.startswith("rand") else ")")
+        opts = replace(opts, basis=basis)
+    label = f"{spec.family}(n={spec.n}" + (f", seed={spec.seed})" if "seed" in fields else ")")
     return run_pop(pop, opts, instance=label)
 
 

@@ -92,8 +92,8 @@ def cmd_solve(args) -> int:
             with open(args.solution, "r", encoding="utf-8") as fh:
                 # integers as floats: one beyond double range reads as inf, not an OverflowError
                 payload = json.load(fh, parse_int=float)
-            _, offset, readout = sdp.canonical()
-            key = "primal_obj" if readout == "primal" else "dual_obj"
+            _, offset, side = sdp.canonical()
+            key = "primal_obj" if side == "sos" else "dual_obj"
             if not isinstance(payload, dict):
                 raise ValueError("solution file is not a JSON object")
             if key not in payload:

@@ -151,7 +151,8 @@ def _support_pairs(graph: MonomialGraph) -> Tuple[np.ndarray, np.ndarray]:
     2*beta for every node beta, matching the implicit self-loops.
     """
     diag = np.arange(graph.n_nodes)
-    return np.concatenate([diag, graph.pairs[:, 0]]), np.concatenate([diag, graph.pairs[:, 1]])
+    i, j = graph.pairs.T
+    return np.concatenate([diag, i]), np.concatenate([diag, j])
 
 
 def _support_items(graph: MonomialGraph) -> Tuple[np.ndarray, RowsOf]:
@@ -167,9 +168,8 @@ def _support_set(graph: MonomialGraph) -> _ExponentSet:
     return _ExponentSet(*_support_items(graph))
 
 
-def _new_support(graph: MonomialGraph, searched: _ExponentSet) -> Optional[_ExponentSet]:
-    """The part of the graph's support outside searched, or None when it is all in there."""
-    keys, rows_of = _support_items(graph)
+def _new_support(keys: np.ndarray, rows_of: RowsOf, searched: _ExponentSet) -> Optional[_ExponentSet]:
+    """The support items (keys, rows_of) outside searched, or None when they are all in there."""
     new = np.flatnonzero(~searched.contains(keys, rows_of))
     if not len(new):
         return None
@@ -507,8 +507,9 @@ def iterate_constrained(
     searched = targets  # every non-edge of the moment graph is known to miss it
     for step in range(1, k + 2):
         prev = levels[-1]
-        moment_supp = _support_set(prev[0])
-        new = _new_support(prev[0], searched)
+        items = _support_items(prev[0])
+        moment_supp = _ExponentSet(*items)
+        new = _new_support(*items, searched)
         new_level = [chordal_extension(with_seed(_linked(prev[0], new), step, 0), mode)]
         # the constraint graphs were last searched one step back, against the
         # support searched now holds; at step 1 they have searched nothing yet

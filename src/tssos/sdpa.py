@@ -51,8 +51,7 @@ class ImportedSdp:
     side: str
 
     def canonical(self) -> Tuple[CanonicalSdp, float, str]:
-        readout = "primal" if self.side == "sos" else "dual"
-        return self.problem, self.offset, readout
+        return self.problem, self.offset, self.side
 
     @property
     def block_sizes(self) -> List[int]:
@@ -72,8 +71,7 @@ def _text_column(values: np.ndarray, fmt: Callable[[object], str]) -> List[str]:
 
 def export_sdpa(problem, path: str) -> None:
     """Write a relaxation (BlockSdp or ImportedSdp) as a .dat-s file."""
-    prob, offset, readout = problem.canonical()
-    side = "sos" if readout == "primal" else "moment"
+    prob, offset, side = problem.canonical()
     m = prob.n_constraints
     lines = [f"* tssos offset=" + _FMT.format(offset) + f" side={side}"]
     lines.append(str(m))

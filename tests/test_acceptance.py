@@ -372,10 +372,10 @@ def test_criterion_12_sdpa_round_trip(ex33, quadratics, tmp_path):
         path = tmp_path / f"{name}.dat-s"
         export_sdpa(sdp, str(path))
         back = import_sdpa(str(path))
-        prob, offset, readout = back.canonical()
+        prob, offset, side = back.canonical()
         sol = solve_canonical(prob)
         assert sol.status == "optimal", name
-        value = sol.primal_obj if readout == "primal" else sol.dual_obj
+        value = sol.primal_obj if side == "sos" else sol.dual_obj
         assert abs((offset - value) - want) <= 1e-6, name
 
     f = parse_polynomial("x1^2 - 2*x1 + 3", 1)

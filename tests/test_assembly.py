@@ -141,9 +141,9 @@ def test_canonical_offset_and_sign_conventions():
     basis = standard_basis(1, 1)
     sos = assemble(PopProblem(f), [CliqueDecomposition.whole(basis)], side="sos").canonical()
     mom = assemble(PopProblem(f), [CliqueDecomposition.whole(basis)], side="moment").canonical()
-    for (prob, offset, readout), sign, expect in ((sos, 1.0, "primal"), (mom, -1.0, "dual")):
+    for (prob, offset, side), sign, expect in ((sos, 1.0, "sos"), (mom, -1.0, "moment")):
         assert offset == 3.0
-        assert readout == expect
+        assert side == expect
         assert sorted(prob.b) == sorted(sign * v for v in (-2.0, 1.0))
         prob.validate()
 

@@ -4,12 +4,15 @@ import os
 import numpy as np
 import pytest
 
+from tssos import bench
+from tssos.assembly import assemble
 from tssos.bench import (
     BenchRow,
     BenchSpec,
     RunOptions,
     broyden_banded,
     broyden_tridiagonal,
+    build_relaxation,
     constraint_set,
     emit_table,
     gen_rosenbrock,
@@ -27,6 +30,7 @@ from tssos.bench import (
 )
 from tssos.cli import main
 from tssos.poly import PopProblem, parse_pop
+import running_sum_families as running
 from tuple_forms import support, terms as term_dict
 
 EX1 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples_pop", "ex1.pop")
@@ -163,9 +167,9 @@ def test_constraint_sets():
 def test_generate_validates_random_args():
     with pytest.raises(ValueError):
         generate(BenchSpec(family="nope", n=3))
-    with pytest.raises(ValueError):
-        generate(BenchSpec(family="randpoly1", n=3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^randpoly1 needs --deg, --terms and --prob$"):
+        generate(BenchSpec(family="randpoly1", n=3, deg=4, terms=2))
+    with pytest.raises(ValueError, match="^randpoly2 needs --deg and --terms$"):
         generate(BenchSpec(family="randpoly2", n=3, deg=4))
     pop = generate(BenchSpec(family="gen_rosenbrock", n=4, constraint="unit_ball"))
     assert len(pop.constraints) == 1
@@ -287,3 +291,64 @@ def test_json_text_writes_non_finite_floats_as_null():
         {"instance": "x", "k": 1, "bs": 3, "rbs": None, "mc": 2, "n_eq": 4, "opt": None,
          "status": "numerical", "time": 0.5, "stabilized": False}]
     assert json.loads(json_text({"a": (float("inf"), -float("inf"), 1.5)})) == {"a": [None, None, 1.5]}
+
+
+# Every instance of tests/test_poly.py's instance texts is among these: the
+# named families at n = 4, 12 and 40, randpoly1(8, 8, 30, 0.1) and
+# randpoly2(6, 6, 20) at seeds 0-9, and the perfbench instances.  The coupled
+# families, whose running sum is O(n^4), and broyden_banded, whose parts are
+# slow to form, stop at n = 32 plus 40 and 56.
+ORACLE_CASES = {
+    "broyden_banded": [(n,) for n in [*range(2, 33), 40, 56]],
+    "broyden_tridiagonal": [(n,) for n in range(2, 57)],
+    "gen_rosenbrock": [(n,) for n in range(2, 57)],
+    "mod_gen_rosenbrock": [(n,) for n in [*range(2, 33), 40, 56]],
+    "mod_chained_singular": [(n,) for n in [*range(4, 33, 2), 40, 56]],
+    "randpoly1": [(8, 8, 30, 0.1, seed) for seed in range(40)],
+    "randpoly2": [(6, 6, 20, seed) for seed in range(40)],
+}
+
+
+def bit_terms(p):
+    """p as a dict {exponent tuple: coefficient bits}."""
+    return dict(zip(map(tuple, p.rows.tolist()), p.coeffs.view(np.int64).tolist()))
+
+
+def assert_same_sum(got, want, same_order, case):
+    assert got.nvars == want.nvars, case
+    assert bit_terms(got) == bit_terms(want), case
+    assert str(got) == str(want), case
+    if same_order:
+        assert np.array_equal(got.rows, want.rows), case
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_CASES))
+def test_one_merge_matches_the_running_sum(family):
+    # broyden_banded's partial sums cancel terms exactly (x1 and x2 at n = 4),
+    # which the running sum dropped and took up again later in its order
+    for args in ORACLE_CASES[family]:
+        want = getattr(running, family)(*args)
+        got = getattr(bench, family)(*args)
+        assert_same_sum(got, want, family != "broyden_banded", (family, args))
+
+
+@pytest.mark.parametrize("name", ["unit_ball", "unit_hypercube"])
+def test_constraint_sets_match_the_running_sum(name):
+    for n in range(1, 57):
+        want, got = running.constraint_set(name, n), constraint_set(name, n)
+        assert len(got) == len(want), n
+        for g, w in zip(got, want):
+            assert_same_sum(g, w, True, (name, n))
+
+
+def test_broyden_banded_tables_match_the_running_sum():
+    for n in range(4, 9):
+        pops = [PopProblem(f) for f in (broyden_banded(n), running.broyden_banded(n))]
+        for basis in ("standard", "newton", "reduced"):
+            got, want = (build_relaxation(pop, RunOptions(k_max=2, basis=basis)) for pop in pops)
+            for k in (1, 2):
+                a, b = (assemble(pop, rel.cliques(k)) for pop, rel in zip(pops, (got, want)))
+                assert a.block_sizes == b.block_sizes, (n, basis, k)
+                for name in ("alphas", "rhs", "row", "blk", "r", "c", "v"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (n, basis, k, name)

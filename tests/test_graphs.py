@@ -25,6 +25,7 @@ from tssos.graphs import (
     _linked_pairs,
     _mcs_order,
     _new_support,
+    _support_items,
     _support_set,
     _tsp_targets,
     chordal_extension,
@@ -681,7 +682,8 @@ def test_seeded_iteration_matches_reference():
                 assert all(level == want[-1] for level in got[len(want):])
                 assert seq.stabilized_at == stabilized, (mode, k)
             level0 = seq.at(0)[0]  # seeded by other
-            assert _new_support(level0, _tsp_targets(pop.objective, level0.basis, sorted(extra))) is not None
+            targets = _tsp_targets(pop.objective, level0.basis, sorted(extra))
+            assert _new_support(*_support_items(level0), targets) is not None
 
 
 def test_seed_embedding_skips_monomials_outside_a_reduced_basis():
@@ -747,13 +749,13 @@ def test_moment_support_built_once_per_step(monkeypatch):
     pop = PopProblem(bench.gen_rosenbrock(n), bench.constraint_set("unit_hypercube", n))
     want, _ = reference_iterate_constrained(pop, 2, 2, "approx_min")
     built = []
-    real = tssos.graphs._support_set
+    real = tssos.graphs._support_items
 
     def counting(graph):
         built.append(graph)
         return real(graph)
 
-    monkeypatch.setattr(tssos.graphs, "_support_set", counting)
+    monkeypatch.setattr(tssos.graphs, "_support_items", counting)
     for k in (1, 2):
         built.clear()
         seq = iterate_constrained(pop, generator_bases(pop, 2), k=k)

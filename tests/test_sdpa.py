@@ -33,7 +33,7 @@ def test_export_matches_golden_file(tmp_path):
 @pytest.mark.parametrize("side", ["sos", "moment"])
 def test_round_trip_preserves_problem(tmp_path, side):
     sdp = quadratic_sdp(side)
-    prob, offset, readout = sdp.canonical()
+    prob, offset, _ = sdp.canonical()
     path = tmp_path / "rt.dat-s"
     export_sdpa(sdp, str(path))
     back = import_sdpa(str(path))
@@ -42,7 +42,7 @@ def test_round_trip_preserves_problem(tmp_path, side):
     assert tuple(back.block_sizes) == prob.block_sizes
     for col in ("b", "k", "blk", "r", "c", "v"):
         assert np.array_equal(getattr(back.problem, col), getattr(prob, col)), col
-    assert back.canonical()[2] == readout
+    assert back.canonical()[2] == side
 
 
 @pytest.mark.parametrize("side, a_entries, b", [
@@ -64,9 +64,9 @@ def test_round_trip_reproduces_bound(tmp_path):
     path = tmp_path / "ball.dat-s"
     export_sdpa(sdp, str(path))
     back = import_sdpa(str(path))
-    prob, offset, readout = back.canonical()
+    prob, offset, side = back.canonical()
     sol = solve_canonical(prob)
-    value = sol.primal_obj if readout == "primal" else sol.dual_obj
+    value = sol.primal_obj if side == "sos" else sol.dual_obj
     assert sol.status == "optimal"
     assert abs((offset - value) - direct.bound) < 1e-12
 

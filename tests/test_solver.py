@@ -995,3 +995,18 @@ def test_solve_peak_with_large_blocks_is_within_memory_estimate(monkeypatch):
         tracemalloc.stop()
     assert sol.status == "optimal"
     assert peak <= need, (peak, need)
+
+
+def test_readout_matches_the_public_product():
+    # _readout calls scipy's private kernel scipy.sparse._sparsetools.csr_matvecs:
+    # a scipy release that renames or changes it fails here, not inside a solve
+    from scipy import sparse
+    from scipy.sparse import _sparsetools
+
+    assert tssos.solver._sparsetools.csr_matvecs is _sparsetools.csr_matvecs
+    rng = np.random.default_rng(4)
+    w = sparse.random(7, 11, density=0.3, format="csr", random_state=rng)
+    t = rng.normal(size=(11, 5))
+    out = np.full((7, 5), 123.0)  # stale values from an earlier chunk
+    tssos.solver._readout(w, t, out)
+    np.testing.assert_allclose(out, w @ t, rtol=1e-14, atol=1e-14)
