@@ -10,9 +10,10 @@ requires every clique submatrix of every (localizing) moment matrix to be
 positive semidefinite; overlapping cliques automatically agree because a
 shared y_alpha is literally the same variable in each block.
 
-Both sides canonicalize to the same standard-form data (the two problems are
-exact duals), but the bound is read from the primal objective on the SOS
-side and from the dual objective on the moment side:
+The two problems are exact duals, so both sides are the same standard-form
+table up to sign: on the moment side the constraint entries and their rhs
+are negated.  The bound is read from the primal objective on the SOS side
+and from the dual objective on the moment side:
 
     bound = f_0 - primal_opt   (sos)      bound = f_0 - dual_opt   (moment)
 
@@ -20,14 +21,15 @@ Every relaxation takes the same route: each generator g_j (g_0 = 1) brings a
 clique decomposition of its basis, every clique is one PSD block, and the
 rows are scattered forward from the products within the cliques.  The
 unconstrained case is the generator list [1] and the dense case one clique
-per basis, so only the readout depends on the side.
+per basis.  assemble builds the solver's table once, with the side's sign;
+the side then only picks the readout.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,50 +43,52 @@ SIDES = ("sos", "moment")
 
 @dataclass
 class BlockSdp:
-    """A relaxation in block form, before canonicalization for the solver.
+    """A relaxation: the solver's table, its constant offset and its side.
 
-    Row i is the equality of exponent alphas[i], f's coefficient rhs[i] on
-    the right.  alphas is graded lex, so row 0 is the constant.  Entry e
-    puts coefficient v[e] on cell (r[e], c[e]), r <= c, of block blk[e] in
-    row row[e]; entries are stably ordered by row.  The row number is the
-    SDPA matrix index: row 0 becomes the objective, row i constraint i.
+    Constraint i of problem is the equality of exponent alphas[i + 1], and
+    F_0 = C that of alphas[0] = 0 (alphas is graded lex), whose rhs f_0 is
+    the offset.  Entry e of row k[e] puts the coefficient of one generator
+    term on one clique cell; b is f's coefficients.  On the moment side the
+    constraint entries and b are negated.  Entries are stably ordered by row,
+    which is SDPA's entry order.  A relaxation read from an SDPA file has no
+    exponents: alphas is None.
     """
 
-    nvars: int
+    problem: CanonicalSdp
+    offset: float
     side: str
-    block_sizes: List[int]
-    alphas: np.ndarray
-    rhs: np.ndarray
-    row: np.ndarray
-    blk: np.ndarray
-    r: np.ndarray
-    c: np.ndarray
-    v: np.ndarray
+    alphas: Optional[np.ndarray] = None
     constraints: Tuple[Polynomial, ...] = ()
 
     @property
+    def block_sizes(self) -> List[int]:
+        return list(self.problem.block_sizes)
+
+    @property
     def n_equalities(self) -> int:
-        return len(self.alphas)
+        """Equality rows, the objective's row 0 included."""
+        return self.problem.n_constraints + 1
 
     def scalar_variable_count(self) -> int:
         """Total Gram entries over all blocks (SOS-side scalar count)."""
         return sum(s * (s + 1) // 2 for s in self.block_sizes)
 
     def moment_variable_count(self) -> int:
-        """Distinct y_alpha variables (moment-side scalar count)."""
-        return len(self.alphas)
+        """Distinct y_alpha variables (moment-side scalar count): one per row."""
+        return self.n_equalities
 
     def canonical(self) -> Tuple[CanonicalSdp, float, str]:
-        """Standard-form data plus (constant offset, side).
+        """The solver's table, the constant offset and the side, as stored."""
+        return self.problem, self.offset, self.side
 
-        bound = offset - primal objective for the SOS side, and
-        bound = offset - dual objective for the moment side.
-        """
-        sign = 1.0 if self.side == "sos" else -1.0
-        v = self.v if sign == 1.0 else np.where(self.row > 0, -self.v, self.v)
-        prob = CanonicalSdp(tuple(self.block_sizes), sign * self.rhs[1:],
-                            self.row, self.blk, self.r, self.c, v)
-        return prob, float(self.rhs[0]), self.side
+    @property
+    def readout(self) -> str:
+        """The solver objective the bound is read from: primal (sos) or dual (moment)."""
+        return "primal_obj" if self.side == "sos" else "dual_obj"
+
+    def bound(self, objectives: Mapping[str, float]) -> float:
+        """The lower bound offset - objectives[readout]."""
+        return self.offset - objectives[self.readout]
 
 
 @dataclass
@@ -208,23 +212,24 @@ def assemble(pop: PopProblem, cliques: Sequence[CliqueDecomposition], side: str 
                          "not realized by the cliques")
     rhs = np.zeros(len(alphas))
     rhs[rank[member]] = f_coeffs
-    return BlockSdp(nvars=n, side=side, block_sizes=block_sizes, alphas=alphas, rhs=rhs,
-                    row=row[perm], blk=blk[perm], r=a[perm], c=b[perm], v=coeff[perm],
-                    constraints=tuple(pop.constraints))
+    row, coeff, constraint_rhs = row[perm], coeff[perm], rhs[1:]
+    if side == "moment":
+        coeff, constraint_rhs = np.where(row > 0, -coeff, coeff), -constraint_rhs
+    problem = CanonicalSdp(tuple(block_sizes), constraint_rhs, row, blk[perm], a[perm], b[perm], coeff)
+    return BlockSdp(problem, float(rhs[0]), side, alphas, tuple(pop.constraints))
 
 
 # -- solving ------------------------------------------------------------------
 
 
 def solve_relaxation(problem: BlockSdp, config: SolverConfig | None = None) -> RelaxationResult:
-    """Canonicalize, run the interior-point solver, read out the bound."""
-    prob, offset, side = problem.canonical()
+    """Run the interior-point solver on the relaxation's table, read out the bound."""
+    prob = problem.canonical()[0]
     t0 = time.perf_counter()
     sol = solve_canonical(prob, config)
     dt = time.perf_counter() - t0
-    value = sol.primal_obj if side == "sos" else sol.dual_obj
     return RelaxationResult(
-        bound=offset - value,
+        bound=problem.bound(vars(sol)),
         status=sol.status,
         side=problem.side,
         block_sizes=problem.block_sizes,
@@ -251,7 +256,9 @@ def reconstruct_certificate(
         raise ValueError("certificates come from SOS-side solves")
     if result.solution is None:
         raise ValueError("result carries no solver solution")
-    n = problem.nvars
+    if problem.alphas is None:
+        raise ValueError("certificates need an assembled relaxation, not one read from a file")
+    n = problem.alphas.shape[1]
     gens = [Polynomial.constant(n, 1.0)] + list(problem.constraints)
     if len(cliques) != len(gens):
         raise ValueError(f"expected {len(gens)} clique decompositions, got {len(cliques)}")

@@ -47,12 +47,7 @@ def _solver_config(args) -> SolverConfig:
         raise ValueError(f"--max-iters must be at least 1, got {args.max_iters}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
-    return SolverConfig(
-        tol_gap=args.tol,
-        tol_feas=args.tol,
-        max_iters=args.max_iters,
-        verbose=args.verbose,
-    )
+    return SolverConfig(tol=args.tol, max_iters=args.max_iters, verbose=args.verbose)
 
 
 def _run_options(args) -> RunOptions:
@@ -92,8 +87,7 @@ def cmd_solve(args) -> int:
             with open(args.solution, "r", encoding="utf-8") as fh:
                 # integers as floats: one beyond double range reads as inf, not an OverflowError
                 payload = json.load(fh, parse_int=float)
-            _, offset, side = sdp.canonical()
-            key = "primal_obj" if side == "sos" else "dual_obj"
+            key = sdp.readout
             if not isinstance(payload, dict):
                 raise ValueError("solution file is not a JSON object")
             if key not in payload:
@@ -101,7 +95,7 @@ def cmd_solve(args) -> int:
             value = payload[key]
             if not isinstance(value, float) or math.isnan(value):
                 raise ValueError(f"solution file's {key!r} is not a number: {value!r}")
-            bound = offset - value
+            bound = sdp.bound(payload)
             status = payload.get("status", "unknown")
             out = {"bound": bound, "status": status, "side": args.side, "solver": "external"}
             print(json_text(out) if args.json else
@@ -140,12 +134,13 @@ def cmd_report(args) -> int:
     report: dict = {"file": args.file, "nvars": pop.nvars, "mode": args.mode}
     if rel.order is not None:
         report["order"] = rel.order
+    cliques = {k: rel.cliques(k) for k in range(1, k_max + 1)}
     report["levels"] = {
-        str(k): [clique_report(g, rel.stabilized(k)) for g in rel.seq.at(k)]
-        for k in range(1, k_max + 1)
+        str(k): [clique_report(g, dec, rel.stabilized(k)) for g, dec in zip(rel.seq.at(k), cliques[k])]
+        for k in cliques
     }
     report["stabilized_at"] = rel.seq.stabilized_at
-    sdp = assemble(pop, rel.cliques(k_max), side=args.side)
+    sdp = assemble(pop, cliques[k_max], side=args.side)
     report["sos_scalar_variables"] = sdp.scalar_variable_count()
     report["moment_scalar_variables"] = sdp.moment_variable_count()
     report["n_equalities"] = sdp.n_equalities

@@ -530,9 +530,8 @@ def iterate_constrained(
     return GraphSequence(levels=levels, mode=mode, stabilized_at=stabilized)
 
 
-def clique_report(graph: MonomialGraph, stabilized: bool) -> dict:
-    """Census of a chordal graph's cliques in plain JSON-friendly form."""
-    dec = maximal_cliques(graph)
+def clique_report(graph: MonomialGraph, dec: CliqueDecomposition, stabilized: bool) -> dict:
+    """Census of a chordal graph's cliques dec in plain JSON-friendly form."""
     return {
         "clique_sizes": dec.sizes,
         "max_clique": dec.max_clique,

@@ -28,11 +28,11 @@ naming the first bad line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from .assembly import SIDES, BlockSdp
 from .solver import _INT64_MAX, CanonicalSdp, _capped_sizes
 
 _FMT = "{:.17g}"
@@ -42,26 +42,6 @@ class SdpaFormatError(ValueError):
     pass
 
 
-@dataclass
-class ImportedSdp:
-    """A problem read back from a .dat-s file, solvable like a BlockSdp."""
-
-    problem: CanonicalSdp
-    offset: float
-    side: str
-
-    def canonical(self) -> Tuple[CanonicalSdp, float, str]:
-        return self.problem, self.offset, self.side
-
-    @property
-    def block_sizes(self) -> List[int]:
-        return list(self.problem.block_sizes)
-
-    @property
-    def n_equalities(self) -> int:
-        return self.problem.n_constraints
-
-
 def _text_column(values: np.ndarray, fmt: Callable[[object], str]) -> List[str]:
     """fmt of every value, each distinct value formatted once."""
     distinct, inverse = np.unique(values, return_inverse=True)
@@ -69,8 +49,8 @@ def _text_column(values: np.ndarray, fmt: Callable[[object], str]) -> List[str]:
     return list(map(text.__getitem__, inverse.ravel().tolist()))
 
 
-def export_sdpa(problem, path: str) -> None:
-    """Write a relaxation (BlockSdp or ImportedSdp) as a .dat-s file."""
+def export_sdpa(problem: BlockSdp, path: str) -> None:
+    """Write a relaxation, assembled or read from a file, as a .dat-s file."""
     prob, offset, side = problem.canonical()
     m = prob.n_constraints
     lines = [f"* tssos offset=" + _FMT.format(offset) + f" side={side}"]
@@ -146,8 +126,8 @@ def _entry_columns(lines: List[Tuple[int, str]], m: int, sizes: Sequence[int]) -
     return [np.array(col, dtype=_ENTRY[f]) for f, col in zip(_ENTRY.names, zip(*parsed))]
 
 
-def import_sdpa(path: str) -> ImportedSdp:
-    """Read a .dat-s file back into a solvable problem."""
+def import_sdpa(path: str) -> BlockSdp:
+    """Read a .dat-s file back into a relaxation without exponents (alphas is None)."""
     offset = 0.0
     side = "sos"
     with open(path, "rb") as fh:
@@ -170,7 +150,7 @@ def import_sdpa(path: str) -> ImportedSdp:
                 except ValueError:
                     raise SdpaFormatError(f"line {ln}: bad offset {header.group(1)!r}") from None
                 side = header.group(2)
-                if side not in ("sos", "moment"):
+                if side not in SIDES:
                     raise SdpaFormatError(f"line {ln}: side must be sos or moment, got {side!r}")
             continue
         data_lines.append((ln, line))
@@ -225,4 +205,4 @@ def import_sdpa(path: str) -> ImportedSdp:
         raise SdpaFormatError(f"constraint {int(np.argmin(counts)) + 1} has no entries")
     prob = CanonicalSdp(sizes, np.array(b, dtype=float), k, blk - 1, np.minimum(i, j) - 1,
                         np.maximum(i, j) - 1, np.where(k == 0, -v, v))
-    return ImportedSdp(problem=prob, offset=offset, side=side)
+    return BlockSdp(prob, offset, side)

@@ -170,8 +170,7 @@ class CanonicalSdp:
 
 @dataclass
 class SolverConfig:
-    tol_gap: float = 1e-8
-    tol_feas: float = 1e-8
+    tol: float = 1e-8  # on the relative gap and on both relative residuals
     max_iters: int = 200
     verbose: bool = False
 
@@ -744,7 +743,7 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
     _check_memory(prob)
     m_all = prob.n_constraints
     buf = np.empty(m_all * m_all + 1)
-    dropped, inconsistent = _dependent_rows(prob, buf, cfg.tol_feas)
+    dropped, inconsistent = _dependent_rows(prob, buf, cfg.tol)
     if len(inconsistent):
         sol = _inconsistent(prob, inconsistent)
     else:
@@ -850,7 +849,7 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, buf: np.ndarray) -> S
             print(f"iter {it:3d}  pobj {pobj: .9e}  dobj {dobj: .9e}  "
                   f"gap {rel_gap:.2e}  rp {rp_norm:.2e}  rd {rd_norm:.2e}", file=sys.stderr)
 
-        if rel_gap <= cfg.tol_gap and rp_norm <= cfg.tol_feas and rd_norm <= cfg.tol_feas:
+        if rel_gap <= cfg.tol and rp_norm <= cfg.tol and rd_norm <= cfg.tol:
             status = "optimal"
             break
 

@@ -45,7 +45,7 @@ EX33 = (
     "x1^2 - 2*x1*x2 + 3*x2^2 - 2*x1^2*x2 + 2*x1^2*x2^2 - 2*x2*x3 + 6*x3^2"
     " + 18*x2^2*x3 - 54*x2*x3^2 + 142*x2^2*x3^2"
 )
-LOOSE = SolverConfig(tol_gap=1e-7, tol_feas=1e-7)
+LOOSE = SolverConfig(tol=1e-7)
 
 
 def banded_quadratic(n, bandwidth, seed):

@@ -21,6 +21,8 @@ from tssos.graphs import (
     tsp_graph,
 )
 from tssos.poly import Polynomial, PopProblem, parse_polynomial, parse_pop
+from tssos.sdpa import export_sdpa, import_sdpa
+from sdp_tables import assert_same_table, canonical_sdp
 from tuple_forms import graph_support, grlex_key, monos, terms
 
 EX33 = (
@@ -39,12 +41,22 @@ def dense_cliques(pop, d_hat):
     return build_relaxation(pop, RunOptions(order=d_hat, dense=True)).cliques(1)
 
 
+def side_sign(side):
+    """The moment side negates the constraint entries and their rhs."""
+    return 1.0 if side == "sos" else -1.0
+
+
 def block_rows(sdp):
-    """(alpha, entries, rhs) of every row, entries as (block, row, col, coeff) tuples."""
+    """(alpha, entries, rhs) of every row, entries as (block, row, col, coeff) tuples.
+
+    The moment side's sign is undone, so both sides read the same rows.
+    """
+    prob, sign = sdp.problem, side_sign(sdp.side)
     entries = [[] for _ in range(sdp.n_equalities)]
-    for i, *entry in zip(*(col.tolist() for col in (sdp.row, sdp.blk, sdp.r, sdp.c, sdp.v))):
-        entries[i].append(tuple(entry))
-    return list(zip(map(tuple, sdp.alphas.tolist()), map(tuple, entries), sdp.rhs.tolist()))
+    for i, *entry, v in zip(*(col.tolist() for col in (prob.k, prob.blk, prob.r, prob.c, prob.v))):
+        entries[i].append((*entry, sign * v if i else v))
+    rhs = [sdp.offset] + (sign * prob.b).tolist()
+    return list(zip(map(tuple, sdp.alphas.tolist()), map(tuple, entries), rhs))
 
 
 def row_alphas(sdp):
@@ -250,6 +262,18 @@ def test_certificate_requires_sos_side_and_solution():
         reconstruct_certificate(sos_sdp, bare, [maximal_cliques(complete_graph(basis))])
 
 
+def test_certificate_refused_on_a_relaxation_read_from_a_file(tmp_path):
+    f = parse_polynomial("x1^2 + 1", 1)
+    cliques = [CliqueDecomposition.whole(standard_basis(1, 1))]
+    path = str(tmp_path / "p.dat-s")
+    export_sdpa(assemble(PopProblem(f), cliques), path)
+    back = import_sdpa(path)
+    res = solve_relaxation(back)
+    assert res.status == "optimal"
+    with pytest.raises(ValueError, match="read from a file"):
+        reconstruct_certificate(back, res, cliques)
+
+
 def test_bad_side_rejected():
     f = parse_polynomial("x1^2 + 1", 1)
     with pytest.raises(ValueError):
@@ -343,6 +367,31 @@ def reference_forward_rows(pop, cliques):
                 alpha = tuple(x + y for x, y in zip(aprime, rho))
                 rows.setdefault(alpha, []).extend((b, p, q, coeff) for b, p, q in cells)
     return [(a, tuple(rows[a]), pop.objective.coeff(a)) for a in sorted(rows, key=grlex_key)]
+
+
+def signed_table(rows, block_sizes, side):
+    """The solver's table of the rows (alpha, entries, rhs) by the sign rule:
+    on the moment side, the entries of rows > 0 and rhs[1:] are negated."""
+    sign = side_sign(side)
+    a_entries = [tuple((b, p, q, sign * v) for b, p, q, v in ents) for _, ents, _ in rows[1:]]
+    return canonical_sdp(block_sizes, rows[0][1], a_entries, [sign * rhs for *_, rhs in rows[1:]])
+
+
+@pytest.mark.parametrize("family,n,constraint", [
+    ("gen_rosenbrock", 4, "none"), ("broyden_tridiagonal", 3, "none"),
+    ("gen_rosenbrock", 4, "unit_ball"), ("broyden_tridiagonal", 3, "unit_hypercube"),
+])
+@pytest.mark.parametrize("dense,k", [(False, 1), (False, 2), (True, 1)])
+@pytest.mark.parametrize("side", ["sos", "moment"])
+def test_assembled_table_is_the_signed_rows(family, n, constraint, dense, k, side):
+    pop = PopProblem(getattr(bench, family)(n), bench.constraint_set(constraint, n))
+    cliques = build_relaxation(pop, RunOptions(k_max=2, dense=dense)).cliques(k)
+    sdp = assemble(pop, cliques, side=side)
+    rows = reference_forward_rows(pop, cliques)
+    assert_same_table(sdp.problem, signed_table(rows, sdp.block_sizes, side))
+    assert (sdp.offset, sdp.side) == (rows[0][2], side)
+    prob, offset, got_side = sdp.canonical()
+    assert prob is sdp.problem and (offset, got_side) == (sdp.offset, side)
 
 
 @pytest.mark.parametrize("family,n,constraint,dense,side", [

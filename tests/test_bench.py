@@ -31,6 +31,7 @@ from tssos.bench import (
 from tssos.cli import main
 from tssos.poly import PopProblem, parse_pop
 import running_sum_families as running
+from sdp_tables import COLUMNS
 from tuple_forms import support, terms as term_dict
 
 EX1 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples_pop", "ex1.pop")
@@ -349,6 +350,7 @@ def test_broyden_banded_tables_match_the_running_sum():
             for k in (1, 2):
                 a, b = (assemble(pop, rel.cliques(k)) for pop, rel in zip(pops, (got, want)))
                 assert a.block_sizes == b.block_sizes, (n, basis, k)
-                for name in ("alphas", "rhs", "row", "blk", "r", "c", "v"):
-                    x, y = getattr(a, name), getattr(b, name)
+                columns = [(name, getattr(a.problem, name), getattr(b.problem, name)) for name in COLUMNS]
+                for name, x, y in [("alphas", a.alphas, b.alphas),
+                                   ("offset", np.float64(a.offset), np.float64(b.offset)), *columns]:
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (n, basis, k, name)

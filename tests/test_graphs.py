@@ -416,7 +416,8 @@ def test_clique_report_shape():
     f = parse_polynomial(EX33, 3)
     basis = newton_half_basis(f)
     seq = iterate_constrained(PopProblem(f), [basis], k=1)
-    rep = clique_report(seq.at(1)[0], stabilized=True)
+    g = seq.at(1)[0]
+    rep = clique_report(g, maximal_cliques(g), stabilized=True)
     assert rep["max_clique"] == 3
     assert rep["clique_sizes"] == [3, 3, 3, 3]
     assert rep["n_edges"] == 9

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tssos.assembly import assemble, solve_relaxation
+from tssos.assembly import BlockSdp, assemble, solve_relaxation
 from tssos.basis import standard_basis
 from tssos.bench import RunOptions, build_relaxation
 from tssos.graphs import CliqueDecomposition
 from tssos.poly import PopProblem, parse_polynomial, parse_pop
-from tssos.sdpa import ImportedSdp, SdpaFormatError, export_sdpa, import_sdpa
+from tssos.sdpa import SdpaFormatError, export_sdpa, import_sdpa
 from tssos.solver import solve_canonical
 
 from sdp_tables import assert_same_table, canonical_sdp, entry_rows
@@ -69,6 +69,25 @@ def test_round_trip_reproduces_bound(tmp_path):
     value = sol.primal_obj if side == "sos" else sol.dual_obj
     assert sol.status == "optimal"
     assert abs((offset - value) - direct.bound) < 1e-12
+
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples_pop")
+
+
+@pytest.mark.parametrize("name,side", [("ball2", "sos"), ("ex1", "moment")])
+def test_round_trip_keeps_the_relaxation(tmp_path, name, side):
+    with open(os.path.join(EXAMPLES, f"{name}.pop")) as fh:
+        pop = parse_pop(fh.read())
+    sdp = assemble(pop, build_relaxation(pop, RunOptions()).cliques(1), side=side)
+    path = tmp_path / f"{name}.dat-s"
+    export_sdpa(sdp, str(path))
+    back = import_sdpa(str(path))
+    assert back.alphas is None
+    assert (back.n_equalities, back.block_sizes, back.offset, back.side) == \
+        (sdp.n_equalities, sdp.block_sizes, sdp.offset, side)
+    got, want = solve_relaxation(back), solve_relaxation(sdp)
+    assert got.status == want.status == "optimal"
+    assert (got.bound, got.n_equalities) == (want.bound, want.n_equalities)
 
 
 def test_seventeen_digit_coefficients_survive(tmp_path):
@@ -196,7 +215,7 @@ NUMBERS = st.floats(allow_nan=False)
 
 @st.composite
 def imported_problems(draw):
-    """A random problem with nonzero entries (export drops zeros), as an ImportedSdp."""
+    """A random problem with nonzero entries (export drops zeros), as read from a file."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
 
     def entries(lo, hi):
@@ -215,7 +234,7 @@ def imported_problems(draw):
         a_entries=tuple(entries(1, 4) for _ in range(m)),
         b=tuple(draw(st.lists(NUMBERS, min_size=m, max_size=m))),
     )
-    return ImportedSdp(problem=prob, offset=draw(NUMBERS), side=draw(st.sampled_from(["sos", "moment"])))
+    return BlockSdp(prob, draw(NUMBERS), draw(st.sampled_from(["sos", "moment"])))
 
 
 def _exported_lines(tmp_path_factory, problem):
