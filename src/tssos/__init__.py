@@ -18,7 +18,6 @@ from .basis import (
     MonomialBasis,
     generate_basis,
     newton_half_basis,
-    reduce_basis_constrained,
     reduce_basis_unconstrained,
     standard_basis,
 )
@@ -32,6 +31,7 @@ from .graphs import (
     is_chordal,
     iterate_constrained,
     maximal_cliques,
+    reduce_basis_constrained,
     support_extension,
     tsp_graph,
 )

@@ -73,10 +73,6 @@ class BlockSdp:
         """Total Gram entries over all blocks (SOS-side scalar count)."""
         return sum(s * (s + 1) // 2 for s in self.block_sizes)
 
-    def moment_variable_count(self) -> int:
-        """Distinct y_alpha variables (moment-side scalar count): one per row."""
-        return self.n_equalities
-
     def canonical(self) -> Tuple[CanonicalSdp, float, str]:
         """The solver's table, the constant offset and the side, as stored."""
         return self.problem, self.offset, self.side

@@ -8,8 +8,8 @@ Three ways to pick the rows/columns of a Gram matrix for f:
   convex hull of supp(f) together with the origin (the origin participates
   because we always represent f - lambda, which has a constant term);
 * a shrunken basis obtained by repeatedly discarding monomials that can never
-  pair up into the support, optionally interleaved with the sparsity-graph
-  machinery for constrained problems.
+  pair up into the support (for constrained problems the graphs module
+  interleaves it with the sparsity-graph iteration: reduce_basis_constrained).
 
 Every Newton membership decision rests on a proof checked in exact
 arithmetic: 2*beta as the average of two or three hull points, a convex
@@ -671,53 +671,6 @@ def generate_basis(support, base: MonomialBasis) -> List[MonomialBasis]:
     return chain
 
 
-def reduce_basis_unconstrained(f: Polynomial, base: MonomialBasis | None = None) -> MonomialBasis:
-    """Stabilized shrunken basis for representing f - lambda.
-
-    Defaults to shrinking the Newton half-polytope basis against
-    supp(f) plus the origin.
-    """
-    if base is None:
-        base = newton_half_basis(f)
+def reduce_basis_unconstrained(f: Polynomial, base: MonomialBasis) -> MonomialBasis:
+    """base shrunk against supp(f) plus the origin: the stabilized basis for f - lambda."""
     return generate_basis(_with_origin(f), base)[-1]
-
-
-def reduce_basis_constrained(
-    pop: PopProblem,
-    d_hat: int,
-    k: int = 1,
-    mode: str = "approx_min",
-    rounds: List | None = None,
-) -> MonomialBasis:
-    """Shrink the moment basis of a constrained relaxation to a fixed point.
-
-    Alternates two steps until the basis stops changing: run the sparsity
-    graph iteration at order k with the current moment basis, then keep only
-    basis elements that can pair into supp(f), or into supp(g_j) shifted by
-    products within some clique of g_j's graph.  Only the j = 0 basis is
-    shrunk; localizing bases stay the generator_bases ones.  A rounds list,
-    when given, receives each round's GraphSequence; the last one is the
-    iteration on the returned basis.
-
-    g_j's graph is chordal, so the products within its maximal cliques are
-    exactly its support: the doubled nodes and the sums along its edges.
-    """
-    from .graphs import _support_pairs, iterate_constrained
-
-    n = pop.nvars
-    basis0, *loc_bases = generator_bases(pop, d_hat)
-    fixed = _with_origin(pop.objective)
-    shifts = [g.rows for g in pop.constraints]
-    while True:
-        seq = iterate_constrained(pop, [basis0] + loc_bases, k=k, mode=mode)
-        if rounds is not None:
-            rounds.append(seq)
-        targets = [fixed]
-        for graph, shift in zip(seq.levels[-1][1:], shifts):
-            a, b = _support_pairs(graph)
-            sums = graph.basis.array[a] + graph.basis.array[b]
-            targets.append((sums[:, None, :] + shift).reshape(-1, n))
-        new_basis = generate_basis(np.concatenate(targets), basis0)[-1]
-        if new_basis == basis0:
-            return basis0
-        basis0 = new_basis

@@ -32,15 +32,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .assembly import assemble, solve_relaxation
-from .basis import (
-    generator_bases,
-    min_half_degree,
-    newton_half_basis,
+from .basis import generator_bases, min_half_degree, newton_half_basis, reduce_basis_unconstrained, standard_basis
+from .graphs import (
+    CliqueDecomposition,
+    GraphSequence,
+    iterate_constrained,
+    maximal_cliques,
     reduce_basis_constrained,
-    reduce_basis_unconstrained,
-    standard_basis,
 )
-from .graphs import CliqueDecomposition, GraphSequence, iterate_constrained, maximal_cliques
 from .poly import Polynomial, PopProblem
 
 CONSTRAINT_SETS = ("none", "unit_ball", "unit_hypercube")
@@ -321,9 +320,8 @@ def build_relaxation(pop: PopProblem, opts: RunOptions) -> Relaxation:
             if opts.dense:
                 raise ValueError("--dense always uses the standard basis; drop --basis reduced")
             # the last reduction round already iterated the graphs on the reduced basis
-            rounds: List[GraphSequence] = []
-            rbs = len(reduce_basis_constrained(pop, order, k=k, mode=opts.mode, rounds=rounds))
-            return Relaxation(bs, rbs, order, seq=rounds[-1])
+            seq = reduce_basis_constrained(pop, order, k=k, mode=opts.mode)
+            return Relaxation(bs, len(seq.at(0)[0].basis), order, seq=seq)
     if opts.dense:
         return Relaxation(bs, rbs, order, dense=[CliqueDecomposition.whole(b) for b in bases])
     return Relaxation(bs, rbs, order, seq=iterate_constrained(pop, bases, k=k, mode=opts.mode))
@@ -368,7 +366,7 @@ def run_pipeline(spec: BenchSpec, opts: Optional[RunOptions] = None) -> List[Ben
     return run_pop(pop, opts, instance=label)
 
 
-def sample_minimum(pop: PopProblem, count: int = 10000, seed: int = 0, spread: float = 1.5) -> float:
+def sample_minimum(pop: PopProblem, count: int = 10000, seed: int = 0) -> float:
     """Smallest objective value over random feasible sample points.
 
     Any valid relaxation bound must sit below this (up to tolerance); used
@@ -384,7 +382,7 @@ def sample_minimum(pop: PopProblem, count: int = 10000, seed: int = 0, spread: f
         if pop.constraints:
             x = rng.uniform(-1.0, 1.0, size=n)
         else:
-            x = rng.normal(0.0, spread, size=n)
+            x = rng.normal(0.0, 1.5, size=n)
         if all(g.evaluate(x) >= 0 for g in pop.constraints):
             found += 1
             v = pop.objective.evaluate(x)

@@ -134,15 +134,14 @@ def cmd_report(args) -> int:
     report: dict = {"file": args.file, "nvars": pop.nvars, "mode": args.mode}
     if rel.order is not None:
         report["order"] = rel.order
-    cliques = {k: rel.cliques(k) for k in range(1, k_max + 1)}
     report["levels"] = {
-        str(k): [clique_report(g, dec, rel.stabilized(k)) for g, dec in zip(rel.seq.at(k), cliques[k])]
-        for k in cliques
+        str(k): [clique_report(g, rel.stabilized(k)) for g in rel.seq.at(k)] for k in range(1, k_max + 1)
     }
     report["stabilized_at"] = rel.seq.stabilized_at
-    sdp = assemble(pop, cliques[k_max], side=args.side)
+    sdp = assemble(pop, rel.cliques(k_max), side=args.side)
     report["sos_scalar_variables"] = sdp.scalar_variable_count()
-    report["moment_scalar_variables"] = sdp.moment_variable_count()
+    # one y_alpha per equality row
+    report["moment_scalar_variables"] = sdp.n_equalities
     report["n_equalities"] = sdp.n_equalities
     print(json_text(report))
     return 0

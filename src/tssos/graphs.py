@@ -6,8 +6,9 @@ itself, so the diagonal (squares of basis monomials) is always part of a
 graph's support.  A graph holds its edges as one sorted array of codes
 i*r + j, i < j, against the graded lex order of a basis of r nodes: the
 form the edge search returns, so a union is np.union1d and a comparison
-np.array_equal, and the pairs, the edge set and the adjacency are formed
-from it only where they are read.
+np.array_equal; the (i, j) pairs and the adjacency are formed from the codes
+only where they are read.  A chordal graph's maximal cliques, what the
+relaxations are read off, are formed once and kept on the graph.
 
 The sparse relaxation machinery iterates two steps on the graph of every
 generator g_j (g_0 = 1, then each constraint), each on its own basis: a
@@ -16,7 +17,8 @@ is already realized by the current moment graph, and a chordal extension
 that completes the result into a chordal graph.  An unconstrained problem is
 the single generator g_0.  Running the pair to a fixed point gives the graph
 sequence the block structure of the relaxations is read from; one loop,
-iterate_constrained, does it for every relaxation.
+iterate_constrained, does it for every relaxation.  reduce_basis_constrained
+alternates that loop with the basis shrinking of the basis module.
 
 Each step searches only the support that is new.  This is exact because
 edges only grow from level to level (the seed union and the chordal
@@ -50,13 +52,23 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .basis import MonomialBasis, RowsOf, _ExponentSet, _linked_pairs, _rows_set, exponent_keys
+from .basis import (
+    MonomialBasis,
+    RowsOf,
+    _ExponentSet,
+    _linked_pairs,
+    _rows_set,
+    _with_origin,
+    exponent_keys,
+    generate_basis,
+    generator_bases,
+)
 from .poly import Polynomial, PopProblem
 
 Edge = Tuple[int, int]
@@ -68,16 +80,17 @@ class MonomialGraph:
     """A graph over the monomials of a basis, self-loops implicit.
 
     The edges are one read-only, sorted int64 array of distinct codes
-    i*r + j, i < j, for a basis of r nodes; pairs, edges and adjacency()
-    are formed from it on demand.  Edges are given as pairs (i, j), an
-    iterable or an (m, 2) array, or as a 1-D array of codes; repeats and
-    self-loops are dropped and a node outside the basis is refused.  A graph
-    that chordal_extension returned keeps a perfect elimination ordering of
+    i*r + j, i < j, for a basis of r nodes; pairs and adjacency() are
+    formed from it on demand.  Edges are given as pairs (i, j), an iterable
+    or an (m, 2) array, or as a 1-D array of codes; repeats and self-loops
+    are dropped and a node outside the basis is refused.  A graph that
+    chordal_extension returned keeps a perfect elimination ordering of
     itself, so neither a later extension step nor maximal_cliques searches
-    for one again.
+    for one again, and a chordal graph keeps the clique decomposition
+    maximal_cliques formed, so it is formed once.
     """
 
-    __slots__ = ("basis", "codes", "_order")
+    __slots__ = ("basis", "codes", "_order", "_cliques")
 
     def __init__(self, basis: MonomialBasis, edges: Iterable[Edge] | np.ndarray = ()):
         r = len(basis)
@@ -94,16 +107,12 @@ class MonomialGraph:
         self.codes = np.unique((i * r + j)[i != j])
         self.codes.flags.writeable = False
         self._order: Optional[List[int]] = None
+        self._cliques: Optional[CliqueDecomposition] = None
 
     @property
     def pairs(self) -> np.ndarray:
         """The edges as an (n_edges, 2) int64 array of (i, j), i < j, in code order."""
         return np.column_stack(np.divmod(self.codes, max(self.n_nodes, 1)))
-
-    @property
-    def edges(self) -> FrozenSet[Edge]:
-        """The edges as a frozenset of index pairs (i, j), i < j."""
-        return frozenset(map(tuple, self.pairs.tolist()))
 
     def _union(self, codes: np.ndarray) -> "MonomialGraph":
         """This graph plus the edges of codes: np.union1d, by the constructor's np.unique."""
@@ -116,12 +125,6 @@ class MonomialGraph:
     @property
     def n_edges(self) -> int:
         return len(self.codes)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        i, j = min(i, j), max(i, j)
-        code = i * self.n_nodes + j
-        at = np.searchsorted(self.codes, code)
-        return i == j or bool(0 <= i and j < self.n_nodes and at < self.n_edges and self.codes[at] == code)
 
     def adjacency(self) -> Dict[int, Set[int]]:
         adj: Dict[int, Set[int]] = {i: set() for i in range(self.n_nodes)}
@@ -403,9 +406,12 @@ def maximal_cliques(graph: MonomialGraph) -> CliqueDecomposition:
     """Enumerate maximal cliques along a perfect elimination ordering.
 
     The ordering the graph keeps from chordal_extension is used when there
-    is one.  Raises ValueError when the graph is not chordal: callers must
+    is one.  The decomposition is kept on the graph, and later calls return
+    it.  Raises ValueError when the graph is not chordal: callers must
     extend first.
     """
+    if graph._cliques is not None:
+        return graph._cliques
     adj = graph.adjacency()
     order = graph._order if graph._order is not None else _peo(adj)
     if order is None:
@@ -423,7 +429,8 @@ def maximal_cliques(graph: MonomialGraph) -> CliqueDecomposition:
             if len(later[v]) == len(later[parent]) + 1:
                 absorbed.add(parent)
     cliques = sorted(tuple(sorted([v] + later[v])) for v in order if v not in absorbed)
-    return CliqueDecomposition(graph.basis, tuple(cliques))
+    graph._cliques = CliqueDecomposition(graph.basis, tuple(cliques))
+    return graph._cliques
 
 
 # -- graph iterations --------------------------------------------------------
@@ -440,12 +447,7 @@ class GraphSequence:
     """
 
     levels: List[List[MonomialGraph]]
-    mode: str
     stabilized_at: Optional[int]
-
-    @property
-    def order(self) -> int:
-        return len(self.levels) - 1
 
     def at(self, k: int) -> List[MonomialGraph]:
         return self.levels[k]
@@ -527,11 +529,48 @@ def iterate_constrained(
         searched = moment_supp
     while len(levels) < k + 1:
         levels.append(levels[-1])
-    return GraphSequence(levels=levels, mode=mode, stabilized_at=stabilized)
+    return GraphSequence(levels=levels, stabilized_at=stabilized)
 
 
-def clique_report(graph: MonomialGraph, dec: CliqueDecomposition, stabilized: bool) -> dict:
-    """Census of a chordal graph's cliques dec in plain JSON-friendly form."""
+def reduce_basis_constrained(
+    pop: PopProblem,
+    d_hat: int,
+    k: int = 1,
+    mode: str = "approx_min",
+) -> GraphSequence:
+    """Shrink the moment basis of a constrained relaxation to a fixed point.
+
+    Alternates two steps until the basis stops changing: run the sparsity
+    graph iteration at order k with the current moment basis, then keep only
+    basis elements that can pair into supp(f), or into supp(g_j) shifted by
+    products within some clique of g_j's graph.  Only the j = 0 basis is
+    shrunk; localizing bases stay the generator_bases ones.  Returns the
+    last round's GraphSequence, the iteration on the reduced basis, which is
+    seq.at(0)[0].basis.
+
+    g_j's graph is chordal, so the products within its maximal cliques are
+    exactly its support: the doubled nodes and the sums along its edges.
+    """
+    n = pop.nvars
+    basis0, *loc_bases = generator_bases(pop, d_hat)
+    fixed = _with_origin(pop.objective)
+    shifts = [g.rows for g in pop.constraints]
+    while True:
+        seq = iterate_constrained(pop, [basis0] + loc_bases, k=k, mode=mode)
+        targets = [fixed]
+        for graph, shift in zip(seq.levels[-1][1:], shifts):
+            a, b = _support_pairs(graph)
+            sums = graph.basis.array[a] + graph.basis.array[b]
+            targets.append((sums[:, None, :] + shift).reshape(-1, n))
+        new_basis = generate_basis(np.concatenate(targets), basis0)[-1]
+        if new_basis == basis0:
+            return seq
+        basis0 = new_basis
+
+
+def clique_report(graph: MonomialGraph, stabilized: bool) -> dict:
+    """Census of a chordal graph's maximal cliques in plain JSON-friendly form."""
+    dec = maximal_cliques(graph)
     return {
         "clique_sizes": dec.sizes,
         "max_clique": dec.max_clique,

@@ -323,7 +323,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
     return _polynomial(terms, nvars)
 
 
-def parse_pop(text: str, nvars: int | None = None) -> PopProblem:
+def parse_pop(text: str) -> PopProblem:
     """Parse a whole problem: objective, then constraints under 'subject to'.
 
     '#' starts a comment to the end of its line.  An optional leading
@@ -331,18 +331,16 @@ def parse_pop(text: str, nvars: int | None = None) -> PopProblem:
     variable index in the objective and constraints.  Every constraint line
     means g(x) >= 0.
     """
+    nvars = None
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
     if lines and re.fullmatch(r"vars\s+\d+", lines[0], flags=re.IGNORECASE):
-        declared = int(lines[0].split()[1])
-        if nvars is not None and nvars != declared:
-            raise ParseError("vars line contradicts explicit nvars")
-        if declared < 1:
+        nvars = int(lines[0].split()[1])
+        if nvars < 1:
             raise ParseError("vars line must declare at least one variable")
-        nvars = declared
         lines = lines[1:]
     split = None
     for i, line in enumerate(lines):

@@ -80,7 +80,6 @@ def test_dense_row_count_matches_pairwise_sums():
     assert sdp.n_equalities == len(sums)
     assert sdp.block_sizes == [len(basis)]
     assert sdp.scalar_variable_count() == len(basis) * (len(basis) + 1) // 2
-    assert sdp.moment_variable_count() == sdp.n_equalities
     assert row_alphas(sdp) == sums
     for alpha, _, rhs in block_rows(sdp):
         assert rhs == f.coeff(alpha)

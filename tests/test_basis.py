@@ -20,11 +20,10 @@ from tssos.basis import (
     generate_basis,
     generator_bases,
     newton_half_basis,
-    reduce_basis_constrained,
     reduce_basis_unconstrained,
     standard_basis,
 )
-from tssos.graphs import iterate_constrained, maximal_cliques
+from tssos.graphs import iterate_constrained, maximal_cliques, reduce_basis_constrained
 from tssos.poly import STANDARD_BASIS_CAP, Polynomial, PopProblem, parse_polynomial, parse_pop
 from tuple_forms import from_terms, grlex_key, monomials_up_to, monos, support
 
@@ -475,17 +474,17 @@ def test_reduce_constrained_keeps_constant_and_fixed_point():
     pop = parse_pop(
         "vars 2\nx1^2*x2^2 - x1*x2 + 1\nsubject to\n1 - x1^2 - x2^2\n"
     )
-    red = reduce_basis_constrained(pop, d_hat=2)
+    red = reduce_basis_constrained(pop, d_hat=2).at(0)[0].basis
     assert (0, 0) in red
     assert set(monos(red)) <= set(monos(standard_basis(2, 2)))
     # running the reduction again from its own output changes nothing
-    again = reduce_basis_constrained(pop, d_hat=2)
+    again = reduce_basis_constrained(pop, d_hat=2).at(0)[0].basis
     assert again == red
 
 
 def test_reduce_constrained_no_constraints_collapses():
     pop = parse_pop("x1^4 - x1^2 + 1")
-    red = reduce_basis_constrained(pop, d_hat=2)
+    red = reduce_basis_constrained(pop, d_hat=2).at(0)[0].basis
     chain = generate_basis([(0,), (2,), (4,)], standard_basis(1, 2))
     assert set(monos(red)) == set(monos(chain[-1]))
 
@@ -566,7 +565,7 @@ CONSTRAINED_CASES = [
 @pytest.mark.parametrize("fam,cset,d_hat", CONSTRAINED_CASES)
 def test_reduce_constrained_matches_tuple_loop_reference(fam, cset, d_hat):
     pop = PopProblem(getattr(bench, fam)(3), bench.constraint_set(cset, 3))
-    assert reduce_basis_constrained(pop, d_hat) == reference_reduce_basis_constrained(pop, d_hat)
+    assert reduce_basis_constrained(pop, d_hat).at(0)[0].basis == reference_reduce_basis_constrained(pop, d_hat)
 
 
 # constraints without a constant term, so the reduction drops monomials (on
@@ -584,7 +583,7 @@ def test_reduce_constrained_shrinking_matches_tuple_loop_reference(name):
     want = reference_reduce_basis_constrained(pop, d_hat)
     assert len(want) == size < len(standard_basis(pop.nvars, d_hat))
     for mode in ("approx_min", "block_closure"):
-        assert reduce_basis_constrained(pop, d_hat, mode=mode) == (
+        assert reduce_basis_constrained(pop, d_hat, mode=mode).at(0)[0].basis == (
             reference_reduce_basis_constrained(pop, d_hat, mode=mode)
         )
 
@@ -601,14 +600,14 @@ def test_degenerate_key_weights_keep_bases(monkeypatch):
         PopProblem(bench.gen_rosenbrock(3), bench.constraint_set("unit_ball", 3)),
         parse_pop(SHRINKING_POPS["n3_d3"][0]),
     ]
-    want_constrained = [reduce_basis_constrained(pop, 3) for pop in pops]
+    want_constrained = [reduce_basis_constrained(pop, 3).at(0)[0].basis for pop in pops]
     monkeypatch.setattr(tssos.basis, "_key_weights", lambda nvars: np.ones(nvars, dtype=np.uint64))
     assert tssos.basis._rows_set(standard_basis(2, 2).array).sizes.max() > 1
     for name in names:
         f = REFERENCE_CASES[name]
         nb = newton_half_basis(f)
         assert (nb, reduce_basis_unconstrained(f, nb)) == want[name], name
-    assert [reduce_basis_constrained(pop, 3) for pop in pops] == want_constrained
+    assert [reduce_basis_constrained(pop, 3).at(0)[0].basis for pop in pops] == want_constrained
 
 
 def test_key_weights_are_built_once_and_read_only():

@@ -38,7 +38,7 @@ from tssos.graphs import (
     tsp_graph,
 )
 from tssos.poly import Polynomial, PopProblem, parse_polynomial, parse_pop
-from tuple_forms import from_terms, graph_support, monos, support
+from tuple_forms import edges, from_terms, graph_support, has_edge, monos, support
 
 EX33 = (
     "x1^2 - 2*x1*x2 + 3*x2^2 - 2*x1^2*x2 + 2*x1^2*x2^2 - 2*x2*x3 + 6*x3^2"
@@ -49,7 +49,7 @@ EX33 = (
 def to_nx(g: MonomialGraph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n_nodes))
-    h.add_edges_from(g.edges)
+    h.add_edges_from(edges(g))
     return h
 
 
@@ -67,9 +67,9 @@ def random_monomial_graph(rng, n_nodes=8, p=0.3):
 def test_monomial_graph_normalizes_edges():
     basis = standard_basis(1, 3)
     g = MonomialGraph(basis, [(2, 0), (0, 2), (1, 1)])
-    assert g.edges == frozenset({(0, 2)})
-    assert g.has_edge(1, 1)  # implicit self-loop
-    assert not g.has_edge(0, 1)
+    assert edges(g) == frozenset({(0, 2)})
+    assert has_edge(g, 1, 1)  # implicit self-loop
+    assert not has_edge(g, 0, 1)
     with pytest.raises(ValueError):
         MonomialGraph(basis, [(0, 9)])
 
@@ -81,7 +81,7 @@ def _set_model(pairs):
 
 def _assert_views_match(graph, model):
     r = graph.n_nodes
-    assert graph.edges == model
+    assert edges(graph) == model
     assert graph.n_edges == len(model)
     assert graph.pairs.tolist() == [list(p) for p in sorted(model)]
     assert graph.codes.tolist() == sorted(i * r + j for i, j in model)
@@ -92,7 +92,7 @@ def _assert_views_match(graph, model):
     assert graph.adjacency() == adj
     for i in range(-1, r + 1):
         for j in range(-1, r + 1):
-            assert graph.has_edge(i, j) == (i == j or (min(i, j), max(i, j)) in model), (i, j)
+            assert has_edge(graph, i, j) == (i == j or (min(i, j), max(i, j)) in model), (i, j)
 
 
 @settings(max_examples=150, deadline=None)
@@ -111,13 +111,13 @@ def test_monomial_graph_matches_a_set_model(data):
     _assert_views_match(graph, model)
     assert graph == MonomialGraph(basis, sorted(model))
     for bad in [(0, r), (r, 0), (-1, 0), (0, -1)]:
-        for edges in ([*pairs, bad], np.array([*pairs, bad], dtype=np.int64)):
+        for bad_pairs in ([*pairs, bad], np.array([*pairs, bad], dtype=np.int64)):
             with pytest.raises(ValueError, match="out of range"):
-                MonomialGraph(basis, edges)
+                MonomialGraph(basis, bad_pairs)
     for _ in range(2):
         other = MonomialGraph(basis, data.draw(edge_lists))
         graph = graph._union(other.codes)
-        model |= other.edges
+        model |= edges(other)
         _assert_views_match(graph, model)
     h = nx.Graph()
     h.add_nodes_from(range(r))
@@ -159,7 +159,7 @@ def test_tsp_graph_running_example_edges():
         ]
     }
     g0 = tsp_graph(f, basis)
-    assert g0.edges == frozenset(want)
+    assert edges(g0) == frozenset(want)
 
 
 def test_tsp_graph_links_all_doubled_basis_sums():
@@ -171,8 +171,8 @@ def test_tsp_graph_links_all_doubled_basis_sums():
     i = basis.index((0, 0))
     j = basis.index((2, 0))
     k = basis.index((0, 2))
-    assert g.has_edge(i, j)  # 1 * x1^2 = (x1)^2
-    assert g.has_edge(j, k)  # x1^2 * x2^2 = (x1 x2)^2
+    assert has_edge(g, i, j)  # 1 * x1^2 = (x1)^2
+    assert has_edge(g, j, k)  # x1^2 * x2^2 = (x1 x2)^2
 
 
 def test_support_extension_fixed_point_on_tsp_graphs():
@@ -188,7 +188,7 @@ def test_support_extension_fixed_point_on_tsp_graphs():
         if f.is_zero():
             continue
         g0 = tsp_graph(f, standard_basis(n, d))
-        assert support_extension(g0).edges == g0.edges
+        assert edges(support_extension(g0)) == edges(g0)
 
 
 def test_support_extension_adds_realized_sums():
@@ -200,11 +200,11 @@ def test_support_extension_adds_realized_sums():
     # (0, 2) realizes 2 which equals 1+1 -> nothing new between distinct
     # nodes except (0,2) itself; node 1 pairs: 0+1=1 not in support,
     # 1+2=3 not in support
-    assert se.edges == g.edges
+    assert edges(se) == edges(g)
     g2 = MonomialGraph(basis, [(1, 2)])  # support gains 3 = 1+2
     se2 = support_extension(g2)
     # 0+... 0 pairs: 0+1=1 no, 0+2=2 yes via diagonal of node 1
-    assert se2.has_edge(0, 2)
+    assert has_edge(se2, 0, 2)
 
 
 def test_chordal_extension_identity_on_chordal_graphs():
@@ -218,7 +218,7 @@ def test_chordal_extension_identity_on_chordal_graphs():
             g = MonomialGraph(g.basis, filled.edges())
         for mode in ("approx_min", "min_fill"):
             ext = chordal_extension(g, mode)
-            assert ext.edges == g.edges, mode
+            assert edges(ext) == edges(g), mode
 
 
 def test_chordal_extension_produces_chordal_supergraphs():
@@ -227,7 +227,7 @@ def test_chordal_extension_produces_chordal_supergraphs():
         g = random_monomial_graph(rng, n_nodes=10, p=0.3)
         for mode in EXTENSION_MODES:
             ext = chordal_extension(g, mode)
-            assert g.edges <= ext.edges
+            assert edges(g) <= edges(ext)
             assert nx.is_chordal(to_nx(ext)), mode
             assert is_chordal(ext) == nx.is_chordal(to_nx(ext))
 
@@ -237,9 +237,9 @@ def test_six_cycle_gets_three_fills():
     cycle = MonomialGraph(basis, [(i, (i + 1) % 6) for i in range(6)])
     for mode in ("approx_min", "min_fill"):
         ext = chordal_extension(cycle, mode)
-        assert len(ext.edges) == 9, mode  # 6 cycle edges + 3 fills
+        assert len(edges(ext)) == 9, mode  # 6 cycle edges + 3 fills
     block = chordal_extension(cycle, "block_closure")
-    assert len(block.edges) == 15  # one complete component
+    assert len(edges(block)) == 15  # one complete component
 
 
 def test_block_closure_completes_components():
@@ -314,7 +314,7 @@ def test_coupled_quartic_family_census():
         g0 = tsp_graph(f, basis)
         assert is_chordal(g0)
         g1 = chordal_extension(g0, "approx_min")
-        assert g1.edges == g0.edges
+        assert edges(g1) == edges(g0)
         census = Counter(maximal_cliques(g0).sizes)
         assert census == Counter({3: n * (n - 1) // 2, 1: n, n + 1: 1})
 
@@ -342,7 +342,7 @@ def test_same_sign_type_pairs_are_adjacent():
         for i, j in itertools.combinations(range(len(basis)), 2):
             bi, bj = nodes[i], nodes[j]
             if all((a + b) % 2 == 0 for a, b in zip(bi, bj)):
-                assert g.has_edge(i, j)
+                assert has_edge(g, i, j)
 
 
 def test_iteration_without_constraints_running_example():
@@ -351,8 +351,8 @@ def test_iteration_without_constraints_running_example():
     seq = iterate_constrained(PopProblem(f), [basis], k=3)
     assert seq.stabilized_at == 1
     assert len(seq.at(1)) == 1
-    assert seq.at(1)[0].edges == seq.at(3)[0].edges
-    assert len(seq.at(1)[0].edges) == 9  # 7 pattern edges + 2 fills
+    assert edges(seq.at(1)[0]) == edges(seq.at(3)[0])
+    assert len(edges(seq.at(1)[0])) == 9  # 7 pattern edges + 2 fills
 
 
 def test_iteration_without_constraints_monotone_edges():
@@ -367,10 +367,10 @@ def test_iteration_without_constraints_monotone_edges():
         basis = standard_basis(n, 2)
         seq = iterate_constrained(PopProblem(f), [basis], k=4)
         for k in range(1, 4):
-            assert seq.at(k)[0].edges <= seq.at(k + 1)[0].edges
+            assert edges(seq.at(k)[0]) <= edges(seq.at(k + 1)[0])
         if seq.stabilized_at is not None:
             s = seq.stabilized_at
-            assert seq.at(s)[0].edges == seq.at(min(s + 1, 4))[0].edges
+            assert edges(seq.at(s)[0]) == edges(seq.at(min(s + 1, 4))[0])
 
 
 def test_iterate_constrained_shapes_and_nesting():
@@ -381,7 +381,7 @@ def test_iterate_constrained_shapes_and_nesting():
     assert all(len(level) == 2 for level in seq.levels)
     for j in (0, 1):
         for k in range(1, 3):
-            assert seq.at(k)[j].edges <= seq.at(k + 1)[j].edges
+            assert edges(seq.at(k)[j]) <= edges(seq.at(k + 1)[j])
     # moment basis N^2_2, localizing basis N^2_1
     assert len(seq.at(1)[0].basis) == 6
     assert len(seq.at(1)[1].basis) == 3
@@ -406,10 +406,10 @@ def test_iterate_constrained_seed_embedding_gives_inclusion():
         for j in (0, 1):
             lo_nodes = monos(low.at(k)[j].basis)
             hi_basis = high.at(k)[j].basis
-            for a, b in low.at(k)[j].edges:
+            for a, b in edges(low.at(k)[j]):
                 ma, mb = lo_nodes[a], lo_nodes[b]
                 ia, ib = hi_basis.index(ma), hi_basis.index(mb)
-                assert high.at(k)[j].has_edge(ia, ib)
+                assert has_edge(high.at(k)[j], ia, ib)
 
 
 def test_clique_report_shape():
@@ -417,7 +417,7 @@ def test_clique_report_shape():
     basis = newton_half_basis(f)
     seq = iterate_constrained(PopProblem(f), [basis], k=1)
     g = seq.at(1)[0]
-    rep = clique_report(g, maximal_cliques(g), stabilized=True)
+    rep = clique_report(g, stabilized=True)
     assert rep["max_clique"] == 3
     assert rep["clique_sizes"] == [3, 3, 3, 3]
     assert rep["n_edges"] == 9
@@ -448,26 +448,26 @@ def reference_tsp_graph(f, basis, extra_support=()):
 def reference_support_extension(graph):
     monos = tuple(map(tuple, graph.basis.array.tolist()))
     supp = graph_support(graph)
-    edges = set(graph.edges)
+    linked = set(edges(graph))
     for i in range(len(monos)):
         for j in range(i + 1, len(monos)):
-            if (i, j) not in edges and _tsum(monos[i], monos[j]) in supp:
-                edges.add((i, j))
-    return MonomialGraph(graph.basis, edges)
+            if (i, j) not in linked and _tsum(monos[i], monos[j]) in supp:
+                linked.add((i, j))
+    return MonomialGraph(graph.basis, linked)
 
 
 def reference_localizing_graph(prev, g, moment_supp):
     """prev plus {a, b} whenever a shift of a + b by supp(g) is in moment_supp."""
     monos = tuple(map(tuple, prev.basis.array.tolist()))
-    edges = set(prev.edges)
+    linked = set(edges(prev))
     for a in range(len(monos)):
         for b in range(a + 1, len(monos)):
-            if (a, b) in edges:
+            if (a, b) in linked:
                 continue
             base_sum = _tsum(monos[a], monos[b])
             if any(_tsum(ga, base_sum) in moment_supp for ga in sorted(support(g))):
-                edges.add((a, b))
-    return MonomialGraph(prev.basis, edges)
+                linked.add((a, b))
+    return MonomialGraph(prev.basis, linked)
 
 
 def reference_mcs_order(adj):
@@ -523,14 +523,14 @@ def reference_chordal_extension(graph, mode):
     adj = graph.adjacency()
     if mode == "block_closure":
         h = to_nx(graph)
-        edges = set(graph.edges)
+        linked = set(edges(graph))
         for comp in nx.connected_components(h):
-            edges.update(itertools.combinations(sorted(comp), 2))
-        return MonomialGraph(graph.basis, edges)
+            linked.update(itertools.combinations(sorted(comp), 2))
+        return MonomialGraph(graph.basis, linked)
     if nx.is_chordal(to_nx(graph)):
         return graph
     rule = "degree" if mode == "approx_min" else "fill"
-    return MonomialGraph(graph.basis, set(graph.edges) | reference_elimination_fill(adj, rule))
+    return MonomialGraph(graph.basis, set(edges(graph)) | reference_elimination_fill(adj, rule))
 
 
 def reference_maximal_cliques(graph):
@@ -556,7 +556,7 @@ def reference_iterate_single(f, basis, k, mode):
     stabilized = None
     for step in range(1, k + 2):
         nxt = reference_chordal_extension(reference_support_extension(cur), mode)
-        if nxt.edges == cur.edges:
+        if edges(nxt) == edges(cur):
             stabilized = max(1, step - 1)
             break
         if step <= k:
@@ -564,7 +564,7 @@ def reference_iterate_single(f, basis, k, mode):
         cur = nxt
     while len(levels) < k + 1:
         levels.append(cur)
-    return [[g.edges] for g in levels], stabilized
+    return [[edges(g)] for g in levels], stabilized
 
 
 def reference_seed_edges(graph, seed, level, j):
@@ -576,13 +576,13 @@ def reference_seed_edges(graph, seed, level, j):
         return graph
     src, basis = lv[j], graph.basis
     index = {m: i for i, m in enumerate(monos(basis))}
-    edges = set(graph.edges)
+    linked = set(edges(graph))
     src_nodes = monos(src.basis)
-    for a, b in src.edges:
+    for a, b in edges(src):
         ma, mb = src_nodes[a], src_nodes[b]
         if ma in index and mb in index:
-            edges.add((index[ma], index[mb]))
-    return MonomialGraph(basis, edges)
+            linked.add((index[ma], index[mb]))
+    return MonomialGraph(basis, linked)
 
 
 def reference_iterate_constrained(pop, d_hat, k, mode, seed=None, bases=None):
@@ -606,17 +606,17 @@ def reference_iterate_constrained(pop, d_hat, k, mode, seed=None, bases=None):
         for j, (g, loc_prev) in enumerate(zip(pop.constraints, prev[1:]), start=1):
             graph = reference_localizing_graph(loc_prev, g, moment_supp)
             new_level.append(reference_chordal_extension(reference_seed_edges(graph, seed, step, j), mode))
-        if step >= 2 and all(x.edges == y.edges for x, y in zip(new_level, prev)):
+        if step >= 2 and all(edges(x) == edges(y) for x, y in zip(new_level, prev)):
             stabilized = step - 1
             break
         if step > k:
             break
         levels.append(new_level)
-    return [[g.edges for g in level] for level in levels], stabilized
+    return [[edges(g) for g in level] for level in levels], stabilized
 
 
 def edge_levels(seq):
-    return [[g.edges for g in level] for level in seq.levels]
+    return [[edges(g) for g in level] for level in seq.levels]
 
 
 FAMILY_CASES = [
@@ -698,7 +698,7 @@ def test_seed_embedding_skips_monomials_outside_a_reduced_basis():
             # some seed edges have an endpoint the reduced basis lacks
             src, kept = low.at(k)[0], set(monos(reduced))
             src_nodes = monos(src.basis)
-            assert any(src_nodes[a] not in kept or src_nodes[b] not in kept for a, b in src.edges)
+            assert any(src_nodes[a] not in kept or src_nodes[b] not in kept for a, b in edges(src))
             want, stabilized = reference_iterate_constrained(pop, 4, k, mode, seed=low, bases=bases)
             seq = iterate_constrained(pop, bases, k=k, mode=mode, seed=low)
             got = edge_levels(seq)
@@ -783,18 +783,18 @@ def small_supports(draw):
     return n, supp, basis, edges, shifts
 
 
-def _check_against_reference(n, supp, basis, edges, shifts):
+def _check_against_reference(n, supp, basis, pairs, shifts):
     f = from_terms(n, {a: 1.0 for a in supp})
     extra = sorted(shifts)
-    assert tsp_graph(f, basis, extra).edges == reference_tsp_graph(f, basis, extra).edges
-    graph = MonomialGraph(basis, edges)
-    assert support_extension(graph).edges == reference_support_extension(graph).edges
+    assert edges(tsp_graph(f, basis, extra)) == edges(reference_tsp_graph(f, basis, extra))
+    graph = MonomialGraph(basis, pairs)
+    assert edges(support_extension(graph)) == edges(reference_support_extension(graph))
     # localizing search: graph's support as the moment support, shifts as supp(g)
     g = from_terms(n, {a: 1.0 for a in shifts})
     shift_rows = np.array(sorted(support(g)), dtype=np.int64).reshape(-1, n)
-    prev = MonomialGraph(basis, sorted(edges)[::2])
+    prev = MonomialGraph(basis, sorted(pairs)[::2])
     found = _linked_pairs(basis, _support_set(graph), shift_rows, known=prev.codes)
-    want = reference_localizing_graph(prev, g, graph_support(graph)).edges - prev.edges
+    want = edges(reference_localizing_graph(prev, g, graph_support(graph))) - edges(prev)
     assert {divmod(c, len(basis)) for c in found.tolist()} == want
     assert len(found) == len(want)
 
@@ -999,7 +999,7 @@ def test_iteration_tests_chordality_once_per_new_graph(peo_calls):
     assert len(peo_calls) == 1 + n
     cliques = [maximal_cliques(g) for g in seq.at(2)]
     assert len(peo_calls) == 1 + n
-    assert [c.cliques for c in cliques] == [maximal_cliques(MonomialGraph(g.basis, g.edges)).cliques
+    assert [c.cliques for c in cliques] == [maximal_cliques(MonomialGraph(g.basis, edges(g))).cliques
                                             for g in seq.at(2)]
 
 

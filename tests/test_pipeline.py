@@ -11,9 +11,10 @@ import pytest
 import tssos.bench
 import tssos.graphs
 from tssos.assembly import assemble
-from tssos.basis import generator_bases, reduce_basis_constrained
+from tssos.basis import generator_bases
 from tssos.bench import RunOptions, build_relaxation
 from tssos.cli import main
+from tssos.graphs import maximal_cliques, reduce_basis_constrained
 from tssos.poly import parse_pop
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,24 +48,55 @@ def iterate_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Clique lists of every decomposition maximal_cliques' walk forms, however often it is called."""
+    formed = []
+    real = tssos.graphs.CliqueDecomposition
+
+    def counting(basis, cliques):
+        formed.append(cliques)
+        return real(basis, cliques)
+
+    monkeypatch.setattr(tssos.graphs, "CliqueDecomposition", counting)
+    return formed
+
+
 @pytest.mark.parametrize("text,order", [(TWO_ROUNDS, 2), (BALL_TEXT, 3)])
 def test_reduced_constrained_iterates_once_per_round(iterate_calls, text, order):
     pop = parse_pop(text)
-    rounds = []
-    basis = reduce_basis_constrained(pop, order, rounds=rounds)
-    assert len(iterate_calls) == len(rounds)
-    assert rounds[-1].levels[0][0].basis == basis
+    basis = reduce_basis_constrained(pop, order).at(0)[0].basis
+    rounds = len(iterate_calls)
+    assert iterate_calls[-1][0] == basis  # the last round iterated on the reduced basis
     iterate_calls.clear()
     rel = build_relaxation(pop, RunOptions(order=order, basis="reduced"))
-    assert len(iterate_calls) == len(rounds)
+    assert len(iterate_calls) == rounds
     assert rel.rbs == len(basis)
     assert rel.seq.levels[0][0].basis == basis
 
 
-def test_two_round_reduction_really_shrinks():
-    rounds = []
-    reduce_basis_constrained(parse_pop(TWO_ROUNDS), 2, rounds=rounds)
-    assert [len(s.levels[0][0].basis) for s in rounds] == [10, 9]
+def test_two_round_reduction_really_shrinks(iterate_calls):
+    reduce_basis_constrained(parse_pop(TWO_ROUNDS), 2)
+    assert [len(bases[0]) for bases in iterate_calls] == [10, 9]
+
+
+@pytest.mark.parametrize("name,k_max,graphs", [("ex1.pop", 4, 1), ("ball2.pop", 3, 2)])
+def test_cliques_are_formed_once_per_graph(capsys, decompositions, name, k_max, graphs):
+    path = os.path.join(ROOT, "examples_pop", name)
+    with open(path, encoding="utf-8") as fh:
+        pop = parse_pop(fh.read())
+    rel = build_relaxation(pop, RunOptions(k_max=k_max))
+    assert rel.seq.stabilized_at == 1  # levels 1..k_max are the same graphs
+    g = rel.seq.at(1)[0]
+    assert maximal_cliques(g) is maximal_cliques(g)
+    assert rel.cliques(k_max)[0] is rel.cliques(1)[0]
+    assert len(decompositions) == graphs
+    decompositions.clear()
+    code, out, _ = run(capsys, "report", path, "--sparse-order", str(k_max))
+    assert code == 0
+    assert len(decompositions) == graphs
+    levels = json.loads(out)["levels"]
+    assert [levels[str(k)] for k in range(2, k_max + 1)] == [levels["1"]] * (k_max - 1)
 
 
 def test_reduced_constrained_bs_counts_the_standard_basis(capsys, tmp_path):

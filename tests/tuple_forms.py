@@ -1,11 +1,14 @@
-"""Exponent tuples for the tests' loop oracles, and a tuple-dict reference polynomial.
+"""Exponent and edge tuples for the tests' loop oracles, and a tuple-dict reference polynomial.
 
-The package holds exponents as int64 rows only.  The oracles in the tests
-loop over Python tuples, formed here from those rows.  The dict functions
-below are the arithmetic and the term merge of the dict-keyed polynomial
-the rows replaced: like terms added in order into a dict keyed by exponent
-tuples, so term order is first occurrence.
+The package holds exponents as int64 rows only, and a graph's edges as
+codes i*r + j only.  The oracles in the tests loop over Python tuples,
+formed here from those arrays.  The dict functions below are the
+arithmetic and the term merge of the dict-keyed polynomial the rows
+replaced: like terms added in order into a dict keyed by exponent tuples,
+so term order is first occurrence.
 """
+
+import numpy as np
 
 from tssos.poly import COEFF_TOL, ParseError, Polynomial
 
@@ -25,11 +28,24 @@ def support(p):
     return set(map(tuple, p.rows.tolist()))
 
 
+def edges(graph):
+    """The graph's edges as a frozenset of index pairs (i, j), i < j."""
+    return frozenset(map(tuple, graph.pairs.tolist()))
+
+
+def has_edge(graph, i, j):
+    """Whether nodes i and j are linked, looked up among the codes; a node is linked to itself."""
+    i, j = min(i, j), max(i, j)
+    code = i * graph.n_nodes + j
+    at = np.searchsorted(graph.codes, code)
+    return i == j or bool(0 <= i and j < graph.n_nodes and at < graph.n_edges and graph.codes[at] == code)
+
+
 def graph_support(graph):
     """Every sum of two adjacent nodes of the graph, the diagonal 2*beta included."""
     nodes = monos(graph.basis)
     out = {tuple(2 * a for a in beta) for beta in nodes}
-    for i, j in graph.edges:
+    for i, j in edges(graph):
         out.add(tuple(a + b for a, b in zip(nodes[i], nodes[j])))
     return out
 
