@@ -16,7 +16,9 @@ arithmetic: 2*beta as the average of two or three hull points, a convex
 combination checked in fractions, or an integer hyperplane that separates
 2*beta from the hull.  One nonnegative least squares fit per candidate
 proposes the last two (its weights, or its residual); a candidate that no
-proof decides gets its own feasibility LP.
+proof decides gets its own feasibility LP.  The fit is the in-house nnls
+below; scipy.optimize (HiGHS) is imported only when a candidate reaches
+that LP.
 
 Every exponent set is one _ExponentSet: its distinct exponents, grouped by
 linear 64-bit keys and grouped exactly only where distinct exponents share
@@ -40,7 +42,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.linalg import lapack
 
 from .poly import STANDARD_BASIS_CAP, Polynomial, PopProblem, grlex_order
 
@@ -49,6 +51,8 @@ NEWTON_LP_TOL = 1e-9
 NEWTON_RESIDUAL_TOL = 1e-7
 # point pairs whose sums newton_half_basis searches at once; bounds its memory
 NEWTON_PAIR_BUDGET = 1 << 20
+# a column of nnls within this fraction of its length of the passive columns' span counts as dependent
+NNLS_DEPENDENT = 1e-6
 # largest denominator proposed convex weights are rounded to before the exact check
 NEWTON_DENOMINATOR = 10 ** 6
 # sub-exponents (or target items) one key search holds at a time; bounds its memory
@@ -426,6 +430,80 @@ def generator_bases(pop: PopProblem, d_hat: int) -> List[MonomialBasis]:
     half = [0] + [(g.degree() + 1) // 2 for g in pop.constraints]
     by_half = {h: standard_basis(pop.nvars, d_hat - h) for h in dict.fromkeys(half)}
     return [by_half[h] for h in half]
+
+
+def nnls(a: np.ndarray, t: np.ndarray, maxiter: Optional[int] = None) -> Tuple[np.ndarray, float]:
+    """min ||a x - t|| over x >= 0, by the active set method of Lawson and Hanson.
+
+    scipy.optimize.nnls's contract: returns x and ||a x - t||, and raises
+    RuntimeError once maxiter (default 3n, n the columns of a) inner steps
+    have been taken.  Each outer step frees the column of largest positive
+    gradient a^T (t - a x) and solves the passive columns' normal equations
+    (_passive_weights); a column that leaves them singular, or gets no
+    positive weight, is passed over until the gradient changes.  An inner
+    step moves x toward a solution with negative weights until one weight
+    reaches zero, and that column leaves the passive set.  (Lawson & Hanson,
+    Solving Least Squares Problems, 1974, ch. 23.)
+    """
+    a = np.asarray(a, dtype=float)
+    t = np.asarray(t, dtype=float)
+    n = a.shape[1]
+    maxiter = maxiter or 3 * n
+    tol = 10 * max(a.shape) * np.finfo(float).eps
+    ata, atb = a.T @ a, t @ a
+    x = np.zeros(n)
+    p = np.zeros(0, dtype=np.intp)  # the passive columns
+    w = atb.copy()  # the gradient at x = 0
+    steps = 0
+    while True:
+        w[p] = 0.0
+        k = w.argmax()
+        if w[k] <= tol:
+            break
+        q = np.append(p, k)
+        z = _passive_weights(ata, atb, q)
+        if z is None or z[-1] <= 0:
+            w[k] = 0.0
+            continue
+        p = q
+        while z.min(initial=0.0) < 0:
+            if steps == maxiter:
+                raise RuntimeError("Maximum number of iterations reached.")
+            steps += 1
+            xp, neg = x[p], z < 0
+            xp += (xp[neg] / (xp[neg] - z[neg])).min() * (z - xp)
+            x[p] = xp
+            p = p[xp > tol]
+            z = _passive_weights(ata, atb, p)
+            if z is None:  # a subset of independent columns: only rounding gets here
+                raise RuntimeError("passive columns became numerically dependent")
+        x[:] = 0.0
+        x[p] = z
+        w = atb - ata @ x
+    r = a @ x - t
+    return x, math.sqrt(r @ r)
+
+
+def _passive_weights(ata: np.ndarray, atb: np.ndarray, p: np.ndarray) -> Optional[np.ndarray]:
+    """The least squares weights of the columns p, from their normal equations by LAPACK posv.
+
+    ata and atb are a^T a and a^T t.  None when the last column's distance
+    from the span of the others, the last diagonal entry of the Cholesky
+    factor, is at most NNLS_DEPENDENT times its length.
+    """
+    if not len(p):
+        return np.zeros(0)
+    factor, z, info = lapack.dposv(ata.take(p, 0).take(p, 1), atb.take(p))
+    if info or factor[-1, -1] <= NNLS_DEPENDENT * math.sqrt(ata[p[-1], p[-1]]):
+        return None
+    return z
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call: only _in_half_polytope uses it."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def _in_half_polytope(beta: Sequence[int], points: np.ndarray) -> bool:

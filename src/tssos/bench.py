@@ -328,14 +328,22 @@ def build_relaxation(pop: PopProblem, opts: RunOptions) -> Relaxation:
 
 
 def run_pop(pop: PopProblem, opts: RunOptions, instance: str = "problem") -> List[BenchRow]:
-    """Assemble and solve the relaxation at every order 1..k_max."""
+    """Assemble and solve the relaxation at every order 1..k_max.
+
+    A level whose cliques are the previous level's objects (every level past
+    stabilized_at, and every level of a dense relaxation) has the same SDP,
+    so its row reuses that solve; its time is the time spent on the level.
+    """
     rel = build_relaxation(pop, opts)
     rows: List[BenchRow] = []
+    last = None  # the cliques last solved, their SDP's row count and its solution
     for k in range(1, opts.k_max + 1):
         t0 = time.perf_counter()
         cliques = rel.cliques(k)
-        sdp = assemble(pop, cliques, side=opts.side)
-        res = solve_relaxation(sdp)
+        if last is None or any(c is not done for c, done in zip(cliques, last[0])):
+            sdp = assemble(pop, cliques, side=opts.side)
+            last = cliques, sdp.n_equalities, solve_relaxation(sdp)
+        _, n_equalities, res = last
         dt = time.perf_counter() - t0
         mc = [dec.max_clique for dec in cliques]
         rows.append(
@@ -345,7 +353,7 @@ def run_pop(pop: PopProblem, opts: RunOptions, instance: str = "problem") -> Lis
                 bs=rel.bs,
                 rbs=rel.rbs,
                 mc=[mc[0], max(mc[1:], default=0)] if pop.constraints else mc[0],
-                n_equalities=sdp.n_equalities,
+                n_equalities=n_equalities,
                 bound=res.bound,
                 status=res.status,
                 seconds=dt,

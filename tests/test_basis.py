@@ -282,9 +282,10 @@ def test_newton_basis_lp_calls(monkeypatch):
 
 @pytest.mark.parametrize("status", [1, 4])
 def test_newton_basis_falls_back_when_chunk_lp_fails(monkeypatch, status):
-    # the batched proposal step (once chunked phase-1 LPs, now one NNLS per
-    # candidate) fails in the two ways scipy reports as status 1 (iteration
-    # limit: nnls raises) and 4 (numerical difficulties: non-finite weights)
+    # the proposal step (one NNLS per candidate) fails in the two ways it can:
+    # tssos.basis.nnls raises RuntimeError (status 1: its iteration limit, or
+    # passive columns gone numerically dependent), or its weights are not
+    # finite (status 4)
     f = REFERENCE_CASES["randpoly1_5_6_seed0"]
     want = reference_newton_basis(f)
 
@@ -364,6 +365,86 @@ def test_randpoly1_newton_bases_need_no_lp(monkeypatch, args, sizes):
     got = [len(newton_half_basis(bench.randpoly1(*args, seed=s))) for s in range(len(sizes))]
     assert got == sizes
     assert len(lps) == 0
+
+
+def hull_matrix(points):
+    """A = [points^T; 1], the matrix _newton_members fits every candidate with."""
+    points = np.asarray(points, dtype=float).reshape(len(points), -1)
+    return np.vstack([points.T, np.ones(len(points))])
+
+
+def assert_nnls_solves(a, t):
+    """tssos.basis.nnls against scipy.optimize.nnls: residual, sign and optimality."""
+    x, rnorm = tssos.basis.nnls(a, t)
+    scale = 1 + np.linalg.norm(t)
+    assert (x >= 0).all()
+    assert rnorm == pytest.approx(np.linalg.norm(a @ x - t), abs=1e-12 * scale)
+    want, _ = nnls(a, t)
+    assert abs(rnorm - np.linalg.norm(a @ want - t)) <= 1e-9 * scale
+    # KKT: the gradient a^T (t - a x) is <= 0 off the support and 0 on it
+    grad = a.T @ (t - a @ x)
+    tol = 1e-9 * (1 + np.linalg.norm(a)) * scale
+    assert (grad[x == 0] <= tol).all()
+    assert np.abs(grad[x > 0]).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("f", [
+    bench.gen_rosenbrock(14), bench.broyden_tridiagonal(14), bench.randpoly1(8, 8, 30, 0.1, seed=3),
+], ids=["gen_rosenbrock_14", "broyden_tridiagonal_14", "randpoly1_8_seed3"])
+def test_nnls_matches_scipy_on_the_benchmark_hulls(f):
+    # every candidate of the perfbench instances, not only the ones NNLS is asked about
+    points, cands = _newton_candidates(f)
+    a = hull_matrix(points)
+    for beta in cands:
+        assert_nnls_solves(a, np.append(2.0 * beta, 1.0))
+
+
+@st.composite
+def point_sets(draw):
+    """Small integer point sets, repeats allowed, and a target (2*beta, 1) or any integer one."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    points = draw(st.lists(row, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        points += draw(st.lists(st.sampled_from(points), max_size=3))  # duplicates
+    if draw(st.booleans()):
+        step = draw(row)
+        points += [[k * s for s in step] for k in range(4)]  # collinear through the origin
+    beta = draw(row)
+    t = [2 * b for b in beta] + [1] if draw(st.booleans()) else draw(
+        st.lists(st.integers(-3, 8), min_size=n + 1, max_size=n + 1))
+    return points, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+def test_nnls_matches_scipy_on_small_point_sets(case):
+    points, t = case
+    assert_nnls_solves(hull_matrix(points), np.array(t, dtype=float))
+
+
+def test_nnls_on_a_lower_dimensional_hull_and_a_zero_target():
+    # the hulls of test_newton_basis_of_a_lower_dimensional_hull: points on the line x1 = x2
+    for text, n in (("x1^2*x2^2 + x1^4*x2^4 + 1", 2), ("x1^2*x2^2 + x1^6*x2^6 + 1", 3)):
+        points, cands = _newton_candidates(parse_polynomial(text, n))
+        a = hull_matrix(points)
+        for beta in cands:
+            assert_nnls_solves(a, np.append(2.0 * beta, 1.0))
+        assert_nnls_solves(a, np.zeros(n + 1))
+        x, rnorm = tssos.basis.nnls(a, np.zeros(n + 1))
+        assert rnorm == 0 and not x.any()
+
+
+def test_nnls_raises_at_its_iteration_limit():
+    # nearly parallel columns: this problem takes 3 inner steps (found by a search over seeds)
+    rng = np.random.default_rng(18)
+    a, t = 1 + 0.3 * rng.normal(size=(10, 10)), rng.normal(size=10) + 2
+    x, rnorm = tssos.basis.nnls(a, t)
+    assert_nnls_solves(a, t)
+    with pytest.raises(RuntimeError, match="iterations"):
+        tssos.basis.nnls(a, t, maxiter=2)
+    again, r_again = tssos.basis.nnls(a, t, maxiter=3)
+    assert np.array_equal(again, x) and r_again == rnorm
 
 
 def test_newton_candidates_stay_inside_the_box():

@@ -221,6 +221,34 @@ def test_run_pop_constrained_rows():
         run_pop(pop, RunOptions(order=2, basis="newton"))
 
 
+def count_solves(monkeypatch):
+    solves, real = [], bench.solve_relaxation
+    monkeypatch.setattr(bench, "solve_relaxation", lambda sdp: solves.append(sdp) or real(sdp))
+    return solves
+
+
+def test_run_pop_solves_a_repeated_level_once(monkeypatch):
+    # gen_rosenbrock n=6 is stabilized at k = 1: levels 2 and 3 have level 1's
+    # cliques, so they are the same m = 38 SDP and reuse its solve
+    solves = count_solves(monkeypatch)
+    rows = run_pipeline(BenchSpec("gen_rosenbrock", 6), RunOptions(k_max=3))
+    assert len(solves) == 1
+    assert [(r.k, r.stabilized, r.n_equalities) for r in rows] == [(k, True, 38) for k in (1, 2, 3)]
+    same = [{**r.to_dict(), "k": None, "time": None} for r in rows]
+    assert same[1:] == same[:1] * 2
+    # every level of a dense relaxation is the same SDP
+    solves.clear()
+    rows = run_pop(PopProblem(broyden_banded(4), ()), RunOptions(k_max=2, basis="standard", dense=True))
+    assert len(solves) == 1 and rows[0].bound == rows[1].bound
+
+
+def test_run_pop_solves_every_level_that_moves(monkeypatch):
+    solves = count_solves(monkeypatch)
+    rows = run_pop(PopProblem(broyden_banded(4), ()), RunOptions(k_max=3, basis="newton"))
+    assert len(solves) == 3
+    assert [r.n_equalities for r in rows] == [116, 151, 157]
+
+
 def test_sampled_values_dominate_bounds():
     pop = parse_pop(
         "vars 2\nx1^2*x2^2 - x1*x2 + 1\nsubject to\n1 - x1^2 - x2^2\n"

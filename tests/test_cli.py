@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -383,3 +385,44 @@ def test_solve_json_writes_non_finite_numbers_as_null(capsys, tmp_path):
 
     d = json.loads(out, parse_constant=refuse)
     assert d["status"] in {"optimal", "numerical", "max_iter", "infeasible", "unbounded"}
+
+
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+import tssos.basis
+from tssos.cli import main
+
+calls, real = [], tssos.basis.nnls
+tssos.basis.nnls = lambda *a, **kw: calls.append(a) or real(*a, **kw)
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "nnls_calls": len(calls),
+                  "optimize": sorted(m for m in sys.modules if m.startswith("scipy.optimize"))}))
+"""
+
+
+def test_cli_runs_never_import_scipy_optimize(tmp_path):
+    # scipy.optimize (HiGHS) is imported only when a Newton candidate reaches
+    # its LP; gen_rosenbrock n=14 leaves 13 candidates to NNLS and none to the LP
+    from tssos import bench
+
+    gr14, cube, sdpa = tmp_path / "gr14.pop", tmp_path / "cube.pop", tmp_path / "cube.dat-s"
+    gr14.write_text(f"vars 14\n{bench.gen_rosenbrock(14)}\n")
+    g = bench.constraint_set("unit_hypercube", 4)
+    cube.write_text("vars 4\n{}\nsubject to\n{}\n".format(
+        bench.gen_rosenbrock(4), "\n".join(map(str, g))))
+    runs = [["solve", str(gr14), "--json"],
+            ["solve", str(cube), "--solver", "external", "--export-sdpa", str(sdpa)],
+            ["report", EX1]]
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0, 0]
+    assert got["nnls_calls"] >= 1
+    assert got["optimize"] == []
+    assert sdpa.stat().st_size > 0
