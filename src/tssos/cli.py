@@ -13,6 +13,7 @@ when memory runs out, 2 when the solver finished without an optimal status.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -226,9 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: main only parses with it."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:

@@ -55,8 +55,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .basis import (
     MonomialBasis,
@@ -272,6 +270,11 @@ def is_chordal(graph: MonomialGraph) -> bool:
 
 def _block_closure(graph: MonomialGraph) -> MonomialGraph:
     """Complete every connected component; a graph already so is returned."""
+    # imported here, not with the module: only --mode block needs csgraph, and
+    # its import would cost every run
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     pairs = graph.pairs
     r = graph.n_nodes
     adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(r, r))

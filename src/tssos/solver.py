@@ -41,15 +41,20 @@ straight off the table's columns:
   products with a dense A_i.  The entries <A_j, T_i> of every constraint j
   touching the block are read off T_i by one CSR product and added into M.
 - The (block, constraint) grid of a class is cut into chunks of at most
-  SCHUR_CHUNK_BYTES of working set, so no intermediate grows with the
-  number of constraints times s^2.  Within a block the constraints are
-  ordered widest first, so a chunk pads K only to its own widest entry
-  list.
+  SCHUR_CHUNK_BYTES of working set, the size of a core's L2 cache, so
+  that T, its transposed copy and the readout stay in cache (the cache
+  blocking of Goto and van de Geijn, ACM TOMS 34, 2008), and no
+  intermediate grows with the number of constraints times s^2.  Within a
+  block the constraints are ordered widest first, so a chunk pads K only
+  to its own widest entry list.
 
 Only the pairs i <= j of each block are formed: the chunk holding T_i
 reads out the constraints from its first slot on, and its pairs below the
-slot diagonal land on a spare cell.  M is accumulated in one triangle of
-one m x m buffer, through a scatter index built with the layout.
+slot diagonal land on spare cells after M.  M is accumulated in one
+triangle of one m x m buffer; only that triangle is zeroed.  Each chunk's
+cells in it are formed when the chunk is read out, from the constraint
+rows its class holds, into buffers in the arena: no index is held across
+builds.
 
 M is factored once per iteration, in place by LAPACK's potrf, and the
 predictor and the corrector solve with the same factor by potrs, as in
@@ -69,11 +74,11 @@ common.  Before the first iteration such rows are found by a pivoted
 Cholesky of A A^T and dropped, as SDPT3 drops dependent constraints; a
 dropped row's multiplier is returned as 0.
 
-The working set (the m x m buffer, the scatter index and the arena of the
-Schur chunks) is allocated once per solve and refilled by every
-iteration.  Before anything is allocated, the working set (with the
-block stacks) is compared with the memory the process may use, and a
-problem that does not fit is refused with a ValueError.
+The working set (the m x m buffer and the arena of the Schur chunks) is
+allocated once per solve and refilled by every iteration.  Before
+anything is allocated, the working set (with the block stacks) is
+compared with the memory the process may use, and a problem that does
+not fit is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -88,16 +93,18 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
-from scipy.linalg import blas, lapack, solve_triangular
+from scipy.linalg import blas, lapack
 
 Entry = Tuple[int, int, int, float]  # (block, row, col, value), row <= col
 _INT64_MAX = np.iinfo(np.int64).max
 
-# bytes of the working set of one chunk of the Schur build
-SCHUR_CHUNK_BYTES = 1 << 23
+# bytes of the working set of one chunk of the Schur build: the 2 MiB of a
+# core's L2 cache, so that the chunk's intermediates stay in it
+SCHUR_CHUNK_BYTES = 1 << 21
 # at most this many passes of iterative refinement per Schur solve
 REFINE_PASSES = 4
-# width of the strips in which _factor copies M's triangle onto the other
+# width of the strips in which the Schur build zeroes M's triangle and
+# _factor copies it onto the other
 MIRROR_TILE = 64
 # share of the way to the cone boundary that each step goes
 STEP_FRACTION = 0.98
@@ -218,16 +225,25 @@ class _Chunk(NamedTuple):
     to (nb*s, s), b counted from the start of the block range; v is
     (nb, kc, K, 1).  w is the CSR matrix whose row (b, j) is the flattened
     A_{rows[b, j]} on block b of the range, for the kr slots j from the
-    range's first slot on.  dest (nb*kr*kc) is the index into M's buffer of
-    each pair (j, i) of the readout: the lower-triangle cell of the two
-    constraints when j is not below i in slot order and both are real,
-    the spare cell after M otherwise.
+    range's first slot on.
 
-    xg, sg, t, tt and out are views into the layout's arena, written by
-    every Schur build: the X and S^{-1} gathers (nb, kc, K, s), T
-    (nb, kc, s, s), T transposed to (nb, s*s, kc) and the readout
-    (nb*kr, kc).  tt overwrites the gathers and out overwrites T, each once
-    what it overwrites is dead.
+    keys are the class's rows and row_cells, read off as four views that
+    broadcast to (nb, kc, kr), the readout transposed: the row cells of the
+    slots j, the rows of the slots i, the row cells of the slots i and the
+    rows of the slots j.  Of the slots that are both readout rows and
+    columns, floor (kc, kc) holds the first spare cell, m*m, at the pairs
+    (i, j) with j before i, 0 at the others.
+
+    xg, sg, t, tt, out, cells, alt and dest are views into the layout's
+    arena, written by every Schur build: the X and S^{-1} gathers
+    (nb, kc, K, s), T (nb, kc, s, s), T transposed to (nb, s*s, kc), the
+    readout (nb, kr, kc), and two index buffers, cells (nb, kc, kr) and alt,
+    of the same shape, which dest views as (nb, kr, kc).  tt overwrites the
+    gathers, out overwrites T and the index buffers overwrite tt, each once
+    what it overwrites is dead.  dest ends up holding the index into M's
+    buffer of each pair (j, i) of the readout: the lower-triangle cell of
+    the two constraints when j is not before i in slot order and both are
+    real, one of the spare cells after M otherwise.
     """
 
     blocks: slice
@@ -235,12 +251,16 @@ class _Chunk(NamedTuple):
     srow: np.ndarray
     v: np.ndarray
     w: sp.csr_matrix
-    dest: np.ndarray
+    keys: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    floor: np.ndarray
     xg: np.ndarray
     sg: np.ndarray
     t: np.ndarray
     tt: np.ndarray
     out: np.ndarray
+    cells: np.ndarray
+    alt: np.ndarray
+    dest: np.ndarray
 
 
 class _SizeClass:
@@ -248,16 +268,19 @@ class _SizeClass:
 
     c is (nb, s, s).  rows (nb, k) holds for each block the indices of the
     constraints touching it, those with the most entries first, padded up
-    to k, the largest count in the class, with m.  chunks cut the (block,
-    slot) grid of the class into pieces of bounded bytes for the Schur
-    build.
+    to k, the largest count in the class, with m; row_cells is rows * m,
+    where each constraint's row starts in M's buffer.  Both are in the
+    dtype of the Schur build's index.  chunks cut the (block, slot) grid of
+    the class into pieces of bounded bytes for the Schur build.
     """
 
-    def __init__(self, blocks: np.ndarray, c: np.ndarray, rows: np.ndarray, chunks: List[_Chunk]):
+    def __init__(self, blocks: np.ndarray, c: np.ndarray, rows: np.ndarray, m: int,
+                 chunks: List[_Chunk]):
         self.blocks = blocks
         self.size = c.shape[-1]
         self.c = c
-        self.rows = rows
+        self.rows = rows.astype(_index_dtype(m))
+        self.row_cells = self.rows * self.rows.dtype.type(m)
         self.chunks = chunks
 
 
@@ -274,7 +297,7 @@ def _size_classes(sizes: np.ndarray, pair_blk: np.ndarray):
     return touching, keys[0], cls.ravel()
 
 
-def _plan_chunks(nb: int, k: int, s: int, wide: int) -> List[Tuple[int, int, int, int]]:
+def _plan_chunks(nb: int, k: int, s: int, wide: int, index) -> List[Tuple[int, int, int, int]]:
     """Block and slot ranges cutting a class's (block, slot) grid.
 
     Whole blocks are grouped while they fit in SCHUR_CHUNK_BYTES; a block
@@ -284,9 +307,12 @@ def _plan_chunks(nb: int, k: int, s: int, wide: int) -> List[Tuple[int, int, int
     """
     if not k:
         return []
-    # T and its transposed copy, the X and S^{-1} gathers, the readout and
-    # its scatter index, per (block, slot) pair
-    unit = 8 * (2 * s * s + 2 * s * wide + 3 * k)
+    # what a chunk touches, per (block, slot) pair, each buffer counted even
+    # where the arena overlays it on another: the X and S^{-1} gathers with
+    # their rows and values, T and its transposed copy, and a column of the
+    # readout and of its two index buffers of dtype index.  The chunk's
+    # slice of w and its blocks of X and S^{-1} are left out.
+    unit = 8 * (2 * s * wide + 3 * wide + 2 * s * s + k) + 2 * k * np.dtype(index).itemsize
     per_chunk = max(1, SCHUR_CHUNK_BYTES // unit)
     if per_chunk >= k:
         step = per_chunk // k
@@ -296,46 +322,62 @@ def _plan_chunks(nb: int, k: int, s: int, wide: int) -> List[Tuple[int, int, int
 
 
 def _index_dtype(m: int):
-    """int32 while every index into M's buffer, the spare cell m*m included, fits it."""
-    return np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
+    """int32 while every cell index a Schur build forms, up to m*m + m, fits it."""
+    return np.int32 if m * m + m <= np.iinfo(np.int32).max else np.int64
 
 
-def _index_size(prob: CanonicalSdp) -> int:
-    """Entries of the Schur scatter index of prob's layout, or more.
-
-    The index holds nb * kr * kc entries per chunk.  Planned with one
-    entry per (block, constraint) pair, the narrowest the layout can see,
-    the chunks are the largest they can be, and the index with them.
-    """
-    m = prob.n_constraints
-    on_a = prob.k > 0
-    pair_blk = np.unique(prob.blk[on_a] * max(m, 1) + prob.k[on_a] - 1) // max(m, 1)
-    touching, class_sizes, cls = _size_classes(np.array(prob.block_sizes, dtype=np.intp), pair_blk)
-    total = 0
-    for j, s in enumerate(class_sizes.tolist()):
-        members = cls == j
-        k = int(touching[members].max())
-        total += sum((b1 - b0) * (k - i0) * (i1 - i0)
-                     for b0, b1, i0, i1 in _plan_chunks(int(members.sum()), k, s, 1))
-    return total
-
-
-def _arena_views(arena: Optional[np.ndarray], nb: int, kc: int, kk: int, s: int, kr: int):
+def _arena_views(arena: Optional[np.ndarray], nb: int, kc: int, kk: int, s: int, kr: int, index):
     """The Schur intermediates of a chunk as views into arena.
 
-    T, and after it the readout, sit first; the gathers, and after them T
-    transposed, share the space that follows.  Returns the views, or with
-    arena None the number of elements they need.
+    T, and after it the readout, sit first; the gathers, after them T
+    transposed and after that the two index buffers (of dtype index) share
+    the space that follows.  Returns the views, or with arena None the
+    number of elements they need.
     """
     n_t, n_g, n_r = nb * kc * s * s, nb * kc * kk * s, nb * kr * kc
+    n_i = -(-n_r * np.dtype(index).itemsize // 8)  # one index buffer, in arena elements
     head = max(n_t, n_r)
-    size = head + max(2 * n_g, n_t)
+    size = head + max(2 * n_g, n_t, 2 * n_i)
     if arena is None:
         return size
     rest = arena[head:size]
     return (rest[:n_g].reshape(nb, kc, kk, s), rest[n_g:2 * n_g].reshape(nb, kc, kk, s),
             arena[:n_t].reshape(nb, kc, s, s), rest[:n_t].reshape(nb, s * s, kc),
-            arena[:n_r].reshape(nb * kr, kc))
+            arena[:n_r].reshape(nb, kr, kc),
+            rest[:n_i].view(index)[:n_r].reshape(nb, kc, kr),
+            rest[n_i:2 * n_i].view(index)[:n_r].reshape(nb, kc, kr),
+            rest[n_i:2 * n_i].view(index)[:n_r].reshape(nb, kr, kc))
+
+
+def _layout_bytes(prob: CanonicalSdp) -> int:
+    """Bytes _Layout allocates for prob besides M's buffer, or more.
+
+    Planned as the layout plans its chunks, each sized to the widest
+    (block, constraint) pair of its class rather than of the chunk: the
+    Schur arena; the gather rows and values, 24 bytes a padded entry, once
+    in the layout's (nb, k, wide) tables and once in the chunks' copies;
+    and 32 words an entry of the symmetric expansion, for the constraint
+    maps A, A^T and w and the sorts that build them.
+    """
+    m = prob.n_constraints
+    on_a = prob.k > 0
+    # an off-diagonal entry stands at (r, c) and at (c, r)
+    twice = 2 - (prob.r[on_a] == prob.c[on_a])
+    pairs, pair_of_entry = np.unique(prob.blk[on_a] * max(m, 1) + prob.k[on_a] - 1,
+                                     return_inverse=True)
+    pair_width = np.bincount(pair_of_entry, weights=twice, minlength=len(pairs)).astype(np.intp)
+    pair_blk = pairs // max(m, 1)
+    touching, class_sizes, cls = _size_classes(np.array(prob.block_sizes, dtype=np.intp), pair_blk)
+    index = _index_dtype(m)
+    arena = tables = 0
+    for j, s in enumerate(class_sizes.tolist()):
+        members = cls == j
+        nb, k = int(members.sum()), int(touching[members].max())
+        wide = int(pair_width[cls[pair_blk] == j].max(initial=0))
+        tables += 2 * 24 * nb * k * wide
+        arena = max([arena] + [_arena_views(None, b1 - b0, i1 - i0, wide, s, k - i0, index)
+                               for b0, b1, i0, i1 in _plan_chunks(nb, k, s, wide, index)])
+    return 8 * arena + tables + 8 * 32 * int(twice.sum())
 
 
 def _readout(w: sp.csr_matrix, t: np.ndarray, out: np.ndarray):
@@ -348,12 +390,33 @@ def _readout(w: sp.csr_matrix, t: np.ndarray, out: np.ndarray):
                              t.ravel(), out.ravel())
 
 
-def _scatter_index(rows: np.ndarray, i0: int, i1: int, m: int) -> np.ndarray:
-    """dest of a chunk: rows (nb, k) of its blocks, its slots i0..i1, m constraints."""
-    ci, cj = rows[:, None, i0:i1], rows[:, i0:, None]
-    lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
-    upper = np.arange(rows.shape[1] - i0)[:, None] >= np.arange(i1 - i0)
-    return np.where(upper & (hi < m), hi * m + lo, m * m).astype(_index_dtype(m)).ravel()
+def _form_dest(ch: _Chunk):
+    """Fill ch.dest with the cell in M's buffer of each pair (j, i) of ch's readout.
+
+    The lower-triangle cell of constraints a and b is max(a*m + b, b*m + a):
+    two broadcast sums of ch.keys and their maximum, formed in ch.cells with
+    the kr readout rows innermost, where numpy's loops run long.  A padding
+    slot (constraint m) gives one of the m + 1 spare cells after M, from
+    m*m on.  A pair whose row slot j comes before its column slot i is
+    formed by the chunk holding T_j: ch.floor lifts it to a spare cell.
+    The cells are then copied into the readout's order: np.add.at runs
+    several times faster on one flat index than on a strided one.  When the
+    chunk's slots run to the class's last, they are all its readout rows as
+    well: the second sum is the first one transposed, and their maximum is
+    already the same in either order.
+    """
+    cells_j, rows_i, cells_i, rows_j = ch.keys
+    np.add(cells_j, rows_i, out=ch.cells)
+    kc, kr = ch.cells.shape[1:]
+    if kc == kr:
+        np.maximum(ch.cells, ch.cells.transpose(0, 2, 1), out=ch.dest)
+        np.maximum(ch.dest, ch.floor.T, out=ch.dest)
+        return
+    np.add(cells_i, rows_j, out=ch.alt)
+    np.maximum(ch.cells, ch.alt, out=ch.cells)
+    square = ch.cells[:, :, :len(ch.floor)]
+    np.maximum(square, ch.floor, out=square)
+    np.copyto(ch.dest, ch.cells.transpose(0, 2, 1))
 
 
 class _Layout:
@@ -365,11 +428,11 @@ class _Layout:
     are one sparse matvec each.
 
     The Schur build's working set is allocated here, once per solve, and
-    reused by every build: m_acc, the one m x m buffer (and a spare cell
-    after it that the pairs not formed land on), in which M is built in the
-    lower triangle and factored, taken from buf when given; the scatter
-    indices of the chunks; and one arena that holds the intermediates of
-    the largest chunk.
+    reused by every build: m_acc, the one m x m buffer (and m + 1 spare
+    cells after it that the pairs not formed land on), in which M is built
+    in the lower triangle and factored, taken from buf when given; and one
+    arena that holds the intermediates of the largest chunk, its index
+    buffers included.
     """
 
     def __init__(self, prob: CanonicalSdp, buf: Optional[np.ndarray] = None):
@@ -398,6 +461,7 @@ class _Layout:
         touching, class_sizes, cls = _size_classes(sizes, pair_blk)
         cblk, cr, cc, cv = (col[~on_a] for col in (prob.blk, prob.r, prob.c, prob.v))
 
+        index = _index_dtype(m)
         self.classes: List[_SizeClass] = []
         planned = []  # (class, arena dimensions, chunk fields before the views)
         pos = np.zeros(len(sizes), dtype=np.intp)  # position inside the class
@@ -426,7 +490,7 @@ class _Layout:
             # the readout of every chunk is a run of w's rows, taken off
             # its arrays without copying the values
             w = sp.csr_matrix((ev, (eb * k + es, flat)), shape=(nb * k, nb * s * s))
-            for b0, b1, i0, i1 in _plan_chunks(nb, k, s, wide):
+            for b0, b1, i0, i1 in _plan_chunks(nb, k, s, wide, index):
                 kk = int(width[b0:b1, i0:i1].max())
                 if not kk:  # blocks that no constraint touches add nothing
                     continue
@@ -436,14 +500,21 @@ class _Layout:
                 e0, e1 = w.indptr[r0], w.indptr[r1]
                 wc = sp.csr_matrix((w.data[e0:e1], w.indices[e0:e1] - b0 * s * s,
                                     w.indptr[r0:r1 + 1] - e0), shape=(r1 - r0, (b1 - b0) * s * s))
-                planned.append((j, (b1 - b0, i1 - i0, kk, s, k - i0), (
-                    bl, base + p[bl, sl, :kk], base + q[bl, sl, :kk], val[bl, sl, :kk, None].copy(),
-                    wc, _scatter_index(rows[bl], i0, i1, m))))
-            self.classes.append(_SizeClass(members, cstack, rows, []))
+                planned.append((j, (b1 - b0, i1 - i0, kk, s, k - i0, index), (
+                    bl, sl, base + p[bl, sl, :kk], base + q[bl, sl, :kk],
+                    val[bl, sl, :kk, None].copy(), wc)))
+            self.classes.append(_SizeClass(members, cstack, rows, m, []))
         self.arena = np.empty(max((_arena_views(None, *dims) for _, dims, _ in planned), default=0))
-        for j, dims, fields in planned:
-            self.classes[j].chunks.append(_Chunk(*fields, *_arena_views(self.arena, *dims)))
-        self.m_acc = np.empty(m * m + 1) if buf is None else buf[:m * m + 1]
+        kc = max((dims[1] for _, dims, _ in planned), default=0)
+        floor = np.where(np.tri(kc, k=-1, dtype=bool), m * m, 0).astype(index)
+        for j, dims, (bl, sl, *fields) in planned:
+            cl = self.classes[j]
+            rows, starts = cl.rows[bl], cl.row_cells[bl]
+            keys = (starts[:, None, sl.start:], rows[:, sl, None],
+                    starts[:, sl, None], rows[:, None, sl.start:])
+            cl.chunks.append(_Chunk(bl, *fields, keys, floor[:dims[1], :dims[1]],
+                                    *_arena_views(self.arena, *dims)))
+        self.m_acc = np.empty(m * m + m + 1) if buf is None else buf[:m * m + m + 1]
         self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
         self.at = self.a.T.tocsr()
         self.ends = np.cumsum([0] + [cl.c.size for cl in self.classes])
@@ -465,10 +536,11 @@ class _Layout:
         entries e of A_i of v_e X[p_e, :]^T S^{-1}[q_e, :]: one (s, K) by
         (K, s) product per (block, constraint) pair, read out by one CSR
         product per chunk against the A_j of the block from the chunk's
-        first slot on, and added into M.  Each pair of a block is formed
-        once, by the slot that comes first, so M is exactly symmetric in
-        what it holds: its lower triangle, diagonal included.  The upper
-        triangle holds zeros.
+        first slot on, and added into M at the cells _form_dest finds.
+        Each pair of a block is formed once, by the slot that comes first,
+        so M is exactly symmetric in what it holds: its lower triangle,
+        diagonal included.  Only that triangle is zeroed, strip by strip;
+        the strict upper one keeps what was there, which _factor overwrites.
 
         The returned M is the layout's own (m, m) buffer, overwritten by the
         next call and by _factor: a caller that keeps M past them keeps a
@@ -476,7 +548,11 @@ class _Layout:
         """
         m = self.m
         acc = self.m_acc
-        acc.fill(0.0)
+        full = acc[:m * m].reshape(m, m)
+        for a in range(0, m, MIRROR_TILE):
+            b = min(a + MIRROR_TILE, m)
+            full[a:b, :b] = 0.0
+        acc[m * m:] = 0.0  # the spare cells too, lest stale values overflow
         for cl, x, sinv in zip(self.classes, xs, sinvs):
             s = cl.size
             for ch in cl.chunks:
@@ -490,8 +566,9 @@ class _Layout:
                 np.matmul(ch.xg.swapaxes(-1, -2), ch.sg, out=ch.t)
                 np.copyto(ch.tt, ch.t.reshape(nb, kc, s * s).swapaxes(1, 2))
                 _readout(ch.w, ch.tt.reshape(-1, kc), ch.out)
-                np.add.at(acc, ch.dest, ch.out.ravel())
-        return acc[:m * m].reshape(m, m)
+                _form_dest(ch)
+                np.add.at(acc, ch.dest.ravel(), ch.out.ravel())
+        return full
 
     def unstack(self, stacks: List[np.ndarray]) -> List[np.ndarray]:
         """Per-block matrices in the original block order."""
@@ -648,22 +725,20 @@ def _check_memory(prob: CanonicalSdp) -> int:
     """Bytes of the solver's working set; ValueError when it would not fit.
 
     Counts what is held for the whole solve: the one m x m buffer M is
-    built and factored in; the Schur scatter index (bounded by
-    _index_size); the Schur arena with one chunk's readout; and 24 block
-    stacks: the 13 an iteration keeps alive (iterate, slack, the remembered
-    best of both, residual, inverse factors of X and S, S^{-1}, both pairs
-    of directions, corrector) and the temporaries of a step test (the
-    stacked directions, two products and eigvalsh's copy, each two stacks
-    deep) with room to spare.
+    built and factored in; the layout's arena and tables (bounded by
+    _layout_bytes); and 24 block stacks: the 13 an iteration keeps alive
+    (iterate, slack, the remembered best of both, residual, inverse factors
+    of X and S, S^{-1}, both pairs of directions, corrector) and the
+    temporaries of a step test (the stacked directions, two products and
+    eigvalsh's copy, each two stacks deep) with room to spare.
     """
     m = prob.n_constraints
     sizes = prob.block_sizes
     s_max = max(sizes, default=0)
-    chunk = max(SCHUR_CHUNK_BYTES, 8 * (2 * s_max * s_max + 3 * m))
-    need = 8 * m * m + chunk + 8 * 24 * sum(s * s for s in sizes)
-    if s_max <= _INT64_MAX:  # beyond, the stacks alone are past any memory
-        need += np.dtype(_index_dtype(m)).itemsize * _index_size(prob)
+    need = 8 * (m * m + m + 1) + 8 * 24 * sum(s * s for s in sizes)
     limit = _memory_limit()
+    if need <= limit:  # past it the block sizes may not even fit an int64
+        need += _layout_bytes(prob)
     if need > limit:
         raise ValueError(
             f"the solver needs about {need / 2**20:.0f} MiB ({m} constraints, "
@@ -714,7 +789,9 @@ def _dependent_rows(prob: CanonicalSdp, buf: np.ndarray, tol: float) -> Tuple[np
     if rank == m:
         return none, none
     kept, dep = piv[:rank] - 1, piv[rank:] - 1
-    z = solve_triangular(fac[:rank, :rank], scale[kept] * prob.b[kept], lower=True)
+    # trtrs reads L11 in place, off the first rank columns of the factor;
+    # solve_triangular would copy it, rank^2 doubles
+    z = lapack.dtrtrs(fac[:, :rank], scale[kept] * prob.b[kept], lower=1)[0]
     want = norm[dep] * (fac[rank:, :rank] @ z)
     off = np.abs(prob.b[dep] - want) > tol * (1.0 + np.linalg.norm(prob.b))
     return np.sort(dep[~off]), np.sort(dep[off])
@@ -742,7 +819,7 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
     prob.validate()
     _check_memory(prob)
     m_all = prob.n_constraints
-    buf = np.empty(m_all * m_all + 1)
+    buf = np.empty(m_all * m_all + m_all + 1)
     dropped, inconsistent = _dependent_rows(prob, buf, cfg.tol)
     if len(inconsistent):
         sol = _inconsistent(prob, inconsistent)

@@ -283,7 +283,8 @@ def test_newton_candidates_above_cap_is_input_error(capsys, tmp_path):
 def test_problem_above_memory_limit_is_refused(capsys, monkeypatch):
     import tssos.solver
 
-    monkeypatch.setattr(tssos.solver, "_memory_limit", lambda: 1 << 20)
+    # ex1's dense relaxation needs tens of KiB: below any real limit
+    monkeypatch.setattr(tssos.solver, "_memory_limit", lambda: 1 << 10)
     code, out, err = run(capsys, "solve", EX1, "--dense", "--json")
     assert code == 1
     assert out == ""
@@ -399,7 +400,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
 print(json.dumps({"codes": codes, "nnls_calls": len(calls),
-                  "optimize": sorted(m for m in sys.modules if m.startswith("scipy.optimize"))}))
+                  "optimize": sorted(m for m in sys.modules if m.startswith("scipy.optimize")),
+                  "csgraph": sorted(m for m in sys.modules if m.startswith("scipy.sparse.csgraph"))}))
 """
 
 
@@ -425,4 +427,6 @@ def test_cli_runs_never_import_scipy_optimize(tmp_path):
     assert got["codes"] == [0, 0, 0]
     assert got["nnls_calls"] >= 1
     assert got["optimize"] == []
+    # csgraph is imported only by --mode block's closure, which no run here takes
+    assert got["csgraph"] == []
     assert sdpa.stat().st_size > 0

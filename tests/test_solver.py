@@ -26,6 +26,7 @@ from tssos.solver import (
     solve_canonical,
 )
 
+from held_index_schur import held_index_schur
 from sdp_tables import canonical_sdp, entry_rows
 
 
@@ -673,8 +674,8 @@ def test_schur_matches_dense_product_form(case):
     lay = _Layout(prob)
     got = lay.schur(class_stacks(lay, xb), class_stacks(lay, sb))
     want = reference_schur(prob, xb, sb)
-    # M is the lower triangle; mirrored, it is the symmetrized product form
-    assert not np.triu(got, 1).any()
+    # M is the lower triangle (the strict upper one is never written by the
+    # build); mirrored, it is the symmetrized product form
     mirrored = np.tril(got) + np.tril(got, -1).T
     assert np.abs(mirrored - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -733,7 +734,48 @@ def test_chunked_schur_equals_unchunked(case, monkeypatch):
     assert sum(len(cl.chunks) for cl in cut.classes) > sum(len(cl.chunks) for cl in whole.classes)
     got = cut.schur(class_stacks(cut, xb), class_stacks(cut, sb))
     want = whole.schur(class_stacks(whole, xb), class_stacks(whole, sb))
-    assert np.array_equal(got, want)
+    assert np.array_equal(np.tril(got), np.tril(want))
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1])
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_schur_cells_match_the_held_index_build(case, chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", chunk_bytes)
+    prob = SCHUR_CASES[case]()
+    rng = np.random.default_rng(37)
+    lay = _Layout(prob)
+    lay.m_acc[:] = np.nan  # stale: the build zeroes what it adds into
+    xs, ss = (class_stacks(lay, random_pd_blocks(rng, prob.block_sizes)) for _ in range(2))
+    want = held_index_schur(lay, xs, ss)
+    assert not np.triu(want, 1).any()
+    got = lay.schur(xs, ss)
+    assert np.array_equal(np.tril(got), np.tril(want))
+
+
+def planned_bytes(ch):
+    """What a chunk's build touches besides w and the stacks, in bytes.
+
+    Every buffer counts, also where the arena overlays it on another.
+    """
+    return sum(a.nbytes for a in (ch.xg, ch.sg, ch.xrow, ch.srow, ch.v, ch.t, ch.tt, ch.out,
+                                  ch.cells, ch.alt))
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 12, 1 << 16, None])
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_no_chunk_past_the_budget_but_a_single_pair(case, chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", chunk_bytes)
+    budget = tssos.solver.SCHUR_CHUNK_BYTES
+    prob = SCHUR_CASES[case]()
+    lay = _Layout(prob)
+    for cl in lay.classes:
+        for ch in cl.chunks:
+            nb, kc = ch.v.shape[:2]
+            assert nb * kc == 1 or planned_bytes(ch) <= budget, (nb, kc, planned_bytes(ch))
+    # the memory estimate plans the same chunks, each at least as wide
+    assert lay.arena.nbytes <= tssos.solver._layout_bytes(prob)
 
 
 def many_constraints_instance():
@@ -767,10 +809,11 @@ def test_schur_holds_one_m_by_m_array_and_one_chunk(make, monkeypatch):
     finally:
         tracemalloc.stop()
     assert schur.shape == (m, m) and np.shares_memory(schur, lay.m_acc)
-    index = sum(ch.dest.nbytes for cl in lay.classes for ch in cl.chunks)
-    # M's one buffer and the scatter index, plus one chunk and the layout's
-    # smaller arrays
-    assert peak <= m * m * 8 + index + 2 * (1 << 20), (peak - index) / (m * m * 8)
+    # no index is held: each chunk forms its cells in the arena
+    assert all(np.shares_memory(ch.cells, lay.arena) and np.shares_memory(ch.dest, lay.arena)
+               for cl in lay.classes for ch in cl.chunks)
+    # M's one buffer, plus one chunk and the layout's smaller arrays
+    assert peak <= m * m * 8 + 2 * (1 << 20), peak / (m * m * 8)
 
 
 def test_solver_refuses_problem_above_memory_limit(monkeypatch):
@@ -863,7 +906,8 @@ def test_schur_build_carries_nothing_over_to_the_next(case, chunk_bytes, monkeyp
     lay.schur(*(class_stacks(lay, b) for b in first))
     got = lay.schur(*(class_stacks(lay, b) for b in second))
     fresh = _Layout(prob)
-    assert np.array_equal(got, fresh.schur(*(class_stacks(fresh, b) for b in second)))
+    want = fresh.schur(*(class_stacks(fresh, b) for b in second))
+    assert np.array_equal(np.tril(got), np.tril(want))
 
 
 def test_schur_build_allocates_little_after_the_first():
