@@ -41,12 +41,14 @@ straight off the table's columns:
   products with a dense A_i.  The entries <A_j, T_i> of every constraint j
   touching the block are read off T_i by one CSR product and added into M.
 - The (block, constraint) grid of a class is cut into chunks of at most
-  SCHUR_CHUNK_BYTES of working set, the size of a core's L2 cache, so
-  that T, its transposed copy and the readout stay in cache (the cache
-  blocking of Goto and van de Geijn, ACM TOMS 34, 2008), and no
-  intermediate grows with the number of constraints times s^2.  Within a
-  block the constraints are ordered widest first, so a chunk pads K only
-  to its own widest entry list.
+  SCHUR_CHUNK_BYTES of working set, so no intermediate grows with the
+  number of constraints times s^2.  The budget is a core's 2 MiB L2
+  cache, after the cache blocking of Goto and van de Geijn (ACM TOMS 34,
+  2008).  It was measured to pay off on one dense 56 x 56 block only; on
+  larger blocks with thousands of constraints the build runs more chunks
+  and is slower than at 8 MiB (ROADMAP item 4).  Within a block the
+  constraints are ordered widest first, so a chunk pads K only to its own
+  widest entry list.
 
 Only the pairs i <= j of each block are formed: the chunk holding T_i
 reads out the constraints from its first slot on, and its pairs below the
@@ -99,8 +101,16 @@ Entry = Tuple[int, int, int, float]  # (block, row, col, value), row <= col
 _INT64_MAX = np.iinfo(np.int64).max
 
 # bytes of the working set of one chunk of the Schur build: the 2 MiB of a
-# core's L2 cache, so that the chunk's intermediates stay in it
+# core's L2 cache
 SCHUR_CHUNK_BYTES = 1 << 21
+# bytes _Layout holds at its peak, the end of its build, beside its arena,
+# floor and gather tables: per entry of the symmetric expansion (its
+# columns, their pairs, slots and sorts, w, A and A^T) and per chunk (its
+# views and objects).  tracemalloc measured 150-210 bytes an entry and
+# 2.3-2.7 KiB a chunk on gen_rosenbrock and broyden_tridiagonal at n = 100
+# and on a dense 56 x 56 block, at chunk budgets of 64 KiB to 8 MiB.
+LAYOUT_ENTRY_BYTES = 256
+LAYOUT_CHUNK_BYTES = 4096
 # at most this many passes of iterative refinement per Schur solve
 REFINE_PASSES = 4
 # width of the strips in which the Schur build zeroes M's triangle and
@@ -216,6 +226,19 @@ def _rank_within(groups: np.ndarray) -> np.ndarray:
     return np.arange(len(groups)) - np.searchsorted(groups, groups)
 
 
+class _RowRun(NamedTuple):
+    """A run of a CSR matrix's rows, taken off its arrays without copying.
+
+    indptr is the run's slice of the matrix's, which need not start at 0
+    (csr_matrix refuses that); indices and data are the whole matrix's.
+    """
+
+    shape: Tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
 class _Chunk(NamedTuple):
     """A (block range, slot range) piece of a class for the Schur build.
 
@@ -223,16 +246,9 @@ class _Chunk(NamedTuple):
     v_e = 0 up to K, the widest pair of the chunk, xrow and srow (nb, kc, K)
     index the rows b*s + p_e and b*s + q_e of the range's stacks flattened
     to (nb*s, s), b counted from the start of the block range; v is
-    (nb, kc, K, 1).  w is the CSR matrix whose row (b, j) is the flattened
-    A_{rows[b, j]} on block b of the range, for the kr slots j from the
-    range's first slot on.
-
-    keys are the class's rows and row_cells, read off as four views that
-    broadcast to (nb, kc, kr), the readout transposed: the row cells of the
-    slots j, the rows of the slots i, the row cells of the slots i and the
-    rows of the slots j.  Of the slots that are both readout rows and
-    columns, floor (kc, kc) holds the first spare cell, m*m, at the pairs
-    (i, j) with j before i, 0 at the others.
+    (nb, kc, K, 1).  w is the run of the class's CSR rows whose row (b, j)
+    is the flattened A_{rows[b, j]} on block b of the range, for the kr
+    slots j from the range's first slot to the class's last.
 
     xg, sg, t, tt, out, cells, alt and dest are views into the layout's
     arena, written by every Schur build: the X and S^{-1} gathers
@@ -240,19 +256,16 @@ class _Chunk(NamedTuple):
     readout (nb, kr, kc), and two index buffers, cells (nb, kc, kr) and alt,
     of the same shape, which dest views as (nb, kr, kc).  tt overwrites the
     gathers, out overwrites T and the index buffers overwrite tt, each once
-    what it overwrites is dead.  dest ends up holding the index into M's
-    buffer of each pair (j, i) of the readout: the lower-triangle cell of
-    the two constraints when j is not before i in slot order and both are
-    real, one of the spare cells after M otherwise.
+    what it overwrites is dead.  _form_dest leaves in dest the index into
+    M's buffer of each pair (j, i) of the readout.
     """
 
     blocks: slice
+    slots: slice
     xrow: np.ndarray
     srow: np.ndarray
     v: np.ndarray
-    w: sp.csr_matrix
-    keys: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    floor: np.ndarray
+    w: _RowRun
     xg: np.ndarray
     sg: np.ndarray
     t: np.ndarray
@@ -295,6 +308,38 @@ def _size_classes(sizes: np.ndarray, pair_blk: np.ndarray):
     bucket = np.frexp(np.maximum(touching, 1) - 1)[1]
     keys, cls = np.unique(np.stack([sizes, bucket]), axis=1, return_inverse=True)
     return touching, keys[0], cls.ravel()
+
+
+def _plan(prob: CanonicalSdp):
+    """The symmetric expansion of prob's constraint entries and the plan of its classes.
+
+    Returns the entries' columns (blk, con, r, c, v), every off-diagonal
+    entry at (r, c) and at (c, r); the distinct (block, constraint) pairs'
+    blocks, constraints and widths (entry counts) and each entry's pair; the
+    class of each block; and per class (members, s, k, wide, chunks): its
+    blocks, their size, the largest touching count, the widest pair and the
+    (block, slot) ranges of its chunks.
+    """
+    sizes = np.array(prob.block_sizes, dtype=np.intp)
+    m = prob.n_constraints
+    on_a = prob.k > 0
+    blk, r, c, v = (col[on_a] for col in (prob.blk, prob.r, prob.c, prob.v))
+    con = prob.k[on_a] - 1
+    off = r != c
+    blk, con, v = (np.concatenate([a, a[off]]) for a in (blk, con, v))
+    r, c = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
+    pairs, pair_of_entry = np.unique(blk * m + con, return_inverse=True)
+    pair_blk, pair_con = np.divmod(pairs, max(m, 1))
+    pair_width = np.bincount(pair_of_entry, minlength=len(pairs))
+    touching, class_sizes, cls = _size_classes(sizes, pair_blk)
+    index = _index_dtype(m)
+    classes = []
+    for j, s in enumerate(class_sizes.tolist()):
+        members = np.flatnonzero(cls == j)
+        k = int(touching[members].max())
+        wide = int(pair_width[cls[pair_blk] == j].max(initial=0))
+        classes.append((members, s, k, wide, _plan_chunks(len(members), k, s, wide, index)))
+    return (blk, con, r, c, v), (pair_blk, pair_con, pair_width, pair_of_entry), cls, classes
 
 
 def _plan_chunks(nb: int, k: int, s: int, wide: int, index) -> List[Tuple[int, int, int, int]]:
@@ -352,70 +397,57 @@ def _arena_views(arena: Optional[np.ndarray], nb: int, kc: int, kk: int, s: int,
 def _layout_bytes(prob: CanonicalSdp) -> int:
     """Bytes _Layout allocates for prob besides M's buffer, or more.
 
-    Planned as the layout plans its chunks, each sized to the widest
-    (block, constraint) pair of its class rather than of the chunk: the
-    Schur arena; the gather rows and values, 24 bytes a padded entry, once
-    in the layout's (nb, k, wide) tables and once in the chunks' copies;
-    and 32 words an entry of the symmetric expansion, for the constraint
-    maps A, A^T and w and the sorts that build them.
+    Read off the layout's own plan, each chunk sized to the widest (block,
+    constraint) pair of its class rather than of the chunk: the Schur arena
+    and the floor matrix; the gather rows and values, 24 bytes a padded
+    entry, once in the class's (nb, k, wide) tables and once in the chunks'
+    copies; LAYOUT_ENTRY_BYTES an entry of the symmetric expansion; and
+    LAYOUT_CHUNK_BYTES a chunk.
     """
-    m = prob.n_constraints
-    on_a = prob.k > 0
-    # an off-diagonal entry stands at (r, c) and at (c, r)
-    twice = 2 - (prob.r[on_a] == prob.c[on_a])
-    pairs, pair_of_entry = np.unique(prob.blk[on_a] * max(m, 1) + prob.k[on_a] - 1,
-                                     return_inverse=True)
-    pair_width = np.bincount(pair_of_entry, weights=twice, minlength=len(pairs)).astype(np.intp)
-    pair_blk = pairs // max(m, 1)
-    touching, class_sizes, cls = _size_classes(np.array(prob.block_sizes, dtype=np.intp), pair_blk)
-    index = _index_dtype(m)
-    arena = tables = 0
-    for j, s in enumerate(class_sizes.tolist()):
-        members = cls == j
-        nb, k = int(members.sum()), int(touching[members].max())
-        wide = int(pair_width[cls[pair_blk] == j].max(initial=0))
-        tables += 2 * 24 * nb * k * wide
-        arena = max([arena] + [_arena_views(None, b1 - b0, i1 - i0, wide, s, k - i0, index)
-                               for b0, b1, i0, i1 in _plan_chunks(nb, k, s, wide, index)])
-    return 8 * arena + tables + 8 * 32 * int(twice.sum())
+    entries, _, _, classes = _plan(prob)
+    index = np.dtype(_index_dtype(prob.n_constraints))
+    arena = kc = tables = n_chunks = 0
+    for members, s, k, wide, chunks in classes:
+        tables += len(members) * k * wide
+        n_chunks += len(chunks)
+        for b0, b1, i0, i1 in chunks:
+            arena = max(arena, _arena_views(None, b1 - b0, i1 - i0, wide, s, k - i0, index))
+            kc = max(kc, i1 - i0)
+    return (8 * arena + index.itemsize * kc * kc + 2 * 24 * tables
+            + LAYOUT_ENTRY_BYTES * len(entries[0]) + LAYOUT_CHUNK_BYTES * n_chunks)
 
 
-def _readout(w: sp.csr_matrix, t: np.ndarray, out: np.ndarray):
+def _readout(w, t: np.ndarray, out: np.ndarray):
     """w @ t written into out, by the kernel of scipy's own CSR-dense product.
 
-    scipy's product allocates its result; out is a view into the arena.
+    w is a csr_matrix or a _RowRun.  scipy's product allocates its result;
+    out is a view into the arena.
     """
     out.fill(0.0)
     _sparsetools.csr_matvecs(w.shape[0], w.shape[1], t.shape[-1], w.indptr, w.indices, w.data,
                              t.ravel(), out.ravel())
 
 
-def _form_dest(ch: _Chunk):
+def _form_dest(cl: _SizeClass, ch: _Chunk, floor: np.ndarray):
     """Fill ch.dest with the cell in M's buffer of each pair (j, i) of ch's readout.
 
     The lower-triangle cell of constraints a and b is max(a*m + b, b*m + a):
-    two broadcast sums of ch.keys and their maximum, formed in ch.cells with
-    the kr readout rows innermost, where numpy's loops run long.  A padding
-    slot (constraint m) gives one of the m + 1 spare cells after M, from
-    m*m on.  A pair whose row slot j comes before its column slot i is
-    formed by the chunk holding T_j: ch.floor lifts it to a spare cell.
-    The cells are then copied into the readout's order: np.add.at runs
-    several times faster on one flat index than on a strided one.  When the
-    chunk's slots run to the class's last, they are all its readout rows as
-    well: the second sum is the first one transposed, and their maximum is
-    already the same in either order.
+    two broadcast sums of the class's row_cells and rows and their maximum,
+    formed in ch.cells with the kr readout rows innermost, where numpy's
+    loops run long.  A padding slot (constraint m) gives one of the m + 1
+    spare cells after M, from m*m on.  A pair whose row slot j comes before
+    its column slot i is formed by the chunk holding T_j: floor, m*m below
+    its diagonal and 0 elsewhere, lifts it to a spare cell.  The cells are
+    then copied into the readout's order: np.add.at runs several times
+    faster on one flat index than on a strided one.
     """
-    cells_j, rows_i, cells_i, rows_j = ch.keys
-    np.add(cells_j, rows_i, out=ch.cells)
-    kc, kr = ch.cells.shape[1:]
-    if kc == kr:
-        np.maximum(ch.cells, ch.cells.transpose(0, 2, 1), out=ch.dest)
-        np.maximum(ch.dest, ch.floor.T, out=ch.dest)
-        return
-    np.add(cells_i, rows_j, out=ch.alt)
+    rows, starts = cl.rows[ch.blocks], cl.row_cells[ch.blocks]
+    i0, i1 = ch.slots.start, ch.slots.stop
+    np.add(starts[:, None, i0:], rows[:, i0:i1, None], out=ch.cells)
+    np.add(starts[:, i0:i1, None], rows[:, None, i0:], out=ch.alt)
     np.maximum(ch.cells, ch.alt, out=ch.cells)
-    square = ch.cells[:, :, :len(ch.floor)]
-    np.maximum(square, ch.floor, out=square)
+    square = ch.cells[:, :, :i1 - i0]
+    np.maximum(square, floor[:i1 - i0, :i1 - i0], out=square)
     np.copyto(ch.dest, ch.cells.transpose(0, 2, 1))
 
 
@@ -430,46 +462,38 @@ class _Layout:
     The Schur build's working set is allocated here, once per solve, and
     reused by every build: m_acc, the one m x m buffer (and m + 1 spare
     cells after it that the pairs not formed land on), in which M is built
-    in the lower triangle and factored, taken from buf when given; and one
+    in the lower triangle and factored, taken from buf when given; one
     arena that holds the intermediates of the largest chunk, its index
-    buffers included.
+    buffers included; and floor, (kc, kc) for the most slots a chunk has,
+    m*m below its diagonal and 0 elsewhere, with which _form_dest lifts the
+    pairs a chunk does not form.
     """
 
     def __init__(self, prob: CanonicalSdp, buf: Optional[np.ndarray] = None):
-        sizes = np.array(prob.block_sizes, dtype=np.intp)
         m = self.m = prob.n_constraints
-        self.n_blocks = len(sizes)
-        on_a = prob.k > 0
-        blk, r, c, v = (col[on_a] for col in (prob.blk, prob.r, prob.c, prob.v))
-        con = prob.k[on_a] - 1
-        off = r != c
-        blk, con, v = (np.concatenate([a, a[off]]) for a in (blk, con, v))
-        r, c = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
+        self.n_blocks = len(prob.block_sizes)
+        (blk, con, r, c, v), (pair_blk, pair_con, pair_width, pair_of_entry), cls, plans = _plan(prob)
         # each (block, constraint) pair gets a slot: its rank among the
         # constraints touching that block, widest first, so that the slot
         # ranges of a chunk need little padding
-        pairs, pair_of_entry = np.unique(blk * m + con, return_inverse=True)
-        pair_blk, pair_con = np.divmod(pairs, max(m, 1))
-        pair_width = np.bincount(pair_of_entry, minlength=len(pairs))
         order = np.lexsort((pair_con, -pair_width, pair_blk))
-        pair_slot = np.empty(len(pairs), dtype=np.intp)
+        pair_slot = np.empty(len(pair_blk), dtype=np.intp)
         pair_slot[order] = _rank_within(pair_blk[order])
         by_pair = np.argsort(pair_of_entry, kind="stable")
         rank = np.empty(len(by_pair), dtype=np.intp)  # entry's place in its pair
         rank[by_pair] = _rank_within(pair_of_entry[by_pair])
         slot = pair_slot[pair_of_entry]
-        touching, class_sizes, cls = _size_classes(sizes, pair_blk)
-        cblk, cr, cc, cv = (col[~on_a] for col in (prob.blk, prob.r, prob.c, prob.v))
+        on_c = prob.k == 0
+        cblk, cr, cc, cv = (col[on_c] for col in (prob.blk, prob.r, prob.c, prob.v))
 
         index = _index_dtype(m)
         self.classes: List[_SizeClass] = []
         planned = []  # (class, arena dimensions, chunk fields before the views)
-        pos = np.zeros(len(sizes), dtype=np.intp)  # position inside the class
+        pos = np.zeros(self.n_blocks, dtype=np.intp)  # position inside the class
         col = np.zeros(len(blk), dtype=np.intp)  # column of each entry in a
         ofs = 0
-        for j, s in enumerate(class_sizes.tolist()):
-            members = np.flatnonzero(cls == j)
-            nb, k = len(members), int(touching[members].max())
+        for j, (members, s, k, wide, chunks) in enumerate(plans):
+            nb = len(members)
             pos[members] = np.arange(nb)
             cstack = np.zeros((nb, s, s))
             sel = cls[cblk] == j
@@ -481,39 +505,35 @@ class _Layout:
             width[pos[pair_blk[sel]], pair_slot[sel]] = pair_width[sel]
             sel = cls[blk] == j
             eb, es, er, ec, ev = pos[blk[sel]], slot[sel], r[sel], c[sel], v[sel]
-            wide = int(width.max(initial=0))
             p, q, val = (np.zeros((nb, k, wide), dtype=dt) for dt in (np.intp, np.intp, float))
             p[eb, es, rank[sel]], q[eb, es, rank[sel]], val[eb, es, rank[sel]] = er, ec, ev
             flat = (eb * s + er) * s + ec
             col[sel] = ofs + flat
             ofs += nb * s * s
-            # the readout of every chunk is a run of w's rows, taken off
-            # its arrays without copying the values
-            w = sp.csr_matrix((ev, (eb * k + es, flat)), shape=(nb * k, nb * s * s))
-            for b0, b1, i0, i1 in _plan_chunks(nb, k, s, wide, index):
+            # the readout of every chunk is a run of w's rows, with w's
+            # columns counted from the first block of the entry's chunk
+            first = np.empty(nb, dtype=np.intp)
+            for b0, b1, _, _ in chunks:
+                first[b0:b1] = b0
+            w = sp.csr_matrix((ev, (eb * k + es, flat - first[eb] * s * s)), shape=(nb * k, nb * s * s))
+            for b0, b1, i0, i1 in chunks:
                 kk = int(width[b0:b1, i0:i1].max())
                 if not kk:  # blocks that no constraint touches add nothing
                     continue
                 bl, sl = slice(b0, b1), slice(i0, i1)
                 base = np.arange(b1 - b0)[:, None, None] * s
                 r0, r1 = b0 * k + i0, b1 * k
-                e0, e1 = w.indptr[r0], w.indptr[r1]
-                wc = sp.csr_matrix((w.data[e0:e1], w.indices[e0:e1] - b0 * s * s,
-                                    w.indptr[r0:r1 + 1] - e0), shape=(r1 - r0, (b1 - b0) * s * s))
+                wc = _RowRun((r1 - r0, (b1 - b0) * s * s), w.indptr[r0:r1 + 1], w.indices, w.data)
                 planned.append((j, (b1 - b0, i1 - i0, kk, s, k - i0, index), (
                     bl, sl, base + p[bl, sl, :kk], base + q[bl, sl, :kk],
                     val[bl, sl, :kk, None].copy(), wc)))
             self.classes.append(_SizeClass(members, cstack, rows, m, []))
         self.arena = np.empty(max((_arena_views(None, *dims) for _, dims, _ in planned), default=0))
+        for j, dims, fields in planned:
+            self.classes[j].chunks.append(_Chunk(*fields, *_arena_views(self.arena, *dims)))
         kc = max((dims[1] for _, dims, _ in planned), default=0)
-        floor = np.where(np.tri(kc, k=-1, dtype=bool), m * m, 0).astype(index)
-        for j, dims, (bl, sl, *fields) in planned:
-            cl = self.classes[j]
-            rows, starts = cl.rows[bl], cl.row_cells[bl]
-            keys = (starts[:, None, sl.start:], rows[:, sl, None],
-                    starts[:, sl, None], rows[:, None, sl.start:])
-            cl.chunks.append(_Chunk(bl, *fields, keys, floor[:dims[1], :dims[1]],
-                                    *_arena_views(self.arena, *dims)))
+        self.floor = np.tri(kc, k=-1, dtype=index)
+        self.floor *= index(m * m)
         self.m_acc = np.empty(m * m + m + 1) if buf is None else buf[:m * m + m + 1]
         self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
         self.at = self.a.T.tocsr()
@@ -566,7 +586,7 @@ class _Layout:
                 np.matmul(ch.xg.swapaxes(-1, -2), ch.sg, out=ch.t)
                 np.copyto(ch.tt, ch.t.reshape(nb, kc, s * s).swapaxes(1, 2))
                 _readout(ch.w, ch.tt.reshape(-1, kc), ch.out)
-                _form_dest(ch)
+                _form_dest(cl, ch, self.floor)
                 np.add.at(acc, ch.dest.ravel(), ch.out.ravel())
         return full
 

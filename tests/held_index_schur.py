@@ -31,11 +31,8 @@ def held_index_schur(lay, xs, sinvs):
     m = lay.m
     held = []
     for cl in lay.classes:
-        k = cl.rows.shape[1]
-        # a chunk reads out its kr slots from its first one to the class's last
-        slots = [(k - ch.out.shape[1], k - ch.out.shape[1] + ch.out.shape[2]) for ch in cl.chunks]
-        held.append([scatter_index(cl.rows[ch.blocks], i0, i1, m)
-                     for ch, (i0, i1) in zip(cl.chunks, slots)])
+        held.append([scatter_index(cl.rows[ch.blocks], ch.slots.start, ch.slots.stop, m)
+                     for ch in cl.chunks])
     acc = np.zeros(m * m + 1)
     for cl, dests, x, sinv in zip(lay.classes, held, xs, sinvs):
         s = cl.size

@@ -769,13 +769,21 @@ def test_no_chunk_past_the_budget_but_a_single_pair(case, chunk_bytes, monkeypat
         monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", chunk_bytes)
     budget = tssos.solver.SCHUR_CHUNK_BYTES
     prob = SCHUR_CASES[case]()
-    lay = _Layout(prob)
+    m = prob.n_constraints
+    buf = np.empty(m * m + m + 1)
+    tracemalloc.start()
+    try:
+        lay = _Layout(prob, buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     for cl in lay.classes:
         for ch in cl.chunks:
             nb, kc = ch.v.shape[:2]
             assert nb * kc == 1 or planned_bytes(ch) <= budget, (nb, kc, planned_bytes(ch))
-    # the memory estimate plans the same chunks, each at least as wide
-    assert lay.arena.nbytes <= tssos.solver._layout_bytes(prob)
+    # the memory estimate plans the same chunks, each at least as wide, and
+    # bounds all the layout allocates besides M's buffer
+    assert peak <= tssos.solver._layout_bytes(prob), (peak, tssos.solver._layout_bytes(prob))
 
 
 def many_constraints_instance():
