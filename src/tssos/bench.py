@@ -55,20 +55,42 @@ def _sum(n: int, parts: Sequence[Polynomial]) -> Polynomial:
 
 
 def broyden_banded(n: int) -> Polynomial:
-    """Sum of squared Broyden banded residuals; global minimum 0."""
+    """Sum of squared Broyden banded residuals; global minimum 0.
+
+    Residual i involves x_lo .. x_hi only, lo = max(1, i - 5) and hi =
+    min(n, i + 1), and in those variables it depends only on i - lo and
+    hi - lo.  So each distinct square is formed once, in at most 7
+    variables, and its exponent rows are placed at column lo - 1 of the
+    n-wide rows summed by one merge: no merge while forming the parts runs
+    over n-wide rows.
+    """
     if n < 2:
         raise ValueError("broyden_banded needs n >= 2")
-    parts = []
+    squares = {}
+    rows, coeffs = [], []
     for i in range(1, n + 1):
-        xi = _var(n, i)
-        p = xi * (Polynomial.constant(n, 2.0) + 5.0 * xi * xi) + Polynomial.constant(n, 1.0)
-        for j in range(max(1, i - 5), min(n, i + 1) + 1):
-            if j == i:
-                continue
-            xj = _var(n, j)
-            p = p - (Polynomial.constant(n, 1.0) + xj) * xj
-        parts.append(p * p)
-    return _sum(n, parts)
+        lo, hi = max(1, i - 5), min(n, i + 1)
+        shape = (i - lo + 1, hi - lo + 1)  # x_i and the width in the window's variables
+        if shape not in squares:
+            squares[shape] = _banded_square(*shape)
+        sq = squares[shape]
+        part = np.zeros((len(sq.coeffs), n), dtype=np.int64)
+        part[:, lo - 1:hi] = sq.rows
+        rows.append(part)
+        coeffs.append(sq.coeffs)
+    return Polynomial(n, np.concatenate(rows), np.concatenate(coeffs))
+
+
+def _banded_square(i: int, w: int) -> Polynomial:
+    """The square of x_i(2 + 5x_i^2) + 1 - sum_{j != i} (1 + x_j)x_j in w variables."""
+    xi = _var(w, i)
+    p = xi * (Polynomial.constant(w, 2.0) + 5.0 * xi * xi) + Polynomial.constant(w, 1.0)
+    for j in range(1, w + 1):
+        if j == i:
+            continue
+        xj = _var(w, j)
+        p = p - (Polynomial.constant(w, 1.0) + xj) * xj
+    return p * p
 
 
 def broyden_tridiagonal(n: int) -> Polynomial:

@@ -57,7 +57,10 @@ def _merge(rows: np.ndarray, coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     if len(rows) < 2:
         return rows, coeffs
     if rows.shape[1]:
-        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        # exponents that fit int8 key the rows as bytes: 8 times shorter keys
+        # for np.unique to compare, and as distinct
+        small = rows.astype(np.int8) if -128 <= rows.min() and rows.max() <= 127 else rows
+        keys = np.ascontiguousarray(small).view(np.dtype((np.void, small.itemsize * small.shape[1]))).ravel()
     else:
         keys = np.zeros(len(rows), dtype=np.int8)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)

@@ -44,26 +44,37 @@ straight off the table's columns:
   SCHUR_CHUNK_BYTES of working set, so no intermediate grows with the
   number of constraints times s^2.  The budget is a core's 2 MiB L2
   cache, after the cache blocking of Goto and van de Geijn (ACM TOMS 34,
-  2008).  It was measured to pay off on one dense 56 x 56 block only; on
-  larger blocks with thousands of constraints the build runs more chunks
-  and is slower than at 8 MiB (ROADMAP item 4).  Within a block the
+  2008).  With the strips below, it was measured faster than 8 MiB on a
+  dense 56 x 56 block and on the 100 x 100 clique of gen_rosenbrock
+  n=100 (ROADMAP item 2).  Within a block the
   constraints are ordered widest first, so a chunk pads K only to its own
   widest entry list.
 
 Only the pairs i <= j of each block are formed: the chunk holding T_i
-reads out the constraints from its first slot on, and its pairs below the
-slot diagonal land on spare cells after M.  M is accumulated in one
-triangle of one m x m buffer; only that triangle is zeroed.  Each chunk's
-cells in it are formed when the chunk is read out, from the constraint
-rows its class holds, into buffers in the arena: no index is held across
-builds.
+reads out the constraints from its first slot on.  M is accumulated in one
+triangle of one m x m buffer; only that triangle is zeroed.  Where a block
+is too wide for one chunk (a dense relaxation's one block, the Newton
+basis's {1, x_i^2} clique), M's rows are numbered by that block's slots,
+last first (of several such blocks, the one touched by most
+constraints).  Its chunks read T out slot by slot, one CSR matvec per
+slot, into rows that are M's own, and add them into whole rows of M's
+triangle: no transposed copy of T, no cells to form.  Their pairs below
+the slot diagonal land above M's diagonal, on squares zeroed for them.
+Every other chunk forms its cells in M when it is read out, from the rows
+of M its class holds, into buffers in the arena, and adds into them by
+one np.add.at; its pairs below the slot diagonal land on spare cells
+after M.  No index is held across builds.
 
 M is factored once per iteration, in place by LAPACK's potrf, and the
-predictor and the corrector solve with the same factor by potrs, as in
-SDPT3: M's triangle is copied onto the other one strip by strip, and
-potrf overwrites that copy, so the untouched triangle and M's diagonal, saved
-aside, still hold M for the refinement's symv.  X and S are factored
-together, one Cholesky call on each class's stacked [X; S], and the
+predictor and the corrector solve with the same factor, as in SDPT3: M's
+triangle is copied onto the other one strip by strip, and potrf
+overwrites that copy, so the untouched triangle and M's diagonal, saved
+aside, still hold M for the refinement's symv.  With M's rows in
+constraint order the solves are potrs; numbered by a block's slots, the
+right-hand side is permuted into that order and the solution out of it,
+and each solve is two trsv calls on the factor, which run about twice as
+fast as potrs's one-column trsm from m of a few hundred up.  X and S are
+factored together, one Cholesky call on each class's stacked [X; S], and the
 factor L is inverted once.  S^{-1} is L_S^{-T} L_S^{-1}, and both
 step-length tests read their bounds off the eigenvalues of
 W = L^{-1} [dX; dS] L^{-T} (as SDPT3 does, Toh, Todd and Tutuncu, Optim.
@@ -258,6 +269,12 @@ class _Chunk(NamedTuple):
     gathers, out overwrites T and the index buffers overwrite tt, each once
     what it overwrites is dead.  _form_dest leaves in dest the index into
     M's buffer of each pair (j, i) of the readout.
+
+    strip is None but for the chunks of the layout's strip block, which M
+    is numbered by.  There it is the view of M's buffer, (real slots of
+    the chunk, real slots from its first on), that the readout lands on,
+    both axes reversed; out is the readout transposed, (nb, kc, kr), one
+    row per slot of T; and tt, cells, alt and dest are None.
     """
 
     blocks: slice
@@ -274,12 +291,13 @@ class _Chunk(NamedTuple):
     cells: np.ndarray
     alt: np.ndarray
     dest: np.ndarray
+    strip: Optional[np.ndarray]
 
 
 class _SizeClass:
     """Blocks of one size and one constraint-count bucket, in block order.
 
-    c is (nb, s, s).  rows (nb, k) holds for each block the indices of the
+    c is (nb, s, s).  rows (nb, k) holds for each block the rows of M of the
     constraints touching it, those with the most entries first, padded up
     to k, the largest count in the class, with m; row_cells is rows * m,
     where each constraint's row starts in M's buffer.  Both are in the
@@ -366,39 +384,61 @@ def _plan_chunks(nb: int, k: int, s: int, wide: int, index) -> List[Tuple[int, i
             for b in range(nb) for i0 in range(0, k, per_chunk)]
 
 
+def _strip_block(pair_blk: np.ndarray, classes) -> int:
+    """The block whose slot order numbers M's rows, or -1 for the constraint order.
+
+    A block qualifies when its class is cut into slot ranges, too wide for
+    one chunk; of several, the one touched by most constraints, the first
+    of equals in block order.
+    """
+    ranged = [members for members, _, k, _, chunks in classes if chunks and chunks[0][3] < k]
+    if not ranged:
+        return -1
+    blocks = np.sort(np.concatenate(ranged))
+    touching = np.bincount(pair_blk, minlength=blocks[-1] + 1)
+    return int(blocks[np.argmax(touching[blocks])])
+
+
 def _index_dtype(m: int):
     """int32 while every cell index a Schur build forms, up to m*m + m, fits it."""
     return np.int32 if m * m + m <= np.iinfo(np.int32).max else np.int64
 
 
-def _arena_views(arena: Optional[np.ndarray], nb: int, kc: int, kk: int, s: int, kr: int, index):
+def _arena_views(arena: Optional[np.ndarray], nb: int, kc: int, kk: int, s: int, kr: int, index,
+                 strip: bool = False):
     """The Schur intermediates of a chunk as views into arena.
 
     T, and after it the readout, sit first; the gathers, after them T
     transposed and after that the two index buffers (of dtype index) share
-    the space that follows.  Returns the views, or with arena None the
-    number of elements they need.
+    the space that follows.  A strip chunk reads T out in place, so its
+    readout, transposed to (nb, kc, kr), takes the gathers' place and it
+    has no T transposed and no index buffers (None).  Returns the views,
+    or with arena None the number of elements they need.
     """
     n_t, n_g, n_r = nb * kc * s * s, nb * kc * kk * s, nb * kr * kc
     n_i = -(-n_r * np.dtype(index).itemsize // 8)  # one index buffer, in arena elements
-    head = max(n_t, n_r)
-    size = head + max(2 * n_g, n_t, 2 * n_i)
+    head = n_t if strip else max(n_t, n_r)
+    size = head + (max(2 * n_g, n_r) if strip else max(2 * n_g, n_t, 2 * n_i))
     if arena is None:
         return size
     rest = arena[head:size]
-    return (rest[:n_g].reshape(nb, kc, kk, s), rest[n_g:2 * n_g].reshape(nb, kc, kk, s),
-            arena[:n_t].reshape(nb, kc, s, s), rest[:n_t].reshape(nb, s * s, kc),
-            arena[:n_r].reshape(nb, kr, kc),
-            rest[:n_i].view(index)[:n_r].reshape(nb, kc, kr),
-            rest[n_i:2 * n_i].view(index)[:n_r].reshape(nb, kc, kr),
-            rest[n_i:2 * n_i].view(index)[:n_r].reshape(nb, kr, kc))
+    gathers = (rest[:n_g].reshape(nb, kc, kk, s), rest[n_g:2 * n_g].reshape(nb, kc, kk, s),
+               arena[:n_t].reshape(nb, kc, s, s))
+    if strip:
+        return gathers + (None, rest[:n_r].reshape(nb, kc, kr), None, None, None)
+    return gathers + (rest[:n_t].reshape(nb, s * s, kc),
+                      arena[:n_r].reshape(nb, kr, kc),
+                      rest[:n_i].view(index)[:n_r].reshape(nb, kc, kr),
+                      rest[n_i:2 * n_i].view(index)[:n_r].reshape(nb, kc, kr),
+                      rest[n_i:2 * n_i].view(index)[:n_r].reshape(nb, kr, kc))
 
 
 def _layout_bytes(prob: CanonicalSdp) -> int:
     """Bytes _Layout allocates for prob besides M's buffer, or more.
 
     Read off the layout's own plan, each chunk sized to the widest (block,
-    constraint) pair of its class rather than of the chunk: the Schur arena
+    constraint) pair of its class rather than of the chunk, and as a chunk
+    that forms its cells, which needs more than a strip chunk: the Schur arena
     and the floor matrix; the gather rows and values, 24 bytes a padded
     entry, once in the class's (nb, k, wide) tables and once in the chunks'
     copies; LAYOUT_ENTRY_BYTES an entry of the symmetric expansion; and
@@ -426,6 +466,17 @@ def _readout(w, t: np.ndarray, out: np.ndarray):
     out.fill(0.0)
     _sparsetools.csr_matvecs(w.shape[0], w.shape[1], t.shape[-1], w.indptr, w.indices, w.data,
                              t.ravel(), out.ravel())
+
+
+def _readout_by_slot(w: _RowRun, t: np.ndarray, out: np.ndarray):
+    """w @ t[i].ravel() written into out[i] for every slot i, by scipy's CSR matvec kernel.
+
+    The same sums, term by term in the same order, as _readout's of t
+    transposed, read into rows of out instead of columns.
+    """
+    out.fill(0.0)
+    for ti, oi in zip(t, out):
+        _sparsetools.csr_matvec(w.shape[0], w.shape[1], w.indptr, w.indices, w.data, ti.ravel(), oi)
 
 
 def _form_dest(cl: _SizeClass, ch: _Chunk, floor: np.ndarray):
@@ -464,9 +515,18 @@ class _Layout:
     cells after it that the pairs not formed land on), in which M is built
     in the lower triangle and factored, taken from buf when given; one
     arena that holds the intermediates of the largest chunk, its index
-    buffers included; and floor, (kc, kc) for the most slots a chunk has,
-    m*m below its diagonal and 0 elsewhere, with which _form_dest lifts the
-    pairs a chunk does not form.
+    buffers included; and floor, (kc, kc) for the most slots a chunk that
+    forms its cells has, m*m below its diagonal and 0 elsewhere, with
+    which _form_dest lifts the pairs a chunk does not form.
+
+    order is None when M's rows are the constraints in order.  When a
+    block is cut into slot ranges (see _strip_block), M's row i is
+    constraint order[i]: that block's constraints in its slot order, last
+    slot first, then the others in order.  The classes' rows and the
+    cells are M's, while A and A^T keep the constraint order, so _solve
+    permutes at its boundary.  That block's chunks hold the strips of M
+    they add into, and squares holds the part of each strip above M's
+    diagonal, which every build zeroes.
     """
 
     def __init__(self, prob: CanonicalSdp, buf: Optional[np.ndarray] = None):
@@ -476,19 +536,39 @@ class _Layout:
         # each (block, constraint) pair gets a slot: its rank among the
         # constraints touching that block, widest first, so that the slot
         # ranges of a chunk need little padding
-        order = np.lexsort((pair_con, -pair_width, pair_blk))
+        by_width = np.lexsort((pair_con, -pair_width, pair_blk))
         pair_slot = np.empty(len(pair_blk), dtype=np.intp)
-        pair_slot[order] = _rank_within(pair_blk[order])
+        pair_slot[by_width] = _rank_within(pair_blk[by_width])
         by_pair = np.argsort(pair_of_entry, kind="stable")
         rank = np.empty(len(by_pair), dtype=np.intp)  # entry's place in its pair
         rank[by_pair] = _rank_within(pair_of_entry[by_pair])
         slot = pair_slot[pair_of_entry]
         on_c = prob.k == 0
         cblk, cr, cc, cv = (col[on_c] for col in (prob.blk, prob.r, prob.c, prob.v))
+        self.m_acc = np.empty(m * m + m + 1) if buf is None else buf[:m * m + m + 1]
+        full = self.m_acc[:m * m].reshape(m, m)
+        # M's rows: the strip block's constraints in its slot order, last
+        # slot first, then the others in constraint order.  A chunk's pairs
+        # then land on the rows of its slots, each pair (j, i) of slots
+        # i <= j at row kl - 1 - i and column kl - 1 - j: every row a
+        # contiguous run of M's lower triangle.
+        strip_blk = _strip_block(pair_blk, plans)
+        mine = pair_blk == strip_blk
+        lead = pair_con[mine][np.argsort(pair_slot[mine])]
+        kl = len(lead)
+        self.order = None
+        row_of = np.arange(m)
+        if kl:
+            rest = np.ones(m, dtype=bool)
+            rest[lead] = False
+            self.order = np.concatenate([lead[::-1], np.flatnonzero(rest)])
+            row_of[self.order] = np.arange(m)
+        # M's first kl rows and columns, both reversed: the strips' frame
+        back = full[kl - 1::-1, kl - 1::-1] if kl else None
 
         index = _index_dtype(m)
         self.classes: List[_SizeClass] = []
-        planned = []  # (class, arena dimensions, chunk fields before the views)
+        planned = []  # (class, arena dimensions, chunk fields before the views, strip)
         pos = np.zeros(self.n_blocks, dtype=np.intp)  # position inside the class
         col = np.zeros(len(blk), dtype=np.intp)  # column of each entry in a
         ofs = 0
@@ -501,7 +581,7 @@ class _Layout:
             rows = np.full((nb, k), m, dtype=np.intp)
             width = np.zeros((nb, k), dtype=np.intp)
             sel = cls[pair_blk] == j
-            rows[pos[pair_blk[sel]], pair_slot[sel]] = pair_con[sel]
+            rows[pos[pair_blk[sel]], pair_slot[sel]] = row_of[pair_con[sel]]
             width[pos[pair_blk[sel]], pair_slot[sel]] = pair_width[sel]
             sel = cls[blk] == j
             eb, es, er, ec, ev = pos[blk[sel]], slot[sel], r[sel], c[sel], v[sel]
@@ -524,17 +604,22 @@ class _Layout:
                 base = np.arange(b1 - b0)[:, None, None] * s
                 r0, r1 = b0 * k + i0, b1 * k
                 wc = _RowRun((r1 - r0, (b1 - b0) * s * s), w.indptr[r0:r1 + 1], w.indices, w.data)
+                strip = back[i0:min(i1, kl), i0:] if members[b0] == strip_blk else None
                 planned.append((j, (b1 - b0, i1 - i0, kk, s, k - i0, index), (
                     bl, sl, base + p[bl, sl, :kk], base + q[bl, sl, :kk],
-                    val[bl, sl, :kk, None].copy(), wc)))
+                    val[bl, sl, :kk, None].copy(), wc), strip))
             self.classes.append(_SizeClass(members, cstack, rows, m, []))
-        self.arena = np.empty(max((_arena_views(None, *dims) for _, dims, _ in planned), default=0))
-        for j, dims, fields in planned:
-            self.classes[j].chunks.append(_Chunk(*fields, *_arena_views(self.arena, *dims)))
-        kc = max((dims[1] for _, dims, _ in planned), default=0)
+        self.arena = np.empty(max((_arena_views(None, *dims, strip is not None)
+                                   for _, dims, _, strip in planned), default=0))
+        for j, dims, fields, strip in planned:
+            views = _arena_views(self.arena, *dims, strip is not None)
+            self.classes[j].chunks.append(_Chunk(*fields, *views, strip))
+        # the squares of M that the strips' pairs below the slot diagonal
+        # land on, above M's diagonal
+        self.squares = [strip[:, :len(strip)] for _, _, _, strip in planned if strip is not None]
+        kc = max((dims[1] for _, dims, _, strip in planned if strip is None), default=0)
         self.floor = np.tri(kc, k=-1, dtype=index)
         self.floor *= index(m * m)
-        self.m_acc = np.empty(m * m + m + 1) if buf is None else buf[:m * m + m + 1]
         self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
         self.at = self.a.T.tocsr()
         self.ends = np.cumsum([0] + [cl.c.size for cl in self.classes])
@@ -552,15 +637,20 @@ class _Layout:
     def schur(self, xs: List[np.ndarray], sinvs: List[np.ndarray]) -> np.ndarray:
         """M[i,j] = sum_b <A_j, X A_i S^{-1}> for i >= j, in the lower triangle.
 
-        X and S^{-1} are symmetric, so X A_i S^{-1} is the sum over the
-        entries e of A_i of v_e X[p_e, :]^T S^{-1}[q_e, :]: one (s, K) by
-        (K, s) product per (block, constraint) pair, read out by one CSR
-        product per chunk against the A_j of the block from the chunk's
-        first slot on, and added into M at the cells _form_dest finds.
-        Each pair of a block is formed once, by the slot that comes first,
-        so M is exactly symmetric in what it holds: its lower triangle,
-        diagonal included.  Only that triangle is zeroed, strip by strip;
-        the strict upper one keeps what was there, which _factor overwrites.
+        i and j are M's rows, numbered as the layout's order says.  X and
+        S^{-1} are symmetric, so X A_i S^{-1} is the sum over the entries e
+        of A_i of v_e X[p_e, :]^T S^{-1}[q_e, :]: one (s, K) by (K, s)
+        product per (block, constraint) pair, read out against the A_j of
+        the block from the chunk's first slot on and added into M: a strip
+        chunk's by one CSR matvec per slot, into its strip, and any other
+        chunk's by one CSR product, at the cells _form_dest finds.  Each
+        pair of a block is formed once, by the slot that comes first, so M
+        is exactly symmetric in what it holds: its lower triangle, diagonal
+        included.  Only that triangle and the strips' squares above it are
+        zeroed, strip by strip; the rest of the strict upper one keeps what
+        was there, which _factor overwrites.  Each cell receives the same
+        terms in the same order whatever the numbering, so M in a block's
+        slot order is M in constraint order permuted, bit for bit.
 
         The returned M is the layout's own (m, m) buffer, overwritten by the
         next call and by _factor: a caller that keeps M past them keeps a
@@ -572,6 +662,8 @@ class _Layout:
         for a in range(0, m, MIRROR_TILE):
             b = min(a + MIRROR_TILE, m)
             full[a:b, :b] = 0.0
+        for square in self.squares:
+            square.fill(0.0)
         acc[m * m:] = 0.0  # the spare cells too, lest stale values overflow
         for cl, x, sinv in zip(self.classes, xs, sinvs):
             s = cl.size
@@ -584,10 +676,15 @@ class _Layout:
                 np.multiply(ch.xg, ch.v, out=ch.xg)
                 np.take(sf, ch.srow, axis=0, out=ch.sg, mode="clip")
                 np.matmul(ch.xg.swapaxes(-1, -2), ch.sg, out=ch.t)
-                np.copyto(ch.tt, ch.t.reshape(nb, kc, s * s).swapaxes(1, 2))
-                _readout(ch.w, ch.tt.reshape(-1, kc), ch.out)
-                _form_dest(cl, ch, self.floor)
-                np.add.at(acc, ch.dest.ravel(), ch.out.ravel())
+                if ch.strip is None:
+                    np.copyto(ch.tt, ch.t.reshape(nb, kc, s * s).swapaxes(1, 2))
+                    _readout(ch.w, ch.tt.reshape(-1, kc), ch.out)
+                    _form_dest(cl, ch, self.floor)
+                    np.add.at(acc, ch.dest.ravel(), ch.out.ravel())
+                else:
+                    h, w = ch.strip.shape
+                    _readout_by_slot(ch.w, ch.t[0, :h], ch.out[0, :h])
+                    np.add(ch.strip, ch.out[0, :h, :w], out=ch.strip)
         return full
 
     def unstack(self, stacks: List[np.ndarray]) -> List[np.ndarray]:
@@ -670,7 +767,7 @@ def _factor(m: np.ndarray) -> Tuple[Optional[np.ndarray], float, np.ndarray]:
     runs LAPACK's potrf in place on m.T, whose lower triangle in Fortran
     order is that copy.  The factor is m.T, the Fortran-order view: its
     lower triangle is the factor, its strict upper one is M's, which potrs
-    does not read and _solve reads M off.  When every rung fails, M's
+    and trsv do not read and _solve reads M off.  When every rung fails, M's
     diagonal is put back.
     """
     n = len(m)
@@ -686,16 +783,23 @@ def _factor(m: np.ndarray) -> Tuple[Optional[np.ndarray], float, np.ndarray]:
     return None, jitter, diag
 
 
-def _solve(lo: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve(lo: np.ndarray, diag: np.ndarray, rhs: np.ndarray,
+           order: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve M x = rhs with _factor's factor lo of (a jittered) M and M's diagonal.
 
     Iterative refinement keeps the solve accurate when M turns
     ill-conditioned near the central path's end, which otherwise leaves a
     feasibility residual floor around sqrt(eps) or stalls the steps.  It
     runs while each pass at least halves the residual, at most
-    REFINE_PASSES times.  potrs reads lo's lower triangle in place, and the
-    residual's M x is one symv on the strict upper triangle, with M's
-    diagonal swapped in for the call.
+    REFINE_PASSES times.  The residual's M x is one symv on lo's strict
+    upper triangle, with M's diagonal swapped in for the call.
+
+    order is the layout's: None when M's rows are the constraints in order,
+    and then potrs solves with lo's lower triangle in place.  Otherwise M's
+    row i is constraint order[i]: rhs is permuted into M's numbering and x
+    back out of it, and each solve with the factor is two trsv calls on lo
+    in place, L then L^T, which run faster than potrs's trsm on one column
+    from m of a few hundred up.
     """
     on_diag = lo.T.reshape(-1)[:: len(diag) + 1]  # a view: lo is Fortran-contiguous
     factor_diag = on_diag.copy()
@@ -706,17 +810,30 @@ def _solve(lo: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         on_diag[:] = factor_diag
         return rhs - mx
 
-    x = lapack.dpotrs(lo, rhs, lower=1)[0]
+    def by_factor(r):
+        """M^{-1} r; overwrites r when order is given."""
+        if order is None:
+            return lapack.dpotrs(lo, r, lower=1)[0]
+        blas.dtrsv(lo, r, lower=1, overwrite_x=1)
+        return blas.dtrsv(lo, r, lower=1, trans=1, overwrite_x=1)
+
+    if order is not None:
+        rhs = rhs[order]
+    x = by_factor(rhs.copy())
     res = residual(x)
     last = np.inf
     for _ in range(REFINE_PASSES):
         size = np.linalg.norm(res)
         if not size < 0.5 * last:
             break
-        x += lapack.dpotrs(lo, res, lower=1)[0]
+        x += by_factor(res)
         last = size
         res = residual(x)
-    return x
+    if order is None:
+        return x
+    out = np.empty_like(x)
+    out[order] = x
+    return out
 
 
 def _mapped_bytes() -> int:
@@ -992,16 +1109,18 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, buf: np.ndarray) -> S
             status = "numerical"
             break
 
+        # the part of the rhs that both directions share
+        xrds = [x @ rdb @ sinv for x, sinv, rdb in zip(xs, sinvs, rd)]
+
         def direction(sigma_mu: float, corr: Optional[List[np.ndarray]]):
             aux = []
-            for j, (x, sinv, rdb) in enumerate(zip(xs, sinvs, rd)):
-                u = x @ rdb @ sinv
+            for j, (u, sinv) in enumerate(zip(xrds, sinvs)):
                 if sigma_mu:
                     u = u - sigma_mu * sinv
                 if corr is not None:
                     u = u + corr[j] @ sinv
                 aux.append(u)
-            dy = _solve(lo, diag, b + lay.a_map(aux))
+            dy = _solve(lo, diag, b + lay.a_map(aux), lay.order)
             dss = [rdb - at for rdb, at in zip(rd, lay.at_map(dy))]
             dxs = []
             for j, (x, sinv, dsb) in enumerate(zip(xs, sinvs, dss)):
@@ -1040,8 +1159,10 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, buf: np.ndarray) -> S
             stop("tiny_steps")
             status = "numerical"
             break
-        xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
-        ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
+        # dx is symmetrized and ds a difference of symmetric stacks, so
+        # both sums are exactly symmetric
+        xs = [x + ap * dx for x, dx in zip(xs, dxs)]
+        ss = [s + ad * ds for s, ds in zip(ss, dss)]
         y = y + ad * dy
     else:
         stop("max_iters")

@@ -2,9 +2,11 @@
 
 Each chunk's index into M's buffer was formed once, with the layout, and
 held; every build zeroed the whole buffer, spare cell included, and added
-each chunk's readout in through that index.  The tests hold the package's
-build, which forms each chunk's cells when the chunk is read out, to this:
-the same cells of M's lower triangle, bit for bit.
+each chunk's readout in through that index.  M's rows were the
+constraints in order.  The tests hold the package's build, which forms
+each chunk's cells when the chunk is read out and may number M's rows in
+a block's slot order, to this: the same cells of M's lower triangle, bit
+for bit, once read through the layout's order.
 """
 
 import numpy as np
@@ -27,11 +29,13 @@ def scatter_index(rows, i0, i1, m):
 
 
 def held_index_schur(lay, xs, sinvs):
-    """M built by lay's chunks into a fresh zeroed buffer, through held indices."""
+    """M, its rows the constraints in order, built by lay's chunks into a fresh zeroed buffer."""
     m = lay.m
     held = []
     for cl in lay.classes:
-        held.append([scatter_index(cl.rows[ch.blocks], ch.slots.start, ch.slots.stop, m)
+        # the classes hold rows of M; padding slots hold m
+        rows = cl.rows if lay.order is None else np.append(lay.order, m)[cl.rows]
+        held.append([scatter_index(rows[ch.blocks], ch.slots.start, ch.slots.stop, m)
                      for ch in cl.chunks])
     acc = np.zeros(m * m + 1)
     for cl, dests, x, sinv in zip(lay.classes, held, xs, sinvs):

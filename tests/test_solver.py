@@ -644,6 +644,20 @@ def class_stacks(lay, blocks):
     return [np.stack([blocks[b] for b in cl.blocks]) for cl in lay.classes]
 
 
+def symmetric(lower):
+    """The symmetric matrix whose lower triangle is lower's, formed without rounding."""
+    low = np.tril(lower)
+    return low + np.tril(low, -1).T
+
+
+def natural_lower(lay, got):
+    """The lower triangle of the M that lay built, its rows read back into constraint order."""
+    if lay.order is None:
+        return np.tril(got)
+    rank = np.argsort(lay.order)
+    return np.tril(symmetric(got)[np.ix_(rank, rank)])
+
+
 def localizing_instance():
     """A constrained relaxation: moment cliques plus many-term localizing blocks."""
     n = 3
@@ -674,9 +688,9 @@ def test_schur_matches_dense_product_form(case):
     lay = _Layout(prob)
     got = lay.schur(class_stacks(lay, xb), class_stacks(lay, sb))
     want = reference_schur(prob, xb, sb)
-    # M is the lower triangle (the strict upper one is never written by the
-    # build); mirrored, it is the symmetrized product form
-    mirrored = np.tril(got) + np.tril(got, -1).T
+    # M is the lower triangle (the strict upper one holds no part of M);
+    # mirrored and read in constraint order, it is the symmetrized product form
+    mirrored = symmetric(natural_lower(lay, got))
     assert np.abs(mirrored - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -734,7 +748,8 @@ def test_chunked_schur_equals_unchunked(case, monkeypatch):
     assert sum(len(cl.chunks) for cl in cut.classes) > sum(len(cl.chunks) for cl in whole.classes)
     got = cut.schur(class_stacks(cut, xb), class_stacks(cut, sb))
     want = whole.schur(class_stacks(whole, xb), class_stacks(whole, sb))
-    assert np.array_equal(np.tril(got), np.tril(want))
+    # the two may number M's rows differently: one by a block's slots
+    assert np.array_equal(natural_lower(cut, got), natural_lower(whole, want))
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 1])
@@ -750,16 +765,60 @@ def test_schur_cells_match_the_held_index_build(case, chunk_bytes, monkeypatch):
     want = held_index_schur(lay, xs, ss)
     assert not np.triu(want, 1).any()
     got = lay.schur(xs, ss)
-    assert np.array_equal(np.tril(got), np.tril(want))
+    assert np.array_equal(natural_lower(lay, got), np.tril(want))
+
+
+# a budget at which every block of mixed and localizing touched by more
+# than a few constraints is cut into slot ranges
+SLOT_BUDGET = 1 << 12
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, SLOT_BUDGET])
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_slot_order_schur_is_the_natural_one_permuted(case, chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", chunk_bytes)
+    prob = SCHUR_CASES[case]()
+    rng = np.random.default_rng(41)
+    lay = _Layout(prob)
+    ranged = {b for cl in lay.classes for ch in cl.chunks
+              if ch.slots != slice(0, cl.rows.shape[1]) for b in cl.blocks[ch.blocks]}
+    # the dense block is too wide for one chunk at every budget; mixed and
+    # localizing only at the smaller one
+    assert bool(ranged) == (case == "dense_banded" or chunk_bytes is not None)
+    assert (lay.order is not None) == bool(ranged)
+    order = np.arange(prob.n_constraints)
+    if ranged:
+        # M's first rows are the constraints of the ranged block touched by
+        # most constraints, and its chunks alone add in strips of M
+        touching = Counter(b for row in entry_rows(prob)[1:] for b in {e[0] for e in row})
+        widest = min(ranged, key=lambda b: (-touching[b], b))
+        assert sorted(lay.order[:touching[widest]]) == [
+            i for i, row in enumerate(entry_rows(prob)[1:]) if any(e[0] == widest for e in row)]
+        for cl in lay.classes:
+            for ch in cl.chunks:
+                on_widest = cl.blocks[ch.blocks].tolist() == [widest]
+                assert (ch.strip is not None) == on_widest
+                assert ch.strip is None or np.shares_memory(ch.strip, lay.m_acc)
+        order = lay.order
+    lay.m_acc[:] = np.nan
+    xs, ss = (class_stacks(lay, random_pd_blocks(rng, prob.block_sizes)) for _ in range(2))
+    natural = symmetric(held_index_schur(lay, xs, ss))
+    got = lay.schur(xs, ss)
+    assert np.array_equal(np.tril(got), np.tril(natural[np.ix_(order, order)]))
+    # the pairs a strip adds above M's diagonal land on zeroed cells, not stale ones
+    assert all(np.isfinite(ch.strip).all() for cl in lay.classes for ch in cl.chunks
+               if ch.strip is not None)
 
 
 def planned_bytes(ch):
     """What a chunk's build touches besides w and the stacks, in bytes.
 
-    Every buffer counts, also where the arena overlays it on another.
+    Every buffer counts, also where the arena overlays it on another; a
+    strip chunk has no T transposed and no index buffers.
     """
     return sum(a.nbytes for a in (ch.xg, ch.sg, ch.xrow, ch.srow, ch.v, ch.t, ch.tt, ch.out,
-                                  ch.cells, ch.alt))
+                                  ch.cells, ch.alt) if a is not None)
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 1 << 12, 1 << 16, None])
@@ -808,17 +867,23 @@ def test_schur_holds_one_m_by_m_array_and_one_chunk(make, monkeypatch):
     rng = np.random.default_rng(3)
     xb = random_pd_blocks(rng, prob.block_sizes)
     sb = random_pd_blocks(rng, prob.block_sizes)
+    rhs = rng.normal(size=m)
     tracemalloc.start()
     try:
         lay = _Layout(prob)
         schur = lay.schur(class_stacks(lay, xb), class_stacks(lay, sb))
-        tssos.solver._factor(schur)
+        lo, _, diag = tssos.solver._factor(schur)
+        _solve(lo, diag, rhs, lay.order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the dense block is cut into slot ranges: M is numbered by its slots
+    assert (lay.order is not None) == (make is dense_banded_instance)
     assert schur.shape == (m, m) and np.shares_memory(schur, lay.m_acc)
-    # no index is held: each chunk forms its cells in the arena
+    # no index is held: each chunk forms its cells in the arena, or adds
+    # its readout in a strip of M
     assert all(np.shares_memory(ch.cells, lay.arena) and np.shares_memory(ch.dest, lay.arena)
+               if ch.strip is None else np.shares_memory(ch.strip, lay.m_acc)
                for cl in lay.classes for ch in cl.chunks)
     # M's one buffer, plus one chunk and the layout's smaller arrays
     assert peak <= m * m * 8 + 2 * (1 << 20), peak / (m * m * 8)
@@ -990,6 +1055,29 @@ def test_factor_in_buffer_and_solve_match_lapack_bitwise(singular):
     assert np.array_equal(_solve(lo, diag, rhs), lower_factor_solve(lo, diag, rhs))
 
 
+@pytest.mark.parametrize("indefinite", [False, True])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 461])
+def test_slot_order_solve_by_trsv_matches_potrs(n, indefinite):
+    rng = np.random.default_rng(43)
+    # eigenvalues in [1, 2], or one of them -1e-3, which only the last
+    # rungs of the jitter ladder lift: a well-conditioned jittered factor
+    lam = rng.uniform(1.0, 2.0, size=n)
+    if indefinite:
+        lam[0] = -1e-3
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    m = (q * lam) @ q.T
+    m = 0.5 * (m + m.T)
+    lo, jitter, diag = tssos.solver._factor(np.tril(m))
+    assert (jitter > 0) == indefinite
+    # M's row i is constraint order[i]
+    order = rng.permutation(n)
+    rhs = rng.normal(size=n)
+    want = np.empty(n)
+    want[order] = _solve(lo, diag, rhs[order])
+    got = _solve(lo, diag, rhs, order)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_factor_gives_up_past_the_last_rung_without_writing_m():
     m = -np.eye(4)
     lo, jitter, _ = tssos.solver._factor(m)
@@ -1008,6 +1096,26 @@ def test_solve_peak_is_within_memory_estimate(make):
     finally:
         tracemalloc.stop()
     assert peak <= need, (peak, need)
+
+
+@pytest.mark.parametrize("make", [lambda: mixed_instance(*MIXED_GOLDEN[0][0]), localizing_instance,
+                                  dense_banded_instance])
+def test_iterates_stay_exactly_symmetric(make, monkeypatch):
+    # X and S are updated without symmetrizing: dX is symmetrized, and dS
+    # is C - A^T(y) - S - A^T(dy), whose every term is exactly symmetric
+    seen = []
+    real = tssos.solver._inverse_factors
+
+    def checking(x, s):
+        seen.append(all(np.array_equal(a, a.swapaxes(-1, -2)) for a in (x, s)))
+        return real(x, s)
+
+    monkeypatch.setattr(tssos.solver, "_inverse_factors", checking)
+    sol = solve_canonical(make())
+    assert sol.status == "optimal"
+    # once per class in every iteration but the last, whose iterate is returned
+    assert len(seen) >= sol.iterations - 1 and all(seen)
+    assert all(np.array_equal(b, b.T) for b in sol.x_blocks + sol.s_blocks)
 
 
 def test_step_tests_reuse_the_cholesky_factors(monkeypatch):
@@ -1062,3 +1170,8 @@ def test_readout_matches_the_public_product():
     out = np.full((7, 5), 123.0)  # stale values from an earlier chunk
     tssos.solver._readout(w, t, out)
     np.testing.assert_allclose(out, w @ t, rtol=1e-14, atol=1e-14)
+    # and _readout_by_slot calls its one-vector kernel csr_matvec, slot by slot
+    assert tssos.solver._sparsetools.csr_matvec is _sparsetools.csr_matvec
+    rows = np.full((5, 7), 123.0)
+    tssos.solver._readout_by_slot(w, t.T.copy(), rows)
+    np.testing.assert_allclose(rows, (w @ t).T, rtol=1e-14, atol=1e-14)
