@@ -68,14 +68,13 @@ def export_sdpa(problem: BlockSdp, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_SPLIT = re.compile(r"[\s,(){}]+")
 _DELIMS = str.maketrans(",(){}", "     ")
 _HEADER = re.compile(r"offset=([^\s]+)\s+side=(\w+)")
 _ENTRY = np.dtype([("k", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def _tokens(line: str) -> List[str]:
-    return [t for t in _SPLIT.split(line.strip()) if t]
+    return line.translate(_DELIMS).split()
 
 
 def _parse_entry(ln: int, line: str, m: int, sizes: Sequence[int]) -> Tuple[int, int, int, int, float]:

@@ -57,13 +57,13 @@ is too wide for one chunk (a dense relaxation's one block, the Newton
 basis's {1, x_i^2} clique), M's rows are numbered by that block's slots,
 last first (of several such blocks, the one touched by most
 constraints).  Its chunks read T out slot by slot, one CSR matvec per
-slot, into rows that are M's own, and add them into whole rows of M's
-triangle: no transposed copy of T, no cells to form.  Their pairs below
-the slot diagonal land above M's diagonal, on squares zeroed for them.
+slot from that slot on, into rows that are M's own, and add them into
+whole rows of M's triangle: no transposed copy of T, no cells to form.
 Every other chunk forms its cells in M when it is read out, from the rows
-of M its class holds, into buffers in the arena, and adds into them by
-one np.add.at; its pairs below the slot diagonal land on spare cells
-after M.  No index is held across builds.
+of M its class holds, and adds into them by one np.add.at; its pairs
+below the slot diagonal land on spare cells after M.  No index is held
+across builds.  A chunk's buffers lie side by side in one arena, sized by
+the footprint the chunks are planned with.
 
 M is factored once per iteration, in place by LAPACK's potrf, and the
 predictor and the corrector solve with the same factor, as in SDPT3: M's
@@ -101,6 +101,7 @@ import os
 import resource
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -262,19 +263,18 @@ class _Chunk(NamedTuple):
     slots j from the range's first slot to the class's last.
 
     xg, sg, t, tt, out, cells, alt and dest are views into the layout's
-    arena, written by every Schur build: the X and S^{-1} gathers
-    (nb, kc, K, s), T (nb, kc, s, s), T transposed to (nb, s*s, kc), the
-    readout (nb, kr, kc), and two index buffers, cells (nb, kc, kr) and alt,
-    of the same shape, which dest views as (nb, kr, kc).  tt overwrites the
-    gathers, out overwrites T and the index buffers overwrite tt, each once
-    what it overwrites is dead.  _form_dest leaves in dest the index into
+    arena, side by side as _chunk_footprint lays them, written by every
+    Schur build: the X and S^{-1} gathers (nb, kc, K, s), T (nb, kc, s, s),
+    T transposed to (nb, s*s, kc), the readout (nb, kr, kc), and two index
+    buffers, cells (nb, kc, kr) and alt, of the same shape.  dest views
+    alt's memory as (nb, kr, kc); _form_dest leaves in it the index into
     M's buffer of each pair (j, i) of the readout.
 
     strip is None but for the chunks of the layout's strip block, which M
-    is numbered by.  There it is the view of M's buffer, (real slots of
-    the chunk, real slots from its first on), that the readout lands on,
-    both axes reversed; out is the readout transposed, (nb, kc, kr), one
-    row per slot of T; and tt, cells, alt and dest are None.
+    is numbered by.  There it is the view of M's buffer, (slots of the
+    chunk, slots from its first on), both axes reversed, that the readout
+    lands on; out is the readout transposed, (nb, kc, kr), each slot's row
+    0 before that slot; and tt, cells, alt and dest are None.
     """
 
     blocks: slice
@@ -370,12 +370,11 @@ def _plan_chunks(nb: int, k: int, s: int, wide: int, index) -> List[Tuple[int, i
     """
     if not k:
         return []
-    # what a chunk touches, per (block, slot) pair, each buffer counted even
-    # where the arena overlays it on another: the X and S^{-1} gathers with
-    # their rows and values, T and its transposed copy, and a column of the
-    # readout and of its two index buffers of dtype index.  The chunk's
-    # slice of w and its blocks of X and S^{-1} are left out.
-    unit = 8 * (2 * s * wide + 3 * wide + 2 * s * s + k) + 2 * k * np.dtype(index).itemsize
+    # what a chunk touches, per (block, slot) pair: its arena footprint at
+    # the class's widest pair as a chunk that forms its cells, the larger
+    # kind, and the gather rows and values, 24 bytes an entry; not its slice
+    # of w nor its blocks of X and S^{-1}.
+    unit = 8 * sum(_chunk_footprint(1, 1, wide, s, k, index, False)) + 24 * wide
     per_chunk = max(1, SCHUR_CHUNK_BYTES // unit)
     if per_chunk >= k:
         step = per_chunk // k
@@ -404,55 +403,61 @@ def _index_dtype(m: int):
     return np.int32 if m * m + m <= np.iinfo(np.int32).max else np.int64
 
 
-def _arena_views(arena: Optional[np.ndarray], nb: int, kc: int, kk: int, s: int, kr: int, index,
-                 strip: bool = False):
-    """The Schur intermediates of a chunk as views into arena.
+def _chunk_footprint(nb: int, kc: int, kk: int, s: int, kr: int, index, strip: bool) -> List[int]:
+    """A chunk's arena footprint, in doubles, view by view as the arena lays them side by side.
 
-    T, and after it the readout, sit first; the gathers, after them T
-    transposed and after that the two index buffers (of dtype index) share
-    the space that follows.  A strip chunk reads T out in place, so its
-    readout, transposed to (nb, kc, kr), takes the gathers' place and it
-    has no T transposed and no index buffers (None).  Returns the views,
-    or with arena None the number of elements they need.
+    nb blocks of size s, kc slots, kk entries a pair, kr readout rows: the
+    X and S^{-1} gathers, T, T transposed, the readout and last the two
+    index buffers of dtype index, together.  A strip chunk (strip True)
+    has no T transposed and no index buffers.
     """
     n_t, n_g, n_r = nb * kc * s * s, nb * kc * kk * s, nb * kr * kc
-    n_i = -(-n_r * np.dtype(index).itemsize // 8)  # one index buffer, in arena elements
-    head = n_t if strip else max(n_t, n_r)
-    size = head + (max(2 * n_g, n_r) if strip else max(2 * n_g, n_t, 2 * n_i))
-    if arena is None:
-        return size
-    rest = arena[head:size]
-    gathers = (rest[:n_g].reshape(nb, kc, kk, s), rest[n_g:2 * n_g].reshape(nb, kc, kk, s),
-               arena[:n_t].reshape(nb, kc, s, s))
     if strip:
-        return gathers + (None, rest[:n_r].reshape(nb, kc, kr), None, None, None)
-    return gathers + (rest[:n_t].reshape(nb, s * s, kc),
-                      arena[:n_r].reshape(nb, kr, kc),
-                      rest[:n_i].view(index)[:n_r].reshape(nb, kc, kr),
-                      rest[n_i:2 * n_i].view(index)[:n_r].reshape(nb, kc, kr),
-                      rest[n_i:2 * n_i].view(index)[:n_r].reshape(nb, kr, kc))
+        return [n_g, n_g, n_t, n_r]
+    return [n_g, n_g, n_t, n_t, n_r, -(-2 * n_r * np.dtype(index).itemsize // 8)]
+
+
+def _working_set(plans, strip_blk: int, index) -> Tuple[int, int]:
+    """Arena doubles (the largest chunk footprint, at its class's widest pair) and a chunk's most slots."""
+    arena = kc = 0
+    for members, s, k, wide, chunks in plans:
+        for b0, b1, i0, i1 in chunks:
+            parts = _chunk_footprint(b1 - b0, i1 - i0, wide, s, k - i0, index, members[b0] == strip_blk)
+            arena, kc = max(arena, sum(parts)), max(kc, i1 - i0)
+    return arena, kc
+
+
+def _arena_views(arena: np.ndarray, nb: int, kc: int, kk: int, s: int, kr: int, index, strip: bool):
+    """A chunk's views (_Chunk's xg to dest) into arena, side by side as _chunk_footprint lays them.
+
+    dest views alt's memory, dead once _form_dest has read it.
+    """
+    at = [0, *accumulate(_chunk_footprint(nb, kc, kk, s, kr, index, strip))]
+    xg, sg, t, *rest = (arena[a:b] for a, b in zip(at, at[1:]))
+    views = (xg.reshape(nb, kc, kk, s), sg.reshape(nb, kc, kk, s), t.reshape(nb, kc, s, s))
+    if strip:
+        return views + (None, rest[0].reshape(nb, kc, kr), None, None, None)
+    tt, out, ix = rest[0], rest[1], rest[2].view(index)
+    n_r = nb * kr * kc
+    alt = ix[n_r:2 * n_r]
+    return views + (tt.reshape(nb, s * s, kc), out.reshape(nb, kr, kc), ix[:n_r].reshape(nb, kc, kr),
+                    alt.reshape(nb, kc, kr), alt.reshape(nb, kr, kc))
 
 
 def _layout_bytes(prob: CanonicalSdp) -> int:
     """Bytes _Layout allocates for prob besides M's buffer, or more.
 
-    Read off the layout's own plan, each chunk sized to the widest (block,
-    constraint) pair of its class rather than of the chunk, and as a chunk
-    that forms its cells, which needs more than a strip chunk: the Schur arena
-    and the floor matrix; the gather rows and values, 24 bytes a padded
-    entry, once in the class's (nb, k, wide) tables and once in the chunks'
-    copies; LAYOUT_ENTRY_BYTES an entry of the symmetric expansion; and
+    Read off the layout's own plan: the Schur arena and the floor matrix
+    _Layout allocates; the gather rows and values, 24 bytes a padded entry,
+    once in the class's (nb, k, wide) tables and once in the chunks' copies;
+    LAYOUT_ENTRY_BYTES an entry of the symmetric expansion; and
     LAYOUT_CHUNK_BYTES a chunk.
     """
-    entries, _, _, classes = _plan(prob)
+    entries, (pair_blk, *_), _, classes = _plan(prob)
     index = np.dtype(_index_dtype(prob.n_constraints))
-    arena = kc = tables = n_chunks = 0
-    for members, s, k, wide, chunks in classes:
-        tables += len(members) * k * wide
-        n_chunks += len(chunks)
-        for b0, b1, i0, i1 in chunks:
-            arena = max(arena, _arena_views(None, b1 - b0, i1 - i0, wide, s, k - i0, index))
-            kc = max(kc, i1 - i0)
+    arena, kc = _working_set(classes, _strip_block(pair_blk, classes), index)
+    tables = sum(len(members) * k * wide for members, _, k, wide, _ in classes)
+    n_chunks = sum(len(chunks) for *_, chunks in classes)
     return (8 * arena + index.itemsize * kc * kc + 2 * 24 * tables
             + LAYOUT_ENTRY_BYTES * len(entries[0]) + LAYOUT_CHUNK_BYTES * n_chunks)
 
@@ -469,14 +474,16 @@ def _readout(w, t: np.ndarray, out: np.ndarray):
 
 
 def _readout_by_slot(w: _RowRun, t: np.ndarray, out: np.ndarray):
-    """w @ t[i].ravel() written into out[i] for every slot i, by scipy's CSR matvec kernel.
+    """w[i:] @ t[i].ravel() written into out[i, i:] for every slot i, by scipy's CSR matvec kernel.
 
     The same sums, term by term in the same order, as _readout's of t
-    transposed, read into rows of out instead of columns.
+    transposed, read into rows of out instead of columns, each from its
+    own slot on; out[i, :i] is left 0.
     """
     out.fill(0.0)
-    for ti, oi in zip(t, out):
-        _sparsetools.csr_matvec(w.shape[0], w.shape[1], w.indptr, w.indices, w.data, ti.ravel(), oi)
+    n, cols = w.shape
+    for i, ti in enumerate(t.reshape(len(t), -1)):
+        _sparsetools.csr_matvec(n - i, cols, w.indptr[i:], w.indices, w.data, ti, out[i, i:])
 
 
 def _form_dest(cl: _SizeClass, ch: _Chunk, floor: np.ndarray):
@@ -514,10 +521,10 @@ class _Layout:
     reused by every build: m_acc, the one m x m buffer (and m + 1 spare
     cells after it that the pairs not formed land on), in which M is built
     in the lower triangle and factored, taken from buf when given; one
-    arena that holds the intermediates of the largest chunk, its index
-    buffers included; and floor, (kc, kc) for the most slots a chunk that
-    forms its cells has, m*m below its diagonal and 0 elsewhere, with
-    which _form_dest lifts the pairs a chunk does not form.
+    arena, sized to the plan's largest chunk footprint, for every chunk's
+    views; and floor, (kc, kc) for the most slots a chunk has, m*m below
+    its diagonal and 0 elsewhere, with which _form_dest lifts the pairs a
+    chunk does not form.
 
     order is None when M's rows are the constraints in order.  When a
     block is cut into slot ranges (see _strip_block), M's row i is
@@ -525,8 +532,7 @@ class _Layout:
     slot first, then the others in order.  The classes' rows and the
     cells are M's, while A and A^T keep the constraint order, so _solve
     permutes at its boundary.  That block's chunks hold the strips of M
-    they add into, and squares holds the part of each strip above M's
-    diagonal, which every build zeroes.
+    they add into.
     """
 
     def __init__(self, prob: CanonicalSdp, buf: Optional[np.ndarray] = None):
@@ -567,8 +573,11 @@ class _Layout:
         back = full[kl - 1::-1, kl - 1::-1] if kl else None
 
         index = _index_dtype(m)
+        size, kc = _working_set(plans, strip_blk, index)
+        self.arena = np.empty(size)
+        self.floor = np.tri(kc, k=-1, dtype=index)
+        self.floor *= index(m * m)
         self.classes: List[_SizeClass] = []
-        planned = []  # (class, arena dimensions, chunk fields before the views, strip)
         pos = np.zeros(self.n_blocks, dtype=np.intp)  # position inside the class
         col = np.zeros(len(blk), dtype=np.intp)  # column of each entry in a
         ofs = 0
@@ -596,6 +605,7 @@ class _Layout:
             for b0, b1, _, _ in chunks:
                 first[b0:b1] = b0
             w = sp.csr_matrix((ev, (eb * k + es, flat - first[eb] * s * s)), shape=(nb * k, nb * s * s))
+            built = []
             for b0, b1, i0, i1 in chunks:
                 kk = int(width[b0:b1, i0:i1].max())
                 if not kk:  # blocks that no constraint touches add nothing
@@ -604,22 +614,11 @@ class _Layout:
                 base = np.arange(b1 - b0)[:, None, None] * s
                 r0, r1 = b0 * k + i0, b1 * k
                 wc = _RowRun((r1 - r0, (b1 - b0) * s * s), w.indptr[r0:r1 + 1], w.indices, w.data)
-                strip = back[i0:min(i1, kl), i0:] if members[b0] == strip_blk else None
-                planned.append((j, (b1 - b0, i1 - i0, kk, s, k - i0, index), (
-                    bl, sl, base + p[bl, sl, :kk], base + q[bl, sl, :kk],
-                    val[bl, sl, :kk, None].copy(), wc), strip))
-            self.classes.append(_SizeClass(members, cstack, rows, m, []))
-        self.arena = np.empty(max((_arena_views(None, *dims, strip is not None)
-                                   for _, dims, _, strip in planned), default=0))
-        for j, dims, fields, strip in planned:
-            views = _arena_views(self.arena, *dims, strip is not None)
-            self.classes[j].chunks.append(_Chunk(*fields, *views, strip))
-        # the squares of M that the strips' pairs below the slot diagonal
-        # land on, above M's diagonal
-        self.squares = [strip[:, :len(strip)] for _, _, _, strip in planned if strip is not None]
-        kc = max((dims[1] for _, dims, _, strip in planned if strip is None), default=0)
-        self.floor = np.tri(kc, k=-1, dtype=index)
-        self.floor *= index(m * m)
+                strip = back[i0:i1, i0:] if members[b0] == strip_blk else None  # it has k slots
+                views = _arena_views(self.arena, b1 - b0, i1 - i0, kk, s, k - i0, index, strip is not None)
+                built.append(_Chunk(bl, sl, base + p[bl, sl, :kk], base + q[bl, sl, :kk],
+                                    val[bl, sl, :kk, None].copy(), wc, *views, strip))
+            self.classes.append(_SizeClass(members, cstack, rows, m, built))
         self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
         self.at = self.a.T.tocsr()
         self.ends = np.cumsum([0] + [cl.c.size for cl in self.classes])
@@ -641,14 +640,14 @@ class _Layout:
         S^{-1} are symmetric, so X A_i S^{-1} is the sum over the entries e
         of A_i of v_e X[p_e, :]^T S^{-1}[q_e, :]: one (s, K) by (K, s)
         product per (block, constraint) pair, read out against the A_j of
-        the block from the chunk's first slot on and added into M: a strip
-        chunk's by one CSR matvec per slot, into its strip, and any other
-        chunk's by one CSR product, at the cells _form_dest finds.  Each
-        pair of a block is formed once, by the slot that comes first, so M
-        is exactly symmetric in what it holds: its lower triangle, diagonal
-        included.  Only that triangle and the strips' squares above it are
-        zeroed, strip by strip; the rest of the strict upper one keeps what
-        was there, which _factor overwrites.  Each cell receives the same
+        the block and added into M: a strip chunk's by one CSR matvec per
+        slot, from that slot on, into its strip, and any other chunk's by
+        one CSR product from its first slot on, at the cells _form_dest
+        finds.  Each pair of a block is formed once, by the slot that comes
+        first, so M is exactly symmetric in what it holds: its lower
+        triangle, diagonal included.  Only that triangle is zeroed, strip by
+        strip; the strict upper one keeps what was there (a strip adds 0
+        there), which _factor overwrites.  Each cell receives the same
         terms in the same order whatever the numbering, so M in a block's
         slot order is M in constraint order permuted, bit for bit.
 
@@ -661,9 +660,8 @@ class _Layout:
         full = acc[:m * m].reshape(m, m)
         for a in range(0, m, MIRROR_TILE):
             b = min(a + MIRROR_TILE, m)
-            full[a:b, :b] = 0.0
-        for square in self.squares:
-            square.fill(0.0)
+            full[a:b, :a] = 0.0
+            np.copyto(full[a:b, a:b], 0.0, where=~_UPPER[:b - a, :b - a])
         acc[m * m:] = 0.0  # the spare cells too, lest stale values overflow
         for cl, x, sinv in zip(self.classes, xs, sinvs):
             s = cl.size
@@ -682,9 +680,10 @@ class _Layout:
                     _form_dest(cl, ch, self.floor)
                     np.add.at(acc, ch.dest.ravel(), ch.out.ravel())
                 else:
-                    h, w = ch.strip.shape
-                    _readout_by_slot(ch.w, ch.t[0, :h], ch.out[0, :h])
-                    np.add(ch.strip, ch.out[0, :h, :w], out=ch.strip)
+                    # the readout is 0 before each slot's own: the
+                    # strip's cells above M's diagonal keep their values
+                    _readout_by_slot(ch.w, ch.t[0], ch.out[0])
+                    np.add(ch.strip, ch.out[0], out=ch.strip)
         return full
 
     def unstack(self, stacks: List[np.ndarray]) -> List[np.ndarray]:

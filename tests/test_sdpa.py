@@ -1,4 +1,6 @@
 import os
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from tssos.basis import standard_basis
 from tssos.bench import RunOptions, build_relaxation
 from tssos.graphs import CliqueDecomposition
 from tssos.poly import PopProblem, parse_polynomial, parse_pop
-from tssos.sdpa import SdpaFormatError, export_sdpa, import_sdpa
+from tssos.sdpa import SdpaFormatError, _tokens, export_sdpa, import_sdpa
 from tssos.solver import solve_canonical
 
 from sdp_tables import assert_same_table, canonical_sdp, entry_rows
@@ -127,6 +129,15 @@ def test_braced_and_comma_separated_lines(tmp_path):
     back = import_sdpa(str(path))
     assert back.problem.b.tolist() == [0.5, -1.0]
     assert entry_rows(back.problem)[0] == [(0, 0, 0, 3.0)]
+
+
+def test_tokens_split_every_code_point_as_the_delimiter_pattern_does():
+    # header, rhs and entry lines share one table: str.split's whitespace
+    # and , ( ) { }.  Each code point between two letters splits the line
+    # exactly where the pattern [\s,(){}]+ does, or both keep it
+    pattern = re.compile(r"[\s,(){}]+")
+    line = "a".join(map(chr, range(sys.maxunicode + 1)))
+    assert _tokens(line) == [t for t in pattern.split(line.strip()) if t]
 
 
 def test_rhs_may_span_lines(tmp_path):

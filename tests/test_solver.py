@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import tracemalloc
@@ -806,19 +807,60 @@ def test_slot_order_schur_is_the_natural_one_permuted(case, chunk_bytes, monkeyp
     natural = symmetric(held_index_schur(lay, xs, ss))
     got = lay.schur(xs, ss)
     assert np.array_equal(np.tril(got), np.tril(natural[np.ix_(order, order)]))
-    # the pairs a strip adds above M's diagonal land on zeroed cells, not stale ones
-    assert all(np.isfinite(ch.strip).all() for cl in lay.classes for ch in cl.chunks
-               if ch.strip is not None)
+    # no pair lands above M's diagonal: a strip's cells there, the pairs
+    # below the slot diagonal, keep their stale NaN
+    for cl in lay.classes:
+        for ch in cl.chunks:
+            if ch.strip is not None:
+                above = np.tri(*ch.strip.shape, k=-1, dtype=bool)
+                assert np.isnan(ch.strip[above]).all() and np.isfinite(ch.strip[~above]).all()
 
 
-def planned_bytes(ch):
-    """What a chunk's build touches besides w and the stacks, in bytes.
+def chunk_dims(cl, ch):
+    """The (nb, kc, kk, s, kr, index, strip) of a chunk, as _chunk_footprint takes them."""
+    nb, kc, kk = ch.v.shape[:3]
+    return nb, kc, kk, cl.size, ch.w.shape[0] // nb, cl.rows.dtype, ch.strip is not None
 
-    Every buffer counts, also where the arena overlays it on another; a
-    strip chunk has no T transposed and no index buffers.
-    """
-    return sum(a.nbytes for a in (ch.xg, ch.sg, ch.xrow, ch.srow, ch.v, ch.t, ch.tt, ch.out,
-                                  ch.cells, ch.alt) if a is not None)
+
+def planned_bytes(cl, ch):
+    """What a chunk's build touches besides w and the stacks, in bytes: its footprint and gather tables."""
+    footprint = sum(tssos.solver._chunk_footprint(*chunk_dims(cl, ch)))
+    return 8 * footprint + sum(a.nbytes for a in (ch.xrow, ch.srow, ch.v))
+
+
+VIEWS = ("xg", "sg", "t", "tt", "out", "cells", "alt", "dest")
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, SLOT_BUDGET])
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_chunk_views_lie_side_by_side_in_the_arena(case, chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", chunk_bytes)
+    prob = SCHUR_CASES[case]()
+    lay = _Layout(prob)
+    lo = lay.arena.__array_interface__["data"][0]
+    hi = lo + lay.arena.nbytes
+    most = 0
+    for cl in lay.classes:
+        # the arena is sized before the chunks, each at its class's widest pair
+        wide = max((ch.v.shape[2] for ch in cl.chunks), default=0)
+        for ch in cl.chunks:
+            views = [(name, getattr(ch, name)) for name in VIEWS if getattr(ch, name) is not None]
+            for name, a in views:
+                start = a.__array_interface__["data"][0]
+                assert lo <= start and start + a.nbytes <= hi, name
+            # dest reads alt's memory once alt is dead; no other two overlap
+            for (n1, a1), (n2, a2) in itertools.combinations(views, 2):
+                assert np.shares_memory(a1, a2) == ({n1, n2} == {"alt", "dest"}), (n1, n2)
+            nb, kc, _, s, kr, index, strip = chunk_dims(cl, ch)
+            most = max(most, sum(tssos.solver._chunk_footprint(nb, kc, wide, s, kr, index, strip)))
+    # the arena is the largest footprint, and it is what the memory estimate counts
+    assert lay.arena.size == most
+    terms = []
+    real = tssos.solver._working_set
+    monkeypatch.setattr(tssos.solver, "_working_set", lambda *a: terms.append(real(*a)) or terms[-1])
+    tssos.solver._layout_bytes(prob)
+    assert [arena for arena, _ in terms] == [most]
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 1 << 12, 1 << 16, None])
@@ -839,7 +881,7 @@ def test_no_chunk_past_the_budget_but_a_single_pair(case, chunk_bytes, monkeypat
     for cl in lay.classes:
         for ch in cl.chunks:
             nb, kc = ch.v.shape[:2]
-            assert nb * kc == 1 or planned_bytes(ch) <= budget, (nb, kc, planned_bytes(ch))
+            assert nb * kc == 1 or planned_bytes(cl, ch) <= budget, (nb, kc, planned_bytes(cl, ch))
     # the memory estimate plans the same chunks, each at least as wide, and
     # bounds all the layout allocates besides M's buffer
     assert peak <= tssos.solver._layout_bytes(prob), (peak, tssos.solver._layout_bytes(prob))
@@ -1170,8 +1212,12 @@ def test_readout_matches_the_public_product():
     out = np.full((7, 5), 123.0)  # stale values from an earlier chunk
     tssos.solver._readout(w, t, out)
     np.testing.assert_allclose(out, w @ t, rtol=1e-14, atol=1e-14)
-    # and _readout_by_slot calls its one-vector kernel csr_matvec, slot by slot
+    # and _readout_by_slot calls its one-vector kernel csr_matvec, slot by
+    # slot, on w's rows from that slot on: slot i's row holds w[i:] @ t[:, i]
+    # from column i on and 0 before it
     assert tssos.solver._sparsetools.csr_matvec is _sparsetools.csr_matvec
     rows = np.full((5, 7), 123.0)
     tssos.solver._readout_by_slot(w, t.T.copy(), rows)
-    np.testing.assert_allclose(rows, (w @ t).T, rtol=1e-14, atol=1e-14)
+    for i in range(5):
+        np.testing.assert_allclose(rows[i, i:], w[i:] @ t[:, i], rtol=1e-14, atol=1e-14)
+    assert not np.tril(rows, -1).any()
