@@ -8,7 +8,9 @@ i*r + j, i < j, against the graded lex order of a basis of r nodes: the
 form the edge search returns, so a union is np.union1d and a comparison
 np.array_equal; the (i, j) pairs and the adjacency are formed from the codes
 only where they are read.  A chordal graph's maximal cliques, what the
-relaxations are read off, are formed once and kept on the graph.
+relaxations are read off, are kept on the graph, taken from the pass that
+made it chordal: an elimination ordering's later-neighbour lists, or the
+components block closure completes.
 
 The sparse relaxation machinery iterates two steps on the graph of every
 generator g_j (g_0 = 1, then each constraint), each on its own basis: a
@@ -81,14 +83,13 @@ class MonomialGraph:
     i*r + j, i < j, for a basis of r nodes; pairs and adjacency() are
     formed from it on demand.  Edges are given as pairs (i, j), an iterable
     or an (m, 2) array, or as a 1-D array of codes; repeats and self-loops
-    are dropped and a node outside the basis is refused.  A graph that
-    chordal_extension returned keeps a perfect elimination ordering of
-    itself, so neither a later extension step nor maximal_cliques searches
-    for one again, and a chordal graph keeps the clique decomposition
-    maximal_cliques formed, so it is formed once.
+    are dropped and a node outside the basis is refused.  A chordal graph
+    keeps its clique decomposition: one chordal_extension returned from the
+    pass that made it chordal, so no later step searches for an elimination
+    ordering again, any other from its first maximal_cliques call.
     """
 
-    __slots__ = ("basis", "codes", "_order", "_cliques")
+    __slots__ = ("basis", "codes", "_cliques")
 
     def __init__(self, basis: MonomialBasis, edges: Iterable[Edge] | np.ndarray = ()):
         r = len(basis)
@@ -104,7 +105,6 @@ class MonomialGraph:
         self.basis = basis
         self.codes = np.unique((i * r + j)[i != j])
         self.codes.flags.writeable = False
-        self._order: Optional[List[int]] = None
         self._cliques: Optional[CliqueDecomposition] = None
 
     @property
@@ -241,27 +241,27 @@ def _mcs_order(adj: Dict[int, Set[int]]) -> List[int]:
     return order
 
 
-def _peo(adj: Dict[int, Set[int]]) -> Optional[List[int]]:
+def _peo(adj: Dict[int, Set[int]]) -> Optional[Dict[int, List[int]]]:
+    """Each node's later neighbours along the reverse MCS visit order, keyed in that order.
+
+    None when that order is not perfect, which is exactly when the graph is not chordal.
+    """
     order = list(reversed(_mcs_order(adj)))
     pos = {v: p for p, v in enumerate(order)}
+    later = {}
     for v in order:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        if not later:
-            continue
-        first = min(later, key=lambda u: pos[u])
-        rest = set(later) - {first}
-        if not rest <= adj[first]:
-            return None
-    return order
+        later[v] = [u for u in adj[v] if pos[u] > pos[v]]
+        if later[v]:
+            first = min(later[v], key=pos.__getitem__)
+            if not set(later[v]) - {first} <= adj[first]:
+                return None
+    return later
 
 
 def peo(graph: MonomialGraph) -> Optional[List[int]]:
-    """A perfect elimination ordering, or None if the graph is not chordal.
-
-    The reverse of an MCS visit order is a perfect elimination ordering
-    exactly when the graph is chordal; the candidate is verified directly.
-    """
-    return _peo(graph.adjacency())
+    """A perfect elimination ordering, or None if the graph is not chordal."""
+    later = _peo(graph.adjacency())
+    return None if later is None else list(later)
 
 
 def is_chordal(graph: MonomialGraph) -> bool:
@@ -269,7 +269,7 @@ def is_chordal(graph: MonomialGraph) -> bool:
 
 
 def _block_closure(graph: MonomialGraph) -> MonomialGraph:
-    """Complete every connected component; a graph already so is returned."""
+    """Complete every connected component, the cliques it keeps; a graph already so is returned."""
     # imported here, not with the module: only --mode block needs csgraph, and
     # its import would cost every run
     from scipy.sparse import coo_matrix
@@ -280,29 +280,32 @@ def _block_closure(graph: MonomialGraph) -> MonomialGraph:
     adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(r, r))
     count, label = connected_components(adj, directed=False)
     sizes = np.bincount(label, minlength=count)
-    if int((sizes * (sizes - 1) // 2).sum()) == graph.n_edges:
-        return graph
     members = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
-    blocks = [np.zeros(0, dtype=np.int64)]
-    for comp in members:
-        if len(comp) > 1:
-            a, b = np.triu_indices(len(comp), 1)
-            blocks.append(comp[a] * r + comp[b])
-    return MonomialGraph(graph.basis, np.concatenate(blocks))
+    out = graph
+    if int((sizes * (sizes - 1) // 2).sum()) != graph.n_edges:
+        blocks = []  # some component has an edge
+        for comp in members:
+            if len(comp) > 1:
+                a, b = np.triu_indices(len(comp), 1)
+                blocks.append(comp[a] * r + comp[b])
+        out = MonomialGraph(graph.basis, np.concatenate(blocks))
+    out._cliques = CliqueDecomposition(graph.basis, tuple(sorted(tuple(c.tolist()) for c in members)))
+    return out
 
 
-def _elimination_fill(adj: Dict[int, Set[int]], rule: str) -> Tuple[Set[Edge], List[int]]:
-    """Fill edges produced by a greedy elimination ordering, and the ordering.
+def _elimination_fill(adj: Dict[int, Set[int]], rule: str) -> Tuple[Set[Edge], Dict[int, List[int]]]:
+    """Fill edges produced by a greedy elimination ordering, and its later-neighbour lists.
 
     rule 'degree' picks the node of minimum current degree, rule 'fill' the
     node whose neighborhood needs the fewest new edges.  Ties go to the
     lowest index.  The ordering is a perfect elimination ordering of the
     graph plus the fill: a node's neighbors eliminated after it are its
-    neighbors when it is eliminated, made a clique by then.
+    neighbors when it is eliminated, made a clique by then: sorted, they
+    are what is returned per node, keyed in elimination order.
     """
     work = {v: set(nb) for v, nb in adj.items()}
     fills: Set[Edge] = set()
-    order: List[int] = []
+    later: Dict[int, List[int]] = {}
     by_fill = rule == "fill"
 
     def cost(u: int) -> int:
@@ -321,8 +324,7 @@ def _elimination_fill(adj: Dict[int, Set[int]], rule: str) -> Tuple[Set[Edge], L
         c, v = heapq.heappop(heap)
         if costs.get(v) != c:
             continue
-        order.append(v)
-        nbs = sorted(work[v])
+        nbs = later[v] = sorted(work[v])
         moved = set(nbs)
         for a in range(len(nbs)):
             for b in range(a + 1, len(nbs)):
@@ -350,7 +352,7 @@ def _elimination_fill(adj: Dict[int, Set[int]], rule: str) -> Tuple[Set[Edge], L
         del work[v], costs[v]
         for u in moved - {v}:
             heapq.heappush(heap, (costs[u], u))
-    return fills, order
+    return fills, later
 
 
 def chordal_extension(graph: MonomialGraph, mode: str = "approx_min") -> MonomialGraph:
@@ -358,26 +360,23 @@ def chordal_extension(graph: MonomialGraph, mode: str = "approx_min") -> Monomia
 
     Already-chordal graphs are returned unchanged in the elimination modes,
     so trees, complete graphs and other chordal inputs keep their exact edge
-    set.  In those modes the returned graph keeps a perfect elimination
-    ordering: the one that showed the input chordal, or the elimination
-    ordering the fill was made along.  A graph that already holds one is
-    returned at once.
+    set, and a graph that holds its cliques is returned at once.  The
+    returned graph keeps its maximal cliques, read off the pass that made it
+    chordal: the later neighbours along the ordering that showed it chordal
+    or that the fill was made along, or block closure's components.
     """
     if mode not in EXTENSION_MODES:
         raise ValueError(f"unknown extension mode {mode!r}; pick one of {EXTENSION_MODES}")
     if mode == "block_closure":
         return _block_closure(graph)
-    if graph._order is not None:
+    if graph._cliques is not None:
         return graph
     adj = graph.adjacency()
-    order = _peo(adj)
-    if order is not None:
-        graph._order = order
-        return graph
-    rule = "degree" if mode == "approx_min" else "fill"
-    fills, order = _elimination_fill(adj, rule)
+    later, fills = _peo(adj), ()
+    if later is None:
+        fills, later = _elimination_fill(adj, "degree" if mode == "approx_min" else "fill")
     out = graph._union(np.array([p * graph.n_nodes + q for p, q in fills], dtype=np.int64))
-    out._order = order
+    out._cliques = CliqueDecomposition(out.basis, _cliques_along(later))
     return out
 
 
@@ -405,34 +404,35 @@ class CliqueDecomposition:
         return max(len(c) for c in self.cliques) if self.cliques else 0
 
 
-def maximal_cliques(graph: MonomialGraph) -> CliqueDecomposition:
-    """Enumerate maximal cliques along a perfect elimination ordering.
+def _cliques_along(later: Dict[int, List[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Maximal cliques from the later-neighbour lists of a perfect elimination ordering.
 
-    The ordering the graph keeps from chordal_extension is used when there
-    is one.  The decomposition is kept on the graph, and later calls return
-    it.  Raises ValueError when the graph is not chordal: callers must
-    extend first.
+    Along the ordering (later's keys), node v's later neighbors L(v) form a
+    clique with v, and {v} | L(v) is maximal unless some node w whose first
+    later neighbor is v has L(w) = {v} | L(v), which is exactly when
+    |L(w)| = |L(v)| + 1 (Vandenberghe-Andersen, 2015, sec. 4).
     """
-    if graph._cliques is not None:
-        return graph._cliques
-    adj = graph.adjacency()
-    order = graph._order if graph._order is not None else _peo(adj)
-    if order is None:
-        raise ValueError("graph is not chordal; apply chordal_extension first")
-    # Along a perfect elimination ordering, node v's later neighbors L(v)
-    # form a clique with v, and {v} | L(v) is maximal unless some node w
-    # whose first later neighbor is v has L(w) = {v} | L(v), which is
-    # exactly when |L(w)| = |L(v)| + 1 (Vandenberghe-Andersen, 2015, sec. 4).
-    pos = {v: p for p, v in enumerate(order)}
-    later = {v: [u for u in adj[v] if pos[u] > pos[v]] for v in order}
+    pos = {v: p for p, v in enumerate(later)}
     absorbed = set()
-    for v in order:
-        if later[v]:
-            parent = min(later[v], key=pos.__getitem__)
-            if len(later[v]) == len(later[parent]) + 1:
+    for lv in later.values():
+        if lv:
+            parent = min(lv, key=pos.__getitem__)
+            if len(lv) == len(later[parent]) + 1:
                 absorbed.add(parent)
-    cliques = sorted(tuple(sorted([v] + later[v])) for v in order if v not in absorbed)
-    graph._cliques = CliqueDecomposition(graph.basis, tuple(cliques))
+    return tuple(sorted(tuple(sorted([v] + lv)) for v, lv in later.items() if v not in absorbed))
+
+
+def maximal_cliques(graph: MonomialGraph) -> CliqueDecomposition:
+    """The maximal cliques of a chordal graph, which one chordal_extension returned holds.
+
+    Of another, they are read off a perfect elimination ordering once and
+    kept.  Raises ValueError when the graph is not chordal: extend first.
+    """
+    if graph._cliques is None:
+        later = _peo(graph.adjacency())
+        if later is None:
+            raise ValueError("graph is not chordal; apply chordal_extension first")
+        graph._cliques = CliqueDecomposition(graph.basis, _cliques_along(later))
     return graph._cliques
 
 

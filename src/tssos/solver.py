@@ -31,8 +31,8 @@ The constraint matrices are never densified.  In a term-sparsity relaxation
 each A_i is a pattern of a few entries on a block, so they are read
 straight off the table's columns:
 
-- A(X) and A^T(y) are one CSR matrix (m x sum of nb*s^2 over the classes)
-  applied to the stacked blocks, one sparse matvec each.
+- A(X) and A^T(y) are one sparse matvec each on the stacked blocks, by one
+  CSR matrix (m x sum of nb*s^2 over the classes) read as CSR and as CSC.
 - The Schur complement follows the sparse-data formulas of Fujisawa, Kojima
   and Nakata (Math. Prog. 79, 1997).  With the entries (p_e, q_e, v_e) of
   A_i on a block expanded symmetrically,
@@ -117,10 +117,10 @@ _INT64_MAX = np.iinfo(np.int64).max
 SCHUR_CHUNK_BYTES = 1 << 21
 # bytes _Layout holds at its peak, the end of its build, beside its arena,
 # floor and gather tables: per entry of the symmetric expansion (its
-# columns, their pairs, slots and sorts, w, A and A^T) and per chunk (its
-# views and objects).  tracemalloc measured 150-210 bytes an entry and
-# 2.3-2.7 KiB a chunk on gen_rosenbrock and broyden_tridiagonal at n = 100
-# and on a dense 56 x 56 block, at chunk budgets of 64 KiB to 8 MiB.
+# columns, their pairs, slots and sorts, w and A) and per chunk (its views
+# and objects).  tracemalloc measured 150-210 bytes an entry (with a copy
+# of A^T) and 2.3-2.7 KiB a chunk on gen_rosenbrock and broyden_tridiagonal
+# at n = 100 and on a dense 56 x 56 block, at chunk budgets of 64 KiB to 8 MiB.
 LAYOUT_ENTRY_BYTES = 256
 LAYOUT_CHUNK_BYTES = 4096
 # at most this many passes of iterative refinement per Schur solve
@@ -256,11 +256,11 @@ class _Chunk(NamedTuple):
 
     For the entries e of each (block, slot) pair of the ranges, padded with
     v_e = 0 up to K, the widest pair of the chunk, xrow and srow (nb, kc, K)
-    index the rows b*s + p_e and b*s + q_e of the range's stacks flattened
-    to (nb*s, s), b counted from the start of the block range; v is
-    (nb, kc, K, 1).  w is the run of the class's CSR rows whose row (b, j)
-    is the flattened A_{rows[b, j]} on block b of the range, for the kr
-    slots j from the range's first slot to the class's last.
+    index the rows b*s + p_e and b*s + q_e of the class's stacks flattened,
+    b the block's place in the class, and v is (nb, kc, K, 1): views of the
+    class's (nb, k, wide) tables.  w is the run of the class's CSR rows
+    whose row (b, j) is the flattened A_{rows[b, j]} on block b of the
+    range, for the kr slots j from the range's first slot to the class's last.
 
     xg, sg, t, tt, out, cells, alt and dest are views into the layout's
     arena, side by side as _chunk_footprint lays them, written by every
@@ -448,17 +448,16 @@ def _layout_bytes(prob: CanonicalSdp) -> int:
     """Bytes _Layout allocates for prob besides M's buffer, or more.
 
     Read off the layout's own plan: the Schur arena and the floor matrix
-    _Layout allocates; the gather rows and values, 24 bytes a padded entry,
-    once in the class's (nb, k, wide) tables and once in the chunks' copies;
-    LAYOUT_ENTRY_BYTES an entry of the symmetric expansion; and
-    LAYOUT_CHUNK_BYTES a chunk.
+    _Layout allocates; the class's (nb, k, wide) gather tables, which the
+    chunks view, 24 bytes a padded entry; LAYOUT_ENTRY_BYTES an entry of
+    the symmetric expansion; and LAYOUT_CHUNK_BYTES a chunk.
     """
     entries, (pair_blk, *_), _, classes = _plan(prob)
     index = np.dtype(_index_dtype(prob.n_constraints))
     arena, kc = _working_set(classes, _strip_block(pair_blk, classes), index)
     tables = sum(len(members) * k * wide for members, _, k, wide, _ in classes)
     n_chunks = sum(len(chunks) for *_, chunks in classes)
-    return (8 * arena + index.itemsize * kc * kc + 2 * 24 * tables
+    return (8 * arena + index.itemsize * kc * kc + 24 * tables
             + LAYOUT_ENTRY_BYTES * len(entries[0]) + LAYOUT_CHUNK_BYTES * n_chunks)
 
 
@@ -515,7 +514,7 @@ class _Layout:
     a is the CSR matrix (m, N) of all constraints over the stacked block
     entries: the classes in order, each as its (nb, s, s) stack flattened,
     with every off-diagonal entry at (r, c) and at (c, r).  A(V) and A^T(y)
-    are one sparse matvec each.
+    are one sparse matvec each, A^T by reading a's arrays as CSC.
 
     The Schur build's working set is allocated here, once per solve, and
     reused by every build: m_acc, the one m x m buffer (and m + 1 spare
@@ -595,7 +594,8 @@ class _Layout:
             sel = cls[blk] == j
             eb, es, er, ec, ev = pos[blk[sel]], slot[sel], r[sel], c[sel], v[sel]
             p, q, val = (np.zeros((nb, k, wide), dtype=dt) for dt in (np.intp, np.intp, float))
-            p[eb, es, rank[sel]], q[eb, es, rank[sel]], val[eb, es, rank[sel]] = er, ec, ev
+            e = eb, es, rank[sel]
+            p[e], q[e], val[e] = eb * s + er, eb * s + ec, ev  # rows of the stacks flattened
             flat = (eb * s + er) * s + ec
             col[sel] = ofs + flat
             ofs += nb * s * s
@@ -611,16 +611,14 @@ class _Layout:
                 if not kk:  # blocks that no constraint touches add nothing
                     continue
                 bl, sl = slice(b0, b1), slice(i0, i1)
-                base = np.arange(b1 - b0)[:, None, None] * s
                 r0, r1 = b0 * k + i0, b1 * k
                 wc = _RowRun((r1 - r0, (b1 - b0) * s * s), w.indptr[r0:r1 + 1], w.indices, w.data)
                 strip = back[i0:i1, i0:] if members[b0] == strip_blk else None  # it has k slots
                 views = _arena_views(self.arena, b1 - b0, i1 - i0, kk, s, k - i0, index, strip is not None)
-                built.append(_Chunk(bl, sl, base + p[bl, sl, :kk], base + q[bl, sl, :kk],
-                                    val[bl, sl, :kk, None].copy(), wc, *views, strip))
+                built.append(_Chunk(bl, sl, p[bl, sl, :kk], q[bl, sl, :kk], val[bl, sl, :kk, None],
+                                    wc, *views, strip))
             self.classes.append(_SizeClass(members, cstack, rows, m, built))
         self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
-        self.at = self.a.T.tocsr()
         self.ends = np.cumsum([0] + [cl.c.size for cl in self.classes])
 
     def a_map(self, vs: List[np.ndarray]) -> np.ndarray:
@@ -628,8 +626,9 @@ class _Layout:
         return self.a @ np.concatenate([v.ravel() for v in vs])
 
     def at_map(self, y: np.ndarray) -> List[np.ndarray]:
-        """sum_i y_i A_i as one stack per class."""
-        flat = self.at @ y
+        """sum_i y_i A_i as one stack per class: A^T y, by scipy's CSC kernel on a's own arrays."""
+        flat = np.zeros(self.a.shape[1])
+        _sparsetools.csc_matvec(*self.a.shape[::-1], self.a.indptr, self.a.indices, self.a.data, y, flat)
         return [flat[a:b].reshape(cl.c.shape)
                 for a, b, cl in zip(self.ends, self.ends[1:], self.classes)]
 
@@ -665,9 +664,8 @@ class _Layout:
         acc[m * m:] = 0.0  # the spare cells too, lest stale values overflow
         for cl, x, sinv in zip(self.classes, xs, sinvs):
             s = cl.size
+            xf, sf = x.reshape(-1, s), sinv.reshape(-1, s)
             for ch in cl.chunks:
-                xf = x[ch.blocks].reshape(-1, s)
-                sf = sinv[ch.blocks].reshape(-1, s)
                 nb, kc = ch.v.shape[:2]
                 # take buffers out= unless mode is "clip"; the rows are in range
                 np.take(xf, ch.xrow, axis=0, out=ch.xg, mode="clip")

@@ -40,9 +40,8 @@ def held_index_schur(lay, xs, sinvs):
     acc = np.zeros(m * m + 1)
     for cl, dests, x, sinv in zip(lay.classes, held, xs, sinvs):
         s = cl.size
+        xf, sf = x.reshape(-1, s), sinv.reshape(-1, s)  # the chunks' rows index the whole class
         for ch, dest in zip(cl.chunks, dests):
-            xf = x[ch.blocks].reshape(-1, s)
-            sf = sinv[ch.blocks].reshape(-1, s)
             nb, kc = ch.v.shape[:2]
             xg = xf[ch.xrow] * ch.v
             t = np.matmul(xg.swapaxes(-1, -2), sf[ch.srow])

@@ -22,12 +22,14 @@ from tssos.basis import (
     standard_basis,
 )
 from tssos.bench import (
+    RunOptions,
     broyden_banded,
     broyden_tridiagonal,
     constraint_set,
     gen_rosenbrock,
     mod_gen_rosenbrock,
     randpoly2,
+    run_pop,
 )
 from tssos.graphs import (
     CliqueDecomposition,
@@ -386,3 +388,29 @@ def test_criterion_12_sdpa_round_trip(ex33, quadratics, tmp_path):
     with open(golden, "rb") as fh:
         assert out.read_bytes() == fh.read()
     print("criterion 12: export/import/solve reproduces bounds, golden bytes equal -> PASS")
+
+
+def test_criterion_13_chordal_versus_block_closure():
+    """The abstract's two claims, on randpoly2 n=6, degree 6, 20 terms, Newton basis.
+
+    Chordal extension gives smaller blocks and bounds no higher than block
+    closure's, which are no higher than the dense relaxation's; block
+    closure already reaches the dense bound at k = 1, chordal does not.
+    """
+    for seed in (2, 3):
+        pop = PopProblem(randpoly2(6, 6, 20, seed))
+        chordal = run_pop(pop, RunOptions(k_max=2, basis="newton"))
+        block = run_pop(pop, RunOptions(k_max=2, mode="block_closure", basis="newton"))
+        (dense,) = run_pop(pop, RunOptions(dense=True, basis="newton"))
+        for row in chordal + block + [dense]:
+            assert row.status == "optimal", (seed, row)
+        for c, b in zip(chordal, block):
+            assert c.bound <= b.bound + 1e-6 and b.bound <= dense.bound + 1e-6, (seed, c.k)
+            assert c.mc <= b.mc <= dense.mc, (seed, c.k)
+        assert block[0].bound == pytest.approx(dense.bound, abs=1e-6), seed
+        assert chordal[0].bound < block[0].bound - 0.1, seed
+        print(
+            f"criterion 13: seed {seed}: chordal mc {[r.mc for r in chordal]} "
+            f"bounds {[round(r.bound, 6) for r in chordal]}, block mc {[r.mc for r in block]}, "
+            f"dense mc {dense.mc} bound {dense.bound:.6f} -> PASS"
+        )

@@ -242,12 +242,16 @@ def test_six_cycle_gets_three_fills():
     assert len(edges(block)) == 15  # one complete component
 
 
-def test_block_closure_completes_components():
+def test_block_closure_completes_components(peo_calls):
     basis = MonomialBasis(1, [(i,) for i in range(7)])
     g = MonomialGraph(basis, [(0, 1), (1, 2), (4, 5)])
     ext = chordal_extension(g, "block_closure")
-    dec = maximal_cliques(ext)
-    assert sorted(dec.cliques) == [(0, 1, 2), (3,), (4, 5), (6,)]
+    assert edges(ext) == {(0, 1), (0, 2), (1, 2), (4, 5)}
+    # the components it completed are the cliques it keeps: no ordering is searched for
+    assert maximal_cliques(ext).cliques == ((0, 1, 2), (3,), (4, 5), (6,))
+    assert chordal_extension(ext, "block_closure") is ext
+    assert maximal_cliques(ext).cliques == ((0, 1, 2), (3,), (4, 5), (6,))
+    assert peo_calls == []
 
 
 def test_unknown_mode_rejected():
@@ -950,13 +954,17 @@ def test_elimination_fill_matches_reference():
         n = int(rng.integers(1, 20))
         adj = random_monomial_graph(rng, n_nodes=n, p=float(rng.random())).adjacency()
         for rule in ("degree", "fill"):
-            fills, order = _elimination_fill(adj, rule)
+            fills, later = _elimination_fill(adj, rule)
             assert fills == reference_elimination_fill(adj, rule), rule
             filled = {v: set(nb) for v, nb in adj.items()}
             for p, q in fills:
                 filled[p].add(q)
                 filled[q].add(p)
+            order = list(later)
             assert_peo(filled, order)
+            # each list is the node's later neighbours in the filled graph, sorted
+            pos = {v: i for i, v in enumerate(order)}
+            assert later == {v: sorted(u for u in filled[v] if pos[u] > pos[v]) for v in order}
 
 
 @pytest.fixture
@@ -972,19 +980,35 @@ def peo_calls(monkeypatch):
     return calls
 
 
-def test_extended_graphs_keep_an_elimination_ordering(peo_calls):
+@pytest.fixture
+def adjacency_calls(monkeypatch):
+    calls = []
+    real = MonomialGraph.adjacency
+
+    def counting(graph):
+        calls.append(graph.n_nodes)
+        return real(graph)
+
+    monkeypatch.setattr(MonomialGraph, "adjacency", counting)
+    return calls
+
+
+def test_extended_graphs_keep_their_cliques(peo_calls, adjacency_calls):
     rng = np.random.default_rng(15)
     for _ in range(50):
         g = random_monomial_graph(rng, n_nodes=int(rng.integers(1, 20)), p=float(rng.random()))
-        for mode in ("approx_min", "min_fill"):
+        for mode in EXTENSION_MODES:
             ext = chordal_extension(g, mode)
-            assert_peo(ext.adjacency(), ext._order)
-            # neither a second extension nor the clique search looks for one again
+            # the cliques read off the pass that made the graph chordal are its
+            # maximal cliques; neither a second extension nor the clique call
+            # builds the adjacency or searches for an ordering again
             want = reference_maximal_cliques(ext)
             peo_calls.clear()
+            adjacency_calls.clear()
+            assert maximal_cliques(ext).cliques == want
             assert chordal_extension(ext, mode) is ext
             assert maximal_cliques(ext).cliques == want
-            assert peo_calls == []
+            assert peo_calls == [] and adjacency_calls == []
 
 
 def test_iteration_tests_chordality_once_per_new_graph(peo_calls):

@@ -727,6 +727,12 @@ def test_constraint_maps_are_adjoint(case):
     lhs = float(lay.a_map(vs) @ y)
     rhs = sum(float(np.vdot(v, w)) for v, w in zip(vs, lay.at_map(y)))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    # A^T, A's arrays read as CSC, adds each column's terms in the order a
+    # CSR copy of A^T does: the products agree bit for bit
+    for _ in range(20):
+        y = rng.normal(size=prob.n_constraints)
+        got = np.concatenate([w.ravel() for w in lay.at_map(y)])
+        assert got.tobytes() == (lay.a.T.tocsr() @ y).tobytes()
     # and A matches the entries themselves
     blocks = lay.unstack(vs)
     got = lay.a_map(vs)
