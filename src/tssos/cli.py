@@ -168,7 +168,7 @@ def cmd_bench(args) -> int:
     return 0 if all(r.status == "optimal" for r in rows) else 2
 
 
-def _add_common(p: argparse.ArgumentParser, basis_default: Optional[str]):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--order", type=int, default=None,
                    help="relaxation half degree (constrained problems; "
                         "also the standard-basis degree when --basis standard)")
@@ -178,7 +178,6 @@ def _add_common(p: argparse.ArgumentParser, basis_default: Optional[str]):
                    help="graph extension: chordal (approximately minimal), "
                         "minfill, or block (connected-component closure)")
     p.add_argument("--basis", choices=["newton", "standard", "reduced"],
-                   default=basis_default,
                    help="monomial basis for the Gram/moment blocks")
     p.add_argument("--side", choices=["sos", "moment"], default="sos")
 
@@ -192,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve a .pop problem file")
     ps.add_argument("file")
-    _add_common(ps, basis_default=None)
+    _add_common(ps)
     ps.add_argument("--dense", action="store_true",
                     help="skip the sparsity graphs and solve the full relaxation")
     ps.add_argument("--export-sdpa", metavar="PATH", default=None,
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("report", help="clique census and relaxation sizes, no solve")
     pr.add_argument("file")
-    _add_common(pr, basis_default=None)
+    _add_common(pr)
     pr.set_defaults(func=cmd_report, dense=False)
 
     pb = sub.add_parser("bench", help="run a benchmark family instance")
@@ -219,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--terms", type=int, default=None)
     pb.add_argument("--prob", type=float, default=None)
     pb.add_argument("--constraint", choices=sorted(CONSTRAINT_SETS), default="none")
-    _add_common(pb, basis_default=None)
+    _add_common(pb)
     pb.add_argument("--seed", type=int, required=True)
     pb.add_argument("--format", choices=["markdown", "json", "csv"], default="markdown")
     pb.add_argument("--out", metavar="PATH", default=None)

@@ -58,12 +58,12 @@ basis's {1, x_i^2} clique), M's rows are numbered by that block's slots,
 last first (of several such blocks, the one touched by most
 constraints).  Its chunks read T out slot by slot, one CSR matvec per
 slot from that slot on, into rows that are M's own, and add them into
-whole rows of M's triangle: no transposed copy of T, no cells to form.
-Every other chunk forms its cells in M when it is read out, from the rows
-of M its class holds, and adds into them by one np.add.at; its pairs
-below the slot diagonal land on spare cells after M.  No index is held
-across builds.  A chunk's buffers lie side by side in one arena, sized by
-the footprint the chunks are planned with.
+whole rows of M's triangle: no transposed copy of T, no index.  Every
+other chunk adds its readout by one np.add.at through its scatter index,
+formed once with the layout and held: those chunks serve the narrower
+blocks, so at paper scale the indices are a few percent of M's bytes.  A
+chunk's buffers lie side by side in one arena, sized by the footprint the
+chunks are planned with.
 
 M is factored once per iteration, in place by LAPACK's potrf, and the
 predictor and the corrector solve with the same factor, as in SDPT3: M's
@@ -87,11 +87,11 @@ common.  Before the first iteration such rows are found by a pivoted
 Cholesky of A A^T and dropped, as SDPT3 drops dependent constraints; a
 dropped row's multiplier is returned as 0.
 
-The working set (the m x m buffer and the arena of the Schur chunks) is
-allocated once per solve and refilled by every iteration.  Before
-anything is allocated, the working set (with the block stacks) is
-compared with the memory the process may use, and a problem that does
-not fit is refused with a ValueError.
+The working set (the m x m buffer, the arena of the Schur chunks and
+their scatter indices) is allocated once per solve and refilled by every
+iteration.  Before anything is allocated, the working set (with the block
+stacks) is compared with the memory the process may use, and a problem
+that does not fit is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ _INT64_MAX = np.iinfo(np.int64).max
 # core's L2 cache
 SCHUR_CHUNK_BYTES = 1 << 21
 # bytes _Layout holds at its peak, the end of its build, beside its arena,
-# floor and gather tables: per entry of the symmetric expansion (its
+# held indices and gather tables: per entry of the symmetric expansion (its
 # columns, their pairs, slots and sorts, w and A) and per chunk (its views
 # and objects).  tracemalloc measured 150-210 bytes an entry (with a copy
 # of A^T) and 2.3-2.7 KiB a chunk on gen_rosenbrock and broyden_tridiagonal
@@ -262,19 +262,18 @@ class _Chunk(NamedTuple):
     whose row (b, j) is the flattened A_{rows[b, j]} on block b of the
     range, for the kr slots j from the range's first slot to the class's last.
 
-    xg, sg, t, tt, out, cells, alt and dest are views into the layout's
-    arena, side by side as _chunk_footprint lays them, written by every
-    Schur build: the X and S^{-1} gathers (nb, kc, K, s), T (nb, kc, s, s),
-    T transposed to (nb, s*s, kc), the readout (nb, kr, kc), and two index
-    buffers, cells (nb, kc, kr) and alt, of the same shape.  dest views
-    alt's memory as (nb, kr, kc); _form_dest leaves in it the index into
-    M's buffer of each pair (j, i) of the readout.
+    xg, sg, t, tt and out are views into the layout's arena, side by side
+    as _chunk_footprint lays them, written by every Schur build: the X and
+    S^{-1} gathers (nb, kc, K, s), T (nb, kc, s, s), T transposed to
+    (nb, s*s, kc) and the readout (nb, kr, kc).  dest (nb, kr, kc), formed
+    with the layout and held for the solve, is the cell in M's buffer of
+    each pair (j, i) of the readout (see _scatter_index).
 
     strip is None but for the chunks of the layout's strip block, which M
     is numbered by.  There it is the view of M's buffer, (slots of the
     chunk, slots from its first on), both axes reversed, that the readout
     lands on; out is the readout transposed, (nb, kc, kr), each slot's row
-    0 before that slot; and tt, cells, alt and dest are None.
+    0 before that slot; and tt and dest are None.
     """
 
     blocks: slice
@@ -288,9 +287,7 @@ class _Chunk(NamedTuple):
     t: np.ndarray
     tt: np.ndarray
     out: np.ndarray
-    cells: np.ndarray
-    alt: np.ndarray
-    dest: np.ndarray
+    dest: Optional[np.ndarray]
     strip: Optional[np.ndarray]
 
 
@@ -299,19 +296,16 @@ class _SizeClass:
 
     c is (nb, s, s).  rows (nb, k) holds for each block the rows of M of the
     constraints touching it, those with the most entries first, padded up
-    to k, the largest count in the class, with m; row_cells is rows * m,
-    where each constraint's row starts in M's buffer.  Both are in the
-    dtype of the Schur build's index.  chunks cut the (block, slot) grid of
-    the class into pieces of bounded bytes for the Schur build.
+    to k, the largest count in the class, with m, in the dtype of the
+    Schur build's index.  chunks cut the (block, slot) grid of the class
+    into pieces of bounded bytes for the Schur build.
     """
 
-    def __init__(self, blocks: np.ndarray, c: np.ndarray, rows: np.ndarray, m: int,
-                 chunks: List[_Chunk]):
+    def __init__(self, blocks: np.ndarray, c: np.ndarray, rows: np.ndarray, chunks: List[_Chunk]):
         self.blocks = blocks
         self.size = c.shape[-1]
         self.c = c
-        self.rows = rows.astype(_index_dtype(m))
-        self.row_cells = self.rows * self.rows.dtype.type(m)
+        self.rows = rows
         self.chunks = chunks
 
 
@@ -371,10 +365,13 @@ def _plan_chunks(nb: int, k: int, s: int, wide: int, index) -> List[Tuple[int, i
     if not k:
         return []
     # what a chunk touches, per (block, slot) pair: its arena footprint at
-    # the class's widest pair as a chunk that forms its cells, the larger
-    # kind, and the gather rows and values, 24 bytes an entry; not its slice
-    # of w nor its blocks of X and S^{-1}.
-    unit = 8 * sum(_chunk_footprint(1, 1, wide, s, k, index, False)) + 24 * wide
+    # the class's widest pair as a chunk that is not a strip, the larger
+    # kind; two index entries a readout pair, one more than it holds, as
+    # the chunks were first planned (one moves slot ranges, and with them
+    # M's numbering); and the gather rows and values, 24 bytes an entry.
+    # Not its slice of w nor its blocks of X and S^{-1}.
+    unit = (8 * sum(_chunk_footprint(1, 1, wide, s, k, False)) + 2 * k * np.dtype(index).itemsize
+            + 24 * wide)
     per_chunk = max(1, SCHUR_CHUNK_BYTES // unit)
     if per_chunk >= k:
         step = per_chunk // k
@@ -399,65 +396,55 @@ def _strip_block(pair_blk: np.ndarray, classes) -> int:
 
 
 def _index_dtype(m: int):
-    """int32 while every cell index a Schur build forms, up to m*m + m, fits it."""
-    return np.int32 if m * m + m <= np.iinfo(np.int32).max else np.int64
+    """int32 while every cell index of the Schur build, up to the spare cell m*m, fits it."""
+    return np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
 
 
-def _chunk_footprint(nb: int, kc: int, kk: int, s: int, kr: int, index, strip: bool) -> List[int]:
+def _chunk_footprint(nb: int, kc: int, kk: int, s: int, kr: int, strip: bool) -> List[int]:
     """A chunk's arena footprint, in doubles, view by view as the arena lays them side by side.
 
     nb blocks of size s, kc slots, kk entries a pair, kr readout rows: the
-    X and S^{-1} gathers, T, T transposed, the readout and last the two
-    index buffers of dtype index, together.  A strip chunk (strip True)
-    has no T transposed and no index buffers.
+    X and S^{-1} gathers, T, T transposed and the readout.  A strip chunk
+    (strip True) has no T transposed.
     """
     n_t, n_g, n_r = nb * kc * s * s, nb * kc * kk * s, nb * kr * kc
-    if strip:
-        return [n_g, n_g, n_t, n_r]
-    return [n_g, n_g, n_t, n_t, n_r, -(-2 * n_r * np.dtype(index).itemsize // 8)]
+    return [n_g, n_g, n_t, n_r] if strip else [n_g, n_g, n_t, n_t, n_r]
 
 
-def _working_set(plans, strip_blk: int, index) -> Tuple[int, int]:
-    """Arena doubles (the largest chunk footprint, at its class's widest pair) and a chunk's most slots."""
-    arena = kc = 0
+def _working_set(plans, strip_blk: int) -> Tuple[int, int]:
+    """Arena doubles (the largest chunk footprint, at its class's widest pair) and the index entries held."""
+    arena = held = 0
     for members, s, k, wide, chunks in plans:
         for b0, b1, i0, i1 in chunks:
-            parts = _chunk_footprint(b1 - b0, i1 - i0, wide, s, k - i0, index, members[b0] == strip_blk)
-            arena, kc = max(arena, sum(parts)), max(kc, i1 - i0)
-    return arena, kc
+            strip = members[b0] == strip_blk
+            arena = max(arena, sum(_chunk_footprint(b1 - b0, i1 - i0, wide, s, k - i0, strip)))
+            held += 0 if strip else (b1 - b0) * (k - i0) * (i1 - i0)
+    return arena, held
 
 
-def _arena_views(arena: np.ndarray, nb: int, kc: int, kk: int, s: int, kr: int, index, strip: bool):
-    """A chunk's views (_Chunk's xg to dest) into arena, side by side as _chunk_footprint lays them.
-
-    dest views alt's memory, dead once _form_dest has read it.
-    """
-    at = [0, *accumulate(_chunk_footprint(nb, kc, kk, s, kr, index, strip))]
+def _arena_views(arena: np.ndarray, nb: int, kc: int, kk: int, s: int, kr: int, strip: bool):
+    """A chunk's views (_Chunk's xg to out) into arena, side by side as _chunk_footprint lays them."""
+    at = [0, *accumulate(_chunk_footprint(nb, kc, kk, s, kr, strip))]
     xg, sg, t, *rest = (arena[a:b] for a, b in zip(at, at[1:]))
     views = (xg.reshape(nb, kc, kk, s), sg.reshape(nb, kc, kk, s), t.reshape(nb, kc, s, s))
     if strip:
-        return views + (None, rest[0].reshape(nb, kc, kr), None, None, None)
-    tt, out, ix = rest[0], rest[1], rest[2].view(index)
-    n_r = nb * kr * kc
-    alt = ix[n_r:2 * n_r]
-    return views + (tt.reshape(nb, s * s, kc), out.reshape(nb, kr, kc), ix[:n_r].reshape(nb, kc, kr),
-                    alt.reshape(nb, kc, kr), alt.reshape(nb, kr, kc))
+        return views + (None, rest[0].reshape(nb, kc, kr))
+    return views + (rest[0].reshape(nb, s * s, kc), rest[1].reshape(nb, kr, kc))
 
 
-def _layout_bytes(prob: CanonicalSdp) -> int:
-    """Bytes _Layout allocates for prob besides M's buffer, or more.
+def _layout_bytes(m: int, plan) -> int:
+    """Bytes _Layout allocates besides M's buffer, or more, for m constraints and _plan's plan.
 
-    Read off the layout's own plan: the Schur arena and the floor matrix
-    _Layout allocates; the class's (nb, k, wide) gather tables, which the
-    chunks view, 24 bytes a padded entry; LAYOUT_ENTRY_BYTES an entry of
-    the symmetric expansion; and LAYOUT_CHUNK_BYTES a chunk.
+    Read off the plan: the Schur arena and the chunks' held indices; the
+    class's (nb, k, wide) gather tables, which the chunks view, 24 bytes a
+    padded entry; LAYOUT_ENTRY_BYTES an entry of the symmetric expansion;
+    and LAYOUT_CHUNK_BYTES a chunk.
     """
-    entries, (pair_blk, *_), _, classes = _plan(prob)
-    index = np.dtype(_index_dtype(prob.n_constraints))
-    arena, kc = _working_set(classes, _strip_block(pair_blk, classes), index)
+    entries, (pair_blk, *_), _, classes = plan
+    arena, held = _working_set(classes, _strip_block(pair_blk, classes))
     tables = sum(len(members) * k * wide for members, _, k, wide, _ in classes)
     n_chunks = sum(len(chunks) for *_, chunks in classes)
-    return (8 * arena + index.itemsize * kc * kc + 24 * tables
+    return (8 * arena + np.dtype(_index_dtype(m)).itemsize * held + 24 * tables
             + LAYOUT_ENTRY_BYTES * len(entries[0]) + LAYOUT_CHUNK_BYTES * n_chunks)
 
 
@@ -485,27 +472,30 @@ def _readout_by_slot(w: _RowRun, t: np.ndarray, out: np.ndarray):
         _sparsetools.csr_matvec(n - i, cols, w.indptr[i:], w.indices, w.data, ti, out[i, i:])
 
 
-def _form_dest(cl: _SizeClass, ch: _Chunk, floor: np.ndarray):
-    """Fill ch.dest with the cell in M's buffer of each pair (j, i) of ch's readout.
+def _scatter_index(rows: np.ndarray, i0: int, i1: int, m: int) -> np.ndarray:
+    """The cell in M's buffer of each pair (j, i) of a chunk's readout, (nb, kr, kc).
 
-    The lower-triangle cell of constraints a and b is max(a*m + b, b*m + a):
-    two broadcast sums of the class's row_cells and rows and their maximum,
-    formed in ch.cells with the kr readout rows innermost, where numpy's
-    loops run long.  A padding slot (constraint m) gives one of the m + 1
-    spare cells after M, from m*m on.  A pair whose row slot j comes before
-    its column slot i is formed by the chunk holding T_j: floor, m*m below
-    its diagonal and 0 elsewhere, lifts it to a spare cell.  The cells are
-    then copied into the readout's order: np.add.at runs several times
-    faster on one flat index than on a strided one.
+    rows (nb, k) are M's rows of the chunk's blocks, padded with m, in the
+    index's dtype; the chunk's slots are i0..i1 and its readout rows the
+    slots from i0 on.  Constraints a and b add into the lower-triangle
+    cell max(a, b)*m + min(a, b).  A pair whose row slot j comes before its
+    column slot i is formed by the chunk holding T_j, and a padding slot
+    touches nothing: both land on the spare cell m*m after M.
     """
-    rows, starts = cl.rows[ch.blocks], cl.row_cells[ch.blocks]
-    i0, i1 = ch.slots.start, ch.slots.stop
-    np.add(starts[:, None, i0:], rows[:, i0:i1, None], out=ch.cells)
-    np.add(starts[:, i0:i1, None], rows[:, None, i0:], out=ch.alt)
-    np.maximum(ch.cells, ch.alt, out=ch.cells)
-    square = ch.cells[:, :, :i1 - i0]
-    np.maximum(square, floor[:i1 - i0, :i1 - i0], out=square)
-    np.copyto(ch.dest, ch.cells.transpose(0, 2, 1))
+    ci, cj = rows[:, None, i0:i1], rows[:, i0:, None]
+    # numpy buffers every broadcast operand of a ufunc, up to 8192 elements
+    # each, as large as a small chunk's index: one such operand at a time
+    dest = np.empty((len(rows), rows.shape[1] - i0, i1 - i0), rows.dtype)
+    dest[...] = ci
+    np.maximum(dest, cj, out=dest)
+    np.copyto(dest, m, where=np.arange(dest.shape[1])[:, None] < np.arange(dest.shape[2]))
+    real = dest < m
+    dest *= m
+    lo = np.empty_like(dest)
+    lo[...] = ci
+    np.minimum(lo, cj, out=lo)
+    np.add(dest, lo, out=dest, where=real)
+    return dest
 
 
 class _Layout:
@@ -517,13 +507,12 @@ class _Layout:
     are one sparse matvec each, A^T by reading a's arrays as CSC.
 
     The Schur build's working set is allocated here, once per solve, and
-    reused by every build: m_acc, the one m x m buffer (and m + 1 spare
-    cells after it that the pairs not formed land on), in which M is built
-    in the lower triangle and factored, taken from buf when given; one
-    arena, sized to the plan's largest chunk footprint, for every chunk's
-    views; and floor, (kc, kc) for the most slots a chunk has, m*m below
-    its diagonal and 0 elsewhere, with which _form_dest lifts the pairs a
-    chunk does not form.
+    reused by every build: m_acc, the one m x m buffer (and one spare cell
+    after it that the pairs not formed land on), in which M is built in
+    the lower triangle and factored, taken from buf when given; one arena,
+    sized to the plan's largest chunk footprint, for every chunk's views;
+    and the scatter index of every chunk but the strips.  The layout is
+    built from plan, prob's _plan, planned here when not given.
 
     order is None when M's rows are the constraints in order.  When a
     block is cut into slot ranges (see _strip_block), M's row i is
@@ -534,10 +523,10 @@ class _Layout:
     they add into.
     """
 
-    def __init__(self, prob: CanonicalSdp, buf: Optional[np.ndarray] = None):
+    def __init__(self, prob: CanonicalSdp, buf: Optional[np.ndarray] = None, plan=None):
         m = self.m = prob.n_constraints
         self.n_blocks = len(prob.block_sizes)
-        (blk, con, r, c, v), (pair_blk, pair_con, pair_width, pair_of_entry), cls, plans = _plan(prob)
+        (blk, con, r, c, v), (pair_blk, pair_con, pair_width, pair_of_entry), cls, plans = plan or _plan(prob)
         # each (block, constraint) pair gets a slot: its rank among the
         # constraints touching that block, widest first, so that the slot
         # ranges of a chunk need little padding
@@ -550,7 +539,7 @@ class _Layout:
         slot = pair_slot[pair_of_entry]
         on_c = prob.k == 0
         cblk, cr, cc, cv = (col[on_c] for col in (prob.blk, prob.r, prob.c, prob.v))
-        self.m_acc = np.empty(m * m + m + 1) if buf is None else buf[:m * m + m + 1]
+        self.m_acc = np.empty(m * m + 1) if buf is None else buf[:m * m + 1]
         full = self.m_acc[:m * m].reshape(m, m)
         # M's rows: the strip block's constraints in its slot order, last
         # slot first, then the others in constraint order.  A chunk's pairs
@@ -568,14 +557,13 @@ class _Layout:
             rest[lead] = False
             self.order = np.concatenate([lead[::-1], np.flatnonzero(rest)])
             row_of[self.order] = np.arange(m)
-        # M's first kl rows and columns, both reversed: the strips' frame
+        # M's first kl rows and columns, both reversed: the strips' frame,
+        # zeroed once: strips add 0 above M's diagonal, where nothing wrote before
         back = full[kl - 1::-1, kl - 1::-1] if kl else None
+        full[:kl, :kl] = 0.0
 
         index = _index_dtype(m)
-        size, kc = _working_set(plans, strip_blk, index)
-        self.arena = np.empty(size)
-        self.floor = np.tri(kc, k=-1, dtype=index)
-        self.floor *= index(m * m)
+        self.arena = np.empty(_working_set(plans, strip_blk)[0])
         self.classes: List[_SizeClass] = []
         pos = np.zeros(self.n_blocks, dtype=np.intp)  # position inside the class
         col = np.zeros(len(blk), dtype=np.intp)  # column of each entry in a
@@ -586,7 +574,7 @@ class _Layout:
             cstack = np.zeros((nb, s, s))
             sel = cls[cblk] == j
             _add_sym(cstack, (pos[cblk[sel]],), cr[sel], cc[sel], cv[sel])
-            rows = np.full((nb, k), m, dtype=np.intp)
+            rows = np.full((nb, k), m, dtype=index)
             width = np.zeros((nb, k), dtype=np.intp)
             sel = cls[pair_blk] == j
             rows[pos[pair_blk[sel]], pair_slot[sel]] = row_of[pair_con[sel]]
@@ -614,10 +602,11 @@ class _Layout:
                 r0, r1 = b0 * k + i0, b1 * k
                 wc = _RowRun((r1 - r0, (b1 - b0) * s * s), w.indptr[r0:r1 + 1], w.indices, w.data)
                 strip = back[i0:i1, i0:] if members[b0] == strip_blk else None  # it has k slots
-                views = _arena_views(self.arena, b1 - b0, i1 - i0, kk, s, k - i0, index, strip is not None)
+                views = _arena_views(self.arena, b1 - b0, i1 - i0, kk, s, k - i0, strip is not None)
+                dest = None if strip is not None else _scatter_index(rows[bl], i0, i1, m)
                 built.append(_Chunk(bl, sl, p[bl, sl, :kk], q[bl, sl, :kk], val[bl, sl, :kk, None],
-                                    wc, *views, strip))
-            self.classes.append(_SizeClass(members, cstack, rows, m, built))
+                                    wc, *views, dest, strip))
+            self.classes.append(_SizeClass(members, cstack, rows, built))
         self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
         self.ends = np.cumsum([0] + [cl.c.size for cl in self.classes])
 
@@ -641,14 +630,15 @@ class _Layout:
         product per (block, constraint) pair, read out against the A_j of
         the block and added into M: a strip chunk's by one CSR matvec per
         slot, from that slot on, into its strip, and any other chunk's by
-        one CSR product from its first slot on, at the cells _form_dest
-        finds.  Each pair of a block is formed once, by the slot that comes
-        first, so M is exactly symmetric in what it holds: its lower
-        triangle, diagonal included.  Only that triangle is zeroed, strip by
-        strip; the strict upper one keeps what was there (a strip adds 0
-        there), which _factor overwrites.  Each cell receives the same
-        terms in the same order whatever the numbering, so M in a block's
-        slot order is M in constraint order permuted, bit for bit.
+        one CSR product from its first slot on, through its held index.
+        Each pair of a block is formed once, by the slot that comes first,
+        so M is exactly symmetric in what it holds: its lower triangle,
+        diagonal included.  Only that triangle is zeroed, strip by strip;
+        the strict upper one keeps what was there (a strip adds 0 there, to
+        cells the layout zeroed), which _factor overwrites.  Each cell
+        receives the same terms in the same order whatever the numbering,
+        so M in a block's slot order is M in constraint order permuted, bit
+        for bit.
 
         The returned M is the layout's own (m, m) buffer, overwritten by the
         next call and by _factor: a caller that keeps M past them keeps a
@@ -661,7 +651,7 @@ class _Layout:
             b = min(a + MIRROR_TILE, m)
             full[a:b, :a] = 0.0
             np.copyto(full[a:b, a:b], 0.0, where=~_UPPER[:b - a, :b - a])
-        acc[m * m:] = 0.0  # the spare cells too, lest stale values overflow
+        acc[m * m] = 0.0  # the spare cell too, lest stale values overflow
         for cl, x, sinv in zip(self.classes, xs, sinvs):
             s = cl.size
             xf, sf = x.reshape(-1, s), sinv.reshape(-1, s)
@@ -675,7 +665,6 @@ class _Layout:
                 if ch.strip is None:
                     np.copyto(ch.tt, ch.t.reshape(nb, kc, s * s).swapaxes(1, 2))
                     _readout(ch.w, ch.tt.reshape(-1, kc), ch.out)
-                    _form_dest(cl, ch, self.floor)
                     np.add.at(acc, ch.dest.ravel(), ch.out.ravel())
                 else:
                     # the readout is 0 before each slot's own: the
@@ -855,30 +844,31 @@ def _memory_limit() -> int:
     return limit
 
 
-def _check_memory(prob: CanonicalSdp) -> int:
-    """Bytes of the solver's working set; ValueError when it would not fit.
+def _check_memory(prob: CanonicalSdp) -> Tuple[int, tuple]:
+    """Bytes of the solver's working set and prob's _plan; ValueError when it would not fit.
 
     Counts what is held for the whole solve: the one m x m buffer M is
-    built and factored in; the layout's arena and tables (bounded by
-    _layout_bytes); and 24 block stacks: the 13 an iteration keeps alive
-    (iterate, slack, the remembered best of both, residual, inverse factors
-    of X and S, S^{-1}, both pairs of directions, corrector) and the
-    temporaries of a step test (the stacked directions, two products and
-    eigvalsh's copy, each two stacks deep) with room to spare.
+    built and factored in; the layout's arena, indices and tables (bounded
+    by _layout_bytes of the plan returned); and 24 block stacks: the 13
+    an iteration keeps alive (iterate, slack, the remembered best of both,
+    residual, inverse factors of X and S, S^{-1}, both pairs of directions,
+    corrector) and the temporaries of a step test (the stacked directions,
+    two products and eigvalsh's copy, each two stacks deep) with room to
+    spare.
     """
     m = prob.n_constraints
     sizes = prob.block_sizes
     s_max = max(sizes, default=0)
-    need = 8 * (m * m + m + 1) + 8 * 24 * sum(s * s for s in sizes)
+    need = 8 * (m * m + 1) + 8 * 24 * sum(s * s for s in sizes)
     limit = _memory_limit()
-    if need <= limit:  # past it the block sizes may not even fit an int64
-        need += _layout_bytes(prob)
+    plan = _plan(prob) if need <= limit else None  # past it the block sizes may not fit an int64
+    need += _layout_bytes(m, plan) if plan else 0
     if need > limit:
         raise ValueError(
             f"the solver needs about {need / 2**20:.0f} MiB ({m} constraints, "
             f"largest block {s_max}), more than the {limit / 2**20:.0f} MiB "
             f"this process may use")
-    return need
+    return need, plan
 
 
 def _constraint_norms(prob: CanonicalSdp) -> np.ndarray:
@@ -948,22 +938,24 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
     A dropped row's multiplier is returned as 0.  A dependent row whose rhs
     disagrees with the rows it depends on makes the primal infeasible: the
     status is then "infeasible" at once, with an event naming the rows.
+    The layout is built from the memory check's plan, unless rows are dropped.
     """
     cfg = config or SolverConfig()
     prob.validate()
-    _check_memory(prob)
+    _, plan = _check_memory(prob)
     m_all = prob.n_constraints
-    buf = np.empty(m_all * m_all + m_all + 1)
+    buf = np.empty(m_all * m_all + 1)
     dropped, inconsistent = _dependent_rows(prob, buf, cfg.tol)
     if len(inconsistent):
         sol = _inconsistent(prob, inconsistent)
+    elif not len(dropped):
+        sol = _interior_point(prob, cfg, buf, plan)
     else:
-        sol = _interior_point(_without_rows(prob, dropped) if len(dropped) else prob, cfg, buf)
-        if len(dropped):
-            sol.events.insert(0, {"event": "presolve", "dropped": len(dropped)})
-            y = np.zeros(m_all)
-            y[np.isin(np.arange(m_all), dropped, invert=True)] = sol.y
-            sol.y = y
+        sol = _interior_point(_without_rows(prob, dropped), cfg, buf)
+        sol.events.insert(0, {"event": "presolve", "dropped": len(dropped)})
+        y = np.zeros(m_all)
+        y[np.isin(np.arange(m_all), dropped, invert=True)] = sol.y
+        sol.y = y
     if cfg.verbose:
         for ev in sol.events:
             print(f"event  {ev['event']}  "
@@ -992,10 +984,10 @@ def _inconsistent(prob: CanonicalSdp, rows: np.ndarray) -> SolverSolution:
     )
 
 
-def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, buf: np.ndarray) -> SolverSolution:
-    """The interior-point iteration on prob, M built and factored in buf."""
+def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, buf: np.ndarray, plan=None) -> SolverSolution:
+    """The interior-point iteration on prob, M built and factored in buf, its layout from plan."""
     m = prob.n_constraints
-    lay = _Layout(prob, buf)
+    lay = _Layout(prob, buf, plan)
     classes = lay.classes
     total_dim = sum(prob.block_sizes)
     b = prob.b

@@ -1,12 +1,13 @@
-"""The Schur build as it was with a scatter index held for the whole solve.
+"""The Schur build with a scatter index for every chunk, M's rows the constraints in order.
 
-Each chunk's index into M's buffer was formed once, with the layout, and
-held; every build zeroed the whole buffer, spare cell included, and added
-each chunk's readout in through that index.  M's rows were the
-constraints in order.  The tests hold the package's build, which forms
-each chunk's cells when the chunk is read out and may number M's rows in
-a block's slot order, to this: the same cells of M's lower triangle, bit
-for bit, once read through the layout's order.
+Each chunk's index into M's buffer is formed here from the layout's rows,
+read back into constraint order; the whole buffer, spare cell included,
+is zeroed, and each chunk's readout is added in through its index.  The
+tests hold the package's build to this.  That build holds an index only
+for the chunks that are not strips, adds the strip block's readout
+straight into rows of M and may number M's rows by that block's slots,
+yet fills the same cells of M's lower triangle, bit for bit, once read
+through the layout's order.
 """
 
 import numpy as np

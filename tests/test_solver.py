@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -823,18 +824,19 @@ def test_slot_order_schur_is_the_natural_one_permuted(case, chunk_bytes, monkeyp
 
 
 def chunk_dims(cl, ch):
-    """The (nb, kc, kk, s, kr, index, strip) of a chunk, as _chunk_footprint takes them."""
+    """The (nb, kc, kk, s, kr, strip) of a chunk, as _chunk_footprint takes them."""
     nb, kc, kk = ch.v.shape[:3]
-    return nb, kc, kk, cl.size, ch.w.shape[0] // nb, cl.rows.dtype, ch.strip is not None
+    return nb, kc, kk, cl.size, ch.w.shape[0] // nb, ch.strip is not None
 
 
 def planned_bytes(cl, ch):
-    """What a chunk's build touches besides w and the stacks, in bytes: its footprint and gather tables."""
+    """What a chunk's build touches besides w and the stacks, in bytes: footprint, index, gather tables."""
     footprint = sum(tssos.solver._chunk_footprint(*chunk_dims(cl, ch)))
-    return 8 * footprint + sum(a.nbytes for a in (ch.xrow, ch.srow, ch.v))
+    held = 0 if ch.dest is None else ch.dest.nbytes
+    return 8 * footprint + held + sum(a.nbytes for a in (ch.xrow, ch.srow, ch.v))
 
 
-VIEWS = ("xg", "sg", "t", "tt", "out", "cells", "alt", "dest")
+VIEWS = ("xg", "sg", "t", "tt", "out")
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, SLOT_BUDGET])
@@ -846,27 +848,36 @@ def test_chunk_views_lie_side_by_side_in_the_arena(case, chunk_bytes, monkeypatc
     lay = _Layout(prob)
     lo = lay.arena.__array_interface__["data"][0]
     hi = lo + lay.arena.nbytes
-    most = 0
+    most = held = 0
     for cl in lay.classes:
         # the arena is sized before the chunks, each at its class's widest pair
         wide = max((ch.v.shape[2] for ch in cl.chunks), default=0)
         for ch in cl.chunks:
             views = [(name, getattr(ch, name)) for name in VIEWS if getattr(ch, name) is not None]
+            # a strip chunk has no T transposed
+            assert len(views) == (4 if ch.strip is not None else 5)
             for name, a in views:
                 start = a.__array_interface__["data"][0]
                 assert lo <= start and start + a.nbytes <= hi, name
-            # dest reads alt's memory once alt is dead; no other two overlap
             for (n1, a1), (n2, a2) in itertools.combinations(views, 2):
-                assert np.shares_memory(a1, a2) == ({n1, n2} == {"alt", "dest"}), (n1, n2)
-            nb, kc, _, s, kr, index, strip = chunk_dims(cl, ch)
-            most = max(most, sum(tssos.solver._chunk_footprint(nb, kc, wide, s, kr, index, strip)))
-    # the arena is the largest footprint, and it is what the memory estimate counts
+                assert not np.shares_memory(a1, a2), (n1, n2)
+            # a chunk but a strip holds one index, outside the arena, a cell
+            # of M's buffer for each pair of its readout
+            assert (ch.dest is None) == (ch.strip is not None)
+            if ch.dest is not None:
+                assert ch.dest.shape == ch.out.shape and ch.dest.dtype == cl.rows.dtype
+                assert not np.shares_memory(ch.dest, lay.arena)
+                held += ch.dest.size
+            nb, kc, _, s, kr, strip = chunk_dims(cl, ch)
+            most = max(most, sum(tssos.solver._chunk_footprint(nb, kc, wide, s, kr, strip)))
+    # the arena is the largest footprint; the memory estimate counts it and
+    # at least the indices held (chunks of untouched blocks hold none)
     assert lay.arena.size == most
     terms = []
     real = tssos.solver._working_set
     monkeypatch.setattr(tssos.solver, "_working_set", lambda *a: terms.append(real(*a)) or terms[-1])
-    tssos.solver._layout_bytes(prob)
-    assert [arena for arena, _ in terms] == [most]
+    tssos.solver._layout_bytes(prob.n_constraints, tssos.solver._plan(prob))
+    assert len(terms) == 1 and terms[0][0] == most and terms[0][1] >= held
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 1 << 12, 1 << 16, None])
@@ -877,7 +888,8 @@ def test_no_chunk_past_the_budget_but_a_single_pair(case, chunk_bytes, monkeypat
     budget = tssos.solver.SCHUR_CHUNK_BYTES
     prob = SCHUR_CASES[case]()
     m = prob.n_constraints
-    buf = np.empty(m * m + m + 1)
+    buf = np.empty(m * m + 1)
+    bound = tssos.solver._layout_bytes(m, tssos.solver._plan(prob))
     tracemalloc.start()
     try:
         lay = _Layout(prob, buf)
@@ -889,8 +901,8 @@ def test_no_chunk_past_the_budget_but_a_single_pair(case, chunk_bytes, monkeypat
             nb, kc = ch.v.shape[:2]
             assert nb * kc == 1 or planned_bytes(cl, ch) <= budget, (nb, kc, planned_bytes(cl, ch))
     # the memory estimate plans the same chunks, each at least as wide, and
-    # bounds all the layout allocates besides M's buffer
-    assert peak <= tssos.solver._layout_bytes(prob), (peak, tssos.solver._layout_bytes(prob))
+    # bounds all the layout allocates besides M's buffer, the indices too
+    assert peak <= bound, (peak, bound)
 
 
 def many_constraints_instance():
@@ -928,13 +940,72 @@ def test_schur_holds_one_m_by_m_array_and_one_chunk(make, monkeypatch):
     # the dense block is cut into slot ranges: M is numbered by its slots
     assert (lay.order is not None) == (make is dense_banded_instance)
     assert schur.shape == (m, m) and np.shares_memory(schur, lay.m_acc)
-    # no index is held: each chunk forms its cells in the arena, or adds
-    # its readout in a strip of M
-    assert all(np.shares_memory(ch.cells, lay.arena) and np.shares_memory(ch.dest, lay.arena)
-               if ch.strip is None else np.shares_memory(ch.strip, lay.m_acc)
-               for cl in lay.classes for ch in cl.chunks)
+    # each chunk holds its index, nb*kr*kc entries outside the arena, or
+    # adds its readout in a strip of M and holds none
+    for cl in lay.classes:
+        for ch in cl.chunks:
+            nb, kc = ch.v.shape[:2]
+            if ch.strip is None:
+                assert ch.dest.shape == (nb, ch.w.shape[0] // nb, kc)
+                assert not np.shares_memory(ch.dest, lay.arena)
+            else:
+                assert ch.dest is None and np.shares_memory(ch.strip, lay.m_acc)
     # M's one buffer, plus one chunk and the layout's smaller arrays
     assert peak <= m * m * 8 + 2 * (1 << 20), peak / (m * m * 8)
+
+
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_schur_builds_form_no_index(case, monkeypatch):
+    prob = SCHUR_CASES[case]()
+    rng = np.random.default_rng(53)
+    lay = _Layout(prob)
+    xs, ss = (class_stacks(lay, random_pd_blocks(rng, prob.block_sizes)) for _ in range(2))
+    want = np.tril(_Layout(prob).schur(xs, ss))
+
+    def forbidden(*args):
+        raise AssertionError("a scatter index formed after the layout")
+
+    # the indices are formed with the layout and held: no build forms one
+    monkeypatch.setattr(tssos.solver, "_scatter_index", forbidden)
+    for _ in range(2):
+        assert np.array_equal(np.tril(lay.schur(xs, ss)), want)
+
+
+def test_schur_build_reads_no_unwritten_bytes():
+    # M's buffer full of signaling NaNs, as a reused heap block may hold:
+    # adding into a cell that nothing wrote raises "invalid value"
+    prob = dense_banded_instance()
+    m = prob.n_constraints
+    rng = np.random.default_rng(59)
+    buf = np.full(m * m + 1, 0x7FF0000000000001, dtype=np.uint64).view(float)
+    lay = _Layout(prob, buf)
+    xs, ss = (class_stacks(lay, random_pd_blocks(rng, prob.block_sizes)) for _ in range(2))
+    want = np.tril(_Layout(prob, np.zeros(m * m + 1)).schur(xs, ss))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = lay.schur(xs, ss)
+    assert np.tril(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make, plans", [(lambda: mixed_instance(*MIXED_GOLDEN[0][0]), 1),
+                                         (lambda: repeated_constraint_instance((1.0, 1.0)), 2)],
+                         ids=["mixed", "repeated_constraint"])
+def test_layout_planned_once_per_solve(make, plans, monkeypatch):
+    calls = []
+    real = tssos.solver._plan
+    monkeypatch.setattr(tssos.solver, "_plan", lambda prob: calls.append(prob) or real(prob))
+    sol = solve_canonical(make())
+    assert sol.status == "optimal"
+    # the layout is built from the memory check's plan; a problem that the
+    # presolve took rows off is planned once more
+    assert len(calls) == plans
+
+
+def test_block_sizes_beyond_int64_are_refused_before_planning(monkeypatch):
+    prob = canonical_sdp((int("9" * 25),), (), (((0, 0, 0, 1.0),),), (1.0,))
+    monkeypatch.setattr(tssos.solver, "_plan", None)  # nothing may be planned
+    with pytest.raises(ValueError, match=r"needs about \d+ MiB \(1 constraints"):
+        solve_canonical(prob)
 
 
 def test_solver_refuses_problem_above_memory_limit(monkeypatch):
@@ -1136,7 +1207,7 @@ def test_factor_gives_up_past_the_last_rung_without_writing_m():
 @pytest.mark.parametrize("make", [many_constraints_instance, dense_banded_instance])
 def test_solve_peak_is_within_memory_estimate(make):
     prob = make()
-    need = tssos.solver._check_memory(prob)
+    need, _ = tssos.solver._check_memory(prob)
     tracemalloc.start()
     try:
         solve_canonical(prob)
@@ -1194,7 +1265,7 @@ def test_solve_peak_with_large_blocks_is_within_memory_estimate(monkeypatch):
     c = tuple((b, i, i, 1.0) for b, s in enumerate(sizes) for i in range(s))
     a = tuple(((b, 0, 0, 1.0), (b, 0, 1, 1.0)) for b in range(len(sizes)))
     prob = canonical_sdp(sizes, c, a, (1.0,) * len(sizes))
-    need = tssos.solver._check_memory(prob)
+    need, _ = tssos.solver._check_memory(prob)
     tracemalloc.start()
     try:
         sol = solve_canonical(prob)
