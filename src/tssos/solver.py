@@ -44,42 +44,34 @@ straight off the table's columns:
   SCHUR_CHUNK_BYTES of working set, so no intermediate grows with the
   number of constraints times s^2.  The budget is a core's 2 MiB L2
   cache, after the cache blocking of Goto and van de Geijn (ACM TOMS 34,
-  2008).  With the strips below, it was measured faster than 8 MiB on a
-  dense 56 x 56 block and on the 100 x 100 clique of gen_rosenbrock
-  n=100 (ROADMAP item 2).  Within a block the
+  2008).  With the strips below, one Schur build was measured faster at
+  2 MiB than at 8 MiB on a dense 56 x 56 block and on the 100 x 100
+  clique of gen_rosenbrock n=100, there 103 against 127 ms.  Within a block the
   constraints are ordered widest first, so a chunk pads K only to its own
   widest entry list.
 
 Only the pairs i <= j of each block are formed: the chunk holding T_i
-reads out the constraints from its first slot on.  M is accumulated in one
-triangle of one m x m buffer; only that triangle is zeroed.  Where a block
-is too wide for one chunk (a dense relaxation's one block, the Newton
-basis's {1, x_i^2} clique), M's rows are numbered by that block's slots,
-last first (of several such blocks, the one touched by most
-constraints).  Its chunks read T out slot by slot, one CSR matvec per
-slot from that slot on, into rows that are M's own, and add them into
-whole rows of M's triangle: no transposed copy of T, no index.  Every
-other chunk adds its readout by one np.add.at through its scatter index,
-formed once with the layout and held: those chunks serve the narrower
-blocks, so at paper scale the indices are a few percent of M's bytes.  A
-chunk's buffers lie side by side in one arena, sized by the footprint the
-chunks are planned with.
+reads out the constraints from its first slot on, into M's lower
+triangle (_Schur holds M: its buffer and numbering, its factor and
+solves).  Where a block is too wide for one chunk (a dense relaxation's
+one block, the Newton basis's {1, x_i^2} clique), M's rows are numbered
+by that block's slots, last first (of several such blocks, the one
+touched by most constraints).  Its chunks read T out slot by slot, one
+CSR matvec per slot from that slot on, into rows that are M's own, and
+add them into whole rows of M's triangle: no transposed copy of T, no
+index.  Every other chunk adds its readout by one np.add.at through its
+scatter index, formed once with the layout and held: those chunks serve
+the narrower blocks, so at paper scale the indices are a few percent of
+M's bytes.  A chunk's buffers lie side by side in one arena, sized by
+the footprint the chunks are planned with.
 
-M is factored once per iteration, in place by LAPACK's potrf, and the
-predictor and the corrector solve with the same factor, as in SDPT3: M's
-triangle is copied onto the other one strip by strip, and potrf
-overwrites that copy, so the untouched triangle and M's diagonal, saved
-aside, still hold M for the refinement's symv.  With M's rows in
-constraint order the solves are potrs; numbered by a block's slots, the
-right-hand side is permuted into that order and the solution out of it,
-and each solve is two trsv calls on the factor, which run about twice as
-fast as potrs's one-column trsm from m of a few hundred up.  X and S are
-factored together, one Cholesky call on each class's stacked [X; S], and the
-factor L is inverted once.  S^{-1} is L_S^{-T} L_S^{-1}, and both
-step-length tests read their bounds off the eigenvalues of
-W = L^{-1} [dX; dS] L^{-T} (as SDPT3 does, Toh, Todd and Tutuncu, Optim.
-Methods Softw. 11, 1999): two batched products and one eigvalsh per
-class, no triangular solve.
+M is factored once per iteration, and the predictor and the corrector
+solve with the same factor, as in SDPT3.  X and S are factored together,
+one Cholesky call on each class's stacked [X; S], and the factor L is
+inverted once.  S^{-1} is L_S^{-T} L_S^{-1}, and both step-length tests
+read their bounds off the eigenvalues of W = L^{-1} [dX; dS] L^{-T} (as
+SDPT3 does, Toh, Todd and Tutuncu, Optim. Methods Softw. 11, 1999): two
+batched products and one eigvalsh per class, no triangular solve.
 
 M is singular for every X and S when the rows of A are linearly
 dependent, which the localizing blocks of a constrained relaxation make
@@ -87,8 +79,8 @@ common.  Before the first iteration such rows are found by a pivoted
 Cholesky of A A^T and dropped, as SDPT3 drops dependent constraints; a
 dropped row's multiplier is returned as 0.
 
-The working set (the m x m buffer, the arena of the Schur chunks and
-their scatter indices) is allocated once per solve and refilled by every
+The working set (M's buffer, the arena of the Schur chunks and their
+scatter indices) is allocated once per solve and refilled by every
 iteration.  Before anything is allocated, the working set (with the block
 stacks) is compared with the memory the process may use, and a problem
 that does not fit is refused with a ValueError.
@@ -125,8 +117,8 @@ LAYOUT_ENTRY_BYTES = 256
 LAYOUT_CHUNK_BYTES = 4096
 # at most this many passes of iterative refinement per Schur solve
 REFINE_PASSES = 4
-# width of the strips in which the Schur build zeroes M's triangle and
-# _factor copies it onto the other
+# width of the strips in which _Schur zeroes M's triangle and copies it
+# onto the other
 MIRROR_TILE = 64
 # share of the way to the cone boundary that each step goes
 STEP_FRACTION = 0.98
@@ -270,10 +262,10 @@ class _Chunk(NamedTuple):
     each pair (j, i) of the readout (see _scatter_index).
 
     strip is None but for the chunks of the layout's strip block, which M
-    is numbered by.  There it is the view of M's buffer, (slots of the
-    chunk, slots from its first on), both axes reversed, that the readout
-    lands on; out is the readout transposed, (nb, kc, kr), each slot's row
-    0 before that slot; and tt and dest are None.
+    is numbered by.  There it is the view of _Schur's frame, (slots of the
+    chunk, slots from its first on), that the readout lands on; out is the
+    readout transposed, (nb, kc, kr), each slot's row 0 before that slot;
+    and tt and dest are None.
     """
 
     blocks: slice
@@ -411,15 +403,16 @@ def _chunk_footprint(nb: int, kc: int, kk: int, s: int, kr: int, strip: bool) ->
     return [n_g, n_g, n_t, n_r] if strip else [n_g, n_g, n_t, n_t, n_r]
 
 
-def _working_set(plans, strip_blk: int) -> Tuple[int, int]:
-    """Arena doubles (the largest chunk footprint, at its class's widest pair) and the index entries held."""
-    arena = held = 0
+def _working_set(plans, strip_blk: int) -> Tuple[int, int, int]:
+    """Arena doubles (the largest chunk footprint, at its widest pair), index entries held, most in one."""
+    arena = held = most = 0
     for members, s, k, wide, chunks in plans:
         for b0, b1, i0, i1 in chunks:
             strip = members[b0] == strip_blk
             arena = max(arena, sum(_chunk_footprint(b1 - b0, i1 - i0, wide, s, k - i0, strip)))
-            held += 0 if strip else (b1 - b0) * (k - i0) * (i1 - i0)
-    return arena, held
+            size = 0 if strip else (b1 - b0) * (k - i0) * (i1 - i0)
+            held, most = held + size, max(most, size)
+    return arena, held, most
 
 
 def _arena_views(arena: np.ndarray, nb: int, kc: int, kk: int, s: int, kr: int, strip: bool):
@@ -435,16 +428,19 @@ def _arena_views(arena: np.ndarray, nb: int, kc: int, kk: int, s: int, kr: int, 
 def _layout_bytes(m: int, plan) -> int:
     """Bytes _Layout allocates besides M's buffer, or more, for m constraints and _plan's plan.
 
-    Read off the plan: the Schur arena and the chunks' held indices; the
-    class's (nb, k, wide) gather tables, which the chunks view, 24 bytes a
-    padded entry; LAYOUT_ENTRY_BYTES an entry of the symmetric expansion;
-    and LAYOUT_CHUNK_BYTES a chunk.
+    Read off the plan: the Schur arena and the chunks' held indices, with
+    what forming the largest one takes for a moment (see _scatter_index:
+    its lo twin, two bool masks and one ufunc buffer of up to
+    np.getbufsize() entries); the class's (nb, k, wide) gather tables,
+    which the chunks view, 24 bytes a padded entry; LAYOUT_ENTRY_BYTES an
+    entry of the symmetric expansion; and LAYOUT_CHUNK_BYTES a chunk.
     """
     entries, (pair_blk, *_), _, classes = plan
-    arena, held = _working_set(classes, _strip_block(pair_blk, classes))
+    arena, held, most = _working_set(classes, _strip_block(pair_blk, classes))
     tables = sum(len(members) * k * wide for members, _, k, wide, _ in classes)
     n_chunks = sum(len(chunks) for *_, chunks in classes)
-    return (8 * arena + np.dtype(_index_dtype(m)).itemsize * held + 24 * tables
+    index = np.dtype(_index_dtype(m)).itemsize
+    return (8 * arena + index * (held + most + min(most, np.getbufsize())) + 2 * most + 24 * tables
             + LAYOUT_ENTRY_BYTES * len(entries[0]) + LAYOUT_CHUNK_BYTES * n_chunks)
 
 
@@ -498,6 +494,130 @@ def _scatter_index(rows: np.ndarray, i0: int, i1: int, m: int) -> np.ndarray:
     return dest
 
 
+def _tiles(n: int):
+    """M's strips of MIRROR_TILE rows: (a, b, the strict upper mask of the tile a..b on the diagonal)."""
+    for a in range(0, n, MIRROR_TILE):
+        b = min(a + MIRROR_TILE, n)
+        yield a, b, _UPPER[:b - a, :b - a]
+
+
+class _Schur:
+    """The Schur complement M of m constraints: its buffer and numbering, its factor and solves.
+
+    M is built, factored and solved in one buffer of m*m + 1 doubles,
+    cells, allocated once per solve: full is its (m, m) array, and the
+    spare cell m*m after it takes the pairs no chunk forms.  A build
+    zeroes M's lower triangle, diagonal included, and the spare cell, strip
+    by strip (zero()), and adds into them: through cells by the held
+    scatter indices' np.add.at, and through frame by the strips.  The
+    strict upper triangle keeps what was there, which factor() overwrites;
+    a caller that keeps M past the next build or factor keeps a copy.
+
+    M's row i is constraint order[i].  lead is the constraints of the
+    strip block (see _strip_block) in its slot order, empty when there is
+    none.  M's rows are lead, last slot first, then the other constraints
+    in order, so order is the identity when lead is empty.  frame, None
+    without lead, is M's first kl = len(lead) rows and columns, both axes
+    reversed: the strip block's chunks view it, and a pair (j, i) of its
+    slots i <= j lands at row kl - 1 - i and column kl - 1 - j, every row
+    a contiguous run of M's lower triangle.  The strips add 0 above M's
+    diagonal, so the frame is zeroed once, here.  Each cell receives the
+    same terms in the same order whatever the numbering, so M in a
+    block's slot order is M in constraint order permuted, bit for bit.
+
+    factor() factors M in place by LAPACK's potrf, jittering the diagonal
+    only on failure.  Every rung of its ladder copies M's lower triangle
+    onto the upper one strip by strip, puts M's diagonal (saved aside as
+    diag) plus the rung's jitter on the diagonal and runs potrf on full.T,
+    whose lower triangle in Fortran order is that copy.  The factor lo is
+    full.T: its lower triangle is the factor, its strict upper one M's,
+    which potrs and trsv do not read.  When every rung fails, M's diagonal
+    is put back.
+
+    solve(rhs) solves M x = rhs with the last factor, rhs permuted into
+    M's numbering and x back out of it.  Without a strip block the solves
+    with the factor are potrs; with one, two trsv calls on lo in place, L
+    then L^T, which run about twice as fast as potrs's trsm on one column
+    from m of a few hundred up.  Iterative refinement keeps the solve
+    accurate when M turns ill-conditioned near the central path's end,
+    which otherwise leaves a feasibility residual floor around sqrt(eps)
+    or stalls the steps.  It runs while each pass at least halves the
+    residual, at most REFINE_PASSES times.  The residual's M x is one symv
+    on lo's strict upper triangle, with M's diagonal swapped in for the
+    call.
+    """
+
+    def __init__(self, m: int, lead: np.ndarray):
+        self.cells = np.empty(m * m + 1)
+        self.full = self.cells[:m * m].reshape(m, m)
+        rest = np.ones(m, dtype=bool)
+        rest[lead] = False
+        self.order = np.concatenate([lead[::-1], np.flatnonzero(rest)])
+        kl = len(lead)
+        self.frame = self.full[kl - 1::-1, kl - 1::-1] if kl else None
+        self.full[:kl, :kl] = 0.0
+        self.lo = self.diag = None
+
+    def zero(self):
+        """Zero M's lower triangle, strip by strip, and the spare cell, lest stale values overflow."""
+        for a, b, upper in _tiles(len(self.full)):
+            self.full[a:b, :a] = 0.0
+            np.copyto(self.full[a:b, a:b], 0.0, where=~upper)
+        self.cells[-1] = 0.0
+
+    def factor(self) -> Tuple[bool, float]:
+        """Whether M factored, and the jitter used: the last rung's when every rung failed."""
+        full = self.full
+        n = len(full)
+        diag = self.diag = full.diagonal().copy()
+        base = 1e-14 * (1.0 + np.abs(diag).max(initial=0.0))
+        for jitter in [0.0] + [base * 100.0 ** j for j in range(7)]:
+            for a, b, upper in _tiles(n):
+                full[:a, a:b] = full[a:b, :a].T
+                tile = full[a:b, a:b]
+                np.copyto(tile, tile.T, where=upper)
+            full.flat[:: n + 1] = diag + jitter
+            self.lo, info = lapack.dpotrf(full.T, lower=1, overwrite_a=1, clean=0)
+            if info == 0:
+                return True, jitter
+        full.flat[:: n + 1] = diag
+        return False, jitter
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^{-1} rhs, rhs and the result in constraint order."""
+        lo, diag, order = self.lo, self.diag, self.order
+        on_diag = lo.T.reshape(-1)[:: len(diag) + 1]  # a view: lo is Fortran-contiguous
+        factor_diag = on_diag.copy()
+
+        def residual(x):
+            on_diag[:] = diag
+            mx = blas.dsymv(1.0, lo, x, lower=0)
+            on_diag[:] = factor_diag
+            return rhs - mx
+
+        def by_factor(r):
+            """M^{-1} r; overwrites r when solving by trsv."""
+            if self.frame is None:
+                return lapack.dpotrs(lo, r, lower=1)[0]
+            blas.dtrsv(lo, r, lower=1, overwrite_x=1)
+            return blas.dtrsv(lo, r, lower=1, trans=1, overwrite_x=1)
+
+        rhs = rhs[order]
+        x = by_factor(rhs.copy())
+        res = residual(x)
+        last = np.inf
+        for _ in range(REFINE_PASSES):
+            size = np.linalg.norm(res)
+            if not size < 0.5 * last:
+                break
+            x += by_factor(res)
+            last = size
+            res = residual(x)
+        out = np.empty_like(x)
+        out[order] = x
+        return out
+
+
 class _Layout:
     """Size classes of a problem, the constraint map A and the Schur build.
 
@@ -507,23 +627,15 @@ class _Layout:
     are one sparse matvec each, A^T by reading a's arrays as CSC.
 
     The Schur build's working set is allocated here, once per solve, and
-    reused by every build: m_acc, the one m x m buffer (and one spare cell
-    after it that the pairs not formed land on), in which M is built in
-    the lower triangle and factored, taken from buf when given; one arena,
-    sized to the plan's largest chunk footprint, for every chunk's views;
-    and the scatter index of every chunk but the strips.  The layout is
-    built from plan, prob's _plan, planned here when not given.
-
-    order is None when M's rows are the constraints in order.  When a
-    block is cut into slot ranges (see _strip_block), M's row i is
-    constraint order[i]: that block's constraints in its slot order, last
-    slot first, then the others in order.  The classes' rows and the
-    cells are M's, while A and A^T keep the constraint order, so _solve
-    permutes at its boundary.  That block's chunks hold the strips of M
-    they add into.
+    reused by every build: mat, M itself (see _Schur), its rows numbered
+    by the strip block's slots when there is one (see _strip_block); one
+    arena, sized to the plan's largest chunk footprint, for every chunk's
+    views; and the scatter index of every chunk but the strips.  The
+    classes' rows are M's, while A and A^T keep the constraint order.  The
+    layout is built from plan, prob's _plan, planned here when not given.
     """
 
-    def __init__(self, prob: CanonicalSdp, buf: Optional[np.ndarray] = None, plan=None):
+    def __init__(self, prob: CanonicalSdp, plan=None):
         m = self.m = prob.n_constraints
         self.n_blocks = len(prob.block_sizes)
         (blk, con, r, c, v), (pair_blk, pair_con, pair_width, pair_of_entry), cls, plans = plan or _plan(prob)
@@ -539,28 +651,10 @@ class _Layout:
         slot = pair_slot[pair_of_entry]
         on_c = prob.k == 0
         cblk, cr, cc, cv = (col[on_c] for col in (prob.blk, prob.r, prob.c, prob.v))
-        self.m_acc = np.empty(m * m + 1) if buf is None else buf[:m * m + 1]
-        full = self.m_acc[:m * m].reshape(m, m)
-        # M's rows: the strip block's constraints in its slot order, last
-        # slot first, then the others in constraint order.  A chunk's pairs
-        # then land on the rows of its slots, each pair (j, i) of slots
-        # i <= j at row kl - 1 - i and column kl - 1 - j: every row a
-        # contiguous run of M's lower triangle.
         strip_blk = _strip_block(pair_blk, plans)
         mine = pair_blk == strip_blk
-        lead = pair_con[mine][np.argsort(pair_slot[mine])]
-        kl = len(lead)
-        self.order = None
-        row_of = np.arange(m)
-        if kl:
-            rest = np.ones(m, dtype=bool)
-            rest[lead] = False
-            self.order = np.concatenate([lead[::-1], np.flatnonzero(rest)])
-            row_of[self.order] = np.arange(m)
-        # M's first kl rows and columns, both reversed: the strips' frame,
-        # zeroed once: strips add 0 above M's diagonal, where nothing wrote before
-        back = full[kl - 1::-1, kl - 1::-1] if kl else None
-        full[:kl, :kl] = 0.0
+        self.mat = _Schur(m, pair_con[mine][np.argsort(pair_slot[mine])])
+        row_of = np.argsort(self.mat.order)
 
         index = _index_dtype(m)
         self.arena = np.empty(_working_set(plans, strip_blk)[0])
@@ -601,7 +695,7 @@ class _Layout:
                 bl, sl = slice(b0, b1), slice(i0, i1)
                 r0, r1 = b0 * k + i0, b1 * k
                 wc = _RowRun((r1 - r0, (b1 - b0) * s * s), w.indptr[r0:r1 + 1], w.indices, w.data)
-                strip = back[i0:i1, i0:] if members[b0] == strip_blk else None  # it has k slots
+                strip = self.mat.frame[i0:i1, i0:] if members[b0] == strip_blk else None  # k slots
                 views = _arena_views(self.arena, b1 - b0, i1 - i0, kk, s, k - i0, strip is not None)
                 dest = None if strip is not None else _scatter_index(rows[bl], i0, i1, m)
                 built.append(_Chunk(bl, sl, p[bl, sl, :kk], q[bl, sl, :kk], val[bl, sl, :kk, None],
@@ -624,34 +718,21 @@ class _Layout:
     def schur(self, xs: List[np.ndarray], sinvs: List[np.ndarray]) -> np.ndarray:
         """M[i,j] = sum_b <A_j, X A_i S^{-1}> for i >= j, in the lower triangle.
 
-        i and j are M's rows, numbered as the layout's order says.  X and
-        S^{-1} are symmetric, so X A_i S^{-1} is the sum over the entries e
-        of A_i of v_e X[p_e, :]^T S^{-1}[q_e, :]: one (s, K) by (K, s)
-        product per (block, constraint) pair, read out against the A_j of
-        the block and added into M: a strip chunk's by one CSR matvec per
-        slot, from that slot on, into its strip, and any other chunk's by
-        one CSR product from its first slot on, through its held index.
-        Each pair of a block is formed once, by the slot that comes first,
-        so M is exactly symmetric in what it holds: its lower triangle,
-        diagonal included.  Only that triangle is zeroed, strip by strip;
-        the strict upper one keeps what was there (a strip adds 0 there, to
-        cells the layout zeroed), which _factor overwrites.  Each cell
-        receives the same terms in the same order whatever the numbering,
-        so M in a block's slot order is M in constraint order permuted, bit
-        for bit.
+        i and j are M's rows, numbered as mat.order says.  X and S^{-1}
+        are symmetric, so X A_i S^{-1} is the sum over the entries e of A_i
+        of v_e X[p_e, :]^T S^{-1}[q_e, :]: one (s, K) by (K, s) product per
+        (block, constraint) pair, read out against the A_j of the block and
+        added into M: a strip chunk's by one CSR matvec per slot, from that
+        slot on, into its strip, and any other chunk's by one CSR product
+        from its first slot on, through its held index.  Each pair of a
+        block is formed once, by the slot that comes first, so M is exactly
+        symmetric in what it holds: its lower triangle, diagonal included,
+        zeroed first (see _Schur).
 
-        The returned M is the layout's own (m, m) buffer, overwritten by the
-        next call and by _factor: a caller that keeps M past them keeps a
-        copy.
+        The returned M is mat's (m, m) array, overwritten by the next call
+        and by mat.factor(): a caller that keeps M past them keeps a copy.
         """
-        m = self.m
-        acc = self.m_acc
-        full = acc[:m * m].reshape(m, m)
-        for a in range(0, m, MIRROR_TILE):
-            b = min(a + MIRROR_TILE, m)
-            full[a:b, :a] = 0.0
-            np.copyto(full[a:b, a:b], 0.0, where=~_UPPER[:b - a, :b - a])
-        acc[m * m] = 0.0  # the spare cell too, lest stale values overflow
+        self.mat.zero()
         for cl, x, sinv in zip(self.classes, xs, sinvs):
             s = cl.size
             xf, sf = x.reshape(-1, s), sinv.reshape(-1, s)
@@ -665,13 +746,13 @@ class _Layout:
                 if ch.strip is None:
                     np.copyto(ch.tt, ch.t.reshape(nb, kc, s * s).swapaxes(1, 2))
                     _readout(ch.w, ch.tt.reshape(-1, kc), ch.out)
-                    np.add.at(acc, ch.dest.ravel(), ch.out.ravel())
+                    np.add.at(self.mat.cells, ch.dest.ravel(), ch.out.ravel())
                 else:
                     # the readout is 0 before each slot's own: the
                     # strip's cells above M's diagonal keep their values
                     _readout_by_slot(ch.w, ch.t[0], ch.out[0])
                     np.add(ch.strip, ch.out[0], out=ch.strip)
-        return full
+        return self.mat.full
 
     def unstack(self, stacks: List[np.ndarray]) -> List[np.ndarray]:
         """Per-block matrices in the original block order."""
@@ -727,99 +808,6 @@ def _step_lengths(linv: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> Tuple[flo
     w = linv @ (np.concatenate([dx, ds]) if both else ds) @ linv.swapaxes(-1, -2)
     lam = np.linalg.eigvalsh(w)[:, 0]
     return (_bound(lam[:nb].min()) if both else 0.0), _bound(lam[-nb:].min())
-
-
-def _mirror(m: np.ndarray):
-    """Copy the lower triangle of the square m onto its upper one.
-
-    Column strip by column strip: the rows a..b of the lower triangle,
-    contiguous, become the columns a..b of the upper one.
-    """
-    n = len(m)
-    for a in range(0, n, MIRROR_TILE):
-        b = min(a + MIRROR_TILE, n)
-        m[:a, a:b] = m[a:b, :a].T
-        tile = m[a:b, a:b]
-        np.copyto(tile, tile.T, where=_UPPER[:b - a, :b - a])
-
-
-def _factor(m: np.ndarray) -> Tuple[Optional[np.ndarray], float, np.ndarray]:
-    """Lower Cholesky factor of M in M's own buffer, jittering the diagonal only on failure.
-
-    m holds M in its lower triangle, as _Layout.schur leaves it.  Returns
-    the factor (None when every jitter failed), the jitter used and M's
-    diagonal.  Every rung of the ladder copies the lower triangle onto the
-    upper one, puts M's diagonal plus the rung's jitter on the diagonal and
-    runs LAPACK's potrf in place on m.T, whose lower triangle in Fortran
-    order is that copy.  The factor is m.T, the Fortran-order view: its
-    lower triangle is the factor, its strict upper one is M's, which potrs
-    and trsv do not read and _solve reads M off.  When every rung fails, M's
-    diagonal is put back.
-    """
-    n = len(m)
-    diag = m.diagonal().copy()
-    base = 1e-14 * (1.0 + np.abs(diag).max(initial=0.0))
-    for jitter in [0.0] + [base * 100.0 ** j for j in range(7)]:
-        _mirror(m)
-        m.flat[:: n + 1] = diag + jitter
-        lo, info = lapack.dpotrf(m.T, lower=1, overwrite_a=1, clean=0)
-        if info == 0:
-            return lo, jitter, diag
-    m.flat[:: n + 1] = diag
-    return None, jitter, diag
-
-
-def _solve(lo: np.ndarray, diag: np.ndarray, rhs: np.ndarray,
-           order: Optional[np.ndarray] = None) -> np.ndarray:
-    """Solve M x = rhs with _factor's factor lo of (a jittered) M and M's diagonal.
-
-    Iterative refinement keeps the solve accurate when M turns
-    ill-conditioned near the central path's end, which otherwise leaves a
-    feasibility residual floor around sqrt(eps) or stalls the steps.  It
-    runs while each pass at least halves the residual, at most
-    REFINE_PASSES times.  The residual's M x is one symv on lo's strict
-    upper triangle, with M's diagonal swapped in for the call.
-
-    order is the layout's: None when M's rows are the constraints in order,
-    and then potrs solves with lo's lower triangle in place.  Otherwise M's
-    row i is constraint order[i]: rhs is permuted into M's numbering and x
-    back out of it, and each solve with the factor is two trsv calls on lo
-    in place, L then L^T, which run faster than potrs's trsm on one column
-    from m of a few hundred up.
-    """
-    on_diag = lo.T.reshape(-1)[:: len(diag) + 1]  # a view: lo is Fortran-contiguous
-    factor_diag = on_diag.copy()
-
-    def residual(x):
-        on_diag[:] = diag
-        mx = blas.dsymv(1.0, lo, x, lower=0)
-        on_diag[:] = factor_diag
-        return rhs - mx
-
-    def by_factor(r):
-        """M^{-1} r; overwrites r when order is given."""
-        if order is None:
-            return lapack.dpotrs(lo, r, lower=1)[0]
-        blas.dtrsv(lo, r, lower=1, overwrite_x=1)
-        return blas.dtrsv(lo, r, lower=1, trans=1, overwrite_x=1)
-
-    if order is not None:
-        rhs = rhs[order]
-    x = by_factor(rhs.copy())
-    res = residual(x)
-    last = np.inf
-    for _ in range(REFINE_PASSES):
-        size = np.linalg.norm(res)
-        if not size < 0.5 * last:
-            break
-        x += by_factor(res)
-        last = size
-        res = residual(x)
-    if order is None:
-        return x
-    out = np.empty_like(x)
-    out[order] = x
-    return out
 
 
 def _mapped_bytes() -> int:
@@ -878,15 +866,16 @@ def _constraint_norms(prob: CanonicalSdp) -> np.ndarray:
     return np.sqrt(sq[1:])  # bin 0 is C's
 
 
-def _dependent_rows(prob: CanonicalSdp, buf: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+def _dependent_rows(prob: CanonicalSdp, tol: float) -> Tuple[np.ndarray, np.ndarray]:
     """Rows of A that are combinations of the others: (droppable, inconsistent).
 
     Nonzero rows whose supports share no cell (block, r, c) are
     independent; that is every unconstrained relaxation, settled by one sort
     of the table.  Otherwise the Gram matrix G = D A A^T D of the rows
     scaled to unit norm (<A_i, A_j> with symmetric semantics) is formed in
-    buf and factored by LAPACK's pivoted Cholesky, pstrf, with its default
-    tolerance.  The rows past its rank, in pivot order, are combinations
+    its own array, freed on return, and factored in place by LAPACK's
+    pivoted Cholesky, pstrf, with its default tolerance.  The rows past
+    its rank, in pivot order, are combinations
     of the rows K before: with P^T G P = L L^T, D_d A_d = L21 L11^{-1} D_K
     A_K.  Such a row is droppable when b_d agrees with the same combination
     of b_K within tol * (1 + ||b||); otherwise no X satisfies A(X) = b, and
@@ -907,9 +896,7 @@ def _dependent_rows(prob: CanonicalSdp, buf: np.ndarray, tol: float) -> Tuple[np
     scale = np.divide(1.0, norm, out=np.zeros(m), where=norm > 0)
     a = sp.csr_matrix((v * np.where(r == c, 1.0, math.sqrt(2.0)) * scale[con], (con, cell)),
                       shape=(m, cell[-1] + 1))
-    gram = buf[:m * m].reshape(m, m)
-    (a @ a.T).toarray(out=gram)
-    fac, piv, rank, _ = lapack.dpstrf(gram.T, lower=1, overwrite_a=1)
+    fac, piv, rank, _ = lapack.dpstrf((a @ a.T).toarray().T, lower=1, overwrite_a=1)
     if rank == m:
         return none, none
     kept, dep = piv[:rank] - 1, piv[rank:] - 1
@@ -944,14 +931,13 @@ def solve_canonical(prob: CanonicalSdp, config: SolverConfig | None = None) -> S
     prob.validate()
     _, plan = _check_memory(prob)
     m_all = prob.n_constraints
-    buf = np.empty(m_all * m_all + 1)
-    dropped, inconsistent = _dependent_rows(prob, buf, cfg.tol)
+    dropped, inconsistent = _dependent_rows(prob, cfg.tol)
     if len(inconsistent):
         sol = _inconsistent(prob, inconsistent)
     elif not len(dropped):
-        sol = _interior_point(prob, cfg, buf, plan)
+        sol = _interior_point(prob, cfg, plan)
     else:
-        sol = _interior_point(_without_rows(prob, dropped), cfg, buf)
+        sol = _interior_point(_without_rows(prob, dropped), cfg)
         sol.events.insert(0, {"event": "presolve", "dropped": len(dropped)})
         y = np.zeros(m_all)
         y[np.isin(np.arange(m_all), dropped, invert=True)] = sol.y
@@ -984,10 +970,10 @@ def _inconsistent(prob: CanonicalSdp, rows: np.ndarray) -> SolverSolution:
     )
 
 
-def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, buf: np.ndarray, plan=None) -> SolverSolution:
-    """The interior-point iteration on prob, M built and factored in buf, its layout from plan."""
+def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, plan=None) -> SolverSolution:
+    """The interior-point iteration on prob, its layout from plan."""
     m = prob.n_constraints
-    lay = _Layout(prob, buf, plan)
+    lay = _Layout(prob, plan)
     classes = lay.classes
     total_dim = sum(prob.block_sizes)
     b = prob.b
@@ -1091,9 +1077,10 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, buf: np.ndarray, plan
         # S^{-1} = L^{-T} L^{-1} from S's half of the inverse factors
         sinvs = [_sym(li[-len(s):].swapaxes(-1, -2) @ li[-len(s):]) for li, s in zip(linvs, ss)]
 
-        lo, jitter, diag = _factor(lay.schur(xs, sinvs))
+        lay.schur(xs, sinvs)
+        factored, jitter = lay.mat.factor()
         max_jitter = max(max_jitter, jitter)
-        if lo is None:
+        if not factored:
             stop("schur_failed")
             status = "numerical"
             break
@@ -1109,7 +1096,7 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, buf: np.ndarray, plan
                 if corr is not None:
                     u = u + corr[j] @ sinv
                 aux.append(u)
-            dy = _solve(lo, diag, b + lay.a_map(aux), lay.order)
+            dy = lay.mat.solve(b + lay.a_map(aux))
             dss = [rdb - at for rdb, at in zip(rd, lay.at_map(dy))]
             dxs = []
             for j, (x, sinv, dsb) in enumerate(zip(xs, sinvs, dss)):

@@ -7,7 +7,7 @@ tests hold the package's build to this.  That build holds an index only
 for the chunks that are not strips, adds the strip block's readout
 straight into rows of M and may number M's rows by that block's slots,
 yet fills the same cells of M's lower triangle, bit for bit, once read
-through the layout's order.
+through M's order (the layout's mat.order).
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ def held_index_schur(lay, xs, sinvs):
     held = []
     for cl in lay.classes:
         # the classes hold rows of M; padding slots hold m
-        rows = cl.rows if lay.order is None else np.append(lay.order, m)[cl.rows]
+        rows = np.append(lay.mat.order, m)[cl.rows]
         held.append([scatter_index(rows[ch.blocks], ch.slots.start, ch.slots.stop, m)
                      for ch in cl.chunks])
     acc = np.zeros(m * m + 1)

@@ -23,7 +23,7 @@ from tssos.solver import (
     _constraint_norms,
     _inverse_factors,
     _Layout,
-    _solve,
+    _Schur,
     _step_lengths,
     solve_canonical,
 )
@@ -600,7 +600,7 @@ def test_presolved_rows_have_full_rank(constraint, order, k):
     seq = iterate_constrained(pop, generator_bases(pop, order), k=k)
     prob = assemble(pop, [maximal_cliques(g) for g in seq.at(k)]).canonical()[0]
     m = prob.n_constraints
-    dropped, inconsistent = tssos.solver._dependent_rows(prob, np.empty(m * m), 1e-8)
+    dropped, inconsistent = tssos.solver._dependent_rows(prob, 1e-8)
     assert len(inconsistent) == 0
     # exactly the rank deficiency is dropped, and what is left has full row rank
     assert np.linalg.matrix_rank(dense_rows(prob)) == m - len(dropped)
@@ -654,9 +654,7 @@ def symmetric(lower):
 
 def natural_lower(lay, got):
     """The lower triangle of the M that lay built, its rows read back into constraint order."""
-    if lay.order is None:
-        return np.tril(got)
-    rank = np.argsort(lay.order)
+    rank = np.argsort(lay.mat.order)
     return np.tril(symmetric(got)[np.ix_(rank, rank)])
 
 
@@ -768,7 +766,7 @@ def test_schur_cells_match_the_held_index_build(case, chunk_bytes, monkeypatch):
     prob = SCHUR_CASES[case]()
     rng = np.random.default_rng(37)
     lay = _Layout(prob)
-    lay.m_acc[:] = np.nan  # stale: the build zeroes what it adds into
+    lay.mat.cells[:] = np.nan  # stale: the build zeroes what it adds into
     xs, ss = (class_stacks(lay, random_pd_blocks(rng, prob.block_sizes)) for _ in range(2))
     want = held_index_schur(lay, xs, ss)
     assert not np.triu(want, 1).any()
@@ -794,22 +792,23 @@ def test_slot_order_schur_is_the_natural_one_permuted(case, chunk_bytes, monkeyp
     # the dense block is too wide for one chunk at every budget; mixed and
     # localizing only at the smaller one
     assert bool(ranged) == (case == "dense_banded" or chunk_bytes is not None)
-    assert (lay.order is not None) == bool(ranged)
-    order = np.arange(prob.n_constraints)
-    if ranged:
+    assert (lay.mat.frame is not None) == bool(ranged)
+    order = lay.mat.order
+    if not ranged:
+        assert order.tolist() == list(range(prob.n_constraints))
+    else:
         # M's first rows are the constraints of the ranged block touched by
         # most constraints, and its chunks alone add in strips of M
         touching = Counter(b for row in entry_rows(prob)[1:] for b in {e[0] for e in row})
         widest = min(ranged, key=lambda b: (-touching[b], b))
-        assert sorted(lay.order[:touching[widest]]) == [
+        assert sorted(order[:touching[widest]]) == [
             i for i, row in enumerate(entry_rows(prob)[1:]) if any(e[0] == widest for e in row)]
         for cl in lay.classes:
             for ch in cl.chunks:
                 on_widest = cl.blocks[ch.blocks].tolist() == [widest]
                 assert (ch.strip is not None) == on_widest
-                assert ch.strip is None or np.shares_memory(ch.strip, lay.m_acc)
-        order = lay.order
-    lay.m_acc[:] = np.nan
+                assert ch.strip is None or np.shares_memory(ch.strip, lay.mat.cells)
+    lay.mat.cells[:] = np.nan
     xs, ss = (class_stacks(lay, random_pd_blocks(rng, prob.block_sizes)) for _ in range(2))
     natural = symmetric(held_index_schur(lay, xs, ss))
     got = lay.schur(xs, ss)
@@ -880,20 +879,20 @@ def test_chunk_views_lie_side_by_side_in_the_arena(case, chunk_bytes, monkeypatc
     assert len(terms) == 1 and terms[0][0] == most and terms[0][1] >= held
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 1 << 12, 1 << 16, None])
+# 1 << 18: localizing's widest class in two chunks, its layout peak closest
+# to the bound, the transient of forming the largest held index included
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 12, 1 << 16, 1 << 18, None])
 @pytest.mark.parametrize("case", sorted(SCHUR_CASES))
 def test_no_chunk_past_the_budget_but_a_single_pair(case, chunk_bytes, monkeypatch):
     if chunk_bytes is not None:
         monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", chunk_bytes)
     budget = tssos.solver.SCHUR_CHUNK_BYTES
     prob = SCHUR_CASES[case]()
-    m = prob.n_constraints
-    buf = np.empty(m * m + 1)
-    bound = tssos.solver._layout_bytes(m, tssos.solver._plan(prob))
+    bound = tssos.solver._layout_bytes(prob.n_constraints, tssos.solver._plan(prob))
     tracemalloc.start()
     try:
-        lay = _Layout(prob, buf)
-        peak = tracemalloc.get_traced_memory()[1]
+        lay = _Layout(prob)
+        peak = tracemalloc.get_traced_memory()[1] - lay.mat.cells.nbytes
     finally:
         tracemalloc.stop()
     for cl in lay.classes:
@@ -932,14 +931,14 @@ def test_schur_holds_one_m_by_m_array_and_one_chunk(make, monkeypatch):
     try:
         lay = _Layout(prob)
         schur = lay.schur(class_stacks(lay, xb), class_stacks(lay, sb))
-        lo, _, diag = tssos.solver._factor(schur)
-        _solve(lo, diag, rhs, lay.order)
+        lay.mat.factor()
+        lay.mat.solve(rhs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the dense block is cut into slot ranges: M is numbered by its slots
-    assert (lay.order is not None) == (make is dense_banded_instance)
-    assert schur.shape == (m, m) and np.shares_memory(schur, lay.m_acc)
+    assert (lay.mat.frame is not None) == (make is dense_banded_instance)
+    assert schur.shape == (m, m) and np.shares_memory(schur, lay.mat.cells)
     # each chunk holds its index, nb*kr*kc entries outside the arena, or
     # adds its readout in a strip of M and holds none
     for cl in lay.classes:
@@ -949,7 +948,7 @@ def test_schur_holds_one_m_by_m_array_and_one_chunk(make, monkeypatch):
                 assert ch.dest.shape == (nb, ch.w.shape[0] // nb, kc)
                 assert not np.shares_memory(ch.dest, lay.arena)
             else:
-                assert ch.dest is None and np.shares_memory(ch.strip, lay.m_acc)
+                assert ch.dest is None and np.shares_memory(ch.strip, lay.mat.cells)
     # M's one buffer, plus one chunk and the layout's smaller arrays
     assert peak <= m * m * 8 + 2 * (1 << 20), peak / (m * m * 8)
 
@@ -971,16 +970,26 @@ def test_schur_builds_form_no_index(case, monkeypatch):
         assert np.array_equal(np.tril(lay.schur(xs, ss)), want)
 
 
-def test_schur_build_reads_no_unwritten_bytes():
+def test_schur_build_reads_no_unwritten_bytes(monkeypatch):
     # M's buffer full of signaling NaNs, as a reused heap block may hold:
     # adding into a cell that nothing wrote raises "invalid value"
     prob = dense_banded_instance()
     m = prob.n_constraints
     rng = np.random.default_rng(59)
-    buf = np.full(m * m + 1, 0x7FF0000000000001, dtype=np.uint64).view(float)
-    lay = _Layout(prob, buf)
+    real = np.empty
+
+    def stale(shape, *args, **kwargs):
+        out = real(shape, *args, **kwargs)
+        if shape == m * m + 1:  # M's buffer
+            out.view(np.uint64)[:] = 0x7FF0000000000001
+        return out
+
+    monkeypatch.setattr(np, "empty", stale)
+    lay = _Layout(prob)
+    monkeypatch.undo()
+    assert lay.mat.cells[-1:].view(np.uint64)[0] == 0x7FF0000000000001
     xs, ss = (class_stacks(lay, random_pd_blocks(rng, prob.block_sizes)) for _ in range(2))
-    want = np.tril(_Layout(prob, np.zeros(m * m + 1)).schur(xs, ss))
+    want = np.tril(_Layout(prob).schur(xs, ss))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = lay.schur(xs, ss)
@@ -1050,14 +1059,14 @@ def test_memory_limit_takes_the_mapped_address_space_off_rlimit_as(monkeypatch):
 def test_schur_complement_factored_once_per_iteration(monkeypatch):
     prob = mixed_instance(*MIXED_GOLDEN[0][0])
     calls = []
-    real = tssos.solver._factor
+    real = _Schur.factor
 
-    def counting(m):
-        lo, jitter, diag = real(m)
-        calls.append((m.__array_interface__["data"][0], np.shares_memory(lo, m)))
-        return lo, jitter, diag
+    def counting(mat):
+        out = real(mat)
+        calls.append((mat.full.__array_interface__["data"][0], np.shares_memory(mat.lo, mat.full)))
+        return out
 
-    monkeypatch.setattr(tssos.solver, "_factor", counting)
+    monkeypatch.setattr(_Schur, "factor", counting)
     sol = solve_canonical(prob)
     assert sol.status == "optimal"
     # the last iteration only checks convergence
@@ -1073,16 +1082,17 @@ def test_factor_allocates_little_after_the_first():
     lay = _Layout(prob)
     xs = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
     ss = class_stacks(lay, random_pd_blocks(rng, prob.block_sizes))
-    tssos.solver._factor(lay.schur(xs, ss))
-    schur = lay.schur(xs, ss)
+    lay.schur(xs, ss)
+    lay.mat.factor()
+    lay.schur(xs, ss)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        lo, _, _ = tssos.solver._factor(schur)
+        factored, _ = lay.mat.factor()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert lo is not None and np.shares_memory(lo, lay.m_acc)
+    assert factored and np.shares_memory(lay.mat.lo, lay.mat.cells)
     assert peak < m * m * 8 / 4, peak / (m * m * 8)
 
 
@@ -1123,9 +1133,9 @@ def test_schur_build_allocates_little_after_the_first():
 
 
 def lower_factor_solve(lo, diag, rhs):
-    """_solve's refinement, passing the lower factor to cho_solve.
+    """_Schur.solve's refinement, passing the lower factor to cho_solve.
 
-    M x is formed as _solve forms it: symv on the strict upper triangle of
+    M x is formed as _Schur.solve forms it: symv on the strict upper triangle of
     lo, which holds M's, with M's diagonal in place of the factor's.
     """
     def m_times(x):
@@ -1148,6 +1158,17 @@ def lower_factor_solve(lo, diag, rhs):
     return x
 
 
+def schur_holding(m, lead=()):
+    """A _Schur of M = m, its lower triangle in M's buffer as _Layout.schur leaves it.
+
+    lead numbers M's rows as _Layout's strip block does: given, the solves
+    are two trsv calls and M's row i is constraint order[i].
+    """
+    mat = _Schur(len(m), np.array(lead, dtype=np.intp))
+    mat.full[...] = np.tril(m)
+    return mat
+
+
 @pytest.mark.parametrize("singular", [False, True])
 def test_factor_in_buffer_and_solve_match_lapack_bitwise(singular):
     rng = np.random.default_rng(31)
@@ -1158,20 +1179,21 @@ def test_factor_in_buffer_and_solve_match_lapack_bitwise(singular):
     if singular:  # indefinite, so that the jitter ladder takes several rungs
         m.flat[:: n + 1] -= 1e-7
     kept = m.copy()
-    buf = np.tril(m)  # M's lower triangle, as _Layout.schur leaves it
-    lo, jitter, diag = tssos.solver._factor(buf)
-    assert (jitter > 0) == singular
-    assert np.shares_memory(lo, buf)
+    mat = schur_holding(m)
+    factored, jitter = mat.factor()
+    lo, diag = mat.lo, mat.diag
+    assert factored and (jitter > 0) == singular
+    assert np.shares_memory(lo, mat.cells)
     # the factor is potrf's of M + jitter I, and M's triangle is not written
     shifted = kept.copy()
     shifted.flat[:: n + 1] += jitter
     ref, info = lapack.dpotrf(shifted, lower=1)
     assert info == 0
     assert np.array_equal(np.tril(lo), ref)
-    assert np.array_equal(np.tril(buf, -1), np.tril(kept, -1))
+    assert np.array_equal(np.tril(mat.full, -1), np.tril(kept, -1))
     assert np.array_equal(diag, kept.diagonal())
     rhs = rng.normal(size=n)
-    assert np.array_equal(_solve(lo, diag, rhs), lower_factor_solve(lo, diag, rhs))
+    assert np.array_equal(mat.solve(rhs), lower_factor_solve(lo, diag, rhs))
 
 
 @pytest.mark.parametrize("indefinite", [False, True])
@@ -1186,34 +1208,40 @@ def test_slot_order_solve_by_trsv_matches_potrs(n, indefinite):
     q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     m = (q * lam) @ q.T
     m = 0.5 * (m + m.T)
-    lo, jitter, diag = tssos.solver._factor(np.tril(m))
-    assert (jitter > 0) == indefinite
-    # M's row i is constraint order[i]
+    # M's row i is constraint order[i]: the lead, last first
     order = rng.permutation(n)
+    natural, slotted = schur_holding(m), schur_holding(m, order[::-1])
+    assert slotted.order.tolist() == order.tolist()
+    for mat in (natural, slotted):
+        factored, jitter = mat.factor()
+        assert factored and (jitter > 0) == indefinite
     rhs = rng.normal(size=n)
     want = np.empty(n)
-    want[order] = _solve(lo, diag, rhs[order])
-    got = _solve(lo, diag, rhs, order)
+    want[order] = natural.solve(rhs[order])
+    got = slotted.solve(rhs)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_factor_gives_up_past_the_last_rung_without_writing_m():
-    m = -np.eye(4)
-    lo, jitter, _ = tssos.solver._factor(m)
-    assert lo is None and 0 < jitter < 1
-    assert np.array_equal(m, -np.eye(4))
+    mat = schur_holding(-np.eye(4))
+    factored, jitter = mat.factor()
+    assert not factored and 0 < jitter < 1
+    assert np.array_equal(mat.full, -np.eye(4))
 
 
-@pytest.mark.parametrize("make", [many_constraints_instance, dense_banded_instance])
+@pytest.mark.parametrize("make", [many_constraints_instance, dense_banded_instance, localizing_instance])
 def test_solve_peak_is_within_memory_estimate(make):
     prob = make()
     need, _ = tssos.solver._check_memory(prob)
     tracemalloc.start()
     try:
-        solve_canonical(prob)
+        sol = solve_canonical(prob)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the presolve drops localizing's dependent rows: its Gram matrix is
+    # freed before M of the rows kept is allocated
+    assert make is not localizing_instance or sol.events[0]["event"] == "presolve"
     assert peak <= need, (peak, need)
 
 
