@@ -888,13 +888,22 @@ def test_no_chunk_past_the_budget_but_a_single_pair(case, chunk_bytes, monkeypat
         monkeypatch.setattr(tssos.solver, "SCHUR_CHUNK_BYTES", chunk_bytes)
     budget = tssos.solver.SCHUR_CHUNK_BYTES
     prob = SCHUR_CASES[case]()
-    bound = tssos.solver._layout_bytes(prob.n_constraints, tssos.solver._plan(prob))
+    m = prob.n_constraints
+    bound = tssos.solver._layout_bytes(m, tssos.solver._plan(prob))
+    # M's buffer is allocated before tracing starts and handed to the layout,
+    # so the peak is the layout's alone, before M exists and after
+    bufs = [np.empty(m * m + 1)]
+    real = np.empty
+    monkeypatch.setattr(np, "empty", lambda shape, *a, **k: bufs.pop() if shape == m * m + 1 and bufs
+                        else real(shape, *a, **k))
     tracemalloc.start()
     try:
         lay = _Layout(prob)
-        peak = tracemalloc.get_traced_memory()[1] - lay.mat.cells.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        monkeypatch.setattr(np, "empty", real)
+    assert not bufs
     for cl in lay.classes:
         for ch in cl.chunks:
             nb, kc = ch.v.shape[:2]
