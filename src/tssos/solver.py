@@ -52,18 +52,19 @@ straight off the table's columns:
 
 Only the pairs i <= j of each block are formed: the chunk holding T_i
 reads out the constraints from its first slot on, into M's lower
-triangle (_Schur holds M: its buffer and numbering, its factor and
-solves).  Where a block is too wide for one chunk (a dense relaxation's
-one block, the Newton basis's {1, x_i^2} clique), M's rows are numbered
-by that block's slots, last first (of several such blocks, the one
-touched by most constraints).  Its chunks read T out slot by slot, one
-CSR matvec per slot from that slot on, into rows that are M's own, and
-add them into whole rows of M's triangle: no transposed copy of T, no
-index.  Every other chunk adds its readout by one np.add.at through its
-scatter index, formed once with the layout and held: those chunks serve
-the narrower blocks, so at paper scale the indices are a few percent of
-M's bytes.  A chunk's buffers lie side by side in one arena, sized by
-the footprint the chunks are planned with.
+triangle (_Schur holds M: its buffer and numbering, the cell each pair
+of rows adds into, its factor and solves).  Where a block is too wide
+for one chunk (a dense relaxation's one block, the Newton basis's
+{1, x_i^2} clique), M's rows are numbered by that block's slots, last
+first (of several such blocks, the one touched by most constraints).
+Its chunks read T out slot by slot, one CSR matvec per slot from that
+slot on, into rows that are M's own, and add them into whole rows of
+M's triangle: no transposed copy of T, no index.  Every other chunk adds
+its readout by one np.add.at through its scatter index, the cells _Schur
+gives it, formed once with the layout and held: those chunks serve the
+narrower blocks, so at paper scale the indices are a few percent of M's
+bytes.  A chunk's buffers lie side by side in one arena, sized by the
+footprint the chunks are planned with.
 
 M is factored once per iteration, and the predictor and the corrector
 solve with the same factor, as in SDPT3.  X and S are factored together,
@@ -257,15 +258,14 @@ class _Chunk(NamedTuple):
     xg, sg, t, tt and out are views into the layout's arena, side by side
     as _chunk_footprint lays them, written by every Schur build: the X and
     S^{-1} gathers (nb, kc, K, s), T (nb, kc, s, s), T transposed to
-    (nb, s*s, kc) and the readout (nb, kr, kc).  dest (nb, kr, kc), formed
-    with the layout and held for the solve, is the cell in M's buffer of
-    each pair (j, i) of the readout (see _scatter_index).
+    (nb, s*s, kc) and the readout (nb, kr, kc).  to is where _Schur takes
+    the readout, formed with the layout and held for the solve: the cell in
+    M's buffer of each pair (j, i), (nb, kr, kc) (see _Schur.cells_of).
 
-    strip is None but for the chunks of the layout's strip block, which M
-    is numbered by.  There it is the view of _Schur's frame, (slots of the
-    chunk, slots from its first on), that the readout lands on; out is the
-    readout transposed, (nb, kc, kr), each slot's row 0 before that slot;
-    and tt and dest are None.
+    The chunks of the layout's strip block, which M is numbered by, have
+    tt None.  Their to is the view of _Schur's frame, (slots of the chunk,
+    slots from its first on), that the readout lands on, and out is the
+    readout transposed, (nb, kc, kr), each slot's row 0 before that slot.
     """
 
     blocks: slice
@@ -277,20 +277,20 @@ class _Chunk(NamedTuple):
     xg: np.ndarray
     sg: np.ndarray
     t: np.ndarray
-    tt: np.ndarray
+    tt: Optional[np.ndarray]
     out: np.ndarray
-    dest: Optional[np.ndarray]
-    strip: Optional[np.ndarray]
+    to: np.ndarray
 
 
 class _SizeClass:
     """Blocks of one size and one constraint-count bucket, in block order.
 
-    c is (nb, s, s).  rows (nb, k) holds for each block the rows of M of the
-    constraints touching it, those with the most entries first, padded up
-    to k, the largest count in the class, with m, in the dtype of the
-    Schur build's index.  chunks cut the (block, slot) grid of the class
-    into pieces of bounded bytes for the Schur build.
+    c is (nb, s, s).  rows (nb, k) holds for each block M's rows (as
+    _Schur's row_of numbers them) of the constraints touching it, those
+    with the most entries first, padded up to k, the largest count in the
+    class, with m, in the dtype of the Schur build's index.  chunks cut
+    the (block, slot) grid of the class into pieces of bounded bytes for
+    the Schur build.
     """
 
     def __init__(self, blocks: np.ndarray, c: np.ndarray, rows: np.ndarray, chunks: List[_Chunk]):
@@ -429,7 +429,7 @@ def _layout_bytes(m: int, plan) -> int:
     """Bytes _Layout allocates besides M's buffer, or more, for m constraints and _plan's plan.
 
     Read off the plan: the Schur arena and the chunks' held indices, with
-    what forming the largest one takes for a moment (see _scatter_index:
+    what forming the largest one takes for a moment (see _Schur.cells_of:
     its lo twin, two bool masks and one ufunc buffer of up to
     np.getbufsize() entries); the class's (nb, k, wide) gather tables,
     which the chunks view, 24 bytes a padded entry; LAYOUT_ENTRY_BYTES an
@@ -468,32 +468,6 @@ def _readout_by_slot(w: _RowRun, t: np.ndarray, out: np.ndarray):
         _sparsetools.csr_matvec(n - i, cols, w.indptr[i:], w.indices, w.data, ti, out[i, i:])
 
 
-def _scatter_index(rows: np.ndarray, i0: int, i1: int, m: int) -> np.ndarray:
-    """The cell in M's buffer of each pair (j, i) of a chunk's readout, (nb, kr, kc).
-
-    rows (nb, k) are M's rows of the chunk's blocks, padded with m, in the
-    index's dtype; the chunk's slots are i0..i1 and its readout rows the
-    slots from i0 on.  Constraints a and b add into the lower-triangle
-    cell max(a, b)*m + min(a, b).  A pair whose row slot j comes before its
-    column slot i is formed by the chunk holding T_j, and a padding slot
-    touches nothing: both land on the spare cell m*m after M.
-    """
-    ci, cj = rows[:, None, i0:i1], rows[:, i0:, None]
-    # numpy buffers every broadcast operand of a ufunc, up to 8192 elements
-    # each, as large as a small chunk's index: one such operand at a time
-    dest = np.empty((len(rows), rows.shape[1] - i0, i1 - i0), rows.dtype)
-    dest[...] = ci
-    np.maximum(dest, cj, out=dest)
-    np.copyto(dest, m, where=np.arange(dest.shape[1])[:, None] < np.arange(dest.shape[2]))
-    real = dest < m
-    dest *= m
-    lo = np.empty_like(dest)
-    lo[...] = ci
-    np.minimum(lo, cj, out=lo)
-    np.add(dest, lo, out=dest, where=real)
-    return dest
-
-
 def _tiles(n: int):
     """M's strips of MIRROR_TILE rows: (a, b, the strict upper mask of the tile a..b on the diagonal)."""
     for a in range(0, n, MIRROR_TILE):
@@ -502,7 +476,7 @@ def _tiles(n: int):
 
 
 class _Schur:
-    """The Schur complement M of m constraints: its buffer and numbering, its factor and solves.
+    """The Schur complement M of m constraints: its buffer, numbering, cell map, factor and solves.
 
     M is built, factored and solved in one buffer of m*m + 1 doubles,
     cells, allocated once per solve: full is its (m, m) array, and the
@@ -512,18 +486,21 @@ class _Schur:
     scatter indices' np.add.at, and through frame by the strips.  The
     strict upper triangle keeps what was there, which factor() overwrites;
     a caller that keeps M past the next build or factor keeps a copy.
+    This object alone maps M's rows to storage: row_of numbers them, and
+    cells_of gives a chunk the cell each of its pairs of rows adds into.
 
-    M's row i is constraint order[i].  lead is the constraints of the
-    strip block (see _strip_block) in its slot order, empty when there is
-    none.  M's rows are lead, last slot first, then the other constraints
-    in order, so order is the identity when lead is empty.  frame, None
-    without lead, is M's first kl = len(lead) rows and columns, both axes
-    reversed: the strip block's chunks view it, and a pair (j, i) of its
-    slots i <= j lands at row kl - 1 - i and column kl - 1 - j, every row
-    a contiguous run of M's lower triangle.  The strips add 0 above M's
-    diagonal, so the frame is zeroed once, here.  Each cell receives the
-    same terms in the same order whatever the numbering, so M in a
-    block's slot order is M in constraint order permuted, bit for bit.
+    M's row i is constraint order[i], and constraint c is M's row
+    row_of[c].  lead is the constraints of the strip block (see
+    _strip_block) in its slot order, empty when there is none.  M's rows
+    are lead, last slot first, then the other constraints in order, so
+    order is the identity when lead is empty.  frame, None without lead,
+    is M's first kl = len(lead) rows and columns, both axes reversed: the
+    strip block's chunks view it, and a pair (j, i) of its slots i <= j
+    lands at row kl - 1 - i and column kl - 1 - j, every row a contiguous
+    run of M's lower triangle.  The strips add 0 above M's diagonal, so
+    the frame is zeroed once, here.  Each cell receives the same terms in
+    the same order whatever the numbering, so M in a block's slot order is
+    M in constraint order permuted, bit for bit.
 
     factor() factors M in place by LAPACK's potrf, jittering the diagonal
     only on failure.  Every rung of its ladder copies M's lower triangle
@@ -553,10 +530,37 @@ class _Schur:
         rest = np.ones(m, dtype=bool)
         rest[lead] = False
         self.order = np.concatenate([lead[::-1], np.flatnonzero(rest)])
+        self.row_of = np.argsort(self.order)
         kl = len(lead)
         self.frame = self.full[kl - 1::-1, kl - 1::-1] if kl else None
         self.full[:kl, :kl] = 0.0
         self.lo = self.diag = None
+
+    def cells_of(self, rows: np.ndarray, i0: int, i1: int) -> np.ndarray:
+        """The cell in cells of each pair (j, i) of a chunk's readout, (nb, kr, kc).
+
+        rows (nb, k) are M's rows of the chunk's blocks, padded with m, in
+        the index's dtype; the chunk's slots are i0..i1 and its readout rows
+        the slots from i0 on.  Rows a and b add into the lower-triangle cell
+        max(a, b)*m + min(a, b).  A pair whose row slot j comes before its
+        column slot i is formed by the chunk holding T_j, and a padding slot
+        touches nothing: both land on the spare cell m*m after M.
+        """
+        m = len(self.full)
+        ci, cj = rows[:, None, i0:i1], rows[:, i0:, None]
+        # numpy buffers every broadcast operand of a ufunc, up to 8192 elements
+        # each, as large as a small chunk's index: one such operand at a time
+        dest = np.empty((len(rows), rows.shape[1] - i0, i1 - i0), rows.dtype)
+        dest[...] = ci
+        np.maximum(dest, cj, out=dest)
+        np.copyto(dest, m, where=np.arange(dest.shape[1])[:, None] < np.arange(dest.shape[2]))
+        real = dest < m
+        dest *= m
+        lo = np.empty_like(dest)
+        lo[...] = ci
+        np.minimum(lo, cj, out=lo)
+        np.add(dest, lo, out=dest, where=real)
+        return dest
 
     def zero(self):
         """Zero M's lower triangle, strip by strip, and the spare cell, lest stale values overflow."""
@@ -630,9 +634,11 @@ class _Layout:
     reused by every build: mat, M itself (see _Schur), its rows numbered
     by the strip block's slots when there is one (see _strip_block); one
     arena, sized to the plan's largest chunk footprint, for every chunk's
-    views; and the scatter index of every chunk but the strips.  The
-    classes' rows are M's, while A and A^T keep the constraint order.  The
-    layout is built from plan, prob's _plan, planned here when not given.
+    views; and each chunk's to, where mat takes its readout.  The layout
+    hands mat the strip block's constraints and each chunk's rows and
+    slots; mat numbers M's rows and maps them to cells.  The classes' rows
+    are M's, while A and A^T keep the constraint order.  The layout is
+    built from plan, prob's _plan, planned here when not given.
     """
 
     def __init__(self, prob: CanonicalSdp, plan=None):
@@ -654,7 +660,6 @@ class _Layout:
         strip_blk = _strip_block(pair_blk, plans)
         mine = pair_blk == strip_blk
         self.mat = _Schur(m, pair_con[mine][np.argsort(pair_slot[mine])])
-        row_of = np.argsort(self.mat.order)
 
         index = _index_dtype(m)
         self.arena = np.empty(_working_set(plans, strip_blk)[0])
@@ -671,7 +676,7 @@ class _Layout:
             rows = np.full((nb, k), m, dtype=index)
             width = np.zeros((nb, k), dtype=np.intp)
             sel = cls[pair_blk] == j
-            rows[pos[pair_blk[sel]], pair_slot[sel]] = row_of[pair_con[sel]]
+            rows[pos[pair_blk[sel]], pair_slot[sel]] = self.mat.row_of[pair_con[sel]]
             width[pos[pair_blk[sel]], pair_slot[sel]] = pair_width[sel]
             sel = cls[blk] == j
             eb, es, er, ec, ev = pos[blk[sel]], slot[sel], r[sel], c[sel], v[sel]
@@ -695,11 +700,11 @@ class _Layout:
                 bl, sl = slice(b0, b1), slice(i0, i1)
                 r0, r1 = b0 * k + i0, b1 * k
                 wc = _RowRun((r1 - r0, (b1 - b0) * s * s), w.indptr[r0:r1 + 1], w.indices, w.data)
-                strip = self.mat.frame[i0:i1, i0:] if members[b0] == strip_blk else None  # k slots
-                views = _arena_views(self.arena, b1 - b0, i1 - i0, kk, s, k - i0, strip is not None)
-                dest = None if strip is not None else _scatter_index(rows[bl], i0, i1, m)
+                strip = members[b0] == strip_blk
+                views = _arena_views(self.arena, b1 - b0, i1 - i0, kk, s, k - i0, strip)
+                to = self.mat.frame[i0:i1, i0:] if strip else self.mat.cells_of(rows[bl], i0, i1)
                 built.append(_Chunk(bl, sl, p[bl, sl, :kk], q[bl, sl, :kk], val[bl, sl, :kk, None],
-                                    wc, *views, dest, strip))
+                                    wc, *views, to))
             self.classes.append(_SizeClass(members, cstack, rows, built))
         self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
         self.ends = np.cumsum([0] + [cl.c.size for cl in self.classes])
@@ -715,10 +720,10 @@ class _Layout:
         return [flat[a:b].reshape(cl.c.shape)
                 for a, b, cl in zip(self.ends, self.ends[1:], self.classes)]
 
-    def schur(self, xs: List[np.ndarray], sinvs: List[np.ndarray]) -> np.ndarray:
+    def schur(self, xs: List[np.ndarray], sinvs: List[np.ndarray]) -> None:
         """M[i,j] = sum_b <A_j, X A_i S^{-1}> for i >= j, in the lower triangle.
 
-        i and j are M's rows, numbered as mat.order says.  X and S^{-1}
+        i and j are M's rows, numbered as mat.row_of says.  X and S^{-1}
         are symmetric, so X A_i S^{-1} is the sum over the entries e of A_i
         of v_e X[p_e, :]^T S^{-1}[q_e, :]: one (s, K) by (K, s) product per
         (block, constraint) pair, read out against the A_j of the block and
@@ -729,8 +734,9 @@ class _Layout:
         symmetric in what it holds: its lower triangle, diagonal included,
         zeroed first (see _Schur).
 
-        The returned M is mat's (m, m) array, overwritten by the next call
-        and by mat.factor(): a caller that keeps M past them keeps a copy.
+        Nothing is returned: M is left in mat (mat.full), overwritten by the
+        next call and by mat.factor(); a caller that keeps M past them keeps
+        a copy.
         """
         self.mat.zero()
         for cl, x, sinv in zip(self.classes, xs, sinvs):
@@ -743,16 +749,15 @@ class _Layout:
                 np.multiply(ch.xg, ch.v, out=ch.xg)
                 np.take(sf, ch.srow, axis=0, out=ch.sg, mode="clip")
                 np.matmul(ch.xg.swapaxes(-1, -2), ch.sg, out=ch.t)
-                if ch.strip is None:
+                if ch.tt is not None:
                     np.copyto(ch.tt, ch.t.reshape(nb, kc, s * s).swapaxes(1, 2))
                     _readout(ch.w, ch.tt.reshape(-1, kc), ch.out)
-                    np.add.at(self.mat.cells, ch.dest.ravel(), ch.out.ravel())
+                    np.add.at(self.mat.cells, ch.to.ravel(), ch.out.ravel())
                 else:
                     # the readout is 0 before each slot's own: the
                     # strip's cells above M's diagonal keep their values
                     _readout_by_slot(ch.w, ch.t[0], ch.out[0])
-                    np.add(ch.strip, ch.out[0], out=ch.strip)
-        return self.mat.full
+                    np.add(ch.to, ch.out[0], out=ch.to)
 
     def unstack(self, stacks: List[np.ndarray]) -> List[np.ndarray]:
         """Per-block matrices in the original block order."""

@@ -1,13 +1,16 @@
 """The Schur build with a scatter index for every chunk, M's rows the constraints in order.
 
 Each chunk's index into M's buffer is formed here from the layout's rows,
-read back into constraint order; the whole buffer, spare cell included,
-is zeroed, and each chunk's readout is added in through its index.  The
-tests hold the package's build to this.  That build holds an index only
-for the chunks that are not strips, adds the strip block's readout
-straight into rows of M and may number M's rows by that block's slots,
-yet fills the same cells of M's lower triangle, bit for bit, once read
-through M's order (the layout's mat.order).
+read back into constraint order through the layout's mat.order, by a
+transcription of the cell rule that shares no code with the package's:
+the whole buffer, spare cell included, is zeroed, and each chunk's
+readout is added in through its index.  The tests hold the package's
+build to this.  There _Schur alone maps M's rows to storage (its row_of
+numbers them, its cells_of gives the chunks but the strips their held
+indices); the strip block's readout is added straight into rows of M,
+and M's rows may be numbered by that block's slots, yet the build fills
+the same cells of M's lower triangle, bit for bit, once read through
+M's order.
 """
 
 import numpy as np

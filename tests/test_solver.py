@@ -21,6 +21,7 @@ from tssos.solver import (
     CanonicalSdp,
     _cholesky,
     _constraint_norms,
+    _index_dtype,
     _inverse_factors,
     _Layout,
     _Schur,
@@ -652,6 +653,12 @@ def symmetric(lower):
     return low + np.tril(low, -1).T
 
 
+def build(lay, xs, sinvs):
+    """Run lay's Schur build, which returns nothing, and give M's (m, m) array, lay.mat.full."""
+    assert lay.schur(xs, sinvs) is None
+    return lay.mat.full
+
+
 def natural_lower(lay, got):
     """The lower triangle of the M that lay built, its rows read back into constraint order."""
     rank = np.argsort(lay.mat.order)
@@ -686,7 +693,7 @@ def test_schur_matches_dense_product_form(case):
     xb = random_pd_blocks(rng, prob.block_sizes)
     sb = random_pd_blocks(rng, prob.block_sizes)
     lay = _Layout(prob)
-    got = lay.schur(class_stacks(lay, xb), class_stacks(lay, sb))
+    got = build(lay, class_stacks(lay, xb), class_stacks(lay, sb))
     want = reference_schur(prob, xb, sb)
     # M is the lower triangle (the strict upper one holds no part of M);
     # mirrored and read in constraint order, it is the symmetrized product form
@@ -752,8 +759,8 @@ def test_chunked_schur_equals_unchunked(case, monkeypatch):
     cut = _Layout(prob)
     # one (block, constraint) pair per chunk wherever a block has two or more
     assert sum(len(cl.chunks) for cl in cut.classes) > sum(len(cl.chunks) for cl in whole.classes)
-    got = cut.schur(class_stacks(cut, xb), class_stacks(cut, sb))
-    want = whole.schur(class_stacks(whole, xb), class_stacks(whole, sb))
+    got = build(cut, class_stacks(cut, xb), class_stacks(cut, sb))
+    want = build(whole, class_stacks(whole, xb), class_stacks(whole, sb))
     # the two may number M's rows differently: one by a block's slots
     assert np.array_equal(natural_lower(cut, got), natural_lower(whole, want))
 
@@ -770,7 +777,7 @@ def test_schur_cells_match_the_held_index_build(case, chunk_bytes, monkeypatch):
     xs, ss = (class_stacks(lay, random_pd_blocks(rng, prob.block_sizes)) for _ in range(2))
     want = held_index_schur(lay, xs, ss)
     assert not np.triu(want, 1).any()
-    got = lay.schur(xs, ss)
+    got = build(lay, xs, ss)
     assert np.array_equal(natural_lower(lay, got), np.tril(want))
 
 
@@ -806,32 +813,32 @@ def test_slot_order_schur_is_the_natural_one_permuted(case, chunk_bytes, monkeyp
         for cl in lay.classes:
             for ch in cl.chunks:
                 on_widest = cl.blocks[ch.blocks].tolist() == [widest]
-                assert (ch.strip is not None) == on_widest
-                assert ch.strip is None or np.shares_memory(ch.strip, lay.mat.cells)
+                assert (ch.tt is None) == on_widest
+                assert np.shares_memory(ch.to, lay.mat.cells) == on_widest
     lay.mat.cells[:] = np.nan
     xs, ss = (class_stacks(lay, random_pd_blocks(rng, prob.block_sizes)) for _ in range(2))
     natural = symmetric(held_index_schur(lay, xs, ss))
-    got = lay.schur(xs, ss)
+    got = build(lay, xs, ss)
     assert np.array_equal(np.tril(got), np.tril(natural[np.ix_(order, order)]))
     # no pair lands above M's diagonal: a strip's cells there, the pairs
     # below the slot diagonal, keep their stale NaN
     for cl in lay.classes:
         for ch in cl.chunks:
-            if ch.strip is not None:
-                above = np.tri(*ch.strip.shape, k=-1, dtype=bool)
-                assert np.isnan(ch.strip[above]).all() and np.isfinite(ch.strip[~above]).all()
+            if ch.tt is None:
+                above = np.tri(*ch.to.shape, k=-1, dtype=bool)
+                assert np.isnan(ch.to[above]).all() and np.isfinite(ch.to[~above]).all()
 
 
 def chunk_dims(cl, ch):
     """The (nb, kc, kk, s, kr, strip) of a chunk, as _chunk_footprint takes them."""
     nb, kc, kk = ch.v.shape[:3]
-    return nb, kc, kk, cl.size, ch.w.shape[0] // nb, ch.strip is not None
+    return nb, kc, kk, cl.size, ch.w.shape[0] // nb, ch.tt is None
 
 
 def planned_bytes(cl, ch):
     """What a chunk's build touches besides w and the stacks, in bytes: footprint, index, gather tables."""
     footprint = sum(tssos.solver._chunk_footprint(*chunk_dims(cl, ch)))
-    held = 0 if ch.dest is None else ch.dest.nbytes
+    held = 0 if ch.tt is None else ch.to.nbytes
     return 8 * footprint + held + sum(a.nbytes for a in (ch.xrow, ch.srow, ch.v))
 
 
@@ -853,8 +860,9 @@ def test_chunk_views_lie_side_by_side_in_the_arena(case, chunk_bytes, monkeypatc
         wide = max((ch.v.shape[2] for ch in cl.chunks), default=0)
         for ch in cl.chunks:
             views = [(name, getattr(ch, name)) for name in VIEWS if getattr(ch, name) is not None]
-            # a strip chunk has no T transposed
-            assert len(views) == (4 if ch.strip is not None else 5)
+            # a strip chunk, whose readout lands in M itself, has no T transposed
+            strip = np.shares_memory(ch.to, lay.mat.cells)
+            assert len(views) == (4 if strip else 5)
             for name, a in views:
                 start = a.__array_interface__["data"][0]
                 assert lo <= start and start + a.nbytes <= hi, name
@@ -862,11 +870,10 @@ def test_chunk_views_lie_side_by_side_in_the_arena(case, chunk_bytes, monkeypatc
                 assert not np.shares_memory(a1, a2), (n1, n2)
             # a chunk but a strip holds one index, outside the arena, a cell
             # of M's buffer for each pair of its readout
-            assert (ch.dest is None) == (ch.strip is not None)
-            if ch.dest is not None:
-                assert ch.dest.shape == ch.out.shape and ch.dest.dtype == cl.rows.dtype
-                assert not np.shares_memory(ch.dest, lay.arena)
-                held += ch.dest.size
+            if not strip:
+                assert ch.to.shape == ch.out.shape and ch.to.dtype == cl.rows.dtype
+                assert not np.shares_memory(ch.to, lay.arena)
+                held += ch.to.size
             nb, kc, _, s, kr, strip = chunk_dims(cl, ch)
             most = max(most, sum(tssos.solver._chunk_footprint(nb, kc, wide, s, kr, strip)))
     # the arena is the largest footprint; the memory estimate counts it and
@@ -939,7 +946,7 @@ def test_schur_holds_one_m_by_m_array_and_one_chunk(make, monkeypatch):
     tracemalloc.start()
     try:
         lay = _Layout(prob)
-        schur = lay.schur(class_stacks(lay, xb), class_stacks(lay, sb))
+        schur = build(lay, class_stacks(lay, xb), class_stacks(lay, sb))
         lay.mat.factor()
         lay.mat.solve(rhs)
         peak = tracemalloc.get_traced_memory()[1]
@@ -953,11 +960,12 @@ def test_schur_holds_one_m_by_m_array_and_one_chunk(make, monkeypatch):
     for cl in lay.classes:
         for ch in cl.chunks:
             nb, kc = ch.v.shape[:2]
-            if ch.strip is None:
-                assert ch.dest.shape == (nb, ch.w.shape[0] // nb, kc)
-                assert not np.shares_memory(ch.dest, lay.arena)
+            if ch.tt is not None:
+                assert ch.to.shape == (nb, ch.w.shape[0] // nb, kc)
+                assert not np.shares_memory(ch.to, lay.arena)
+                assert not np.shares_memory(ch.to, lay.mat.cells)
             else:
-                assert ch.dest is None and np.shares_memory(ch.strip, lay.mat.cells)
+                assert np.shares_memory(ch.to, lay.mat.cells)
     # M's one buffer, plus one chunk and the layout's smaller arrays
     assert peak <= m * m * 8 + 2 * (1 << 20), peak / (m * m * 8)
 
@@ -968,15 +976,42 @@ def test_schur_builds_form_no_index(case, monkeypatch):
     rng = np.random.default_rng(53)
     lay = _Layout(prob)
     xs, ss = (class_stacks(lay, random_pd_blocks(rng, prob.block_sizes)) for _ in range(2))
-    want = np.tril(_Layout(prob).schur(xs, ss))
+    want = np.tril(build(_Layout(prob), xs, ss))
 
     def forbidden(*args):
         raise AssertionError("a scatter index formed after the layout")
 
     # the indices are formed with the layout and held: no build forms one
-    monkeypatch.setattr(tssos.solver, "_scatter_index", forbidden)
+    monkeypatch.setattr(_Schur, "cells_of", forbidden)
     for _ in range(2):
-        assert np.array_equal(np.tril(lay.schur(xs, ss)), want)
+        assert np.array_equal(np.tril(build(lay, xs, ss)), want)
+
+
+def test_cell_map_by_hand():
+    # m = 5, M's rows numbered by a lead: constraint c is M's row row_of[c]
+    mat = _Schur(5, np.array([3, 1]))
+    assert mat.order.tolist() == [1, 3, 0, 2, 4]
+    assert mat.row_of.tolist() == [2, 0, 3, 1, 4]
+    # two blocks of M's rows, three slots each, the second padded with m;
+    # the chunk's slots are 1..3, so its readout rows are slots 1 and 2
+    rows = np.array([[4, 3, 1], [2, 0, 5]], dtype=_index_dtype(5))
+    cells = mat.cells_of(rows, 1, 3)
+    spare = 5 * 5
+    # cells[b, j - 1, i - 1] for readout slot j and chunk slot i of block b
+    want = [[[3 * 5 + 3, spare],  # (j, i) = (1, 2) is formed as (2, 1)
+             [3 * 5 + 1, 1 * 5 + 1]],  # rows 1 and 3: max * m + min
+            [[0, spare],
+             [spare, spare]]]  # a padding slot touches nothing
+    assert cells.tolist() == want
+    assert cells.dtype == np.int32 and rows.tolist() == [[4, 3, 1], [2, 0, 5]]
+    # the chunk of slot 2 alone: its one readout row is slot 2
+    assert mat.cells_of(rows, 2, 3).tolist() == [[[6]], [[spare]]]
+
+
+def test_index_dtype_is_int32_while_the_spare_cell_fits():
+    # the spare cell m*m is the largest index: 46340**2 < 2**31 - 1 < 46341**2
+    assert _index_dtype(46340) is np.int32
+    assert _index_dtype(46341) is np.int64
 
 
 def test_schur_build_reads_no_unwritten_bytes(monkeypatch):
@@ -998,10 +1033,10 @@ def test_schur_build_reads_no_unwritten_bytes(monkeypatch):
     monkeypatch.undo()
     assert lay.mat.cells[-1:].view(np.uint64)[0] == 0x7FF0000000000001
     xs, ss = (class_stacks(lay, random_pd_blocks(rng, prob.block_sizes)) for _ in range(2))
-    want = np.tril(_Layout(prob).schur(xs, ss))
+    want = np.tril(build(_Layout(prob), xs, ss))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = lay.schur(xs, ss)
+        got = build(lay, xs, ss)
     assert np.tril(got).tobytes() == want.tobytes()
 
 
@@ -1115,9 +1150,9 @@ def test_schur_build_carries_nothing_over_to_the_next(case, chunk_bytes, monkeyp
     first, second = ([random_pd_blocks(rng, prob.block_sizes) for _ in range(2)] for _ in range(2))
     lay = _Layout(prob)
     lay.schur(*(class_stacks(lay, b) for b in first))
-    got = lay.schur(*(class_stacks(lay, b) for b in second))
+    got = build(lay, *(class_stacks(lay, b) for b in second))
     fresh = _Layout(prob)
-    want = fresh.schur(*(class_stacks(fresh, b) for b in second))
+    want = build(fresh, *(class_stacks(fresh, b) for b in second))
     assert np.array_equal(np.tril(got), np.tril(want))
 
 
@@ -1335,3 +1370,6 @@ def test_readout_matches_the_public_product():
     for i in range(5):
         np.testing.assert_allclose(rows[i, i:], w[i:] @ t[:, i], rtol=1e-14, atol=1e-14)
     assert not np.tril(rows, -1).any()
+    # and _Layout.at_map calls the CSC kernel csc_matvec, held bitwise to
+    # the public product by test_constraint_maps_are_adjoint
+    assert tssos.solver._sparsetools.csc_matvec is _sparsetools.csc_matvec
