@@ -20,12 +20,18 @@ Blocks are grouped into size classes.  The blocks of one size s are held as
 stacked arrays, (nb, s, s) for C, X and S.  A class holds only blocks whose
 constraint counts lie in one power-of-two bucket (k/2, k], so a few
 many-term localizing blocks do not pad every small moment block of the same
-size.  Each step of an iteration (inverse Cholesky factors of X and S,
-Schur contributions, search directions, inner products, the step-length
-tests) is one batched numpy call per class, so the Python work per
-iteration grows with the number of classes rather than with the number of
-blocks.  1x1 blocks take the same path; for them the batched Cholesky and
-eigenvalue test reduce to S^{-1} = 1/s and the ratio test min dx/x.
+size.  The iterate and every block quantity of an iteration (residual,
+S^{-1}, directions) is one flat array over all classes, each class's stack
+flattened in turn, with the stacks as views.  Elementwise steps (the
+residual, the combinations of a direction, symmetrizing, the trial point,
+the update) run once per iteration over the flat array; LAPACK calls
+(inverse Cholesky factors of X and S, the step-length tests), products and
+inner products run once per class, each one batched numpy call over the
+class's stack, so the Python work per iteration grows with the number of
+classes rather than with the number of blocks.  The LAPACK calls are
+numpy.linalg's gufuncs, called without np.linalg's per-call wrapper.  1x1
+blocks take the same path; for them the batched Cholesky and eigenvalue
+test reduce to S^{-1} = 1/s and the ratio test min dx/x.
 
 The constraint matrices are never densified.  In a term-sparsity relaxation
 each A_i is a pattern of a few entries on a block, so they are read
@@ -99,6 +105,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.linalg import _umath_linalg
 from scipy.sparse import _sparsetools
 from scipy.linalg import blas, lapack
 
@@ -222,10 +229,6 @@ def _add_sym(out: np.ndarray, index: Tuple[np.ndarray, ...], r, c, v):
     np.add.at(out, tuple(i[off] for i in index) + (c[off], r[off]), v[off])
 
 
-def _sym(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * (stack + stack.swapaxes(-1, -2))
-
-
 def _rank_within(groups: np.ndarray) -> np.ndarray:
     """Position of each element among the equal values of sorted groups."""
     return np.arange(len(groups)) - np.searchsorted(groups, groups)
@@ -285,7 +288,7 @@ class _Chunk(NamedTuple):
 class _SizeClass:
     """Blocks of one size and one constraint-count bucket, in block order.
 
-    c is (nb, s, s).  rows (nb, k) holds for each block M's rows (as
+    c is (nb, s, s), a view of the layout's flat C.  rows (nb, k) holds for each block M's rows (as
     _Schur's row_of numbers them) of the constraints touching it, those
     with the most entries first, padded up to k, the largest count in the
     class, with m, in the dtype of the Schur build's index.  chunks cut
@@ -627,8 +630,12 @@ class _Layout:
 
     a is the CSR matrix (m, N) of all constraints over the stacked block
     entries: the classes in order, each as its (nb, s, s) stack flattened,
-    with every off-diagonal entry at (r, c) and at (c, r).  A(V) and A^T(y)
-    are one sparse matvec each, A^T by reading a's arrays as CSC.
+    with every off-diagonal entry at (r, c) and at (c, r).  Every flat
+    array of the solve has a's columns: c is C, ends[j] where class j's
+    stack starts, stacks() the classes' views of a flat array, and
+    transpose the flat place of each entry's mirror, (b, j, i) for (b, i,
+    j), which symmetrize() gathers by.  A(V) is a @ V and A^T(y) one CSC
+    matvec on a's arrays into a flat array, both on V flat.
 
     The Schur build's working set is allocated here, once per solve, and
     reused by every build: mat, M itself (see _Schur), its rows numbered
@@ -664,13 +671,18 @@ class _Layout:
         index = _index_dtype(m)
         self.arena = np.empty(_working_set(plans, strip_blk)[0])
         self.classes: List[_SizeClass] = []
+        self.ends = [0, *accumulate(len(members) * s * s for members, s, *_ in plans)]
+        self.c = np.zeros(self.ends[-1])
+        self.transpose = np.empty(self.ends[-1], dtype=np.intp)
         pos = np.zeros(self.n_blocks, dtype=np.intp)  # position inside the class
         col = np.zeros(len(blk), dtype=np.intp)  # column of each entry in a
-        ofs = 0
-        for j, (members, s, k, wide, chunks) in enumerate(plans):
+        for j, (ofs, (members, s, k, wide, chunks)) in enumerate(zip(self.ends, plans)):
             nb = len(members)
             pos[members] = np.arange(nb)
-            cstack = np.zeros((nb, s, s))
+            n = nb * s * s
+            cstack = self.c[ofs:ofs + n].reshape(nb, s, s)
+            # where each entry (b, i, j) of the class finds (b, j, i)
+            self.transpose[ofs:ofs + n] = ofs + np.arange(n).reshape(nb, s, s).swapaxes(1, 2).ravel()
             sel = cls[cblk] == j
             _add_sym(cstack, (pos[cblk[sel]],), cr[sel], cc[sel], cv[sel])
             rows = np.full((nb, k), m, dtype=index)
@@ -685,7 +697,6 @@ class _Layout:
             p[e], q[e], val[e] = eb * s + er, eb * s + ec, ev  # rows of the stacks flattened
             flat = (eb * s + er) * s + ec
             col[sel] = ofs + flat
-            ofs += nb * s * s
             # the readout of every chunk is a run of w's rows, with w's
             # columns counted from the first block of the entry's chunk
             first = np.empty(nb, dtype=np.intp)
@@ -706,19 +717,24 @@ class _Layout:
                 built.append(_Chunk(bl, sl, p[bl, sl, :kk], q[bl, sl, :kk], val[bl, sl, :kk, None],
                                     wc, *views, to))
             self.classes.append(_SizeClass(members, cstack, rows, built))
-        self.a = sp.csr_matrix((v, (con, col)), shape=(m, ofs))
-        self.ends = np.cumsum([0] + [cl.c.size for cl in self.classes])
+        self.a = sp.csr_matrix((v, (con, col)), shape=(m, self.ends[-1]))
 
-    def a_map(self, vs: List[np.ndarray]) -> np.ndarray:
-        """(<A_i, V>)_i for V given as one stack per class."""
-        return self.a @ np.concatenate([v.ravel() for v in vs])
+    def stacks(self, flat: np.ndarray) -> List[np.ndarray]:
+        """flat's (nb, s, s) stack of every class, as views."""
+        return [flat[a:b].reshape(cl.c.shape) for a, b, cl in zip(self.ends, self.ends[1:], self.classes)]
 
-    def at_map(self, y: np.ndarray) -> List[np.ndarray]:
-        """sum_i y_i A_i as one stack per class: A^T y, by scipy's CSC kernel on a's own arrays."""
-        flat = np.zeros(self.a.shape[1])
-        _sparsetools.csc_matvec(*self.a.shape[::-1], self.a.indptr, self.a.indices, self.a.data, y, flat)
-        return [flat[a:b].reshape(cl.c.shape)
-                for a, b, cl in zip(self.ends, self.ends[1:], self.classes)]
+    def at_map(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """sum_i y_i A_i written into out, flat: A^T y, by scipy's CSC kernel on a's own arrays."""
+        out.fill(0.0)
+        _sparsetools.csc_matvec(*self.a.shape[::-1], self.a.indptr, self.a.indices, self.a.data, y, out)
+        return out
+
+    def symmetrize(self, flat: np.ndarray, scratch: np.ndarray) -> None:
+        """flat <- (flat + flat^T) / 2, block by block, flat^T gathered into scratch."""
+        # take buffers out= unless mode is "clip"; the permutation is in range
+        np.take(flat, self.transpose, out=scratch, mode="clip")
+        flat += scratch
+        flat *= 0.5
 
     def schur(self, xs: List[np.ndarray], sinvs: List[np.ndarray]) -> None:
         """M[i,j] = sum_b <A_j, X A_i S^{-1}> for i >= j, in the lower triangle.
@@ -759,38 +775,58 @@ class _Layout:
                     _readout_by_slot(ch.w, ch.t[0], ch.out[0])
                     np.add(ch.to, ch.out[0], out=ch.to)
 
-    def unstack(self, stacks: List[np.ndarray]) -> List[np.ndarray]:
-        """Per-block matrices in the original block order."""
+    def unstack(self, flat: np.ndarray) -> List[np.ndarray]:
+        """Per-block matrices of flat in the original block order, as views."""
         out: list = [None] * self.n_blocks
-        for cl, stack in zip(self.classes, stacks):
+        for cl, stack in zip(self.classes, self.stacks(flat)):
             for p, blk in enumerate(cl.blocks):
                 out[blk] = stack[p]
         return out
 
 
+def _lapack_failed(err: str, flag: int):
+    raise np.linalg.LinAlgError(f"{err} value in a LAPACK call")
+
+
+def _lapack_errors() -> np.errstate:
+    """The errstate numpy.linalg wraps each of its gufunc calls in: a failure raises LinAlgError.
+
+    The gufuncs of numpy.linalg._umath_linalg flag a member they cannot
+    factor, invert or diagonalize as an invalid value (and fill its result
+    with NaN); this errstate turns the flag into LinAlgError and ignores
+    overflow, division and underflow, as np.linalg does.  The solver calls
+    the gufuncs unwrapped, in one such errstate per loop over the classes.
+    """
+    return np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
 def _cholesky(stack: np.ndarray) -> Optional[np.ndarray]:
-    """Lower Cholesky factors of a stack; None if a member is not positive definite."""
+    """Lower Cholesky factors of a stack; None if a member is not positive definite.
+
+    np.linalg.cholesky's gufunc, called within _lapack_errors().
+    """
     try:
-        return np.linalg.cholesky(stack)
+        return _umath_linalg.cholesky_lo(stack, signature="d->d")
     except np.linalg.LinAlgError:
         return None
 
 
 def _inverse_factors(x: np.ndarray, s: np.ndarray) -> Optional[np.ndarray]:
-    """Inverse lower Cholesky factors of a class's X and S stacks.
+    """Inverse lower Cholesky factors of a class's X and S stacks, within _lapack_errors().
 
     X and S are factored together, one Cholesky call on the (2nb, s, s)
-    stack [X; S], and the factor is inverted by one batched call.  When
-    that Cholesky fails, S alone is factored to learn which one is not
-    positive definite: if S is, only S's (nb, s, s) half is returned, and
-    if S is not, None.
+    stack [X; S], and the factor is inverted by one batched call, the
+    gufunc of np.linalg.inv.  When that Cholesky fails, S alone is factored
+    to learn which one is not positive definite: if S is, only S's (nb, s,
+    s) half is returned, and if S is not, None.
     """
     lo = _cholesky(np.concatenate([x, s]))
     if lo is None:
         lo = _cholesky(s)
         if lo is None:
             return None
-    return np.linalg.inv(lo)
+    return _umath_linalg.inv(lo, signature="d->d")
 
 
 def _bound(lam: float) -> float:
@@ -805,13 +841,14 @@ def _step_lengths(linv: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> Tuple[flo
     With L the Cholesky factor of x_b, x_b + alpha*dx_b is PSD exactly when
     I + alpha*L^{-1} dx_b L^{-T} is, so the bound is read off the smallest
     eigenvalue of W = L^{-1} D L^{-T}, formed for [dx; ds] at once; eigvalsh
-    reads one triangle of W, so W is not symmetrized.  When linv holds only
-    S's half (x is not positive definite) the primal step is 0.
+    reads one triangle of W, so W is not symmetrized (by np.linalg.eigvalsh's
+    gufunc, called within _lapack_errors()).  When linv holds only S's half
+    (x is not positive definite) the primal step is 0.
     """
     nb = len(ds)
     both = len(linv) > nb
     w = linv @ (np.concatenate([dx, ds]) if both else ds) @ linv.swapaxes(-1, -2)
-    lam = np.linalg.eigvalsh(w)[:, 0]
+    lam = _umath_linalg.eigvalsh_lo(w, signature="d->d")[:, 0]
     return (_bound(lam[:nb].min()) if both else 0.0), _bound(lam[-nb:].min())
 
 
@@ -842,12 +879,13 @@ def _check_memory(prob: CanonicalSdp) -> Tuple[int, tuple]:
 
     Counts what is held for the whole solve: the one m x m buffer M is
     built and factored in; the layout's arena, indices and tables (bounded
-    by _layout_bytes of the plan returned); and 24 block stacks: the 13
-    an iteration keeps alive (iterate, slack, the remembered best of both,
-    residual, inverse factors of X and S, S^{-1}, both pairs of directions,
-    corrector) and the temporaries of a step test (the stacked directions,
-    two products and eigvalsh's copy, each two stacks deep) with room to
-    spare.
+    by _layout_bytes of the plan returned); and 24 block stacks: the 15
+    a solve keeps alive (C and its transpose permutation, the flat
+    iterate, slack, residual, S^{-1}, X Rd S^{-1}, corr S^{-1}, the
+    direction pair both directions share and a scratch array, the
+    remembered best of X and S, and the inverse factors of X and S) and
+    the temporaries of a step test (the stacked directions, two products
+    and eigvalsh's copy, each two class stacks deep) with room to spare.
     """
     m = prob.n_constraints
     sizes = prob.block_sizes
@@ -976,7 +1014,14 @@ def _inconsistent(prob: CanonicalSdp, rows: np.ndarray) -> SolverSolution:
 
 
 def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, plan=None) -> SolverSolution:
-    """The interior-point iteration on prob, its layout from plan."""
+    """The interior-point iteration on prob, its layout from plan.
+
+    The iterate and every per-iteration block quantity is one flat array in
+    the columns of the layout's a (see _Layout), allocated once and
+    overwritten by every iteration, with its per-class stacks as views made
+    once: elementwise steps run once over the flat array, LAPACK calls and
+    products class by class on the views.
+    """
     m = prob.n_constraints
     lay = _Layout(prob, plan)
     classes = lay.classes
@@ -992,7 +1037,7 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, plan=None) -> SolverS
         return SolverSolution(
             status=status,
             x_blocks=[np.zeros((s, s)) for s in prob.block_sizes],
-            s_blocks=lay.unstack([cl.c.copy() for cl in classes]),
+            s_blocks=lay.unstack(lay.c.copy()),
             y=np.zeros(0),
             primal_obj=0.0,
             dual_obj=0.0,
@@ -1008,8 +1053,13 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, plan=None) -> SolverS
     # fmax skips a NaN ratio, as max(eta_p, ratio) does
     eta_p = float(np.fmax.reduce((1.0 + np.abs(b)) / (1.0 + norm_a), initial=eta_p))
 
-    xs = [eta_p * np.broadcast_to(np.eye(cl.size), cl.c.shape) for cl in classes]
-    ss = [eta_d * np.broadcast_to(np.eye(cl.size), cl.c.shape) for cl in classes]
+    # the diagonal entries are those the transpose leaves in place
+    eye = (lay.transpose == np.arange(len(lay.c))).astype(float)
+    x, s = eta_p * eye, np.multiply(eye, eta_d, out=eye)
+    # residual, S^{-1}, X Rd S^{-1}, corr S^{-1}, both directions and scratch
+    rd, sinv, xrd, csinv, dx, ds, tmp = (np.empty_like(x) for _ in range(7))
+    cs, xs, ss, rds, sinvs, xrds, csinvs, dxs, dss, tmps = map(
+        lay.stacks, (lay.c, x, s, rd, sinv, xrd, csinv, dx, ds, tmp))
     y = np.zeros(m)
 
     status = "max_iter"
@@ -1017,26 +1067,58 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, plan=None) -> SolverS
     iters = 0
     residuals = {"gap": np.inf, "primal": np.inf, "dual": np.inf}
     pobj = dobj = 0.0
-    best = None  # (err, iteration, xs, ss, y, pobj, dobj, residuals)
+    best = None  # (err, iteration, x, s, y, pobj, dobj, residuals)
     stall = 0
     max_jitter = 0.0
 
     def stop(rule: str):
         events.append({"event": "stop", "rule": rule, "iter": iters})
 
+    def step_lengths() -> Tuple[float, float]:
+        """The least primal and dual bounds of the classes for the direction in dx, ds."""
+        with _lapack_errors():
+            bounds = [_step_lengths(*a) for a in zip(linvs, dxs, dss)]
+        return min([p for p, _ in bounds], default=np.inf), min([d for _, d in bounds], default=np.inf)
+
+    def direction(sigma_mu: float, corrected: bool) -> np.ndarray:
+        """dy, with dX and dS written into dx and ds; corr S^{-1} is csinv.
+
+        The rhs's stacks, X Rd S^{-1} - sigma_mu S^{-1} + corr S^{-1},
+        are formed in dx, and sigma_mu S^{-1} in tmp, kept for dX.
+        """
+        aux = xrd
+        if sigma_mu:
+            aux = np.subtract(xrd, np.multiply(sinv, sigma_mu, out=tmp), out=dx)
+        if corrected:
+            aux = np.add(aux, csinv, out=dx)
+        dy = lay.mat.solve(b + lay.a @ aux)
+        np.subtract(rd, lay.at_map(dy, ds), out=ds)
+        for u, v, w, out in zip(xs, dss, sinvs, dxs):
+            np.matmul(u @ v, w, out=out)
+        # -X - X dS S^{-1} (+ sigma_mu S^{-1}) (- corr S^{-1}), symmetrized;
+        # -(X dS S^{-1}) - X adds the same two terms as -X - X dS S^{-1}
+        np.subtract(np.negative(dx, out=dx), x, out=dx)
+        if sigma_mu:
+            np.add(dx, tmp, out=dx)
+        if corrected:
+            np.subtract(dx, csinv, out=dx)
+        lay.symmetrize(dx, csinv)
+        return dy
+
     for it in range(1, cfg.max_iters + 1):
         iters = it
-        pobj = sum(float(np.vdot(cl.c, x)) for cl, x in zip(classes, xs))
+        pobj = sum([float(np.vdot(c, v)) for c, v in zip(cs, xs)])
         dobj = float(b @ y)
-        gap = sum(float(np.vdot(x, s)) for x, s in zip(xs, ss))
+        gap = sum([float(np.vdot(u, v)) for u, v in zip(xs, ss)])
         mu = gap / total_dim
 
-        rd = [cl.c - at - s for cl, at, s in zip(classes, lay.at_map(y), ss)]
-        rp = b - lay.a_map(xs)
+        np.subtract(lay.c, lay.at_map(y, rd), out=rd)
+        rd -= s
+        rp = b - lay.a @ x
 
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         rp_norm = np.linalg.norm(rp) / (1.0 + norm_b)
-        rd_norm = math.sqrt(sum(float(np.vdot(r, r)) for r in rd)) / (1.0 + norm_c)
+        rd_norm = math.sqrt(sum([float(np.vdot(r, r)) for r in rds])) / (1.0 + norm_c)
         residuals = {"gap": float(rel_gap), "primal": float(rp_norm), "dual": float(rd_norm)}
 
         if cfg.verbose:
@@ -1052,8 +1134,7 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, plan=None) -> SolverS
         # once a long window brings no improvement
         err = max(rel_gap, rp_norm, rd_norm)
         if best is None or err < 0.9 * best[0]:
-            best = (err, it, [x.copy() for x in xs], [s.copy() for s in ss],
-                    y.copy(), pobj, dobj, dict(residuals))
+            best = (err, it, x.copy(), s.copy(), y.copy(), pobj, dobj, dict(residuals))
             stall = 0
         else:
             stall += 1
@@ -1063,7 +1144,8 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, plan=None) -> SolverS
                 break
 
         # divergence heuristics
-        xnorm = max(float(np.abs(x).max(initial=0.0)) for x in xs)
+        np.abs(x, out=tmp)
+        xnorm = max([float(v.max(initial=0.0)) for v in tmps])
         ynorm = float(np.abs(y).max()) if m else 0.0
         if xnorm > 1e13:
             stop("x_diverged")
@@ -1074,13 +1156,16 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, plan=None) -> SolverS
             status = "infeasible" if rd_norm <= 1e-6 else "numerical"
             break
 
-        linvs = [_inverse_factors(x, s) for x, s in zip(xs, ss)]
+        with _lapack_errors():
+            linvs = [_inverse_factors(u, v) for u, v in zip(xs, ss)]
         if any(li is None for li in linvs):
             stop("s_not_pd")
             status = "numerical"
             break
         # S^{-1} = L^{-T} L^{-1} from S's half of the inverse factors
-        sinvs = [_sym(li[-len(s):].swapaxes(-1, -2) @ li[-len(s):]) for li, s in zip(linvs, ss)]
+        for li, out in zip(linvs, sinvs):
+            np.matmul(li[-len(out):].swapaxes(-1, -2), li[-len(out):], out=out)
+        lay.symmetrize(sinv, tmp)
 
         lay.schur(xs, sinvs)
         factored, jitter = lay.mat.factor()
@@ -1091,37 +1176,15 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, plan=None) -> SolverS
             break
 
         # the part of the rhs that both directions share
-        xrds = [x @ rdb @ sinv for x, sinv, rdb in zip(xs, sinvs, rd)]
+        for u, r, v, out in zip(xs, rds, sinvs, xrds):
+            np.matmul(u @ r, v, out=out)
 
-        def direction(sigma_mu: float, corr: Optional[List[np.ndarray]]):
-            aux = []
-            for j, (u, sinv) in enumerate(zip(xrds, sinvs)):
-                if sigma_mu:
-                    u = u - sigma_mu * sinv
-                if corr is not None:
-                    u = u + corr[j] @ sinv
-                aux.append(u)
-            dy = lay.mat.solve(b + lay.a_map(aux))
-            dss = [rdb - at for rdb, at in zip(rd, lay.at_map(dy))]
-            dxs = []
-            for j, (x, sinv, dsb) in enumerate(zip(xs, sinvs, dss)):
-                raw = -x - x @ dsb @ sinv
-                if sigma_mu:
-                    raw = raw + sigma_mu * sinv
-                if corr is not None:
-                    raw = raw - corr[j] @ sinv
-                dxs.append(_sym(raw))
-            return dxs, dy, dss
-
-        dx_aff, dy_aff, ds_aff = direction(0.0, None)
-
-        aff = [_step_lengths(*a) for a in zip(linvs, dx_aff, ds_aff)]
-        ap_aff = min(1.0, min((p for p, _ in aff), default=1.0))
-        ad_aff = min(1.0, min((d for _, d in aff), default=1.0))
-        gap_aff = sum(
-            float(np.vdot(x + ap_aff * dx, s + ad_aff * ds))
-            for x, dx, s, ds in zip(xs, dx_aff, ss, ds_aff)
-        )
+        direction(0.0, False)
+        ap_aff, ad_aff = (min(1.0, a) for a in step_lengths())
+        # the affine trial point, X in tmp and S in csinv
+        np.add(x, np.multiply(dx, ap_aff, out=tmp), out=tmp)
+        np.add(s, np.multiply(ds, ad_aff, out=csinv), out=csinv)
+        gap_aff = sum([float(np.vdot(u, v)) for u, v in zip(tmps, csinvs)])
         mu_aff = max(gap_aff, 0.0) / total_dim
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
         # keep complementarity from racing far below the remaining
@@ -1130,20 +1193,19 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, plan=None) -> SolverS
         if rel_gap < max(rp_norm, rd_norm):
             sigma = max(sigma, 0.5)
 
-        corr = [dx @ ds for dx, ds in zip(dx_aff, ds_aff)]
-        dxs, dy, dss = direction(sigma * mu, corr)
+        for u, v, w, out in zip(dxs, dss, sinvs, csinvs):
+            np.matmul(u @ v, w, out=out)
+        dy = direction(sigma * mu, True)
 
-        steps = [_step_lengths(*a) for a in zip(linvs, dxs, dss)]
-        ap = min(1.0, STEP_FRACTION * min((p for p, _ in steps), default=np.inf))
-        ad = min(1.0, STEP_FRACTION * min((d for _, d in steps), default=np.inf))
+        ap, ad = (min(1.0, STEP_FRACTION * a) for a in step_lengths())
         if ap <= 1e-12 and ad <= 1e-12:
             stop("tiny_steps")
             status = "numerical"
             break
         # dx is symmetrized and ds a difference of symmetric stacks, so
         # both sums are exactly symmetric
-        xs = [x + ap * dx for x, dx in zip(xs, dxs)]
-        ss = [s + ad * ds for s, ds in zip(ss, dss)]
+        x += np.multiply(dx, ap, out=dx)
+        s += np.multiply(ds, ad, out=ds)
         y = y + ad * dy
     else:
         stop("max_iters")
@@ -1153,14 +1215,14 @@ def _interior_point(prob: CanonicalSdp, cfg: SolverConfig, plan=None) -> SolverS
         if best[0] < cur_err:
             events.append({"event": "best_iterate", "iter": best[1],
                            "error": float(best[0]), "last_error": float(cur_err)})
-            _, _, xs, ss, y, pobj, dobj, residuals = best
+            _, _, x, s, y, pobj, dobj, residuals = best
     if max_jitter:
         events.append({"event": "schur_jitter", "max": float(max_jitter)})
 
     return SolverSolution(
         status=status,
-        x_blocks=lay.unstack(xs),
-        s_blocks=lay.unstack(ss),
+        x_blocks=lay.unstack(x),
+        s_blocks=lay.unstack(s),
         y=y,
         primal_obj=pobj,
         dual_obj=dobj,

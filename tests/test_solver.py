@@ -23,6 +23,7 @@ from tssos.solver import (
     _constraint_norms,
     _index_dtype,
     _inverse_factors,
+    _lapack_errors,
     _Layout,
     _Schur,
     _step_lengths,
@@ -403,11 +404,13 @@ def test_step_length_is_zero_for_stack_with_non_pd_member():
     x = np.stack([np.eye(3), np.diag([1.0, -1.0, 2.0]), 2 * np.eye(3)])
     s = np.stack([np.eye(3)] * 3)
     dx = rng.normal(size=(3, 3, 3))
-    assert _cholesky(x) is None
-    assert _step_lengths(_inverse_factors(x, s), dx + dx.swapaxes(1, 2), np.zeros((3, 3, 3)))[0] == 0.0
-    one = np.array([1.0, 0.0, 2.0]).reshape(3, 1, 1)
-    ones = np.ones((3, 1, 1))
-    assert _step_lengths(_inverse_factors(one, ones), ones, ones)[0] == 0.0
+    # the factors report a failure within the errstate the solver calls them in
+    with _lapack_errors():
+        assert _cholesky(x) is None
+        assert _step_lengths(_inverse_factors(x, s), dx + dx.swapaxes(1, 2), np.zeros((3, 3, 3)))[0] == 0.0
+        one = np.array([1.0, 0.0, 2.0]).reshape(3, 1, 1)
+        ones = np.ones((3, 1, 1))
+        assert _step_lengths(_inverse_factors(one, ones), ones, ones)[0] == 0.0
     # the same stack without the bad member gets a positive step
     assert _step_lengths(_inverse_factors(x[[0, 2]], s[:2]), np.zeros((2, 3, 3)), np.zeros((2, 3, 3))) == (
         np.inf, np.inf)
@@ -462,13 +465,14 @@ def test_x_not_pd_gives_primal_step_zero_and_a_finite_dual_step():
     s = np.stack(random_pd_blocks(rng, [3, 3]))
     ds = rng.normal(size=(2, 3, 3))
     ds = ds + ds.swapaxes(1, 2)
-    linv = _inverse_factors(x, s)
-    assert linv.shape == (2, 3, 3)  # S's half only
-    primal, dual = _step_lengths(linv, np.zeros((2, 3, 3)), ds)
-    assert primal == 0.0
-    assert np.isfinite(dual) and dual == pytest.approx(separate_step_length(s, ds), rel=1e-12)
-    # S not positive definite: no factors at all
-    assert _inverse_factors(s, x) is None
+    with _lapack_errors():
+        linv = _inverse_factors(x, s)
+        assert linv.shape == (2, 3, 3)  # S's half only
+        primal, dual = _step_lengths(linv, np.zeros((2, 3, 3)), ds)
+        assert primal == 0.0
+        assert np.isfinite(dual) and dual == pytest.approx(separate_step_length(s, ds), rel=1e-12)
+        # S not positive definite: no factors at all
+        assert _inverse_factors(s, x) is None
 
 
 def failing_cholesky(monkeypatch, fails):
@@ -724,24 +728,46 @@ def test_constraint_norms_match_the_entry_loop(case):
 
 
 @pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_transpose_permutation_mirrors_every_block(case):
+    lay = _Layout(SCHUR_CASES[case]())
+    n = len(lay.c)
+    perm = lay.transpose
+    # an involution taking entry (b, i, j) of each class's stack to (b, j, i)
+    assert np.array_equal(perm[perm], np.arange(n))
+    for at, mirror in zip(lay.stacks(np.arange(n)), lay.stacks(perm)):
+        assert np.array_equal(mirror, at.swapaxes(1, 2))
+    # so the flat symmetrization is the stacks' own, bit for bit, whatever
+    # the scratch held
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-5, 5, size=n)
+        want = [0.5 * (v + v.swapaxes(-1, -2)) for v in lay.stacks(a)]
+        lay.symmetrize(a, np.full(n, np.nan))
+        assert all(got.tobytes() == w.tobytes() for got, w in zip(lay.stacks(a), want))
+
+
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
 def test_constraint_maps_are_adjoint(case):
     prob = SCHUR_CASES[case]()
     rng = np.random.default_rng(5)
     lay = _Layout(prob)
-    vs = [rng.normal(size=cl.c.shape) for cl in lay.classes]
+    # V flat, its classes' (nb, s, s) stacks side by side in a's columns
+    vs = rng.normal(size=len(lay.c))
     y = rng.normal(size=prob.n_constraints)
-    lhs = float(lay.a_map(vs) @ y)
-    rhs = sum(float(np.vdot(v, w)) for v, w in zip(vs, lay.at_map(y)))
+    lhs = float((lay.a @ vs) @ y)
+    rhs = float(np.vdot(vs, lay.at_map(y, np.empty_like(vs))))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
     # A^T, A's arrays read as CSC, adds each column's terms in the order a
-    # CSR copy of A^T does: the products agree bit for bit
+    # CSR copy of A^T does: the products agree bit for bit, also into a
+    # buffer holding stale values
     for _ in range(20):
         y = rng.normal(size=prob.n_constraints)
-        got = np.concatenate([w.ravel() for w in lay.at_map(y)])
+        got = lay.at_map(y, np.full(len(lay.c), np.nan))
         assert got.tobytes() == (lay.a.T.tocsr() @ y).tobytes()
     # and A matches the entries themselves
     blocks = lay.unstack(vs)
-    got = lay.a_map(vs)
+    assert [stack.shape for stack in lay.stacks(vs)] == [cl.c.shape for cl in lay.classes]
+    got = lay.a @ vs
     for i, row in enumerate(entry_rows(prob)[1:]):
         mats = dense_from_entries(prob.block_sizes, row)
         assert got[i] == pytest.approx(
@@ -1310,24 +1336,32 @@ def test_iterates_stay_exactly_symmetric(make, monkeypatch):
 
 
 def test_step_tests_reuse_the_cholesky_factors(monkeypatch):
+    from numpy.linalg import _umath_linalg
+
     prob = mixed_instance(*MIXED_GOLDEN[0][0])
     lay = _Layout(prob)
     calls = failing_cholesky(monkeypatch, lambda call, stack: False)
-    inverses = []
-    real_inv = np.linalg.inv
+    counted = {"inv": [], "eigvalsh_lo": []}
 
-    def counting_inv(a):
-        inverses.append(a.shape)
-        return real_inv(a)
+    def counting(name):
+        real = getattr(_umath_linalg, name)
 
-    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        def call(a, **kwargs):
+            counted[name].append(a.shape)
+            return real(a, **kwargs)
+        return call
+
+    for name in counted:
+        monkeypatch.setattr(_umath_linalg, name, counting(name))
     sol = solve_canonical(prob)
     assert sol.status == "optimal"
     # X and S stacked: one factorization and one inverse of the (2nb, s, s)
     # stack per class in every iteration but the last
     stacked = [(2 * len(cl.blocks), cl.size, cl.size) for cl in lay.classes]
     assert calls == stacked * (sol.iterations - 1)
-    assert inverses == calls
+    assert counted["inv"] == calls
+    # and two step tests, one eigvalsh each of the (2nb, s, s) stack W
+    assert counted["eigvalsh_lo"] == stacked * 2 * (sol.iterations - 1)
 
 
 def test_solve_peak_with_large_blocks_is_within_memory_estimate(monkeypatch):
@@ -1373,3 +1407,46 @@ def test_readout_matches_the_public_product():
     # and _Layout.at_map calls the CSC kernel csc_matvec, held bitwise to
     # the public product by test_constraint_maps_are_adjoint
     assert tssos.solver._sparsetools.csc_matvec is _sparsetools.csc_matvec
+
+
+def test_lapack_gufuncs_match_the_public_calls():
+    # the solver calls numpy.linalg's private gufuncs cholesky_lo, inv and
+    # eigvalsh_lo without np.linalg's wrapper: a numpy release that renames
+    # or changes them fails here, not inside a solve
+    from numpy.linalg import _umath_linalg
+
+    assert tssos.solver._umath_linalg is _umath_linalg
+    rng = np.random.default_rng(6)
+    for x, s in [(np.full((1, 1, 1), 2.5), np.full((1, 1, 1), 0.3)),
+                 tuple(np.stack(random_pd_blocks(rng, [4] * 5)) for _ in range(2))]:
+        both = np.concatenate([x, s])
+        d = rng.normal(size=both.shape)
+        with warnings.catch_warnings(), _lapack_errors():
+            warnings.simplefilter("error")
+            lo = _cholesky(both)
+            linv = _inverse_factors(x, s)
+            w = linv @ (d + d.swapaxes(1, 2)) @ linv.swapaxes(1, 2)
+            lam = _umath_linalg.eigvalsh_lo(w, signature="d->d")
+            bounds = _step_lengths(linv, *np.split(d + d.swapaxes(1, 2), 2))
+        assert lo.tobytes() == np.linalg.cholesky(both).tobytes()
+        assert linv.tobytes() == np.linalg.inv(lo).tobytes()
+        assert lam.tobytes() == np.linalg.eigvalsh(w).tobytes()
+        want = [-1.0 / v if v < -1e-14 else np.inf for v in (lam[:len(x), 0].min(), lam[len(x):, 0].min())]
+        assert list(bounds) == want
+    # a member that is not positive definite: the public call raises, and the
+    # gufunc flags it as an invalid value, which the solver's errstate turns
+    # into _cholesky's None with no warning
+    bad = np.stack([np.eye(3), np.diag([1.0, -1.0, 2.0]), 2 * np.eye(3)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(bad)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert np.isnan(_umath_linalg.cholesky_lo(bad, signature="d->d")[1]).all()
+    with warnings.catch_warnings(), _lapack_errors():
+        warnings.simplefilter("error")
+        assert _cholesky(bad) is None
+        assert _inverse_factors(bad, bad) is None
+        # and a singular stack raises in the gufunc of inv as in np.linalg.inv
+        with pytest.raises(np.linalg.LinAlgError):
+            _umath_linalg.inv(np.zeros((2, 3, 3)), signature="d->d")
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.zeros((2, 3, 3)))

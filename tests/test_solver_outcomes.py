@@ -8,9 +8,9 @@ iterations within one; an outcome that moves is listed in MOVED with the
 reason.
 
 Near the gap tolerance the iteration count depends on the last bits of
-the Schur complement (broyden_banded n=6 at k=1 takes 26 iterations with
-one BLAS thread and 21 with two), so the outcomes are computed in a child
-process with BLAS at one thread, as they were recorded.  Rewrite the file
+the Schur complement (at k=1 broyden_banded n=6 takes 24 iterations with
+one BLAS thread and 32 with two, n=7 30 and 28), so the outcomes are
+computed in a child process with BLAS at one thread, as they were recorded.  Rewrite the file
 from the current code with
 
     PYTHONPATH=src python tests/test_solver_outcomes.py --write
